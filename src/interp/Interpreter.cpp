@@ -208,15 +208,19 @@ Interpreter::Value Interpreter::callMethod(MethodId MId,
         const Value &A = Locals[I.Args[0]];
         const Value &B = Locals[I.Args[1]];
         Value V;
+        // Java long arithmetic wraps; computing in uint64_t gives the same
+        // two's-complement bits without signed-overflow UB.
+        const uint64_t UA = static_cast<uint64_t>(A.Int);
+        const uint64_t UB = static_cast<uint64_t>(B.Int);
         switch (static_cast<BinopKind>(I.IntLit)) {
         case BinopKind::Add:
-          V.Int = A.Int + B.Int;
+          V.Int = static_cast<int64_t>(UA + UB);
           break;
         case BinopKind::Sub:
-          V.Int = A.Int - B.Int;
+          V.Int = static_cast<int64_t>(UA - UB);
           break;
         case BinopKind::Mul:
-          V.Int = A.Int * B.Int;
+          V.Int = static_cast<int64_t>(UA * UB);
           break;
         case BinopKind::Eq:
           V.Int = A.IsRef == B.IsRef &&

@@ -483,20 +483,14 @@ void Access::serializeSolver(const PointsToSolver &S, Writer &W) {
     putU32Vec(W, Preds);
   putU32VecMap(W, CG.SiteCallees);
 
-  // Points-to sets (v2): the fully compressed cycle-collapse
-  // representative column, then for each representative (ascending id)
-  // the sparse-bitmap chunks — word-index vector + bit-word vector.
-  // Non-representatives carry no set; queries resolve through the column.
-  // The per-PK tables are padded past PKs.size() (growTablesSlow); the
-  // padding slots are empty and self-representative, so only the slots
-  // backing real keys are written.
+  // Points-to sets: for each pointer key (ascending id) the sparse-bitmap
+  // chunks — word-index vector + bit-word vector. The per-PK tables are
+  // padded past PKs.size() (growTablesSlow); the padding slots are empty,
+  // so only the slots backing real keys are written.
   const uint32_t NumPts =
       static_cast<uint32_t>(std::min(S.Pts.size(), S.PKs.size()));
   W.u32(NumPts);
-  W.u32Array(S.RepParent.data(), NumPts);
   for (PKId I = 0; I < NumPts; ++I) {
-    if (S.RepParent[I] != I)
-      continue;
     putU32Vec(W, S.Pts[I].wordIndices());
     putU64Vec(W, S.Pts[I].words());
   }
@@ -674,22 +668,11 @@ bool Access::restoreSolver(PointsToSolver &S, Reader &R) {
       return false;
   }
 
-  uint32_t NumPts = R.count(4);
+  uint32_t NumPts = R.count(8);
   if (NumPts > NumPKs)
     return false;
-  S.RepParent.resize(NumPts);
-  if (!R.u32Array(S.RepParent.data(), NumPts))
-    return false;
-  // The column must be idempotent (fully compressed) and in range.
-  for (PKId I = 0; I < NumPts; ++I) {
-    PKId Rp = S.RepParent[I];
-    if (Rp >= NumPts || S.RepParent[Rp] != Rp)
-      return false;
-  }
   S.Pts.resize(NumPts);
   for (PKId I = 0; I < NumPts; ++I) {
-    if (S.RepParent[I] != I)
-      continue;
     std::vector<uint32_t> Idx;
     std::vector<uint64_t> Words;
     if (!getU32Vec(R, Idx) || !getU64Vec(R, Words))

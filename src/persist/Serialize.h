@@ -50,7 +50,8 @@ namespace persist {
 /// entries are rejected (and recomputed) instead of misread.
 /// v2: points-to sets are stored as sparse-bitmap chunks plus the cycle
 /// collapse representative column (was: one sorted u32 vector per key).
-inline constexpr uint32_t FormatVersion = 2;
+/// v3: the representative column is gone; every key stores its own set.
+inline constexpr uint32_t FormatVersion = 3;
 
 /// Record magic: "TAJP" little-endian.
 inline constexpr uint32_t RecordMagic = 0x504a4154u;

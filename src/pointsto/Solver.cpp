@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 using namespace taj;
 
@@ -26,12 +25,7 @@ PointsToSolver::PointsToSolver(const Program &P, const ClassHierarchy &CHA,
   HMapKeysResolved = Counters.handle("conststr.map_keys_resolved");
   HReflResolved = Counters.handle("conststr.reflective_resolved");
   HReflUnresolved = Counters.handle("reflection.unresolved");
-  HCyclesCollapsed = Counters.handle("pts.cycles_collapsed");
-  HNodesMerged = Counters.handle("pts.nodes_merged");
   HMergedCacheHits = Counters.handle("pts.merged_cache_hits");
-  CycleElim = this->Opts.CycleElim;
-  if (const char *E = std::getenv("TAJ_CYCLE_ELIM"))
-    CycleElim = !(E[0] == '0' && E[1] == '\0');
   // Pre-size the interning tables from the program size: pointer keys run
   // a small multiple of the statement count across contexts, and seeding
   // the hash maps here avoids the rehash cascade through every power of
@@ -63,36 +57,12 @@ Symbol PointsToSolver::internSym(std::string_view S) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Representative mapping (cycle collapse)
-//===----------------------------------------------------------------------===//
-
-PKId PointsToSolver::find(PKId PK) {
-  if (PK >= RepParent.size())
-    growTables();
-  while (RepParent[PK] != PK) {
-    RepParent[PK] = RepParent[RepParent[PK]]; // path halving
-    PK = RepParent[PK];
-  }
-  return PK;
-}
-
-PKId PointsToSolver::findConst(PKId PK) const {
-  // Post-solve the mapping is fully compressed (solve()'s epilogue), so
-  // this loop runs at most one step on the query surface.
-  while (PK < RepParent.size() && RepParent[PK] != PK)
-    PK = RepParent[PK];
-  return PK;
-}
-
-//===----------------------------------------------------------------------===//
 // Query surface
 //===----------------------------------------------------------------------===//
 
 const SparseBitSet &PointsToSolver::pointsTo(PKId PK) const {
   static const SparseBitSet Empty;
-  if (PK >= Pts.size())
-    return Empty;
-  return Pts[findConst(PK)];
+  return PK < Pts.size() ? Pts[PK] : Empty;
 }
 
 const std::vector<IKId> &PointsToSolver::pointsToOfLocal(CGNodeId N,
@@ -138,8 +108,8 @@ void PointsToSolver::growTablesSlow() {
   // Keys intern one at a time, so pad the growth: the inline growTables()
   // check stays false until the tables are genuinely outgrown, and this
   // slow path (eight vector resizes) runs O(log N) times per solve
-  // instead of once per interned key. Slots beyond PKs.size() are empty
-  // and self-representative, which every consumer tolerates.
+  // instead of once per interned key. Slots beyond PKs.size() are empty,
+  // which every consumer tolerates.
   size_t N = PKs.size() + PKs.size() / 2 + 64;
   if (Pts.capacity() == 0) {
     // First growth: reserve to the same program-size estimate the key
@@ -155,7 +125,6 @@ void PointsToSolver::growTablesSlow() {
       CallUses.reserve(Hint);
       Delta.reserve(Hint);
       OnWorklist.reserve(Hint);
-      RepParent.reserve(Hint);
     }
   }
   Pts.resize(N);
@@ -166,10 +135,6 @@ void PointsToSolver::growTablesSlow() {
   CallUses.resize(N);
   Delta.resize(N);
   OnWorklist.resize(N, false);
-  size_t Old = RepParent.size();
-  RepParent.resize(N);
-  for (size_t I = Old; I < N; ++I)
-    RepParent[I] = static_cast<PKId>(I);
 }
 
 void PointsToSolver::enqueue(PKId PK) {
@@ -179,18 +144,14 @@ void PointsToSolver::enqueue(PKId PK) {
   }
 }
 
-bool PointsToSolver::insertResolved(PKId PK, IKId IK) {
+bool PointsToSolver::insertPointsTo(PKId PK, IKId IK) {
+  growTables();
   if (!Pts[PK].insert(IK))
     return false;
   Counters.addTo(HPtsEntries);
   Delta[PK].push_back(IK);
   enqueue(PK);
   return true;
-}
-
-bool PointsToSolver::insertPointsTo(PKId PK, IKId IK) {
-  growTables();
-  return insertResolved(find(PK), IK);
 }
 
 void PointsToSolver::unionInto(PKId From, PKId To) {
@@ -209,8 +170,6 @@ void PointsToSolver::unionInto(PKId From, PKId To) {
 
 void PointsToSolver::addCopyEdge(PKId From, PKId To) {
   growTables();
-  From = find(From);
-  To = find(To);
   if (From == To)
     return;
   if (!SuccSet[From].insert(To))
@@ -357,10 +316,6 @@ void PointsToSolver::solve(const std::vector<MethodId> &Entries) {
     Prio->onNodeProcessed(N);
   }
   propagate();
-  // Fully compress the representative mapping so the (possibly concurrent)
-  // post-solve query surface resolves any PKId in one read.
-  for (PKId I = 0; I < RepParent.size(); ++I)
-    RepParent[I] = find(static_cast<PKId>(I));
 }
 
 void PointsToSolver::propagate() {
@@ -375,125 +330,18 @@ void PointsToSolver::propagate() {
     PKId PK = Worklist.back();
     Worklist.pop_back();
     OnWorklist[PK] = false;
-    if (RepParent[PK] != PK)
-      continue; // absorbed into a cycle while queued; delta moved with it
     // Swap the pending delta into a recycled buffer: Delta[PK] inherits
     // the scratch's spent capacity, so the pop loop stops allocating once
     // the buffers have warmed up.
     MovedScratch.clear();
     MovedScratch.swap(Delta[PK]);
     for (IKId IK : MovedScratch) {
-      // Indexed loop: a cycle collapse onto PK appends the absorbed
-      // nodes' successors, and this member must flow along them too.
-      for (size_t E = 0; E < CopySuccs[PK].size(); ++E) {
-        PKId T = find(CopySuccs[PK][E]);
-        if (T == PK)
-          continue; // intra-cycle edge left behind by a collapse
-        if (!insertResolved(T, IK) && CycleElim)
-          maybeCollapse(PK, T);
-      }
+      // Indexed loop: insertPointsTo may grow the per-PK tables, which
+      // would invalidate a reference into CopySuccs.
+      for (size_t E = 0; E < CopySuccs[PK].size(); ++E)
+        insertPointsTo(CopySuccs[PK][E], IK);
       handleNewPointsTo(PK, IK);
     }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Online cycle elimination (lazy cycle detection + union-find collapse)
-//===----------------------------------------------------------------------===//
-
-void PointsToSolver::maybeCollapse(PKId Rep, PKId T) {
-  // Cheap gates first: identical cardinality, then a one-shot probe per
-  // edge, then full set equality. Equal sets across a copy edge are the
-  // classic lazy-cycle-detection signal (Hardekopf & Lin).
-  if (Pts[T].count() != Pts[Rep].count())
-    return;
-  const uint64_t EKey = (static_cast<uint64_t>(Rep) << 32) | T;
-  if (!ProbedEdges.insert(EKey).second)
-    return;
-  if (!(Pts[T] == Pts[Rep]))
-    return;
-  // Bounded DFS from T looking for a path back to Rep; Rep -> T is a copy
-  // edge, so such a path closes a cycle containing every path node.
-  uint32_t Budget = 64;
-  std::vector<PKId> Path;
-  std::vector<PKId> Visited;
-  if (cycleDfs(T, Rep, Budget, Path, Visited))
-    collapseCycle(Rep, Path);
-}
-
-bool PointsToSolver::cycleDfs(PKId Cur, PKId Goal, uint32_t &Budget,
-                              std::vector<PKId> &Path,
-                              std::vector<PKId> &Visited) {
-  Path.push_back(Cur);
-  Visited.push_back(Cur);
-  for (size_t E = 0; E < CopySuccs[Cur].size(); ++E) {
-    PKId S = find(CopySuccs[Cur][E]);
-    if (S == Goal)
-      return true;
-    if (S == Cur)
-      continue;
-    if (std::find(Visited.begin(), Visited.end(), S) != Visited.end())
-      continue;
-    if (Budget == 0)
-      break;
-    --Budget;
-    if (cycleDfs(S, Goal, Budget, Path, Visited))
-      return true;
-  }
-  Path.pop_back();
-  return false;
-}
-
-void PointsToSolver::collapseCycle(PKId Rep, std::vector<PKId> &Members) {
-  for (PKId M : Members)
-    mergeInto(Rep, M);
-  Counters.addTo(HCyclesCollapsed);
-  // Re-establish every obligation of the merged node by re-queueing its
-  // full set as delta. All downstream actions are value-idempotent
-  // (insertions, deduplicated edge/target registration), so over-firing
-  // is safe; pending delta entries are subsumed by the full set.
-  Delta[Rep].clear();
-  Pts[Rep].appendTo(Delta[Rep]);
-  enqueue(Rep);
-}
-
-void PointsToSolver::mergeInto(PKId Rep, PKId M) {
-  RepParent[M] = Rep;
-  Counters.addTo(HNodesMerged);
-  // Points-to contents. The members are identical by the LCD gate for the
-  // probe edge, but DFS path nodes may lag; count any genuinely new bits.
-  NewBitsScratch.clear();
-  if (Pts[Rep].unionWith(Pts[M], NewBitsScratch))
-    Counters.addTo(HPtsEntries, NewBitsScratch.size());
-  Pts[M].clear();
-  Delta[M].clear();
-  // Successors, resolved and deduplicated against the representative's.
-  for (PKId S : CopySuccs[M]) {
-    PKId T = find(S);
-    if (T != Rep && SuccSet[Rep].insert(T))
-      CopySuccs[Rep].push_back(T);
-  }
-  CopySuccs[M].clear();
-  SuccSet[M].clear();
-  // Deferred uses transfer wholesale; collapseCycle's full re-delta will
-  // fire them against the representative's set.
-  LoadUses[Rep].append(LoadUses[M].begin(), LoadUses[M].end());
-  LoadUses[M].clear();
-  StoreUses[Rep].append(StoreUses[M].begin(), StoreUses[M].end());
-  StoreUses[M].clear();
-  CallUses[Rep].append(CallUses[M].begin(), CallUses[M].end());
-  CallUses[M].clear();
-  // Reflective-invoke registrations keyed by PK migrate to the rep.
-  for (auto *Map : {&InvokeByMethodPK, &InvokeByArrayPK}) {
-    auto It = Map->find(M);
-    if (It == Map->end())
-      continue;
-    std::vector<uint32_t> Moved = std::move(It->second);
-    Map->erase(It);
-    auto &Dst = (*Map)[Rep];
-    for (uint32_t Idx : Moved)
-      if (std::find(Dst.begin(), Dst.end(), Idx) == Dst.end())
-        Dst.push_back(Idx);
   }
 }
 
@@ -598,7 +446,6 @@ PKId PointsToSolver::channelFieldOrPlain(IKId IK, const LoadUse &LU) {
 
 void PointsToSolver::registerLoadUse(PKId Base, LoadUse LU) {
   growTables();
-  Base = find(Base);
   LoadUses[Base].push_back(LU);
   SnapScratch.clear();
   Pts[Base].appendTo(SnapScratch);
@@ -631,7 +478,6 @@ void PointsToSolver::registerLoadUse(PKId Base, LoadUse LU) {
 
 void PointsToSolver::registerStoreUse(PKId Base, StoreUse SU) {
   growTables();
-  Base = find(Base);
   StoreUses[Base].push_back(SU);
   SnapScratch.clear();
   Pts[Base].appendTo(SnapScratch);
@@ -654,7 +500,6 @@ void PointsToSolver::registerStoreUse(PKId Base, StoreUse SU) {
 
 void PointsToSolver::registerCallUse(PKId Recv, CallUse CU) {
   growTables();
-  Recv = find(Recv);
   CallUses[Recv].push_back(CU);
   SnapScratch.clear();
   Pts[Recv].appendTo(SnapScratch);
@@ -977,12 +822,10 @@ void PointsToSolver::applyIntrinsic(CGNodeId Caller, StmtId Site,
       IS.I = &I;
       Invokes.push_back(IS);
       InvokeIndex.emplace(Key, Idx);
-      // Register interest in the args array (I.Args[2]). Keyed by the
-      // representative; handleNewPointsTo looks the current rep up.
+      // Register interest in the args array (I.Args[2]).
       if (I.Args.size() > 2) {
         PKId ArrPK = L(I.Args[2]);
-        growTables();
-        InvokeByArrayPK[find(ArrPK)].push_back(Idx);
+        InvokeByArrayPK[ArrPK].push_back(Idx);
         // Local snapshot (not SnapScratch — this can run inside a
         // registerCallUse iteration that owns that buffer).
         std::vector<IKId> Cur;
@@ -997,9 +840,7 @@ void PointsToSolver::applyIntrinsic(CGNodeId Caller, StmtId Site,
         }
       }
       // Register interest in the Method object (the receiver PK).
-      PKId MethodPK = L(I.Args[0]);
-      growTables();
-      InvokeByMethodPK[find(MethodPK)].push_back(Idx);
+      InvokeByMethodPK[L(I.Args[0])].push_back(Idx);
     } else {
       Idx = It->second;
     }

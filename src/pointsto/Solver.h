@@ -17,10 +17,8 @@
 /// transfer functions cover string carriers, dictionaries with constant
 /// keys, reflection, Thread.start, JNDI/EJB lookups and taint APIs.
 ///
-/// Points-to sets are chunked sparse bitmaps (pointsto/BitSet.h); the copy
-/// graph runs online cycle elimination (lazy cycle detection + union-find
-/// collapse), so queries resolve original PKIds through a representative
-/// mapping. See DESIGN.md "Solver internals".
+/// Points-to sets are chunked sparse bitmaps (pointsto/BitSet.h) indexed
+/// directly by PKId. See DESIGN.md "Solver internals".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +39,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace taj {
@@ -65,10 +62,6 @@ struct PointsToOptions {
   uint32_t MaxCallGraphNodes = 0;
   /// Exclude whitelisted (benign) classes entirely (§4.2.1 code reduction).
   bool ExcludeWhitelisted = false;
-  /// Online cycle elimination in the copy graph. Results are identical
-  /// either way; the toggle exists for A/B validation and as an escape
-  /// hatch (env TAJ_CYCLE_ELIM=0 overrides).
-  bool CycleElim = true;
   /// Context policy tunables.
   ContextPolicyOptions Policy;
   /// JNDI name -> bean class bindings from the deployment descriptor
@@ -106,8 +99,7 @@ public:
   PointerKeyTable &pointerKeys() { return PKs; }
   const PointerKeyTable &pointerKeys() const { return PKs; }
 
-  /// Points-to set of \p PK; iteration yields ascending IKIds. Resolves
-  /// \p PK through the cycle-collapse representative mapping.
+  /// Points-to set of \p PK; iteration yields ascending IKIds.
   const SparseBitSet &pointsTo(PKId PK) const;
 
   /// Union of pointsTo over every context of method \p M for value \p V —
@@ -182,19 +174,11 @@ private:
   void addConstraints(CGNodeId N);
   void propagate();
 
-  /// Union-find over pointer keys (cycle collapse). find() applies path
-  /// halving; findConst() is read-only for const queries (post-solve the
-  /// mapping is fully compressed, so it resolves in one step).
-  PKId find(PKId PK);
-  PKId findConst(PKId PK) const;
-
   bool insertPointsTo(PKId PK, IKId IK);
-  /// insertPointsTo for an already-resolved representative.
-  bool insertResolved(PKId PK, IKId IK);
   void enqueue(PKId PK);
   void addCopyEdge(PKId From, PKId To);
-  /// Bulk-unions Pts[From] into Pts[To] (both representatives), queueing
-  /// the new members in ascending order.
+  /// Bulk-unions Pts[From] into Pts[To], queueing the new members in
+  /// ascending order.
   void unionInto(PKId From, PKId To);
   /// Brings every per-PK table up to PKs.size(). Called from the hot loops
   /// after anything that may intern a key; the common no-op case must stay
@@ -204,15 +188,6 @@ private:
       growTablesSlow();
   }
   void growTablesSlow();
-
-  /// Lazy cycle detection: propagation along Rep->T produced no change.
-  /// Probes (once per edge) for a copy-graph cycle through \p T back to
-  /// \p Rep; on success collapses the cycle onto \p Rep.
-  void maybeCollapse(PKId Rep, PKId T);
-  bool cycleDfs(PKId Cur, PKId Goal, uint32_t &Budget,
-                std::vector<PKId> &Path, std::vector<PKId> &Visited);
-  void collapseCycle(PKId Rep, std::vector<PKId> &Members);
-  void mergeInto(PKId Rep, PKId M);
 
   PKId channelKey(IKId Base, Symbol Chan);
   PKId channelFieldOrPlain(IKId IK, const LoadUse &LU);
@@ -254,20 +229,13 @@ private:
   Stats::Handle HMapKeysResolved = 0;
   Stats::Handle HReflResolved = 0;
   Stats::Handle HReflUnresolved = 0;
-  Stats::Handle HCyclesCollapsed = 0;
-  Stats::Handle HNodesMerged = 0;
   Stats::Handle HMergedCacheHits = 0;
   /// Per-site reflection counter handles, built once per (method, stmt).
   std::unordered_map<uint64_t, Stats::Handle> ReflSiteHandles;
   bool BudgetHit = false;
   bool Solved = false;
-  /// Effective cycle-elimination switch (Opts.CycleElim after the
-  /// TAJ_CYCLE_ELIM env override).
-  bool CycleElim = true;
 
-  // Per-PK state (indexed by PKId; grown lazily). Pts/CopySuccs/uses are
-  // representative-indexed once cycles collapse; non-representative slots
-  // are drained empty by mergeInto.
+  // Per-PK state (indexed by PKId; grown lazily).
   std::vector<SparseBitSet> Pts;
   std::vector<SmallVec<PKId, 4>> CopySuccs;
   /// Per-source successor membership (replaces the old global EdgeDedup
@@ -276,17 +244,13 @@ private:
   std::vector<SmallVec<LoadUse, 2>> LoadUses;
   std::vector<SmallVec<StoreUse, 2>> StoreUses;
   std::vector<SmallVec<CallUse, 1>> CallUses;
-  /// Pending new members per representative. Deliberately an arrival-order
+  /// Pending new members per pointer key. Deliberately an arrival-order
   /// list, not a bitmap: the event order downstream (first dispatch of a
   /// call site, SiteCallees order) must match the historical engine so CLI
   /// output stays byte-identical.
   std::vector<SmallVec<IKId, 4>> Delta;
   std::vector<bool> OnWorklist;
   std::vector<PKId> Worklist;
-  /// Union-find parent; RepParent[PK] == PK for representatives.
-  std::vector<PKId> RepParent;
-  /// Copy edges already probed by lazy cycle detection (one probe each).
-  std::unordered_set<uint64_t> ProbedEdges;
   /// Reused buffers: bulk-union output and register*Use snapshots. Not
   /// re-entrant; see the comments at their uses.
   std::vector<IKId> NewBitsScratch;
@@ -299,8 +263,7 @@ private:
   std::unordered_map<IKId, std::vector<PKId>> Channels;
   std::unordered_map<IKId, std::vector<PKId>> WildcardReaders;
 
-  // Reflective invoke state; (PK role) registrations point here. Keys are
-  // representatives; mergeInto migrates them on collapse.
+  // Reflective invoke state; (PK role) registrations point here.
   std::vector<InvokeSite> Invokes;
   std::unordered_map<uint64_t, uint32_t> InvokeIndex; // (caller,site) -> idx
   std::unordered_map<PKId, std::vector<uint32_t>> InvokeByMethodPK;

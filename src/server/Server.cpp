@@ -1,4 +1,4 @@
-//===- server/Server.cpp - Persistent analysis daemon ---------------------===//
+//===- server/Server.cpp - Supervised worker pool -------------------------===//
 
 #include "server/Server.h"
 
@@ -15,10 +15,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -27,9 +30,13 @@
 #if defined(__linux__)
 #include <sys/prctl.h>
 #endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 using namespace taj;
 using namespace taj::server;
+using supervise::ExitClass;
 
 namespace {
 
@@ -93,26 +100,27 @@ bool takeFrame(std::string &Buf, std::vector<uint8_t> &Payload, bool &Bad) {
   return true;
 }
 
-/// One admitted request, from admission through (possibly retried)
-/// completion.
+/// One request, from admission (serve) or its list line (batch) through
+/// its possibly retried completion.
 struct PendingReq {
-  int ClientFd = -1; ///< -1 once the client vanished (outcome discarded)
+  int ClientFd = -1; ///< -1 once the client vanished, and always in batch
   std::vector<AppSource> Sources;
   RunOptions Opt; ///< base + overrides, degraded further per retry
   std::string AppName;
   unsigned AttemptNo = 1;
-  uint64_t Line = 0; ///< request serial, the journal's line key
+  uint64_t Line = 0; ///< journal line key: request serial / list position
   uint64_t BeginUs = 0;
 };
 
-/// One pool member. Fd is the daemon side of the socketpair; worker
-/// death is detected as EOF on it, then reaped with a blocking waitpid.
+/// One worker slot. Fd is the coordinator side of the socketpair; worker
+/// death is detected as EOF on it, then reaped with a blocking waitpid. A
+/// batch slot is empty (Pid < 0) between its one-shot workers.
 struct PoolWorker {
   pid_t Pid = -1;
   int Fd = -1;
   bool Busy = false;
   PendingReq Cur;
-  double DeadlineAt = 0; ///< daemon-clock ms of the watchdog SIGTERM (0=off)
+  double DeadlineAt = 0; ///< coordinator-clock ms of the SIGTERM (0=off)
   double GraceMs = 2000;
   double KillAt = 0; ///< armed after SIGTERM: ms of the SIGKILL escalation
   bool TermSent = false;
@@ -160,28 +168,74 @@ bool flushOutgoing(Outgoing &Wr) {
   return false;
 }
 
-/// The pool worker's request loop: long-lived caches (disk tier shared
-/// with every other worker through the filesystem, hot tier private),
-/// one spool file for stdout capture, one analysis per request frame.
-[[noreturn]] void workerMain(const ServerOptions &O, int Fd) {
+/// Terminal outcome of one batch app, held until it prints in list order.
+struct AppResult {
+  bool Done = false;
+  ExitClass Class = ExitClass::Error;
+  int Exit = 1;
+  uint64_t Issues = 0;
+  std::string Output;
+  std::string Suffix;
+};
+
+/// Arms a one-shot batch worker before it runs anything: the rlimit
+/// backstops, and on retries the removal of the fault-injection
+/// environment (the degraded flags already dropped the injected fault; the
+/// environment channel must not resurrect it).
+void armOneShotWorker(const supervise::SupervisorConfig &Lim,
+                      unsigned AttemptNo) {
+  if (Lim.HardMemoryBytes != 0) {
+    struct rlimit RL;
+    RL.rlim_cur = RL.rlim_max = Lim.HardMemoryBytes;
+    ::setrlimit(RLIMIT_AS, &RL);
+  }
+  if (Lim.CpuLimitSec != 0) {
+    struct rlimit RL;
+    RL.rlim_cur = Lim.CpuLimitSec;
+    RL.rlim_max = Lim.CpuLimitSec + 5;
+    ::setrlimit(RLIMIT_CPU, &RL);
+  }
+  // The child is single-threaded right after fork, so unsetenv's global
+  // environment update races with nothing.
+  if (AttemptNo > 1 &&
+      degradationForAttempt(AttemptNo - 1).StripFaultInjection) {
+    ::unsetenv("TAJ_FAIL_AT");      // NOLINT(concurrency-mt-unsafe)
+    ::unsetenv("TAJ_CRASH_AT");     // NOLINT(concurrency-mt-unsafe)
+    ::unsetenv("TAJ_CRASH_SIGNAL"); // NOLINT(concurrency-mt-unsafe)
+    ::unsetenv("TAJ_HANG_AT");      // NOLINT(concurrency-mt-unsafe)
+  }
+}
+
+/// The worker's request loop, one analysis per request frame, stdout
+/// captured on one spool file. A daemon worker keeps its caches warm
+/// across requests: the disk tier (shared with every other worker through
+/// the filesystem; mem-only without a cache dir) and a private hot tier.
+/// A one-shot batch worker serves one attempt and opens the disk cache
+/// only when --cache-dir names one, exactly like a local run.
+[[noreturn]] void workerMain(const ServerOptions &O, int Fd, bool OneShot) {
   // The daemon's drain handlers were inherited across fork; a watchdog
   // SIGTERM must kill this process, not set a flag in it.
   std::signal(SIGTERM, SIG_DFL);
   std::signal(SIGINT, SIG_DFL);
 #if defined(__linux__)
-  // No orphans: if the daemon dies, its pool dies with it.
+  // No orphans: if the coordinator dies, its pool dies with it.
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);
 #endif
   // Allocation failure dies as the deterministic OOM exit code the
-  // daemon's classification understands, not an uncatchable abort.
+  // coordinator's classification understands, not an uncatchable abort.
   supervise::installWorkerOomHandler();
 
   const uint64_t GraceMs =
       O.CacheGraceSet ? O.CacheGraceMs : (O.CacheDir.empty() ? 0 : 60000);
-  persist::ArtifactCache Cache(O.CacheDir, O.CacheMaxMb * 1024 * 1024,
-                               GraceMs);
-  persist::MemCache Hot(O.HotMaxMb * 1024 * 1024);
-  Cache.attachMemTier(&Hot);
+  std::unique_ptr<persist::ArtifactCache> Cache;
+  std::unique_ptr<persist::MemCache> Hot;
+  if (!OneShot || !O.CacheDir.empty())
+    Cache = std::make_unique<persist::ArtifactCache>(
+        O.CacheDir, O.CacheMaxMb * 1024 * 1024, GraceMs);
+  if (!OneShot) {
+    Hot = std::make_unique<persist::MemCache>(O.HotMaxMb * 1024 * 1024);
+    Cache->attachMemTier(Hot.get());
+  }
 
   // One anonymous spool file, reused for every request's stdout capture.
   const char *TmpDir = std::getenv("TMPDIR");
@@ -194,8 +248,10 @@ bool flushOutgoing(Outgoing &Wr) {
     ::unlink(TmplBuf.data());
   int OrigOut = ::dup(STDOUT_FILENO);
 
+  bool GotRequest = false;
   std::vector<uint8_t> Payload;
   while (readFrame(Fd, Payload)) {
+    GotRequest = true;
     Request Req;
     Response Resp;
     if (!deserializeRequest(Payload.data(), Payload.size(), Req)) {
@@ -205,7 +261,10 @@ bool flushOutgoing(Outgoing &Wr) {
         break;
       continue;
     }
-    RunOptions Opt = O.Base;
+    // The coordinator sends the request's complete canonical option set,
+    // so it is parsed onto defaults: a zero the encoding omits (fault
+    // injection a retry stripped) must not fall back to the base config.
+    RunOptions Opt;
     bool OptOk = !Req.Sources.empty();
     for (const std::string &Ov : Req.Overrides)
       if (parseRunOption(Ov.c_str(), Opt) != OptionParse::Matched) {
@@ -213,7 +272,7 @@ bool flushOutgoing(Outgoing &Wr) {
         break;
       }
     if (!OptOk) {
-      // The daemon validated at admission; reaching this means the two
+      // The coordinator validated the options; reaching this means the two
       // sides disagree — answer rather than die, but call it out.
       Resp.St = Status::BadRequest;
       Resp.Message = "invalid request options";
@@ -223,9 +282,10 @@ bool flushOutgoing(Outgoing &Wr) {
     }
 
     // Capture stdout onto the spool so the response report is exactly
-    // the bytes a batch run would have printed. Without the capture the
-    // report would leak to the daemon's inherited stdout and the client
-    // would get a hollow Ok — refuse the request instead of running it.
+    // the bytes a local run would have printed. Without the capture the
+    // report would leak to the coordinator's inherited stdout and the
+    // answer would be a hollow Ok — refuse the request instead of running
+    // it.
     std::fflush(stdout);
     const bool Spooled = Spool >= 0 && OrigOut >= 0 &&
                          ::lseek(Spool, 0, SEEK_SET) == 0 &&
@@ -246,11 +306,11 @@ bool flushOutgoing(Outgoing &Wr) {
     if (Tracing)
       trace::enable();
 
-    const uint64_t MemHit0 = Cache.memHits();
-    const uint64_t MemStore0 = Cache.memStores();
+    const uint64_t MemHit0 = Hot ? Cache->memHits() : 0;
+    const uint64_t MemStore0 = Hot ? Cache->memStores() : 0;
     Stats ReqStats;
 
-    RunOutcome Out = analyzeApp(Req.Sources, Opt, &Cache, &ReqStats);
+    RunOutcome Out = analyzeApp(Req.Sources, Opt, Cache.get(), &ReqStats);
     std::fflush(stdout);
     ::dup2(OrigOut, STDOUT_FILENO);
     std::clearerr(stdout); // a spool write error must not outlive the swap
@@ -264,8 +324,10 @@ bool flushOutgoing(Outgoing &Wr) {
       }
     }
 
-    ReqStats.add("persist.mem_hit", Cache.memHits() - MemHit0);
-    ReqStats.add("persist.mem_store", Cache.memStores() - MemStore0);
+    if (Hot) {
+      ReqStats.add("persist.mem_hit", Cache->memHits() - MemHit0);
+      ReqStats.add("persist.mem_store", Cache->memStores() - MemStore0);
+    }
 
     Resp.St = Out.Exit == ExitClean
                   ? Status::Ok
@@ -279,39 +341,57 @@ bool flushOutgoing(Outgoing &Wr) {
     if (!writeFrame(Fd, serializeResponse(Resp)))
       break;
   }
-  // Normal exit path: the daemon closed the pair (drain) or died.
-  std::_Exit(0);
+  // The coordinator closed the pair (drain, one-shot retirement) or died.
+  // A one-shot worker that never received its request says so.
+  std::_Exit(OneShot && !GotRequest ? supervise::WorkerSpawnFailExitCode : 0);
 }
 
-/// The daemon proper. Single-threaded poll() loop. Reads stay blocking
-/// (one read per readiness event) and worker-bound writes may block (a
-/// dispatched worker is always draining its pair); client-bound writes
-/// go through the non-blocking Outgoing buffers above, because a client
-/// is under no obligation to read its response promptly.
-class Daemon {
+/// The coordinator of both pool shapes: one single-threaded poll() loop
+/// over the workers and, when serving, the listen socket and its clients.
+/// Reads stay blocking (one read per readiness event) and worker-bound
+/// writes may block (a dispatched worker is always draining its pair);
+/// client-bound writes go through the non-blocking Outgoing buffers above,
+/// because a client is under no obligation to read its response promptly.
+class Pool {
 public:
-  explicit Daemon(const ServerOptions &O)
-      : O(O), Journal(O.JournalPath), ConfigFp(optionsFingerprint(O.Base)) {}
+  /// A non-null \p Apps selects batch mode: the list is the queue and the
+  /// workers are one-shot; otherwise the pool is the daemon's.
+  Pool(const ServerOptions &O, const std::vector<BatchApp> *Apps)
+      : O(O), Apps(Apps), OneShot(Apps != nullptr),
+        Cat(OneShot ? "supervise" : "server"),
+        Tag(OneShot ? "taj-supervise" : "taj-serve"), Journal(O.JournalPath),
+        ConfigFp(optionsFingerprint(O.Base)) {}
 
-  int run();
+  int serve();
+  int batch(bool Resume);
 
 private:
   bool setupSocket();
-  bool spawnWorker(PoolWorker &W);
+  bool spawnWorker(PoolWorker &W, const supervise::SupervisorConfig *Lim);
+  void retire(PoolWorker &W);
+  void loop();
   void dispatch();
   void admit(ClientConn &C, std::vector<uint8_t> &Payload);
   void refuse(int Fd, Status St, const std::string &Msg);
   void queueResponse(int Fd, const Response &R);
-  void respond(PendingReq &R, Response &Resp, bool WorkerRan);
+  void complete(PendingReq &R, Response &Resp, ExitClass Class, int Signal,
+                int Exit);
   void onWorkerFrame(size_t Idx, std::vector<uint8_t> &Payload);
   void onWorkerDeath(size_t Idx);
-  void journalAttempt(const PendingReq &R, supervise::ExitClass Class,
-                      int Signal, int Exit, uint64_t Issues, bool Terminal);
+  void traceAttempt(size_t Idx, const PendingReq &R, bool Died);
+  void journalAttempt(const PendingReq &R, ExitClass Class, int Signal,
+                      int Exit, uint64_t Issues, bool Terminal);
+  void stampServerCounters(Stats &S) const;
   void beginDrain();
+  void flushReady();
   bool writeArtifacts();
   double nowMs() const { return Clock.elapsedMs(); }
 
   ServerOptions O;
+  const std::vector<BatchApp> *Apps;
+  const bool OneShot;
+  const char *const Cat; ///< trace category of coordinator-side events
+  const char *const Tag; ///< stderr diagnostic prefix
   supervise::Journal Journal;
   std::string ConfigFp;
   Timer Clock;
@@ -324,15 +404,24 @@ private:
   static constexpr double ClientWriteTimeoutMs = 30000;
   uint64_t NextLine = 0;
   bool Draining = false;
-  Stats Merged; ///< every served request's counters, for --stats-json
+  /// Batch only: per-app outcomes, the next list line to print, and the
+  /// number of apps without a terminal outcome yet.
+  std::vector<AppResult> Results;
+  size_t NextPrint = 0;
+  size_t Remaining = 0;
+  Stats Merged; ///< every finished attempt's counters, for --stats-json
   std::vector<std::string> TraceBlobs;
   struct Counters {
+    // server.*
     uint64_t Accepted = 0, RejectedBusy = 0, Served = 0, Retried = 0,
              HotHits = 0, Drained = 0, Respawned = 0;
+    // supervise.*
+    uint64_t Spawned = 0, Crashed = 0, TimedOut = 0, OomKilled = 0,
+             Recovered = 0, ResumedSkips = 0, StatsParseFailed = 0;
   } N;
 };
 
-bool Daemon::setupSocket() {
+bool Pool::setupSocket() {
   struct sockaddr_un Addr;
   if (O.SocketPath.size() >= sizeof(Addr.sun_path)) {
     std::fprintf(stderr, "error: socket path too long: '%s'\n",
@@ -388,12 +477,17 @@ Bound:
   return true;
 }
 
-bool Daemon::spawnWorker(PoolWorker &W) {
+/// Forks a worker into slot \p W. \p Lim (one-shot workers only) carries
+/// the rlimit backstops the child arms before anything else.
+bool Pool::spawnWorker(PoolWorker &W, const supervise::SupervisorConfig *Lim) {
   int SP[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, SP) < 0) {
     std::fprintf(stderr, "error: socketpair: %s\n", std::strerror(errno));
     return false;
   }
+  // Whatever stdout still buffers would otherwise be written twice, once
+  // by each process (the batch framing is printed by this process).
+  std::fflush(stdout);
   pid_t Pid = ::fork();
   if (Pid < 0) {
     std::fprintf(stderr, "error: fork: %s\n", std::strerror(errno));
@@ -402,7 +496,8 @@ bool Daemon::spawnWorker(PoolWorker &W) {
     return false;
   }
   if (Pid == 0) {
-    // Child: drop every daemon-side fd; only its own pair end survives.
+    // Child: drop every coordinator-side fd; only its own pair end
+    // survives.
     ::close(SP[0]);
     if (ListenFd >= 0)
       ::close(ListenFd);
@@ -425,7 +520,21 @@ bool Daemon::spawnWorker(PoolWorker &W) {
       ::close(GWakeFds[0]);
     if (GWakeFds[1] >= 0)
       ::close(GWakeFds[1]);
-    workerMain(O, SP[1]);
+    if (Lim) {
+      // The coordinator's batch state (reports waiting for their turn to
+      // print, every finished attempt's trace) is not the worker's. Hand
+      // it back so a one-shot worker's memory baseline, which RLIMIT_AS
+      // and --max-memory-mb both see, does not grow with its place in the
+      // list.
+      std::vector<std::string>().swap(TraceBlobs);
+      std::vector<AppResult>().swap(Results);
+      std::deque<PendingReq>().swap(Queue);
+#if defined(__GLIBC__)
+      ::malloc_trim(0);
+#endif
+      armOneShotWorker(*Lim, W.Cur.AttemptNo);
+    }
+    workerMain(O, SP[1], OneShot);
   }
   ::close(SP[1]);
   W.Pid = Pid;
@@ -437,11 +546,23 @@ bool Daemon::spawnWorker(PoolWorker &W) {
   return true;
 }
 
+/// Closes a worker's pair and reaps it: a one-shot worker after its
+/// answer, any worker a drain no longer needs. EOF on the pair is the
+/// worker's cue to exit.
+void Pool::retire(PoolWorker &W) {
+  ::close(W.Fd);
+  W.Fd = -1;
+  int Status;
+  while (::waitpid(W.Pid, &Status, 0) < 0 && errno == EINTR) {
+  }
+  W.Pid = -1;
+}
+
 /// Takes ownership of \p Fd and sends one response frame without ever
 /// blocking the daemon: the fd is switched non-blocking, as much as the
 /// socket buffer takes is written immediately, and the remainder (if
 /// any) drains under POLLOUT with a drop deadline.
-void Daemon::queueResponse(int Fd, const Response &R) {
+void Pool::queueResponse(int Fd, const Response &R) {
   Outgoing Wr;
   if (!appendFrame(Wr.Buf, serializeResponse(R))) {
     ::close(Fd); // oversized payload: the peer would reject it anyway
@@ -456,7 +577,7 @@ void Daemon::queueResponse(int Fd, const Response &R) {
     Writes.push_back(std::move(Wr));
 }
 
-void Daemon::refuse(int Fd, Status St, const std::string &Msg) {
+void Pool::refuse(int Fd, Status St, const std::string &Msg) {
   Response R;
   R.St = St;
   R.Exit = exitCodeForStatus(St);
@@ -464,7 +585,7 @@ void Daemon::refuse(int Fd, Status St, const std::string &Msg) {
   queueResponse(Fd, R); // best effort: peer may be gone
 }
 
-void Daemon::admit(ClientConn &C, std::vector<uint8_t> &Payload) {
+void Pool::admit(ClientConn &C, std::vector<uint8_t> &Payload) {
   Request Req;
   if (!deserializeRequest(Payload.data(), Payload.size(), Req)) {
     refuse(C.Fd, Status::ProtocolError, "undecodable request");
@@ -519,41 +640,59 @@ void Daemon::admit(ClientConn &C, std::vector<uint8_t> &Payload) {
   C.Fd = -1;
 }
 
-void Daemon::dispatch() {
+void Pool::dispatch() {
   for (size_t I = 0; I < Workers.size() && !Queue.empty(); ++I) {
     PoolWorker &W = Workers[I];
-    if (W.Busy || W.Fd < 0)
+    // The daemon hands work to an idle live worker; a batch forks a fresh
+    // worker into an empty slot.
+    if (W.Busy || (OneShot ? W.Pid >= 0 : W.Fd < 0))
       continue;
     W.Cur = std::move(Queue.front());
     Queue.pop_front();
-    W.Busy = true;
-    Request WireReq;
-    WireReq.Sources = W.Cur.Sources;
-    WireReq.Overrides = encodeRunOptions(W.Cur.Opt);
-    if (!writeFrame(W.Fd, serializeRequest(WireReq))) {
-      // Worker end is dead; the EOF handler reaps it and requeues.
-      Queue.push_front(std::move(W.Cur));
-      W.Busy = false;
-      continue;
-    }
-    // Per-request watchdog, derived exactly like the batch supervisor's
-    // backstops from the request's cooperative limits + environment.
+    // Per-attempt backstops, derived from the request's cooperative
+    // limits after the environment overlay the worker itself applies.
     RunGuard::Limits Coop;
     Coop.DeadlineMs = W.Cur.Opt.DeadlineMs;
     Coop.MaxMemoryBytes = W.Cur.Opt.MaxMemoryMb * 1024 * 1024;
-    supervise::SupervisorConfig SC;
-    supervise::deriveHardLimits(RunGuard::limitsFromEnv(Coop), SC);
-    W.DeadlineAt = SC.HardDeadlineMs > 0 ? nowMs() + SC.HardDeadlineMs : 0;
-    W.GraceMs = SC.GraceMs;
+    supervise::SupervisorConfig Lim;
+    supervise::deriveHardLimits(RunGuard::limitsFromEnv(Coop), Lim);
+    if (OneShot) {
+      if (!spawnWorker(W, &Lim)) {
+        // socketpair or fork failed: a terminal error for this app, not
+        // for the batch. The slot is still empty, so it takes the next
+        // queued app; each failure consumes one, so the queue drains even
+        // when no worker can start (a pool with no live worker and apps
+        // still queued would wait in poll() forever).
+        Response Resp;
+        Resp.St = Status::Error;
+        Resp.Exit = ExitError;
+        complete(W.Cur, Resp, ExitClass::Error, 0, ExitError);
+        --I; // size_t wrap-around at 0 is undone by the loop's ++I
+        continue;
+      }
+      ++N.Spawned;
+    }
+    Request WireReq;
+    WireReq.Sources = W.Cur.Sources;
+    WireReq.Overrides = encodeRunOptions(W.Cur.Opt);
+    if (!writeFrame(W.Fd, serializeRequest(WireReq)) && !OneShot) {
+      // The worker's end is dead; its EOF handler reaps and respawns it.
+      Queue.push_front(std::move(W.Cur));
+      continue;
+    }
+    // A one-shot worker that died before reading its request stays busy:
+    // the EOF path classifies it like any other death.
+    W.Busy = true;
+    W.DeadlineAt = Lim.HardDeadlineMs > 0 ? nowMs() + Lim.HardDeadlineMs : 0;
+    W.GraceMs = Lim.GraceMs;
     W.KillAt = 0;
     W.TermSent = false;
     W.Cur.BeginUs = trace::enabled() ? trace::nowUs() : 0;
   }
 }
 
-void Daemon::journalAttempt(const PendingReq &R, supervise::ExitClass Class,
-                            int Signal, int Exit, uint64_t Issues,
-                            bool Terminal) {
+void Pool::journalAttempt(const PendingReq &R, ExitClass Class, int Signal,
+                          int Exit, uint64_t Issues, bool Terminal) {
   if (!Journal.configured())
     return;
   supervise::Attempt A;
@@ -569,129 +708,162 @@ void Daemon::journalAttempt(const PendingReq &R, supervise::ExitClass Class,
   Journal.append(A);
 }
 
-void Daemon::respond(PendingReq &R, Response &Resp, bool WorkerRan) {
-  if (WorkerRan) {
-    ++N.Served;
-    if (Draining)
-      ++N.Drained;
-    Stats ReqStats;
-    if (!Resp.StatsJson.empty() && !ReqStats.mergeJson(Resp.StatsJson))
-      std::fprintf(stderr, "taj-serve: malformed stats from worker for '%s'\n",
-                   R.AppName.c_str());
-    N.HotHits += ReqStats.get("persist.mem_hit");
-    Merged.merge(ReqStats);
-    // Stamp the server's counters into the response so a client's
-    // --stats-json shows the daemon-side picture too.
-    ReqStats.add("server.accepted", N.Accepted);
-    ReqStats.add("server.rejected_busy", N.RejectedBusy);
-    ReqStats.add("server.served", N.Served);
-    ReqStats.add("server.retried", N.Retried);
-    ReqStats.add("server.hot_hits", N.HotHits);
-    ReqStats.add("server.drained", N.Drained);
-    Resp.StatsJson = ReqStats.toJson();
+void Pool::stampServerCounters(Stats &S) const {
+  S.add("server.accepted", N.Accepted);
+  S.add("server.rejected_busy", N.RejectedBusy);
+  S.add("server.served", N.Served);
+  S.add("server.retried", N.Retried);
+  S.add("server.hot_hits", N.HotHits);
+  S.add("server.drained", N.Drained);
+}
+
+/// Delivers the terminal outcome of \p R: journaled and its counters
+/// merged, then answered to the client (serve) or recorded for in-order
+/// printing (batch).
+void Pool::complete(PendingReq &R, Response &Resp, ExitClass Class,
+                    int Signal, int Exit) {
+  journalAttempt(R, Class, Signal, Exit, Resp.Issues, /*Terminal=*/true);
+  Stats ReqStats;
+  supervise::recoverWorkerStats(Resp.StatsJson, R.AppName, &ReqStats,
+                                N.StatsParseFailed);
+  Merged.merge(ReqStats);
+  if (OneShot) {
+    AppResult &Res = Results[R.Line];
+    Res.Done = true;
+    Res.Class = Class;
+    Res.Exit = Exit >= 0 ? Exit : supervise::exitContribution(Class);
+    Res.Issues = Resp.Issues;
+    Res.Output = std::move(Resp.Report);
+    if (Class == ExitClass::Crashed)
+      Res.Suffix = " (crashed: signal " + std::to_string(Signal) + ")";
+    else if (Class == ExitClass::Timeout)
+      Res.Suffix = " (timeout)";
+    else if (Class == ExitClass::Oom)
+      Res.Suffix = " (oom)";
+    else if (R.AttemptNo > 1 && Class != ExitClass::Error)
+      ++N.Recovered;
+    --Remaining;
+    return;
   }
+  ++N.Served;
+  if (Draining)
+    ++N.Drained;
+  N.HotHits += ReqStats.get("persist.mem_hit");
+  // Stamp the server's counters into the response so a client's
+  // --stats-json shows the daemon-side picture too.
+  stampServerCounters(ReqStats);
+  Resp.StatsJson = ReqStats.toJson();
   if (R.ClientFd >= 0) {
     queueResponse(R.ClientFd, Resp);
     R.ClientFd = -1;
   }
 }
 
-void Daemon::onWorkerFrame(size_t Idx, std::vector<uint8_t> &Payload) {
+/// The coordinator-side span of one attempt, on its worker slot's lane:
+/// concurrent workers would overlap on the coordinator's own track, while
+/// the attempts one slot runs follow each other.
+void Pool::traceAttempt(size_t Idx, const PendingReq &R, bool Died) {
+  if (!R.BeginUs)
+    return;
+  std::string Name;
+  if (OneShot)
+    Name = "worker: " + R.AppName + " (attempt " +
+           std::to_string(R.AttemptNo) + ")";
+  else
+    Name = "serve " + R.AppName + (Died ? " (died)" : "");
+  trace::addComplete(std::move(Name), Cat, R.BeginUs, trace::nowUs(),
+                     static_cast<uint32_t>(1000 + Idx));
+}
+
+void Pool::onWorkerFrame(size_t Idx, std::vector<uint8_t> &Payload) {
   PoolWorker &W = Workers[Idx];
   Response Resp;
   if (!deserializeResponse(Payload.data(), Payload.size(), Resp)) {
     // A worker speaking garbage is as good as dead: kill and let the
     // death path classify it.
-    std::fprintf(stderr, "taj-serve: undecodable worker response\n");
+    std::fprintf(stderr, "%s: undecodable worker response\n", Tag);
     ::kill(W.Pid, SIGKILL);
     return;
   }
   if (!W.Busy)
     return; // response for a request we already gave up on
-  if (W.Cur.BeginUs)
-    trace::addComplete("serve " + W.Cur.AppName, "server", W.Cur.BeginUs,
-                       trace::nowUs(), static_cast<uint32_t>(1000 + Idx));
-  supervise::ExitClass Class =
-      Resp.Exit == ExitClean
-          ? supervise::ExitClass::Clean
-          : Resp.Exit == ExitTruncated ? supervise::ExitClass::Truncated
-                                       : supervise::ExitClass::Error;
-  journalAttempt(W.Cur, Class, 0, Resp.Exit, Resp.Issues, true);
-  // Keep a copy of the worker's per-request events for the daemon's own
-  // merged timeline; the client still gets the blob for its --trace.
+  traceAttempt(Idx, W.Cur, /*Died=*/false);
+  ExitClass Class = ExitClass::Error;
+  if (Resp.Exit == ExitClean)
+    Class = ExitClass::Clean;
+  else if (Resp.Exit == ExitTruncated)
+    Class = ExitClass::Truncated;
+  // Keep a copy of the worker's events for the merged timeline; a client
+  // still gets the blob for its own --trace.
   if (!Resp.TraceBlob.empty())
     TraceBlobs.push_back(Resp.TraceBlob);
-  respond(W.Cur, Resp, /*WorkerRan=*/true);
+  complete(W.Cur, Resp, Class, 0, Resp.Exit);
   W.Busy = false;
   W.DeadlineAt = W.KillAt = 0;
   W.TermSent = false;
-  if (Draining && W.Fd >= 0) {
-    // The in-flight request this worker was kept alive for is done.
-    ::close(W.Fd);
-    W.Fd = -1;
-    int Status;
-    pid_t R;
-    do {
-      R = ::waitpid(W.Pid, &Status, 0);
-    } while (R < 0 && errno == EINTR);
-    W.Pid = -1;
-  }
+  // A one-shot worker has served its attempt; during a drain the
+  // in-flight request this worker was kept alive for is done.
+  if (OneShot || Draining)
+    retire(W);
 }
 
-void Daemon::onWorkerDeath(size_t Idx) {
+void Pool::onWorkerDeath(size_t Idx) {
   PoolWorker &W = Workers[Idx];
   ::close(W.Fd);
   W.Fd = -1;
-  int Status = 0;
-  pid_t Reaped;
-  do {
-    Reaped = ::waitpid(W.Pid, &Status, 0);
-  } while (Reaped < 0 && errno == EINTR);
+  int Status = 1 << 8; // an unreapable worker counts as an error exit
+  while (::waitpid(W.Pid, &Status, 0) < 0 && errno == EINTR) {
+  }
   const bool WatchdogKilled = W.TermSent;
   W.Pid = -1;
   if (W.Busy) {
     W.Busy = false;
     PendingReq R = std::move(W.Cur);
-    supervise::ExitClass Class =
+    const ExitClass Class =
         supervise::classifyWaitStatus(Status, WatchdogKilled);
     const int Sig = WIFSIGNALED(Status) ? WTERMSIG(Status) : 0;
     const int Exit = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-    const bool Retryable = Class == supervise::ExitClass::Crashed ||
-                           Class == supervise::ExitClass::Timeout ||
-                           Class == supervise::ExitClass::Oom;
-    if (R.BeginUs)
-      trace::addComplete("serve " + R.AppName + " (died)", "server", R.BeginUs,
-                         trace::nowUs(), static_cast<uint32_t>(1000 + Idx));
+    traceAttempt(Idx, R, /*Died=*/true);
+    if (Class == ExitClass::Crashed)
+      ++N.Crashed;
+    else if (Class == ExitClass::Timeout)
+      ++N.TimedOut;
+    else if (Class == ExitClass::Oom)
+      ++N.OomKilled;
+    const bool Retryable = Class == ExitClass::Crashed ||
+                           Class == ExitClass::Timeout ||
+                           Class == ExitClass::Oom;
     if (Retryable && R.AttemptNo <= O.MaxRetries && !Draining) {
+      // Retry path: a degraded re-run at the front of the queue, so the
+      // app resolves before new work starts.
       journalAttempt(R, Class, Sig, Exit, 0, /*Terminal=*/false);
       ++R.AttemptNo;
       R.Opt = degradeForRetry(R.Opt);
       ++N.Retried;
-      trace::addInstant("retry " + R.AppName, "server");
+      trace::addInstant("retry " + R.AppName, Cat);
       Queue.push_front(std::move(R));
     } else {
-      journalAttempt(R, Class, Sig, Exit, 0, /*Terminal=*/true);
       Response Resp;
       Resp.St = statusFromExitClass(Class);
       Resp.Exit = exitCodeForStatus(Resp.St);
       Resp.Message = std::string("worker ") + supervise::exitClassName(Class);
-      respond(R, Resp, /*WorkerRan=*/true);
+      complete(R, Resp, Class, Sig, Exit);
     }
   }
   W.DeadlineAt = W.KillAt = 0;
   W.TermSent = false;
   W.InBuf.clear();
-  if (!Draining) {
-    if (spawnWorker(W))
+  if (!Draining && !OneShot) {
+    if (spawnWorker(W, nullptr))
       ++N.Respawned;
     else
-      std::fprintf(stderr, "taj-serve: worker respawn failed\n");
+      std::fprintf(stderr, "%s: worker respawn failed\n", Tag);
   }
 }
 
-void Daemon::beginDrain() {
+void Pool::beginDrain() {
   Draining = true;
-  trace::addInstant("drain", "server");
+  trace::addInstant("drain", Cat);
   if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
@@ -712,27 +884,41 @@ void Daemon::beginDrain() {
   // Idle workers see EOF on their pair and exit; busy workers keep
   // running until their in-flight response lands.
   for (PoolWorker &W : Workers)
-    if (!W.Busy && W.Fd >= 0) {
-      ::close(W.Fd);
-      W.Fd = -1;
-      int Status;
-      pid_t R;
-      do {
-        R = ::waitpid(W.Pid, &Status, 0);
-      } while (R < 0 && errno == EINTR);
-      W.Pid = -1;
-    }
+    if (!W.Busy && W.Fd >= 0)
+      retire(W);
 }
 
-bool Daemon::writeArtifacts() {
+/// Prints every finished batch app whose predecessors have all printed,
+/// so stdout follows the list order whatever order workers finish in.
+void Pool::flushReady() {
+  while (NextPrint < Results.size() && Results[NextPrint].Done) {
+    AppResult &R = Results[NextPrint];
+    const char *Name = (*Apps)[NextPrint].Name.c_str();
+    std::printf("=== %s\n", Name);
+    std::fwrite(R.Output.data(), 1, R.Output.size(), stdout);
+    std::printf("--- %s: exit=%d issues=%llu%s\n", Name, R.Exit,
+                static_cast<unsigned long long>(R.Issues), R.Suffix.c_str());
+    std::fflush(stdout);
+    std::string().swap(R.Output); // later workers fork from this heap
+    ++NextPrint;
+  }
+}
+
+bool Pool::writeArtifacts() {
   bool Ok = true;
-  Merged.add("server.accepted", N.Accepted);
-  Merged.add("server.rejected_busy", N.RejectedBusy);
-  Merged.add("server.served", N.Served);
-  Merged.add("server.retried", N.Retried);
-  Merged.add("server.hot_hits", N.HotHits);
-  Merged.add("server.drained", N.Drained);
-  Merged.add("server.respawned", N.Respawned);
+  if (OneShot) {
+    Merged.add("supervise.spawned", N.Spawned);
+    Merged.add("supervise.crashed", N.Crashed);
+    Merged.add("supervise.timed_out", N.TimedOut);
+    Merged.add("supervise.oom_killed", N.OomKilled);
+    Merged.add("supervise.retried", N.Retried);
+    Merged.add("supervise.recovered", N.Recovered);
+    Merged.add("supervise.resumed_skips", N.ResumedSkips);
+    Merged.add("supervise.stats_parse_failed", N.StatsParseFailed);
+  } else {
+    stampServerCounters(Merged);
+    Merged.add("server.respawned", N.Respawned);
+  }
   if (!O.StatsJsonPath.empty()) {
     std::FILE *F = std::fopen(O.StatsJsonPath.c_str(), "w");
     const std::string J = Merged.toJson() + "\n";
@@ -752,43 +938,15 @@ bool Daemon::writeArtifacts() {
   return Ok;
 }
 
-int Daemon::run() {
-  // Handlers before the socket goes live: a client that sees the socket
-  // may SIGTERM us immediately, and with the default disposition still in
-  // place that kills the daemon instead of starting a drain. The handler
-  // tolerates the wake pipe not existing yet (GDrain alone suffices — the
-  // loop checks it before its first poll()).
-  installDrainHandlers();
-  if (!setupSocket())
-    return ExitError;
-  // Wake pipe before the pool: forked children must know both ends to
-  // close them. Non-blocking on both ends — the handler must never
-  // block, and draining reads until EAGAIN.
-  if (::pipe(GWakeFds) == 0) {
-    for (int End = 0; End < 2; ++End) {
-      int Flags = ::fcntl(GWakeFds[End], F_GETFL, 0);
-      if (Flags >= 0)
-        ::fcntl(GWakeFds[End], F_SETFL, Flags | O_NONBLOCK);
-    }
-  } else {
-    GWakeFds[0] = GWakeFds[1] = -1; // EINTR-on-poll remains the fallback
-  }
-  Workers.resize(O.PoolSize);
-  for (PoolWorker &W : Workers)
-    if (!spawnWorker(W)) {
-      // A partial pool still serves; no pool at all cannot.
-      bool Any = std::any_of(Workers.begin(), Workers.end(),
-                             [](const PoolWorker &X) { return X.Fd >= 0; });
-      if (!Any) {
-        ::close(ListenFd);
-        ::unlink(O.SocketPath.c_str());
-        return ExitError;
-      }
-    }
-  std::fprintf(stderr, "taj-serve: listening on %s (pool=%u queue=%u)\n",
-               O.SocketPath.c_str(), O.PoolSize, O.QueueDepth);
-
+/// The event loop both modes share. A daemon leaves it once a drain has
+/// resolved every in-flight request and flushed every response; a batch
+/// once every app has a terminal outcome.
+void Pool::loop() {
   std::vector<struct pollfd> Pfds;
+  // Pfds[i] corresponds to Kind[i]/Which[i].
+  enum PollKind { Listen, Client, Worker, Wake, Write };
+  std::vector<PollKind> Kind;
+  std::vector<size_t> Which;
   std::vector<uint8_t> Payload;
   char RdBuf[65536];
   for (;;) {
@@ -808,6 +966,11 @@ int Daemon::run() {
     } else {
       dispatch();
     }
+    if (OneShot) {
+      flushReady();
+      if (Remaining == 0)
+        break;
+    }
 
     // Watchdog pass: SIGTERM at the hard deadline, SIGKILL after grace.
     double Now = nowMs();
@@ -817,7 +980,7 @@ int Daemon::run() {
         continue;
       if (W.TermSent) {
         if (Now >= W.KillAt) {
-          trace::addInstant("watchdog SIGKILL " + W.Cur.AppName, "server");
+          trace::addInstant("watchdog SIGKILL " + W.Cur.AppName, Cat);
           ::kill(W.Pid, SIGKILL);
           W.KillAt = Now + 1000; // re-nudge if the zombie lingers
         }
@@ -825,7 +988,7 @@ int Daemon::run() {
           NextWake = W.KillAt - Now;
       } else if (W.DeadlineAt > 0) {
         if (Now >= W.DeadlineAt) {
-          trace::addInstant("watchdog SIGTERM " + W.Cur.AppName, "server");
+          trace::addInstant("watchdog SIGTERM " + W.Cur.AppName, Cat);
           ::kill(W.Pid, SIGTERM);
           W.TermSent = true;
           W.KillAt = Now + W.GraceMs;
@@ -851,37 +1014,26 @@ int Daemon::run() {
     }
 
     Pfds.clear();
-    // Index map: Pfds[i] corresponds to Kind[i]/Which[i].
-    std::vector<int> Kind;  // 0=listen, 1=client, 2=worker, 3=wake, 4=write
-    std::vector<size_t> Which;
-    if (ListenFd >= 0) {
-      Pfds.push_back({ListenFd, POLLIN, 0});
-      Kind.push_back(0);
-      Which.push_back(0);
-    }
+    Kind.clear();
+    Which.clear();
+    auto Watch = [&](int Fd, short Events, PollKind K, size_t I) {
+      Pfds.push_back({Fd, Events, 0});
+      Kind.push_back(K);
+      Which.push_back(I);
+    };
+    if (ListenFd >= 0)
+      Watch(ListenFd, POLLIN, Listen, 0);
     for (size_t I = 0; I < Clients.size(); ++I)
-      if (Clients[I].Fd >= 0 && !Clients[I].Admitted) {
-        Pfds.push_back({Clients[I].Fd, POLLIN, 0});
-        Kind.push_back(1);
-        Which.push_back(I);
-      }
+      if (Clients[I].Fd >= 0 && !Clients[I].Admitted)
+        Watch(Clients[I].Fd, POLLIN, Client, I);
     for (size_t I = 0; I < Workers.size(); ++I)
-      if (Workers[I].Fd >= 0) {
-        Pfds.push_back({Workers[I].Fd, POLLIN, 0});
-        Kind.push_back(2);
-        Which.push_back(I);
-      }
-    if (GWakeFds[0] >= 0) {
-      Pfds.push_back({GWakeFds[0], POLLIN, 0});
-      Kind.push_back(3);
-      Which.push_back(0);
-    }
+      if (Workers[I].Fd >= 0)
+        Watch(Workers[I].Fd, POLLIN, Worker, I);
+    if (GWakeFds[0] >= 0)
+      Watch(GWakeFds[0], POLLIN, Wake, 0);
     for (size_t I = 0; I < Writes.size(); ++I)
-      if (Writes[I].Fd >= 0) {
-        Pfds.push_back({Writes[I].Fd, POLLOUT, 0});
-        Kind.push_back(4);
-        Which.push_back(I);
-      }
+      if (Writes[I].Fd >= 0)
+        Watch(Writes[I].Fd, POLLOUT, Write, I);
 
     // Clamp before the int cast: a deadline far in the future (poll's
     // timeout caps near INT_MAX ms, ~24.8 days) must not overflow into
@@ -900,31 +1052,32 @@ int Daemon::run() {
     for (size_t I = 0; I < Pfds.size(); ++I) {
       if (Pfds[I].revents == 0)
         continue;
-      if (Kind[I] == 0) {
+      switch (Kind[I]) {
+      case Listen: {
         int CFd = ::accept(ListenFd, nullptr, nullptr);
-        if (CFd >= 0) {
-          ClientConn C;
-          C.Fd = CFd;
-          // Reuse a dead slot to keep the vector bounded.
-          auto It = std::find_if(Clients.begin(), Clients.end(),
-                                 [](const ClientConn &X) {
-                                   return X.Fd < 0;
-                                 });
-          if (It != Clients.end())
-            *It = std::move(C);
-          else
-            Clients.push_back(std::move(C));
-        }
-      } else if (Kind[I] == 1) {
+        if (CFd < 0)
+          break;
+        ClientConn C;
+        C.Fd = CFd;
+        // Reuse a dead slot to keep the vector bounded.
+        auto It = std::find_if(Clients.begin(), Clients.end(),
+                               [](const ClientConn &X) { return X.Fd < 0; });
+        if (It != Clients.end())
+          *It = std::move(C);
+        else
+          Clients.push_back(std::move(C));
+        break;
+      }
+      case Client: {
         ClientConn &C = Clients[Which[I]];
         ssize_t Got = ::read(C.Fd, RdBuf, sizeof(RdBuf));
         if (Got <= 0) {
           if (Got < 0 && errno == EINTR)
-            continue;
+            break;
           ::close(C.Fd); // EOF before a full request: client gave up
           C.Fd = -1;
           C.Buf.clear();
-          continue;
+          break;
         }
         C.Buf.append(RdBuf, static_cast<size_t>(Got));
         bool Bad = false;
@@ -940,29 +1093,35 @@ int Daemon::run() {
           C.Fd = -1;
           C.Buf.clear();
         }
-      } else if (Kind[I] == 3) {
+        break;
+      }
+      case Wake:
         // Self-pipe tick: drain it; the wake itself is the payload.
         while (::read(GWakeFds[0], RdBuf, sizeof(RdBuf)) > 0) {
         }
-      } else if (Kind[I] == 4) {
+        break;
+      case Write:
         flushOutgoing(Writes[Which[I]]);
-      } else {
+        break;
+      case Worker: {
         PoolWorker &W = Workers[Which[I]];
         ssize_t Got = ::read(W.Fd, RdBuf, sizeof(RdBuf));
         if (Got <= 0) {
           if (Got < 0 && errno == EINTR)
-            continue;
+            break;
           onWorkerDeath(Which[I]);
-          continue;
+          break;
         }
         W.InBuf.append(RdBuf, static_cast<size_t>(Got));
         bool Bad = false;
         while (W.Pid > 0 && takeFrame(W.InBuf, Payload, Bad))
           onWorkerFrame(Which[I], Payload);
         if (Bad && W.Pid > 0) {
-          std::fprintf(stderr, "taj-serve: corrupt worker stream\n");
+          std::fprintf(stderr, "%s: corrupt worker stream\n", Tag);
           ::kill(W.Pid, SIGKILL);
         }
+        break;
+      }
       }
     }
     // Compact dead client slots and finished writes opportunistically.
@@ -975,6 +1134,45 @@ int Daemon::run() {
                                 [](const Outgoing &Wr) { return Wr.Fd < 0; }),
                  Writes.end());
   }
+}
+
+int Pool::serve() {
+  // Handlers before the socket goes live: a client that sees the socket
+  // may SIGTERM us immediately, and with the default disposition still in
+  // place that kills the daemon instead of starting a drain. The handler
+  // tolerates the wake pipe not existing yet (GDrain alone suffices — the
+  // loop checks it before its first poll()).
+  installDrainHandlers();
+  if (!setupSocket())
+    return ExitError;
+  // Wake pipe before the pool: forked children must know both ends to
+  // close them. Non-blocking on both ends — the handler must never
+  // block, and draining reads until EAGAIN.
+  if (::pipe(GWakeFds) == 0) {
+    for (int End = 0; End < 2; ++End) {
+      int Flags = ::fcntl(GWakeFds[End], F_GETFL, 0);
+      if (Flags >= 0)
+        ::fcntl(GWakeFds[End], F_SETFL, Flags | O_NONBLOCK);
+    }
+  } else {
+    GWakeFds[0] = GWakeFds[1] = -1; // EINTR-on-poll remains the fallback
+  }
+  Workers.resize(O.PoolSize);
+  for (PoolWorker &W : Workers)
+    if (!spawnWorker(W, nullptr)) {
+      // A partial pool still serves; no pool at all cannot.
+      bool Any = std::any_of(Workers.begin(), Workers.end(),
+                             [](const PoolWorker &X) { return X.Fd >= 0; });
+      if (!Any) {
+        ::close(ListenFd);
+        ::unlink(O.SocketPath.c_str());
+        return ExitError;
+      }
+    }
+  std::fprintf(stderr, "taj-serve: listening on %s (pool=%u queue=%u)\n",
+               O.SocketPath.c_str(), O.PoolSize, O.QueueDepth);
+
+  loop();
 
   // Detach the self-pipe from the handler before closing it, so a late
   // signal sees -1 and skips the write instead of hitting a closed fd.
@@ -995,9 +1193,63 @@ int Daemon::run() {
   return Ok ? ExitClean : ExitError;
 }
 
+int Pool::batch(bool Resume) {
+  Results.resize(Apps->size());
+  // Resume pre-pass: a terminal journal record for (line, app, config)
+  // means the work is already done — contribute its recorded outcome to
+  // the worst-of exit and skip the worker entirely.
+  if (Resume) {
+    std::unordered_map<uint64_t, supervise::Attempt> Terminal;
+    for (supervise::Attempt &A : supervise::Journal::load(O.JournalPath))
+      if (A.Terminal && A.ConfigFp == ConfigFp && A.Line < Apps->size() &&
+          A.App == (*Apps)[A.Line].Name)
+        Terminal[A.Line] = std::move(A);
+    for (auto &[Line, A] : Terminal) {
+      AppResult &R = Results[Line];
+      R.Done = true;
+      R.Class = A.Class;
+      R.Exit = A.Exit >= 0 ? A.Exit : supervise::exitContribution(A.Class);
+      R.Issues = A.Issues;
+      R.Suffix = " (resumed)";
+      ++N.ResumedSkips;
+    }
+  }
+  for (size_t I = 0; I < Apps->size(); ++I) {
+    if (Results[I].Done)
+      continue;
+    PendingReq P;
+    P.Opt = O.Base;
+    P.AppName = (*Apps)[I].Name;
+    P.Line = I;
+    for (const std::string &F : (*Apps)[I].Files)
+      P.Sources.push_back({F, false, ""});
+    Queue.push_back(std::move(P));
+    ++Remaining;
+  }
+  Workers.resize(std::max(1u, O.PoolSize));
+
+  loop();
+
+  int Exit = ExitClean;
+  for (const AppResult &R : Results) {
+    const int E = supervise::exitContribution(R.Class);
+    if (E == ExitError || Exit == ExitError)
+      Exit = ExitError;
+    else if (E == ExitTruncated)
+      Exit = ExitTruncated;
+  }
+  return writeArtifacts() ? Exit : ExitError;
+}
+
 } // namespace
 
 int server::runServer(const ServerOptions &O) {
-  Daemon D(O);
-  return D.run();
+  Pool P(O, nullptr);
+  return P.serve();
+}
+
+int server::runBatch(const ServerOptions &O, const std::vector<BatchApp> &Apps,
+                     bool Resume) {
+  Pool P(O, &Apps);
+  return P.batch(Resume);
 }

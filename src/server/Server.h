@@ -1,59 +1,65 @@
-//===- server/Server.h - Persistent analysis daemon ------------*- C++ -*-===//
+//===- server/Server.h - Supervised worker pool -----------------*- C++ -*-===//
 //
 // Part of the TAJ reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The analysis server: a long-running daemon (`taj-cli --serve=SOCKET`)
-/// that accepts analysis requests over a Unix-domain socket and serves
-/// them from a pre-forked pool of warm worker processes.
+/// The one supervised worker pool behind both multi-process modes of
+/// taj-cli: the analysis daemon (`--serve=SOCKET`) and the supervised
+/// batch (`--batch=LIST --jobs=N`). It is the non-cooperative half of
+/// TAJ's bounded-analysis discipline (§6): RunGuard degrades a run only at
+/// checkpoints the run reaches, while a segfault, an OOM kill or a hang
+/// between checkpoints takes down only the worker process it happened in.
 ///
-/// Why a daemon: batch mode amortizes the artifact cache across one run,
-/// but every `--jobs` worker still pays process start, cache open and a
-/// cold in-memory state per app. The server keeps PoolSize workers alive
-/// across requests; each worker owns the shared on-disk ArtifactCache
-/// plus a per-worker in-memory hot tier (persist::MemCache) holding
-/// verified payload bytes, so a warm request skips exec, disk reads and
-/// checksum re-verification entirely.
-///
-/// Architecture (single-threaded daemon, process-isolated workers):
+/// Architecture (single-threaded coordinator, process-isolated workers):
 ///
 ///   clients --UNIX socket--> daemon --socketpair--> worker[0..N)
+///   batch list -------------> coordinator --socketpair--> worker[0..N)
 ///
-///  - admission control: a bounded queue (QueueDepth) of decoded,
-///    validated requests; a request arriving with the queue full is
-///    answered `busy` immediately and never touches a worker;
-///  - dispatch: idle workers pull from the queue FIFO; the request's
-///    config overrides are re-encoded through the canonical
-///    encodeRunOptions() form, so a server request is bit-for-bit the
-///    run a batch worker would have performed;
-///  - supervision: the Supervisor's non-cooperative discipline, re-hosted
-///    on the pool — a per-request watchdog (hard deadline derived from
-///    the request's cooperative deadline via deriveHardLimits: 2x + 1s,
-///    TAJ_HARD_DEADLINE_MS / TAJ_WATCHDOG_GRACE_MS overridable) with
-///    SIGTERM -> SIGKILL escalation, six-way exit classification of dead
-///    workers (supervise::classifyWaitStatus) mapped onto protocol
-///    status codes, and the same degraded-config retry ladder
-///    (degradeForRetry) before a crash/timeout/OOM becomes the client's
-///    answer. RLIMIT backstops remain batch-only: a pre-forked worker
-///    serves requests with different budgets, and rlimits cannot be
-///    raised back once lowered. Workers do install the allocation-failure
-///    OOM handler, so bad_alloc still dies as WorkerOomExitCode -> `oom`;
-///  - isolation: a crashed worker takes its hot tier with it and is
-///    respawned; the daemon, the queue and the other workers are
-///    unaffected;
-///  - drain: SIGTERM/SIGINT stops accepting (socket closed + unlinked),
-///    answers queued requests `shutting-down`, lets in-flight requests
-///    finish, reaps the pool, flushes the journal/stats/trace artifacts,
-///    and exits 0.
+/// One poll() loop drives both. Requests queue FIFO and are dispatched
+/// to idle workers as one framed request each; the config is re-encoded
+/// through the canonical encodeRunOptions() form, so a served request and
+/// a batch attempt are bit-for-bit the same run. Shared supervision:
 ///
-/// Observability: `server.{accepted,rejected_busy,served,retried,
-/// hot_hits,drained}` counters are stamped into every response's stats
-/// blob and the daemon's final --stats-json; with --trace each request
-/// occupies a synthetic per-worker lane (tid 1000+worker) in the merged
-/// timeline alongside the workers' own phase spans; with --journal every
-/// attempt appends the same JSONL records a supervised batch writes.
+///  - a per-attempt watchdog: the hard deadline is derived from the
+///    request's cooperative limits via supervise::deriveHardLimits (2x +
+///    1s; TAJ_HARD_DEADLINE_MS / TAJ_WATCHDOG_GRACE_MS overridable), with
+///    SIGTERM -> SIGKILL escalation;
+///  - six-way classification of dead workers (supervise::
+///    classifyWaitStatus: clean / truncated / error / crashed / timeout /
+///    oom). Workers install the allocation-failure OOM handler, so
+///    bad_alloc dies as WorkerOomExitCode -> oom;
+///  - one degraded-config retry path (degradeForRetry) before a crash,
+///    timeout or OOM becomes the terminal outcome;
+///  - one JSONL journal writer (supervise/Journal.h), one stats merge
+///    (supervise::recoverWorkerStats) and one merged trace timeline, each
+///    attempt a span on its worker slot's synthetic lane (tid 1000+slot).
+///
+/// What differs between the modes:
+///
+///  - serve: PoolSize workers are pre-forked and persistent. Each keeps
+///    the shared on-disk ArtifactCache plus a private in-memory hot tier
+///    (persist::MemCache) warm across requests, so a repeat request skips
+///    process start, disk reads and checksum re-verification. A bounded
+///    admission queue (QueueDepth) answers `busy` when full; a crashed
+///    worker is respawned; SIGTERM/SIGINT drains (socket closed and
+///    unlinked, queued requests answered `shutting-down`, in-flight ones
+///    finished, artifacts flushed, exit 0). Counters: server.*. No
+///    rlimits: one persistent worker serves requests with different
+///    budgets, and a lowered rlimit cannot be raised again.
+///  - batch: no listen socket. The list is the queue, each output framed
+///    `=== name` / report / `--- name: exit=E issues=N` in list order,
+///    and the exit code is the worst of all apps (error > truncated >
+///    clean). `--resume` skips apps the journal already holds a terminal
+///    record for. Counters: supervise.*; spans: `worker: <app> (attempt
+///    N)`. Workers are one-shot: every attempt forks a fresh child that
+///    sets RLIMIT_AS / RLIMIT_CPU and PR_SET_PDEATHSIG, drops the
+///    fault-injection environment on retries, and opens the disk cache
+///    only under --cache-dir, with no hot tier. One-shot because
+///    RLIMIT_CPU caps a process's cumulative CPU time: a worker that
+///    outlived its attempt would turn the per-app limit into a per-batch
+///    one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,13 +71,14 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace taj {
 namespace server {
 
-/// Everything the daemon needs: transport, pool shape, admission bounds,
-/// the base analysis options requests override, cache configuration and
-/// artifact destinations.
+/// Everything the pool needs: pool shape, retry budget, the base analysis
+/// options, cache configuration and artifact destinations. SocketPath,
+/// QueueDepth and HotMaxMb apply to the daemon only.
 struct ServerOptions {
   std::string SocketPath;
   unsigned PoolSize = 2;
@@ -92,6 +99,19 @@ struct ServerOptions {
 /// O.SocketPath. Returns the process exit code: 0 after a clean drain,
 /// ExitError when the socket cannot be set up.
 int runServer(const ServerOptions &O);
+
+/// One batch list entry: the .taj files forming one app.
+struct BatchApp {
+  std::string Name; ///< display name: files joined by spaces
+  std::vector<std::string> Files;
+};
+
+/// Runs every app of \p Apps to a terminal outcome on O.PoolSize one-shot
+/// workers, printing the batch framing in list order, and writes the
+/// stats/trace artifacts. \p Resume skips apps with a terminal record in
+/// O.JournalPath. Returns the worst-of exit code.
+int runBatch(const ServerOptions &O, const std::vector<BatchApp> &Apps,
+             bool Resume);
 
 } // namespace server
 } // namespace taj

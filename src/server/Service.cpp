@@ -178,7 +178,7 @@ std::vector<std::string> server::encodeRunOptions(const RunOptions &O) {
   A.push_back(std::string("--string-analysis=") +
               stringAnalysisModeName(O.StringAnalysis));
   // Always explicit: the built-in default is build-type dependent (fast in
-  // debug/sanitizer builds), so worker argv must pin what the parent chose.
+  // debug/sanitizer builds), so the wire form must pin what was chosen.
   A.push_back(std::string("--verify=") + verify::verifyModeName(O.Verify));
   if (O.Raw)
     A.push_back("--raw");

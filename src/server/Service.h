@@ -11,9 +11,10 @@
 /// factored out of the CLI driver so the analysis server's pool workers
 /// run the *same* code path request after request. The option set, its
 /// strict flag parsing, its canonical flag re-encoding and the retry
-/// degradation all live here too: the CLI, the batch supervisor and the
-/// server daemon must agree byte-for-byte on what a configuration means,
-/// and one definition is the only way they stay agreed.
+/// degradation all live here too: the CLI and the worker pool behind
+/// `--batch --jobs=N` and `--serve` must agree byte-for-byte on what a
+/// configuration means, and one definition is the only way they stay
+/// agreed.
 ///
 /// Output contract: analyzeApp() prints the report to stdout (callers
 /// that need it as bytes — the server worker — redirect fd 1 around the
@@ -62,8 +63,8 @@ bool parseU32(const char *Flag, const char *Text, uint32_t &Out);
 constexpr uint64_t MaxExactU64 = 1ull << 53;
 
 /// Everything one analysis run needs besides its input files: the
-/// analysis-shaping flags of taj-cli, identically interpreted by the CLI,
-/// the batch supervisor's workers and the analysis server.
+/// analysis-shaping flags of taj-cli, identically interpreted by the CLI
+/// and the worker pool (batch and serve).
 struct RunOptions {
   std::string ConfigName = "hybrid";
   uint32_t Budget = 0, MaxLen = 0, NestedDepth = 32;
@@ -94,7 +95,7 @@ OptionParse parseRunOption(const char *Arg, RunOptions &O);
 bool buildConfig(const RunOptions &O, AnalysisConfig &C);
 
 /// Re-encodes \p O as the canonical flag list parseRunOption() accepts:
-/// the wire form for supervised worker argv and server request overrides.
+/// the wire form of client overrides and of every pool worker request.
 /// A round trip through encode+parse reproduces the run exactly.
 std::vector<std::string> encodeRunOptions(const RunOptions &O);
 

@@ -1,33 +1,19 @@
-//===- supervise/Supervisor.cpp - Process-isolated batch executor ---------===//
+//===- supervise/Supervisor.cpp - Worker supervision helpers --------------===//
 
 #include "supervise/Supervisor.h"
 
-#include "support/Trace.h"
+#include "support/Stats.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
-#include <filesystem>
-#include <fstream>
 #include <new>
-#include <thread>
-#include <unordered_map>
 
 #include <csignal>
-#include <fcntl.h>
-#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#if defined(__linux__)
-#include <sys/prctl.h>
-#endif
 
 using namespace taj;
 using namespace taj::supervise;
-
-namespace fs = std::filesystem;
 
 ExitClass supervise::classifyWaitStatus(int WaitStatus, bool WatchdogKilled) {
   if (WIFEXITED(WaitStatus)) {
@@ -78,25 +64,18 @@ void supervise::deriveHardLimits(const RunGuard::Limits &Coop,
                       : 0;
 }
 
-std::string supervise::resolveSelfExe(const char *Argv0) {
-#if defined(__linux__)
-  char Buf[4096];
-  ssize_t N = ::readlink("/proc/self/exe", Buf, sizeof(Buf) - 1);
-  if (N > 0) {
-    Buf[N] = '\0';
-    return Buf;
-  }
-#endif
-  return Argv0 ? Argv0 : "";
-}
-
 uint64_t supervise::recoverWorkerStats(const std::string &StatsText,
                                        const std::string &App, Stats *Merged,
                                        uint64_t &ParseFailures) {
   if (StatsText.empty())
-    return 0; // a crashed worker usually never wrote its stats file
-  Stats WorkerStats;
-  if (!WorkerStats.mergeJson(StatsText)) {
+    return 0; // a crashed worker never sent its counters
+  // Parse straight into the merge target: a pool coordinator recovers
+  // every request's counters, and a private copy per request costs as
+  // much as the parse. The worker's cli.issues is what the parse added.
+  Stats Scratch;
+  Stats &Into = Merged ? *Merged : Scratch;
+  const uint64_t Issues0 = Into.get("cli.issues");
+  if (!Into.mergeJson(StatsText)) {
     // mergeJson applies every counter up to the malformed line, so a torn
     // write (e.g. a worker killed mid-flush) still contributes what it
     // managed to say — but the loss is surfaced, not silent.
@@ -106,9 +85,7 @@ uint64_t supervise::recoverWorkerStats(const std::string &StatsText,
                  "merging only the counters that parsed\n",
                  App.c_str());
   }
-  if (Merged)
-    Merged->merge(WorkerStats);
-  return WorkerStats.get("cli.issues");
+  return Into.get("cli.issues") - Issues0;
 }
 
 void supervise::installWorkerOomHandler() {
@@ -117,361 +94,4 @@ void supervise::installWorkerOomHandler() {
   // SIGABRT, indistinguishable from a genuine crash. Dying with the
   // reserved exit code instead lets the supervisor classify it as oom.
   std::set_new_handler([] { ::_exit(WorkerOomExitCode); });
-}
-
-namespace {
-
-/// One live worker process.
-struct Worker {
-  pid_t Pid = -1;
-  size_t AppIdx = 0;
-  unsigned AttemptNo = 1;
-  std::string OutPath, StatsPath, TracePath;
-  Timer Started;
-  /// Spawn time on the shared monotonic trace clock, so the supervisor's
-  /// per-worker span aligns with the worker's own in-process events.
-  uint64_t SpawnTsUs = 0;
-  bool TermSent = false;
-  bool KillSent = false;
-  bool WatchdogKilled = false;
-};
-
-/// Terminal outcome of one app, buffered until it can print in order.
-struct AppResult {
-  bool Done = false;
-  ExitClass Class = ExitClass::Error;
-  int Exit = 1;
-  uint64_t Issues = 0;
-  std::string Output;
-  std::string Suffix;
-};
-
-std::string readWholeFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(In)),
-                     std::istreambuf_iterator<char>());
-}
-
-void removeQuiet(const std::string &Path) {
-  std::error_code Ec;
-  fs::remove(Path, Ec);
-}
-
-std::string tempPathFor(size_t AppIdx, unsigned AttemptNo, const char *Kind) {
-  std::error_code Ec;
-  fs::path Dir = fs::temp_directory_path(Ec);
-  if (Ec)
-    Dir = "/tmp";
-  return (Dir / ("taj-sup-" + std::to_string(static_cast<long>(::getpid())) +
-                 "-" + std::to_string(AppIdx) + "-" +
-                 std::to_string(AttemptNo) + "." + Kind))
-      .string();
-}
-
-} // namespace
-
-int Supervisor::runBatch(const std::vector<AppTask> &Apps) {
-  const unsigned Jobs = std::max(1u, C.Jobs);
-  Journal J(C.JournalPath);
-  std::vector<AppResult> Final(Apps.size());
-
-  // Resume pre-pass: a terminal journal record for (line, app, config)
-  // means the work is already done — contribute its recorded outcome to
-  // the worst-of exit and skip the worker entirely.
-  if (C.Resume) {
-    std::unordered_map<uint64_t, Attempt> Terminal;
-    for (Attempt &A : Journal::load(C.JournalPath))
-      if (A.Terminal && A.ConfigFp == C.ConfigFp && A.Line < Apps.size() &&
-          A.App == Apps[A.Line].Name)
-        Terminal[A.Line] = std::move(A);
-    for (auto &[Line, A] : Terminal) {
-      AppResult &R = Final[Line];
-      R.Done = true;
-      R.Class = A.Class;
-      R.Exit = A.Exit >= 0 ? A.Exit : exitContribution(A.Class);
-      R.Issues = A.Issues;
-      R.Suffix = " (resumed)";
-      N.ResumedSkips += 1;
-    }
-  }
-
-  std::deque<std::pair<size_t, unsigned>> Pending; // (app index, attempt)
-  for (size_t I = 0; I < Apps.size(); ++I)
-    if (!Final[I].Done)
-      Pending.push_back({I, 1});
-
-  std::vector<Worker> Running;
-  size_t NextPrint = 0;
-  size_t Remaining =
-      static_cast<size_t>(std::count_if(Final.begin(), Final.end(),
-                                        [](const AppResult &R) {
-                                          return !R.Done;
-                                        }));
-
-  auto FlushReady = [&] {
-    while (NextPrint < Apps.size() && Final[NextPrint].Done) {
-      AppResult &R = Final[NextPrint];
-      std::printf("=== %s\n", Apps[NextPrint].Name.c_str());
-      if (!R.Output.empty()) {
-        std::fwrite(R.Output.data(), 1, R.Output.size(), stdout);
-        if (R.Output.back() != '\n')
-          std::printf("\n"); // a crashed worker's torn last line
-      }
-      std::printf("--- %s: exit=%d issues=%llu%s\n",
-                  Apps[NextPrint].Name.c_str(), R.Exit,
-                  static_cast<unsigned long long>(R.Issues),
-                  R.Suffix.c_str());
-      std::fflush(stdout);
-      R.Output.clear();
-      ++NextPrint;
-    }
-  };
-
-  auto Spawn = [&](size_t AppIdx, unsigned AttemptNo) {
-    Worker W;
-    W.AppIdx = AppIdx;
-    W.AttemptNo = AttemptNo;
-    W.OutPath = tempPathFor(AppIdx, AttemptNo, "out");
-    W.StatsPath = tempPathFor(AppIdx, AttemptNo, "stats");
-    removeQuiet(W.StatsPath); // never read a previous attempt's counters
-
-    const std::vector<std::string> &Args =
-        AttemptNo > 1 ? C.RetryArgs : C.BaseArgs;
-    std::vector<std::string> ArgStore;
-    ArgStore.push_back(C.CliPath);
-    ArgStore.insert(ArgStore.end(), Args.begin(), Args.end());
-    ArgStore.push_back("--stats-json=" + W.StatsPath);
-    if (C.CollectTraces) {
-      W.TracePath = tempPathFor(AppIdx, AttemptNo, "trace");
-      removeQuiet(W.TracePath);
-      ArgStore.push_back("--trace=" + W.TracePath);
-    }
-    for (const std::string &F : Apps[AppIdx].Files)
-      ArgStore.push_back(F);
-
-    pid_t Pid = ::fork();
-    if (Pid == 0) {
-      // Child: rlimit backstops first, so even exec-time allocations are
-      // governed; then wire stdout to the capture file and self-exec.
-      if (C.HardMemoryBytes != 0) {
-        struct rlimit RL;
-        RL.rlim_cur = RL.rlim_max = C.HardMemoryBytes;
-        ::setrlimit(RLIMIT_AS, &RL);
-      }
-      if (C.CpuLimitSec != 0) {
-        struct rlimit RL;
-        RL.rlim_cur = C.CpuLimitSec;
-        RL.rlim_max = C.CpuLimitSec + 5;
-        ::setrlimit(RLIMIT_CPU, &RL);
-      }
-#if defined(__linux__)
-      // No orphans: if the supervisor dies, its workers die with it.
-      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-#endif
-      int Fd = ::open(W.OutPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      if (Fd < 0 || ::dup2(Fd, STDOUT_FILENO) < 0)
-        ::_exit(WorkerSpawnFailExitCode);
-      ::close(Fd);
-      ::setenv("TAJ_SUPERVISED_WORKER", "1", 1);
-      if (AttemptNo > 1 &&
-          degradationForAttempt(AttemptNo - 1).StripFaultInjection) {
-        // Flags were already stripped from RetryArgs; the environment
-        // channel must not resurrect the injected fault.
-        ::unsetenv("TAJ_FAIL_AT");
-        ::unsetenv("TAJ_CRASH_AT");
-        ::unsetenv("TAJ_CRASH_SIGNAL");
-        ::unsetenv("TAJ_HANG_AT");
-      }
-      std::vector<char *> Argv;
-      Argv.reserve(ArgStore.size() + 1);
-      for (std::string &S : ArgStore)
-        Argv.push_back(S.data());
-      Argv.push_back(nullptr);
-      ::execv(C.CliPath.c_str(), Argv.data());
-      ::_exit(WorkerSpawnFailExitCode);
-    }
-    if (Pid < 0) {
-      // fork failed: a terminal error for this app, not for the batch.
-      std::fprintf(stderr, "taj-supervise: fork failed for '%s'\n",
-                   Apps[AppIdx].Name.c_str());
-      Attempt A;
-      A.Line = AppIdx;
-      A.App = Apps[AppIdx].Name;
-      A.ConfigFp = C.ConfigFp;
-      A.AttemptNo = AttemptNo;
-      A.Class = ExitClass::Error;
-      A.Exit = 1;
-      A.Terminal = true;
-      J.append(A);
-      Final[AppIdx].Done = true;
-      Final[AppIdx].Class = ExitClass::Error;
-      Final[AppIdx].Exit = 1;
-      Remaining -= 1;
-      return;
-    }
-    W.Pid = Pid;
-    W.Started.restart();
-    W.SpawnTsUs = trace::nowUs();
-    N.Spawned += 1;
-    Running.push_back(std::move(W));
-  };
-
-  auto Finish = [&](Worker &W, int WaitStatus) {
-    ExitClass Cls = classifyWaitStatus(WaitStatus, W.WatchdogKilled);
-
-    // The worker's --stats-json carries its counters (including
-    // cli.issues); a malformed file (torn write) is counted and
-    // diagnosed rather than silently dropped.
-    uint64_t Issues = recoverWorkerStats(readWholeFile(W.StatsPath),
-                                         Apps[W.AppIdx].Name, C.MergedStats,
-                                         N.StatsParseFailed);
-
-    // Batch timeline: one supervisor-side span per worker lifetime, plus
-    // the worker's own in-process events (its trace file carries its pid,
-    // so the merged document keeps the processes apart). Each app gets a
-    // synthetic lane: concurrent workers would overlap on the
-    // coordinator's own track, while retries of one app serialize and so
-    // share its lane cleanly.
-    trace::addComplete("worker: " + Apps[W.AppIdx].Name + " (attempt " +
-                           std::to_string(W.AttemptNo) + ")",
-                       "supervise", W.SpawnTsUs, trace::nowUs(),
-                       1000 + static_cast<uint32_t>(W.AppIdx));
-    if (C.CollectTraces && !W.TracePath.empty()) {
-      std::string Blob = trace::extractEvents(readWholeFile(W.TracePath));
-      if (!Blob.empty())
-        TraceBlobs.push_back(std::move(Blob));
-      removeQuiet(W.TracePath);
-    }
-
-    switch (Cls) {
-    case ExitClass::Crashed:
-      N.Crashed += 1;
-      break;
-    case ExitClass::Timeout:
-      N.TimedOut += 1;
-      break;
-    case ExitClass::Oom:
-      N.OomKilled += 1;
-      break;
-    default:
-      break;
-    }
-
-    const bool Hard = Cls == ExitClass::Crashed || Cls == ExitClass::Timeout ||
-                      Cls == ExitClass::Oom;
-    const bool Terminal = !Hard || W.AttemptNo > C.MaxRetries;
-
-    Attempt A;
-    A.Line = W.AppIdx;
-    A.App = Apps[W.AppIdx].Name;
-    A.ConfigFp = C.ConfigFp;
-    A.AttemptNo = W.AttemptNo;
-    A.Class = Cls;
-    A.Signal = WIFSIGNALED(WaitStatus) ? WTERMSIG(WaitStatus) : 0;
-    A.Exit = WIFEXITED(WaitStatus) ? WEXITSTATUS(WaitStatus) : -1;
-    A.Issues = Issues;
-    A.Terminal = Terminal;
-    J.append(A);
-
-    if (!Terminal) {
-      // Retry ladder: degraded re-run, front of the queue so the app
-      // resolves before new work starts.
-      N.Retried += 1;
-      trace::addInstant("retry: " + Apps[W.AppIdx].Name + " (attempt " +
-                            std::to_string(W.AttemptNo + 1) + ")",
-                        "supervise");
-      Pending.push_front({W.AppIdx, W.AttemptNo + 1});
-    } else {
-      if (!Hard && W.AttemptNo > 1 && Cls != ExitClass::Error)
-        N.Recovered += 1;
-      AppResult &R = Final[W.AppIdx];
-      R.Done = true;
-      R.Class = Cls;
-      R.Exit = A.Exit >= 0 ? A.Exit : exitContribution(Cls);
-      R.Issues = Issues;
-      R.Output = readWholeFile(W.OutPath);
-      if (Cls == ExitClass::Crashed)
-        R.Suffix = " (crashed: signal " + std::to_string(A.Signal) + ")";
-      else if (Cls == ExitClass::Timeout)
-        R.Suffix = " (timeout)";
-      else if (Cls == ExitClass::Oom)
-        R.Suffix = " (oom)";
-      Remaining -= 1;
-    }
-    removeQuiet(W.OutPath);
-    removeQuiet(W.StatsPath);
-  };
-
-  while (Remaining > 0 || !Running.empty()) {
-    while (Running.size() < Jobs && !Pending.empty()) {
-      auto [AppIdx, AttemptNo] = Pending.front();
-      Pending.pop_front();
-      Spawn(AppIdx, AttemptNo);
-    }
-    FlushReady();
-    if (Running.empty())
-      continue; // spawn failures may have drained everything
-
-    bool Progress = false;
-    for (size_t I = 0; I < Running.size();) {
-      Worker &W = Running[I];
-      int St = 0;
-      pid_t Got = ::waitpid(W.Pid, &St, WNOHANG);
-      if (Got == W.Pid) {
-        Finish(W, St);
-        Running.erase(Running.begin() + static_cast<ptrdiff_t>(I));
-        Progress = true;
-        continue;
-      }
-      if (Got < 0 && errno == ECHILD) {
-        // Should not happen; treat as an error exit rather than spinning.
-        Finish(W, 1 << 8);
-        Running.erase(Running.begin() + static_cast<ptrdiff_t>(I));
-        Progress = true;
-        continue;
-      }
-      // Watchdog: SIGTERM at the hard deadline, SIGKILL after the grace.
-      if (C.HardDeadlineMs > 0) {
-        double El = W.Started.elapsedMs();
-        if (!W.TermSent && El > C.HardDeadlineMs) {
-          W.TermSent = true;
-          W.WatchdogKilled = true;
-          trace::addInstant("watchdog SIGTERM: " + Apps[W.AppIdx].Name,
-                            "supervise");
-          ::kill(W.Pid, SIGTERM);
-        } else if (W.TermSent && !W.KillSent &&
-                   El > C.HardDeadlineMs + C.GraceMs) {
-          W.KillSent = true;
-          trace::addInstant("watchdog SIGKILL: " + Apps[W.AppIdx].Name,
-                            "supervise");
-          ::kill(W.Pid, SIGKILL);
-        }
-      }
-      ++I;
-    }
-    if (!Progress)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  FlushReady();
-
-  int Exit = 0;
-  for (const AppResult &R : Final) {
-    int E = exitContribution(R.Class);
-    if (E == 1 || Exit == 1)
-      Exit = 1;
-    else if (E == 2)
-      Exit = 2;
-  }
-  return Exit;
-}
-
-void Supervisor::exportStats(Stats &S) const {
-  S.add("supervise.spawned", N.Spawned);
-  S.add("supervise.crashed", N.Crashed);
-  S.add("supervise.timed_out", N.TimedOut);
-  S.add("supervise.oom_killed", N.OomKilled);
-  S.add("supervise.retried", N.Retried);
-  S.add("supervise.recovered", N.Recovered);
-  S.add("supervise.resumed_skips", N.ResumedSkips);
-  S.add("supervise.stats_parse_failed", N.StatsParseFailed);
 }

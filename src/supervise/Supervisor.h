@@ -1,36 +1,31 @@
-//===- supervise/Supervisor.h - Process-isolated batch executor -*- C++ -*-===//
+//===- supervise/Supervisor.h - Worker supervision helpers -----*- C++ -*-===//
 //
 // Part of the TAJ reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The non-cooperative half of TAJ's bounded-analysis discipline (§6).
-/// RunGuard degrades a run gracefully — but only at checkpoints the run
-/// actually reaches. A segfault, an OOM kill, or a hard hang between
-/// checkpoints is outside its reach, and in a batch it used to take every
-/// remaining app down with it. The Supervisor closes that gap by running
-/// each batch app in a forked worker process (a self-exec of taj-cli in
-/// single-app mode) under:
+/// The pure pieces of the non-cooperative half of TAJ's bounded-analysis
+/// discipline (§6). RunGuard degrades a run gracefully, but only at
+/// checkpoints the run reaches; a segfault, an OOM kill or a hard hang
+/// between checkpoints is outside its reach. The supervised worker pool
+/// (server/Server.h) contains those failures in worker processes, one
+/// pool serving both the `--serve` daemon and `--batch --jobs=N`, and
+/// builds on these helpers:
 ///
-///  - a wall-clock watchdog: SIGTERM at the hard deadline, SIGKILL after
-///    a grace period — a backstop roughly 2x the cooperative deadline;
-///  - rlimit ceilings (RLIMIT_AS / RLIMIT_CPU) derived from the
-///    cooperative memory/deadline limits, so even a worker that never
-///    checkpoints cannot exceed its budget;
-///  - exit classification from the wait status (clean / truncated /
-///    error / crashed(signal) / timeout / oom);
-///  - a retry ladder: crashed, timed-out and OOM-killed apps re-run once
-///    (configurable) with a degraded config (RunGuard::DegradationPreset:
-///    halved call-graph budget, local-only string analysis, one thread,
-///    fault injection stripped) before being marked failed;
-///  - an append-only JSONL journal (supervise/Journal.h) making the batch
-///    resumable after the supervisor itself is killed.
+///  - deriveHardLimits: the backstops — a wall-clock watchdog deadline
+///    (SIGTERM, then SIGKILL after a grace period) and the RLIMIT_AS /
+///    RLIMIT_CPU ceilings batch workers run under — derived from the
+///    cooperative memory/deadline limits;
+///  - classifyWaitStatus: a dead worker's wait status as clean /
+///    truncated / error / crashed(signal) / timeout / oom;
+///  - recoverWorkerStats: a finished worker's --stats-json counters,
+///    merged even when torn;
+///  - installWorkerOomHandler: the worker-side arming that turns an
+///    allocation failure under RLIMIT_AS into a deterministic exit code.
 ///
-/// Workers run concurrently up to --jobs, sharing the content-addressed
-/// artifact cache; per-app output is captured to temp files and emitted
-/// in batch-list order, so `--jobs=1` is byte-identical to the in-process
-/// batch loop (`--jobs=0`) and any -jN run prints the same stdout.
+/// The append-only attempt journal behind `--resume` is supervise/
+/// Journal.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,26 +36,21 @@
 #include "support/RunGuard.h"
 #include "support/Stats.h"
 
+#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace taj {
 namespace supervise {
 
-/// One batch entry: the .taj files forming one app.
-struct AppTask {
-  std::string Name; ///< display name: files joined by spaces
-  std::vector<std::string> Files;
-};
-
 /// Reserved worker exit code announcing an allocation failure while
-/// running under the supervisor's RLIMIT_AS ceiling (the worker installs
-/// a new-handler that dies with this code; see installWorkerOomHandler).
-/// Outside the 0/1/2 CLI exit contract, so it cannot be confused with a
-/// real analysis outcome.
+/// running under a RLIMIT_AS ceiling (the worker installs a new-handler
+/// that dies with this code; see installWorkerOomHandler). Outside the
+/// 0/1/2 CLI exit contract, so it cannot be confused with a real analysis
+/// outcome.
 constexpr int WorkerOomExitCode = 17;
 
-/// Exit code of the forked child when exec of the worker itself failed.
+/// Exit code of a one-shot worker that ended without receiving its
+/// request (its coordinator closed the pair first); classified as error.
 constexpr int WorkerSpawnFailExitCode = 127;
 
 /// Pure classification of a worker's waitpid status. \p WatchdogKilled
@@ -70,22 +60,8 @@ constexpr int WorkerSpawnFailExitCode = 127;
 /// worker self-reporting allocation failure under RLIMIT_AS.
 ExitClass classifyWaitStatus(int WaitStatus, bool WatchdogKilled);
 
-/// Everything the supervisor needs besides the app list.
+/// The non-cooperative backstops of one worker attempt.
 struct SupervisorConfig {
-  /// Path to the taj-cli binary to self-exec (resolveSelfExe()).
-  std::string CliPath;
-  /// Per-app worker flags for first attempts (config + cache + governance
-  /// + fault-injection flags; app files are appended per task).
-  std::vector<std::string> BaseArgs;
-  /// Degraded flags for retry attempts (RunGuard::degradationForAttempt
-  /// applied; fault-injection env is additionally stripped in the child).
-  std::vector<std::string> RetryArgs;
-  /// Fingerprint of the batch config, stamped into journal records.
-  std::string ConfigFp;
-  /// Concurrent workers (>= 1).
-  unsigned Jobs = 1;
-  /// Re-runs granted to a crashed / timed-out / OOM-killed app.
-  unsigned MaxRetries = 1;
   /// Watchdog wall-clock limit per attempt in ms (0 = no watchdog).
   double HardDeadlineMs = 0;
   /// SIGTERM -> SIGKILL escalation grace in ms.
@@ -94,17 +70,6 @@ struct SupervisorConfig {
   uint64_t HardMemoryBytes = 0;
   /// RLIMIT_CPU ceiling in seconds (0 = none).
   uint64_t CpuLimitSec = 0;
-  /// Journal path ("" = no journal; required for Resume).
-  std::string JournalPath;
-  /// Skip apps the journal already holds a terminal record for.
-  bool Resume = false;
-  /// Fold every worker's --stats-json counters into MergedStats.
-  Stats *MergedStats = nullptr;
-  /// Hand every worker a --trace=<temp> flag and collect the event blobs
-  /// of the finished workers (takeTraceBlobs()) so the caller can write
-  /// one merged batch timeline. Worker events carry their own pid and
-  /// absolute monotonic timestamps, so they align with the supervisor's.
-  bool CollectTraces = false;
 };
 
 /// Fills the non-cooperative backstop limits of \p C from the cooperative
@@ -115,55 +80,22 @@ struct SupervisorConfig {
 /// watchdog even for runs with no cooperative limits.
 void deriveHardLimits(const RunGuard::Limits &Coop, SupervisorConfig &C);
 
-/// Resolves the running executable's path (/proc/self/exe, falling back
-/// to \p Argv0) for worker self-exec.
-std::string resolveSelfExe(const char *Argv0);
-
 /// Recovers a finished worker's --stats-json counters: merges everything
 /// that parsed into \p Merged (when non-null) and returns the worker's
 /// cli.issues count. An empty \p StatsText is normal (a crashed worker
-/// usually never wrote its stats file) and not an error. Malformed JSON
-/// increments \p ParseFailures and emits a stderr diagnostic naming
-/// \p App — the counters that did parse are still merged, so a torn
-/// write surfaces instead of silently dropping the worker's data.
+/// never sent its counters) and not an error. Malformed JSON increments
+/// \p ParseFailures and emits a stderr diagnostic naming \p App — the
+/// counters that did parse are still merged, so a torn write surfaces
+/// instead of silently dropping the worker's data.
 uint64_t recoverWorkerStats(const std::string &StatsText,
                             const std::string &App, Stats *Merged,
                             uint64_t &ParseFailures);
 
-/// Worker-side arming, called by taj-cli main() when spawned under a
-/// supervisor (TAJ_SUPERVISED_WORKER=1): installs a new-handler that
-/// turns an allocation failure under RLIMIT_AS into a deterministic
-/// _exit(WorkerOomExitCode) instead of an uncatchable bad_alloc abort.
+/// Worker-side arming, called first thing in every forked pool worker:
+/// installs a new-handler that turns an allocation failure under
+/// RLIMIT_AS into a deterministic _exit(WorkerOomExitCode) instead of an
+/// uncatchable bad_alloc abort.
 void installWorkerOomHandler();
-
-/// Runs batches of supervised workers. Not thread-safe; one per process.
-class Supervisor {
-public:
-  explicit Supervisor(SupervisorConfig C) : C(std::move(C)) {}
-
-  /// Runs every app of \p Apps to a terminal outcome, printing the
-  /// standard batch framing ("=== name" / captured report / "--- name:
-  /// exit=E issues=N") in list order, and returns the worst-of exit code
-  /// (error > truncated > clean).
-  int runBatch(const std::vector<AppTask> &Apps);
-
-  /// Exports supervise.{spawned,crashed,timed_out,oom_killed,retried,
-  /// recovered,resumed_skips,stats_parse_failed} counters.
-  void exportStats(Stats &S) const;
-
-  /// The collected worker trace-event blobs (CollectTraces only), in
-  /// finish order, ready for trace::writeJsonMerged(). Moves them out.
-  std::vector<std::string> takeTraceBlobs() { return std::move(TraceBlobs); }
-
-private:
-  SupervisorConfig C;
-  struct Counters {
-    uint64_t Spawned = 0, Crashed = 0, TimedOut = 0, OomKilled = 0,
-             Retried = 0, Recovered = 0, ResumedSkips = 0,
-             StatsParseFailed = 0;
-  } N;
-  std::vector<std::string> TraceBlobs;
-};
 
 } // namespace supervise
 } // namespace taj

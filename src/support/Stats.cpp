@@ -25,8 +25,8 @@ std::string Stats::toString() const {
 
 bool Stats::mergeJson(const std::string &Json) {
   // Inverse of toJson(): one flat object of "name":integer pairs. The
-  // supervisor uses this to fold a worker's --stats-json file back into
-  // the batch-level merged stats. Tolerates whitespace; rejects nesting.
+  // worker pool uses this to fold a worker's stats blob back into the
+  // merged stats. Tolerates whitespace; rejects nesting.
   size_t I = 0;
   auto SkipWs = [&] {
     while (I < Json.size() && std::isspace(static_cast<unsigned char>(Json[I])))

@@ -73,8 +73,8 @@ public:
 
   /// Parses a toJson()-shaped flat object and adds every counter into
   /// this object. Returns false (leaving any counters already parsed
-  /// applied) on malformed input. Used by the batch supervisor to fold a
-  /// worker process's --stats-json output back into the merged stats.
+  /// applied) on malformed input. Used by the worker pool to fold a
+  /// worker process's stats blob back into the merged stats.
   bool mergeJson(const std::string &Json);
 
   /// Renders all counters as "name=value" lines (sorted by name).

@@ -81,9 +81,9 @@ uint64_t nowUs();
 uint32_t currentTid();
 
 /// Records a complete ("X") span on the calling thread's track, or on the
-/// synthetic track \p Tid when non-zero (the supervisor gives each batch
-/// app its own lane, so concurrent worker spans don't overlap on the
-/// coordinator's track). No-op while disabled.
+/// synthetic track \p Tid when non-zero (the worker pool gives each
+/// worker slot its own lane, so concurrent worker spans don't overlap on
+/// the coordinator's track). No-op while disabled.
 void addComplete(std::string Name, const char *Cat, uint64_t BeginUs,
                  uint64_t EndUs, uint32_t Tid = 0);
 

@@ -181,6 +181,48 @@ class App extends Servlet {
   EXPECT_TRUE(E.Ok); // 0+1+2+3+4 computed without budget issues
 }
 
+TEST(Interp, LongArithmeticWrapsOnOverflow) {
+  // Add, Sub and Mul each overflow int64 once. Java long semantics wrap
+  // them two's-complement; the tainted value reaches the sink only if all
+  // three results match the wrapped values.
+  Executed E(R"(
+class App extends Servlet {
+  method doGet(this: App, req: Request, resp: Response): void [entry] {
+    t = req.getParameter("q");
+    w = resp.getWriter();
+    one = 1;
+    zero = 0;
+    max = 9223372036854775807;
+    negmax = zero - max;
+    min = negmax - one;
+    sum = max + one;
+    diff = min - one;
+    big = 3827413200073477585;
+    three = 3;
+    prod = big * three;
+    wrapped = -6964504473489118861;
+    c1 = sum == min;
+    if c1 goto addok;
+    goto done;
+    addok:
+    c2 = diff == max;
+    if c2 goto subok;
+    goto done;
+    subok:
+    c3 = prod == wrapped;
+    if c3 goto mulok;
+    goto done;
+    mulok:
+    w.println(t);
+    done:
+    return;
+  }
+}
+)");
+  ASSERT_TRUE(E.Ok);
+  EXPECT_EQ(E.Interp->flows().size(), 2u); // XSS + LEAK at the same sink
+}
+
 TEST(Interp, ThreadRunsSynchronously) {
   Executed E(R"(
 class Shared extends Object { static field data: String; }

@@ -196,6 +196,24 @@ TEST(RecordFraming, RoundTripsAndRejectsEveryMutation) {
                                      P, N, Err));
 }
 
+TEST(RecordFraming, FormatV2RecordsAreVersionMissesNotCorruption) {
+  // v3 dropped the points-to representative column. A record of the v2
+  // generation is stale, not damaged: it must unwrap as a version
+  // mismatch (persist.version_miss), never as corruption.
+  std::vector<uint8_t> Rec =
+      persist::wrapRecord(persist::ArtifactKind::PointsTo, {1, 2, 3});
+  ASSERT_GT(Rec.size(), 8u);
+  Rec[4] = 2; // little-endian u32 format version
+  Rec[5] = Rec[6] = Rec[7] = 0;
+  const uint8_t *P = nullptr;
+  size_t N = 0;
+  std::string Err;
+  EXPECT_EQ(persist::unwrapRecordEx(Rec, persist::ArtifactKind::PointsTo, P,
+                                    N, Err),
+            persist::UnwrapStatus::VersionMismatch);
+  EXPECT_NE(Err.find("format version 2"), std::string::npos) << Err;
+}
+
 //===----------------------------------------------------------------------===//
 // Program serialization
 //===----------------------------------------------------------------------===//

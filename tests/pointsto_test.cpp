@@ -18,7 +18,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <tuple>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -450,60 +449,8 @@ TEST(SparseBitSet, UnionEmitsNewBitsAscendingOnce) {
 }
 
 //===----------------------------------------------------------------------===//
-// Online cycle elimination
+// Query-surface memoization
 //===----------------------------------------------------------------------===//
-
-/// Context-insensitive points-to of (method, value), keyed by stable
-/// allocation-site signatures instead of raw IKIds so two independently
-/// solved instances compare meaningfully.
-std::multiset<std::tuple<uint32_t, StmtId, ClassId>>
-mergedSigs(const Solved &S, MethodId M, ValueId V) {
-  std::multiset<std::tuple<uint32_t, StmtId, ClassId>> Out;
-  for (IKId IK : S.Solver->pointsToMerged(M, V)) {
-    const InstanceKeyData &D = S.Solver->instanceKeys().data(IK);
-    Out.insert({static_cast<uint32_t>(D.Kind), D.Site, D.Cls});
-  }
-  return Out;
-}
-
-TEST(PointsTo, CycleCollapsePreservesTheSolution) {
-  // Mutual recursion threads each parameter back and forth, creating copy
-  // cycles among the parameter and return-value keys.
-  const char *Src = R"(
-class Payload extends Object {}
-class App extends Servlet {
-  method ping(this: App, o: Object, d: Object): Object {
-    r = this.pong(o, d);
-    return r;
-  }
-  method pong(this: App, o: Object, d: Object): Object {
-    r = this.ping(d, o);
-    return r;
-  }
-  method doGet(this: App, req: Request): void [entry] {
-    x = new Payload;
-    y = new Object;
-    z = this.ping(x, y);
-  }
-}
-)";
-  Solved On(Src); // cycle elimination defaults on
-  PointsToOptions OffOpts;
-  OffOpts.CycleElim = false;
-  Solved Off(Src, std::move(OffOpts));
-
-  EXPECT_GE(On.Solver->stats().get("pts.cycles_collapsed"), 1u);
-  EXPECT_GE(On.Solver->stats().get("pts.nodes_merged"), 1u);
-  EXPECT_EQ(Off.Solver->stats().get("pts.cycles_collapsed"), 0u);
-  EXPECT_EQ(Off.Solver->stats().get("pts.nodes_merged"), 0u);
-
-  // The collapsed solution must be exactly the reference solution, for
-  // every method and every SSA value either engine knows about.
-  for (MethodId M = 0; M < On.P.Methods.size(); ++M)
-    for (ValueId V = 0; V < 12; ++V)
-      EXPECT_EQ(mergedSigs(On, M, V), mergedSigs(Off, M, V))
-          << On.P.methodName(M) << " value " << V;
-}
 
 TEST(PointsTo, MergedQueriesAreMemoized) {
   Solved S(R"(
@@ -521,7 +468,7 @@ class App extends Servlet {
 }
 
 //===----------------------------------------------------------------------===//
-// CLI byte-identity with and without cycle elimination
+// CLI byte-identity of warm and cold runs
 //===----------------------------------------------------------------------===//
 
 struct TempDir {
@@ -540,12 +487,9 @@ struct TempDir {
   }
 };
 
-/// Runs taj-cli capturing stdout only; \p EnvPrefix may carry "VAR=x "
-/// assignments spliced in front of the binary.
-std::string runCli(const std::string &EnvPrefix, const std::string &Args,
-                   int &ExitCode) {
-  std::string Cmd =
-      EnvPrefix + std::string(TAJ_CLI_PATH) + " " + Args + " 2>/dev/null";
+/// Runs taj-cli capturing stdout only.
+std::string runCli(const std::string &Args, int &ExitCode) {
+  std::string Cmd = std::string(TAJ_CLI_PATH) + " " + Args + " 2>/dev/null";
   FILE *P = ::popen(Cmd.c_str(), "r");
   EXPECT_NE(P, nullptr);
   std::string Out;
@@ -558,41 +502,25 @@ std::string runCli(const std::string &EnvPrefix, const std::string &Args,
   return Out;
 }
 
-TEST(PointsTo, CliByteIdenticalWithAndWithoutCycleElim) {
-  // Cycle elimination must be output-invisible: for each preset and thread
-  // count, cold and warm runs with TAJ_CYCLE_ELIM=0 produce byte-identical
-  // stdout (under --verify=full) to the default engine. The off run also
-  // warm-restores artifacts the collapsing engine persisted.
+TEST(PointsTo, CliWarmRunsByteIdenticalToCold) {
+  // A warm restore of the persisted points-to solution must be
+  // output-invisible: for each preset and thread count, a warm run
+  // produces byte-identical stdout (under --verify=full) to the cold run
+  // that filled the cache.
   for (const char *Config : {"hybrid", "ci"}) {
     for (int Threads : {1, 8}) {
-      TempDir DOn, DOff;
-      const std::string Base = std::string("--config=") + Config +
-                               " --threads=" + std::to_string(Threads) +
-                               " --verify=full \"" + TAJ_EXAMPLE_TAJ + "\"";
-      int EcOn = 0, EcOff = 0;
-      const std::string ColdOn =
-          runCli("", "--cache-dir=\"" + DOn.Path + "\" " + Base, EcOn);
-      const std::string ColdOff = runCli(
-          "TAJ_CYCLE_ELIM=0 ", "--cache-dir=\"" + DOff.Path + "\" " + Base,
-          EcOff);
-      EXPECT_EQ(EcOn, EcOff) << Config << " t=" << Threads;
-      EXPECT_EQ(ColdOn, ColdOff) << Config << " t=" << Threads << " (cold)";
-
-      const std::string WarmOn =
-          runCli("", "--cache-dir=\"" + DOn.Path + "\" " + Base, EcOn);
-      const std::string WarmOff = runCli(
-          "TAJ_CYCLE_ELIM=0 ", "--cache-dir=\"" + DOff.Path + "\" " + Base,
-          EcOff);
-      EXPECT_EQ(WarmOn, ColdOn) << Config << " t=" << Threads << " (warm on)";
-      EXPECT_EQ(WarmOff, ColdOn)
-          << Config << " t=" << Threads << " (warm off)";
-
-      // Cross-restore: the collapsing engine's artifact read back with
-      // cycle elimination disabled.
-      const std::string Cross = runCli(
-          "TAJ_CYCLE_ELIM=0 ", "--cache-dir=\"" + DOn.Path + "\" " + Base,
-          EcOff);
-      EXPECT_EQ(Cross, ColdOn) << Config << " t=" << Threads << " (cross)";
+      TempDir D;
+      const std::string Args = "--cache-dir=\"" + D.Path + "\" --config=" +
+                               Config + " --threads=" +
+                               std::to_string(Threads) + " --verify=full \"" +
+                               TAJ_EXAMPLE_TAJ + "\"";
+      int EcCold = 0, EcWarm = 0;
+      const std::string Cold = runCli(Args, EcCold);
+      const std::string Warm = runCli(Args, EcWarm);
+      EXPECT_EQ(EcCold, 0) << Config << " t=" << Threads;
+      EXPECT_EQ(EcWarm, EcCold) << Config << " t=" << Threads;
+      EXPECT_FALSE(Cold.empty()) << Config << " t=" << Threads;
+      EXPECT_EQ(Warm, Cold) << Config << " t=" << Threads;
     }
   }
 }

@@ -12,6 +12,9 @@
 //  - --jobs=1 and --jobs=N stdout is byte-identical to the in-process
 //    --jobs=0 batch loop;
 //  - workers die with the supervisor (no orphans);
+//  - a batch whose workers cannot start still finishes;
+//  - one-shot batch workers run under the RLIMIT_AS / RLIMIT_CPU
+//    backstops, persistent --serve pool workers do not;
 //  - numeric CLI flags range-check instead of silently wrapping.
 //
 //===----------------------------------------------------------------------===//
@@ -22,6 +25,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cerrno>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -31,7 +37,14 @@
 #include <vector>
 
 #include <csignal>
+#include <fcntl.h>
+#include <linux/audit.h>
+#include <linux/filter.h>
+#include <linux/seccomp.h>
+#include <sched.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -58,10 +71,19 @@ struct TempDir {
   }
 };
 
+/// Reads a file through stdio: a /proc file whose process exits mid-scan
+/// fails its read (ESRCH), which a filebuf reports by throwing; here it
+/// just ends the text.
 std::string readWhole(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(In)),
-                     std::istreambuf_iterator<char>());
+  std::string Text;
+  if (std::FILE *F = std::fopen(Path.c_str(), "rb")) {
+    char Buf[4096];
+    size_t N;
+    while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
+      Text.append(Buf, N);
+    std::fclose(F);
+  }
+  return Text;
 }
 
 void writeWhole(const std::string &Path, const std::string &Text) {
@@ -118,6 +140,115 @@ long long statOf(const std::string &JsonPath, const std::string &Name) {
   if (At == std::string::npos)
     return -1;
   return std::atoll(J.c_str() + At + Needle.size());
+}
+
+/// Pid of a live process other than \p Exclude whose command line carries
+/// \p Marker, or -1. Forked pool workers inherit their coordinator's
+/// command line, so a unique --cache-dir path identifies them.
+pid_t findMarkedProcess(const std::string &Marker, pid_t Exclude) {
+  for (const auto &DE : fs::directory_iterator("/proc")) {
+    std::string Name = DE.path().filename().string();
+    if (Name.empty() || !std::isdigit(static_cast<unsigned char>(Name[0])))
+      continue;
+    if (std::to_string(Exclude) == Name)
+      continue;
+    if (readWhole((DE.path() / "cmdline").string()).find(Marker) !=
+        std::string::npos)
+      return static_cast<pid_t>(std::atol(Name.c_str()));
+  }
+  return -1;
+}
+
+/// Polls for a marked process (see findMarkedProcess) for up to 10 s.
+pid_t awaitMarkedProcess(const std::string &Marker, pid_t Exclude) {
+  for (int I = 0; I < 2000; ++I) {
+    pid_t Pid = findMarkedProcess(Marker, Exclude);
+    if (Pid >= 0)
+      return Pid;
+    ::usleep(5 * 1000);
+  }
+  return -1;
+}
+
+/// The soft value of one /proc/<pid>/limits row, e.g. "976" for
+/// "Max cpu time  976  981  seconds" ("" when unreadable).
+std::string softLimit(pid_t Pid, const std::string &Row) {
+  std::istringstream In(readWhole("/proc/" + std::to_string(Pid) + "/limits"));
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.compare(0, Row.size(), Row) == 0) {
+      std::istringstream Fields(Line.substr(Row.size()));
+      std::string Soft;
+      Fields >> Soft;
+      return Soft;
+    }
+  return "";
+}
+
+/// Starts taj-cli with \p Args through /bin/sh under the hard-limit
+/// environment knobs; the returned pid is taj-cli itself (exec).
+pid_t startUnderHardLimits(const std::string &Args) {
+  pid_t Pid = ::fork();
+  if (Pid == 0) {
+    ::setenv("TAJ_HARD_MAX_MEMORY_MB", "4096", 1);
+    ::setenv("TAJ_HARD_DEADLINE_MS", "60000", 1);
+    std::string Cmd = "exec " + std::string(TAJ_CLI_PATH) + " " + Args +
+                      " > /dev/null 2>&1";
+    ::execl("/bin/sh", "sh", "-c", Cmd.c_str(), (char *)nullptr);
+    ::_exit(127);
+  }
+  return Pid;
+}
+
+// ASan and TSan reserve terabytes of shadow address space, which cannot
+// live under RLIMIT_AS; the rlimit tests skip under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool ShadowSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool ShadowSanitizer = true;
+#else
+constexpr bool ShadowSanitizer = false;
+#endif
+#else
+constexpr bool ShadowSanitizer = false;
+#endif
+
+#if defined(__x86_64__)
+constexpr uint32_t AuditArch = AUDIT_ARCH_X86_64;
+#elif defined(__aarch64__)
+constexpr uint32_t AuditArch = AUDIT_ARCH_AARCH64;
+#else
+constexpr uint32_t AuditArch = 0;
+#endif
+
+/// Makes every later fork() of this process fail with EAGAIN, as under an
+/// exhausted process limit, while threads (clone with CLONE_VM, which the
+/// sanitizer runtimes also use) still start. clone3 answers ENOSYS, so
+/// glibc falls back to clone, whose flags a filter can read. False when
+/// the kernel refuses the filter.
+bool forbidFork() {
+  struct sock_filter F[] = {
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(struct seccomp_data, arch)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, AuditArch, 1, 0),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(struct seccomp_data, nr)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, __NR_clone3, 0, 1),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ERRNO | ENOSYS),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, __NR_clone, 1, 0),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+      // The low word of clone's flags (little-endian targets only).
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS,
+               offsetof(struct seccomp_data, args[0])),
+      BPF_JUMP(BPF_JMP | BPF_JSET | BPF_K, CLONE_VM, 0, 1),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ERRNO | EAGAIN),
+  };
+  struct sock_fprog Prog;
+  Prog.len = sizeof(F) / sizeof(F[0]);
+  Prog.filter = F;
+  return ::prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) == 0 &&
+         ::prctl(PR_SET_SECCOMP, SECCOMP_MODE_FILTER, &Prog) == 0;
 }
 
 int exitedStatus(int Code) { return Code << 8; } // WIFEXITED encoding
@@ -452,6 +583,22 @@ TEST(Supervised, HungWorkerRecoversOnRetry) {
   EXPECT_NE(Out.find("exit=0 issues=3"), std::string::npos) << Out;
 }
 
+TEST(Supervised, RetryDropsFaultInjectionEnvironment) {
+  TempDir T;
+  std::string List = writeList(T, 1);
+  std::string StatsPath = T.Path + "/s.json";
+  int Exit = 0;
+  // The fault comes through the environment, which every worker inherits;
+  // the retry's fresh worker must unset it or it crashes again.
+  std::string Out = runCli("TAJ_CRASH_AT=1 --batch=" + List +
+                               " --jobs=1 --retry=1 --stats-json=" + StatsPath,
+                           Exit);
+  EXPECT_EQ(Exit, 0) << Out;
+  EXPECT_NE(Out.find("exit=0 issues=3"), std::string::npos) << Out;
+  EXPECT_EQ(statOf(StatsPath, "supervise.crashed"), 1);
+  EXPECT_EQ(statOf(StatsPath, "supervise.recovered"), 1);
+}
+
 TEST(Supervised, ResumeSkipsJournaledTerminalOutcomes) {
   TempDir T;
   std::string List = writeList(T, 2);
@@ -586,6 +733,107 @@ TEST(Supervised, WorkersDieWithTheSupervisor) {
       ::usleep(5 * 1000);
   }
   EXPECT_TRUE(Gone);
+}
+
+TEST(Supervised, BatchWorkerRunsUnderItsHardLimits) {
+  if (ShadowSanitizer)
+    GTEST_SKIP() << "sanitizer shadow memory cannot live under RLIMIT_AS";
+  TempDir T;
+  std::string List = writeList(T, 1);
+  std::string Marker = T.Path + "/limits-cc";
+  pid_t Sup = startUnderHardLimits("--batch=" + List +
+                                   " --jobs=1 --hang-at=1 --retry=0" +
+                                   " --cache-dir=" + Marker);
+  ASSERT_GE(Sup, 0);
+  // The worker arms its rlimits right after fork; poll until they land.
+  // RLIMIT_AS is the hard memory ceiling; RLIMIT_CPU follows
+  // deriveHardLimits: (60000 / 1000 + 1) * 16 = 976 s.
+  pid_t Worker = awaitMarkedProcess(Marker, Sup);
+  std::string As, Cpu;
+  for (int I = 0; Worker >= 0 && I < 2000; ++I) {
+    As = softLimit(Worker, "Max address space");
+    Cpu = softLimit(Worker, "Max cpu time");
+    if (As == "4294967296" && Cpu == "976")
+      break;
+    ::usleep(5 * 1000);
+  }
+  ::kill(Sup, SIGKILL); // the hung worker dies with it
+  int St = 0;
+  ::waitpid(Sup, &St, 0);
+  ASSERT_GE(Worker, 0);
+  EXPECT_EQ(As, "4294967296");
+  EXPECT_EQ(Cpu, "976");
+}
+
+TEST(Supervised, ServePoolWorkerStaysUnlimited) {
+  if (ShadowSanitizer)
+    GTEST_SKIP() << "sanitizer shadow memory cannot live under RLIMIT_AS";
+  TempDir T;
+  std::string Marker = T.Path + "/serve-cc";
+  pid_t Daemon = startUnderHardLimits("--serve=" + T.Path + "/srv.sock" +
+                                      " --pool-size=1 --cache-dir=" + Marker);
+  ASSERT_GE(Daemon, 0);
+  // A persistent worker serves requests with different budgets, so it
+  // keeps the daemon's own ceilings: the hard-limit knobs arm nothing on
+  // it.
+  pid_t Worker = awaitMarkedProcess(Marker, Daemon);
+  std::string As, Cpu;
+  if (Worker >= 0) {
+    As = softLimit(Worker, "Max address space");
+    Cpu = softLimit(Worker, "Max cpu time");
+  }
+  const std::string DaemonAs = softLimit(Daemon, "Max address space");
+  const std::string DaemonCpu = softLimit(Daemon, "Max cpu time");
+  ::kill(Daemon, SIGTERM);
+  int St = 0;
+  ::waitpid(Daemon, &St, 0);
+  EXPECT_TRUE(WIFEXITED(St) && WEXITSTATUS(St) == 0);
+  ASSERT_GE(Worker, 0);
+  EXPECT_EQ(As, DaemonAs);
+  EXPECT_EQ(Cpu, DaemonCpu);
+}
+
+TEST(Supervised, BatchFinishesWhenNoWorkerCanStart) {
+  if (AuditArch == 0)
+    GTEST_SKIP() << "no seccomp architecture constant for this target";
+  TempDir T;
+  std::string BatchArg = "--batch=" + writeList(T, 2);
+  std::string OutPath = T.Path + "/out.txt";
+  pid_t Sup = ::fork();
+  ASSERT_GE(Sup, 0);
+  if (Sup == 0) {
+    int Out = ::open(OutPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (Out < 0 || ::dup2(Out, 1) < 0 || ::dup2(Out, 2) < 0)
+      ::_exit(127);
+    if (!forbidFork())
+      ::_exit(125);
+    ::execl(TAJ_CLI_PATH, TAJ_CLI_PATH, BatchArg.c_str(), "--jobs=1",
+            (char *)nullptr);
+    ::_exit(127);
+  }
+  // The second app is still queued when the only slot's spawn fails; the
+  // batch must move on to it rather than wait on a pool with no worker.
+  int St = 0;
+  bool Exited = false;
+  for (int I = 0; I < 6000 && !Exited; ++I) {
+    Exited = ::waitpid(Sup, &St, WNOHANG) == Sup;
+    if (!Exited)
+      ::usleep(5 * 1000);
+  }
+  if (!Exited) {
+    ::kill(Sup, SIGKILL);
+    ::waitpid(Sup, &St, 0);
+  }
+  std::string Out = readWhole(OutPath);
+  ASSERT_TRUE(Exited) << "batch hung with no worker able to start\n" << Out;
+  if (WIFEXITED(St) && WEXITSTATUS(St) == 125)
+    GTEST_SKIP() << "the kernel refused the seccomp filter";
+  EXPECT_TRUE(WIFEXITED(St) && WEXITSTATUS(St) == 1) << Out;
+  size_t Errors = 0;
+  for (size_t At = Out.find("exit=1 issues=0"); At != std::string::npos;
+       At = Out.find("exit=1 issues=0", At + 1))
+    ++Errors;
+  EXPECT_EQ(Errors, 2u) << Out;
 }
 
 } // namespace

@@ -56,12 +56,8 @@ class SolverTestPeer {
 public:
   static void clearPointsTo(const PointsToSolver &S, PKId PK) {
     auto &Mut = const_cast<PointsToSolver &>(S);
-    if (PK >= Mut.Pts.size())
-      return;
-    // A collapsed key stores its set at the cycle representative.
-    while (Mut.RepParent[PK] != PK)
-      PK = Mut.RepParent[PK];
-    Mut.Pts[PK].clear();
+    if (PK < Mut.Pts.size())
+      Mut.Pts[PK].clear();
   }
 };
 

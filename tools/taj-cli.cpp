@@ -50,11 +50,13 @@
 //                         cache; each list line names one app's .taj
 //                         files (whitespace-separated; blank lines and
 //                         #-comments skipped)
-//   --jobs=<n>            batch supervision: run each app in a forked,
-//                         watchdogged worker process, n of them
-//                         concurrently; 0 (default) keeps the in-process
-//                         batch loop. --jobs=1 output is byte-identical
-//                         to --jobs=0.
+//   --jobs=<n>            batch supervision: run the batch on the same
+//                         supervised worker pool --serve uses (watchdog,
+//                         retries, journal), n workers at a time, each
+//                         app attempt in a fresh one-shot worker process
+//                         under rlimit backstops; 0 (default) keeps the
+//                         in-process batch loop. --jobs=N output is
+//                         byte-identical to --jobs=0.
 //   --retry=<n>           re-runs granted to a crashed / timed-out /
 //                         OOM-killed app, each with a degraded config
 //                         (halved call-graph budget, local string
@@ -102,7 +104,7 @@
 // The governance knobs are also readable from the environment
 // (TAJ_DEADLINE_MS, TAJ_MAX_MEMORY_MB, TAJ_FAIL_AT, TAJ_CRASH_AT,
 // TAJ_CRASH_SIGNAL, TAJ_HANG_AT); the thread count from TAJ_THREADS; the
-// supervisor's non-cooperative backstops from TAJ_HARD_DEADLINE_MS,
+// worker pool's non-cooperative backstops from TAJ_HARD_DEADLINE_MS,
 // TAJ_HARD_MAX_MEMORY_MB and TAJ_WATCHDOG_GRACE_MS. Explicit flags win.
 //
 // Exit codes (the documented contract):
@@ -127,7 +129,6 @@
 #include "server/Client.h"
 #include "server/Server.h"
 #include "server/Service.h"
-#include "supervise/Supervisor.h"
 #include "support/Trace.h"
 
 #include <cstdio>
@@ -160,25 +161,6 @@ void usage() {
       "               [--pool-size=N] [--queue-depth=N] [--hot-max-mb=N]\n"
       "               (file.taj [more.taj ...] | --batch=LISTFILE\n"
       "                | --serve=SOCKET | --connect=SOCKET file.taj ...)\n");
-}
-
-/// Re-encodes the run options plus the cache flags as worker argv for a
-/// supervised self-exec; the worker must reproduce exactly the run
-/// analyzeApp() would perform in-process (--jobs=1 is byte-identical to
-/// --jobs=0 by construction).
-std::vector<std::string> encodeWorkerArgs(const RunOptions &O,
-                                          const std::string &CacheDir,
-                                          uint64_t CacheMaxMb,
-                                          uint64_t CacheGraceMs) {
-  std::vector<std::string> A = encodeRunOptions(O);
-  if (!CacheDir.empty()) {
-    A.push_back("--cache-dir=" + CacheDir);
-    if (CacheMaxMb)
-      A.push_back("--cache-max-mb=" + std::to_string(CacheMaxMb));
-    if (CacheGraceMs)
-      A.push_back("--cache-grace-ms=" + std::to_string(CacheGraceMs));
-  }
-  return A;
 }
 
 /// Client mode: read the apps locally, ship them inline with this command
@@ -237,20 +219,24 @@ int runConnect(const std::string &SocketPath,
   return exitCodeForStatus(Resp.St);
 }
 
+/// A truncated stdout (closed pipe, full disk) must not masquerade as a
+/// clean run: SIGPIPE is ignored, so the failure surfaces here.
+bool checkStdout() {
+  if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+    std::fprintf(stderr, "error: stdout write failed\n");
+    return false;
+  }
+  return true;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
   // SIGPIPE is a process-wide hazard for anything that writes to peers
   // that may vanish — a closed client socket, a `head`-truncated stdout.
-  // Ignore it everywhere (the disposition survives fork and exec into
-  // supervised workers) and surface write failures as error returns.
+  // Ignore it everywhere (the disposition survives fork into pool
+  // workers) and surface write failures as error returns.
   std::signal(SIGPIPE, SIG_IGN);
-
-  // A supervised worker turns allocation failure under the parent's
-  // RLIMIT_AS ceiling into a deterministic OOM exit code (see
-  // supervise/Supervisor.h) before any allocation can happen.
-  if (std::getenv("TAJ_SUPERVISED_WORKER"))
-    supervise::installWorkerOomHandler();
 
   RunOptions Opt;
   std::string CacheDir, BatchFile, StatsJsonPath, JournalPath, TracePath;
@@ -396,34 +382,30 @@ int main(int Argc, char **Argv) {
   if (!TracePath.empty())
     trace::enable();
 
-  if (Serving) {
-    ServerOptions SO;
-    SO.SocketPath = ServePath;
-    SO.PoolSize = static_cast<unsigned>(PoolSize);
-    SO.QueueDepth = static_cast<unsigned>(QueueDepth);
-    SO.MaxRetries = static_cast<unsigned>(Retry);
-    SO.Base = Opt;
-    SO.CacheDir = CacheDir;
-    SO.CacheMaxMb = CacheMaxMb;
-    SO.CacheGraceMs = CacheGraceMs;
-    SO.CacheGraceSet = CacheGraceSet;
-    SO.HotMaxMb = HotMaxMb;
-    SO.JournalPath = JournalPath;
-    SO.StatsJsonPath = StatsJsonPath;
-    SO.TracePath = TracePath;
+  // The supervised worker pool behind --serve and --batch --jobs>=1.
+  ServerOptions SO;
+  SO.SocketPath = ServePath;
+  SO.PoolSize = static_cast<unsigned>(Serving ? PoolSize : Jobs);
+  SO.QueueDepth = static_cast<unsigned>(QueueDepth);
+  SO.MaxRetries = static_cast<unsigned>(Retry);
+  SO.Base = Opt;
+  SO.CacheDir = CacheDir;
+  SO.CacheMaxMb = CacheMaxMb;
+  SO.CacheGraceMs = CacheGraceMs;
+  SO.CacheGraceSet = CacheGraceSet;
+  SO.HotMaxMb = HotMaxMb;
+  SO.JournalPath = JournalPath;
+  SO.StatsJsonPath = StatsJsonPath;
+  SO.TracePath = TracePath;
+  if (Serving)
     return runServer(SO);
-  }
 
   int Exit;
   if (Connecting) {
     Exit = runConnect(ConnectPath, Files, Opt, StatsJsonPath, TracePath);
     // The artifacts were written from the response; only the final
-    // stdout check below remains.
-    if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
-      std::fprintf(stderr, "error: stdout write failed\n");
-      return ExitError;
-    }
-    return Exit;
+    // stdout check remains.
+    return checkStdout() ? Exit : ExitError;
   }
 
   std::unique_ptr<persist::ArtifactCache> Cache;
@@ -435,10 +417,9 @@ int main(int Argc, char **Argv) {
   Stats *JsonStats = StatsJsonPath.empty() ? nullptr : &MergedStats;
 
   // Every exit path past this point (normal, truncated, parse failure,
-  // batch-list errors) funnels through this writer, so the stats/trace
-  // artifacts exist whenever the flags were given — a supervising parent
-  // or CI step never reads a missing file just because the run degraded.
-  std::vector<std::string> WorkerTraceBlobs;
+  // batch-list errors) funnels through this writer or the pool's, so the
+  // stats/trace artifacts exist whenever the flags were given — a CI step
+  // never reads a missing file just because the run degraded.
   auto WriteArtifacts = [&]() -> bool {
     bool Ok = true;
     if (JsonStats) {
@@ -449,8 +430,7 @@ int main(int Argc, char **Argv) {
         Ok = false;
       }
     }
-    if (!TracePath.empty() &&
-        !trace::writeJsonMerged(TracePath, WorkerTraceBlobs)) {
+    if (!TracePath.empty() && !trace::writeJson(TracePath)) {
       std::fprintf(stderr, "error: cannot write '%s'\n", TracePath.c_str());
       Ok = false;
     }
@@ -479,7 +459,7 @@ int main(int Argc, char **Argv) {
     }
     // Parse the list up front: blank lines and #-comments skipped, each
     // remaining line one app (whitespace-separated .taj files).
-    std::vector<supervise::AppTask> Apps;
+    std::vector<BatchApp> Apps;
     std::istringstream LS(List);
     std::string Line;
     while (std::getline(LS, Line)) {
@@ -510,7 +490,7 @@ int main(int Argc, char **Argv) {
       // In-process batch loop: the regression baseline every supervised
       // configuration's stdout is compared against.
       Exit = ExitClean;
-      for (const supervise::AppTask &App : Apps) {
+      for (const BatchApp &App : Apps) {
         std::printf("=== %s\n", App.Name.c_str());
         RunOutcome O =
             analyzeApp(ToSources(App.Files), Opt, Cache.get(), JsonStats);
@@ -526,45 +506,14 @@ int main(int Argc, char **Argv) {
           Exit = ExitTruncated;
       }
     } else {
-      // Supervised batch: every app in a forked, watchdogged worker.
-      // Concurrent workers share the artifact cache; give reads a default
-      // eviction grace window unless the operator chose one.
-      uint64_t WorkerGraceMs =
-          CacheGraceSet ? CacheGraceMs : (CacheDir.empty() ? 0 : 60000);
-      supervise::SupervisorConfig SC;
-      SC.CliPath = supervise::resolveSelfExe(Argv[0]);
-      SC.BaseArgs = encodeWorkerArgs(Opt, CacheDir, CacheMaxMb, WorkerGraceMs);
-      SC.RetryArgs = encodeWorkerArgs(degradeForRetry(Opt), CacheDir,
-                                      CacheMaxMb, WorkerGraceMs);
-      SC.ConfigFp = optionsFingerprint(Opt);
-      SC.Jobs = static_cast<unsigned>(Jobs);
-      SC.MaxRetries = static_cast<unsigned>(Retry);
-      SC.JournalPath = JournalPath;
-      SC.Resume = Resume;
-      SC.MergedStats = JsonStats;
-      SC.CollectTraces = !TracePath.empty();
-      // Derive the non-cooperative backstops (hard deadline, RLIMIT_AS,
-      // RLIMIT_CPU) from the cooperative limits after the same environment
-      // overlay the workers themselves will apply.
-      RunGuard::Limits Coop;
-      Coop.DeadlineMs = Opt.DeadlineMs;
-      Coop.MaxMemoryBytes = Opt.MaxMemoryMb * 1024 * 1024;
-      supervise::deriveHardLimits(RunGuard::limitsFromEnv(Coop), SC);
-      supervise::Supervisor Sup(std::move(SC));
-      Exit = Sup.runBatch(Apps);
-      if (JsonStats)
-        Sup.exportStats(*JsonStats);
-      WorkerTraceBlobs = Sup.takeTraceBlobs();
+      // Supervised batch on the worker pool, which writes the stats and
+      // trace artifacts itself.
+      Exit = runBatch(SO, Apps, Resume);
+      return checkStdout() ? Exit : ExitError;
     }
   }
 
   if (!WriteArtifacts())
     return ExitError;
-  // A truncated stdout (closed pipe, full disk) must not masquerade as a
-  // clean run: SIGPIPE is ignored above, so the failure lands here.
-  if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
-    std::fprintf(stderr, "error: stdout write failed\n");
-    return ExitError;
-  }
-  return Exit;
+  return checkStdout() ? Exit : ExitError;
 }
