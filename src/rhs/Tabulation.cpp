@@ -3,20 +3,12 @@
 #include "rhs/Tabulation.h"
 #include "support/RunGuard.h"
 
-#include <cassert>
+#include <algorithm>
 
 using namespace taj;
 
 Tabulation::Tabulation(const SDG &G, RuleMask Rule, RunGuard *Guard)
-    : G(G), Rule(Rule), Guard(Guard) {}
-
-bool Tabulation::isBarrier(SDGNodeId N) const {
-  const SDGNode &Node = G.node(N);
-  if (Node.Kind != SDGNodeKind::Stmt)
-    return false;
-  // Sanitizer returns and sink calls have no successors (§3.2).
-  return (Node.SanitizeMask & Rule) != 0 || (Node.SinkMask & Rule) != 0;
-}
+    : G(G), Rule(Rule), Guard(Guard), PoppedIn(G.numNodes(), 0) {}
 
 const CallSiteInfo *Tabulation::siteOf(SDGNodeId N) const {
   const SDGNode &Node = G.node(N);
@@ -98,7 +90,7 @@ void Tabulation::drainSummaries() {
       recordSummaryOut(FIn, N, D);
       continue;
     }
-    if (isBarrier(N))
+    if (isSliceBarrier(Node, Rule))
       continue;
     for (const SDGEdge &E : G.succs(N)) {
       switch (E.Kind) {
@@ -133,111 +125,104 @@ void Tabulation::drainSummaries() {
 // Two-phase slicing
 //===----------------------------------------------------------------------===//
 
+void Tabulation::beginPhase() {
+  Queue.clear();
+  if (++Phase == 0) { // stamp wrap-around: forget every old stamp
+    std::fill(PoppedIn.begin(), PoppedIn.end(), 0);
+    Phase = 1;
+  }
+}
+
+bool Tabulation::firstPop(SDGNodeId N) {
+  if (PoppedIn[N] == Phase)
+    return false;
+  PoppedIn[N] = Phase;
+  return true;
+}
+
+void Tabulation::stepOverCall(SDGNodeId FIn, SDGNodeId N, uint32_t D) {
+  seedSummary(FIn);
+  drainSummaries();
+  auto SIt = SummaryOuts.find(FIn);
+  if (SIt == SummaryOuts.end())
+    return;
+  const CallSiteInfo *CS = siteOf(N);
+  if (!CS)
+    return;
+  for (auto &[FOut, DD] : SIt->second) {
+    SDGNodeId AOut = G.actualOutFor(*CS, FOut);
+    if (AOut != InvalidId)
+      Queue.push_back({AOut, D + DD + 2, N});
+  }
+}
+
 void Tabulation::forwardSlice(
     const std::vector<std::pair<SDGNodeId, uint32_t>> &Seeds,
     SliceResult &R) {
-  // Phase 1: ascend (Flow + ParamOut + summaries). Collect newly reached
-  // nodes for phase 2.
-  std::vector<std::pair<SDGNodeId, uint32_t>> Phase1New;
-  {
-    std::deque<std::tuple<SDGNodeId, uint32_t, SDGNodeId>> Q;
-    for (auto [S, D] : Seeds)
-      Q.emplace_back(S, D, InvalidId);
-    std::unordered_set<SDGNodeId> Local;
-    while (!Q.empty()) {
-      if (Guard && !Guard->checkpoint())
-        break; // cutoff: keep what phase 1 reached so far
-      auto [N, D, Par] = Q.front();
-      Q.pop_front();
-      if (!Local.insert(N).second)
-        continue;
-      ++PathEdgeCount;
-      bool Fresh = !R.Dist.count(N);
-      if (Fresh || R.Dist[N] > D) {
-        R.Dist[N] = D;
-        R.Parent[N] = Par;
-      }
-      if (Fresh)
-        Phase1New.emplace_back(N, D);
-      if (isBarrier(N))
-        continue;
-      for (const SDGEdge &E : G.succs(N)) {
-        if (E.Kind == SDGEdgeKind::Flow || E.Kind == SDGEdgeKind::ParamOut)
-          Q.emplace_back(E.To, D + 1, N);
-        else if (E.Kind == SDGEdgeKind::ParamIn) {
-          seedSummary(E.To);
-          drainSummaries();
-          auto SIt = SummaryOuts.find(E.To);
-          if (SIt == SummaryOuts.end())
-            continue;
-          const CallSiteInfo *CS = siteOf(N);
-          if (!CS)
-            continue;
-          for (auto &[FOut, DD] : SIt->second) {
-            SDGNodeId AOut = G.actualOutFor(*CS, FOut);
-            if (AOut != InvalidId)
-              Q.emplace_back(AOut, D + DD + 2, N);
-          }
-        }
-      }
+  const size_t FirstNew = R.Reached.size();
+
+  // Phase 1: ascend (Flow + ParamOut + summaries). The nodes it reaches
+  // first seed phase 2.
+  beginPhase();
+  for (auto [S, D] : Seeds)
+    Queue.push_back({S, D, InvalidId});
+  for (size_t Head = 0; Head < Queue.size(); ++Head) {
+    if (Guard && !Guard->checkpoint())
+      break; // cutoff: keep what phase 1 reached so far
+    const auto [N, D, Par] = Queue[Head];
+    if (!firstPop(N))
+      continue;
+    ++PathEdgeCount;
+    if (!R.reached(N)) {
+      R.reach(N, D, Par);
+    } else if (R.Dist[N] > D) {
+      R.Dist[N] = D;
+      R.Parent[N] = Par;
+    }
+    if (isSliceBarrier(G.node(N), Rule))
+      continue;
+    for (const SDGEdge &E : G.succs(N)) {
+      if (E.Kind == SDGEdgeKind::Flow || E.Kind == SDGEdgeKind::ParamOut)
+        Queue.push_back({E.To, D + 1, N});
+      else if (E.Kind == SDGEdgeKind::ParamIn)
+        stepOverCall(E.To, N, D);
     }
   }
 
   // Phase 2: descend (Flow + ParamIn + summaries) from everything phase 1
-  // reached.
-  {
-    std::deque<std::tuple<SDGNodeId, uint32_t, SDGNodeId>> Q;
-    for (auto [N, D] : Phase1New)
-      Q.emplace_back(N, D, InvalidId);
-    std::unordered_set<SDGNodeId> Local;
-    while (!Q.empty()) {
-      if (Guard && !Guard->checkpoint())
-        break; // cutoff: return the partial slice
-      auto [N, D, Par] = Q.front();
-      Q.pop_front();
-      if (!Local.insert(N).second)
-        continue;
-      ++PathEdgeCount;
-      if (!R.Dist.count(N) || R.Dist[N] > D) {
-        R.Dist[N] = D;
-        if (Par != InvalidId)
-          R.Parent[N] = Par;
-      }
-      if (!R.Parent.count(N))
+  // reached first. A better distance keeps the old parent unless the new
+  // one is a real predecessor.
+  const size_t Phase1End = R.Reached.size();
+  beginPhase();
+  for (size_t I = FirstNew; I < Phase1End; ++I)
+    Queue.push_back({R.Reached[I], R.Dist[R.Reached[I]], InvalidId});
+  for (size_t Head = 0; Head < Queue.size(); ++Head) {
+    if (Guard && !Guard->checkpoint())
+      break; // cutoff: return the partial slice
+    const auto [N, D, Par] = Queue[Head];
+    if (!firstPop(N))
+      continue;
+    ++PathEdgeCount;
+    if (!R.reached(N)) {
+      R.reach(N, D, Par);
+    } else if (R.Dist[N] > D) {
+      R.Dist[N] = D;
+      if (Par != InvalidId)
         R.Parent[N] = Par;
-      if (isBarrier(N))
-        continue;
-      for (const SDGEdge &E : G.succs(N)) {
-        if (E.Kind == SDGEdgeKind::Flow || E.Kind == SDGEdgeKind::ParamIn) {
-          Q.emplace_back(E.To, D + 1, N);
-        } else if (E.Kind == SDGEdgeKind::ParamOut) {
-          continue;
-        }
-      }
-      // Step over calls with summaries as well, so flow continuing after a
-      // call inside a descended-into method is found.
-      bool HasParamIn = false;
-      for (const SDGEdge &E : G.succs(N))
-        HasParamIn |= E.Kind == SDGEdgeKind::ParamIn;
-      if (HasParamIn) {
-        const CallSiteInfo *CS = siteOf(N);
-        if (CS) {
-          for (const SDGEdge &E : G.succs(N)) {
-            if (E.Kind != SDGEdgeKind::ParamIn)
-              continue;
-            seedSummary(E.To);
-            drainSummaries();
-            auto SIt = SummaryOuts.find(E.To);
-            if (SIt == SummaryOuts.end())
-              continue;
-            for (auto &[FOut, DD] : SIt->second) {
-              SDGNodeId AOut = G.actualOutFor(*CS, FOut);
-              if (AOut != InvalidId)
-                Q.emplace_back(AOut, D + DD + 2, N);
-            }
-          }
-        }
-      }
     }
+    if (isSliceBarrier(G.node(N), Rule))
+      continue;
+    bool HasParamIn = false;
+    for (const SDGEdge &E : G.succs(N)) {
+      if (E.Kind == SDGEdgeKind::Flow || E.Kind == SDGEdgeKind::ParamIn)
+        Queue.push_back({E.To, D + 1, N});
+      HasParamIn |= E.Kind == SDGEdgeKind::ParamIn;
+    }
+    // Step over calls with summaries as well, so flow continuing after a
+    // call inside a descended-into method is found.
+    if (HasParamIn && siteOf(N))
+      for (const SDGEdge &E : G.succs(N))
+        if (E.Kind == SDGEdgeKind::ParamIn)
+          stepOverCall(E.To, N, D);
   }
 }

@@ -42,17 +42,44 @@ class Tabulation {
 public:
   Tabulation(const SDG &G, RuleMask Rule, RunGuard *Guard = nullptr);
 
-  /// Persistent slice state; pass the same object to forwardSlice to grow
-  /// a slice incrementally (the hybrid slicer adds store->load hop seeds).
+  /// Dense slice state over the SDG's node ids, meant to be reused across
+  /// slices: pass the same object to forwardSlice to grow a slice
+  /// incrementally (the hybrid slicer adds store->load hop seeds), and
+  /// reset() it between slices, which costs O(reached), not O(nodes).
   struct SliceResult {
-    /// node -> BFS distance from the nearest seed.
-    std::unordered_map<SDGNodeId, uint32_t> Dist;
-    /// node -> discovery predecessor (seeds map to InvalidId).
-    std::unordered_map<SDGNodeId, SDGNodeId> Parent;
+    static constexpr uint32_t Unreached = ~0u;
+
+    explicit SliceResult(uint32_t NumNodes)
+        : Dist(NumNodes, Unreached), Parent(NumNodes, InvalidId) {}
+
+    /// node -> BFS distance from the nearest seed (Unreached if none).
+    std::vector<uint32_t> Dist;
+    /// node -> discovery predecessor (InvalidId for seeds and unreached
+    /// nodes).
+    std::vector<SDGNodeId> Parent;
+    /// Every reached node, in first-reach order. The entries one
+    /// traversal appends are the nodes it reached first (its delta).
+    std::vector<SDGNodeId> Reached;
+
+    bool reached(SDGNodeId N) const { return Dist[N] != Unreached; }
+    /// First reach of \p N at distance \p D from \p Par.
+    void reach(SDGNodeId N, uint32_t D, SDGNodeId Par) {
+      Dist[N] = D;
+      Parent[N] = Par;
+      Reached.push_back(N);
+    }
+    void reset() {
+      for (SDGNodeId N : Reached) {
+        Dist[N] = Unreached;
+        Parent[N] = InvalidId;
+      }
+      Reached.clear();
+    }
   };
 
   /// Extends \p R with everything forward-reachable along realizable paths
-  /// from \p Seeds (pairs of node and initial distance).
+  /// from \p Seeds (pairs of node and initial distance). \p R must be
+  /// sized to the SDG.
   void forwardSlice(const std::vector<std::pair<SDGNodeId, uint32_t>> &Seeds,
                     SliceResult &R);
 
@@ -60,10 +87,6 @@ public:
   uint64_t pathEdgeCount() const { return PathEdgeCount; }
 
 private:
-  /// True if traversal must stop at \p N (sanitizer for this rule, or
-  /// sink): such statements have no successors in the no-heap SDG.
-  bool isBarrier(SDGNodeId N) const;
-
   /// Call-site info owning an ActualIn/ChanActualIn/Invoke-stmt node.
   const CallSiteInfo *siteOf(SDGNodeId N) const;
 
@@ -72,6 +95,22 @@ private:
   void drainSummaries();
   void recordSummaryOut(SDGNodeId FIn, SDGNodeId FOut, uint32_t D);
   void propagateSame(SDGNodeId FIn, SDGNodeId N, uint32_t D);
+
+  // --- Two-phase slicing ---------------------------------------------------
+  struct QueueEntry {
+    SDGNodeId N;
+    uint32_t D;
+    SDGNodeId Par;
+  };
+  /// Starts a traversal phase: empties the queue and forgets which nodes
+  /// the previous phase popped.
+  void beginPhase();
+  /// True the first time \p N is popped in the current phase (later pops
+  /// of the node are skipped: first pop wins).
+  bool firstPop(SDGNodeId N);
+  /// Steps over a call: completes the summary of callee formal-in \p FIn,
+  /// then queues every actual-out it yields at \p N's call site.
+  void stepOverCall(SDGNodeId FIn, SDGNodeId N, uint32_t D);
 
   struct Sub {
     uint32_t Ctx; ///< the FIn whose same-level traversal waits here
@@ -82,6 +121,11 @@ private:
   RuleMask Rule;
   RunGuard *Guard = nullptr;
   uint64_t PathEdgeCount = 0;
+
+  // Per-phase traversal state, reused across calls.
+  std::vector<QueueEntry> Queue;
+  std::vector<uint32_t> PoppedIn; ///< node -> phase stamp of its last pop
+  uint32_t Phase = 0;
 
   // Same-level path edges: (FIn, node) -> dist.
   std::unordered_map<uint64_t, uint32_t> PathDist;

@@ -78,6 +78,21 @@ enum class HeapAccess : uint8_t {
   InvokeArgsRead ///< Reflective invoke reads its argument array.
 };
 
+/// True for the accesses that write the heap: the stores that start
+/// direct store->load edges and taint-carrier edges.
+inline bool isStoreAccess(HeapAccess A) {
+  switch (A) {
+  case HeapAccess::FieldStore:
+  case HeapAccess::ArrayStore:
+  case HeapAccess::StaticStore:
+  case HeapAccess::MapPut:
+  case HeapAccess::CollAdd:
+    return true;
+  default:
+    return false;
+  }
+}
+
 /// One SDG node.
 struct SDGNode {
   SDGNodeKind Kind = SDGNodeKind::Stmt;
@@ -93,6 +108,13 @@ struct SDGNode {
   RuleMask SanitizeMask = rules::None;
   bool IsCall = false;
 };
+
+/// True if slicing for \p Rule stops at \p N: statements that sanitize
+/// the rule, and sinks of it, have no successors (TAJ §3.2).
+inline bool isSliceBarrier(const SDGNode &N, RuleMask Rule) {
+  return N.Kind == SDGNodeKind::Stmt &&
+         ((N.SanitizeMask & Rule) != 0 || (N.SinkMask & Rule) != 0);
+}
 
 /// Edge kinds; summary edges are materialized by the tabulation engine.
 enum class SDGEdgeKind : uint8_t { Flow, ParamIn, ParamOut };

@@ -13,11 +13,25 @@
 
 using namespace taj;
 
+/// TAJ_THREADS read as a whole positive decimal (saturating well above the
+/// clamp); 0 when unset or malformed ("-2", "4abc", "junk", "").
+static unsigned envThreadCount() {
+  const char *E = std::getenv("TAJ_THREADS");
+  if (!E || !*E)
+    return 0;
+  unsigned N = 0;
+  for (const char *C = E; *C; ++C) {
+    if (*C < '0' || *C > '9')
+      return 0;
+    N = std::min(N * 10 + static_cast<unsigned>(*C - '0'), 1u << 20);
+  }
+  return N;
+}
+
 unsigned taj::resolveThreadCount(unsigned Requested) {
   unsigned N = Requested;
   if (N == 0) {
-    if (const char *E = std::getenv("TAJ_THREADS"))
-      N = static_cast<unsigned>(std::strtoul(E, nullptr, 10));
+    N = envThreadCount();
     if (N == 0)
       N = std::thread::hardware_concurrency();
     if (N == 0)

@@ -27,8 +27,9 @@
 namespace taj {
 
 /// Resolves a requested worker count: a positive request wins as-is;
-/// 0 means auto — the TAJ_THREADS environment variable if set, otherwise
-/// std::thread::hardware_concurrency(). The result is clamped to [1, 256].
+/// 0 means auto — the TAJ_THREADS environment variable if it is a whole
+/// positive decimal, otherwise std::thread::hardware_concurrency(). The
+/// result is clamped to [1, 256].
 unsigned resolveThreadCount(unsigned Requested);
 
 /// Runs Fn(Worker, Item) for every Item in [0, NumItems), fanning the range

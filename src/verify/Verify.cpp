@@ -356,19 +356,6 @@ void verify::verifyGraphs(const Program &P, const ClassHierarchy &CHA,
 
 namespace {
 
-bool isStoreAccess(HeapAccess A) {
-  switch (A) {
-  case HeapAccess::FieldStore:
-  case HeapAccess::ArrayStore:
-  case HeapAccess::StaticStore:
-  case HeapAccess::MapPut:
-  case HeapAccess::CollAdd:
-    return true;
-  default:
-    return false;
-  }
-}
-
 bool ikIntersects(const std::vector<IKId> &A, const std::vector<IKId> &B) {
   size_t I = 0, J = 0;
   while (I < A.size() && J < B.size()) {

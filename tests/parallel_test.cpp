@@ -22,9 +22,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -159,6 +161,14 @@ TEST(Parallel, ResolveThreadCountHonorsEnvAndClamps) {
   EXPECT_GE(resolveThreadCount(0), 1u);
   setenv("TAJ_THREADS", "junk", 1);
   EXPECT_GE(resolveThreadCount(0), 1u);
+  // Malformed values fall back to hardware concurrency too, rather than
+  // wrapping ("-2") or reading a prefix ("4abc").
+  const unsigned Hw =
+      std::clamp(std::max(1u, std::thread::hardware_concurrency()), 1u, 256u);
+  setenv("TAJ_THREADS", "-2", 1);
+  EXPECT_EQ(resolveThreadCount(0), Hw);
+  setenv("TAJ_THREADS", "4abc", 1);
+  EXPECT_EQ(resolveThreadCount(0), Hw);
   unsetenv("TAJ_THREADS");
   EXPECT_GE(resolveThreadCount(0), 1u);
 }

@@ -184,10 +184,10 @@ class App extends Servlet {
           SO);
   Tabulation Tab(*B.G, rules::XSS);
   for (SDGNodeId Src : B.G->sourceNodes(rules::XSS)) {
-    Tabulation::SliceResult R;
+    Tabulation::SliceResult R(B.G->numNodes());
     Tab.forwardSlice({{Src, 0}}, R);
     for (SDGNodeId Sk : B.G->sinkNodes())
-      EXPECT_FALSE(R.Dist.count(Sk))
+      EXPECT_FALSE(R.reached(Sk))
           << "slice must stop at the sanitizer";
   }
 }

@@ -12,11 +12,12 @@
 #   rounds    interleaved rounds per side (default 5)
 #   out.json  report path (default BENCH_10.json in the repo root)
 #
-# Only the benchmarks the solver rework can move are measured:
-# BM_PointerAnalysis (the hot path itself), BM_SdgConstruction (its
-# biggest query-surface consumer) and BM_ServerWarmRequest (the warm
-# restore path over the new artifact format). The speedup column is
-# medianA / medianB, so values above 1 mean the candidate is faster.
+# Measured: BM_PointerAnalysis (the solver), BM_SdgConstruction (its
+# biggest query-surface consumer), BM_ServerWarmRequest (the warm restore
+# path), and the slicer rows BM_HybridSlicing (with its thread sweep
+# BM_HybridSlicingThreads) and BM_CiSlicing, whose largest size class is
+# Roller. The speedup column is medianA / medianB, so values above 1 mean
+# the candidate is faster.
 #
 #===----------------------------------------------------------------------===#
 set -euo pipefail
@@ -30,7 +31,7 @@ BUILD_A=$1
 BUILD_B=$2
 ROUNDS=${3:-5}
 OUT=${4:-$(cd "$(dirname "$0")/.." && pwd)/BENCH_10.json}
-FILTER='BM_PointerAnalysis|BM_SdgConstruction|BM_ServerWarmRequest'
+FILTER='BM_PointerAnalysis|BM_SdgConstruction|BM_ServerWarmRequest|BM_HybridSlicing|BM_CiSlicing'
 
 for D in "$BUILD_A" "$BUILD_B"; do
   if [ ! -x "$D/bench/micro_perf" ]; then
