@@ -138,19 +138,24 @@ void BM_SdgConstruction(benchmark::State &State) {
 }
 BENCHMARK(BM_SdgConstruction)->DenseRange(0, 5);
 
-/// End-to-end analysis with the persistent artifact cache: the /0 row runs
-/// uncached (cold), the /1 row against a prefilled cache (warm: the
-/// points-to solution and SDG restore from disk instead of being computed).
-/// The warm/cold ratio is the headline number of the warm-start feature.
+/// End-to-end analysis with the persistent artifact cache: a /0/* row runs
+/// uncached (cold), a /1/* row against a prefilled cache (warm: the
+/// pointer-analysis phase and SDG restore from disk instead of being
+/// computed). The second argument picks the configuration: /*/0 is
+/// hybrid-unbounded, /*/1 hybrid-optimized at bench bounds, whose node
+/// budget truncates Roller's call graph. The warm/cold ratio is the
+/// headline number of the warm-start feature.
 void BM_ColdVsWarmAnalysis(benchmark::State &State) {
   const AppSpec &Spec = appByIndex(5); // Roller, the largest app
   const bool Warm = State.range(0) != 0;
+  const char *Config =
+      State.range(1) != 0 ? "hybrid-optimized" : "hybrid-unbounded";
   GeneratedApp App = generateApp(Spec);
 
   char DirBuf[] = "/tmp/taj-bench-cache-XXXXXX";
   const char *Dir = ::mkdtemp(DirBuf);
   auto MakeConfig = [&](persist::ArtifactCache *Cache) {
-    AnalysisConfig C = AnalysisConfig::hybridUnbounded();
+    AnalysisConfig C = bench::configByName(Config);
     C.Cache = Cache;
     C.InputFingerprint = std::string("bench:") + Spec.Name;
     return C;
@@ -172,13 +177,13 @@ void BM_ColdVsWarmAnalysis(benchmark::State &State) {
   // can be split into "time saved computing" vs "time spent loading".
   State.counters["persist_load_ms"] = benchmark::Counter(
       PersistLoadMs, benchmark::Counter::kAvgIterations);
-  State.SetLabel(Spec.Name + (Warm ? "/warm" : "/cold"));
+  State.SetLabel(Spec.Name + "/" + Config + (Warm ? "/warm" : "/cold"));
   if (Dir) {
     std::error_code Ec;
     std::filesystem::remove_all(Dir, Ec);
   }
 }
-BENCHMARK(BM_ColdVsWarmAnalysis)->Arg(0)->Arg(1);
+BENCHMARK(BM_ColdVsWarmAnalysis)->ArgsProduct({{0, 1}, {0, 1}});
 
 /// The analysis server's reason to exist, quantified: one warm request
 /// against a running daemon (a pool worker holding the hot artifact tier)

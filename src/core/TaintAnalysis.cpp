@@ -15,6 +15,10 @@ TaintAnalysis::TaintAnalysis(const Program &P, AnalysisConfig Config)
 
 TaintAnalysis::~TaintAnalysis() = default;
 
+const ConstStringResult &TaintAnalysis::constStrings() const {
+  return Solver->constStrings();
+}
+
 AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
   AnalysisResult Out;
   Timer T;
@@ -98,39 +102,40 @@ AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
 
   G.beginPhase(RunPhase::PointerAnalysis);
 
-  // String-constant propagation (dataflow/ConstString.h) runs before the
-  // solver — its facts drive the dictionary-channel and reflection models.
-  // It is cheap and deterministic, so it also runs on warm-cache paths
-  // (the result itself is never persisted) and its conststr.* counters
-  // land in RunStats either way.
-  ConstStringOptions CSO;
-  CSO.Mode = Config.StringAnalysis;
-  CSO.Guard = &G;
-  {
-    PhaseScope S(&Prof, "conststr");
-    ConstStrings = analyzeConstStrings(P, CHA, CSO);
-  }
-
+  // The pointer-analysis phase is string-constant propagation
+  // (dataflow/ConstString.h), whose facts drive the dictionary-channel and
+  // reflection models, then the solver. The pts record carries the whole
+  // phase — the pool symbols it interned, the string facts, its guard work
+  // units and the solution — so a warm hit runs neither, and its solver
+  // answers from the restored facts.
   PointsToOptions PO = Config.pointsToOptions();
   PO.Guard = &G;
-  PO.ConstStrings = &ConstStrings;
-  Solver = std::make_unique<PointsToSolver>(P, CHA, PO);
   bool PtsWarm = false;
   if (CacheOn) {
     PhaseScope S(&Prof, "persist_load");
     if (std::optional<persist::LoadedPayload> Payload =
             Cache->load(PtsKey, persist::ArtifactKind::PointsTo)) {
+      Solver = std::make_unique<PointsToSolver>(P, CHA, PO);
       persist::Reader R(Payload->data(), Payload->size());
       PtsWarm = persist::Access::restoreSolver(*Solver, R);
-      if (!PtsWarm) {
+      if (!PtsWarm)
         Cache->noteRestoreFailure(PtsKey);
-        // A failed restore may leave partial tables; recreate the solver
-        // so the cold path starts pristine.
-        Solver = std::make_unique<PointsToSolver>(P, CHA, PO);
-      }
     }
   }
-  if (!PtsWarm) {
+  if (PtsWarm) {
+    // The truncation banner reports the phase's work; replaying the
+    // recorded count keeps it identical to the cold run's.
+    G.replayWork(Solver->phaseWork());
+  } else {
+    ConstStringOptions CSO;
+    CSO.Mode = Config.StringAnalysis;
+    CSO.Guard = &G;
+    {
+      PhaseScope S(&Prof, "conststr");
+      ConstStrings = analyzeConstStrings(P, CHA, CSO);
+    }
+    PO.ConstStrings = &ConstStrings;
+    Solver = std::make_unique<PointsToSolver>(P, CHA, PO);
     {
       PhaseScope S(&Prof, "pointsto");
       try {
@@ -141,10 +146,11 @@ AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
         G.markInternalError();
       }
     }
-    // Store only clean solutions: a governance stop is nondeterministic
-    // and a node-budget truncation alters the degraded-run banner's work
-    // counts, so neither may be replayed from cache.
-    if (CacheOn && !G.stopped() && !Solver->budgetExhausted()) {
+    // Store every solution no governance stop cut short. A node-budget
+    // truncation is deterministic and its banner replays from the recorded
+    // work; a deadline, memory, cancellation or internal-error stop is not
+    // and must never be replayed.
+    if (CacheOn && !G.stopped()) {
       PhaseScope S(&Prof, "persist_store");
       persist::Writer W;
       persist::Access::serializeSolver(*Solver, W);
@@ -162,17 +168,20 @@ AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
     report(RunPhase::PointerAnalysis, PhaseOutcome::Completed,
            CutoffReason::None);
 
-  // GraphVerifier (--verify=full): a complete, unbudgeted solve must be a
-  // fixpoint with a fully justified call graph. On a warm restore this is
-  // the structural defense behind the record checksum — a hot-tier hit
-  // skips checksum re-verification entirely — so a violating restored
-  // solution is additionally counted as persist.verify_rejected and the
-  // poisoned cache entry dropped for later runs.
-  if (VMode == verify::VerifyMode::Full && !G.stopped() &&
-      !Solver->budgetExhausted()) {
+  // GraphVerifier (--verify=full): the string facts must agree with the
+  // IR, and a complete, unbudgeted solve must also be a fixpoint with a
+  // fully justified call graph (a budgeted solution is not a fixpoint).
+  // On a warm restore this is the structural defense behind the record
+  // checksum — a hot-tier hit skips checksum re-verification entirely —
+  // so a violating restored record is additionally counted as
+  // persist.verify_rejected and the poisoned cache entry dropped for
+  // later runs.
+  if (VMode == verify::VerifyMode::Full && !G.stopped()) {
     PhaseScope S(&Prof, "verify");
     const uint64_t Before = Vio.total();
-    verify::verifyGraphs(P, CHA, *Solver, &ConstStrings, Vio);
+    if (!Solver->budgetExhausted())
+      verify::verifyGraphs(P, CHA, *Solver, nullptr, Vio);
+    verify::verifyConstStrings(P, Solver->constStrings(), Vio);
     if (PtsWarm && Vio.total() != Before) {
       Vio.noteRestoreRejected();
       Cache->noteRestoreFailure(PtsKey);
@@ -241,7 +250,7 @@ AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
   Vio.exportStats(Out.RunStats);
 
   G.exportStats(Out.RunStats);
-  Out.RunStats.merge(ConstStrings.stats());
+  Out.RunStats.merge(Solver->constStrings().stats());
   Out.RunStats.merge(Solver->stats());
   if (Cache) {
     Out.RunStats.add("persist.hit", Cache->hits() - Hit0);

@@ -90,15 +90,18 @@ public:
   const PointsToSolver &solver() const { return *Solver; }
   const ClassHierarchy &hierarchy() const { return CHA; }
   const AnalysisConfig &config() const { return Config; }
-  /// The string-constant facts of the last run() (valid after run()).
-  const ConstStringResult &constStrings() const { return ConstStrings; }
+  /// The string-constant facts of the last run() (valid after run()):
+  /// computed on a cold start, restored with the points-to solution on a
+  /// warm one.
+  const ConstStringResult &constStrings() const;
 
 private:
   const Program &P;
   AnalysisConfig Config;
   ClassHierarchy CHA;
-  /// Computed by run() before the solver and handed to it by pointer;
-  /// must outlive the solver (SDG/heap-edge queries go through it).
+  /// Computed by a cold run() before the solver and handed to it by
+  /// pointer; must outlive the solver (SDG/heap-edge queries go through
+  /// it). A warm run's solver owns the facts it restored instead.
   ConstStringResult ConstStrings;
   std::unique_ptr<PointsToSolver> Solver;
 };

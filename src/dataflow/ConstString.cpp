@@ -590,25 +590,24 @@ bool ConstStringAnalysis::run(StringAnalysisMode Mode,
 ConstStringResult analyzeConstStrings(const Program &P,
                                       const ClassHierarchy &CHA,
                                       const ConstStringOptions &Opts) {
+  const uint32_t PoolBase = static_cast<uint32_t>(P.Pool.size());
+  const uint64_t Work0 = Opts.Guard ? Opts.Guard->checkpointCount() : 0;
   ConstStringResult R;
   R.Mode = Opts.Mode;
-  if (Opts.Mode == StringAnalysisMode::Off)
-    return R;
-  {
-    ConstStringAnalysis A(P, CHA, Opts.Guard);
-    if (A.run(Opts.Mode, R))
-      return R;
+  if (Opts.Mode != StringAnalysisMode::Off &&
+      !ConstStringAnalysis(P, CHA, Opts.Guard).run(Opts.Mode, R)) {
+    // Guard cutoff mid-fixpoint: an optimistic result stopped early may
+    // claim constants a later meet would have refuted, so it must not be
+    // used. Recompute the cheap, sound local-only answer (no further
+    // guard polling: the guard is already latched stopped).
+    R = ConstStringResult();
+    R.Mode = Opts.Mode;
+    R.Degraded = true;
+    ConstStringAnalysis(P, CHA, nullptr).run(StringAnalysisMode::Local, R);
+    R.Counters.add("conststr.guard_stop");
   }
-  // Guard cutoff mid-fixpoint: an optimistic result stopped early may
-  // claim constants a later meet would have refuted, so it must not be
-  // used. Recompute the cheap, sound local-only answer (no further guard
-  // polling: the guard is already latched stopped).
-  R = ConstStringResult();
-  R.Mode = Opts.Mode;
-  R.Degraded = true;
-  ConstStringAnalysis B(P, CHA, nullptr);
-  B.run(StringAnalysisMode::Local, R);
-  R.Counters.add("conststr.guard_stop");
+  R.PoolBase = PoolBase;
+  R.Work = Opts.Guard ? Opts.Guard->checkpointCount() - Work0 : 0;
   return R;
 }
 

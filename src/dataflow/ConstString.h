@@ -27,7 +27,9 @@
 ///
 /// The result is immutable and queried by the pointer solver (dictionary
 /// channel naming, Class.forName / getMethod resolution), by
-/// SDG::constKeyOf and by the heap-edge builder. Because an optimistic
+/// SDG::constKeyOf and by the heap-edge builder. It is persisted inside
+/// the points-to artifact (persist/Serialize.h), so a warm start restores
+/// it with the solution instead of recomputing it. Because an optimistic
 /// fixpoint stopped early may still claim constants a later meet would
 /// have refuted, a RunGuard cutoff mid-fixpoint discards the
 /// interprocedural state and falls back to the sound local-only result,
@@ -48,6 +50,10 @@
 namespace taj {
 
 class RunGuard;
+
+namespace persist {
+struct Access;
+}
 
 /// How much string-constant inference to run (taj-cli --string-analysis).
 enum class StringAnalysisMode : uint8_t {
@@ -98,11 +104,21 @@ public:
   /// conststr.* counters (resolved values, meets to bottom, folds, ...).
   const Stats &stats() const { return Counters; }
 
+  /// String-pool size when the analysis began: every symbol at or above it
+  /// was interned by this run (folded concatenations) or after it.
+  uint32_t poolBase() const { return PoolBase; }
+
+  /// Guard work units (checkpoints) the analysis consumed.
+  uint64_t work() const { return Work; }
+
 private:
   friend class ConstStringAnalysis;
   friend ConstStringResult analyzeConstStrings(const Program &,
                                                const ClassHierarchy &,
                                                const ConstStringOptions &);
+  /// Serialization (persist/Serialize.cpp) stores the facts inside the
+  /// points-to artifact and restores them on a warm start.
+  friend struct persist::Access;
 
   /// Internal lattice sentinels; anything >= Top is not a constant.
   static constexpr Symbol Top = 0xFFFFFFFEu;
@@ -115,6 +131,8 @@ private:
   std::vector<uint32_t> MethodBase = {0};
   std::vector<Symbol> Values;
   Stats Counters;
+  uint32_t PoolBase = 0;
+  uint64_t Work = 0;
 };
 
 /// Runs the analysis over the whole (post-SSA, statement-indexed) program.

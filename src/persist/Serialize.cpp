@@ -2,7 +2,10 @@
 
 #include "persist/Serialize.h"
 
+#include "dataflow/ConstString.h"
+
 #include <algorithm>
+#include <unordered_set>
 
 using namespace taj;
 using namespace taj::persist;
@@ -410,6 +413,21 @@ bool Access::restoreProgram(Program &P, Reader &R) {
 //===----------------------------------------------------------------------===//
 
 void Access::serializeSolver(const PointsToSolver &S, Writer &W) {
+  // The pointer-analysis phase ahead of its solution: the string-pool
+  // symbols it interned, its string-constant facts and its guard work.
+  const uint32_t PoolEnd = std::max(S.PoolBase, S.PoolEnd);
+  W.u32(S.PoolBase);
+  W.u32(PoolEnd - S.PoolBase);
+  for (Symbol Sym = S.PoolBase; Sym < PoolEnd; ++Sym)
+    W.str(S.P.Pool.str(Sym));
+  const ConstStringResult &CS = S.constStrings();
+  W.u8(static_cast<uint8_t>(CS.Mode));
+  W.u8(CS.Degraded);
+  putU32Vec(W, CS.MethodBase);
+  putU32Vec(W, CS.Values);
+  W.str(CS.Counters.toJson());
+  W.u64(S.PhaseWork);
+
   // Contexts (table index order; index 0 is the implicit Everywhere).
   const ContextTable &Ctxs = S.Ctxs;
   W.u32(static_cast<uint32_t>(Ctxs.size()));
@@ -509,6 +527,54 @@ bool Access::restoreSolver(PointsToSolver &S, Reader &R) {
   const size_t NumMethods = S.P.Methods.size();
   const size_t NumClasses = S.P.Classes.size();
 
+  // The phase's pool symbols. Re-interned in order, each must land on its
+  // recorded id, which holds only against the pool the storing run began
+  // from. Checked here but interned only once the whole record validates,
+  // so a rejected restore leaves the pool untouched.
+  StringPool &Pool = const_cast<Program &>(S.P).Pool;
+  const uint32_t PoolBase = R.u32();
+  const uint32_t NumSyms = R.count(4);
+  if (R.failed() || PoolBase > Pool.size())
+    return false;
+  std::vector<std::string> Syms(NumSyms);
+  std::unordered_set<std::string_view> Fresh;
+  for (uint32_t I = 0; I < NumSyms; ++I) {
+    Syms[I] = R.str();
+    const uint64_t Id = uint64_t(PoolBase) + I;
+    bool Lands;
+    if (Id < Pool.size())
+      Lands = Pool.str(static_cast<Symbol>(Id)) == Syms[I];
+    else
+      Lands = Pool.lookup(Syms[I]) == ~0u && Fresh.insert(Syms[I]).second;
+    if (R.failed() || !Lands)
+      return false;
+  }
+  const uint64_t PoolEnd =
+      std::max<uint64_t>(Pool.size(), uint64_t(PoolBase) + NumSyms);
+
+  // String-constant facts. valueOf() slices Values by MethodBase, so the
+  // offsets must start at 0, never decrease and end at Values.size(); a
+  // value is a symbol or a lattice sentinel.
+  auto CS = std::make_unique<ConstStringResult>();
+  const uint8_t Mode = R.u8();
+  if (Mode > static_cast<uint8_t>(StringAnalysisMode::Ipa))
+    return false;
+  CS->Mode = static_cast<StringAnalysisMode>(Mode);
+  CS->Degraded = R.u8() != 0;
+  CS->PoolBase = PoolBase;
+  if (!getU32Vec(R, CS->MethodBase) || !getU32Vec(R, CS->Values) ||
+      CS->MethodBase.empty() || CS->MethodBase.size() > NumMethods + 1 ||
+      CS->MethodBase.front() != 0 ||
+      CS->MethodBase.back() != CS->Values.size() ||
+      !std::is_sorted(CS->MethodBase.begin(), CS->MethodBase.end()))
+    return false;
+  for (Symbol V : CS->Values)
+    if (V >= PoolEnd && V < ConstStringResult::Top)
+      return false;
+  if (!CS->Counters.mergeJson(R.str()))
+    return false;
+  const uint64_t PhaseWork = R.u64();
+
   // Contexts: re-intern in order through the public constructors, checking
   // that each lands on its original id (the tables are deterministic
   // interners, so any divergence means corruption).
@@ -573,8 +639,11 @@ bool Access::restoreSolver(PointsToSolver &S, Reader &R) {
     switch (D.Kind) {
     case PKKind::Field:
     case PKKind::ArrayElem:
-    case PKKind::Channel:
       if (D.A >= NumIKs)
+        return false;
+      break;
+    case PKKind::Channel:
+      if (D.A >= NumIKs || D.B >= PoolEnd)
         return false;
       break;
     case PKKind::Static:
@@ -705,6 +774,13 @@ bool Access::restoreSolver(PointsToSolver &S, Reader &R) {
   S.BudgetHit = R.u8() != 0;
   if (R.failed() || !R.atEnd())
     return false;
+  for (size_t I = Pool.size() - PoolBase; I < NumSyms; ++I)
+    Pool.intern(Syms[I]);
+  if (!S.Opts.ConstStrings)
+    S.OwnedConstStr = std::move(CS);
+  S.PoolBase = PoolBase;
+  S.PoolEnd = PoolBase + NumSyms;
+  S.PhaseWork = PhaseWork;
   S.Solved = true;
   return true;
 }

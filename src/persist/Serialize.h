@@ -6,9 +6,11 @@
 ///
 /// \file
 /// Binary serialization of the expensive analysis artifacts — the
-/// post-verify `Program`, the points-to solution (contexts, instance and
-/// pointer keys, call graph, points-to sets, channels, intrinsic targets)
-/// and the SDG + heap-edge bundle — so a later run can warm-start from a
+/// post-verify `Program`, the pointer-analysis phase (the string-pool
+/// symbols it interned, the string-constant facts, its work units, and
+/// the points-to solution: contexts, instance and pointer keys, call
+/// graph, points-to sets, channels, intrinsic targets) and the SDG +
+/// heap-edge bundle — so a later run can warm-start from a
 /// content-addressed on-disk cache (persist/Cache.h) instead of
 /// recomputing them.
 ///
@@ -51,7 +53,10 @@ namespace persist {
 /// v2: points-to sets are stored as sparse-bitmap chunks plus the cycle
 /// collapse representative column (was: one sorted u32 vector per key).
 /// v3: the representative column is gone; every key stores its own set.
-inline constexpr uint32_t FormatVersion = 3;
+/// v4: a points-to record opens with the rest of its pointer-analysis
+/// phase: the string-pool symbols the phase interned, the string-constant
+/// facts and the phase's guard work units.
+inline constexpr uint32_t FormatVersion = 4;
 
 /// Record magic: "TAJP" little-endian.
 inline constexpr uint32_t RecordMagic = 0x504a4154u;
@@ -59,7 +64,7 @@ inline constexpr uint32_t RecordMagic = 0x504a4154u;
 /// What a record contains (part of the header; mismatches are rejected).
 enum class ArtifactKind : uint32_t {
   Ir = 1,       ///< Post-parse, post-verify Program.
-  PointsTo = 2, ///< Points-to solution + call graph.
+  PointsTo = 2, ///< Pointer-analysis phase: string facts + solution.
   Sdg = 3,      ///< SDG + heap-edge bundle for one slicer shape.
 };
 
@@ -276,13 +281,19 @@ struct Access {
   /// discarded.
   static bool restoreProgram(Program &P, Reader &R);
 
-  /// Encodes the post-solve query surface of \p S: context / instance-key /
-  /// pointer-key tables, call graph, points-to sets, model channels,
-  /// intrinsic call targets and the budget flag.
+  /// Encodes the whole pointer-analysis phase behind \p S: the string-pool
+  /// symbols it interned (a base id and the strings), its string-constant
+  /// facts (mode, degraded flag, per-method values, conststr.* counters),
+  /// its guard work units, then the post-solve query surface: context /
+  /// instance-key / pointer-key tables, call graph, points-to sets, model
+  /// channels, intrinsic call targets and the budget flag.
   static void serializeSolver(const PointsToSolver &S, Writer &W);
   /// Restores into \p S, which must be freshly constructed (same program,
-  /// same options) and never solved. On failure \p S may hold partial
-  /// state and must be discarded.
+  /// same options) and never solved. Re-interns the recorded pool symbols,
+  /// failing unless each lands on its recorded id; \p S takes the recorded
+  /// string facts unless it was built with PointsToOptions::ConstStrings.
+  /// On failure \p S may hold partial state and must be discarded; the
+  /// string pool is left untouched.
   static bool restoreSolver(PointsToSolver &S, Reader &R);
 
   /// Encodes the SDG (owners, nodes, edges, call sites, channel tables,

@@ -34,18 +34,6 @@ PointsToSolver::PointsToSolver(const Program &P, const ClassHierarchy &CHA,
   IKs.reserve(size_t(P.numStmts()) / 2 + 64);
   StringClass = P.findClass("String");
   ExceptionClass = P.findClass("Exception");
-  WildChan = internSym("@map:*");
-  ElemChan = internSym("@elem");
-  RunSym = internSym("run");
-  if (!this->Opts.ConstStrings) {
-    // No precomputed facts (directly constructed solver): fall back to
-    // the historical per-method ConstStr+Copy inference. Computed eagerly
-    // so post-solve queries stay safe from any thread.
-    ConstStringOptions CSO;
-    CSO.Mode = StringAnalysisMode::Local;
-    OwnedConstStr = std::make_unique<ConstStringResult>(
-        analyzeConstStrings(P, CHA, CSO));
-  }
 }
 
 PointsToSolver::~PointsToSolver() { delete Prio; }
@@ -213,10 +201,15 @@ IKId PointsToSolver::syntheticIK(StmtId Site, ClassId Cls) {
 // Constant-string tracking (for dictionary keys and reflection, §4.2)
 //===----------------------------------------------------------------------===//
 
+const ConstStringResult &PointsToSolver::constStrings() const {
+  static const ConstStringResult None;
+  if (Opts.ConstStrings)
+    return *Opts.ConstStrings;
+  return OwnedConstStr ? *OwnedConstStr : None;
+}
+
 Symbol PointsToSolver::constStringOf(MethodId M, ValueId V) const {
-  const ConstStringResult *CS =
-      Opts.ConstStrings ? Opts.ConstStrings : OwnedConstStr.get();
-  return CS ? CS->valueOf(M, V) : ~0u;
+  return constStrings().valueOf(M, V);
 }
 
 Symbol PointsToSolver::mapChannel(CGNodeId Caller, const Instruction &I,
@@ -288,6 +281,23 @@ PointsToSolver::intrinsicCalleesAt(StmtId Site) const {
 void PointsToSolver::solve(const std::vector<MethodId> &Entries) {
   assert(!Solved && "solve() called twice");
   Solved = true;
+  const uint64_t Work0 = Opts.Guard ? Opts.Guard->checkpointCount() : 0;
+  // The phase's pool symbols begin where its string analysis began: the
+  // caller's, or the fallback below.
+  PoolBase = Opts.ConstStrings ? Opts.ConstStrings->poolBase()
+                               : static_cast<uint32_t>(P.Pool.size());
+  WildChan = internSym("@map:*");
+  ElemChan = internSym("@elem");
+  RunSym = internSym("run");
+  if (!Opts.ConstStrings) {
+    // No precomputed facts (directly constructed solver): fall back to
+    // the historical per-method ConstStr+Copy inference. Computed before
+    // solving so post-solve queries stay safe from any thread.
+    ConstStringOptions CSO;
+    CSO.Mode = StringAnalysisMode::Local;
+    OwnedConstStr = std::make_unique<ConstStringResult>(
+        analyzeConstStrings(P, CHA, CSO));
+  }
   CG.setGuard(Opts.Guard);
   for (MethodId E : Entries)
     ensureNode(E, EverywhereCtx);
@@ -316,6 +326,9 @@ void PointsToSolver::solve(const std::vector<MethodId> &Entries) {
     Prio->onNodeProcessed(N);
   }
   propagate();
+  PoolEnd = static_cast<uint32_t>(P.Pool.size());
+  PhaseWork = constStrings().work() +
+              (Opts.Guard ? Opts.Guard->checkpointCount() - Work0 : 0);
 }
 
 void PointsToSolver::propagate() {

@@ -70,9 +70,11 @@ struct PointsToOptions {
   /// EJB home class -> bean implementation class (deployment descriptor).
   std::unordered_map<ClassId, ClassId> EjbHomeToBean;
   /// Precomputed string-constant facts (dataflow/ConstString.h) consumed
-  /// by the dictionary and reflection models. Not owned; when null the
-  /// solver computes its own local-mode result (historical behavior for
-  /// directly constructed solvers).
+  /// by the dictionary and reflection models. Not owned. When null, the
+  /// solver owns its facts: solve() computes a local-mode result
+  /// (historical behavior for directly constructed solvers), and a warm
+  /// restore (persist/Serialize.h) takes the facts stored with the
+  /// solution. When set, a restore keeps these facts.
   const ConstStringResult *ConstStrings = nullptr;
 };
 
@@ -86,7 +88,8 @@ public:
   PointsToSolver &operator=(const PointsToSolver &) = delete;
 
   /// Runs the analysis from the given entry methods (each analyzed in the
-  /// Everywhere context; normally a single synthesized root).
+  /// Everywhere context; normally a single synthesized root). The solver
+  /// interns nothing into the program's string pool before this call.
   void solve(const std::vector<MethodId> &Entries);
 
   //===--------------------------------------------------------------------===//
@@ -121,9 +124,18 @@ public:
   const std::vector<MethodId> &intrinsicCalleesAt(StmtId Site) const;
 
   /// Constant string defined by SSA value \p V of method \p M, or ~0u.
-  /// Answers from PointsToOptions::ConstStrings (or the solver's own
-  /// local-mode fallback result when none was supplied).
+  /// Answers from constStrings().
   Symbol constStringOf(MethodId M, ValueId V) const;
+
+  /// The string-constant facts the solver answers from:
+  /// PointsToOptions::ConstStrings when supplied, else its own (computed
+  /// by solve() or restored with the solution; empty before either).
+  const ConstStringResult &constStrings() const;
+
+  /// Guard work units of the whole pointer-analysis phase — the string
+  /// analysis behind constStrings() plus solve() — or, after a restore,
+  /// the count recorded with the solution.
+  uint64_t phaseWork() const { return PhaseWork; }
 
   /// True if the node budget was hit (the result is underapproximate).
   bool budgetExhausted() const { return BudgetHit; }
@@ -277,9 +289,15 @@ private:
   Symbol RunSym = 0;
 
   std::unordered_map<StmtId, std::vector<MethodId>> IntrinsicCallees;
-  /// Fallback string-constant facts, computed in the constructor when
-  /// PointsToOptions::ConstStrings is absent.
+  /// The solver's own string-constant facts when
+  /// PointsToOptions::ConstStrings is absent: solve()'s local-mode
+  /// fallback, or the facts a restore took from the artifact.
   std::unique_ptr<ConstStringResult> OwnedConstStr;
+  /// The pointer-analysis phase's string-pool symbols are
+  /// [PoolBase, PoolEnd): what the string analysis and solve() interned.
+  uint32_t PoolBase = 0;
+  uint32_t PoolEnd = 0;
+  uint64_t PhaseWork = 0;
 
   /// Memoized query-surface materializations (tentpole change 3): SDG and
   /// heap-edge construction ask for the same (method, value) / (node,

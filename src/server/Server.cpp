@@ -217,10 +217,6 @@ void armOneShotWorker(const supervise::SupervisorConfig &Lim,
   // SIGTERM must kill this process, not set a flag in it.
   std::signal(SIGTERM, SIG_DFL);
   std::signal(SIGINT, SIG_DFL);
-#if defined(__linux__)
-  // No orphans: if the coordinator dies, its pool dies with it.
-  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-#endif
   // Allocation failure dies as the deterministic OOM exit code the
   // coordinator's classification understands, not an uncatchable abort.
   supervise::installWorkerOomHandler();
@@ -488,6 +484,7 @@ bool Pool::spawnWorker(PoolWorker &W, const supervise::SupervisorConfig *Lim) {
   // Whatever stdout still buffers would otherwise be written twice, once
   // by each process (the batch framing is printed by this process).
   std::fflush(stdout);
+  const pid_t Coordinator = ::getpid();
   pid_t Pid = ::fork();
   if (Pid < 0) {
     std::fprintf(stderr, "error: fork: %s\n", std::strerror(errno));
@@ -496,6 +493,14 @@ bool Pool::spawnWorker(PoolWorker &W, const supervise::SupervisorConfig *Lim) {
     return false;
   }
   if (Pid == 0) {
+#if defined(__linux__)
+    // No orphans: if the coordinator dies, its pool dies with it. One that
+    // died before the prctl took effect sends no signal, and the child has
+    // already been reparented, so it must not run on.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != Coordinator)
+      ::_exit(1);
+#endif
     // Child: drop every coordinator-side fd; only its own pair end
     // survives.
     ::close(SP[0]);

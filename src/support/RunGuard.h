@@ -170,7 +170,10 @@ public:
 
   /// Overlays TAJ_DEADLINE_MS / TAJ_MAX_MEMORY_MB / TAJ_FAIL_AT environment
   /// variables onto \p Base, filling only limits \p Base leaves unset —
-  /// explicit configuration always beats the environment.
+  /// explicit configuration always beats the environment. A value is read
+  /// as strictly as its command-line flag: a fully consumed non-negative
+  /// number, and an integer for the memory ceiling and the checkpoint
+  /// counts. Any other value counts as unset.
   static Limits limitsFromEnv(Limits Base);
   static Limits limitsFromEnv() { return limitsFromEnv(Limits()); }
 
@@ -212,6 +215,14 @@ public:
     if ((C & (PollInterval - 1)) == 0)
       return poll();
     return true;
+  }
+
+  /// Credits \p Units of work that an earlier run recorded for the current
+  /// phase (a warm start restoring that phase's result) without polling
+  /// any limit, so the phase reports the work of the run that computed it.
+  /// Coordinator-thread only.
+  void replayWork(uint64_t Units) {
+    Checkpoints.fetch_add(Units, std::memory_order_relaxed);
   }
 
   /// True once any limit has tripped (sticky).

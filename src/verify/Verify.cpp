@@ -293,8 +293,10 @@ void recheckCallBinding(const Program &P, const PointsToSolver &S,
                 "return binding", V);
 }
 
-void checkConstStrings(const Program &P, const ConstStringResult &CS,
-                       Violations &V) {
+} // namespace
+
+void verify::verifyConstStrings(const Program &P, const ConstStringResult &CS,
+                                Violations &V) {
   if (CS.degraded())
     return; // a truncated lattice may legitimately disagree
   for (MethodId M = 0; M < P.Methods.size(); ++M) {
@@ -322,8 +324,6 @@ void checkConstStrings(const Program &P, const ConstStringResult &CS,
   }
 }
 
-} // namespace
-
 void verify::verifyGraphs(const Program &P, const ClassHierarchy &CHA,
                           const PointsToSolver &Solver,
                           const ConstStringResult *ConstStrings,
@@ -347,7 +347,7 @@ void verify::verifyGraphs(const Program &P, const ClassHierarchy &CHA,
       recheckNodeConstraints(P, Solver, N, V);
   }
   if (ConstStrings)
-    checkConstStrings(P, *ConstStrings, V);
+    verifyConstStrings(P, *ConstStrings, V);
 }
 
 //===----------------------------------------------------------------------===//

@@ -39,7 +39,8 @@
 ///
 /// Contract: checkers only run over artifacts of *completed* phases (a
 /// guard-stopped or budget-truncated phase is deliberately partial and
-/// must never spuriously fail). Each violation prints one
+/// must never spuriously fail; the string facts behind a budget-truncated
+/// solve are complete and still checked). Each violation prints one
 /// "verify: <checker>: <detail>" line to stderr and bumps
 /// verify.violations (plus a per-checker counter); drivers map a non-zero
 /// total to exit 1.
@@ -149,6 +150,13 @@ void verifyIr(const Program &P, Violations &V);
 void verifyGraphs(const Program &P, const ClassHierarchy &CHA,
                   const PointsToSolver &Solver,
                   const ConstStringResult *ConstStrings, Violations &V);
+
+/// GraphVerifier, const-string half: no fact contradicts a ConstStr
+/// literal or a copy. Valid for any facts a run completed, including
+/// those behind a budget-truncated solve; degraded facts (a guard cutoff
+/// fell back to local mode) are skipped.
+void verifyConstStrings(const Program &P, const ConstStringResult &CS,
+                        Violations &V);
 
 /// GraphVerifier, SDG half: every node/endpoint resolves to a live
 /// statement of a solver-processed method (always), and — under Full —

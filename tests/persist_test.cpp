@@ -278,8 +278,9 @@ TEST(WarmStart, MatchesColdForEveryPreset) {
     // Whatever the cold run stored, the warm run must find. Hits can
     // exceed stores: presets sharing a points-to fingerprint (cs/ci with
     // hybrid-unbounded) reuse the pts entry an earlier preset stored and
-    // only add their own sdg. Budget-truncated runs store nothing
-    // (degraded artifacts must never be replayed).
+    // only add their own sdg. Budget-truncated runs store like clean
+    // ones; only governance stops (deadline, memory, cancellation) store
+    // nothing.
     EXPECT_GE(Warm[I].Hits, Cold[I].Stores) << "preset " << I;
   }
   // The unbounded hybrid preset completes cleanly, so it must actually
@@ -321,6 +322,106 @@ TEST(WarmStart, SlicingOnlyConfigChangeReusesPrefix) {
   EXPECT_EQ(Bounded.Hits, 2u);
   for (const auto &T : Bounded.Set)
     EXPECT_TRUE(Cold.Set.count(T)) << "bounded warm run invented a flow";
+}
+
+/// Everything a warm run must reproduce exactly, down to the string pool
+/// the run leaves behind.
+struct FullRun {
+  std::string Report;
+  std::vector<std::tuple<StmtId, StmtId, RuleMask, uint32_t,
+                         std::vector<StmtId>>>
+      Issues;
+  std::vector<std::string> Pool;
+  std::string ConstStrStats;
+  bool BudgetExhausted = false;
+  Stats RunStats;
+};
+
+/// One run on a freshly generated program, so a warm start cannot lean on
+/// symbols an earlier run left in the pool.
+FullRun runFresh(const char *Name, AnalysisConfig C,
+                 persist::ArtifactCache &Cache) {
+  GeneratedApp A = generateApp(specByName(Name));
+  C.Cache = &Cache;
+  C.InputFingerprint = std::string("app:") + Name;
+  TaintAnalysis TA(*A.P, std::move(C));
+  AnalysisResult R = TA.run({A.Root});
+  FullRun O;
+  O.Report = renderReports(*A.P, generateReports(*A.P, R.Issues), &R.Status);
+  for (const Issue &I : R.Issues)
+    O.Issues.emplace_back(I.Source, I.Sink, I.Rule, I.Length, I.Path);
+  for (Symbol S = 0; S < A.P->Pool.size(); ++S)
+    O.Pool.emplace_back(A.P->Pool.str(S));
+  O.ConstStrStats = TA.constStrings().stats().toString();
+  O.BudgetExhausted = R.BudgetExhausted;
+  O.RunStats = std::move(R.RunStats);
+  return O;
+}
+
+TEST(WarmStart, BudgetedPresetsRestoreTheWholePointerPhase) {
+  // The paper's recommended presets at bench scale. At budget 400 Roller
+  // and VQWiki truncate the call graph and SBM does not; either way the
+  // pts record carries the string facts and the pool symbols, so the warm
+  // run neither reruns string analysis nor ends with a different pool.
+  const std::pair<const char *, bool> Apps[] = {
+      {"Roller", true}, {"VQWiki", true}, {"SBM", false}};
+  for (const auto &[Name, Truncated] : Apps) {
+    for (bool Optimized : {false, true}) {
+      auto Config = [&] {
+        return Optimized ? AnalysisConfig::hybridOptimized(400, 20000, 14, 2)
+                         : AnalysisConfig::hybridPrioritized(400);
+      };
+      SCOPED_TRACE(std::string(Name) +
+                   (Optimized ? " hybrid-optimized" : " hybrid-prioritized"));
+      TempDir D;
+      persist::ArtifactCache Cache(D.Path);
+      FullRun Cold = runFresh(Name, Config(), Cache);
+      FullRun Warm = runFresh(Name, Config(), Cache);
+      EXPECT_EQ(Cold.BudgetExhausted, Truncated);
+      EXPECT_EQ(Cold.RunStats.get("persist.store"), 2u);
+      EXPECT_EQ(Warm.RunStats.get("persist.hit"), 2u);
+      EXPECT_EQ(Warm.RunStats.toString().find("phase.conststr_us"),
+                std::string::npos);
+      EXPECT_EQ(Warm.RunStats.toString().find("phase.pointsto_us"),
+                std::string::npos);
+      EXPECT_EQ(Cold.Report, Warm.Report);
+      EXPECT_EQ(Cold.Issues, Warm.Issues);
+      EXPECT_EQ(Cold.Pool, Warm.Pool);
+      EXPECT_EQ(Cold.ConstStrStats, Warm.ConstStrStats);
+      EXPECT_FALSE(Cold.ConstStrStats.empty());
+    }
+  }
+}
+
+TEST(WarmStart, OnlyGovernanceStopsStayUncached) {
+  TempDir D;
+  persist::ArtifactCache Cache(D.Path);
+
+  // A cancellation is a governance stop: nothing it produced may be
+  // replayed, so the run stores no pts record (and, having skipped the
+  // SDG phase, no sdg record either).
+  RunGuard Cancelled;
+  Cancelled.cancel();
+  AnalysisConfig C = AnalysisConfig::hybridUnbounded();
+  C.ExternalGuard = &Cancelled;
+  FullRun Stopped = runFresh("A", std::move(C), Cache);
+  EXPECT_EQ(Stopped.RunStats.get("guard.cutoff.cancelled"), 1u);
+  EXPECT_EQ(Stopped.RunStats.get("persist.store"), 0u);
+  EXPECT_TRUE(cacheEntries(D.Path).empty());
+
+  // A node-budget truncation is deterministic: its solution is stored
+  // alongside the SDG, and a warm run replays the banner's work count.
+  AnalysisConfig B = AnalysisConfig::hybridUnbounded();
+  B.MaxCallGraphNodes = 2;
+  FullRun Budgeted = runFresh("A", B, Cache);
+  ASSERT_TRUE(Budgeted.BudgetExhausted);
+  EXPECT_EQ(Budgeted.RunStats.get("persist.store"), 2u);
+  EXPECT_EQ(cacheEntries(D.Path).size(), 2u);
+  FullRun Warm = runFresh("A", B, Cache);
+  EXPECT_EQ(Warm.RunStats.get("persist.hit"), 2u);
+  EXPECT_NE(Budgeted.Report.find("truncated (node-budget) after"),
+            std::string::npos);
+  EXPECT_EQ(Budgeted.Report, Warm.Report);
 }
 
 //===----------------------------------------------------------------------===//

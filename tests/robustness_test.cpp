@@ -261,6 +261,38 @@ TEST(Robustness, LimitsFromEnvOverlay) {
   EXPECT_EQ(L2.FailAtCheckpoint, 0u);
 }
 
+TEST(Robustness, MalformedEnvLimitsCountAsUnset) {
+  // Each variable is read as strictly as its flag: --max-memory-mb=4abc and
+  // --deadline-ms=0.001s are usage errors, and --fail-at=-1 is out of
+  // range. The environment cannot report an error, so such values are
+  // ignored rather than read as a prefix (4 MiB, 0.001 ms) or a wrap.
+  setenv("TAJ_MAX_MEMORY_MB", "4abc", 1);
+  setenv("TAJ_DEADLINE_MS", "0.001s", 1);
+  setenv("TAJ_FAIL_AT", "-1", 1);
+  setenv("TAJ_CRASH_AT", "2.5", 1);
+  setenv("TAJ_HANG_AT", "", 1);
+  RunGuard::Limits L = RunGuard::limitsFromEnv();
+  unsetenv("TAJ_MAX_MEMORY_MB");
+  unsetenv("TAJ_DEADLINE_MS");
+  unsetenv("TAJ_FAIL_AT");
+  unsetenv("TAJ_CRASH_AT");
+  unsetenv("TAJ_HANG_AT");
+  EXPECT_EQ(L.MaxMemoryBytes, 0u);
+  EXPECT_DOUBLE_EQ(L.DeadlineMs, 0.0);
+  EXPECT_EQ(L.FailAtCheckpoint, 0u);
+  EXPECT_EQ(L.CrashAtCheckpoint, 0u);
+  EXPECT_EQ(L.HangAtCheckpoint, 0u);
+
+  // Well-formed values still apply, fractional deadlines included.
+  setenv("TAJ_DEADLINE_MS", "0.5", 1);
+  setenv("TAJ_FAIL_AT", "12", 1);
+  RunGuard::Limits L2 = RunGuard::limitsFromEnv();
+  unsetenv("TAJ_DEADLINE_MS");
+  unsetenv("TAJ_FAIL_AT");
+  EXPECT_DOUBLE_EQ(L2.DeadlineMs, 0.5);
+  EXPECT_EQ(L2.FailAtCheckpoint, 12u);
+}
+
 TEST(Robustness, RunStatusToStringNamesEveryPhase) {
   Pipeline PL(AppSource);
   AnalysisResult R = PL.run(AnalysisConfig::hybridUnbounded());

@@ -566,6 +566,81 @@ TEST(PersistPoison, NonFixpointPointsToArtifactIsRejectedThenDropped) {
   EXPECT_EQ(S3.get("verify.violations"), 0u);
 }
 
+TEST(PersistPoison, BudgetedRecordWithContradictingStringFactsIsRejected) {
+  // A budget-truncated solution is stored, and its record carries the
+  // run's string facts. The fixpoint recheck stays gated on clean solves,
+  // but the const-string checker still covers a budgeted restore.
+  const std::string Text = readFileOrDie(TAJ_EXAMPLE_TAJ);
+  TempDir D;
+  persist::ArtifactCache Cache(D.Path);
+  server::RunOptions Opt;
+  Opt.ConfigName = "hybrid-optimized";
+  Opt.Budget = 1;
+  Opt.Verify = VerifyMode::Full;
+  Opt.Threads = 1;
+  const std::vector<server::AppSource> Src = {{"webapp.taj", true, Text}};
+
+  Stats S1;
+  EXPECT_EQ(server::analyzeApp(Src, Opt, &Cache, &S1).Exit,
+            server::ExitTruncated);
+  EXPECT_EQ(S1.get("verify.violations"), 0u);
+
+  AnalysisConfig C;
+  ASSERT_TRUE(server::buildConfig(Opt, C));
+  const std::string PtsKey = persist::ArtifactCache::makeKey(
+      "pts", inputFpOf(Text), C.pointsToFingerprint());
+  auto Payload = Cache.load(PtsKey, persist::ArtifactKind::PointsTo);
+  ASSERT_TRUE(Payload.has_value());
+  std::vector<uint8_t> Bytes(Payload->data(),
+                             Payload->data() + Payload->size());
+
+  // Walk the record's leading sections (pool symbols; mode and degraded
+  // flag; the per-method offsets) to the facts' value column.
+  persist::Reader R(Bytes.data(), Bytes.size());
+  R.u32();
+  for (uint32_t N = R.u32(); N > 0 && !R.failed(); --N)
+    R.str();
+  R.u8();
+  R.u8();
+  std::vector<uint32_t> MethodBase(R.count(4));
+  ASSERT_TRUE(R.u32Array(MethodBase.data(), MethodBase.size()));
+  const uint32_t NumValues = R.count(4);
+  ASSERT_FALSE(R.failed());
+  const size_t ValuesAt = Bytes.size() - R.remaining();
+
+  // Make the fact for the first resolved ConstStr definition name another
+  // symbol; store() re-signs the record, so it passes the checksum.
+  Rebuilt RB(Cache, inputFpOf(Text));
+  ASSERT_TRUE(RB.Ok);
+  size_t Victim = SIZE_MAX;
+  Symbol Lit = 0;
+  for (MethodId M = 0; M + 1 < MethodBase.size() && Victim == SIZE_MAX; ++M)
+    for (const BasicBlock &BB : RB.P.Methods[M].Blocks)
+      for (const Instruction &I : BB.Insts)
+        if (I.Op == Opcode::ConstStr && Victim == SIZE_MAX) {
+          Victim = MethodBase[M] + static_cast<uint32_t>(I.Dst);
+          Lit = I.StrLit;
+        }
+  ASSERT_LT(Victim, NumValues);
+  const Symbol Other = Lit == 0 ? 1 : 0;
+  for (int K = 0; K < 4; ++K)
+    Bytes[ValuesAt + 4 * Victim + K] = static_cast<uint8_t>(Other >> (8 * K));
+  Cache.store(PtsKey, persist::ArtifactKind::PointsTo, Bytes);
+
+  Stats S2;
+  EXPECT_EQ(server::analyzeApp(Src, Opt, &Cache, &S2).Exit,
+            server::ExitError);
+  EXPECT_GE(S2.get("verify.conststr_violations"), 1u);
+  EXPECT_GE(S2.get("persist.verify_rejected"), 1u);
+
+  // The rejection dropped the poisoned entry: the next run recomputes
+  // cold and is clean again.
+  Stats S3;
+  EXPECT_EQ(server::analyzeApp(Src, Opt, &Cache, &S3).Exit,
+            server::ExitTruncated);
+  EXPECT_EQ(S3.get("verify.violations"), 0u);
+}
+
 TEST(PersistPoison, CorruptSdgArtifactIsRejectedWithExitOne) {
   const std::string Text = readFileOrDie(TAJ_EXAMPLE_TAJ);
   TempDir D;

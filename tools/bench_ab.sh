@@ -10,14 +10,17 @@
 #   buildA    baseline build tree (e.g. a checkout of the previous HEAD)
 #   buildB    candidate build tree
 #   rounds    interleaved rounds per side (default 5)
-#   out.json  report path (default BENCH_10.json in the repo root)
+#   out.json  report path (default $TMPDIR/bench_ab.json, outside the
+#             repository, so a run never overwrites a committed
+#             BENCH_*.json record; name one explicitly to keep it)
 #
 # Measured: BM_PointerAnalysis (the solver), BM_SdgConstruction (its
 # biggest query-surface consumer), BM_ServerWarmRequest (the warm restore
-# path), and the slicer rows BM_HybridSlicing (with its thread sweep
-# BM_HybridSlicingThreads) and BM_CiSlicing, whose largest size class is
-# Roller. The speedup column is medianA / medianB, so values above 1 mean
-# the candidate is faster.
+# path), BM_ColdVsWarmAnalysis (whole runs on Roller, cold and warm, for
+# hybrid-unbounded and hybrid-optimized), and the slicer rows
+# BM_HybridSlicing (with its thread sweep BM_HybridSlicingThreads) and
+# BM_CiSlicing, whose largest size class is Roller. The speedup column is
+# medianA / medianB, so values above 1 mean the candidate is faster.
 #
 #===----------------------------------------------------------------------===#
 set -euo pipefail
@@ -30,8 +33,8 @@ fi
 BUILD_A=$1
 BUILD_B=$2
 ROUNDS=${3:-5}
-OUT=${4:-$(cd "$(dirname "$0")/.." && pwd)/BENCH_10.json}
-FILTER='BM_PointerAnalysis|BM_SdgConstruction|BM_ServerWarmRequest|BM_HybridSlicing|BM_CiSlicing'
+OUT=${4:-${TMPDIR:-/tmp}/bench_ab.json}
+FILTER='BM_PointerAnalysis|BM_SdgConstruction|BM_ServerWarmRequest|BM_ColdVsWarmAnalysis|BM_HybridSlicing|BM_CiSlicing'
 
 for D in "$BUILD_A" "$BUILD_B"; do
   if [ ! -x "$D/bench/micro_perf" ]; then

@@ -105,7 +105,9 @@
 // (TAJ_DEADLINE_MS, TAJ_MAX_MEMORY_MB, TAJ_FAIL_AT, TAJ_CRASH_AT,
 // TAJ_CRASH_SIGNAL, TAJ_HANG_AT); the thread count from TAJ_THREADS; the
 // worker pool's non-cooperative backstops from TAJ_HARD_DEADLINE_MS,
-// TAJ_HARD_MAX_MEMORY_MB and TAJ_WATCHDOG_GRACE_MS. Explicit flags win.
+// TAJ_HARD_MAX_MEMORY_MB and TAJ_WATCHDOG_GRACE_MS. Explicit flags win. A
+// governance knob's variable is parsed like its flag; a value the flag
+// would reject counts as unset.
 //
 // Exit codes (the documented contract):
 //   0  clean: the analysis ran to completion (issues, if any, printed)
