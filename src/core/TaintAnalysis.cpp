@@ -78,21 +78,11 @@ AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
                        G.limits().CrashAtCheckpoint == 0 &&
                        G.limits().HangAtCheckpoint == 0;
   std::string PtsKey, SdgKey;
-  // Counter baselines, so this run's RunStats carries per-run deltas (a
+  // Counter window, so this run's RunStats carries per-run deltas (a
   // shared batch cache accumulates across runs; summing the deltas of N
   // runs then reproduces the lifetime totals).
-  uint64_t Hit0 = 0, Miss0 = 0, Store0 = 0, Evict0 = 0, Skip0 = 0,
-           Corrupt0 = 0, VerMiss0 = 0, Touch0 = 0;
-  if (Cache) {
-    Hit0 = Cache->hits();
-    Miss0 = Cache->misses();
-    Store0 = Cache->stores();
-    Evict0 = Cache->evictions();
-    Skip0 = Cache->evictSkips();
-    Corrupt0 = Cache->corruptions();
-    VerMiss0 = Cache->versionMisses();
-    Touch0 = Cache->touchFailures();
-  }
+  const persist::ArtifactCache::Counters Since =
+      Cache ? Cache->counters() : persist::ArtifactCache::Counters();
   if (CacheOn) {
     PtsKey = persist::ArtifactCache::makeKey("pts", Config.InputFingerprint,
                                              Config.pointsToFingerprint());
@@ -252,18 +242,8 @@ AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
   G.exportStats(Out.RunStats);
   Out.RunStats.merge(Solver->constStrings().stats());
   Out.RunStats.merge(Solver->stats());
-  if (Cache) {
-    Out.RunStats.add("persist.hit", Cache->hits() - Hit0);
-    Out.RunStats.add("persist.miss", Cache->misses() - Miss0);
-    Out.RunStats.add("persist.store", Cache->stores() - Store0);
-    Out.RunStats.add("persist.evict", Cache->evictions() - Evict0);
-    Out.RunStats.add("persist.evict_skipped", Cache->evictSkips() - Skip0);
-    Out.RunStats.add("persist.corrupt", Cache->corruptions() - Corrupt0);
-    Out.RunStats.add("persist.version_miss",
-                     Cache->versionMisses() - VerMiss0);
-    Out.RunStats.add("persist.touch_failed",
-                     Cache->touchFailures() - Touch0);
-  }
+  if (Cache)
+    Cache->exportSince(Since, Out.RunStats);
   Out.PersistLoadMillis =
       (Prof.wallUsOf("persist_load") - PersistLoadBaseUs) / 1000.0;
   Out.RunStats.add(

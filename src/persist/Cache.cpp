@@ -2,7 +2,6 @@
 
 #include "persist/Cache.h"
 
-#include "persist/MemCache.h"
 #include "support/RunGuard.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
@@ -36,7 +35,7 @@ ArtifactCache::ArtifactCache(std::string Dir, uint64_t MaxBytes,
                              uint64_t EvictGraceMs)
     : Dir(std::move(Dir)), MaxBytes(MaxBytes), EvictGraceMs(EvictGraceMs) {
   if (this->Dir.empty())
-    return; // mem-only operation: no disk tier, and no diagnostic
+    return; // memory-only operation: no disk tier, and no diagnostic
   std::error_code Ec;
   fs::create_directories(this->Dir, Ec);
   Enabled = !Ec && fs::is_directory(this->Dir, Ec) && !Ec;
@@ -45,19 +44,10 @@ ArtifactCache::ArtifactCache(std::string Dir, uint64_t MaxBytes,
          Ec ? Ec.message() : "not a directory");
 }
 
-void ArtifactCache::attachMemTier(MemCache *M) {
+void ArtifactCache::enableHotTier(uint64_t MaxBytes) {
   std::lock_guard<std::mutex> Lock(Mu);
-  Mem = M;
-}
-
-uint64_t ArtifactCache::memHits() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Mem ? Mem->hits() : 0;
-}
-
-uint64_t ArtifactCache::memStores() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Mem ? Mem->stores() : 0;
+  HotOn = true;
+  HotMaxBytes = MaxBytes;
 }
 
 std::string ArtifactCache::makeKey(const char *Phase,
@@ -85,22 +75,27 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
   std::lock_guard<std::mutex> Lock(Mu);
   // Hot tier first: the payload was verified when it entered the tier, so
   // a hit skips the disk read and the checksum re-verify entirely.
-  if (Mem) {
-    if (std::optional<std::vector<uint8_t>> V = Mem->get(Key)) {
-      ++Hits;
+  if (HotOn) {
+    auto It = HotIndex.find(Key);
+    if (It != HotIndex.end()) {
+      HotLru.splice(HotLru.begin(), HotLru, It->second);
+      ++N.MemHits;
+      ++N.Hits;
       trace::addInstant("cache-hit(mem): " + Key, "persist");
-      const size_t Len = V->size();
-      return LoadedPayload(std::move(*V), 0, Len);
+      std::vector<uint8_t> Copy = It->second->Payload;
+      const size_t Len = Copy.size();
+      return LoadedPayload(std::move(Copy), 0, Len);
     }
+    ++N.MemMisses;
   }
   if (!Enabled) {
-    ++Misses;
+    ++N.Misses;
     return std::nullopt;
   }
   const std::string Path = pathFor(Key);
   std::ifstream In(Path, std::ios::binary | std::ios::ate);
   if (!In) {
-    ++Misses;
+    ++N.Misses;
     trace::addInstant("cache-miss: " + Key, "persist");
     return std::nullopt;
   }
@@ -111,7 +106,7 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     In.read(reinterpret_cast<char *>(Record.data()),
             static_cast<std::streamsize>(Record.size()));
   if (In.bad() || In.gcount() != static_cast<std::streamsize>(Record.size())) {
-    ++Corrupt;
+    ++N.Corrupt;
     diag("cache entry " + Key, "read failed");
     std::error_code Ec;
     fs::remove(Path, Ec);
@@ -127,8 +122,8 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     // A well-formed record from another format generation (e.g. a cache
     // dir shared across binary versions): a clean miss, not corruption.
     // The stale entry is removed so the slot is rebuilt at this version.
-    ++VersionMiss;
-    ++Misses;
+    ++N.VersionMiss;
+    ++N.Misses;
     diag("cache entry " + Key, Err);
     {
       std::error_code Ec;
@@ -136,7 +131,7 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     }
     return std::nullopt;
   case UnwrapStatus::Corrupt:
-    ++Corrupt;
+    ++N.Corrupt;
     diag("cache entry " + Key, Err);
     {
       std::error_code Ec;
@@ -144,12 +139,12 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     }
     return std::nullopt;
   }
-  ++Hits;
+  ++N.Hits;
   trace::addInstant("cache-hit: " + Key, "persist");
   // Promote into the hot tier: the next load of this key (this process's
   // next request over the same app) is served from memory.
-  if (Mem)
-    Mem->put(Key, Payload, PayloadLen);
+  if (HotOn)
+    hotPut(Key, Payload, PayloadLen);
   // Refresh the LRU position so a warm working set survives eviction.
   std::error_code Ec;
   fs::last_write_time(Path, fs::file_time_type::clock::now(), Ec);
@@ -157,7 +152,7 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     // E.g. a read-only cache dir: the payload is still good (the hit
     // stands), but eviction order is rotting — surface it instead of
     // ignoring the error.
-    ++TouchFailed;
+    ++N.TouchFailed;
     std::fprintf(stderr,
                  "taj-persist: cache entry %s: LRU touch failed: %s\n",
                  Key.c_str(), Ec.message().c_str());
@@ -172,11 +167,10 @@ void ArtifactCache::store(const std::string &Key, ArtifactKind Kind,
   std::lock_guard<std::mutex> Lock(Mu);
   // The hot tier takes the raw payload (it never re-verifies); the disk
   // gets the wrapped, checksummed record.
-  if (Mem)
-    Mem->put(Key, Payload.data(), Payload.size());
+  const bool Admitted = HotOn && hotPut(Key, Payload.data(), Payload.size());
   if (!Enabled) {
-    if (Mem)
-      ++Stores; // mem-only operation: the store still happened
+    if (Admitted)
+      ++N.Stores; // memory-only operation: the store happened in memory
     return;
   }
   std::vector<uint8_t> Record = wrapRecord(Kind, Payload);
@@ -204,16 +198,21 @@ void ArtifactCache::store(const std::string &Key, ArtifactKind Kind,
     fs::remove(Tmp, Ec);
     return;
   }
-  ++Stores;
+  ++N.Stores;
   evictToCap();
 }
 
 void ArtifactCache::noteRestoreFailure(const std::string &Key) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Corrupt;
+  ++N.Corrupt;
   diag("cache entry " + Key, "structural restore failed");
-  if (Mem)
-    Mem->erase(Key); // both tiers drop the key together
+  // Both tiers drop the key together.
+  auto It = HotIndex.find(Key);
+  if (It != HotIndex.end()) {
+    HotBytes -= It->second->Payload.size();
+    HotLru.erase(It->second);
+    HotIndex.erase(It);
+  }
   if (Enabled) {
     std::error_code Ec;
     fs::remove(pathFor(Key), Ec);
@@ -277,30 +276,79 @@ void ArtifactCache::evictToCap() {
       // Recently stored or loaded: a concurrent worker may be mid-read.
       // Entries are sorted oldest-first, so everything from here on is
       // younger and equally protected.
-      EvictSkipped +=
-          static_cast<uint64_t>(&Entries.back() - &E) + 1;
+      N.EvictSkipped += static_cast<uint64_t>(&Entries.back() - &E) + 1;
       break;
     }
     std::error_code E2;
     if (fs::remove(E.Path, E2) && !E2) {
       Total -= E.Size;
-      ++Evictions;
+      ++N.Evictions;
     }
   }
 }
 
-void ArtifactCache::exportStats(Stats &S) const {
+bool ArtifactCache::hotPut(const std::string &Key, const uint8_t *Data,
+                           size_t Len) {
+  if (HotMaxBytes != 0 && Len > HotMaxBytes)
+    return false; // would evict the whole tier for one entry
+  auto It = HotIndex.find(Key);
+  if (It != HotIndex.end()) {
+    HotBytes -= It->second->Payload.size();
+    It->second->Payload.assign(Data, Data + Len);
+    HotLru.splice(HotLru.begin(), HotLru, It->second);
+  } else {
+    HotLru.push_front(HotEntry{Key, std::vector<uint8_t>(Data, Data + Len)});
+    HotIndex.emplace(Key, HotLru.begin());
+  }
+  HotBytes += Len;
+  ++N.MemStores;
+  while (HotMaxBytes != 0 && HotBytes > HotMaxBytes) {
+    HotEntry &Victim = HotLru.back();
+    HotBytes -= Victim.Payload.size();
+    HotIndex.erase(Victim.Key);
+    HotLru.pop_back();
+    ++N.MemEvictions;
+  }
+  return true;
+}
+
+ArtifactCache::Counters ArtifactCache::counters() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  S.add("persist.hit", Hits);
-  S.add("persist.miss", Misses);
-  S.add("persist.store", Stores);
-  S.add("persist.evict", Evictions);
-  S.add("persist.evict_skipped", EvictSkipped);
-  S.add("persist.corrupt", Corrupt);
-  S.add("persist.version_miss", VersionMiss);
-  S.add("persist.touch_failed", TouchFailed);
-  if (Mem)
-    Mem->exportStats(S);
+  return N;
+}
+
+void ArtifactCache::exportSince(const Counters &Since, Stats &S) const {
+  struct Row {
+    const char *Name;
+    uint64_t Counters::*Field;
+  };
+  static constexpr Row DiskRows[] = {
+      {"persist.hit", &Counters::Hits},
+      {"persist.miss", &Counters::Misses},
+      {"persist.store", &Counters::Stores},
+      {"persist.evict", &Counters::Evictions},
+      {"persist.evict_skipped", &Counters::EvictSkipped},
+      {"persist.corrupt", &Counters::Corrupt},
+      {"persist.version_miss", &Counters::VersionMiss},
+      {"persist.touch_failed", &Counters::TouchFailed},
+  };
+  static constexpr Row HotRows[] = {
+      {"persist.mem_hit", &Counters::MemHits},
+      {"persist.mem_miss", &Counters::MemMisses},
+      {"persist.mem_store", &Counters::MemStores},
+      {"persist.mem_evict", &Counters::MemEvictions},
+  };
+  std::unique_lock<std::mutex> Lock(Mu);
+  const bool WithHot = HotOn;
+  const Counters Now = N;
+  Lock.unlock();
+  auto Write = [&](const auto &Rows) {
+    for (const Row &R : Rows)
+      S.add(R.Name, Now.*R.Field - Since.*R.Field);
+  };
+  Write(DiskRows);
+  if (WithHot)
+    Write(HotRows);
 }
 
 //===----------------------------------------------------------------------===//

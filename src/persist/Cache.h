@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// On-disk content-addressed cache of analysis artifacts. Entries are keyed
-/// by a fingerprint of (input file bytes, the AnalysisConfig fields that
-/// affect the phase, format version) and stored per phase — "ir", "pts",
-/// "sdg" — so a config change that only affects slicing still reuses the
-/// points-to/SDG prefix.
+/// Content-addressed cache of analysis artifacts, on disk and optionally
+/// in memory. Entries are keyed by a fingerprint of (input file bytes, the
+/// AnalysisConfig fields that affect the phase, format version) and stored
+/// per phase — "ir", "pts", "sdg" — so a config change that only affects
+/// slicing still reuses the points-to/SDG prefix.
 ///
 /// Durability contract: the cache is strictly an accelerator. Every load
 /// verifies the record header and checksum; any read error, version or
@@ -31,19 +31,24 @@
 /// exceed the cap by the skipped bytes. Stale temp files older than the
 /// grace window (a crashed worker's leftovers) are swept during eviction.
 ///
-/// Hot tier: a MemCache attached via attachMemTier() is probed before the
-/// disk on every load (a hit skips the read and the checksum re-verify),
-/// is filled on every store, and is promoted into on every disk hit. Keys
-/// are content addresses, so the two tiers cannot disagree; the only
-/// invalidation path, noteRestoreFailure(), drops both. With an empty
-/// directory the cache runs mem-only (loads/stores touch just the tier) —
-/// the analysis-server worker configuration when no --cache-dir is given.
+/// Hot tier: enableHotTier() layers a byte-capped in-memory LRU of
+/// verified payloads over the disk. It is probed before the disk on every
+/// load (a hit skips the read and the checksum re-verify), filled on every
+/// store, and promoted into on every disk hit. Keys are content addresses,
+/// so the two tiers cannot disagree; the only invalidation path,
+/// noteRestoreFailure(), drops both. With an empty directory the cache
+/// runs from memory only — the analysis-server worker configuration when
+/// no --cache-dir is given.
 ///
-/// Counters (exported into Stats under persist.*): hit, miss, store,
-/// evict, evict_skipped, corrupt, touch_failed, and mem_{hit,miss,store,
-/// evict} when a hot tier is attached. A mem hit counts as a persist.hit
-/// too — callers windowing hit deltas see warm loads whichever tier
-/// served them.
+/// Counters: counters() snapshots every counter under the one lock, and
+/// exportSince() writes what each gained since a snapshot under
+/// persist.*: hit, miss, store, evict, evict_skipped, corrupt,
+/// version_miss, touch_failed, and mem_{hit,miss,store,evict} once the
+/// hot tier is on. A mem hit counts as a persist.hit too, so a window sees
+/// warm loads whichever tier served them.
+///
+/// Thread safety: one mutex guards both tiers and every counter, so
+/// parallel slicing threads may share one cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,9 +57,11 @@
 
 #include "persist/Serialize.h"
 
+#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace taj {
@@ -63,8 +70,6 @@ class ClassHierarchy;
 class Stats;
 
 namespace persist {
-
-class MemCache;
 
 /// A verified record payload returned by ArtifactCache::load. Owns the raw
 /// record bytes and exposes the payload window without copying it (the
@@ -83,83 +88,102 @@ private:
   size_t Len;
 };
 
-/// One on-disk artifact cache rooted at a directory.
+/// One artifact cache: an optional disk tier rooted at a directory plus an
+/// optional in-memory hot tier, behind one lock.
 class ArtifactCache {
 public:
+  /// Every counter the cache keeps, as one value: take a snapshot before
+  /// a window and hand it to exportSince() after.
+  struct Counters {
+    uint64_t Hits = 0, Misses = 0, Stores = 0, Evictions = 0;
+    /// Entries an eviction pass spared because they were inside the grace
+    /// window.
+    uint64_t EvictSkipped = 0;
+    uint64_t Corrupt = 0;
+    /// Well-formed entries from another format generation: counted as a
+    /// clean miss (plus this), never as corruption.
+    uint64_t VersionMiss = 0;
+    /// Hits whose LRU mtime refresh failed (e.g. a read-only cache dir):
+    /// the payload is still served, but eviction order is rotting.
+    uint64_t TouchFailed = 0;
+    /// Hot tier: probes served, probes missed, payloads admitted and
+    /// payloads evicted by the byte cap.
+    uint64_t MemHits = 0, MemMisses = 0, MemStores = 0, MemEvictions = 0;
+  };
+
   /// Opens (creating if needed) the cache at \p Dir. \p MaxBytes caps the
   /// total size of stored entries (0 = uncapped). \p EvictGraceMs is the
   /// concurrent-reader grace window: eviction skips entries touched more
   /// recently than this (0 = none; supervised batch workers default it
   /// on). If the directory cannot be created the disk tier is disabled:
   /// loads miss, stores are dropped. An empty \p Dir silently disables the
-  /// disk tier (mem-only operation once a hot tier is attached).
+  /// disk tier (memory-only operation once the hot tier is on).
   explicit ArtifactCache(std::string Dir, uint64_t MaxBytes = 0,
                          uint64_t EvictGraceMs = 0);
 
-  /// True when any tier can serve loads (disk usable or hot tier attached).
-  bool enabled() const { return Enabled || Mem != nullptr; }
-  const std::string &dir() const { return Dir; }
+  /// Turns the hot tier on, capped at \p MaxBytes of summed payloads
+  /// (0 = uncapped). An entry larger than the cap is never admitted.
+  void enableHotTier(uint64_t MaxBytes);
 
-  /// Layers the in-memory hot tier \p M (not owned; must outlive the
-  /// cache) over the disk. Pass nullptr to detach.
-  void attachMemTier(MemCache *M);
-  MemCache *memTier() const { return Mem; }
+  /// True when any tier can serve loads (disk usable or hot tier on).
+  bool enabled() const { return Enabled || HotOn; }
 
   /// Composes the content address for one phase entry:
   /// "<phase>-<hex16(fnv(input fp | config fp | format version))>".
   static std::string makeKey(const char *Phase, const std::string &InputFp,
                              const std::string &ConfigFp);
 
-  /// Loads the record payload stored under \p Key after verifying the
-  /// record header (magic, version, kind, size, checksum). Returns nullopt
-  /// on miss or on any verification failure (counted, logged, entry
-  /// deleted). A hit refreshes the entry's LRU position.
+  /// Loads the record payload stored under \p Key: from the hot tier
+  /// as-is, or from disk after verifying the record header (magic,
+  /// version, kind, size, checksum). Returns nullopt on miss or on any
+  /// verification failure (counted, logged, entry deleted). A hit
+  /// refreshes the entry's LRU position.
   std::optional<LoadedPayload> load(const std::string &Key, ArtifactKind Kind);
 
-  /// Stores \p Payload under \p Key (atomic temp-file + rename), then
-  /// evicts least-recently-used entries down to the byte cap.
+  /// Stores \p Payload under \p Key: into the hot tier, and on disk via an
+  /// atomic temp-file + rename followed by LRU eviction down to the cap.
   void store(const std::string &Key, ArtifactKind Kind,
              const std::vector<uint8_t> &Payload);
 
   /// Reports that a payload passed record verification but failed
-  /// structural restoration: counted as corrupt, logged, entry deleted.
+  /// structural restoration: counted as corrupt, logged, and the key
+  /// dropped from both tiers.
   void noteRestoreFailure(const std::string &Key);
 
-  /// Exports persist.hit / persist.miss / persist.store / persist.evict /
-  /// persist.evict_skipped / persist.corrupt / persist.version_miss /
-  /// persist.touch_failed counters.
-  void exportStats(Stats &S) const;
+  /// A snapshot of every counter.
+  Counters counters() const;
 
-  uint64_t hits() const { return Hits; }
-  uint64_t misses() const { return Misses; }
-  uint64_t stores() const { return Stores; }
-  uint64_t evictions() const { return Evictions; }
-  uint64_t evictSkips() const { return EvictSkipped; }
-  uint64_t corruptions() const { return Corrupt; }
-  /// Well-formed entries from another format generation: counted as a
-  /// clean miss (plus this), never as corruption.
-  uint64_t versionMisses() const { return VersionMiss; }
-  /// Hits whose LRU mtime refresh failed (e.g. a read-only cache dir):
-  /// the payload is still served, but eviction order is rotting.
-  uint64_t touchFailures() const { return TouchFailed; }
-  /// Hits served by the attached hot tier (0 when none is attached).
-  uint64_t memHits() const;
-  /// Payloads admitted into the attached hot tier (0 when none).
-  uint64_t memStores() const;
+  /// Adds what each counter gained since \p Since to \p S under its
+  /// persist.* name; the persist.mem_* rows only when the hot tier is on.
+  void exportSince(const Counters &Since, Stats &S) const;
 
 private:
+  struct HotEntry {
+    std::string Key;
+    std::vector<uint8_t> Payload;
+  };
+
   std::string pathFor(const std::string &Key) const;
-  void dropEntry(const std::string &Key, const std::string &Why);
+  /// Admits (or refreshes) \p Key -> the \p Len bytes at \p Data into the
+  /// hot tier, then evicts its LRU tail down to the cap. False when the
+  /// entry alone exceeds the cap. Caller holds Mu.
+  bool hotPut(const std::string &Key, const uint8_t *Data, size_t Len);
+  /// Evicts least-recently-used disk entries down to the byte cap. Caller
+  /// holds Mu.
   void evictToCap();
 
   std::string Dir;
   uint64_t MaxBytes;
   uint64_t EvictGraceMs;
   bool Enabled = false;
-  MemCache *Mem = nullptr;
+  /// Guards both tiers and every member below.
   mutable std::mutex Mu;
-  uint64_t Hits = 0, Misses = 0, Stores = 0, Evictions = 0, EvictSkipped = 0,
-           Corrupt = 0, VersionMiss = 0, TouchFailed = 0;
+  bool HotOn = false;
+  uint64_t HotMaxBytes = 0;
+  uint64_t HotBytes = 0;
+  std::list<HotEntry> HotLru; ///< front = most recently used
+  std::unordered_map<std::string, std::list<HotEntry>::iterator> HotIndex;
+  Counters N;
 };
 
 /// The SDG phase bundle a slicer needs: the graph, the heap graph it was

@@ -3,7 +3,6 @@
 #include "server/Server.h"
 
 #include "persist/Cache.h"
-#include "persist/MemCache.h"
 #include "supervise/Supervisor.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
@@ -206,12 +205,13 @@ void armOneShotWorker(const supervise::SupervisorConfig &Lim,
   }
 }
 
-/// The worker's request loop, one analysis per request frame, stdout
-/// captured on one spool file. A daemon worker keeps its caches warm
-/// across requests: the disk tier (shared with every other worker through
-/// the filesystem; mem-only without a cache dir) and a private hot tier.
-/// A one-shot batch worker serves one attempt and opens the disk cache
-/// only when --cache-dir names one, exactly like a local run.
+/// The worker's request loop, one analysis per request frame, each
+/// response carrying the report bytes analyzeApp() returned. A daemon
+/// worker keeps its cache warm across requests: the disk tier (shared with
+/// every other worker through the filesystem; memory-only without a cache
+/// dir) and a private hot tier. A one-shot batch worker serves one attempt
+/// and opens the disk cache only when --cache-dir names one, exactly like
+/// a local run.
 [[noreturn]] void workerMain(const ServerOptions &O, int Fd, bool OneShot) {
   // The daemon's drain handlers were inherited across fork; a watchdog
   // SIGTERM must kill this process, not set a flag in it.
@@ -224,25 +224,11 @@ void armOneShotWorker(const supervise::SupervisorConfig &Lim,
   const uint64_t GraceMs =
       O.CacheGraceSet ? O.CacheGraceMs : (O.CacheDir.empty() ? 0 : 60000);
   std::unique_ptr<persist::ArtifactCache> Cache;
-  std::unique_ptr<persist::MemCache> Hot;
   if (!OneShot || !O.CacheDir.empty())
     Cache = std::make_unique<persist::ArtifactCache>(
         O.CacheDir, O.CacheMaxMb * 1024 * 1024, GraceMs);
-  if (!OneShot) {
-    Hot = std::make_unique<persist::MemCache>(O.HotMaxMb * 1024 * 1024);
-    Cache->attachMemTier(Hot.get());
-  }
-
-  // One anonymous spool file, reused for every request's stdout capture.
-  const char *TmpDir = std::getenv("TMPDIR");
-  std::string Tmpl = std::string(TmpDir ? TmpDir : "/tmp") +
-                     "/taj-serve-spool-XXXXXX";
-  std::vector<char> TmplBuf(Tmpl.begin(), Tmpl.end());
-  TmplBuf.push_back('\0');
-  int Spool = ::mkstemp(TmplBuf.data());
-  if (Spool >= 0)
-    ::unlink(TmplBuf.data());
-  int OrigOut = ::dup(STDOUT_FILENO);
+  if (!OneShot)
+    Cache->enableHotTier(O.HotMaxMb * 1024 * 1024);
 
   bool GotRequest = false;
   std::vector<uint8_t> Payload;
@@ -277,53 +263,16 @@ void armOneShotWorker(const supervise::SupervisorConfig &Lim,
       continue;
     }
 
-    // Capture stdout onto the spool so the response report is exactly
-    // the bytes a local run would have printed. Without the capture the
-    // report would leak to the coordinator's inherited stdout and the
-    // answer would be a hollow Ok — refuse the request instead of running
-    // it.
-    std::fflush(stdout);
-    const bool Spooled = Spool >= 0 && OrigOut >= 0 &&
-                         ::lseek(Spool, 0, SEEK_SET) == 0 &&
-                         ::ftruncate(Spool, 0) == 0 &&
-                         ::dup2(Spool, STDOUT_FILENO) == STDOUT_FILENO;
-    if (!Spooled) {
-      Resp.St = Status::Error;
-      Resp.Exit = exitCodeForStatus(Status::Error);
-      Resp.Message = "worker cannot capture analysis output";
-      if (!writeFrame(Fd, serializeResponse(Resp)))
-        break;
-      continue;
-    }
-
     // Fresh ring per request: the response carries only this request's
     // events, on this worker's pid.
     const bool Tracing = !O.TracePath.empty();
     if (Tracing)
       trace::enable();
 
-    const uint64_t MemHit0 = Hot ? Cache->memHits() : 0;
-    const uint64_t MemStore0 = Hot ? Cache->memStores() : 0;
+    // The request's persist.* rows, hot tier included, come from the
+    // counter windows analyzeApp() takes around its frontend and analysis.
     Stats ReqStats;
-
     RunOutcome Out = analyzeApp(Req.Sources, Opt, Cache.get(), &ReqStats);
-    std::fflush(stdout);
-    ::dup2(OrigOut, STDOUT_FILENO);
-    std::clearerr(stdout); // a spool write error must not outlive the swap
-    off_t End = ::lseek(Spool, 0, SEEK_END);
-    if (End > 0) {
-      Resp.Report.resize(static_cast<size_t>(End));
-      if (::lseek(Spool, 0, SEEK_SET) != 0 ||
-          !readFull(Spool, &Resp.Report[0], Resp.Report.size())) {
-        Resp.Report.clear();
-        Out.Exit = ExitError; // report lost: do not claim a clean run
-      }
-    }
-
-    if (Hot) {
-      ReqStats.add("persist.mem_hit", Cache->memHits() - MemHit0);
-      ReqStats.add("persist.mem_store", Cache->memStores() - MemStore0);
-    }
 
     Resp.St = Out.Exit == ExitClean
                   ? Status::Ok
@@ -331,6 +280,7 @@ void armOneShotWorker(const supervise::SupervisorConfig &Lim,
                                               : Status::Error;
     Resp.Exit = Out.Exit;
     Resp.Issues = Out.NumIssues;
+    Resp.Report = std::move(Out.Report);
     Resp.StatsJson = ReqStats.toJson();
     if (Tracing)
       Resp.TraceBlob = trace::renderEvents();

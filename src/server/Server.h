@@ -39,15 +39,16 @@
 /// What differs between the modes:
 ///
 ///  - serve: PoolSize workers are pre-forked and persistent. Each keeps
-///    the shared on-disk ArtifactCache plus a private in-memory hot tier
-///    (persist::MemCache) warm across requests, so a repeat request skips
-///    process start, disk reads and checksum re-verification. A bounded
-///    admission queue (QueueDepth) answers `busy` when full; a crashed
-///    worker is respawned; SIGTERM/SIGINT drains (socket closed and
-///    unlinked, queued requests answered `shutting-down`, in-flight ones
-///    finished, artifacts flushed, exit 0). Counters: server.*. No
-///    rlimits: one persistent worker serves requests with different
-///    budgets, and a lowered rlimit cannot be raised again.
+///    one ArtifactCache warm across requests: the shared on-disk tier plus
+///    a private in-memory hot tier (ArtifactCache::enableHotTier), so a
+///    repeat request skips process start, disk reads and checksum
+///    re-verification. A bounded admission queue (QueueDepth) answers
+///    `busy` when full; a crashed worker is respawned; SIGTERM/SIGINT
+///    drains (socket closed and unlinked, queued requests answered
+///    `shutting-down`, in-flight ones finished, artifacts flushed, exit
+///    0). Counters: server.*. No rlimits: one persistent worker serves
+///    requests with different budgets, and a lowered rlimit cannot be
+///    raised again.
 ///  - batch: no listen socket. The list is the queue, each output framed
 ///    `=== name` / report / `--- name: exit=E issues=N` in list order,
 ///    and the exit code is the worst of all apps (error > truncated >
@@ -85,7 +86,7 @@ struct ServerOptions {
   unsigned QueueDepth = 16;
   unsigned MaxRetries = 1;
   RunOptions Base;
-  std::string CacheDir; ///< "" = no disk tier (workers run mem-only)
+  std::string CacheDir; ///< "" = no disk tier (workers run memory-only)
   uint64_t CacheMaxMb = 0;
   uint64_t CacheGraceMs = 0;
   bool CacheGraceSet = false;

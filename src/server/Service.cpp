@@ -264,12 +264,24 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
   // phases (handed to the analysis via ExternalProfile). Every return
   // path below exports it, so a failed app still accounts its time.
   PhaseProfile Prof;
+  // The frontend's counter window. The analysis reports its own window in
+  // RunStats, so this one covers the cache traffic around it, and every
+  // exit that exports the profile exports this window too: with a cache,
+  // an app's stats carry its persist.* rows whichever way it leaves.
+  const bool CacheOn = Cache && Cache->enabled();
+  const persist::ArtifactCache::Counters Since =
+      CacheOn ? Cache->counters() : persist::ArtifactCache::Counters();
+  auto ExportFrontend = [&](Stats &S) {
+    if (CacheOn)
+      Cache->exportSince(Since, S);
+  };
   // Unreadable/unparseable inputs must still leave a mark in the stats
   // artifact: the counter tells a supervising parent the app failed on
   // input, not inside the analysis.
   auto FailInput = [&]() -> RunOutcome {
     if (MergedStats) {
       MergedStats->add("cli.input_errors");
+      ExportFrontend(*MergedStats);
       Prof.exportStats(*MergedStats);
     }
     return Out; // Exit stays ExitError
@@ -303,20 +315,6 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
   char Hex[17];
   std::snprintf(Hex, sizeof(Hex), "%016llx", static_cast<unsigned long long>(H));
   const std::string InputFp = Hex;
-
-  const bool CacheOn = Cache && Cache->enabled();
-  // IR-phase counter baseline: the analysis phases report their own deltas
-  // in RunStats, so only the frontend window needs accounting here.
-  uint64_t Hit0 = 0, Miss0 = 0, Store0 = 0, Evict0 = 0, Corrupt0 = 0,
-           VerMiss0 = 0;
-  if (CacheOn) {
-    Hit0 = Cache->hits();
-    Miss0 = Cache->misses();
-    Store0 = Cache->stores();
-    Evict0 = Cache->evictions();
-    Corrupt0 = Cache->corruptions();
-    VerMiss0 = Cache->versionMisses();
-  }
 
   // One violation sink for the whole app: frontend checks below and the
   // analysis-internal checkers (via AnalysisConfig::Violations) fold into
@@ -356,6 +354,7 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
       Cache->noteRestoreFailure(IrKey);
       if (MergedStats) {
         Vio.exportStats(*MergedStats);
+        ExportFrontend(*MergedStats);
         Prof.exportStats(*MergedStats);
       }
       return Out; // Exit stays ExitError
@@ -391,22 +390,12 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
       Cache->store(IrKey, persist::ArtifactKind::Ir, W.bytes());
     }
   }
-  // Frontend-window cache deltas, folded into the run's stats below so
-  // --stats and --stats-json see the full per-app persist.* picture.
-  uint64_t IrHit = 0, IrMiss = 0, IrStore = 0, IrEvict = 0, IrCorrupt = 0,
-           IrVerMiss = 0;
-  if (CacheOn) {
-    IrHit = Cache->hits() - Hit0;
-    IrMiss = Cache->misses() - Miss0;
-    IrStore = Cache->stores() - Store0;
-    IrEvict = Cache->evictions() - Evict0;
-    IrCorrupt = Cache->corruptions() - Corrupt0;
-    IrVerMiss = Cache->versionMisses() - VerMiss0;
-  }
   if (Opt.DumpIr) {
-    std::printf("%s", printProgram(*P).c_str());
-    if (MergedStats)
+    Out.Report = printProgram(*P);
+    if (MergedStats) {
+      ExportFrontend(*MergedStats);
       Prof.exportStats(*MergedStats);
+    }
     Out.Exit = ExitClean;
     return Out;
   }
@@ -419,30 +408,28 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
   C.ExternalProfile = &Prof;
   C.Violations = &Vio;
 
+  // Close the frontend window before the analysis opens its own; its rows
+  // join the run's stats so --stats and --stats-json see the full per-app
+  // persist.* picture.
+  Stats FrontendStats;
+  ExportFrontend(FrontendStats);
   MethodId Root = synthesizeEntrypointDriver(*P);
   TaintAnalysis TA(*P, std::move(C));
   AnalysisResult R = TA.run({Root});
-  if (CacheOn) {
-    R.RunStats.add("persist.hit", IrHit);
-    R.RunStats.add("persist.miss", IrMiss);
-    R.RunStats.add("persist.store", IrStore);
-    R.RunStats.add("persist.evict", IrEvict);
-    R.RunStats.add("persist.corrupt", IrCorrupt);
-    R.RunStats.add("persist.version_miss", IrVerMiss);
-  }
+  R.RunStats.merge(FrontendStats);
 
   const bool FailedNoStatus = !R.Completed && !R.degraded();
   if (!FailedNoStatus) {
     if (Opt.Raw) {
       for (const Issue &I : R.Issues)
-        std::printf("%s: %s -> %s (length %u)\n", rules::ruleName(I.Rule),
-                    describeStmt(*P, I.Source).c_str(),
-                    describeStmt(*P, I.Sink).c_str(), I.Length);
+        Out.Report += std::string(rules::ruleName(I.Rule)) + ": " +
+                      describeStmt(*P, I.Source) + " -> " +
+                      describeStmt(*P, I.Sink) +
+                      " (length " + std::to_string(I.Length) + ")\n";
     } else {
       PhaseScope RS(&Prof, "report");
-      std::printf("%s",
-                  renderReports(*P, generateReports(*P, R.Issues), &R.Status)
-                      .c_str());
+      Out.Report =
+          renderReports(*P, generateReports(*P, R.Issues), &R.Status);
     }
   }
 

@@ -16,11 +16,11 @@
 /// configuration means, and one definition is the only way they stay
 /// agreed.
 ///
-/// Output contract: analyzeApp() prints the report to stdout (callers
-/// that need it as bytes — the server worker — redirect fd 1 around the
-/// call) and diagnostics to stderr, exactly like the historical in-CLI
-/// path; server-mode output is byte-identical to batch-mode output by
-/// construction, not by comparison.
+/// Output contract: analyzeApp() returns the report as bytes
+/// (RunOutcome::Report) and writes diagnostics to stderr. taj-cli prints
+/// those bytes, and a pool worker ships them in its response, so
+/// server-mode output is byte-identical to a local run by construction,
+/// not by comparison.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,6 +122,9 @@ struct AppSource {
 struct RunOutcome {
   int Exit = ExitError;
   size_t NumIssues = 0;
+  /// The bytes a local run prints to stdout: the rendered report, the raw
+  /// flows under --raw, or the IR under --dump-ir ("" on input errors).
+  std::string Report;
 };
 
 /// Reads \p Path into \p Out; false (with strerror-ish \p Err) on failure.
@@ -129,10 +132,11 @@ bool readFileText(const char *Path, std::string &Out, std::string &Err);
 
 /// Analyzes one app (a set of .taj sources forming one program) end to
 /// end: frontend (IR cache aware), analysis (points-to/SDG cache aware
-/// via AnalysisConfig), report rendering to stdout. \p MergedStats, when
-/// set, accumulates every counter for --stats-json; per-run persist.*
-/// deltas are windowed, so a long-lived caller (a server worker) gets
-/// clean per-request numbers from a shared cache.
+/// via AnalysisConfig), report rendering into RunOutcome::Report.
+/// \p MergedStats, when set, accumulates every counter for --stats-json;
+/// the persist.* rows are the deltas of the frontend's and the
+/// analysis's counter windows, so a long-lived caller (a server worker)
+/// gets clean per-request numbers from a shared cache.
 RunOutcome analyzeApp(const std::vector<AppSource> &Sources,
                       const RunOptions &Opt, persist::ArtifactCache *Cache,
                       Stats *MergedStats);

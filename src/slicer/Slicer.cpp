@@ -340,7 +340,7 @@ void sliceItems(Algo Alg, const SDG &G, const HeapEdges &HE,
 /// build or warm restore). No-op unless verification is on and the build
 /// completed without a governance stop — a truncated graph is deliberately
 /// partial, not inconsistent. Under --verify=full a violating warm restore
-/// additionally counts as a rejected persisted artifact (the hot MemCache
+/// additionally counts as a rejected persisted artifact (the cache's hot
 /// tier skips the record checksum, so this is the only guard it has) and
 /// the poisoned cache entry is dropped for later runs.
 void verifySdgPhase(const Program &P, const SDG &G, const HeapEdges *HE,

@@ -33,9 +33,9 @@
 /// liveness + witness replay) on every run; Full adds the quadratic-ish
 /// ones (call-graph justification, fixpoint recheck, heap-edge
 /// justification, const-string consistency) and re-verifies every warm
-/// ArtifactCache/MemCache restore structurally — the hot tier skips
-/// checksum re-verification entirely, so this is the only defense against
-/// in-memory corruption there.
+/// ArtifactCache restore structurally, from either tier — the hot tier
+/// skips checksum re-verification entirely, so this is the only defense
+/// against in-memory corruption there.
 ///
 /// Contract: checkers only run over artifacts of *completed* phases (a
 /// guard-stopped or budget-truncated phase is deliberately partial and

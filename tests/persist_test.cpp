@@ -10,6 +10,8 @@
 //  - corrupted, truncated and version-mismatched entries fall back to
 //    cold computation without changing results;
 //  - LRU eviction respects the byte cap;
+//  - an app's persist.* rows are its cache windows' deltas, so over one
+//    cache they add up to the cache's lifetime counters;
 //  - the taj-cli batch mode matches separate cold runs exactly.
 //
 //===----------------------------------------------------------------------===//
@@ -19,6 +21,7 @@
 #include "ir/Printer.h"
 #include "persist/Cache.h"
 #include "report/ReportGenerator.h"
+#include "server/Service.h"
 
 #include <gtest/gtest.h>
 
@@ -27,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -540,7 +544,7 @@ TEST(Eviction, GraceWindowShieldsFreshEntriesFromEviction) {
   RunOut Cold = runApp("A", AnalysisConfig::hybridUnbounded(), &Cache);
   EXPECT_EQ(Cold.Stores, 2u);
   EXPECT_EQ(Cold.Evicts, 0u);
-  EXPECT_GT(Cache.evictSkips(), 0u);
+  EXPECT_GT(Cache.counters().EvictSkipped, 0u);
   EXPECT_EQ(cacheEntries(D.Path).size(), 2u);
 
   // The shielded entries are still valid: the warm run hits them.
@@ -564,6 +568,54 @@ TEST(Eviction, GraceWindowSweepsStaleTempFiles) {
   runApp("A", AnalysisConfig::hybridUnbounded(), &Cache);
   EXPECT_FALSE(fs::exists(D.Path + "/dead.tajc.tmp.1234"));
   EXPECT_TRUE(fs::exists(D.Path + "/live.tajc.tmp.5678"));
+}
+
+//===----------------------------------------------------------------------===//
+// Counter windows
+//===----------------------------------------------------------------------===//
+
+/// The persist.* lines of \p S, as "name=value".
+std::vector<std::string> persistRows(const Stats &S) {
+  std::vector<std::string> Rows;
+  std::istringstream In(S.toString());
+  for (std::string Line; std::getline(In, Line);)
+    if (Line.rfind("persist.", 0) == 0)
+      Rows.push_back(Line);
+  return Rows;
+}
+
+TEST(CounterWindows, AppStatsAddUpToTheCacheLifetime) {
+  TempDir D;
+  // More than the 1 MiB cap in fresh filler entries, all inside the
+  // one-hour grace window: every eviction pass skips every entry, the
+  // filler and this app's own records alike.
+  for (int I = 0; I < 3; ++I)
+    writeAll(D.Path + "/filler-" + std::to_string(I) + ".tajc",
+             std::vector<uint8_t>(600 * 1000, 0));
+  persist::ArtifactCache Cache(D.Path, 1024 * 1024, 3600 * 1000);
+  const std::vector<server::AppSource> Src = {{TAJ_EXAMPLE_TAJ, false, ""}};
+  Stats S;
+  for (const char *Pass : {"cold", "warm"})
+    ASSERT_EQ(server::analyzeApp(Src, server::RunOptions(), &Cache, &S).Exit,
+              server::ExitClean)
+        << Pass;
+  // An exit before the analysis reports its frontend window too.
+  server::RunOptions DumpIr;
+  DumpIr.DumpIr = true;
+  ASSERT_EQ(server::analyzeApp(Src, DumpIr, &Cache, &S).Exit,
+            server::ExitClean);
+
+  const persist::ArtifactCache::Counters C = Cache.counters();
+  EXPECT_EQ(C.Stores, 3u); // ir, pts, sdg
+  EXPECT_EQ(C.Hits, 4u);   // the warm pass's three, then the ir record
+  // One pass per stored record, over 3 filler entries plus the records
+  // stored so far: 4 + 5 + 6.
+  EXPECT_EQ(C.EvictSkipped, 15u);
+  EXPECT_EQ(C.Evictions, 0u);
+  Stats Lifetime;
+  Cache.exportSince(persist::ArtifactCache::Counters(), Lifetime);
+  EXPECT_EQ(persistRows(S), persistRows(Lifetime));
+  EXPECT_EQ(persistRows(S).size(), 8u);
 }
 
 //===----------------------------------------------------------------------===//

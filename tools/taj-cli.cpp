@@ -448,7 +448,9 @@ int main(int Argc, char **Argv) {
   };
 
   if (BatchFile.empty()) {
-    Exit = analyzeApp(ToSources(Files), Opt, Cache.get(), JsonStats).Exit;
+    RunOutcome O = analyzeApp(ToSources(Files), Opt, Cache.get(), JsonStats);
+    std::fwrite(O.Report.data(), 1, O.Report.size(), stdout);
+    Exit = O.Exit;
   } else {
     std::string List, IoErr;
     if (!readFileText(BatchFile.c_str(), List, IoErr)) {
@@ -496,6 +498,7 @@ int main(int Argc, char **Argv) {
         std::printf("=== %s\n", App.Name.c_str());
         RunOutcome O =
             analyzeApp(ToSources(App.Files), Opt, Cache.get(), JsonStats);
+        std::fwrite(O.Report.data(), 1, O.Report.size(), stdout);
         // Deterministic per-app summary (no timings: batch output must be
         // byte-comparable against separate runs).
         std::printf("--- %s: exit=%d issues=%zu\n", App.Name.c_str(), O.Exit,
