@@ -2,11 +2,14 @@
 //
 // Scaling microbenchmarks of the core engines: pointer analysis +
 // call-graph construction, hybrid slicing (RHS tabulation), CI slicing,
-// and SDG construction, over generated applications of increasing size.
+// and SDG construction, over generated applications of increasing size;
+// plus whole warm/cold runs, the points-to restore alone and the analysis
+// server's warm request.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
+#include "dataflow/ConstString.h"
 #include "persist/Cache.h"
 #include "sdg/SDG.h"
 #include "server/Client.h"
@@ -184,6 +187,49 @@ void BM_ColdVsWarmAnalysis(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_ColdVsWarmAnalysis)->ArgsProduct({{0, 1}, {0, 1}});
+
+/// The warm path's largest layer alone: Access::restoreSolver from an
+/// in-memory copy of Roller's pts record payload. /0 is hybrid-unbounded,
+/// /1 hybrid-optimized at bench bounds (the node budget truncates Roller).
+/// Solver construction and teardown run with the timer paused; the
+/// payload_bytes counter is the size of the payload restored.
+void BM_RestoreSolver(benchmark::State &State) {
+  const AppSpec &Spec = appByIndex(5); // Roller, the largest app
+  const char *Config =
+      State.range(0) != 0 ? "hybrid-optimized" : "hybrid-unbounded";
+  GeneratedApp App = generateApp(Spec);
+  App.P->indexStatements();
+  ClassHierarchy CHA(*App.P);
+  const AnalysisConfig C = bench::configByName(Config);
+  // The pointer phase as TaintAnalysis::run composes it.
+  ConstStringOptions CSO;
+  CSO.Mode = C.StringAnalysis;
+  const ConstStringResult Strings = analyzeConstStrings(*App.P, CHA, CSO);
+  PointsToOptions PO = C.pointsToOptions();
+  PO.ConstStrings = &Strings;
+  std::vector<uint8_t> Payload;
+  {
+    PointsToSolver Solver(*App.P, CHA, PO);
+    Solver.solve({App.Root});
+    persist::Writer W;
+    persist::Access::serializeSolver(Solver, W);
+    Payload = W.bytes();
+  }
+  for (auto _ : State) {
+    State.PauseTiming();
+    auto Solver = std::make_unique<PointsToSolver>(*App.P, CHA, PO);
+    State.ResumeTiming();
+    persist::Reader R(Payload.data(), Payload.size());
+    if (!persist::Access::restoreSolver(*Solver, R))
+      State.SkipWithError("restoreSolver rejected its own record");
+    State.PauseTiming();
+    Solver.reset();
+    State.ResumeTiming();
+  }
+  State.counters["payload_bytes"] = static_cast<double>(Payload.size());
+  State.SetLabel(Spec.Name + "/" + Config);
+}
+BENCHMARK(BM_RestoreSolver)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// The analysis server's reason to exist, quantified: one warm request
 /// against a running daemon (a pool worker holding the hot artifact tier)

@@ -8,11 +8,17 @@
 using namespace taj;
 
 CGNodeId CallGraph::ensureNode(MethodId M, CtxId Ctx, bool &IsNew) {
-  uint64_t Key = (static_cast<uint64_t>(M) << 32) | Ctx;
-  auto It = NodeMap.find(Key);
-  if (It != NodeMap.end()) {
+  auto HashOf = [this](CGNodeId N) { return hash(Nodes[N].M, Nodes[N].Ctx); };
+  if (NodeMap.needsGrow())
+    NodeMap.grow(Nodes.size() + 1, HashOf);
+  size_t Slot;
+  CGNodeId Found = NodeMap.find(
+      hash(M, Ctx),
+      [&](CGNodeId N) { return Nodes[N].M == M && Nodes[N].Ctx == Ctx; },
+      Slot);
+  if (Found != InvalidId) {
     IsNew = false;
-    return It->second;
+    return Found;
   }
   IsNew = true;
   if (Guard)
@@ -20,12 +26,11 @@ CGNodeId CallGraph::ensureNode(MethodId M, CtxId Ctx, bool &IsNew) {
   CGNode N;
   N.M = M;
   N.Ctx = Ctx;
+  CGNodeId Id = static_cast<CGNodeId>(Nodes.size());
+  NodeMap.insertAt(Slot, Id);
   Nodes.push_back(N);
   Out.emplace_back();
   In.emplace_back();
-  CGNodeId Id = static_cast<CGNodeId>(Nodes.size() - 1);
-  NodeMap.emplace(Key, Id);
-  ByMethod[M].push_back(Id);
   return Id;
 }
 
@@ -40,22 +45,40 @@ bool CallGraph::addEdge(CGNodeId Caller, StmtId Site, CGNodeId Callee) {
   Out[Caller].push_back({Site, Callee});
   In[Callee].push_back(Caller);
   MethodId CalleeM = Nodes[Callee].M;
-  auto &Merged = SiteCallees[Site];
+  auto &Merged = SiteLists[Site];
   if (std::find(Merged.begin(), Merged.end(), CalleeM) == Merged.end())
     Merged.push_back(CalleeM);
   return true;
 }
 
-const std::vector<CGNodeId> &CallGraph::nodesOf(MethodId M) const {
-  static const std::vector<CGNodeId> Empty;
-  auto It = ByMethod.find(M);
-  return It == ByMethod.end() ? Empty : It->second;
+void CallGraph::indexByMethod(uint32_t NumMethods) {
+  ByMethodBase.assign(NumMethods + 1, 0);
+  for (const CGNode &N : Nodes)
+    ++ByMethodBase[N.M + 1];
+  for (uint32_t M = 0; M < NumMethods; ++M)
+    ByMethodBase[M + 1] += ByMethodBase[M];
+  ByMethod.resize(Nodes.size());
+  std::vector<uint32_t> Fill(ByMethodBase.begin(), ByMethodBase.end() - 1);
+  for (CGNodeId N = 0; N < Nodes.size(); ++N)
+    ByMethod[Fill[Nodes[N].M]++] = N;
 }
 
-const std::vector<MethodId> &CallGraph::calleesAt(StmtId Site) const {
-  static const std::vector<MethodId> Empty;
-  auto It = SiteCallees.find(Site);
-  return It == SiteCallees.end() ? Empty : It->second;
+void CallGraph::freeze(uint32_t NumMethods, uint32_t NumStmts) {
+  indexByMethod(NumMethods);
+  SiteBase.assign(NumStmts + 1, 0);
+  size_t Total = 0;
+  for (const auto &[Site, Callees] : SiteLists) {
+    SiteBase[Site + 1] = static_cast<uint32_t>(Callees.size());
+    Total += Callees.size();
+  }
+  for (uint32_t S = 0; S < NumStmts; ++S)
+    SiteBase[S + 1] += SiteBase[S];
+  SiteCallees.resize(Total);
+  for (const auto &[Site, Callees] : SiteLists)
+    std::copy(Callees.begin(), Callees.end(),
+              SiteCallees.begin() + SiteBase[Site]);
+  SiteLists = {};
+  EdgeSet = {};
 }
 
 std::string CallGraph::nodeName(const Program &P, CGNodeId N) const {

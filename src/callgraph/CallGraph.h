@@ -9,7 +9,9 @@
 /// (method, context) pair ("a method in some calling context", TAJ §6.1);
 /// edges carry the call statement. The graph also maintains the
 /// context-merged projection (call statement -> callee methods) consumed by
-/// the SDG builder.
+/// the SDG builder. When solving ends, freeze() lays the per-method node
+/// lists and that projection out as dense CSR columns, which the queries
+/// read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,8 +19,10 @@
 #define TAJ_CALLGRAPH_CALLGRAPH_H
 
 #include "ir/Program.h"
+#include "pointsto/InternIndex.h"
 #include "pointsto/Keys.h"
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -67,16 +71,28 @@ public:
   const std::vector<CGEdge> &edges(CGNodeId N) const { return Out[N]; }
   const std::vector<CGNodeId> &preds(CGNodeId N) const { return In[N]; }
 
-  /// All nodes of method \p M (one per context).
-  const std::vector<CGNodeId> &nodesOf(MethodId M) const;
-
-  /// Context-merged callee methods of call statement \p Site.
-  const std::vector<MethodId> &calleesAt(StmtId Site) const;
-
-  /// All call statements that have at least one callee.
-  const std::unordered_map<StmtId, std::vector<MethodId>> &siteTargets() const {
-    return SiteCallees;
+  /// All nodes of method \p M (one per context), ascending. Empty before
+  /// freeze().
+  std::span<const CGNodeId> nodesOf(MethodId M) const {
+    if (M + 1 >= ByMethodBase.size())
+      return {};
+    return {ByMethod.data() + ByMethodBase[M],
+            ByMethod.data() + ByMethodBase[M + 1]};
   }
+
+  /// Context-merged callee methods of call statement \p Site, in the order
+  /// their first edges were added. Empty before freeze().
+  std::span<const MethodId> calleesAt(StmtId Site) const {
+    if (Site + 1 >= SiteBase.size())
+      return {};
+    return {SiteCallees.data() + SiteBase[Site],
+            SiteCallees.data() + SiteBase[Site + 1]};
+  }
+
+  /// Ends construction: builds the dense per-method node index over
+  /// \p NumMethods methods and the per-site callee column over \p NumStmts
+  /// statements, and drops the construction-only edge set and site map.
+  void freeze(uint32_t NumMethods, uint32_t NumStmts);
 
   /// Number of nodes whose constraints have been added (the paper's |N|
   /// for budget purposes).
@@ -103,13 +119,35 @@ private:
   /// post-solve state, including the per-site callee insertion order.
   friend struct persist::Access;
 
+  static uint64_t hash(MethodId M, CtxId Ctx) { return internHash2(M, Ctx); }
+  /// Indexes every node in one pass after a bulk restore; false if two
+  /// nodes share a (method, context) pair.
+  bool reindex() {
+    return NodeMap.rebuild(
+        Nodes.size(),
+        [this](CGNodeId N) { return hash(Nodes[N].M, Nodes[N].Ctx); },
+        [this](CGNodeId A, CGNodeId B) {
+          return Nodes[A].M == Nodes[B].M && Nodes[A].Ctx == Nodes[B].Ctx;
+        });
+  }
+  /// Builds ByMethodBase/ByMethod from the node column.
+  void indexByMethod(uint32_t NumMethods);
+
   std::vector<CGNode> Nodes;
   std::vector<std::vector<CGEdge>> Out;
   std::vector<std::vector<CGNodeId>> In;
-  std::unordered_map<uint64_t, CGNodeId> NodeMap;
+  /// (method, context) -> node.
+  InternIndex NodeMap;
+  // Construction only: edge dedup and the per-site callee lists.
   std::unordered_set<uint64_t> EdgeSet; // caller ^ site ^ callee hash
-  std::unordered_map<MethodId, std::vector<CGNodeId>> ByMethod;
-  std::unordered_map<StmtId, std::vector<MethodId>> SiteCallees;
+  std::unordered_map<StmtId, std::vector<MethodId>> SiteLists;
+  // Frozen CSR columns: method M's nodes are ByMethod[ByMethodBase[M] ..
+  // ByMethodBase[M+1]), site S's callees SiteCallees[SiteBase[S] ..
+  // SiteBase[S+1]).
+  std::vector<uint32_t> ByMethodBase;
+  std::vector<CGNodeId> ByMethod;
+  std::vector<uint32_t> SiteBase;
+  std::vector<MethodId> SiteCallees;
   uint32_t Processed = 0;
   RunGuard *Guard = nullptr;
 };

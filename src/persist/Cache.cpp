@@ -82,9 +82,8 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
       ++N.MemHits;
       ++N.Hits;
       trace::addInstant("cache-hit(mem): " + Key, "persist");
-      std::vector<uint8_t> Copy = It->second->Payload;
-      const size_t Len = Copy.size();
-      return LoadedPayload(std::move(Copy), 0, Len);
+      const SharedBytes &Bytes = It->second->Payload;
+      return LoadedPayload(Bytes, 0, Bytes->size());
     }
     ++N.MemMisses;
   }
@@ -158,7 +157,9 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
                  Key.c_str(), Ec.message().c_str());
   }
   const size_t Offset = static_cast<size_t>(Payload - Record.data());
-  return LoadedPayload(std::move(Record), Offset, PayloadLen);
+  return LoadedPayload(
+      std::make_shared<const std::vector<uint8_t>>(std::move(Record)), Offset,
+      PayloadLen);
 }
 
 void ArtifactCache::store(const std::string &Key, ArtifactKind Kind,
@@ -209,7 +210,7 @@ void ArtifactCache::noteRestoreFailure(const std::string &Key) {
   // Both tiers drop the key together.
   auto It = HotIndex.find(Key);
   if (It != HotIndex.end()) {
-    HotBytes -= It->second->Payload.size();
+    HotBytes -= It->second->Payload->size();
     HotLru.erase(It->second);
     HotIndex.erase(It);
   }
@@ -291,20 +292,23 @@ bool ArtifactCache::hotPut(const std::string &Key, const uint8_t *Data,
                            size_t Len) {
   if (HotMaxBytes != 0 && Len > HotMaxBytes)
     return false; // would evict the whole tier for one entry
+  // Each admission gets fresh immutable bytes: payloads handed out for the
+  // old bytes keep them alive and unchanged.
+  auto Bytes = std::make_shared<const std::vector<uint8_t>>(Data, Data + Len);
   auto It = HotIndex.find(Key);
   if (It != HotIndex.end()) {
-    HotBytes -= It->second->Payload.size();
-    It->second->Payload.assign(Data, Data + Len);
+    HotBytes -= It->second->Payload->size();
+    It->second->Payload = std::move(Bytes);
     HotLru.splice(HotLru.begin(), HotLru, It->second);
   } else {
-    HotLru.push_front(HotEntry{Key, std::vector<uint8_t>(Data, Data + Len)});
+    HotLru.push_front(HotEntry{Key, std::move(Bytes)});
     HotIndex.emplace(Key, HotLru.begin());
   }
   HotBytes += Len;
   ++N.MemStores;
   while (HotMaxBytes != 0 && HotBytes > HotMaxBytes) {
     HotEntry &Victim = HotLru.back();
-    HotBytes -= Victim.Payload.size();
+    HotBytes -= Victim.Payload->size();
     HotIndex.erase(Victim.Key);
     HotLru.pop_back();
     ++N.MemEvictions;

@@ -33,10 +33,11 @@
 ///
 /// Hot tier: enableHotTier() layers a byte-capped in-memory LRU of
 /// verified payloads over the disk. It is probed before the disk on every
-/// load (a hit skips the read and the checksum re-verify), filled on every
-/// store, and promoted into on every disk hit. Keys are content addresses,
-/// so the two tiers cannot disagree; the only invalidation path,
-/// noteRestoreFailure(), drops both. With an empty directory the cache
+/// load (a hit skips the read and the checksum re-verify, and hands out a
+/// reference to the entry's immutable bytes instead of a copy), filled on
+/// every store, and promoted into on every disk hit. Keys are content
+/// addresses, so the two tiers cannot disagree; the only invalidation
+/// path, noteRestoreFailure(), drops both. With an empty directory the cache
 /// runs from memory only — the analysis-server worker configuration when
 /// no --cache-dir is given.
 ///
@@ -58,6 +59,7 @@
 #include "persist/Serialize.h"
 
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -71,19 +73,25 @@ class Stats;
 
 namespace persist {
 
-/// A verified record payload returned by ArtifactCache::load. Owns the raw
-/// record bytes and exposes the payload window without copying it (the
-/// header prefix is skipped in place).
+/// Immutable bytes shared between the hot tier and the payloads it hands
+/// out.
+using SharedBytes = std::shared_ptr<const std::vector<uint8_t>>;
+
+/// A verified record payload returned by ArtifactCache::load: a window
+/// into bytes it holds a reference to — a disk hit's whole record (the
+/// header prefix skipped in place) or a hot-tier entry, shared, never
+/// copied. The bytes stay readable for the payload's lifetime, whatever
+/// the cache evicts or drops meanwhile.
 class LoadedPayload {
 public:
-  LoadedPayload(std::vector<uint8_t> Record, size_t Offset, size_t Len)
-      : Record(std::move(Record)), Offset(Offset), Len(Len) {}
+  LoadedPayload(SharedBytes Bytes, size_t Offset, size_t Len)
+      : Bytes(std::move(Bytes)), Offset(Offset), Len(Len) {}
 
-  const uint8_t *data() const { return Record.data() + Offset; }
+  const uint8_t *data() const { return Bytes->data() + Offset; }
   size_t size() const { return Len; }
 
 private:
-  std::vector<uint8_t> Record;
+  SharedBytes Bytes;
   size_t Offset;
   size_t Len;
 };
@@ -160,7 +168,7 @@ public:
 private:
   struct HotEntry {
     std::string Key;
-    std::vector<uint8_t> Payload;
+    SharedBytes Payload;
   };
 
   std::string pathFor(const std::string &Key) const;

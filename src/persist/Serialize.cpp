@@ -412,6 +412,115 @@ bool Access::restoreProgram(Program &P, Reader &R) {
 // Points-to solution
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+// Column codecs over row structs: a table is written field by field, one
+// column per field, so a restore reads each column as one bounds-checked
+// block and scatters it into the rows in a single pass.
+
+template <typename Row, typename T>
+void putU32Field(Writer &W, const std::vector<Row> &Rows, T Row::*Field,
+                 size_t From = 0) {
+  std::vector<uint32_t> Col;
+  Col.reserve(Rows.size() - From);
+  for (size_t I = From; I < Rows.size(); ++I)
+    Col.push_back(static_cast<uint32_t>(Rows[I].*Field));
+  W.u32Array(Col.data(), Col.size());
+}
+
+template <typename Row, typename T>
+void putU8Field(Writer &W, const std::vector<Row> &Rows, T Row::*Field,
+                size_t From = 0) {
+  std::vector<uint8_t> Col;
+  Col.reserve(Rows.size() - From);
+  for (size_t I = From; I < Rows.size(); ++I)
+    Col.push_back(static_cast<uint8_t>(Rows[I].*Field));
+  W.raw(Col.data(), Col.size());
+}
+
+uint32_t loadU32(const uint8_t *B) {
+  return static_cast<uint32_t>(B[0]) | static_cast<uint32_t>(B[1]) << 8 |
+         static_cast<uint32_t>(B[2]) << 16 | static_cast<uint32_t>(B[3]) << 24;
+}
+
+/// Reads a column of little-endian u32 values into \p Field of every row
+/// of \p Rows from \p From on.
+template <typename Row, typename T>
+bool getU32Field(Reader &R, std::vector<Row> &Rows, T Row::*Field,
+                 size_t From = 0) {
+  const uint8_t *B = R.block((Rows.size() - From) * 4);
+  if (!B)
+    return false;
+  for (size_t I = From; I < Rows.size(); ++I, B += 4)
+    Rows[I].*Field = static_cast<T>(loadU32(B));
+  return true;
+}
+
+/// Reads a column of u8 values, each at most \p Max, into \p Field of
+/// every row of \p Rows from \p From on.
+template <typename Row, typename T>
+bool getU8Field(Reader &R, std::vector<Row> &Rows, T Row::*Field, uint8_t Max,
+                size_t From = 0) {
+  const uint8_t *B = R.block(Rows.size() - From);
+  if (!B)
+    return false;
+  for (size_t I = From; I < Rows.size(); ++I, ++B) {
+    if (*B > Max)
+      return false;
+    Rows[I].*Field = static_cast<T>(*B);
+  }
+  return true;
+}
+
+/// Writes per-row lists as one CSR: the length column, then the
+/// concatenated elements.
+template <typename T, typename Get>
+void putCsr(Writer &W, const std::vector<std::vector<T>> &Lists, Get Elem) {
+  std::vector<uint32_t> Col;
+  Col.reserve(Lists.size());
+  for (const std::vector<T> &L : Lists)
+    Col.push_back(static_cast<uint32_t>(L.size()));
+  W.u32Array(Col.data(), Col.size());
+  Col.clear();
+  for (const std::vector<T> &L : Lists)
+    for (const T &X : L)
+      Col.push_back(Elem(X));
+  W.u32Array(Col.data(), Col.size());
+}
+
+/// Reads the length column of the CSR behind \p Lists (already sized) and
+/// sizes each list, failing before any allocation when the elements
+/// (\p ElemBytes each) cannot fit the remaining payload. Sets \p Total
+/// to the element count.
+template <typename T>
+bool getCsrLengths(Reader &R, std::vector<std::vector<T>> &Lists,
+                   size_t ElemBytes, uint64_t &Total) {
+  const uint8_t *B = R.block(Lists.size() * 4);
+  if (!B)
+    return false;
+  Total = 0;
+  for (size_t I = 0; I < Lists.size(); ++I)
+    Total += loadU32(B + 4 * I);
+  if (Total * ElemBytes > R.remaining())
+    return false;
+  for (size_t I = 0; I < Lists.size(); ++I)
+    Lists[I].resize(loadU32(B + 4 * I));
+  return true;
+}
+
+/// True when \p Base is a CSR offset column over \p Size elements: it
+/// starts at 0, never decreases and ends at \p Size.
+bool validOffsets(const std::vector<uint32_t> &Base, size_t Size) {
+  if (Base.empty() || Base.front() != 0 || Base.back() != Size)
+    return false;
+  for (size_t I = 1; I < Base.size(); ++I)
+    if (Base[I] < Base[I - 1])
+      return false;
+  return true;
+}
+
+} // namespace
+
 void Access::serializeSolver(const PointsToSolver &S, Writer &W) {
   // The pointer-analysis phase ahead of its solution: the string-pool
   // symbols it interned, its string-constant facts and its guard work.
@@ -428,90 +537,53 @@ void Access::serializeSolver(const PointsToSolver &S, Writer &W) {
   W.str(CS.Counters.toJson());
   W.u64(S.PhaseWork);
 
-  // Contexts (table index order; index 0 is the implicit Everywhere).
+  // Contexts, in id order; id 0, the implicit Everywhere, is not written.
   const ContextTable &Ctxs = S.Ctxs;
   W.u32(static_cast<uint32_t>(Ctxs.size()));
-  for (CtxId C = 1; C < Ctxs.size(); ++C) {
-    const ContextData &D = Ctxs.data(C);
-    W.u8(static_cast<uint8_t>(D.Kind));
-    W.u32(D.Data);
-    W.u32(Ctxs.depth(C));
-  }
+  putU8Field(W, Ctxs.Contexts, &ContextData::Kind, 1);
+  putU32Field(W, Ctxs.Contexts, &ContextData::Data, 1);
+  W.u32Array(Ctxs.Depths.data() + 1, Ctxs.size() - 1);
 
-  // Instance keys / pointer keys, in intern order.
-  W.u32(static_cast<uint32_t>(S.IKs.size()));
-  for (IKId I = 0; I < S.IKs.size(); ++I) {
-    const InstanceKeyData &D = S.IKs.data(I);
-    W.u8(static_cast<uint8_t>(D.Kind));
-    W.u32(D.Site);
-    W.u32(D.Heap);
-    W.u32(D.Cls);
-    W.u32(D.Extra);
-  }
-  W.u32(static_cast<uint32_t>(S.PKs.size()));
-  for (PKId I = 0; I < S.PKs.size(); ++I) {
-    const PointerKeyData &D = S.PKs.data(I);
-    W.u8(static_cast<uint8_t>(D.Kind));
-    W.u32(D.A);
-    W.u32(D.B);
-  }
+  const std::vector<InstanceKeyData> &IKs = S.IKs.Keys;
+  W.u32(static_cast<uint32_t>(IKs.size()));
+  putU8Field(W, IKs, &InstanceKeyData::Kind);
+  putU32Field(W, IKs, &InstanceKeyData::Site);
+  putU32Field(W, IKs, &InstanceKeyData::Heap);
+  putU32Field(W, IKs, &InstanceKeyData::Cls);
+  putU32Field(W, IKs, &InstanceKeyData::Extra);
 
-  // Call graph: nodes, out-edges, in-edges, the context-merged site->callee
-  // projection (whose per-site callee order is edge insertion order and
-  // cannot be reconstructed from the edges — serialized verbatim).
-  // Call-graph nodes and out-edges as struct-of-arrays columns (same
-  // rationale as the SDG tables: bulk column reads on restore).
+  // Call graph: nodes, out- and in-edges, and the frozen per-site callee
+  // CSR, whose per-site order is edge insertion order and cannot be
+  // rebuilt from the edges.
   const CallGraph &CG = S.CG;
-  const uint32_t NumCgNodes = static_cast<uint32_t>(CG.Nodes.size());
-  W.u32(NumCgNodes);
+  W.u32(static_cast<uint32_t>(CG.Nodes.size()));
+  putU32Field(W, CG.Nodes, &CGNode::M);
+  putU32Field(W, CG.Nodes, &CGNode::Ctx);
+  putU8Field(W, CG.Nodes, &CGNode::ConstraintsAdded);
+  putCsr(W, CG.Out, [](const CGEdge &E) { return E.Site; });
   {
-    std::vector<uint32_t> C32(NumCgNodes);
-    std::vector<uint8_t> C8(NumCgNodes);
-    for (uint32_t I = 0; I < NumCgNodes; ++I)
-      C32[I] = CG.Nodes[I].M;
-    W.u32Array(C32.data(), NumCgNodes);
-    for (uint32_t I = 0; I < NumCgNodes; ++I)
-      C32[I] = CG.Nodes[I].Ctx;
-    W.u32Array(C32.data(), NumCgNodes);
-    for (uint32_t I = 0; I < NumCgNodes; ++I)
-      C8[I] = CG.Nodes[I].ConstraintsAdded;
-    W.raw(C8.data(), NumCgNodes);
-  }
-  {
-    std::vector<uint32_t> Counts(NumCgNodes);
-    size_t Total = 0;
-    for (uint32_t I = 0; I < NumCgNodes; ++I) {
-      Counts[I] = static_cast<uint32_t>(CG.Out[I].size());
-      Total += CG.Out[I].size();
-    }
-    W.u32Array(Counts.data(), NumCgNodes);
-    std::vector<uint32_t> Col;
-    Col.reserve(Total);
+    std::vector<uint32_t> Callees;
     for (const std::vector<CGEdge> &Edges : CG.Out)
       for (const CGEdge &E : Edges)
-        Col.push_back(E.Site);
-    W.u32Array(Col.data(), Total);
-    Col.clear();
-    for (const std::vector<CGEdge> &Edges : CG.Out)
-      for (const CGEdge &E : Edges)
-        Col.push_back(E.Callee);
-    W.u32Array(Col.data(), Total);
+        Callees.push_back(E.Callee);
+    W.u32Array(Callees.data(), Callees.size());
   }
-  for (const std::vector<CGNodeId> &Preds : CG.In)
-    putU32Vec(W, Preds);
-  putU32VecMap(W, CG.SiteCallees);
+  putCsr(W, CG.In, [](CGNodeId N) { return N; });
+  putU32Vec(W, CG.SiteBase);
+  putU32Vec(W, CG.SiteCallees);
 
-  // Points-to sets: for each pointer key (ascending id) the sparse-bitmap
-  // chunks — word-index vector + bit-word vector. The per-PK tables are
-  // padded past PKs.size() (growTablesSlow); the padding slots are empty,
-  // so only the slots backing real keys are written.
-  const uint32_t NumPts =
-      static_cast<uint32_t>(std::min(S.Pts.size(), S.PKs.size()));
-  W.u32(NumPts);
-  for (PKId I = 0; I < NumPts; ++I) {
-    putU32Vec(W, S.Pts[I].wordIndices());
-    putU64Vec(W, S.Pts[I].words());
-  }
+  const std::vector<PointerKeyData> &PKs = S.PKs.Keys;
+  W.u32(static_cast<uint32_t>(PKs.size()));
+  putU8Field(W, PKs, &PointerKeyData::Kind);
+  putU32Field(W, PKs, &PointerKeyData::A);
+  putU32Field(W, PKs, &PointerKeyData::B);
+
+  // The frozen points-to column, as it is.
+  const PointsToColumn &Pts = S.Frozen;
+  W.u32(Pts.numKeys());
+  W.u32Array(Pts.Offsets.data(), Pts.Offsets.size());
+  W.u32Array(Pts.Idx.data(), Pts.Idx.size());
+  W.u64Array(Pts.Words.data(), Pts.Words.size());
 
   putU32VecMap(W, S.Channels);
   putU32VecMap(W, S.IntrinsicCallees);
@@ -563,10 +635,8 @@ bool Access::restoreSolver(PointsToSolver &S, Reader &R) {
   CS->Degraded = R.u8() != 0;
   CS->PoolBase = PoolBase;
   if (!getU32Vec(R, CS->MethodBase) || !getU32Vec(R, CS->Values) ||
-      CS->MethodBase.empty() || CS->MethodBase.size() > NumMethods + 1 ||
-      CS->MethodBase.front() != 0 ||
-      CS->MethodBase.back() != CS->Values.size() ||
-      !std::is_sorted(CS->MethodBase.begin(), CS->MethodBase.end()))
+      CS->MethodBase.size() > NumMethods + 1 ||
+      !validOffsets(CS->MethodBase, CS->Values.size()))
     return false;
   for (Symbol V : CS->Values)
     if (V >= PoolEnd && V < ConstStringResult::Top)
@@ -575,189 +645,172 @@ bool Access::restoreSolver(PointsToSolver &S, Reader &R) {
     return false;
   const uint64_t PhaseWork = R.u64();
 
-  // Contexts: re-intern in order through the public constructors, checking
-  // that each lands on its original id (the tables are deterministic
-  // interners, so any divergence means corruption).
-  uint32_t NumCtxs = R.count(9);
+  // Contexts: a call-site context names a statement at depth 1, a
+  // receiver context an instance key (checked once the keys are in) at
+  // depth >= 1.
+  ContextTable &Ctxs = S.Ctxs;
+  const uint32_t NumCtxs = R.count(9);
   if (R.failed() || NumCtxs == 0)
     return false;
-  S.Ctxs.reserve(NumCtxs);
+  Ctxs.Contexts.resize(NumCtxs);
+  Ctxs.Depths.resize(NumCtxs);
+  if (!getU8Field(R, Ctxs.Contexts, &ContextData::Kind,
+                  static_cast<uint8_t>(ContextKind::Receiver), 1) ||
+      !getU32Field(R, Ctxs.Contexts, &ContextData::Data, 1) ||
+      !R.u32Array(Ctxs.Depths.data() + 1, NumCtxs - 1))
+    return false;
   for (CtxId C = 1; C < NumCtxs; ++C) {
-    uint8_t Kind = R.u8();
-    uint32_t Data = R.u32();
-    uint32_t Depth = R.u32();
-    CtxId Got;
-    if (Kind == static_cast<uint8_t>(ContextKind::CallSite) && Depth == 1)
-      Got = S.Ctxs.callSite(Data);
-    else if (Kind == static_cast<uint8_t>(ContextKind::Receiver) && Depth >= 1)
-      Got = S.Ctxs.receiver(Data, Depth - 1);
-    else
+    const ContextData &D = Ctxs.Contexts[C];
+    const uint32_t Depth = Ctxs.Depths[C];
+    if (D.Kind == ContextKind::CallSite) {
+      if (Depth != 1 || D.Data >= NumStmts)
+        return false;
+    } else if (D.Kind != ContextKind::Receiver || Depth == 0) {
       return false;
-    if (Got != C || S.Ctxs.depth(C) != Depth)
-      return false;
+    }
   }
+  if (!Ctxs.reindex())
+    return false; // a context appears twice
 
-  uint32_t NumIKs = R.count(17);
-  S.IKs.reserve(NumIKs);
-  for (IKId I = 0; I < NumIKs; ++I) {
-    InstanceKeyData D;
-    uint8_t Kind = R.u8();
-    if (Kind > static_cast<uint8_t>(IKKind::Singleton))
-      return false;
-    D.Kind = static_cast<IKKind>(Kind);
-    D.Site = R.u32();
-    D.Heap = R.u32();
-    D.Cls = R.u32();
-    D.Extra = R.u32();
-    if (R.failed() || D.Site >= NumStmts || D.Heap >= NumCtxs ||
+  std::vector<InstanceKeyData> &IKs = S.IKs.Keys;
+  const uint32_t NumIKs = R.count(17);
+  IKs.resize(NumIKs);
+  if (!getU8Field(R, IKs, &InstanceKeyData::Kind,
+                  static_cast<uint8_t>(IKKind::Singleton)) ||
+      !getU32Field(R, IKs, &InstanceKeyData::Site) ||
+      !getU32Field(R, IKs, &InstanceKeyData::Heap) ||
+      !getU32Field(R, IKs, &InstanceKeyData::Cls) ||
+      !getU32Field(R, IKs, &InstanceKeyData::Extra))
+    return false;
+  for (const InstanceKeyData &D : IKs)
+    if (D.Site >= NumStmts || D.Heap >= NumCtxs ||
         (D.Cls != InvalidId && D.Cls >= NumClasses))
       return false;
-    if (S.IKs.intern(D) != I)
+  if (!S.IKs.reindex())
+    return false; // an instance key appears twice
+  for (CtxId C = 1; C < NumCtxs; ++C)
+    if (Ctxs.Contexts[C].Kind == ContextKind::Receiver &&
+        Ctxs.Contexts[C].Data >= NumIKs)
       return false;
-  }
-  // Receiver contexts name instance keys; check now that both exist.
-  for (CtxId C = 1; C < NumCtxs; ++C) {
-    const ContextData &D = S.Ctxs.data(C);
-    if (D.Kind == ContextKind::Receiver && D.Data >= NumIKs)
-      return false;
-    if (D.Kind == ContextKind::CallSite && D.Data >= NumStmts)
-      return false;
-  }
 
-  uint32_t NumPKs = R.count(9);
-  S.PKs.reserve(NumPKs);
-  for (PKId I = 0; I < NumPKs; ++I) {
-    PointerKeyData D;
-    uint8_t Kind = R.u8();
-    if (Kind > static_cast<uint8_t>(PKKind::Channel))
-      return false;
-    D.Kind = static_cast<PKKind>(Kind);
-    D.A = R.u32();
-    D.B = R.u32();
-    if (R.failed())
-      return false;
-    switch (D.Kind) {
-    case PKKind::Field:
-    case PKKind::ArrayElem:
-      if (D.A >= NumIKs)
-        return false;
-      break;
-    case PKKind::Channel:
-      if (D.A >= NumIKs || D.B >= PoolEnd)
-        return false;
-      break;
-    case PKKind::Static:
-      if (D.A >= S.P.Fields.size())
-        return false;
-      break;
-    default:
-      break; // Local/Ret reference CG nodes, validated below
-    }
-    if (S.PKs.intern(D) != I)
-      return false;
-  }
-
-  // Call graph.
-  uint32_t NumNodes = R.count(9);
-  S.CG.Nodes.resize(NumNodes);
-  S.CG.Out.resize(NumNodes);
-  S.CG.In.resize(NumNodes);
-  S.CG.NodeMap.reserve(NumNodes);
-  {
-    std::vector<uint32_t> C32(NumNodes);
-    std::vector<uint8_t> C8(NumNodes);
-    if (!R.u32Array(C32.data(), NumNodes))
-      return false;
-    for (CGNodeId N = 0; N < NumNodes; ++N)
-      S.CG.Nodes[N].M = C32[N];
-    if (!R.u32Array(C32.data(), NumNodes))
-      return false;
-    for (CGNodeId N = 0; N < NumNodes; ++N)
-      S.CG.Nodes[N].Ctx = C32[N];
-    if (!R.raw(C8.data(), NumNodes))
-      return false;
-    for (CGNodeId N = 0; N < NumNodes; ++N)
-      S.CG.Nodes[N].ConstraintsAdded = C8[N] != 0;
-  }
-  for (CGNodeId N = 0; N < NumNodes; ++N) {
-    const CGNode &Node = S.CG.Nodes[N];
+  // Call graph. Reindexing rejects a repeated (method, context) pair; the
+  // per-method index is rebuilt in one pass, in node id order.
+  CallGraph &CG = S.CG;
+  const uint32_t NumNodes = R.count(9);
+  CG.Nodes.resize(NumNodes);
+  if (!getU32Field(R, CG.Nodes, &CGNode::M) ||
+      !getU32Field(R, CG.Nodes, &CGNode::Ctx) ||
+      !getU8Field(R, CG.Nodes, &CGNode::ConstraintsAdded, 1))
+    return false;
+  for (const CGNode &Node : CG.Nodes) {
     if (Node.M >= NumMethods || Node.Ctx >= NumCtxs)
       return false;
-    // Rebuild the intern map and per-method index; node creation order is
-    // id order, so ByMethod lists come back in their original order.
-    uint64_t Key = (static_cast<uint64_t>(Node.M) << 32) | Node.Ctx;
-    if (!S.CG.NodeMap.emplace(Key, N).second)
-      return false; // duplicate (method, context) pair
-    S.CG.ByMethod[Node.M].push_back(N);
-    if (Node.ConstraintsAdded)
-      ++S.CG.Processed;
+    CG.Processed += Node.ConstraintsAdded;
   }
+  if (!CG.reindex())
+    return false;
+  CG.indexByMethod(static_cast<uint32_t>(NumMethods));
   {
-    std::vector<uint32_t> Counts(NumNodes);
-    if (!R.u32Array(Counts.data(), NumNodes))
+    CG.Out.resize(NumNodes);
+    uint64_t Total;
+    if (!getCsrLengths(R, CG.Out, 8, Total))
       return false;
-    uint64_t Total = 0;
-    for (uint32_t C : Counts)
-      Total += C;
-    // Each edge still needs 8 payload bytes; a corrupt count column cannot
-    // force a huge allocation past this check.
-    if (Total > R.remaining())
+    const uint8_t *Sites = R.block(Total * 4);
+    const uint8_t *Callees = R.block(Total * 4);
+    if (!Sites || !Callees)
       return false;
-    std::vector<uint32_t> Sites(Total), Callees(Total);
-    if (!R.u32Array(Sites.data(), Total) || !R.u32Array(Callees.data(), Total))
-      return false;
-    size_t Idx = 0;
-    for (CGNodeId N = 0; N < NumNodes; ++N) {
-      S.CG.Out[N].resize(Counts[N]);
-      for (CGEdge &E : S.CG.Out[N]) {
-        E.Site = Sites[Idx];
-        E.Callee = Callees[Idx];
-        ++Idx;
+    for (std::vector<CGEdge> &Edges : CG.Out)
+      for (CGEdge &E : Edges) {
+        E.Site = loadU32(Sites);
+        E.Callee = loadU32(Callees);
+        Sites += 4;
+        Callees += 4;
         if (E.Site >= NumStmts || E.Callee >= NumNodes)
           return false;
       }
-    }
   }
-  for (CGNodeId N = 0; N < NumNodes; ++N)
-    if (!getU32Vec(R, S.CG.In[N]) || !allBelow(S.CG.In[N], NumNodes))
-      return false;
   {
-    std::unordered_map<uint32_t, std::vector<uint32_t>> Sites;
-    if (!getU32VecMap(R, Sites))
+    CG.In.resize(NumNodes);
+    uint64_t Total;
+    if (!getCsrLengths(R, CG.In, 4, Total))
       return false;
-    for (const auto &[Site, Callees] : Sites)
-      if (Site >= NumStmts || !allBelow(Callees, NumMethods))
+    for (std::vector<CGNodeId> &Preds : CG.In)
+      if (!R.u32Array(Preds.data(), Preds.size()) ||
+          !allBelow(Preds, NumNodes))
         return false;
-    S.CG.SiteCallees = std::move(Sites);
   }
-  // Local/Ret pointer keys name call-graph nodes.
-  for (PKId I = 0; I < NumPKs; ++I) {
-    const PointerKeyData &D = S.PKs.data(I);
-    if ((D.Kind == PKKind::Local || D.Kind == PKKind::Ret) && D.A >= NumNodes)
-      return false;
-  }
-
-  uint32_t NumPts = R.count(8);
-  if (NumPts > NumPKs)
+  if (!getU32Vec(R, CG.SiteBase) || !getU32Vec(R, CG.SiteCallees) ||
+      CG.SiteBase.size() != NumStmts + 1 ||
+      !validOffsets(CG.SiteBase, CG.SiteCallees.size()) ||
+      !allBelow(CG.SiteCallees, NumMethods))
     return false;
-  S.Pts.resize(NumPts);
-  for (PKId I = 0; I < NumPts; ++I) {
-    std::vector<uint32_t> Idx;
-    std::vector<uint64_t> Words;
-    if (!getU32Vec(R, Idx) || !getU64Vec(R, Words))
-      return false;
-    // assign() rejects unsorted/duplicate chunk indices and zero words.
-    if (!S.Pts[I].assign(std::move(Idx), std::move(Words)))
-      return false;
-    if (!S.Pts[I].empty()) {
-      const std::vector<uint32_t> &WI = S.Pts[I].wordIndices();
-      const std::vector<uint64_t> &Wd = S.Pts[I].words();
-      uint32_t MaxBit =
-          (WI.back() << 6) + (63 - static_cast<uint32_t>(
-                                       std::countl_zero(Wd.back())));
-      if (MaxBit >= NumIKs)
-        return false;
+
+  // Pointer keys: each names in-range ids; reindexing rejects a repeated
+  // key and refills the Local/Ret caches.
+  std::vector<PointerKeyData> &PKs = S.PKs.Keys;
+  const uint32_t NumPKs = R.count(9);
+  PKs.resize(NumPKs);
+  if (!getU8Field(R, PKs, &PointerKeyData::Kind,
+                  static_cast<uint8_t>(PKKind::Channel)) ||
+      !getU32Field(R, PKs, &PointerKeyData::A) ||
+      !getU32Field(R, PKs, &PointerKeyData::B))
+    return false;
+  for (const PointerKeyData &D : PKs) {
+    bool Ok = false;
+    switch (D.Kind) {
+    case PKKind::Local:
+      Ok = D.A < NumNodes;
+      break;
+    case PKKind::Ret:
+      Ok = D.A < NumNodes && D.B == 0;
+      break;
+    case PKKind::Field:
+    case PKKind::ArrayElem:
+      Ok = D.A < NumIKs;
+      break;
+    case PKKind::Channel:
+      Ok = D.A < NumIKs && D.B < PoolEnd;
+      break;
+    case PKKind::Static:
+      Ok = D.A < S.P.Fields.size();
+      break;
     }
+    if (!Ok)
+      return false;
+  }
+  if (!S.PKs.reindex(NumNodes, [&](CGNodeId N) {
+        return S.P.Methods[CG.Nodes[N].M].NumValues;
+      }))
+    return false;
+
+  // The frozen points-to column: offsets that start at 0 and never
+  // decrease, then per key strictly ascending chunk indices, no zero word
+  // and a largest member below the instance-key count.
+  PointsToColumn &Pts = S.Frozen;
+  const uint32_t NumKeys = R.count(4);
+  if (R.failed() || NumKeys > NumPKs)
+    return false;
+  Pts.Offsets.resize(size_t(NumKeys) + 1);
+  if (!R.u32Array(Pts.Offsets.data(), Pts.Offsets.size()))
+    return false;
+  const uint64_t NumChunks = Pts.Offsets.back();
+  if (NumChunks * 12 > R.remaining() ||
+      !validOffsets(Pts.Offsets, NumChunks))
+    return false;
+  Pts.Idx.resize(NumChunks);
+  Pts.Words.resize(NumChunks);
+  if (!R.u32Array(Pts.Idx.data(), NumChunks) ||
+      !R.u64Array(Pts.Words.data(), NumChunks))
+    return false;
+  for (PKId K = 0; K < NumKeys; ++K) {
+    const uint32_t B = Pts.Offsets[K], E = Pts.Offsets[K + 1];
+    for (uint32_t I = B; I < E; ++I)
+      if (Pts.Words[I] == 0 || (I > B && Pts.Idx[I] <= Pts.Idx[I - 1]))
+        return false;
+    if (E > B && (uint64_t(Pts.Idx[E - 1]) << 6) + 63 -
+                         std::countl_zero(Pts.Words[E - 1]) >=
+                     NumIKs)
+      return false;
   }
 
   if (!getU32VecMap(R, S.Channels))

@@ -56,7 +56,12 @@ namespace persist {
 /// v4: a points-to record opens with the rest of its pointer-analysis
 /// phase: the string-pool symbols the phase interned, the string-constant
 /// facts and the phase's guard work units.
-inline constexpr uint32_t FormatVersion = 4;
+/// v5: the points-to record stores its tables as columns — contexts,
+/// instance keys, pointer keys, call-graph nodes and edges, the per-site
+/// callee CSR — and the solved sets as the solver's frozen CSR column
+/// (chunk offsets, word indices, words), so a restore is bulk copies plus
+/// one validation sweep per column.
+inline constexpr uint32_t FormatVersion = 5;
 
 /// Record magic: "TAJP" little-endian.
 inline constexpr uint32_t RecordMagic = 0x504a4154u;
@@ -170,6 +175,16 @@ public:
     return S;
   }
 
+  /// Claims the next \p Bytes bytes as one bounds-checked block and returns
+  /// a pointer to them in place, or null (and fails) on overrun.
+  const uint8_t *block(size_t Bytes) {
+    if (!take(Bytes))
+      return nullptr;
+    const uint8_t *B = D + Pos;
+    Pos += Bytes;
+    return B;
+  }
+
   /// Reads \p N 32-bit little-endian words into \p V (bounds-checked as
   /// one block; bulk byte copy on little-endian hosts).
   bool u32Array(uint32_t *V, size_t N) {
@@ -281,18 +296,24 @@ struct Access {
   /// discarded.
   static bool restoreProgram(Program &P, Reader &R);
 
-  /// Encodes the whole pointer-analysis phase behind \p S: the string-pool
-  /// symbols it interned (a base id and the strings), its string-constant
-  /// facts (mode, degraded flag, per-method values, conststr.* counters),
-  /// its guard work units, then the post-solve query surface: context /
-  /// instance-key / pointer-key tables, call graph, points-to sets, model
-  /// channels, intrinsic call targets and the budget flag.
+  /// Encodes the whole pointer-analysis phase behind the solved or
+  /// restored \p S: the string-pool symbols it interned (a base id and the
+  /// strings), its string-constant facts (mode, degraded flag, per-method
+  /// values, conststr.* counters), its guard work units, then the
+  /// post-solve query surface as columns: contexts, instance keys,
+  /// call-graph nodes, out- and in-edges and per-site callees, pointer
+  /// keys, the frozen points-to column, model channels, intrinsic call
+  /// targets and the budget flag.
   static void serializeSolver(const PointsToSolver &S, Writer &W);
   /// Restores into \p S, which must be freshly constructed (same program,
-  /// same options) and never solved. Re-interns the recorded pool symbols,
-  /// failing unless each lands on its recorded id; \p S takes the recorded
-  /// string facts unless it was built with PointsToOptions::ConstStrings.
-  /// On failure \p S may hold partial state and must be discarded; the
+  /// same options) and never solved: bulk-copies each column, validates it
+  /// in one sweep and rebuilds each intern index in one pass. Rejects
+  /// decreasing offsets, unsorted or duplicate chunk indices, zero words,
+  /// members at or past the instance-key count, out-of-range ids and
+  /// duplicate table rows. Re-interns the recorded pool symbols, failing
+  /// unless each lands on its recorded id; \p S takes the recorded string
+  /// facts unless it was built with PointsToOptions::ConstStrings. On
+  /// failure \p S may hold partial state and must be discarded; the
   /// string pool is left untouched.
   static bool restoreSolver(PointsToSolver &S, Reader &R);
 

@@ -5,36 +5,50 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The points-to set representation used by the solver: a chunked sparse
-/// bitmap. Set members are dense small integers (IKIds), so each set is kept
-/// as a sorted array of (32-bit word index, 64-bit bit word) chunks. Zero
-/// words are never stored, which makes structural equality a plain chunk
-/// compare and keeps iteration proportional to the populated chunks.
-/// Iteration and \c unionWith always yield members in ascending order, so
-/// consumers that relied on the old sorted-vector representation (query
-/// surface, persist writer) observe identical order.
+/// The points-to set representations. While solving, each pointer key owns
+/// a SparseBitSet: a chunked sparse bitmap over its members (dense small
+/// IKIds), kept as a sorted array of (32-bit word index, 64-bit bit word)
+/// chunks with zero words never stored. \c unionWith yields new members in
+/// ascending order. The chunk array lives in a small inline buffer until it
+/// outgrows it: the solver materializes one set per pointer key and most of
+/// them span one or two 64-bit chunks, so the common case performs no heap
+/// allocation at all.
 ///
-/// The chunk array lives in a small inline buffer until it outgrows it:
-/// the solver materializes one set per pointer key and most of them span
-/// one or two 64-bit chunks, so the common case performs no heap
-/// allocation at all (and no deallocation on teardown).
+/// Once solving ends, every set is frozen into one immutable
+/// PointsToColumn: a CSR column of per-key chunk offsets, word indices and
+/// words. Queries read a PtsView over it, which yields members in
+/// ascending order; the persist record stores the column as it is, so a
+/// warm restore is three bulk copies plus one validation sweep.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TAJ_POINTSTO_BITSET_H
 #define TAJ_POINTSTO_BITSET_H
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
-#include <utility>
 #include <vector>
 
 namespace taj {
 
-/// A sparse bitmap over uint32_t values, chunked into 64-bit words.
+namespace persist {
+struct Access;
+}
+
+/// Appends the members of chunk (\p WI, \p W) to \p Out, ascending.
+template <typename Vec>
+inline void appendChunkBits(Vec &Out, uint32_t WI, uint64_t W) {
+  const uint32_t Base = WI << 6;
+  for (; W; W &= W - 1)
+    Out.push_back(Base + uint32_t(std::countr_zero(W)));
+}
+
+/// A sparse bitmap over uint32_t values, chunked into 64-bit words: the
+/// solver's mutable points-to set.
 class SparseBitSet {
 public:
   struct Chunk {
@@ -69,11 +83,6 @@ public:
   bool empty() const { return Cnt == 0; }
   uint32_t count() const { return Cnt; }
 
-  void clear() {
-    Size = 0;
-    Cnt = 0;
-  }
-
   /// Inserts \p V; returns true iff it was not already present.
   bool insert(uint32_t V) {
     const uint32_t WI = V >> 6;
@@ -93,13 +102,6 @@ public:
     }
     ++Cnt;
     return true;
-  }
-
-  bool contains(uint32_t V) const {
-    const uint32_t WI = V >> 6;
-    uint32_t Pos = lowerBound(WI);
-    return Pos < Size && Ptr[Pos].Idx == WI &&
-           (Ptr[Pos].Word & (uint64_t(1) << (V & 63)));
   }
 
   /// Unions \p O into this set. Members newly added are appended to
@@ -122,13 +124,13 @@ public:
         if (Add) {
           Ptr[I].Word |= Add;
           Cnt += uint32_t(std::popcount(Add));
-          appendBits(NewBits, WI, Add);
+          appendChunkBits(NewBits, WI, Add);
           Changed = true;
         }
       } else {
         Fresh.push_back(O.Ptr[J]);
         Cnt += uint32_t(std::popcount(O.Ptr[J].Word));
-        appendBits(NewBits, WI, O.Ptr[J].Word);
+        appendChunkBits(NewBits, WI, O.Ptr[J].Word);
         Changed = true;
       }
     }
@@ -137,121 +139,16 @@ public:
     return Changed;
   }
 
-  /// True iff every member of \p O is a member of this set.
-  bool containsAll(const SparseBitSet &O) const {
-    if (O.Cnt > Cnt)
-      return false;
-    uint32_t I = 0;
-    for (uint32_t J = 0; J < O.Size; ++J) {
-      while (I < Size && Ptr[I].Idx < O.Ptr[J].Idx)
-        ++I;
-      if (I == Size || Ptr[I].Idx != O.Ptr[J].Idx ||
-          (O.Ptr[J].Word & ~Ptr[I].Word))
-        return false;
-    }
-    return true;
-  }
-
-  /// Structural equality; valid because zero words are never stored.
-  bool operator==(const SparseBitSet &O) const {
-    if (Cnt != O.Cnt || Size != O.Size)
-      return false;
-    for (uint32_t I = 0; I < Size; ++I)
-      if (Ptr[I].Idx != O.Ptr[I].Idx || Ptr[I].Word != O.Ptr[I].Word)
-        return false;
-    return true;
-  }
-  bool operator!=(const SparseBitSet &O) const { return !(*this == O); }
-
   /// Appends all members to \p Out (any push_back container of uint32_t)
   /// in ascending order.
   template <typename Vec> void appendTo(Vec &Out) const {
     for (uint32_t I = 0; I < Size; ++I)
-      appendBits(Out, Ptr[I].Idx, Ptr[I].Word);
+      appendChunkBits(Out, Ptr[I].Idx, Ptr[I].Word);
   }
 
-  /// Forward iterator yielding members in ascending order.
-  class const_iterator {
-  public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = uint32_t;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const uint32_t *;
-    using reference = uint32_t;
-
-    const_iterator() = default;
-    const_iterator(const SparseBitSet *S, uint32_t WI)
-        : S(S), WI(WI), Rem(WI < S->Size ? S->Ptr[WI].Word : 0) {}
-
-    uint32_t operator*() const {
-      return (S->Ptr[WI].Idx << 6) + uint32_t(std::countr_zero(Rem));
-    }
-    const_iterator &operator++() {
-      Rem &= Rem - 1;
-      if (!Rem) {
-        ++WI;
-        Rem = WI < S->Size ? S->Ptr[WI].Word : 0;
-      }
-      return *this;
-    }
-    const_iterator operator++(int) {
-      const_iterator Tmp = *this;
-      ++*this;
-      return Tmp;
-    }
-    bool operator==(const const_iterator &O) const {
-      return WI == O.WI && Rem == O.Rem;
-    }
-    bool operator!=(const const_iterator &O) const { return !(*this == O); }
-
-  private:
-    const SparseBitSet *S = nullptr;
-    uint32_t WI = 0;
-    uint64_t Rem = 0;
-  };
-
-  const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, Size); }
-
-  /// Raw chunk access for the persist serializer (cold path: materialized
-  /// by value since chunks are stored interleaved).
-  std::vector<uint32_t> wordIndices() const {
-    std::vector<uint32_t> Out;
-    Out.reserve(Size);
-    for (uint32_t I = 0; I < Size; ++I)
-      Out.push_back(Ptr[I].Idx);
-    return Out;
-  }
-  std::vector<uint64_t> words() const {
-    std::vector<uint64_t> Out;
-    Out.reserve(Size);
-    for (uint32_t I = 0; I < Size; ++I)
-      Out.push_back(Ptr[I].Word);
-    return Out;
-  }
-
-  /// Rebuilds from raw chunks (persist restore). Returns false if the
-  /// encoding is invalid: unsorted/duplicate indices or a zero word.
-  bool assign(std::vector<uint32_t> RawIdx, std::vector<uint64_t> RawWords) {
-    if (RawIdx.size() != RawWords.size())
-      return false;
-    uint32_t N = 0;
-    for (size_t I = 0; I < RawIdx.size(); ++I) {
-      if (I > 0 && RawIdx[I] <= RawIdx[I - 1])
-        return false;
-      if (RawWords[I] == 0)
-        return false;
-      N += uint32_t(std::popcount(RawWords[I]));
-    }
-    Size = 0;
-    if (RawIdx.size() > Cap)
-      grow(uint32_t(RawIdx.size()));
-    for (size_t I = 0; I < RawIdx.size(); ++I)
-      Ptr[I] = {RawIdx[I], RawWords[I]};
-    Size = uint32_t(RawIdx.size());
-    Cnt = N;
-    return true;
-  }
+  /// Raw chunk access, for freezing into a PointsToColumn.
+  uint32_t numChunks() const { return Size; }
+  const Chunk &chunk(uint32_t I) const { return Ptr[I]; }
 
 private:
   static constexpr uint32_t InlineCap = 2;
@@ -266,13 +163,6 @@ private:
         Hi = Mid;
     }
     return Lo;
-  }
-
-  template <typename Vec>
-  static void appendBits(Vec &Out, uint32_t WI, uint64_t W) {
-    const uint32_t Base = WI << 6;
-    for (; W; W &= W - 1)
-      Out.push_back(Base + uint32_t(std::countr_zero(W)));
   }
 
   /// Backward in-place merge of new chunks; \p Fresh is sorted ascending
@@ -339,6 +229,146 @@ private:
   uint32_t Cap = InlineCap;
   uint32_t Cnt = 0;     ///< Cached population count.
   Chunk Inline[InlineCap];
+};
+
+/// A read-only view of one frozen points-to set: \p N chunks whose word
+/// indices ascend strictly and whose words are nonzero. Iteration yields
+/// members in ascending order.
+class PtsView {
+public:
+  PtsView() = default;
+  PtsView(const uint32_t *Idx, const uint64_t *Words, uint32_t N)
+      : Idx(Idx), Words(Words), N(N) {}
+
+  bool empty() const { return N == 0; }
+
+  uint32_t count() const {
+    uint32_t C = 0;
+    for (uint32_t I = 0; I < N; ++I)
+      C += uint32_t(std::popcount(Words[I]));
+    return C;
+  }
+
+  bool contains(uint32_t V) const {
+    const uint32_t *It = std::lower_bound(Idx, Idx + N, V >> 6);
+    return It != Idx + N && *It == (V >> 6) &&
+           (Words[It - Idx] & (uint64_t(1) << (V & 63)));
+  }
+
+  /// True iff every member of \p O is a member of this set.
+  bool containsAll(const PtsView &O) const {
+    uint32_t I = 0;
+    for (uint32_t J = 0; J < O.N; ++J) {
+      while (I < N && Idx[I] < O.Idx[J])
+        ++I;
+      if (I == N || Idx[I] != O.Idx[J] || (O.Words[J] & ~Words[I]))
+        return false;
+    }
+    return true;
+  }
+
+  /// Appends all members to \p Out (any push_back container of uint32_t)
+  /// in ascending order.
+  template <typename Vec> void appendTo(Vec &Out) const {
+    for (uint32_t I = 0; I < N; ++I)
+      appendChunkBits(Out, Idx[I], Words[I]);
+  }
+
+  /// Forward iterator yielding members in ascending order.
+  class const_iterator {
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = uint32_t;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const uint32_t *;
+    using reference = uint32_t;
+
+    const_iterator() = default;
+    const_iterator(const PtsView &V, uint32_t WI)
+        : Idx(V.Idx), Words(V.Words), N(V.N), WI(WI),
+          Rem(WI < N ? Words[WI] : 0) {}
+
+    uint32_t operator*() const {
+      return (Idx[WI] << 6) + uint32_t(std::countr_zero(Rem));
+    }
+    const_iterator &operator++() {
+      Rem &= Rem - 1;
+      if (!Rem) {
+        ++WI;
+        Rem = WI < N ? Words[WI] : 0;
+      }
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator Tmp = *this;
+      ++*this;
+      return Tmp;
+    }
+    bool operator==(const const_iterator &O) const {
+      return WI == O.WI && Rem == O.Rem;
+    }
+    bool operator!=(const const_iterator &O) const { return !(*this == O); }
+
+  private:
+    // The view's own fields, copied: an iterator never dangles on a
+    // temporary view.
+    const uint32_t *Idx = nullptr;
+    const uint64_t *Words = nullptr;
+    uint32_t N = 0;
+    uint32_t WI = 0;
+    uint64_t Rem = 0;
+  };
+
+  const_iterator begin() const { return const_iterator(*this, 0); }
+  const_iterator end() const { return const_iterator(*this, N); }
+
+  /// Number of (word index, word) chunks the set spans.
+  uint32_t numChunks() const { return N; }
+
+private:
+  const uint32_t *Idx = nullptr;
+  const uint64_t *Words = nullptr;
+  uint32_t N = 0;
+};
+
+/// The solved points-to sets of pointer keys 0..numKeys()-1, frozen into
+/// one immutable CSR column: key K's chunks are [Offsets[K], Offsets[K+1])
+/// of the parallel Idx / Words columns.
+class PointsToColumn {
+public:
+  void reserve(size_t Keys, size_t Chunks) {
+    Offsets.reserve(Keys + 1);
+    Idx.reserve(Chunks);
+    Words.reserve(Chunks);
+  }
+
+  /// Appends the set of the next key.
+  void append(const SparseBitSet &S) {
+    for (uint32_t I = 0; I < S.numChunks(); ++I) {
+      Idx.push_back(S.chunk(I).Idx);
+      Words.push_back(S.chunk(I).Word);
+    }
+    Offsets.push_back(static_cast<uint32_t>(Idx.size()));
+  }
+
+  uint32_t numKeys() const { return static_cast<uint32_t>(Offsets.size() - 1); }
+
+  /// The set of key \p K; empty for keys past the column (keys interned
+  /// after the freeze, or InvalidId).
+  PtsView operator[](uint32_t K) const {
+    if (K >= numKeys())
+      return {};
+    const uint32_t B = Offsets[K];
+    return PtsView(Idx.data() + B, Words.data() + B, Offsets[K + 1] - B);
+  }
+
+private:
+  /// The persist record writes and restores the three columns as they are.
+  friend struct persist::Access;
+
+  std::vector<uint32_t> Offsets = {0};
+  std::vector<uint32_t> Idx;
+  std::vector<uint64_t> Words;
 };
 
 } // namespace taj

@@ -18,11 +18,15 @@
 #define TAJ_POINTSTO_CONTEXT_H
 
 #include "ir/Program.h"
+#include "pointsto/InternIndex.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace taj {
+
+namespace persist {
+struct Access;
+}
 
 /// Interned context id; 0 is always Everywhere.
 using CtxId = uint32_t;
@@ -68,28 +72,46 @@ public:
 
   size_t size() const { return Contexts.size(); }
 
-  void reserve(size_t N) {
-    Contexts.reserve(N);
-    Depths.reserve(N);
-    Map.reserve(N);
+private:
+  /// Bulk restore (persist/Serialize.cpp) fills the columns and reindexes.
+  friend struct persist::Access;
+
+  static uint64_t hash(const ContextData &D) {
+    return internHash2(static_cast<uint32_t>(D.Kind), D.Data);
+  }
+  uint64_t hashOf(CtxId C) const { return hash(Contexts[C]); }
+  static bool same(const ContextData &X, const ContextData &Y) {
+    return X.Kind == Y.Kind && X.Data == Y.Data;
   }
 
-private:
   CtxId intern(ContextData D, uint32_t Depth) {
-    uint64_t Key = (static_cast<uint64_t>(D.Kind) << 32) | D.Data;
-    auto It = Map.find(Key);
-    if (It != Map.end())
-      return It->second;
+    if (Index.needsGrow())
+      Index.grow(Contexts.size() + 1, [this](CtxId C) { return hashOf(C); });
+    size_t Slot;
+    CtxId Found = Index.find(
+        hash(D), [&](CtxId C) { return same(Contexts[C], D); }, Slot);
+    if (Found != InvalidId)
+      return Found;
+    CtxId Id = static_cast<CtxId>(Contexts.size());
+    Index.insertAt(Slot, Id);
     Contexts.push_back(D);
     Depths.push_back(Depth);
-    CtxId Id = static_cast<CtxId>(Contexts.size() - 1);
-    Map.emplace(Key, Id);
     return Id;
+  }
+
+  /// Indexes every context in one pass after a bulk restore; false if two
+  /// contexts are equal.
+  bool reindex() {
+    return Index.rebuild(
+        Contexts.size(), [this](CtxId C) { return hashOf(C); },
+        [this](CtxId A, CtxId B) { return same(Contexts[A], Contexts[B]); });
   }
 
   std::vector<ContextData> Contexts;
   std::vector<uint32_t> Depths;
-  std::unordered_map<uint64_t, CtxId> Map;
+  /// Indexes the interned contexts. Everywhere is indexed only after a
+  /// bulk restore; no interner call can produce an equal key.
+  InternIndex Index;
 };
 
 } // namespace taj

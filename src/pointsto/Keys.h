@@ -16,11 +16,16 @@
 
 #include "ir/Program.h"
 #include "pointsto/Context.h"
+#include "pointsto/InternIndex.h"
 #include "pointsto/SmallVec.h"
 
 #include <vector>
 
 namespace taj {
+
+namespace persist {
+struct Access;
+}
 
 /// Dense instance-key id.
 using IKId = uint32_t;
@@ -72,63 +77,6 @@ struct PointerKeyData {
   uint32_t B = 0;
 };
 
-/// Open-addressed slot index over an external key vector: each slot holds
-/// id + 1 (0 = empty), probing linearly over a power-of-two table. Interning
-/// a key costs one probe chain and zero allocations (the node-per-entry
-/// malloc of unordered_map was a measurable share of solver time).
-class InternIndex {
-public:
-  /// Probes for the slot of the key hashing to \p H that satisfies
-  /// \p IsMatch; returns the existing id, or InvalidId with \p Slot set to
-  /// the insertion position.
-  template <typename Pred>
-  uint32_t find(uint64_t H, Pred IsMatch, size_t &Slot) const {
-    size_t I = static_cast<size_t>(H) & Mask;
-    while (true) {
-      uint32_t S = Slots[I];
-      if (S == 0) {
-        Slot = I;
-        return InvalidId;
-      }
-      if (IsMatch(S - 1))
-        return S - 1;
-      I = (I + 1) & Mask;
-    }
-  }
-
-  /// True if an insert must call grow() (and re-probe) first.
-  bool needsGrow() const { return (Filled + 1) * 3 >= Slots.size() * 2; }
-
-  void insertAt(size_t Slot, uint32_t Id) {
-    Slots[Slot] = Id + 1;
-    ++Filled;
-  }
-
-  /// Rebuilds with at least \p MinIds capacity; \p HashOf maps an id to
-  /// its hash.
-  template <typename HashFn> void grow(size_t MinIds, HashFn HashOf) {
-    size_t NewCap = Slots.size() * 2;
-    while (NewCap * 2 < MinIds * 3 + 16)
-      NewCap *= 2;
-    std::vector<uint32_t> Old = std::move(Slots);
-    Slots.assign(NewCap, 0);
-    Mask = NewCap - 1;
-    for (uint32_t S : Old) {
-      if (S == 0)
-        continue;
-      size_t I = static_cast<size_t>(HashOf(S - 1)) & Mask;
-      while (Slots[I] != 0)
-        I = (I + 1) & Mask;
-      Slots[I] = S;
-    }
-  }
-
-private:
-  std::vector<uint32_t> Slots = std::vector<uint32_t>(16, 0);
-  size_t Mask = 15;
-  size_t Filled = 0;
-};
-
 /// Interning table for instance keys.
 class InstanceKeyTable {
 public:
@@ -142,6 +90,17 @@ public:
   }
 
 private:
+  /// Bulk restore (persist/Serialize.cpp) fills Keys and reindexes.
+  friend struct persist::Access;
+
+  /// Indexes every key in one pass after a bulk restore; false if two keys
+  /// are equal.
+  bool reindex() {
+    return Index.rebuild(
+        Keys.size(), [this](uint32_t I) { return Hash{}(Keys[I]); },
+        [this](uint32_t A, uint32_t B) { return Eq{}(Keys[A], Keys[B]); });
+  }
+
   struct Hash {
     size_t operator()(const InstanceKeyData &D) const {
       uint64_t H = static_cast<uint64_t>(D.Kind);
@@ -149,7 +108,7 @@ private:
       H = H * 0x9e3779b97f4a7c15ull + D.Heap;
       H = H * 0x9e3779b97f4a7c15ull + D.Cls;
       H = H * 0x9e3779b97f4a7c15ull + D.Extra;
-      return static_cast<size_t>(H);
+      return static_cast<size_t>(internMix(H));
     }
   };
   struct Eq {
@@ -193,9 +152,8 @@ public:
 
   /// local() and ret() dominate interning on the constraint-generation hot
   /// path, so both are answered from dense direct-mapped caches when the
-  /// key has been seen; the hashed intern runs only on first touch. Keys
-  /// interned without going through these helpers (the persist restore
-  /// path) simply miss the cache and fall back to the hash map.
+  /// key has been seen; the hashed intern runs only on first touch. A
+  /// persist restore refills both caches in reindex().
   PKId local(CGNodeId N, ValueId V) {
     if (N < LocalFast.size()) {
       const SmallVec<PKId, 8> &Row = LocalFast[N];
@@ -206,8 +164,8 @@ public:
     if (N >= LocalFast.size())
       LocalFast.resize(N + 1);
     SmallVec<PKId, 8> &Row = LocalFast[N];
-    while (Row.size() <= static_cast<uint32_t>(V))
-      Row.push_back(InvalidId);
+    if (Row.size() <= static_cast<uint32_t>(V))
+      Row.resize(static_cast<uint32_t>(V) + 1, InvalidId);
     Row[V] = Id;
     return Id;
   }
@@ -228,12 +186,47 @@ public:
   }
 
 private:
+  /// Bulk restore (persist/Serialize.cpp) fills Keys and reindexes.
+  friend struct persist::Access;
+
+  /// Indexes every key in one pass after a bulk restore and refills the
+  /// Local/Ret caches; false if two keys are equal. Every Local/Ret key
+  /// must already name a node below \p NumNodes; a Local key is cached
+  /// only when its value is below \p NumValuesOf(node), so no corrupt
+  /// value id can size a cache row.
+  template <typename BoundFn>
+  bool reindex(uint32_t NumNodes, BoundFn NumValuesOf) {
+    if (!Index.rebuild(
+            Keys.size(), [this](uint32_t I) { return Hash{}(Keys[I]); },
+            [this](uint32_t A, uint32_t B) { return Eq{}(Keys[A], Keys[B]); }))
+      return false;
+    auto Cached = [&](const PointerKeyData &D) {
+      return D.Kind == PKKind::Local && D.B < NumValuesOf(D.A);
+    };
+    std::vector<uint32_t> RowLen(NumNodes, 0);
+    for (const PointerKeyData &D : Keys)
+      if (Cached(D) && D.B >= RowLen[D.A])
+        RowLen[D.A] = D.B + 1;
+    LocalFast.assign(NumNodes, {});
+    for (uint32_t N = 0; N < NumNodes; ++N)
+      LocalFast[N].resize(RowLen[N], InvalidId);
+    RetFast.assign(NumNodes, InvalidId);
+    for (PKId Id = 0; Id < Keys.size(); ++Id) {
+      const PointerKeyData &D = Keys[Id];
+      if (Cached(D))
+        LocalFast[D.A][D.B] = Id;
+      else if (D.Kind == PKKind::Ret)
+        RetFast[D.A] = Id;
+    }
+    return true;
+  }
+
   struct Hash {
     size_t operator()(const PointerKeyData &D) const {
       uint64_t H = static_cast<uint64_t>(D.Kind);
       H = H * 0x9e3779b97f4a7c15ull + D.A;
       H = H * 0x9e3779b97f4a7c15ull + D.B;
-      return static_cast<size_t>(H);
+      return static_cast<size_t>(internMix(H));
     }
   };
   struct Eq {

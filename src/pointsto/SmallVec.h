@@ -70,6 +70,15 @@ public:
     Ptr[Size++] = V;
   }
 
+  /// Resizes to \p NewSize; slots past the old size are set to \p Fill.
+  void resize(uint32_t NewSize, const T &Fill) {
+    if (NewSize > Cap)
+      grow(NewSize);
+    for (uint32_t I = Size; I < NewSize; ++I)
+      Ptr[I] = Fill;
+    Size = NewSize;
+  }
+
   void append(const T *First, const T *Last) {
     const uint32_t Add = uint32_t(Last - First);
     if (Size + Add > Cap)

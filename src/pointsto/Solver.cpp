@@ -48,11 +48,6 @@ Symbol PointsToSolver::internSym(std::string_view S) const {
 // Query surface
 //===----------------------------------------------------------------------===//
 
-const SparseBitSet &PointsToSolver::pointsTo(PKId PK) const {
-  static const SparseBitSet Empty;
-  return PK < Pts.size() ? Pts[PK] : Empty;
-}
-
 const std::vector<IKId> &PointsToSolver::pointsToOfLocal(CGNodeId N,
                                                          ValueId V) const {
   // Read-only lookup: a key never interned during solving has an empty
@@ -64,7 +59,7 @@ const std::vector<IKId> &PointsToSolver::pointsToOfLocal(CGNodeId N,
   if (It != LocalCache.end())
     return It->second;
   std::vector<IKId> Out;
-  const SparseBitSet &Set = pointsTo(PKs.localLookup(N, V));
+  const PtsView Set = pointsTo(PKs.localLookup(N, V));
   Out.reserve(Set.count());
   Set.appendTo(Out);
   return LocalCache.emplace(Key, std::move(Out)).first->second;
@@ -281,6 +276,18 @@ PointsToSolver::intrinsicCalleesAt(StmtId Site) const {
 void PointsToSolver::solve(const std::vector<MethodId> &Entries) {
   assert(!Solved && "solve() called twice");
   Solved = true;
+  try {
+    run(Entries);
+  } catch (...) {
+    // An unexpected failure (e.g. bad_alloc) still leaves a queryable,
+    // underapproximate solution behind.
+    freeze();
+    throw;
+  }
+  freeze();
+}
+
+void PointsToSolver::run(const std::vector<MethodId> &Entries) {
   const uint64_t Work0 = Opts.Guard ? Opts.Guard->checkpointCount() : 0;
   // The phase's pool symbols begin where its string analysis began: the
   // caller's, or the fallback below.
@@ -329,6 +336,30 @@ void PointsToSolver::solve(const std::vector<MethodId> &Entries) {
   PoolEnd = static_cast<uint32_t>(P.Pool.size());
   PhaseWork = constStrings().work() +
               (Opts.Guard ? Opts.Guard->checkpointCount() - Work0 : 0);
+}
+
+void PointsToSolver::freeze() {
+  const uint32_t NumKeys = static_cast<uint32_t>(PKs.size());
+  size_t Chunks = 0;
+  for (PKId K = 0; K < NumKeys && K < Pts.size(); ++K)
+    Chunks += Pts[K].numChunks();
+  PointsToColumn Col;
+  Col.reserve(NumKeys, Chunks);
+  static const SparseBitSet Empty;
+  for (PKId K = 0; K < NumKeys; ++K)
+    Col.append(K < Pts.size() ? Pts[K] : Empty);
+  Frozen = std::move(Col);
+  // Drop the per-key tables only solving reads.
+  Pts = {};
+  CopySuccs = {};
+  SuccSet = {};
+  LoadUses = {};
+  StoreUses = {};
+  CallUses = {};
+  Delta = {};
+  OnWorklist = {};
+  Worklist = {};
+  CG.freeze(static_cast<uint32_t>(P.Methods.size()), P.numStmts());
 }
 
 void PointsToSolver::propagate() {
@@ -842,7 +873,8 @@ void PointsToSolver::applyIntrinsic(CGNodeId Caller, StmtId Site,
         // Local snapshot (not SnapScratch — this can run inside a
         // registerCallUse iteration that owns that buffer).
         std::vector<IKId> Cur;
-        const SparseBitSet &Set = pointsTo(ArrPK);
+        growTables();
+        const SparseBitSet &Set = Pts[ArrPK];
         Cur.reserve(Set.count());
         Set.appendTo(Cur);
         for (IKId AIK : Cur) {

@@ -17,8 +17,10 @@
 /// transfer functions cover string carriers, dictionaries with constant
 /// keys, reflection, Thread.start, JNDI/EJB lookups and taint APIs.
 ///
-/// Points-to sets are chunked sparse bitmaps (pointsto/BitSet.h) indexed
-/// directly by PKId. See DESIGN.md "Solver internals".
+/// While solving, points-to sets are chunked sparse bitmaps
+/// (pointsto/BitSet.h) indexed directly by PKId; when solve() exits they
+/// are frozen into one CSR column that every query reads. See DESIGN.md
+/// "Solver internals".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -102,8 +104,9 @@ public:
   PointerKeyTable &pointerKeys() { return PKs; }
   const PointerKeyTable &pointerKeys() const { return PKs; }
 
-  /// Points-to set of \p PK; iteration yields ascending IKIds.
-  const SparseBitSet &pointsTo(PKId PK) const;
+  /// Points-to set of \p PK, read from the column solve() (or a restore)
+  /// froze; iteration yields ascending IKIds. Empty before either.
+  PtsView pointsTo(PKId PK) const { return Frozen[PK]; }
 
   /// Union of pointsTo over every context of method \p M for value \p V —
   /// the flow-insensitive projection used for HSDG direct edges. Memoized
@@ -182,6 +185,12 @@ private:
     std::vector<IKId> ArgArrays;
   };
 
+  /// solve()'s body: the phase's string facts, then the worklist loop.
+  void run(const std::vector<MethodId> &Entries);
+  /// Freezes the per-key sets into Frozen and the call graph into its
+  /// query form, then drops the tables only solving reads.
+  void freeze();
+
   CGNodeId ensureNode(MethodId M, CtxId Ctx);
   void addConstraints(CGNodeId N);
   void propagate();
@@ -247,7 +256,11 @@ private:
   bool BudgetHit = false;
   bool Solved = false;
 
-  // Per-PK state (indexed by PKId; grown lazily).
+  /// The solved sets of every pointer key, frozen when solve() exits.
+  PointsToColumn Frozen;
+
+  // Per-PK solving state (indexed by PKId; grown lazily; dropped by
+  // freeze()).
   std::vector<SparseBitSet> Pts;
   std::vector<SmallVec<PKId, 4>> CopySuccs;
   /// Per-source successor membership (replaces the old global EdgeDedup

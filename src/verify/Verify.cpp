@@ -110,22 +110,18 @@ void verify::verifyIr(const Program &P, Violations &V) {
 
 namespace {
 
-const SparseBitSet &ptsOf(const PointsToSolver &S, PKId PK) {
-  static const SparseBitSet Empty;
-  return PK == InvalidId ? Empty : S.pointsTo(PK);
-}
-
 /// One re-applied constraint: Sub must already be folded into Super. The
-/// subset test runs word-parallel over the solver's sparse bitmaps; a
-/// pointer key that was never interned reads as the empty set on either
-/// side — exactly the solver's own semantics for an untouched key.
+/// subset test runs word-parallel over the solver's frozen column; a
+/// pointer key that was never interned (InvalidId) reads as the empty set
+/// on either side — exactly the solver's own semantics for an untouched
+/// key.
 void checkSubset(const PointsToSolver &S, PKId Sub, PKId Super,
                  const Program &P, MethodId M, const char *What,
                  Violations &V) {
-  const SparseBitSet &A = ptsOf(S, Sub);
+  const PtsView A = S.pointsTo(Sub);
   if (A.empty())
     return;
-  if (!ptsOf(S, Super).containsAll(A))
+  if (!S.pointsTo(Super).containsAll(A))
     V.report(Checker::PointsTo,
              "not a fixpoint: " + std::string(What) + " constraint in " +
                  P.methodName(M) + " would add points-to facts");
@@ -153,7 +149,7 @@ void recheckNodeConstraints(const Program &P, const PointsToSolver &S,
         const IKKind Want =
             I.Op == Opcode::New ? IKKind::Alloc : IKKind::Array;
         bool Found = false;
-        for (IKId IK : ptsOf(S, L(I.Dst))) {
+        for (IKId IK : S.pointsTo(L(I.Dst))) {
           const InstanceKeyData &D = S.instanceKeys().data(IK);
           if (D.Kind == Want && D.Site == Site && D.Cls == I.Cls) {
             Found = true;
@@ -175,22 +171,22 @@ void recheckNodeConstraints(const Program &P, const PointsToSolver &S,
             checkSubset(S, L(A), L(I.Dst), P, Node.M, "phi", V);
         break;
       case Opcode::Load:
-        for (IKId IK : ptsOf(S, L(I.Args[0])))
+        for (IKId IK : S.pointsTo(L(I.Args[0])))
           checkSubset(S, PKs.lookup({PKKind::Field, IK, I.Field}), L(I.Dst),
                       P, Node.M, "field load", V);
         break;
       case Opcode::Store:
-        for (IKId IK : ptsOf(S, L(I.Args[0])))
+        for (IKId IK : S.pointsTo(L(I.Args[0])))
           checkSubset(S, L(I.Args[1]), PKs.lookup({PKKind::Field, IK, I.Field}),
                       P, Node.M, "field store", V);
         break;
       case Opcode::ArrayLoad:
-        for (IKId IK : ptsOf(S, L(I.Args[0])))
+        for (IKId IK : S.pointsTo(L(I.Args[0])))
           checkSubset(S, PKs.lookup({PKKind::ArrayElem, IK, 0}), L(I.Dst), P,
                       Node.M, "array load", V);
         break;
       case Opcode::ArrayStore:
-        for (IKId IK : ptsOf(S, L(I.Args[0])))
+        for (IKId IK : S.pointsTo(L(I.Args[0])))
           checkSubset(S, L(I.Args[1]), PKs.lookup({PKKind::ArrayElem, IK, 0}),
                       P, Node.M, "array store", V);
         break;

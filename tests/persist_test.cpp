@@ -7,8 +7,10 @@
 //  - program serialization round-trips print-identically;
 //  - warm runs are byte-identical to cold runs for every Table 1 preset
 //    and at every thread count;
+//  - a restored solver answers every query exactly as the cold one did;
 //  - corrupted, truncated and version-mismatched entries fall back to
-//    cold computation without changing results;
+//    cold computation without changing results, and each invariant of
+//    the columnar points-to record rejects a record that breaks it;
 //  - LRU eviction respects the byte cap;
 //  - an app's persist.* rows are its cache windows' deltas, so over one
 //    cache they add up to the cache's lifetime counters;
@@ -18,7 +20,11 @@
 
 #include "benchgen/Generator.h"
 #include "core/TaintAnalysis.h"
+#include "dataflow/ConstString.h"
+#include "frontend/Parser.h"
 #include "ir/Printer.h"
+#include "model/BuiltinLibrary.h"
+#include "model/Entrypoints.h"
 #include "persist/Cache.h"
 #include "report/ReportGenerator.h"
 #include "server/Service.h"
@@ -27,7 +33,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -216,6 +224,40 @@ TEST(RecordFraming, FormatV2RecordsAreVersionMissesNotCorruption) {
                                     N, Err),
             persist::UnwrapStatus::VersionMismatch);
   EXPECT_NE(Err.find("format version 2"), std::string::npos) << Err;
+}
+
+TEST(RecordFraming, FormatV4RecordsAreVersionMissesNotCorruption) {
+  // v5 stores the points-to record as columns. A v4 record is stale, not
+  // damaged: a cache dir written before the change warm-misses cleanly.
+  std::vector<uint8_t> Rec =
+      persist::wrapRecord(persist::ArtifactKind::PointsTo, {1, 2, 3});
+  Rec[4] = 4; // little-endian u32 format version
+  Rec[5] = Rec[6] = Rec[7] = 0;
+  const uint8_t *P = nullptr;
+  size_t N = 0;
+  std::string Err;
+  EXPECT_EQ(persist::unwrapRecordEx(Rec, persist::ArtifactKind::PointsTo, P,
+                                    N, Err),
+            persist::UnwrapStatus::VersionMismatch);
+  EXPECT_NE(Err.find("format version 4"), std::string::npos) << Err;
+
+  TempDir D;
+  {
+    persist::ArtifactCache Cache(D.Path);
+    runApp("A", AnalysisConfig::hybridUnbounded(), &Cache);
+  }
+  for (const fs::path &E : cacheEntries(D.Path)) {
+    std::vector<uint8_t> B = readAll(E);
+    ASSERT_GT(B.size(), 8u);
+    B[4] = 4;
+    B[5] = B[6] = B[7] = 0;
+    writeAll(E, B);
+  }
+  persist::ArtifactCache Cache(D.Path);
+  RunOut Warm = runApp("A", AnalysisConfig::hybridUnbounded(), &Cache);
+  EXPECT_EQ(Warm.Hits, 0u);
+  EXPECT_EQ(Warm.VersionMiss, 2u);
+  EXPECT_EQ(Warm.Corrupt, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -426,6 +468,378 @@ TEST(WarmStart, OnlyGovernanceStopsStayUncached) {
   EXPECT_NE(Budgeted.Report.find("truncated (node-budget) after"),
             std::string::npos);
   EXPECT_EQ(Budgeted.Report, Warm.Report);
+}
+
+/// The pointer phase of one app under \p C, composed as a cold
+/// TaintAnalysis::run composes it: string facts, then solve().
+struct ColdPhase {
+  GeneratedApp App;
+  std::unique_ptr<ClassHierarchy> CHA;
+  ConstStringResult Strings;
+  std::unique_ptr<PointsToSolver> Solver;
+
+  ColdPhase(GeneratedApp A, const AnalysisConfig &C) : App(std::move(A)) {
+    App.P->indexStatements();
+    CHA = std::make_unique<ClassHierarchy>(*App.P);
+    ConstStringOptions CSO;
+    CSO.Mode = C.StringAnalysis;
+    Strings = analyzeConstStrings(*App.P, *CHA, CSO);
+    PointsToOptions PO = C.pointsToOptions();
+    PO.ConstStrings = &Strings;
+    Solver = std::make_unique<PointsToSolver>(*App.P, *CHA, PO);
+    Solver->solve({App.Root});
+  }
+
+  std::vector<uint8_t> record() const {
+    persist::Writer W;
+    persist::Access::serializeSolver(*Solver, W);
+    return W.bytes();
+  }
+};
+
+/// A fresh copy of an app and a never-solved solver over it, as a warm
+/// TaintAnalysis::run builds them before restoring.
+struct WarmPhase {
+  GeneratedApp App;
+  std::unique_ptr<ClassHierarchy> CHA;
+  std::unique_ptr<PointsToSolver> Solver;
+
+  WarmPhase(GeneratedApp A, const AnalysisConfig &C) : App(std::move(A)) {
+    App.P->indexStatements();
+    CHA = std::make_unique<ClassHierarchy>(*App.P);
+    Solver =
+        std::make_unique<PointsToSolver>(*App.P, *CHA, C.pointsToOptions());
+  }
+
+  bool restore(const std::vector<uint8_t> &Payload) {
+    persist::Reader R(Payload.data(), Payload.size());
+    return persist::Access::restoreSolver(*Solver, R);
+  }
+
+  std::vector<std::string> pool() const {
+    std::vector<std::string> Out;
+    for (Symbol S = 0; S < App.P->Pool.size(); ++S)
+      Out.emplace_back(App.P->Pool.str(S));
+    return Out;
+  }
+};
+
+template <typename Range> std::vector<uint32_t> vec(const Range &R) {
+  return std::vector<uint32_t>(R.begin(), R.end());
+}
+
+/// One call site dispatching to two methods, discovered in descending
+/// method-id order (the suite apps have no multi-callee site).
+constexpr const char *PolymorphicSrc = R"(
+class Base extends Object {
+  method m(this: Base): Object { o = new Object; return o; }
+}
+class Zed extends Base {
+  method m(this: Zed): Object { o = new Object; return o; }
+}
+class Alpha extends Base {
+  method m(this: Alpha): Object { o = new Object; return o; }
+}
+class Holder extends Object {
+  field f: Base;
+}
+class App extends Servlet {
+  method doGet(this: App, req: Request): void [entry] {
+    h = new Holder;
+    a = new Alpha;
+    h.f = a;
+    z = new Zed;
+    h.f = z;
+    r = h.f;
+    x = r.m();
+  }
+}
+)";
+
+GeneratedApp parsedApp(const char *Src) {
+  GeneratedApp A;
+  A.P = std::make_unique<Program>();
+  A.Lib = installBuiltinLibrary(*A.P);
+  std::vector<std::string> Errors;
+  EXPECT_TRUE(parseTaj(*A.P, Src, &Errors))
+      << (Errors.empty() ? "?" : Errors.front());
+  A.Root = synthesizeEntrypointDriver(*A.P);
+  return A;
+}
+
+TEST(WarmStart, RestoredQuerySurfaceEqualsCold) {
+  const std::pair<const char *, AnalysisConfig> Configs[] = {
+      {"hybrid-unbounded", AnalysisConfig::hybridUnbounded()},
+      {"hybrid-optimized", AnalysisConfig::hybridOptimized(400, 20000, 14, 2)},
+      {"ci", AnalysisConfig::ci()}};
+  std::vector<std::pair<std::string, std::function<GeneratedApp()>>> Apps;
+  for (const AppSpec &Spec : benchmarkSuite())
+    Apps.emplace_back(Spec.Name, [Spec] { return generateApp(Spec); });
+  Apps.emplace_back("polymorphic", [] { return parsedApp(PolymorphicSrc); });
+  size_t MultiCalleeSites = 0;
+  for (const auto &[Name, Make] : Apps) {
+    for (const auto &[CfgName, C] : Configs) {
+      SCOPED_TRACE(Name + " " + CfgName);
+      ColdPhase Cold(Make(), C);
+      WarmPhase Warm(Make(), C);
+      ASSERT_TRUE(Warm.restore(Cold.record()));
+      const PointsToSolver &A = *Cold.Solver, &B = *Warm.Solver;
+      const Program &P = *Cold.App.P;
+
+      ASSERT_EQ(A.pointerKeys().size(), B.pointerKeys().size());
+      size_t Diff = 0;
+      for (PKId K = 0; K < A.pointerKeys().size(); ++K)
+        Diff += vec(A.pointsTo(K)) != vec(B.pointsTo(K));
+      EXPECT_EQ(Diff, 0u) << "pointsTo";
+      Diff = 0;
+      for (MethodId M = 0; M < P.Methods.size(); ++M)
+        Diff += vec(A.callGraph().nodesOf(M)) != vec(B.callGraph().nodesOf(M));
+      EXPECT_EQ(Diff, 0u) << "nodesOf";
+      Diff = 0;
+      for (StmtId S = 0; S < P.numStmts(); ++S) {
+        MultiCalleeSites += A.callGraph().calleesAt(S).size() > 1;
+        Diff += vec(A.callGraph().calleesAt(S)) !=
+                    vec(B.callGraph().calleesAt(S)) ||
+                A.intrinsicCalleesAt(S) != B.intrinsicCalleesAt(S);
+      }
+      EXPECT_EQ(Diff, 0u) << "calleesAt / intrinsicCalleesAt";
+      ASSERT_EQ(A.instanceKeys().size(), B.instanceKeys().size());
+      Diff = 0;
+      for (IKId IK = 0; IK < A.instanceKeys().size(); ++IK)
+        Diff += A.channelsOf(IK) != B.channelsOf(IK);
+      EXPECT_EQ(Diff, 0u) << "channelsOf";
+      EXPECT_EQ(A.budgetExhausted(), B.budgetExhausted());
+      std::vector<std::string> ColdPool;
+      for (Symbol S = 0; S < P.Pool.size(); ++S)
+        ColdPool.emplace_back(P.Pool.str(S));
+      EXPECT_EQ(ColdPool, Warm.pool());
+    }
+  }
+  // The per-site callee order is covered only where a site has two.
+  EXPECT_GT(MultiCalleeSites, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// PersistPoison: every v5 column invariant rejects its record
+//===----------------------------------------------------------------------===//
+
+/// Where each column of a v5 pts record starts, found by walking the
+/// record the way restoreSolver reads it.
+struct PtsLayout {
+  uint32_t NumCtxs = 0, NumIKs = 0, NumNodes = 0, NumPKs = 0, NumKeys = 0,
+           NumChunks = 0;
+  size_t CtxKind = 0, CtxData = 0, CtxDepth = 0;
+  size_t IKKind = 0; // then Site, Heap, Cls, Extra: NumIKs * 4 apart
+  size_t PKKind = 0, PKA = 0, PKB = 0;
+  size_t PtsOffsets = 0, PtsIdx = 0, PtsWords = 0;
+};
+
+uint32_t getU32At(const std::vector<uint8_t> &B, size_t At) {
+  uint32_t V = 0;
+  for (int K = 0; K < 4; ++K)
+    V |= uint32_t(B[At + K]) << (8 * K);
+  return V;
+}
+
+void putU32At(std::vector<uint8_t> &B, size_t At, uint32_t V) {
+  for (int K = 0; K < 4; ++K)
+    B[At + K] = static_cast<uint8_t>(V >> (8 * K));
+}
+
+bool walkPts(const std::vector<uint8_t> &B, PtsLayout &L) {
+  persist::Reader R(B.data(), B.size());
+  auto Pos = [&] { return B.size() - R.remaining(); };
+  auto Skip = [&](uint64_t N) { return R.block(N) != nullptr || N == 0; };
+  auto SkipVec = [&] { return Skip(uint64_t(R.u32()) * 4); };
+  R.u32();
+  for (uint32_t N = R.u32(); N > 0 && !R.failed(); --N)
+    R.str();
+  R.u8();
+  R.u8();
+  SkipVec();
+  SkipVec();
+  R.str();
+  R.u64();
+  L.NumCtxs = R.u32();
+  L.CtxKind = Pos();
+  L.CtxData = L.CtxKind + (L.NumCtxs - 1);
+  L.CtxDepth = L.CtxData + 4 * (L.NumCtxs - 1);
+  Skip(9 * uint64_t(L.NumCtxs - 1));
+  L.NumIKs = R.u32();
+  L.IKKind = Pos();
+  Skip(17 * uint64_t(L.NumIKs));
+  L.NumNodes = R.u32();
+  Skip(9 * uint64_t(L.NumNodes));
+  for (uint64_t ElemBytes : {8, 4}) { // out-edges, then in-edges
+    uint64_t Total = 0;
+    for (uint32_t N = 0; N < L.NumNodes; ++N)
+      Total += R.u32();
+    Skip(Total * ElemBytes);
+  }
+  SkipVec(); // per-site callee offsets
+  SkipVec(); // per-site callees
+  L.NumPKs = R.u32();
+  L.PKKind = Pos();
+  L.PKA = L.PKKind + L.NumPKs;
+  L.PKB = L.PKA + 4 * uint64_t(L.NumPKs);
+  Skip(9 * uint64_t(L.NumPKs));
+  L.NumKeys = R.u32();
+  L.PtsOffsets = Pos();
+  Skip(4 * (uint64_t(L.NumKeys) + 1));
+  L.PtsIdx = Pos();
+  L.NumChunks = getU32At(B, L.PtsIdx - 4); // the last offset
+  L.PtsWords = L.PtsIdx + 4 * uint64_t(L.NumChunks);
+  return !R.failed() && L.PtsWords + 8 * uint64_t(L.NumChunks) <= B.size();
+}
+
+/// Copies row \p From of a table's columns onto row \p To: \p Col8 is the
+/// u8 kind column, followed by \p NumU32 u32 columns of \p Rows rows.
+void copyRow(std::vector<uint8_t> &B, size_t Col8, uint32_t Rows,
+             int NumU32, uint32_t From, uint32_t To) {
+  B[Col8 + To] = B[Col8 + From];
+  for (int C = 0; C < NumU32; ++C) {
+    const size_t Col = Col8 + Rows + size_t(C) * 4 * Rows;
+    putU32At(B, Col + 4 * To, getU32At(B, Col + 4 * From));
+  }
+}
+
+/// One poisoned pts record: \p Poison mutates the stored payload (given
+/// its layout) and must make restoreSolver reject it with the string pool
+/// untouched; a warm run over the re-signed record then falls back cold,
+/// byte-identical to the cold run.
+void expectPoisonRejected(
+    const std::function<void(std::vector<uint8_t> &, const PtsLayout &)>
+        &Poison) {
+  const char *App = "BlueBlog";
+  const AnalysisConfig C = AnalysisConfig::hybridUnbounded();
+  TempDir D;
+  persist::ArtifactCache Cache(D.Path);
+  const FullRun Cold = runFresh(App, C, Cache);
+  const std::string PtsKey = persist::ArtifactCache::makeKey(
+      "pts", std::string("app:") + App, C.pointsToFingerprint());
+  auto Payload = Cache.load(PtsKey, persist::ArtifactKind::PointsTo);
+  ASSERT_TRUE(Payload.has_value());
+  std::vector<uint8_t> Bytes(Payload->data(),
+                             Payload->data() + Payload->size());
+  PtsLayout L;
+  ASSERT_TRUE(walkPts(Bytes, L));
+  Poison(Bytes, L);
+  if (::testing::Test::HasFatalFailure())
+    return;
+
+  WarmPhase Direct(generateApp(specByName(App)), C);
+  const std::vector<std::string> PoolBefore = Direct.pool();
+  EXPECT_FALSE(Direct.restore(Bytes));
+  EXPECT_EQ(Direct.pool(), PoolBefore) << "a rejected restore touched the pool";
+
+  Cache.store(PtsKey, persist::ArtifactKind::PointsTo, Bytes);
+  const FullRun Warm = runFresh(App, C, Cache);
+  EXPECT_EQ(Warm.RunStats.get("persist.corrupt"), 1u);
+  EXPECT_EQ(Warm.Report, Cold.Report);
+  EXPECT_EQ(Warm.Issues, Cold.Issues);
+  EXPECT_EQ(Warm.Pool, Cold.Pool);
+}
+
+/// The first key whose set spans at least \p Chunks chunks.
+uint32_t keyWithChunks(const std::vector<uint8_t> &B, const PtsLayout &L,
+                       uint32_t Chunks) {
+  for (uint32_t K = 0; K < L.NumKeys; ++K)
+    if (getU32At(B, L.PtsOffsets + 4 * (K + 1)) -
+            getU32At(B, L.PtsOffsets + 4 * K) >=
+        Chunks)
+      return K;
+  return InvalidId;
+}
+
+TEST(PersistPoison, DecreasingPointsToOffsetsAreRejected) {
+  expectPoisonRejected([](std::vector<uint8_t> &B, const PtsLayout &L) {
+    // Two empty keys K, K+1 after a nonempty one: lowering the offset
+    // between them by one leaves every key's chunk range well-formed on
+    // its own (K+1 takes the previous key's last chunk), so only the
+    // never-decreasing check can tell.
+    auto Off = [&](uint32_t K) { return getU32At(B, L.PtsOffsets + 4 * K); };
+    uint32_t K = 0;
+    while (K + 2 <= L.NumKeys &&
+           !(Off(K) > 0 && Off(K) == Off(K + 1) && Off(K + 1) == Off(K + 2)))
+      ++K;
+    ASSERT_LE(K + 2, L.NumKeys);
+    putU32At(B, L.PtsOffsets + 4 * (K + 1), Off(K) - 1);
+  });
+}
+
+TEST(PersistPoison, UnsortedOrDuplicateChunkIndexIsRejected) {
+  for (bool Duplicate : {true, false}) {
+    SCOPED_TRACE(Duplicate ? "duplicate" : "unsorted");
+    expectPoisonRejected([&](std::vector<uint8_t> &B, const PtsLayout &L) {
+      const uint32_t K = keyWithChunks(B, L, 2);
+      ASSERT_NE(K, InvalidId);
+      const uint32_t First = getU32At(B, L.PtsOffsets + 4 * K);
+      const size_t A = L.PtsIdx + 4 * size_t(First);
+      const uint32_t I0 = getU32At(B, A), I1 = getU32At(B, A + 4);
+      putU32At(B, A, I1);
+      putU32At(B, A + 4, Duplicate ? I1 : I0);
+    });
+  }
+}
+
+TEST(PersistPoison, ZeroWordIsRejected) {
+  expectPoisonRejected([](std::vector<uint8_t> &B, const PtsLayout &L) {
+    // Not a key's last chunk, whose word also bounds its largest member.
+    const uint32_t K = keyWithChunks(B, L, 2);
+    ASSERT_NE(K, InvalidId);
+    const uint32_t First = getU32At(B, L.PtsOffsets + 4 * K);
+    std::memset(&B[L.PtsWords + 8 * size_t(First)], 0, 8);
+  });
+}
+
+TEST(PersistPoison, MemberAtOrPastTheInstanceKeyCountIsRejected) {
+  expectPoisonRejected([](std::vector<uint8_t> &B, const PtsLayout &L) {
+    const uint32_t K = keyWithChunks(B, L, 1);
+    ASSERT_NE(K, InvalidId);
+    // Key K keeps one chunk holding exactly member NumIKs: ascending,
+    // nonzero, one past the last instance key.
+    const uint32_t Last = getU32At(B, L.PtsOffsets + 4 * (K + 1)) - 1;
+    putU32At(B, L.PtsIdx + 4 * size_t(Last), L.NumIKs >> 6);
+    const uint64_t Word = uint64_t(1) << (L.NumIKs & 63);
+    for (int I = 0; I < 8; ++I)
+      B[L.PtsWords + 8 * size_t(Last) + I] = uint8_t(Word >> (8 * I));
+  });
+}
+
+TEST(PersistPoison, DuplicateContextRowIsRejected) {
+  expectPoisonRejected([](std::vector<uint8_t> &B, const PtsLayout &L) {
+    ASSERT_GE(L.NumCtxs, 3u);
+    // Context ids 1 and 2 (column rows 0 and 1; Everywhere is implicit)
+    // become the same context, depth included.
+    copyRow(B, L.CtxKind, L.NumCtxs - 1, 2, 0, 1);
+  });
+}
+
+TEST(PersistPoison, DuplicateInstanceKeyRowIsRejected) {
+  expectPoisonRejected([](std::vector<uint8_t> &B, const PtsLayout &L) {
+    ASSERT_GE(L.NumIKs, 2u);
+    copyRow(B, L.IKKind, L.NumIKs, 4, 0, 1);
+  });
+}
+
+TEST(PersistPoison, DuplicatePointerKeyRowIsRejected) {
+  expectPoisonRejected([](std::vector<uint8_t> &B, const PtsLayout &L) {
+    ASSERT_GE(L.NumPKs, 2u);
+    copyRow(B, L.PKKind, L.NumPKs, 2, 0, 1);
+  });
+}
+
+TEST(PersistPoison, LocalOrRetKeyPastTheLastNodeIsRejected) {
+  for (PKKind Kind : {PKKind::Local, PKKind::Ret}) {
+    SCOPED_TRACE(Kind == PKKind::Local ? "local" : "ret");
+    expectPoisonRejected([&](std::vector<uint8_t> &B, const PtsLayout &L) {
+      uint32_t K = 0;
+      while (K < L.NumPKs && B[L.PKKind + K] != uint8_t(Kind))
+        ++K;
+      ASSERT_LT(K, L.NumPKs);
+      putU32At(B, L.PKA + 4 * size_t(K), L.NumNodes);
+    });
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <initializer_list>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -387,8 +388,20 @@ class App extends Servlet {
 }
 
 //===----------------------------------------------------------------------===//
-// SparseBitSet representation
+// SparseBitSet representation and the frozen column
 //===----------------------------------------------------------------------===//
+
+/// Freezes \p Sets, in order, into one column (keys 0, 1, ...).
+PointsToColumn freezeAll(std::initializer_list<const SparseBitSet *> Sets) {
+  PointsToColumn Col;
+  for (const SparseBitSet *S : Sets)
+    Col.append(*S);
+  return Col;
+}
+
+std::vector<uint32_t> members(PtsView V) {
+  return std::vector<uint32_t>(V.begin(), V.end());
+}
 
 TEST(SparseBitSet, InsertContainsAndAscendingIteration) {
   SparseBitSet S;
@@ -399,15 +412,24 @@ TEST(SparseBitSet, InsertContainsAndAscendingIteration) {
     Inserted += S.insert(V) ? 1 : 0;
   EXPECT_EQ(Inserted, 6u) << "duplicates must report no change";
   EXPECT_EQ(S.count(), 6u);
-  for (uint32_t V : Vals)
-    EXPECT_TRUE(S.contains(V));
-  EXPECT_FALSE(S.contains(1));
-  EXPECT_FALSE(S.contains(901));
-  std::vector<uint32_t> Got(S.begin(), S.end());
+  const PointsToColumn Col = freezeAll({&S});
+  const PtsView V = Col[0];
+  EXPECT_EQ(V.count(), 6u);
+  for (uint32_t X : Vals)
+    EXPECT_TRUE(V.contains(X));
+  EXPECT_FALSE(V.contains(1));
+  EXPECT_FALSE(V.contains(901));
+  std::vector<uint32_t> Got = members(V);
   EXPECT_EQ(Got, (std::vector<uint32_t>{0, 3, 64, 65, 200, 900}));
   std::vector<uint32_t> Appended;
   S.appendTo(Appended);
   EXPECT_EQ(Appended, Got);
+  Appended.clear();
+  V.appendTo(Appended);
+  EXPECT_EQ(Appended, Got);
+  // Keys past the column read as empty sets.
+  EXPECT_TRUE(Col[1].empty());
+  EXPECT_TRUE(Col[InvalidId].empty());
 }
 
 TEST(SparseBitSet, WordBoundariesKeepChunksSeparate) {
@@ -417,19 +439,24 @@ TEST(SparseBitSet, WordBoundariesKeepChunksSeparate) {
   SparseBitSet S;
   for (uint32_t V : {128u, 63u, 127u, 64u})
     EXPECT_TRUE(S.insert(V));
-  EXPECT_EQ(S.wordIndices(), (std::vector<uint32_t>{0, 1, 2}));
-  EXPECT_EQ(std::vector<uint32_t>(S.begin(), S.end()),
-            (std::vector<uint32_t>{63, 64, 127, 128}));
-
   SparseBitSet T;
   EXPECT_TRUE(T.insert(64));
-  EXPECT_FALSE(S == T);
-  EXPECT_TRUE(S.containsAll(T));
-  EXPECT_FALSE(T.containsAll(S));
+  {
+    const PointsToColumn Col = freezeAll({&S, &T});
+    const PtsView VS = Col[0], VT = Col[1];
+    // Words 0 (63), 1 (64, 127) and 2 (128).
+    EXPECT_EQ(VS.numChunks(), 3u);
+    EXPECT_EQ(members(VS), (std::vector<uint32_t>{63, 64, 127, 128}));
+    EXPECT_NE(members(VS), members(VT));
+    EXPECT_TRUE(VS.containsAll(VT));
+    EXPECT_FALSE(VT.containsAll(VS));
+  }
   std::vector<uint32_t> NewBits;
   EXPECT_TRUE(T.unionWith(S, NewBits));
   EXPECT_EQ(NewBits, (std::vector<uint32_t>{63, 127, 128}));
-  EXPECT_TRUE(S == T);
+  const PointsToColumn Col = freezeAll({&S, &T});
+  EXPECT_EQ(members(Col[0]), members(Col[1]));
+  EXPECT_EQ(Col[1].numChunks(), 3u);
 }
 
 TEST(SparseBitSet, UnionEmitsNewBitsAscendingOnce) {

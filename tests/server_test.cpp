@@ -499,6 +499,53 @@ TEST(ArtifactCache, DiskHitsPromoteIntoTheHotTier) {
   EXPECT_EQ(Cache.counters().MemHits, 1u);
 }
 
+TEST(ArtifactCache, HotHitsShareOnePayload) {
+  persist::ArtifactCache Cache("");
+  Cache.enableHotTier(0);
+  Cache.store("ir-k", IrKind, std::vector<uint8_t>{1, 2, 3});
+  auto A = Cache.load("ir-k", IrKind);
+  auto B = Cache.load("ir-k", IrKind);
+  ASSERT_TRUE(A.has_value() && B.has_value());
+  // Both hits read the tier's one immutable copy.
+  EXPECT_EQ(A->data(), B->data());
+  EXPECT_EQ(Cache.counters().MemHits, 2u);
+}
+
+/// The bytes of a loaded payload, read through it.
+std::vector<uint8_t> bytesOf(const persist::LoadedPayload &L) {
+  return std::vector<uint8_t>(L.data(), L.data() + L.size());
+}
+
+TEST(ArtifactCache, HeldPayloadSurvivesRestoreFailure) {
+  persist::ArtifactCache Cache("");
+  Cache.enableHotTier(0);
+  const std::vector<uint8_t> Payload(64, 7);
+  Cache.store("ir-k", IrKind, Payload);
+  auto Held = Cache.load("ir-k", IrKind);
+  ASSERT_TRUE(Held.has_value());
+  // Dropping the key frees the tier's reference, not the held one.
+  Cache.noteRestoreFailure("ir-k");
+  EXPECT_FALSE(loads(Cache, "ir-k"));
+  Cache.store("ir-j", IrKind, std::vector<uint8_t>(64, 9));
+  EXPECT_EQ(bytesOf(*Held), Payload);
+}
+
+TEST(ArtifactCache, HeldPayloadSurvivesCapEviction) {
+  persist::ArtifactCache Cache("");
+  Cache.enableHotTier(100);
+  const std::vector<uint8_t> Payload(60, 3);
+  Cache.store("ir-a", IrKind, Payload);
+  auto Held = Cache.load("ir-a", IrKind);
+  ASSERT_TRUE(Held.has_value());
+  // 60 + 60 bytes exceed the cap: ir-a, the LRU entry, is evicted while
+  // held, and a replace of the same key does not touch the held bytes.
+  Cache.store("ir-b", IrKind, std::vector<uint8_t>(60, 4));
+  EXPECT_EQ(Cache.counters().MemEvictions, 1u);
+  EXPECT_FALSE(loads(Cache, "ir-a"));
+  Cache.store("ir-a", IrKind, std::vector<uint8_t>(60, 5));
+  EXPECT_EQ(bytesOf(*Held), Payload);
+}
+
 //===----------------------------------------------------------------------===//
 // Shared option set
 //===----------------------------------------------------------------------===//

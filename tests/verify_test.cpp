@@ -54,10 +54,18 @@ namespace taj {
 /// break a finished artifact in place, which no public API allows.
 class SolverTestPeer {
 public:
+  /// Re-freezes the solver's column with key \p PK's set emptied.
   static void clearPointsTo(const PointsToSolver &S, PKId PK) {
     auto &Mut = const_cast<PointsToSolver &>(S);
-    if (PK < Mut.Pts.size())
-      Mut.Pts[PK].clear();
+    PointsToColumn Col;
+    for (PKId K = 0; K < Mut.Frozen.numKeys(); ++K) {
+      SparseBitSet Set;
+      if (K != PK)
+        for (IKId IK : Mut.Frozen[K])
+          Set.insert(IK);
+      Col.append(Set);
+    }
+    Mut.Frozen = std::move(Col);
   }
 };
 
