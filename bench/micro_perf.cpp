@@ -3,8 +3,8 @@
 // Scaling microbenchmarks of the core engines: pointer analysis +
 // call-graph construction, hybrid slicing (RHS tabulation), CI slicing,
 // and SDG construction, over generated applications of increasing size;
-// plus whole warm/cold runs, the points-to restore alone and the analysis
-// server's warm request.
+// plus whole warm/cold runs, the points-to and SDG restores alone and the
+// analysis server's warm request.
 //
 //===----------------------------------------------------------------------===//
 
@@ -188,36 +188,47 @@ void BM_ColdVsWarmAnalysis(benchmark::State &State) {
 }
 BENCHMARK(BM_ColdVsWarmAnalysis)->ArgsProduct({{0, 1}, {0, 1}});
 
+/// Roller's pointer phase under a named config, composed as
+/// TaintAnalysis::run composes it: the string facts, then the solver
+/// options that consume them.
+struct RollerPhase {
+  GeneratedApp App = generateApp(appByIndex(5)); // Roller, the largest app
+  std::unique_ptr<ClassHierarchy> CHA;
+  AnalysisConfig C;
+  ConstStringResult Strings;
+  PointsToOptions PO;
+
+  explicit RollerPhase(const char *Config) : C(bench::configByName(Config)) {
+    App.P->indexStatements();
+    CHA = std::make_unique<ClassHierarchy>(*App.P);
+    ConstStringOptions CSO;
+    CSO.Mode = C.StringAnalysis;
+    Strings = analyzeConstStrings(*App.P, *CHA, CSO);
+    PO = C.pointsToOptions();
+    PO.ConstStrings = &Strings;
+  }
+};
+
 /// The warm path's largest layer alone: Access::restoreSolver from an
 /// in-memory copy of Roller's pts record payload. /0 is hybrid-unbounded,
 /// /1 hybrid-optimized at bench bounds (the node budget truncates Roller).
 /// Solver construction and teardown run with the timer paused; the
 /// payload_bytes counter is the size of the payload restored.
 void BM_RestoreSolver(benchmark::State &State) {
-  const AppSpec &Spec = appByIndex(5); // Roller, the largest app
   const char *Config =
       State.range(0) != 0 ? "hybrid-optimized" : "hybrid-unbounded";
-  GeneratedApp App = generateApp(Spec);
-  App.P->indexStatements();
-  ClassHierarchy CHA(*App.P);
-  const AnalysisConfig C = bench::configByName(Config);
-  // The pointer phase as TaintAnalysis::run composes it.
-  ConstStringOptions CSO;
-  CSO.Mode = C.StringAnalysis;
-  const ConstStringResult Strings = analyzeConstStrings(*App.P, CHA, CSO);
-  PointsToOptions PO = C.pointsToOptions();
-  PO.ConstStrings = &Strings;
+  const RollerPhase Ph(Config);
   std::vector<uint8_t> Payload;
   {
-    PointsToSolver Solver(*App.P, CHA, PO);
-    Solver.solve({App.Root});
+    PointsToSolver Solver(*Ph.App.P, *Ph.CHA, Ph.PO);
+    Solver.solve({Ph.App.Root});
     persist::Writer W;
     persist::Access::serializeSolver(Solver, W);
     Payload = W.bytes();
   }
   for (auto _ : State) {
     State.PauseTiming();
-    auto Solver = std::make_unique<PointsToSolver>(*App.P, CHA, PO);
+    auto Solver = std::make_unique<PointsToSolver>(*Ph.App.P, *Ph.CHA, Ph.PO);
     State.ResumeTiming();
     persist::Reader R(Payload.data(), Payload.size());
     if (!persist::Access::restoreSolver(*Solver, R))
@@ -227,9 +238,48 @@ void BM_RestoreSolver(benchmark::State &State) {
     State.ResumeTiming();
   }
   State.counters["payload_bytes"] = static_cast<double>(Payload.size());
-  State.SetLabel(Spec.Name + "/" + Config);
+  State.SetLabel("Roller/" + std::string(Config));
 }
 BENCHMARK(BM_RestoreSolver)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// The sdg record's restore alone: Access::restoreSdg from an in-memory
+/// copy of the payload the hybrid slicer stores for Roller (the SDG plus
+/// its heap edges). /0 is hybrid-unbounded, /1 hybrid-optimized at bench
+/// bounds. Freeing each restored graph runs with the timer paused; the
+/// payload_bytes counter is the size of the payload restored.
+void BM_RestoreSdg(benchmark::State &State) {
+  const char *Config =
+      State.range(0) != 0 ? "hybrid-optimized" : "hybrid-unbounded";
+  const RollerPhase Ph(Config);
+  PointsToSolver Solver(*Ph.App.P, *Ph.CHA, Ph.PO);
+  Solver.solve({Ph.App.Root});
+  SDGOptions SO;
+  SO.ContextExpanded = true;
+  SO.ModelExceptionSources = Ph.C.ModelExceptionSources;
+  std::vector<uint8_t> Payload;
+  {
+    persist::SdgArtifacts A = persist::loadOrBuildSdg(
+        *Ph.App.P, *Ph.CHA, Solver, SO, Ph.C.NestedTaintDepth, nullptr, "");
+    persist::Writer W;
+    persist::Access::serializeSdg(*A.G, A.HE.get(), W);
+    Payload = W.bytes();
+  }
+  std::unique_ptr<SDG> G;
+  std::unique_ptr<HeapEdges> HE;
+  for (auto _ : State) {
+    persist::Reader R(Payload.data(), Payload.size());
+    if (!persist::Access::restoreSdg(G, HE, *Ph.App.P, Solver, SO, R))
+      State.SkipWithError("restoreSdg rejected its own record");
+    benchmark::DoNotOptimize(G.get());
+    State.PauseTiming();
+    HE.reset();
+    G.reset();
+    State.ResumeTiming();
+  }
+  State.counters["payload_bytes"] = static_cast<double>(Payload.size());
+  State.SetLabel("Roller/" + std::string(Config));
+}
+BENCHMARK(BM_RestoreSdg)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// The analysis server's reason to exist, quantified: one warm request
 /// against a running daemon (a pool worker holding the hot artifact tier)

@@ -373,27 +373,21 @@ SdgArtifacts persist::loadOrBuildSdg(const Program &P,
     PhaseScope PS(SO.Profile, "persist_load");
     if (std::optional<LoadedPayload> Payload =
             Cache->load(Key, ArtifactKind::Sdg)) {
-      // The heap graph is cheap and deterministic; rebuild it live so the
-      // restored HeapEdges can bind a valid reference.
-      A.HG = std::make_unique<HeapGraph>(Solver);
       Reader R(Payload->data(), Payload->size());
-      if (Access::restoreSdg(A.G, A.HE, P, Solver, *A.HG, SO, NestedDepth,
-                             R)) {
+      if (Access::restoreSdg(A.G, A.HE, P, Solver, SO, R)) {
         A.FromCache = true;
         return A;
       }
       Cache->noteRestoreFailure(Key);
-      A.G.reset();
-      A.HE.reset();
-      A.HG.reset();
     }
   }
 
   // Cold path: exactly the construction sequence the slicers always ran.
+  // The heap graph is read only while the heap edges are materialized.
   A.G = std::make_unique<SDG>(P, CHA, Solver, SO);
   if (!A.G->chanBudgetExceeded()) {
-    A.HG = std::make_unique<HeapGraph>(Solver);
-    A.HE = std::make_unique<HeapEdges>(P, *A.G, Solver, *A.HG, NestedDepth,
+    const HeapGraph HG(Solver);
+    A.HE = std::make_unique<HeapEdges>(P, *A.G, Solver, HG, NestedDepth,
                                        Guard);
   }
 

@@ -194,12 +194,10 @@ private:
   Counters N;
 };
 
-/// The SDG phase bundle a slicer needs: the graph, the heap graph it was
-/// restored/built against, and (unless the CS channel budget tripped) the
-/// materialized heap edges.
+/// The SDG phase bundle a slicer needs: the graph and (unless the CS
+/// channel budget tripped) the materialized heap edges.
 struct SdgArtifacts {
   std::unique_ptr<SDG> G;
-  std::unique_ptr<HeapGraph> HG;
   std::unique_ptr<HeapEdges> HE;
   bool FromCache = false;
 };

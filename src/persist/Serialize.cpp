@@ -5,6 +5,7 @@
 #include "dataflow/ConstString.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_set>
 
 using namespace taj;
@@ -122,11 +123,6 @@ void putI32Vec(Writer &W, const std::vector<int32_t> &V) {
   W.u32Array(reinterpret_cast<const uint32_t *>(V.data()), V.size());
 }
 
-void putU64Vec(Writer &W, const std::vector<uint64_t> &V) {
-  W.u32(static_cast<uint32_t>(V.size()));
-  W.u64Array(V.data(), V.size());
-}
-
 bool getU32Vec(Reader &R, std::vector<uint32_t> &V) {
   uint32_t N = R.count(4);
   V.resize(N);
@@ -137,12 +133,6 @@ bool getI32Vec(Reader &R, std::vector<int32_t> &V) {
   uint32_t N = R.count(4);
   V.resize(N);
   return R.u32Array(reinterpret_cast<uint32_t *>(V.data()), N) && !R.failed();
-}
-
-bool getU64Vec(Reader &R, std::vector<uint64_t> &V) {
-  uint32_t N = R.count(8);
-  V.resize(N);
-  return R.u64Array(V.data(), N) && !R.failed();
 }
 
 /// True when every element of \p V is < \p Bound (InvalidId allowed when
@@ -842,100 +832,72 @@ bool Access::restoreSolver(PointsToSolver &S, Reader &R) {
 // SDG + heap edges
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Reads an offset column of \p Rows + 1 entries into \p Off and checks it
+/// (starts at 0, never decreases) before any element is allocated: the
+/// elements, \p ElemBytes each, must fit the remaining payload. Sets
+/// \p Total to the element count.
+bool getOffsets(Reader &R, size_t Rows, size_t ElemBytes,
+                std::vector<uint32_t> &Off, size_t &Total) {
+  if (uint64_t(Rows + 1) * 4 > R.remaining()) {
+    R.fail();
+    return false;
+  }
+  Off.resize(Rows + 1);
+  if (!R.u32Array(Off.data(), Off.size()))
+    return false;
+  Total = Off.back();
+  return uint64_t(Total) * ElemBytes <= R.remaining() &&
+         validOffsets(Off, Total);
+}
+
+/// Reads \p N node ids into \p V, each below \p NumNodes.
+bool getNodeIds(Reader &R, size_t N, std::vector<SDGNodeId> &V,
+                size_t NumNodes) {
+  V.resize(N);
+  return R.u32Array(V.data(), N) && allBelow(V, NumNodes);
+}
+
+} // namespace
+
+// A CSR is written as it is: its offset column (rows + 1 entries), then
+// each value column over its elements, whose count is the last offset.
 void Access::serializeSdg(const SDG &G, const HeapEdges *HE, Writer &W) {
   W.u32(static_cast<uint32_t>(G.Owners.size()));
-  for (const SDG::OwnerInfo &O : G.Owners) {
-    W.u32(O.M);
-    W.u32(O.CgNode);
-  }
+  putU32Field(W, G.Owners, &SDG::OwnerInfo::M);
+  putU32Field(W, G.Owners, &SDG::OwnerInfo::CgNode);
 
-  // Nodes and edges as struct-of-arrays: one column per field, so restore
-  // reads whole columns through the bulk array codecs instead of many
-  // bounds-checked scalar reads per element (the node/edge tables dominate
-  // warm-load time).
-  const uint32_t NumNodes = static_cast<uint32_t>(G.Nodes.size());
-  W.u32(NumNodes);
-  {
-    std::vector<uint32_t> C32(NumNodes);
-    std::vector<uint8_t> C8(NumNodes);
-    auto Col32 = [&](auto Get) {
-      for (uint32_t I = 0; I < NumNodes; ++I)
-        C32[I] = Get(G.Nodes[I]);
-      W.u32Array(C32.data(), NumNodes);
-    };
-    auto Col8 = [&](auto Get) {
-      for (uint32_t I = 0; I < NumNodes; ++I)
-        C8[I] = Get(G.Nodes[I]);
-      W.raw(C8.data(), NumNodes);
-    };
-    Col8([](const SDGNode &N) { return static_cast<uint8_t>(N.Kind); });
-    Col32([](const SDGNode &N) { return N.Owner; });
-    Col32([](const SDGNode &N) { return N.M; });
-    Col32([](const SDGNode &N) { return N.S; });
-    Col32([](const SDGNode &N) { return N.Index; });
-    Col8([](const SDGNode &N) { return static_cast<uint8_t>(N.Access); });
-    Col32([](const SDGNode &N) { return N.Aux; });
-    Col8([](const SDGNode &N) { return N.SourceMask; });
-    Col8([](const SDGNode &N) { return N.SinkMask; });
-    Col8([](const SDGNode &N) { return N.SanitizeMask; });
-    Col8([](const SDGNode &N) { return static_cast<uint8_t>(N.IsCall); });
-  }
-  {
-    // Per-node out-degree column, then the concatenated target and kind
-    // columns over all edges in node order.
-    std::vector<uint32_t> Counts(NumNodes);
-    size_t Total = 0;
-    for (uint32_t I = 0; I < NumNodes; ++I) {
-      Counts[I] = static_cast<uint32_t>(G.Succs[I].size());
-      Total += G.Succs[I].size();
-    }
-    W.u32Array(Counts.data(), NumNodes);
-    std::vector<uint32_t> Tos;
-    std::vector<uint8_t> Kinds;
-    Tos.reserve(Total);
-    Kinds.reserve(Total);
-    for (const std::vector<SDGEdge> &Edges : G.Succs)
-      for (const SDGEdge &E : Edges) {
-        Tos.push_back(E.To);
-        Kinds.push_back(static_cast<uint8_t>(E.Kind));
-      }
-    W.u32Array(Tos.data(), Total);
-    W.raw(Kinds.data(), Total);
-  }
+  // Nodes as struct-of-arrays, one column per field.
+  W.u32(G.numNodes());
+  putU8Field(W, G.Nodes, &SDGNode::Kind);
+  putU32Field(W, G.Nodes, &SDGNode::Owner);
+  putU32Field(W, G.Nodes, &SDGNode::M);
+  putU32Field(W, G.Nodes, &SDGNode::S);
+  putU32Field(W, G.Nodes, &SDGNode::Index);
+  putU8Field(W, G.Nodes, &SDGNode::Access);
+  putU32Field(W, G.Nodes, &SDGNode::Aux);
+  putU8Field(W, G.Nodes, &SDGNode::SourceMask);
+  putU8Field(W, G.Nodes, &SDGNode::SinkMask);
+  putU8Field(W, G.Nodes, &SDGNode::SanitizeMask);
+  putU8Field(W, G.Nodes, &SDGNode::IsCall);
 
-  // Call sites, sorted by statement node for deterministic bytes.
-  {
-    std::vector<SDGNodeId> Keys;
-    Keys.reserve(G.CallSites.size());
-    for (const auto &[N, CS] : G.CallSites)
-      Keys.push_back(N);
-    std::sort(Keys.begin(), Keys.end());
-    W.u32(static_cast<uint32_t>(Keys.size()));
-    for (SDGNodeId N : Keys) {
-      const CallSiteInfo &CS = G.CallSites.at(N);
-      W.u32(N);
-      W.u32(CS.StmtNode);
-      putU32Vec(W, CS.Targets);
-      putU32Vec(W, CS.ActualIns);
-      putU64Vec(W, CS.ChanSigs);
-      putU32Vec(W, CS.ChanIns);
-      putU32Vec(W, CS.ChanOuts);
-    }
-  }
+  // The CSR edges: offsets, then the target and kind columns.
+  W.u32Array(G.SuccOff.data(), G.SuccOff.size());
+  putU32Field(W, G.SuccEdges, &SDGEdge::To);
+  putU8Field(W, G.SuccEdges, &SDGEdge::Kind);
 
-  // Per-owner channel signature lists (CS only; empty otherwise).
-  {
-    std::vector<SDGOwnerId> Keys;
-    Keys.reserve(G.OwnerChans.size());
-    for (const auto &[O, Sigs] : G.OwnerChans)
-      Keys.push_back(O);
-    std::sort(Keys.begin(), Keys.end());
-    W.u32(static_cast<uint32_t>(Keys.size()));
-    for (SDGOwnerId O : Keys) {
-      W.u32(O);
-      putU64Vec(W, G.OwnerChans.at(O));
-    }
-  }
+  // Call sites, then their channel plumbing and the per-owner channel
+  // signatures (both CS only; offsets over empty columns otherwise).
+  W.u32(static_cast<uint32_t>(G.CallSites.size()));
+  putU32Field(W, G.CallSites, &CallSiteInfo::StmtNode);
+  putU32Field(W, G.CallSites, &CallSiteInfo::FirstActualIn);
+  putU32Field(W, G.CallSites, &CallSiteInfo::NumActualIns);
+  W.u32Array(G.ChanSiteOff.data(), G.ChanSiteOff.size());
+  W.u64Array(G.ChanSiteSigs.data(), G.ChanSiteSigs.size());
+  W.u32Array(G.ChanSiteOuts.data(), G.ChanSiteOuts.size());
+  W.u32Array(G.OwnerChanOff.data(), G.OwnerChanOff.size());
+  W.u64Array(G.OwnerChanSigs.data(), G.OwnerChanSigs.size());
 
   putU32Vec(W, G.Stores);
   putU32Vec(W, G.Loads);
@@ -943,184 +905,133 @@ void Access::serializeSdg(const SDG &G, const HeapEdges *HE, Writer &W) {
   W.u8(G.ChanOOM);
   W.u64(G.ChanNodes);
 
+  // The heap adjacency: two CSRs over the store list.
   W.u8(HE != nullptr);
   if (HE) {
-    std::vector<SDGNodeId> Keys;
-    Keys.reserve(HE->Stores.size());
-    for (const auto &[N, Info] : HE->Stores)
-      Keys.push_back(N);
-    std::sort(Keys.begin(), Keys.end());
-    W.u32(static_cast<uint32_t>(Keys.size()));
-    for (SDGNodeId N : Keys) {
-      const HeapEdges::StoreInfo &Info = HE->Stores.at(N);
-      W.u32(N);
-      putU32Vec(W, Info.Loads);
-      putU32Vec(W, Info.CarrierSinks);
-    }
+    W.u32Array(HE->LoadOff.data(), HE->LoadOff.size());
+    W.u32Array(HE->LoadEdges.data(), HE->LoadEdges.size());
+    W.u32Array(HE->SinkOff.data(), HE->SinkOff.size());
+    W.u32Array(HE->SinkEdges.data(), HE->SinkEdges.size());
   }
 }
 
 bool Access::restoreSdg(std::unique_ptr<SDG> &G, std::unique_ptr<HeapEdges> &HE,
                         const Program &P, const PointsToSolver &Solver,
-                        const HeapGraph &HG, const SDGOptions &Opts,
-                        uint32_t NestedDepth, Reader &R) {
+                        const SDGOptions &Opts, Reader &R) {
   G.reset();
   HE.reset();
-  auto Fail = [&] {
-    G.reset();
-    HE.reset();
-    return false;
-  };
-
   std::unique_ptr<SDG> Out(new SDG(P, Solver, Opts, SDG::RestoreTag{}));
   const size_t NumStmts = P.numStmts();
   const size_t NumMethods = P.Methods.size();
   const size_t NumCgNodes = Solver.callGraph().numNodes();
 
-  uint32_t NumOwners = R.count(8);
+  const uint32_t NumOwners = R.count(8);
   Out->Owners.resize(NumOwners);
-  for (SDG::OwnerInfo &O : Out->Owners) {
-    O.M = R.u32();
-    O.CgNode = R.u32();
-    if (R.failed() || O.M >= NumMethods ||
-        (O.CgNode != InvalidId && O.CgNode >= NumCgNodes))
-      return Fail();
-  }
+  if (!getU32Field(R, Out->Owners, &SDG::OwnerInfo::M) ||
+      !getU32Field(R, Out->Owners, &SDG::OwnerInfo::CgNode))
+    return false;
+  for (const SDG::OwnerInfo &O : Out->Owners)
+    if (O.M >= NumMethods || (O.CgNode != InvalidId && O.CgNode >= NumCgNodes))
+      return false;
 
-  uint32_t NumNodes = R.count(26);
-  Out->Nodes.resize(NumNodes);
-  {
-    std::vector<uint32_t> C32(NumNodes);
-    std::vector<uint8_t> C8(NumNodes);
-    auto Col32 = [&](auto Set) {
-      if (!R.u32Array(C32.data(), NumNodes))
+  const uint32_t NumNodes = R.count(26);
+  std::vector<SDGNode> &Nodes = Out->Nodes;
+  Nodes.resize(NumNodes);
+  if (!getU8Field(R, Nodes, &SDGNode::Kind,
+                  static_cast<uint8_t>(SDGNodeKind::ChanActualOut)) ||
+      !getU32Field(R, Nodes, &SDGNode::Owner) ||
+      !getU32Field(R, Nodes, &SDGNode::M) ||
+      !getU32Field(R, Nodes, &SDGNode::S) ||
+      !getU32Field(R, Nodes, &SDGNode::Index) ||
+      !getU8Field(R, Nodes, &SDGNode::Access,
+                  static_cast<uint8_t>(HeapAccess::InvokeArgsRead)) ||
+      !getU32Field(R, Nodes, &SDGNode::Aux) ||
+      !getU8Field(R, Nodes, &SDGNode::SourceMask, 0xff) ||
+      !getU8Field(R, Nodes, &SDGNode::SinkMask, 0xff) ||
+      !getU8Field(R, Nodes, &SDGNode::SanitizeMask, 0xff) ||
+      !getU8Field(R, Nodes, &SDGNode::IsCall, 1))
+    return false;
+  for (const SDGNode &N : Nodes)
+    if (N.Owner >= NumOwners || N.S >= NumStmts ||
+        (N.M != InvalidId && N.M >= NumMethods) ||
+        (N.Aux != InvalidId && N.Aux >= NumNodes))
+      return false;
+
+  size_t NumEdges;
+  if (!getOffsets(R, NumNodes, 5, Out->SuccOff, NumEdges))
+    return false;
+  Out->SuccEdges.resize(NumEdges);
+  if (!getU32Field(R, Out->SuccEdges, &SDGEdge::To) ||
+      !getU8Field(R, Out->SuccEdges, &SDGEdge::Kind,
+                  static_cast<uint8_t>(SDGEdgeKind::ParamOut)))
+    return false;
+  for (const SDGEdge &E : Out->SuccEdges)
+    if (E.To >= NumNodes)
+      return false;
+
+  // Call sites: each key an IsCall statement node, named once; each
+  // actual-in range holds actual-ins of that call.
+  const uint32_t NumSites = R.count(12);
+  std::vector<CallSiteInfo> &Sites = Out->CallSites;
+  Sites.resize(NumSites);
+  if (!getU32Field(R, Sites, &CallSiteInfo::StmtNode) ||
+      !getU32Field(R, Sites, &CallSiteInfo::FirstActualIn) ||
+      !getU32Field(R, Sites, &CallSiteInfo::NumActualIns))
+    return false;
+  Out->SiteOf.assign(NumNodes, InvalidId);
+  for (uint32_t I = 0; I < NumSites; ++I) {
+    const CallSiteInfo &CS = Sites[I];
+    if (CS.StmtNode >= NumNodes ||
+        Nodes[CS.StmtNode].Kind != SDGNodeKind::Stmt ||
+        !Nodes[CS.StmtNode].IsCall || Out->SiteOf[CS.StmtNode] != InvalidId ||
+        uint64_t(CS.FirstActualIn) + CS.NumActualIns > NumNodes)
+      return false;
+    Out->SiteOf[CS.StmtNode] = I;
+    for (uint32_t K = 0; K < CS.NumActualIns; ++K) {
+      const SDGNode &A = Nodes[CS.FirstActualIn + K];
+      if (A.Kind != SDGNodeKind::ActualIn || A.Aux != CS.StmtNode)
         return false;
-      for (uint32_t I = 0; I < NumNodes; ++I)
-        Set(Out->Nodes[I], C32[I]);
-      return true;
-    };
-    auto Col8 = [&](auto Set) {
-      if (!R.raw(C8.data(), NumNodes))
-        return false;
-      for (uint32_t I = 0; I < NumNodes; ++I)
-        Set(Out->Nodes[I], C8[I]);
-      return true;
-    };
-    if (!Col8([](SDGNode &N, uint8_t V) {
-          N.Kind = static_cast<SDGNodeKind>(V);
-        }) ||
-        !Col32([](SDGNode &N, uint32_t V) { N.Owner = V; }) ||
-        !Col32([](SDGNode &N, uint32_t V) { N.M = V; }) ||
-        !Col32([](SDGNode &N, uint32_t V) { N.S = V; }) ||
-        !Col32([](SDGNode &N, uint32_t V) { N.Index = V; }) ||
-        !Col8([](SDGNode &N, uint8_t V) {
-          N.Access = static_cast<HeapAccess>(V);
-        }) ||
-        !Col32([](SDGNode &N, uint32_t V) { N.Aux = V; }) ||
-        !Col8([](SDGNode &N, uint8_t V) { N.SourceMask = V; }) ||
-        !Col8([](SDGNode &N, uint8_t V) { N.SinkMask = V; }) ||
-        !Col8([](SDGNode &N, uint8_t V) { N.SanitizeMask = V; }) ||
-        !Col8([](SDGNode &N, uint8_t V) { N.IsCall = V != 0; }))
-      return Fail();
-    for (const SDGNode &N : Out->Nodes) {
-      if (static_cast<uint8_t>(N.Kind) >
-              static_cast<uint8_t>(SDGNodeKind::ChanActualOut) ||
-          static_cast<uint8_t>(N.Access) >
-              static_cast<uint8_t>(HeapAccess::InvokeArgsRead) ||
-          N.Owner >= NumOwners || N.S >= NumStmts ||
-          (N.M != InvalidId && N.M >= NumMethods) ||
-          (N.Aux != InvalidId && N.Aux >= NumNodes))
-        return Fail();
     }
   }
-  Out->Succs.resize(NumNodes);
-  {
-    std::vector<uint32_t> Counts(NumNodes);
-    if (!R.u32Array(Counts.data(), NumNodes))
-      return Fail();
-    uint64_t Total = 0;
-    for (uint32_t C : Counts)
-      Total += C;
-    // Each edge still needs 5 payload bytes, so a corrupt count column
-    // cannot force a huge allocation past this check.
-    if (Total > R.remaining())
-      return Fail();
-    std::vector<uint32_t> Tos(Total);
-    std::vector<uint8_t> Kinds(Total);
-    if (!R.u32Array(Tos.data(), Total) || !R.raw(Kinds.data(), Total))
-      return Fail();
-    size_t Idx = 0;
-    for (uint32_t N = 0; N < NumNodes; ++N) {
-      std::vector<SDGEdge> &Edges = Out->Succs[N];
-      Edges.resize(Counts[N]);
-      for (SDGEdge &E : Edges) {
-        E.To = Tos[Idx];
-        uint8_t Kind = Kinds[Idx];
-        ++Idx;
-        if (E.To >= NumNodes ||
-            Kind > static_cast<uint8_t>(SDGEdgeKind::ParamOut))
-          return Fail();
-        E.Kind = static_cast<SDGEdgeKind>(Kind);
-      }
-    }
-  }
+  size_t NumPlumbs, NumOwnerChans;
+  if (!getOffsets(R, NumSites, 12, Out->ChanSiteOff, NumPlumbs))
+    return false;
+  Out->ChanSiteSigs.resize(NumPlumbs);
+  if (!R.u64Array(Out->ChanSiteSigs.data(), NumPlumbs) ||
+      !getNodeIds(R, NumPlumbs, Out->ChanSiteOuts, NumNodes) ||
+      !getOffsets(R, NumOwners, 8, Out->OwnerChanOff, NumOwnerChans))
+    return false;
+  Out->OwnerChanSigs.resize(NumOwnerChans);
+  if (!R.u64Array(Out->OwnerChanSigs.data(), NumOwnerChans))
+    return false;
 
-  uint32_t NumCallSites = R.count(28);
-  Out->CallSites.reserve(NumCallSites);
-  for (uint32_t K = 0; K < NumCallSites; ++K) {
-    SDGNodeId Key = R.u32();
-    CallSiteInfo CS;
-    CS.StmtNode = R.u32();
-    if (!getU32Vec(R, CS.Targets) || !getU32Vec(R, CS.ActualIns) ||
-        !getU64Vec(R, CS.ChanSigs) || !getU32Vec(R, CS.ChanIns) ||
-        !getU32Vec(R, CS.ChanOuts))
-      return Fail();
-    if (Key >= NumNodes || CS.StmtNode >= NumNodes ||
-        !allBelow(CS.Targets, NumOwners) ||
-        !allBelow(CS.ActualIns, NumNodes) ||
-        !allBelow(CS.ChanIns, NumNodes) || !allBelow(CS.ChanOuts, NumNodes))
-      return Fail();
-    if (!Out->CallSites.emplace(Key, std::move(CS)).second)
-      return Fail();
-  }
-
-  uint32_t NumOwnerChans = R.count(8);
-  for (uint32_t K = 0; K < NumOwnerChans; ++K) {
-    SDGOwnerId O = R.u32();
-    std::vector<uint64_t> Sigs;
-    if (!getU64Vec(R, Sigs) || O >= NumOwners || Out->OwnerChans.count(O))
-      return Fail();
-    Out->OwnerChans.emplace(O, std::move(Sigs));
-  }
-
+  // Store, load and sink lists; the stores strictly ascend, since the heap
+  // adjacency finds a store by its rank.
   if (!getU32Vec(R, Out->Stores) || !getU32Vec(R, Out->Loads) ||
       !getU32Vec(R, Out->Sinks) || !allBelow(Out->Stores, NumNodes) ||
-      !allBelow(Out->Loads, NumNodes) || !allBelow(Out->Sinks, NumNodes))
-    return Fail();
+      !allBelow(Out->Loads, NumNodes) || !allBelow(Out->Sinks, NumNodes) ||
+      std::adjacent_find(Out->Stores.begin(), Out->Stores.end(),
+                         std::greater_equal<>()) != Out->Stores.end())
+    return false;
   Out->ChanOOM = R.u8() != 0;
   Out->ChanNodes = R.u64();
 
-  bool HasHeapEdges = R.u8() != 0;
-  G = std::move(Out);
+  const bool HasHeapEdges = R.u8() != 0;
+  std::unique_ptr<HeapEdges> E;
   if (HasHeapEdges) {
-    std::unique_ptr<HeapEdges> E(
-        new HeapEdges(P, *G, Solver, HG, NestedDepth, HeapEdges::RestoreTag{}));
-    uint32_t NumStores = R.count(12);
-    E->Stores.reserve(NumStores);
-    for (uint32_t K = 0; K < NumStores; ++K) {
-      SDGNodeId N = R.u32();
-      HeapEdges::StoreInfo Info;
-      if (!getU32Vec(R, Info.Loads) || !getU32Vec(R, Info.CarrierSinks))
-        return Fail();
-      if (N >= NumNodes || !allBelow(Info.Loads, NumNodes) ||
-          !allBelow(Info.CarrierSinks, NumNodes) || E->Stores.count(N))
-        return Fail();
-      E->Stores.emplace(N, std::move(Info));
-    }
-    HE = std::move(E);
+    E.reset(new HeapEdges(*Out, HeapEdges::RestoreTag{}));
+    const size_t NumStores = Out->Stores.size();
+    size_t NumLoads, NumSinks;
+    if (!getOffsets(R, NumStores, 4, E->LoadOff, NumLoads) ||
+        !getNodeIds(R, NumLoads, E->LoadEdges, NumNodes) ||
+        !getOffsets(R, NumStores, 4, E->SinkOff, NumSinks) ||
+        !getNodeIds(R, NumSinks, E->SinkEdges, NumNodes))
+      return false;
   }
 
   if (R.failed() || !R.atEnd())
-    return Fail();
+    return false;
+  G = std::move(Out);
+  HE = std::move(E);
   return true;
 }

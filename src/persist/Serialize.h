@@ -61,7 +61,11 @@ namespace persist {
 /// callee CSR — and the solved sets as the solver's frozen CSR column
 /// (chunk offsets, word indices, words), so a restore is bulk copies plus
 /// one validation sweep per column.
-inline constexpr uint32_t FormatVersion = 5;
+/// v6: the sdg record stores the graph's columns as they are — CSR edges,
+/// call sites with their actual-in ranges, the CS channel plumbing and the
+/// per-owner channel signatures as CSRs, and the heap adjacency as two
+/// CSRs over the store list — so its restore is bulk copies too.
+inline constexpr uint32_t FormatVersion = 6;
 
 /// Record magic: "TAJP" little-endian.
 inline constexpr uint32_t RecordMagic = 0x504a4154u;
@@ -317,18 +321,22 @@ struct Access {
   /// string pool is left untouched.
   static bool restoreSolver(PointsToSolver &S, Reader &R);
 
-  /// Encodes the SDG (owners, nodes, edges, call sites, channel tables,
-  /// store/load/sink indices) plus, when \p HE is non-null, the
-  /// materialized heap-edge adjacency.
+  /// Encodes the SDG's columns as they are (owners, node fields, CSR
+  /// edges, call sites, CS channel plumbing and per-owner channels, the
+  /// store/load/sink lists) plus, when \p HE is non-null, the heap
+  /// adjacency's two CSRs.
   static void serializeSdg(const SDG &G, const HeapEdges *HE, Writer &W);
   /// Restores an SDG (and heap edges, when the record carries them)
-  /// against the live \p P / \p Solver / \p HG. \p HE is left null when
-  /// the record has no heap edges (CS channel-budget overflow). On failure
-  /// both out-params are reset to null.
+  /// against the live \p P / \p Solver: bulk-copies each column and
+  /// validates it in one sweep. Rejects offsets that do not start at 0 or
+  /// that decrease, out-of-range ids and enum values, a call-site key that
+  /// is not an IsCall statement node or appears twice, an actual-in range
+  /// holding anything but actual-ins of its call, and a store list that
+  /// does not strictly ascend. \p HE is left null when the record has no
+  /// heap edges. On failure both out-params are null.
   static bool restoreSdg(std::unique_ptr<SDG> &G,
                          std::unique_ptr<HeapEdges> &HE, const Program &P,
-                         const PointsToSolver &Solver, const HeapGraph &HG,
-                         const SDGOptions &Opts, uint32_t NestedDepth,
+                         const PointsToSolver &Solver, const SDGOptions &Opts,
                          Reader &R);
 };
 

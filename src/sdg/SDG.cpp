@@ -1,6 +1,7 @@
 //===- sdg/SDG.cpp - SDG construction --------------------------*- C++ -*-===//
 
 #include "sdg/SDG.h"
+#include "support/Csr.h"
 #include "support/RunGuard.h"
 
 #include <algorithm>
@@ -31,60 +32,90 @@ ValueId taj::heapBaseValue(const Instruction &I, HeapAccess A) {
 
 namespace taj {
 
-/// Builds an SDG in place.
+/// Builds an SDG in place. Node lookup is arithmetic over each owner's
+/// skeleton block; edges go to one log that finish() sorts into the CSR.
 class SdgBuilder {
 public:
   SdgBuilder(SDG &G, const Program &P, const ClassHierarchy &CHA,
              const PointsToSolver &Solver, const SDGOptions &Opts)
       : G(G), P(P), CHA(CHA), Solver(Solver), Opts(Opts) {}
 
-  void build();
+  /// Builds the graph; every exit, cutoffs and a channel-budget overflow
+  /// included, ends in finish().
+  void build() {
+    buildParts();
+    finish();
+  }
 
 private:
-  SDGNodeId addNode(SDGNode N) {
+  SDGNodeId addNode(const SDGNode &N) {
     G.Nodes.push_back(N);
-    G.Succs.emplace_back();
     return static_cast<SDGNodeId>(G.Nodes.size() - 1);
   }
   void addEdge(SDGNodeId From, SDGNodeId To, SDGEdgeKind K) {
-    G.Succs[From].push_back({To, K});
-  }
-  static uint64_t key(SDGOwnerId O, uint32_t X) {
-    return (static_cast<uint64_t>(O) << 32) | X;
+    EdgeFrom.push_back(From);
+    EdgeLog.push_back({To, K});
   }
 
-  SDGNodeId stmtNode(SDGOwnerId O, StmtId S) const {
-    auto It = G.StmtMap.find(key(O, S));
-    return It == G.StmtMap.end() ? InvalidId : It->second;
-  }
   SDGNodeId formalIn(SDGOwnerId O, uint32_t K) const {
-    auto It = G.FormalInMap.find(key(O, K));
-    return It == G.FormalInMap.end() ? InvalidId : It->second;
+    return OwnerBase[O] + K;
   }
   SDGNodeId formalOut(SDGOwnerId O) const {
-    auto It = G.FormalOutMap.find(O);
-    return It == G.FormalOutMap.end() ? InvalidId : It->second;
+    return OwnerBase[O] + P.Methods[G.Owners[O].M].NumParams;
+  }
+  SDGNodeId stmtNode(SDGOwnerId O, StmtId S) const {
+    return formalOut(O) + 1 + (S - P.methodStmtBegin(G.Owners[O].M));
+  }
+  /// Channel formals are created in (in, out) pairs per owner.
+  SDGNodeId chanFormalIn(SDGOwnerId O, uint32_t Idx) const {
+    return ChanBase[O] + 2 * Idx;
+  }
+  SDGNodeId chanFormalOut(SDGOwnerId O, uint32_t Idx) const {
+    return ChanBase[O] + 2 * Idx + 1;
   }
 
-  /// Owners of the body'd callees at call statement \p Site of owner \p O.
-  std::vector<SDGOwnerId> calleeOwners(SDGOwnerId O, StmtId Site) const;
+  /// Owners of the body'd callees at call statement \p Site of owner \p O,
+  /// in call-graph edge order (a buffer reused across calls).
+  const std::vector<SDGOwnerId> &calleeOwners(SDGOwnerId O, StmtId Site);
 
+  void buildParts();
   void createSkeleton();
   void wireOwner(SDGOwnerId O);
-  void wireCall(SDGOwnerId O, StmtId Site, const Instruction &I,
-                const std::vector<SDGNodeId> &DefNode);
+  void wireCall(SDGOwnerId O, StmtId Site, const Instruction &I);
   void buildChannels();
   void computeOwnerChannels();
-  const ChanAccess &chanAccessOf(SDGNodeId N);
+  ChanAccess chanAccessOf(SDGNodeId N) const;
+  void finish();
 
   SDG &G;
   const Program &P;
   const ClassHierarchy &CHA;
   const PointsToSolver &Solver;
   const SDGOptions &Opts;
-  // method -> merged owner (merged scope); cg node -> owner (expanded).
-  std::unordered_map<uint32_t, SDGOwnerId> OwnerIndex;
-  std::unordered_map<SDGNodeId, ChanAccess> ChanCache;
+  /// cg node -> owner (expanded scope); method -> owner (merged scope).
+  std::vector<SDGOwnerId> OwnerIndex;
+  /// Owner -> its first skeleton node (formal-in 0) / first channel formal.
+  std::vector<SDGNodeId> OwnerBase, ChanBase;
+  /// The edge log: edge I runs from EdgeFrom[I].
+  std::vector<SDGNodeId> EdgeFrom;
+  std::vector<SDGEdge> EdgeLog;
+  /// Reused per owner: SSA value -> defining node.
+  std::vector<SDGNodeId> DefNode;
+  std::vector<SDGOwnerId> Callees;
+  /// Call site -> its target owners (CSR, appended as sites are created);
+  /// read only while the CS channels are built.
+  std::vector<uint32_t> SiteTargetOff{0};
+  std::vector<SDGOwnerId> SiteTargets;
+  /// CS only: per-owner channel signatures while they are computed, each
+  /// skeleton node's channel accesses, and the channel-plumbing log.
+  std::vector<std::vector<uint64_t>> OwnerChans;
+  std::vector<ChanAccess> StmtChans;
+  struct ChanPlumb {
+    uint64_t Sig;
+    SDGNodeId Out;
+  };
+  std::vector<uint32_t> PlumbSite;
+  std::vector<ChanPlumb> PlumbLog;
 };
 
 } // namespace taj
@@ -100,24 +131,20 @@ SDG::SDG(const Program &P, const ClassHierarchy &CHA,
   B.build();
 }
 
-const CallSiteInfo *SDG::callSite(SDGNodeId StmtNode) const {
-  auto It = CallSites.find(StmtNode);
-  return It == CallSites.end() ? nullptr : &It->second;
-}
-
 SDGNodeId SDG::actualOutFor(const CallSiteInfo &CS,
                             SDGNodeId CalleeOut) const {
   const SDGNode &N = Nodes[CalleeOut];
   if (N.Kind == SDGNodeKind::FormalOut)
     return CS.StmtNode;
   if (N.Kind == SDGNodeKind::ChanFormalOut) {
-    auto It = OwnerChans.find(N.Owner);
-    if (It == OwnerChans.end() || N.Index >= It->second.size())
+    const uint32_t First = OwnerChanOff[N.Owner];
+    if (N.Index >= OwnerChanOff[N.Owner + 1] - First)
       return InvalidId;
-    uint64_t Sig = It->second[N.Index];
-    for (size_t K = 0; K < CS.ChanSigs.size(); ++K)
-      if (CS.ChanSigs[K] == Sig)
-        return CS.ChanOuts[K];
+    const uint64_t Sig = OwnerChanSigs[First + N.Index];
+    const size_t Site = &CS - CallSites.data();
+    for (uint32_t K = ChanSiteOff[Site]; K < ChanSiteOff[Site + 1]; ++K)
+      if (ChanSiteSigs[K] == Sig)
+        return ChanSiteOuts[K];
   }
   return InvalidId;
 }
@@ -220,36 +247,32 @@ std::string SDG::nodeToString(SDGNodeId NId) const {
 // Builder
 //===----------------------------------------------------------------------===//
 
-std::vector<SDGOwnerId> SdgBuilder::calleeOwners(SDGOwnerId O,
-                                                 StmtId Site) const {
-  std::vector<SDGOwnerId> Out;
-  auto Add = [&](SDGOwnerId T) {
-    if (std::find(Out.begin(), Out.end(), T) == Out.end())
-      Out.push_back(T);
+const std::vector<SDGOwnerId> &SdgBuilder::calleeOwners(SDGOwnerId O,
+                                                        StmtId Site) {
+  Callees.clear();
+  auto Add = [&](uint32_t Key) {
+    const SDGOwnerId T = OwnerIndex[Key];
+    if (T != InvalidId &&
+        std::find(Callees.begin(), Callees.end(), T) == Callees.end())
+      Callees.push_back(T);
   };
   const SDG::OwnerInfo &OI = G.Owners[O];
   if (OI.CgNode != InvalidId) {
-    for (const CGEdge &E : Solver.callGraph().edges(OI.CgNode)) {
-      if (E.Site != Site)
-        continue;
-      auto It = OwnerIndex.find(E.Callee);
-      if (It != OwnerIndex.end())
-        Add(It->second);
-    }
-    return Out;
+    for (const CGEdge &E : Solver.callGraph().edges(OI.CgNode))
+      if (E.Site == Site)
+        Add(E.Callee);
+    return Callees;
   }
-  for (MethodId T : Solver.callGraph().calleesAt(Site)) {
-    auto It = OwnerIndex.find(T);
-    if (It != OwnerIndex.end())
-      Add(It->second);
-  }
-  return Out;
+  for (MethodId T : Solver.callGraph().calleesAt(Site))
+    Add(T);
+  return Callees;
 }
 
-void SdgBuilder::build() {
+void SdgBuilder::buildParts() {
   // Enumerate owners.
   if (Opts.ContextExpanded) {
     const CallGraph &CG = Solver.callGraph();
+    OwnerIndex.assign(CG.numNodes(), InvalidId);
     for (CGNodeId N = 0; N < CG.numNodes(); ++N) {
       const CGNode &Node = CG.node(N);
       if (!Node.ConstraintsAdded || !P.Methods[Node.M].hasBody())
@@ -258,6 +281,7 @@ void SdgBuilder::build() {
       G.Owners.push_back({Node.M, N});
     }
   } else {
+    OwnerIndex.assign(P.Methods.size(), InvalidId);
     for (MethodId M = 0; M < P.Methods.size(); ++M) {
       if (!P.Methods[M].hasBody() || !Solver.isMethodProcessed(M))
         continue;
@@ -266,6 +290,9 @@ void SdgBuilder::build() {
     }
   }
   createSkeleton();
+  G.SiteOf.assign(G.Nodes.size(), InvalidId);
+  EdgeFrom.reserve(2 * G.Nodes.size());
+  EdgeLog.reserve(2 * G.Nodes.size());
   for (SDGOwnerId O = 0; O < G.Owners.size(); ++O) {
     if (Opts.Guard && !Opts.Guard->checkpoint())
       return; // cutoff: remaining owners stay unwired (partial graph)
@@ -276,34 +303,30 @@ void SdgBuilder::build() {
 }
 
 void SdgBuilder::createSkeleton() {
+  size_t Total = 0;
+  for (const SDG::OwnerInfo &OI : G.Owners)
+    Total += P.Methods[OI.M].NumParams + 1 + P.methodStmtEnd(OI.M) -
+             P.methodStmtBegin(OI.M);
+  G.Nodes.reserve(Total);
+  OwnerBase.resize(G.Owners.size());
   for (SDGOwnerId O = 0; O < G.Owners.size(); ++O) {
-    MethodId M = G.Owners[O].M;
-    const Method &Meth = P.Methods[M];
-    for (uint32_t K = 0; K < Meth.NumParams; ++K) {
-      SDGNode N;
-      N.Kind = SDGNodeKind::FormalIn;
-      N.Owner = O;
-      N.M = M;
+    const MethodId M = G.Owners[O].M;
+    OwnerBase[O] = static_cast<SDGNodeId>(G.Nodes.size());
+    SDGNode N;
+    N.Owner = O;
+    N.M = M;
+    N.Kind = SDGNodeKind::FormalIn;
+    for (uint32_t K = 0; K < P.Methods[M].NumParams; ++K) {
       N.Index = K;
-      G.FormalInMap[key(O, K)] = addNode(N);
+      addNode(N);
     }
-    SDGNode Out;
-    Out.Kind = SDGNodeKind::FormalOut;
-    Out.Owner = O;
-    Out.M = M;
-    G.FormalOutMap[O] = addNode(Out);
-
-    StmtId S = P.methodStmtBegin(M);
-    for (const BasicBlock &BB : Meth.Blocks) {
-      for (size_t K = 0; K < BB.Insts.size(); ++K) {
-        SDGNode N;
-        N.Kind = SDGNodeKind::Stmt;
-        N.Owner = O;
-        N.M = M;
-        N.S = S;
-        G.StmtMap[key(O, S)] = addNode(N);
-        ++S;
-      }
+    N.Kind = SDGNodeKind::FormalOut;
+    N.Index = 0;
+    addNode(N);
+    N.Kind = SDGNodeKind::Stmt;
+    for (StmtId S = P.methodStmtBegin(M); S < P.methodStmtEnd(M); ++S) {
+      N.S = S;
+      addNode(N);
     }
   }
 }
@@ -311,16 +334,16 @@ void SdgBuilder::createSkeleton() {
 void SdgBuilder::wireOwner(SDGOwnerId O) {
   MethodId M = G.Owners[O].M;
   const Method &Meth = P.Methods[M];
-  std::vector<SDGNodeId> DefNode(Meth.NumValues, InvalidId);
+  DefNode.assign(Meth.NumValues, InvalidId);
   for (uint32_t K = 0; K < Meth.NumParams; ++K)
     DefNode[K] = formalIn(O, K);
   {
-    StmtId S = P.methodStmtBegin(M);
+    SDGNodeId N = stmtNode(O, P.methodStmtBegin(M));
     for (const BasicBlock &BB : Meth.Blocks)
       for (const Instruction &I : BB.Insts) {
         if (I.Dst != NoValue)
-          DefNode[I.Dst] = stmtNode(O, S);
-        ++S;
+          DefNode[I.Dst] = N;
+        ++N;
       }
   }
 
@@ -333,10 +356,10 @@ void SdgBuilder::wireOwner(SDGOwnerId O) {
   };
 
   StmtId S = P.methodStmtBegin(M);
+  SDGNodeId C = stmtNode(O, S);
   for (const BasicBlock &BB : Meth.Blocks) {
     for (const Instruction &I : BB.Insts) {
       StmtId Site = S++;
-      SDGNodeId C = stmtNode(O, Site);
       switch (I.Op) {
       case Opcode::Copy:
       case Opcode::Phi:
@@ -374,7 +397,7 @@ void SdgBuilder::wireOwner(SDGOwnerId O) {
           G.Nodes[C].SourceMask |= rules::LEAK;
         break;
       case Opcode::Call:
-        wireCall(O, Site, I, DefNode);
+        wireCall(O, Site, I);
         break;
       default:
         break;
@@ -400,12 +423,12 @@ void SdgBuilder::wireOwner(SDGOwnerId O) {
       }
       if (G.Nodes[C].SinkMask != rules::None)
         G.Sinks.push_back(C);
+      ++C;
     }
   }
 }
 
-void SdgBuilder::wireCall(SDGOwnerId O, StmtId Site, const Instruction &I,
-                          const std::vector<SDGNodeId> &DefNode) {
+void SdgBuilder::wireCall(SDGOwnerId O, StmtId Site, const Instruction &I) {
   SDGNodeId C = stmtNode(O, Site);
   auto Use = [&](ValueId V, SDGNodeId To) {
     if (V == NoValue)
@@ -416,7 +439,7 @@ void SdgBuilder::wireCall(SDGOwnerId O, StmtId Site, const Instruction &I,
   };
 
   const std::vector<MethodId> &Intr = Solver.intrinsicCalleesAt(Site);
-  std::vector<SDGOwnerId> Targets = calleeOwners(O, Site);
+  const std::vector<SDGOwnerId> &Targets = calleeOwners(O, Site);
   G.Nodes[C].Access = classifyAccess(P, I, Intr);
 
   bool IsInvoke = false;
@@ -484,83 +507,89 @@ void SdgBuilder::wireCall(SDGOwnerId O, StmtId Site, const Instruction &I,
 
   CallSiteInfo CS;
   CS.StmtNode = C;
-  CS.Targets = Targets;
+  CS.FirstActualIn = static_cast<SDGNodeId>(G.Nodes.size());
   G.Nodes[C].IsCall = true;
+  G.SiteOf[C] = static_cast<uint32_t>(G.CallSites.size());
+  SiteTargets.insert(SiteTargets.end(), Targets.begin(), Targets.end());
+  SiteTargetOff.push_back(static_cast<uint32_t>(SiteTargets.size()));
 
+  SDGNode AN;
+  AN.Kind = SDGNodeKind::ActualIn;
+  AN.Owner = O;
+  AN.M = G.Owners[O].M;
+  AN.S = Site;
+  AN.Aux = C;
   if (IsInvoke) {
     // invoke(methodObj, recv, argsArray): the receiver flows via an
     // actual-in; the argument array flows via the heap (this node is an
     // InvokeArgsRead load) into every formal of every target.
     if (I.Args.size() > 1) {
-      SDGNode AN;
-      AN.Kind = SDGNodeKind::ActualIn;
-      AN.Owner = O;
-      AN.M = G.Owners[O].M;
-      AN.S = Site;
       AN.Index = 1;
-      AN.Aux = C;
       SDGNodeId AIn = addNode(AN);
-      CS.ActualIns.push_back(AIn);
+      ++CS.NumActualIns;
       Use(I.Args[1], AIn);
       for (SDGOwnerId T : Targets) {
         const Method &TM = P.Methods[G.Owners[T].M];
         if (TM.IsStatic || TM.NumParams == 0)
           continue;
-        SDGNodeId FIn = formalIn(T, 0);
-        if (FIn != InvalidId)
-          addEdge(AIn, FIn, SDGEdgeKind::ParamIn);
+        addEdge(AIn, formalIn(T, 0), SDGEdgeKind::ParamIn);
       }
     }
     for (SDGOwnerId T : Targets) {
       const Method &TM = P.Methods[G.Owners[T].M];
-      for (uint32_t K = TM.IsStatic ? 0 : 1; K < TM.NumParams; ++K) {
-        SDGNodeId FIn = formalIn(T, K);
-        if (FIn != InvalidId)
-          addEdge(C, FIn, SDGEdgeKind::ParamIn);
-      }
-      SDGNodeId FOut = formalOut(T);
-      if (FOut != InvalidId)
-        addEdge(FOut, C, SDGEdgeKind::ParamOut);
+      for (uint32_t K = TM.IsStatic ? 0 : 1; K < TM.NumParams; ++K)
+        addEdge(C, formalIn(T, K), SDGEdgeKind::ParamIn);
+      addEdge(formalOut(T), C, SDGEdgeKind::ParamOut);
     }
-    G.CallSites[C] = std::move(CS);
+    G.CallSites.push_back(CS);
     return;
   }
 
   for (uint32_t K = 0; K < I.Args.size(); ++K) {
-    SDGNode AN;
-    AN.Kind = SDGNodeKind::ActualIn;
-    AN.Owner = O;
-    AN.M = G.Owners[O].M;
-    AN.S = Site;
     AN.Index = K;
-    AN.Aux = C;
     SDGNodeId AIn = addNode(AN);
-    CS.ActualIns.push_back(AIn);
+    ++CS.NumActualIns;
     Use(I.Args[K], AIn);
     for (SDGOwnerId T : Targets) {
       if (K >= P.Methods[G.Owners[T].M].NumParams)
         continue;
-      SDGNodeId FIn = formalIn(T, K);
-      if (FIn != InvalidId)
-        addEdge(AIn, FIn, SDGEdgeKind::ParamIn);
+      addEdge(AIn, formalIn(T, K), SDGEdgeKind::ParamIn);
     }
   }
-  for (SDGOwnerId T : Targets) {
-    SDGNodeId FOut = formalOut(T);
-    if (FOut != InvalidId)
-      addEdge(FOut, C, SDGEdgeKind::ParamOut);
+  for (SDGOwnerId T : Targets)
+    addEdge(formalOut(T), C, SDGEdgeKind::ParamOut);
+  G.CallSites.push_back(CS);
+}
+
+void SdgBuilder::finish() {
+  const size_t NumNodes = G.Nodes.size();
+  csrFromLog(EdgeFrom, EdgeLog, NumNodes, G.SuccOff, G.SuccEdges);
+  G.SiteOf.resize(NumNodes, InvalidId);
+
+  std::vector<ChanPlumb> Plumbs;
+  csrFromLog(PlumbSite, PlumbLog, G.CallSites.size(), G.ChanSiteOff, Plumbs);
+  G.ChanSiteSigs.resize(Plumbs.size());
+  G.ChanSiteOuts.resize(Plumbs.size());
+  for (size_t K = 0; K < Plumbs.size(); ++K) {
+    G.ChanSiteSigs[K] = Plumbs[K].Sig;
+    G.ChanSiteOuts[K] = Plumbs[K].Out;
   }
-  G.CallSites[C] = std::move(CS);
+
+  G.OwnerChanOff.assign(1, 0);
+  G.OwnerChanOff.reserve(G.Owners.size() + 1);
+  for (SDGOwnerId O = 0; O < G.Owners.size(); ++O) {
+    if (O < OwnerChans.size())
+      G.OwnerChanSigs.insert(G.OwnerChanSigs.end(), OwnerChans[O].begin(),
+                             OwnerChans[O].end());
+    G.OwnerChanOff.push_back(static_cast<uint32_t>(G.OwnerChanSigs.size()));
+  }
 }
 
 //===----------------------------------------------------------------------===//
 // CS channel extension
 //===----------------------------------------------------------------------===//
 
-const ChanAccess &SdgBuilder::chanAccessOf(SDGNodeId N) {
-  auto Cached = ChanCache.find(N);
-  if (Cached != ChanCache.end())
-    return Cached->second;
+ChanAccess SdgBuilder::chanAccessOf(SDGNodeId N) const {
   ChanAccess CA;
   const SDGNode &Node = G.Nodes[N];
   const Instruction &I = P.stmt(Node.S);
@@ -627,27 +656,28 @@ const ChanAccess &SdgBuilder::chanAccessOf(SDGNodeId N) {
   std::sort(CA.Writes.begin(), CA.Writes.end());
   CA.Writes.erase(std::unique(CA.Writes.begin(), CA.Writes.end()),
                   CA.Writes.end());
-  return ChanCache.emplace(N, std::move(CA)).first->second;
+  return CA;
 }
 
 void SdgBuilder::computeOwnerChannels() {
-  // Direct accesses per owner (kept sorted throughout).
+  // Direct accesses per owner (kept sorted throughout); each statement's
+  // accesses are kept for the wiring below.
   uint64_t Total = 0;
+  OwnerChans.resize(G.Owners.size());
+  StmtChans.resize(G.Nodes.size());
   for (SDGOwnerId O = 0; O < G.Owners.size(); ++O) {
     MethodId M = G.Owners[O].M;
-    auto &Set = G.OwnerChans[O];
-    StmtId S = P.methodStmtBegin(M);
-    for (const BasicBlock &BB : P.Methods[M].Blocks) {
-      for (size_t Idx = 0; Idx < BB.Insts.size(); ++Idx) {
-        SDGNodeId N = stmtNode(O, S++);
-        const ChanAccess &CA = chanAccessOf(N);
-        for (const auto *V : {&CA.Reads, &CA.Writes}) {
-          for (uint64_t Sig : *V) {
-            auto It = std::lower_bound(Set.begin(), Set.end(), Sig);
-            if (It == Set.end() || *It != Sig) {
-              Set.insert(It, Sig);
-              ++Total;
-            }
+    auto &Set = OwnerChans[O];
+    for (StmtId S = P.methodStmtBegin(M); S < P.methodStmtEnd(M); ++S) {
+      SDGNodeId N = stmtNode(O, S);
+      StmtChans[N] = chanAccessOf(N);
+      const ChanAccess &CA = StmtChans[N];
+      for (const auto *V : {&CA.Reads, &CA.Writes}) {
+        for (uint64_t Sig : *V) {
+          auto It = std::lower_bound(Set.begin(), Set.end(), Sig);
+          if (It == Set.end() || *It != Sig) {
+            Set.insert(It, Sig);
+            ++Total;
           }
         }
       }
@@ -659,11 +689,12 @@ void SdgBuilder::computeOwnerChannels() {
   // the closure for heap-heavy programs — CS thin slicing running out of
   // memory, as on TAJ's larger benchmarks.
   bool Changed = true;
+  std::vector<uint64_t> Merged;
   while (Changed) {
     Changed = false;
     for (SDGOwnerId OR = G.Owners.size(); OR-- > 0;) {
       SDGOwnerId O = OR;
-      auto &Set = G.OwnerChans[O];
+      auto &Set = OwnerChans[O];
       MethodId M = G.Owners[O].M;
       StmtId S = P.methodStmtBegin(M);
       for (const BasicBlock &BB : P.Methods[M].Blocks) {
@@ -672,14 +703,13 @@ void SdgBuilder::computeOwnerChannels() {
           if (I.Op != Opcode::Call)
             continue;
           for (SDGOwnerId T : calleeOwners(O, Site)) {
-            const auto &TSet = G.OwnerChans[T];
-            std::vector<uint64_t> Merged;
-            Merged.reserve(Set.size() + TSet.size());
+            const auto &TSet = OwnerChans[T];
+            Merged.clear();
             std::set_union(Set.begin(), Set.end(), TSet.begin(), TSet.end(),
                            std::back_inserter(Merged));
             if (Merged.size() != Set.size()) {
               Total += Merged.size() - Set.size();
-              Set = std::move(Merged);
+              Set.swap(Merged);
               Changed = true;
             }
           }
@@ -700,14 +730,11 @@ void SdgBuilder::buildChannels() {
     return;
 
   auto ChanIdx = [&](SDGOwnerId O, uint64_t Sig) -> int64_t {
-    auto It = G.OwnerChans.find(O);
-    if (It == G.OwnerChans.end())
+    const std::vector<uint64_t> &V = OwnerChans[O];
+    auto It = std::lower_bound(V.begin(), V.end(), Sig);
+    if (It == V.end() || *It != Sig)
       return -1;
-    auto &V = It->second;
-    auto P2 = std::lower_bound(V.begin(), V.end(), Sig);
-    if (P2 == V.end() || *P2 != Sig)
-      return -1;
-    return P2 - V.begin();
+    return It - V.begin();
   };
 
   auto Budget = [&](uint64_t N) {
@@ -719,99 +746,86 @@ void SdgBuilder::buildChannels() {
     return true;
   };
 
+  ChanBase.resize(G.Owners.size());
   for (SDGOwnerId O = 0; O < G.Owners.size(); ++O) {
     if (Opts.Guard && !Opts.Guard->checkpoint())
       return; // cutoff mid channel extension: partial graph
-    auto It = G.OwnerChans.find(O);
-    if (It == G.OwnerChans.end())
-      continue;
-    for (uint32_t Idx = 0; Idx < It->second.size(); ++Idx) {
+    ChanBase[O] = static_cast<SDGNodeId>(G.Nodes.size());
+    SDGNode N;
+    N.Owner = O;
+    N.M = G.Owners[O].M;
+    for (uint32_t Idx = 0; Idx < OwnerChans[O].size(); ++Idx) {
       if (!Budget(2))
         return;
-      SDGNode In;
-      In.Kind = SDGNodeKind::ChanFormalIn;
-      In.Owner = O;
-      In.M = G.Owners[O].M;
-      In.Index = Idx;
-      G.ChanFormalInMap[key(O, Idx)] = addNode(In);
-      SDGNode Out;
-      Out.Kind = SDGNodeKind::ChanFormalOut;
-      Out.Owner = O;
-      Out.M = G.Owners[O].M;
-      Out.Index = Idx;
-      G.ChanFormalOutMap[key(O, Idx)] = addNode(Out);
+      N.Index = Idx;
+      N.Kind = SDGNodeKind::ChanFormalIn;
+      addNode(N);
+      N.Kind = SDGNodeKind::ChanFormalOut;
+      addNode(N);
     }
   }
 
   // Wire each owner per channel in statement order ("partially
   // flow-sensitive": a load only sees stores that precede it).
+  std::vector<SDGNodeId> Carriers;
   for (SDGOwnerId O = 0; O < G.Owners.size(); ++O) {
-    auto OIt = G.OwnerChans.find(O);
-    if (OIt == G.OwnerChans.end())
-      continue;
     MethodId M = G.Owners[O].M;
-    for (uint32_t Idx = 0; Idx < OIt->second.size(); ++Idx) {
-      uint64_t Sig = OIt->second[Idx];
-      SDGNodeId FIn = G.ChanFormalInMap[key(O, Idx)];
-      SDGNodeId FOut = G.ChanFormalOutMap[key(O, Idx)];
-      std::vector<SDGNodeId> Carriers = {FIn};
-
-      StmtId S = P.methodStmtBegin(M);
-      for (const BasicBlock &BB : P.Methods[M].Blocks) {
-        for (size_t Idx2 = 0; Idx2 < BB.Insts.size(); ++Idx2) {
-          StmtId Site = S++;
-          SDGNodeId C = stmtNode(O, Site);
-          const ChanAccess &CA = chanAccessOf(C);
-          if (std::binary_search(CA.Reads.begin(), CA.Reads.end(), Sig))
-            for (SDGNodeId Cr : Carriers)
-              addEdge(Cr, C, SDGEdgeKind::Flow);
-          if (std::binary_search(CA.Writes.begin(), CA.Writes.end(), Sig))
-            Carriers.push_back(C);
-          auto CSIt = G.CallSites.find(C);
-          if (CSIt == G.CallSites.end())
-            continue;
-          CallSiteInfo &CSI = CSIt->second;
-          bool Touches = false;
-          for (SDGOwnerId T : CSI.Targets)
-            if (ChanIdx(T, Sig) >= 0)
-              Touches = true;
-          if (!Touches)
-            continue;
-          if (!Budget(2))
-            return;
-          SDGNode AInN;
-          AInN.Kind = SDGNodeKind::ChanActualIn;
-          AInN.Owner = O;
-          AInN.M = M;
-          AInN.S = Site;
-          AInN.Aux = C;
-          SDGNodeId CAI = addNode(AInN);
-          SDGNode AOutN;
-          AOutN.Kind = SDGNodeKind::ChanActualOut;
-          AOutN.Owner = O;
-          AOutN.M = M;
-          AOutN.S = Site;
-          SDGNodeId CAO = addNode(AOutN);
-          CSI.ChanSigs.push_back(Sig);
-          CSI.ChanIns.push_back(CAI);
-          CSI.ChanOuts.push_back(CAO);
+    const SDGNodeId First = stmtNode(O, P.methodStmtBegin(M));
+    const SDGNodeId End = First + (P.methodStmtEnd(M) - P.methodStmtBegin(M));
+    for (uint32_t Idx = 0; Idx < OwnerChans[O].size(); ++Idx) {
+      uint64_t Sig = OwnerChans[O][Idx];
+      Carriers.assign(1, chanFormalIn(O, Idx));
+      for (SDGNodeId C = First; C < End; ++C) {
+        const ChanAccess &CA = StmtChans[C];
+        if (std::binary_search(CA.Reads.begin(), CA.Reads.end(), Sig))
           for (SDGNodeId Cr : Carriers)
-            addEdge(Cr, CAI, SDGEdgeKind::Flow);
-          for (SDGOwnerId T : CSI.Targets) {
-            int64_t TIdx = ChanIdx(T, Sig);
-            if (TIdx < 0)
-              continue;
-            addEdge(CAI,
-                    G.ChanFormalInMap[key(T, static_cast<uint32_t>(TIdx))],
-                    SDGEdgeKind::ParamIn);
-            addEdge(G.ChanFormalOutMap[key(T, static_cast<uint32_t>(TIdx))],
-                    CAO, SDGEdgeKind::ParamOut);
-          }
-          Carriers.push_back(CAO);
+            addEdge(Cr, C, SDGEdgeKind::Flow);
+        if (std::binary_search(CA.Writes.begin(), CA.Writes.end(), Sig))
+          Carriers.push_back(C);
+        const uint32_t SiteIdx = G.SiteOf[C];
+        if (SiteIdx == InvalidId)
+          continue;
+        std::span<const SDGOwnerId> Targets(
+            SiteTargets.data() + SiteTargetOff[SiteIdx],
+            SiteTargetOff[SiteIdx + 1] - SiteTargetOff[SiteIdx]);
+        bool Touches = false;
+        for (SDGOwnerId T : Targets)
+          if (ChanIdx(T, Sig) >= 0)
+            Touches = true;
+        if (!Touches)
+          continue;
+        if (!Budget(2))
+          return;
+        SDGNode AInN;
+        AInN.Kind = SDGNodeKind::ChanActualIn;
+        AInN.Owner = O;
+        AInN.M = M;
+        AInN.S = G.Nodes[C].S;
+        AInN.Aux = C;
+        SDGNodeId CAI = addNode(AInN);
+        SDGNode AOutN;
+        AOutN.Kind = SDGNodeKind::ChanActualOut;
+        AOutN.Owner = O;
+        AOutN.M = M;
+        AOutN.S = AInN.S;
+        SDGNodeId CAO = addNode(AOutN);
+        PlumbSite.push_back(SiteIdx);
+        PlumbLog.push_back({Sig, CAO});
+        for (SDGNodeId Cr : Carriers)
+          addEdge(Cr, CAI, SDGEdgeKind::Flow);
+        for (SDGOwnerId T : Targets) {
+          int64_t TIdx = ChanIdx(T, Sig);
+          if (TIdx < 0)
+            continue;
+          addEdge(CAI, chanFormalIn(T, static_cast<uint32_t>(TIdx)),
+                  SDGEdgeKind::ParamIn);
+          addEdge(chanFormalOut(T, static_cast<uint32_t>(TIdx)), CAO,
+                  SDGEdgeKind::ParamOut);
         }
+        Carriers.push_back(CAO);
       }
       for (SDGNodeId Cr : Carriers)
-        addEdge(Cr, FOut, SDGEdgeKind::Flow);
+        addEdge(Cr, chanFormalOut(O, Idx), SDGEdgeKind::Flow);
     }
   }
 }

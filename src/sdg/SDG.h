@@ -32,8 +32,8 @@
 #include "pointsto/Solver.h"
 #include "support/Stats.h"
 
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace taj {
@@ -124,16 +124,13 @@ struct SDGEdge {
   SDGEdgeKind Kind = SDGEdgeKind::Flow;
 };
 
-/// Per-call-site bookkeeping used to map callee formal-outs back to this
-/// site's actual-outs when applying summaries.
+/// One call site with body'd targets. Its actual-in nodes are created as
+/// one contiguous range, so the range is stored as (first, count); its CS
+/// channel plumbing lives in the SDG's per-site channel columns.
 struct CallSiteInfo {
   SDGNodeId StmtNode = 0;
-  std::vector<SDGOwnerId> Targets;
-  std::vector<SDGNodeId> ActualIns;
-  /// Channel plumbing (CS only): parallel arrays over channel signatures.
-  std::vector<uint64_t> ChanSigs;
-  std::vector<SDGNodeId> ChanIns;
-  std::vector<SDGNodeId> ChanOuts;
+  SDGNodeId FirstActualIn = 0;
+  uint32_t NumActualIns = 0;
 };
 
 /// Build options.
@@ -163,14 +160,20 @@ public:
 
   const SDGNode &node(SDGNodeId N) const { return Nodes[N]; }
   uint32_t numNodes() const { return static_cast<uint32_t>(Nodes.size()); }
-  const std::vector<SDGEdge> &succs(SDGNodeId N) const { return Succs[N]; }
+  /// Out-edges of \p N, in insertion order.
+  std::span<const SDGEdge> succs(SDGNodeId N) const {
+    return {SuccEdges.data() + SuccOff[N], SuccOff[N + 1] - SuccOff[N]};
+  }
 
   /// Call-site info for a call statement node; nullptr if not a call with
   /// body'd targets.
-  const CallSiteInfo *callSite(SDGNodeId StmtNode) const;
+  const CallSiteInfo *callSite(SDGNodeId StmtNode) const {
+    const uint32_t I = SiteOf[StmtNode];
+    return I == InvalidId ? nullptr : &CallSites[I];
+  }
 
   /// Maps a callee formal-out-like node to the corresponding actual-out at
-  /// call site \p CS. InvalidId if unmapped.
+  /// call site \p CS (an entry of this graph). InvalidId if unmapped.
   SDGNodeId actualOutFor(const CallSiteInfo &CS, SDGNodeId CalleeOut) const;
 
   /// All statement nodes that are sources for \p Rule.
@@ -211,7 +214,7 @@ private:
   friend struct persist::Access;
 
   /// Restore-path constructor: binds the live references and options but
-  /// builds nothing; persist::Access fills the tables from a cache record.
+  /// builds nothing; persist::Access fills the columns from a cache record.
   struct RestoreTag {};
   SDG(const Program &P, const PointsToSolver &Solver, SDGOptions Opts,
       RestoreTag)
@@ -231,15 +234,29 @@ private:
   };
   std::vector<OwnerInfo> Owners;
 
+  /// Each owner's skeleton is one block of nodes: its formal-ins, its
+  /// formal-out, then one node per statement in order. Actual-ins follow
+  /// all skeletons, then (CS) each owner's channel formals in (in, out)
+  /// pairs and the call sites' channel actuals.
   std::vector<SDGNode> Nodes;
-  std::vector<std::vector<SDGEdge>> Succs;
-  std::unordered_map<uint64_t, SDGNodeId> StmtMap; // (owner, stmt)
-  std::unordered_map<uint64_t, SDGNodeId> FormalInMap;
-  std::unordered_map<SDGOwnerId, SDGNodeId> FormalOutMap;
-  std::unordered_map<SDGNodeId, CallSiteInfo> CallSites;
-  std::unordered_map<uint64_t, SDGNodeId> ChanFormalInMap;
-  std::unordered_map<uint64_t, SDGNodeId> ChanFormalOutMap;
-  std::unordered_map<SDGOwnerId, std::vector<uint64_t>> OwnerChans;
+  /// Edges as CSR: node N's out-edges are SuccEdges[SuccOff[N] ..
+  /// SuccOff[N+1]), in insertion order.
+  std::vector<uint32_t> SuccOff;
+  std::vector<SDGEdge> SuccEdges;
+  /// Call sites in creation order (ascending statement node), and per node
+  /// its index into CallSites (InvalidId for all but call statements).
+  std::vector<CallSiteInfo> CallSites;
+  std::vector<uint32_t> SiteOf;
+  /// CS channel plumbing as CSR over CallSites: site I's channels are
+  /// ChanSiteSigs/ChanSiteOuts[ChanSiteOff[I] .. ChanSiteOff[I+1]), in
+  /// ascending signature order, with the channel actual-out of each.
+  std::vector<uint32_t> ChanSiteOff;
+  std::vector<uint64_t> ChanSiteSigs;
+  std::vector<SDGNodeId> ChanSiteOuts;
+  /// Per-owner sorted channel signatures as CSR over Owners (CS only).
+  std::vector<uint32_t> OwnerChanOff;
+  std::vector<uint64_t> OwnerChanSigs;
+  /// Store, load and sink statement nodes, each list ascending.
   std::vector<SDGNodeId> Stores, Loads, Sinks;
   bool ChanOOM = false;
   uint64_t ChanNodes = 0;

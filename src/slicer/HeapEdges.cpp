@@ -1,14 +1,16 @@
 //===- slicer/HeapEdges.cpp ------------------------------------*- C++ -*-===//
 
 #include "slicer/HeapEdges.h"
+#include "support/Csr.h"
 #include "support/RunGuard.h"
 
 #include <algorithm>
 
 using namespace taj;
 
-static bool intersects(const std::vector<IKId> &A,
-                       const std::vector<IKId> &B) {
+namespace {
+
+bool intersects(const std::vector<IKId> &A, const std::vector<IKId> &B) {
   size_t I = 0, J = 0;
   while (I < A.size() && J < B.size()) {
     if (A[I] == B[J])
@@ -21,54 +23,75 @@ static bool intersects(const std::vector<IKId> &A,
   return false;
 }
 
-const std::vector<IKId> &HeapEdges::baseIKs(SDGNodeId Node) const {
-  return G.basePointsTo(Node);
-}
+/// One indexed load (build-only).
+struct LoadInfo {
+  SDGNodeId Node;
+  FieldId Field;
+  Symbol MapKey; ///< ~0u = non-constant key (SDG::constKeyOf): channels
+                 ///< with distinct resolved keys never connect
+  const std::vector<IKId> *BaseIKs;
+};
 
-Symbol HeapEdges::mapKeyOf(SDGNodeId Node) const { return G.constKeyOf(Node); }
+} // namespace
 
 HeapEdges::HeapEdges(const Program &P, const SDG &G,
                      const PointsToSolver &Solver, const HeapGraph &HG,
                      uint32_t NestedDepth, RunGuard *Guard)
-    : P(P), G(G), Solver(Solver), HG(HG), NestedDepth(NestedDepth) {
+    : G(G) {
+  const size_t NumStores = G.storeNodes().size();
+  LoadOff.reserve(NumStores + 1);
+  SinkOff.reserve(NumStores + 1);
+  LoadOff.push_back(0);
+  SinkOff.push_back(0);
+  build(P, Solver, HG, NestedDepth, Guard);
+  // A cutoff leaves the remaining stores with empty adjacency.
+  LoadOff.resize(NumStores + 1, static_cast<uint32_t>(LoadEdges.size()));
+  SinkOff.resize(NumStores + 1, static_cast<uint32_t>(SinkEdges.size()));
+}
+
+void HeapEdges::build(const Program &P, const PointsToSolver &Solver,
+                      const HeapGraph &HG, uint32_t NestedDepth,
+                      RunGuard *Guard) {
   // Index all loads by access class.
+  std::vector<LoadInfo> FieldLoads, StaticLoads, ArrayLoads, MapGets,
+      CollGets;
   for (SDGNodeId L : G.loadNodes()) {
     if (Guard && !Guard->checkpoint())
       return; // cutoff: unindexed loads simply lose their heap hops
     const SDGNode &N = G.node(L);
-    LoadInfo LI;
-    LI.Node = L;
-    LI.Access = N.Access;
-    LI.Field = P.stmt(N.S).Field;
-    LI.MapKey = ~0u;
+    LoadInfo LI{L, P.stmt(N.S).Field, ~0u, nullptr};
     switch (N.Access) {
     case HeapAccess::FieldLoad:
-      LI.BaseIKs = baseIKs(L);
-      FieldLoads.push_back(std::move(LI));
+      LI.BaseIKs = &G.basePointsTo(L);
+      FieldLoads.push_back(LI);
       break;
     case HeapAccess::StaticLoad:
-      StaticLoads.push_back(std::move(LI));
+      StaticLoads.push_back(LI);
       break;
     case HeapAccess::ArrayLoad:
     case HeapAccess::InvokeArgsRead:
-      LI.BaseIKs = baseIKs(L);
-      ArrayLoads.push_back(std::move(LI));
+      LI.BaseIKs = &G.basePointsTo(L);
+      ArrayLoads.push_back(LI);
       break;
     case HeapAccess::MapGet:
-      LI.BaseIKs = baseIKs(L);
-      LI.MapKey = mapKeyOf(L);
-      MapGets.push_back(std::move(LI));
+      LI.BaseIKs = &G.basePointsTo(L);
+      LI.MapKey = G.constKeyOf(L);
+      MapGets.push_back(LI);
       break;
     case HeapAccess::CollGet:
-      LI.BaseIKs = baseIKs(L);
-      CollGets.push_back(std::move(LI));
+      LI.BaseIKs = &G.basePointsTo(L);
+      CollGets.push_back(LI);
       break;
     default:
       break;
     }
   }
   // Invert sink-argument heap reachability: ik -> sinks whose sensitive
-  // actuals reach it within the nested-taint depth (§4.1.1 steps 1-2).
+  // actuals reach it within the nested-taint depth (§4.1.1 steps 1-2),
+  // logged per sink and sorted into a CSR over instance keys.
+  std::vector<uint32_t> LogIK;
+  std::vector<SDGNodeId> LogSink;
+  std::vector<IKId> ArgIKs;
   for (SDGNodeId SkNode : G.sinkNodes()) {
     if (Guard && !Guard->checkpoint())
       return; // cutoff: remaining sinks get no carrier edges
@@ -81,7 +104,7 @@ HeapEdges::HeapEdges(const Program &P, const SDG &G,
     for (MethodId T : Solver.callGraph().calleesAt(N.S))
       if (P.Methods[T].SinkRules)
         Mask |= P.Methods[T].SinkParamMask;
-    std::vector<IKId> ArgIKs;
+    ArgIKs.clear();
     for (uint32_t K = 0; K < I.Args.size(); ++K) {
       if (!(Mask & (1u << K)))
         continue;
@@ -94,91 +117,83 @@ HeapEdges::HeapEdges(const Program &P, const SDG &G,
     // depth d+1, so the base must lie within NestedDepth-1 (§6.2.3).
     if (NestedDepth == 0)
       continue;
-    for (IKId IK : HG.reachable(ArgIKs, NestedDepth - 1))
-      IkToSinks[IK].push_back(SkNode);
+    for (IKId IK : HG.reachable(ArgIKs, NestedDepth - 1)) {
+      LogIK.push_back(IK);
+      LogSink.push_back(SkNode);
+    }
   }
+  std::vector<uint32_t> IkSinkOff;
+  std::vector<SDGNodeId> IkSinks;
+  csrFromLog(LogIK, LogSink, Solver.instanceKeys().size(), IkSinkOff,
+             IkSinks);
+
   // Materialize every store's adjacency now, while still single-threaded:
   // slicing workers must only ever read this object.
-  for (SDGNodeId St : G.storeNodes())
-    computeStore(St, Guard);
-}
-
-void HeapEdges::computeStore(SDGNodeId Store, RunGuard *Guard) {
-  StoreInfo &SI = Stores[Store];
-  if (Guard && !Guard->checkpoint())
-    return; // cutoff: this store contributes no heap edges
-
-  const SDGNode &N = G.node(Store);
-  const Instruction &I = P.stmt(N.S);
-  auto AddCarriers = [&](const std::vector<IKId> &Base) {
-    for (IKId IK : Base) {
-      auto SIt = IkToSinks.find(IK);
-      if (SIt != IkToSinks.end())
-        for (SDGNodeId Sk : SIt->second)
-          SI.CarrierSinks.push_back(Sk);
+  for (SDGNodeId Store : G.storeNodes()) {
+    if (Guard && !Guard->checkpoint()) {
+      // Cutoff: this store contributes no heap edges.
+      LoadOff.push_back(static_cast<uint32_t>(LoadEdges.size()));
+      SinkOff.push_back(static_cast<uint32_t>(SinkEdges.size()));
+      continue;
     }
-  };
-  switch (N.Access) {
-  case HeapAccess::StaticStore: {
-    for (const LoadInfo &L : StaticLoads)
-      if (L.Field == I.Field)
-        SI.Loads.push_back(L.Node);
-    return; // statics have no base object: no carrier edges
-  }
-  case HeapAccess::FieldStore: {
-    const std::vector<IKId> &Base = baseIKs(Store);
-    for (const LoadInfo &L : FieldLoads)
-      if (L.Field == I.Field && intersects(Base, L.BaseIKs))
-        SI.Loads.push_back(L.Node);
-    AddCarriers(Base);
-    break;
-  }
-  case HeapAccess::ArrayStore: {
-    const std::vector<IKId> &Base = baseIKs(Store);
-    for (const LoadInfo &L : ArrayLoads)
-      if (intersects(Base, L.BaseIKs))
-        SI.Loads.push_back(L.Node);
-    AddCarriers(Base);
-    break;
-  }
-  case HeapAccess::MapPut: {
-    const std::vector<IKId> &Base = baseIKs(Store);
-    Symbol PutKey = mapKeyOf(Store);
-    for (const LoadInfo &L : MapGets) {
-      bool KeyCompat =
-          PutKey == ~0u || L.MapKey == ~0u || PutKey == L.MapKey;
-      if (KeyCompat && intersects(Base, L.BaseIKs))
-        SI.Loads.push_back(L.Node);
+    const SDGNode &N = G.node(Store);
+    const Instruction &I = P.stmt(N.S);
+    const std::vector<IKId> &Base = G.basePointsTo(Store);
+    auto AddLoads = [&](const std::vector<LoadInfo> &Loads, auto Match) {
+      for (const LoadInfo &L : Loads)
+        if (Match(L))
+          LoadEdges.push_back(L.Node);
+    };
+    auto Aliases = [&](const LoadInfo &L) {
+      return intersects(Base, *L.BaseIKs);
+    };
+    switch (N.Access) {
+    case HeapAccess::StaticStore:
+      AddLoads(StaticLoads,
+               [&](const LoadInfo &L) { return L.Field == I.Field; });
+      break;
+    case HeapAccess::FieldStore:
+      AddLoads(FieldLoads, [&](const LoadInfo &L) {
+        return L.Field == I.Field && Aliases(L);
+      });
+      break;
+    case HeapAccess::ArrayStore:
+      AddLoads(ArrayLoads, Aliases);
+      break;
+    case HeapAccess::MapPut: {
+      const Symbol PutKey = G.constKeyOf(Store);
+      AddLoads(MapGets, [&](const LoadInfo &L) {
+        return (PutKey == ~0u || L.MapKey == ~0u || PutKey == L.MapKey) &&
+               Aliases(L);
+      });
+      break;
     }
-    AddCarriers(Base);
-    break;
+    case HeapAccess::CollAdd:
+      AddLoads(CollGets, Aliases);
+      break;
+    default:
+      break;
+    }
+    // Statics have no base object, so no carrier edges.
+    const size_t First = SinkEdges.size();
+    for (IKId IK : Base)
+      SinkEdges.insert(SinkEdges.end(), IkSinks.begin() + IkSinkOff[IK],
+                       IkSinks.begin() + IkSinkOff[IK + 1]);
+    std::sort(SinkEdges.begin() + First, SinkEdges.end());
+    SinkEdges.erase(std::unique(SinkEdges.begin() + First, SinkEdges.end()),
+                    SinkEdges.end());
+    LoadOff.push_back(static_cast<uint32_t>(LoadEdges.size()));
+    SinkOff.push_back(static_cast<uint32_t>(SinkEdges.size()));
   }
-  case HeapAccess::CollAdd: {
-    const std::vector<IKId> &Base = baseIKs(Store);
-    for (const LoadInfo &L : CollGets)
-      if (intersects(Base, L.BaseIKs))
-        SI.Loads.push_back(L.Node);
-    AddCarriers(Base);
-    break;
-  }
-  default:
-    break;
-  }
-  std::sort(SI.CarrierSinks.begin(), SI.CarrierSinks.end());
-  SI.CarrierSinks.erase(
-      std::unique(SI.CarrierSinks.begin(), SI.CarrierSinks.end()),
-      SI.CarrierSinks.end());
 }
 
-static const std::vector<SDGNodeId> EmptyAdjacency;
-
-const std::vector<SDGNodeId> &HeapEdges::loadsFor(SDGNodeId Store) const {
-  auto It = Stores.find(Store);
-  return It == Stores.end() ? EmptyAdjacency : It->second.Loads;
-}
-
-const std::vector<SDGNodeId> &
-HeapEdges::carrierSinksFor(SDGNodeId Store) const {
-  auto It = Stores.find(Store);
-  return It == Stores.end() ? EmptyAdjacency : It->second.CarrierSinks;
+std::span<const SDGNodeId>
+HeapEdges::adjacency(SDGNodeId Store, const std::vector<uint32_t> &Off,
+                     const std::vector<SDGNodeId> &Col) const {
+  const std::vector<SDGNodeId> &Stores = G.storeNodes();
+  auto It = std::lower_bound(Stores.begin(), Stores.end(), Store);
+  if (It == Stores.end() || *It != Store)
+    return {};
+  const size_t R = It - Stores.begin();
+  return {Col.data() + Off[R], Off[R + 1] - Off[R]};
 }

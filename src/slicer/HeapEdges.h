@@ -30,7 +30,7 @@
 #include "heapgraph/HeapGraph.h"
 #include "sdg/SDG.h"
 
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace taj {
@@ -39,66 +39,53 @@ namespace persist {
 struct Access;
 }
 
-/// Immutable heap adjacency for one (SDG, solver) pair.
+/// Immutable heap adjacency for one (SDG, solver) pair: two CSR columns
+/// indexed by a store's rank in G.storeNodes(), one for its loads and one
+/// for its carrier sinks.
 class HeapEdges {
 public:
+  /// Materializes the adjacency. \p HG is read only here.
   HeapEdges(const Program &P, const SDG &G, const PointsToSolver &Solver,
             const HeapGraph &HG, uint32_t NestedDepth,
             RunGuard *Guard = nullptr);
 
   /// Loads that may read what \p Store wrote.
-  const std::vector<SDGNodeId> &loadsFor(SDGNodeId Store) const;
+  std::span<const SDGNodeId> loadsFor(SDGNodeId Store) const {
+    return adjacency(Store, LoadOff, LoadEdges);
+  }
 
   /// Sinks whose sensitive arguments may reach the object \p Store wrote
   /// into (nested taint, §4.1.1).
-  const std::vector<SDGNodeId> &carrierSinksFor(SDGNodeId Store) const;
+  std::span<const SDGNodeId> carrierSinksFor(SDGNodeId Store) const {
+    return adjacency(Store, SinkOff, SinkEdges);
+  }
 
 private:
   /// Test-only corruption hooks (tests/verify_test.cpp).
   friend class HeapEdgesTestPeer;
   /// Serialization (persist/Serialize.cpp) snapshots and restores the
-  /// materialized store adjacency through the tag constructor below.
+  /// columns through the tag constructor below.
   friend struct persist::Access;
 
-  /// Restore-path constructor: binds the live references but materializes
-  /// nothing; persist::Access fills Stores from a cache record (the
-  /// build-only load indices stay empty — they are never read after
-  /// construction).
+  /// Restore-path constructor: binds the graph but materializes nothing;
+  /// persist::Access fills the columns from a cache record.
   struct RestoreTag {};
-  HeapEdges(const Program &P, const SDG &G, const PointsToSolver &Solver,
-            const HeapGraph &HG, uint32_t NestedDepth, RestoreTag)
-      : P(P), G(G), Solver(Solver), HG(HG), NestedDepth(NestedDepth) {}
+  HeapEdges(const SDG &G, RestoreTag) : G(G) {}
 
-  struct StoreInfo {
-    std::vector<SDGNodeId> Loads;
-    std::vector<SDGNodeId> CarrierSinks;
-  };
-  /// Build-time only: materializes the adjacency of one store.
-  void computeStore(SDGNodeId Store, RunGuard *Guard);
+  void build(const Program &P, const PointsToSolver &Solver,
+             const HeapGraph &HG, uint32_t NestedDepth, RunGuard *Guard);
 
-  const std::vector<IKId> &baseIKs(SDGNodeId Node) const;
-  /// Constant key of a map access (SDG::constKeyOf): channels with
-  /// distinct resolved keys never connect, so dictionary precision here
-  /// follows the --string-analysis mode.
-  Symbol mapKeyOf(SDGNodeId Node) const;
+  /// Row of \p Store (found by its rank in the ascending store list) in
+  /// one CSR column; empty for a node that is not a store.
+  std::span<const SDGNodeId> adjacency(SDGNodeId Store,
+                                       const std::vector<uint32_t> &Off,
+                                       const std::vector<SDGNodeId> &Col) const;
 
-  const Program &P;
   const SDG &G;
-  const PointsToSolver &Solver;
-  const HeapGraph &HG;
-  uint32_t NestedDepth;
-
-  struct LoadInfo {
-    SDGNodeId Node;
-    HeapAccess Access;
-    FieldId Field;
-    Symbol MapKey; ///< ~0u = non-constant key
-    std::vector<IKId> BaseIKs;
-  };
-  std::vector<LoadInfo> FieldLoads, StaticLoads, ArrayLoads, MapGets,
-      CollGets;
-  std::unordered_map<IKId, std::vector<SDGNodeId>> IkToSinks;
-  std::unordered_map<SDGNodeId, StoreInfo> Stores;
+  /// Store rank R's loads are LoadEdges[LoadOff[R] .. LoadOff[R+1]); its
+  /// carrier sinks, ascending, SinkEdges[SinkOff[R] .. SinkOff[R+1]).
+  std::vector<uint32_t> LoadOff, SinkOff;
+  std::vector<SDGNodeId> LoadEdges, SinkEdges;
 };
 
 } // namespace taj

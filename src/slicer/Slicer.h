@@ -39,7 +39,7 @@ struct SlicerOptions {
   RunGuard *Guard = nullptr;
   /// Worker threads for the per-source slicing loops. 1 (default) slices
   /// on the calling thread; 0 resolves to TAJ_THREADS / hardware
-  /// concurrency. The SDG, heap graph and heap edges are always built
+  /// concurrency. The SDG and heap edges are always built (or restored)
   /// once, single-threaded, before the fan-out, and per-worker results are
   /// merged deterministically, so the output is byte-identical at every
   /// thread count.

@@ -368,7 +368,7 @@ bool ikIntersects(const std::vector<IKId> &A, const std::vector<IKId> &B) {
 /// Re-derives whether a materialized store->load heap edge is justified:
 /// compatible access classes, matching field for field/static accesses,
 /// compatible constant keys for dictionaries, and overlapping base
-/// points-to sets (TAJ §4.1.1). Mirrors HeapEdges::computeStore.
+/// points-to sets (TAJ §4.1.1). Mirrors HeapEdges::build.
 bool heapEdgeJustified(const Program &P, const SDG &G, SDGNodeId Store,
                        SDGNodeId Load) {
   const SDGNode &St = G.node(Store);

@@ -8,9 +8,11 @@
 //  - warm runs are byte-identical to cold runs for every Table 1 preset
 //    and at every thread count;
 //  - a restored solver answers every query exactly as the cold one did;
+//  - a restored SDG answers every query exactly as the cold one did;
 //  - corrupted, truncated and version-mismatched entries fall back to
 //    cold computation without changing results, and each invariant of
-//    the columnar points-to record rejects a record that breaks it;
+//    the columnar points-to and SDG records rejects a record that breaks
+//    it;
 //  - LRU eviction respects the byte cap;
 //  - an app's persist.* rows are its cache windows' deltas, so over one
 //    cache they add up to the cache's lifetime counters;
@@ -37,6 +39,7 @@
 #include <filesystem>
 #include <functional>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -227,37 +230,45 @@ TEST(RecordFraming, FormatV2RecordsAreVersionMissesNotCorruption) {
 }
 
 TEST(RecordFraming, FormatV4RecordsAreVersionMissesNotCorruption) {
-  // v5 stores the points-to record as columns. A v4 record is stale, not
-  // damaged: a cache dir written before the change warm-misses cleanly.
-  std::vector<uint8_t> Rec =
-      persist::wrapRecord(persist::ArtifactKind::PointsTo, {1, 2, 3});
-  Rec[4] = 4; // little-endian u32 format version
-  Rec[5] = Rec[6] = Rec[7] = 0;
-  const uint8_t *P = nullptr;
-  size_t N = 0;
-  std::string Err;
-  EXPECT_EQ(persist::unwrapRecordEx(Rec, persist::ArtifactKind::PointsTo, P,
-                                    N, Err),
-            persist::UnwrapStatus::VersionMismatch);
-  EXPECT_NE(Err.find("format version 4"), std::string::npos) << Err;
+  // v5 stores the points-to record as columns and v6 the sdg record. A v4
+  // pts or a v5 sdg record is stale, not damaged: a cache dir written
+  // before either change warm-misses cleanly.
+  const std::pair<persist::ArtifactKind, uint8_t> Stale[] = {
+      {persist::ArtifactKind::PointsTo, 4}, {persist::ArtifactKind::Sdg, 5}};
+  for (const auto &[Kind, Version] : Stale) {
+    std::vector<uint8_t> Rec = persist::wrapRecord(Kind, {1, 2, 3});
+    Rec[4] = Version; // little-endian u32 format version
+    Rec[5] = Rec[6] = Rec[7] = 0;
+    const uint8_t *P = nullptr;
+    size_t N = 0;
+    std::string Err;
+    EXPECT_EQ(persist::unwrapRecordEx(Rec, Kind, P, N, Err),
+              persist::UnwrapStatus::VersionMismatch);
+    EXPECT_NE(Err.find("format version " + std::to_string(Version)),
+              std::string::npos)
+        << Err;
+  }
 
-  TempDir D;
-  {
+  for (const auto &[Kind, Version] : Stale) {
+    SCOPED_TRACE("v" + std::to_string(Version));
+    TempDir D;
+    {
+      persist::ArtifactCache Cache(D.Path);
+      runApp("A", AnalysisConfig::hybridUnbounded(), &Cache);
+    }
+    for (const fs::path &E : cacheEntries(D.Path)) {
+      std::vector<uint8_t> B = readAll(E);
+      ASSERT_GT(B.size(), 8u);
+      B[4] = Version;
+      B[5] = B[6] = B[7] = 0;
+      writeAll(E, B);
+    }
     persist::ArtifactCache Cache(D.Path);
-    runApp("A", AnalysisConfig::hybridUnbounded(), &Cache);
+    RunOut Warm = runApp("A", AnalysisConfig::hybridUnbounded(), &Cache);
+    EXPECT_EQ(Warm.Hits, 0u);
+    EXPECT_EQ(Warm.VersionMiss, 2u);
+    EXPECT_EQ(Warm.Corrupt, 0u);
   }
-  for (const fs::path &E : cacheEntries(D.Path)) {
-    std::vector<uint8_t> B = readAll(E);
-    ASSERT_GT(B.size(), 8u);
-    B[4] = 4;
-    B[5] = B[6] = B[7] = 0;
-    writeAll(E, B);
-  }
-  persist::ArtifactCache Cache(D.Path);
-  RunOut Warm = runApp("A", AnalysisConfig::hybridUnbounded(), &Cache);
-  EXPECT_EQ(Warm.Hits, 0u);
-  EXPECT_EQ(Warm.VersionMiss, 2u);
-  EXPECT_EQ(Warm.Corrupt, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -619,8 +630,118 @@ TEST(WarmStart, RestoredQuerySurfaceEqualsCold) {
   EXPECT_GT(MultiCalleeSites, 0u);
 }
 
+/// The SDG options runSlicer derives from \p C.
+SDGOptions sdgOptionsOf(const AnalysisConfig &C) {
+  SDGOptions SO;
+  SO.ContextExpanded = C.Slicer != SlicerKind::CI;
+  SO.WithChanParams = C.Slicer == SlicerKind::CS;
+  SO.ModelExceptionSources = C.ModelExceptionSources;
+  if (C.Slicer == SlicerKind::CS)
+    SO.ChanNodeBudget = C.CsChanBudget;
+  return SO;
+}
+
+bool sameNode(const SDGNode &A, const SDGNode &B) {
+  return A.Kind == B.Kind && A.Owner == B.Owner && A.M == B.M && A.S == B.S &&
+         A.Index == B.Index && A.Access == B.Access && A.Aux == B.Aux &&
+         A.SourceMask == B.SourceMask && A.SinkMask == B.SinkMask &&
+         A.SanitizeMask == B.SanitizeMask && A.IsCall == B.IsCall;
+}
+
+bool sameEdges(std::span<const SDGEdge> A, std::span<const SDGEdge> B) {
+  return std::equal(A.begin(), A.end(), B.begin(), B.end(),
+                    [](const SDGEdge &X, const SDGEdge &Y) {
+                      return X.To == Y.To && X.Kind == Y.Kind;
+                    });
+}
+
+TEST(WarmStart, RestoredSdgEqualsCold) {
+  const std::pair<const char *, AnalysisConfig> Configs[] = {
+      {"hybrid-unbounded", AnalysisConfig::hybridUnbounded()},
+      {"hybrid-optimized", AnalysisConfig::hybridOptimized(400, 20000, 14, 2)},
+      {"cs", AnalysisConfig::cs()},
+      {"ci", AnalysisConfig::ci()}};
+  size_t CsGraphs = 0, ChanAnswers = 0;
+  for (const AppSpec &Spec : benchmarkSuite()) {
+    for (const auto &[CfgName, C] : Configs) {
+      SCOPED_TRACE(Spec.Name + " " + CfgName);
+      ColdPhase Ph(generateApp(Spec), C);
+      const SDGOptions SO = sdgOptionsOf(C);
+      persist::SdgArtifacts Cold = persist::loadOrBuildSdg(
+          *Ph.App.P, *Ph.CHA, *Ph.Solver, SO, C.NestedTaintDepth, nullptr, "");
+      if (Cold.G->chanBudgetExceeded())
+        continue; // a CS channel overflow stores no record
+      CsGraphs += SO.WithChanParams;
+      persist::Writer W;
+      persist::Access::serializeSdg(*Cold.G, Cold.HE.get(), W);
+      std::unique_ptr<SDG> Warm;
+      std::unique_ptr<HeapEdges> WarmHE;
+      persist::Reader R(W.bytes().data(), W.bytes().size());
+      ASSERT_TRUE(persist::Access::restoreSdg(Warm, WarmHE, *Ph.App.P,
+                                              *Ph.Solver, SO, R));
+      ASSERT_NE(WarmHE, nullptr);
+      const SDG &A = *Cold.G, &B = *Warm;
+
+      ASSERT_EQ(A.numNodes(), B.numNodes());
+      size_t Diff = 0;
+      for (SDGNodeId N = 0; N < A.numNodes(); ++N)
+        Diff += !sameNode(A.node(N), B.node(N)) ||
+                !sameEdges(A.succs(N), B.succs(N));
+      EXPECT_EQ(Diff, 0u) << "node fields / succs";
+
+      // Call sites, and every actualOutFor answer a summary can ask: each
+      // formal-out-like node of each target owner, at each of its sites.
+      std::map<SDGOwnerId, std::vector<SDGNodeId>> OutsOf;
+      Diff = 0;
+      for (SDGNodeId N = 0; N < A.numNodes(); ++N) {
+        const SDGNode &Nd = A.node(N);
+        if (Nd.Kind == SDGNodeKind::FormalOut ||
+            Nd.Kind == SDGNodeKind::ChanFormalOut)
+          OutsOf[Nd.Owner].push_back(N);
+        const CallSiteInfo *X = A.callSite(N), *Y = B.callSite(N);
+        Diff += (X == nullptr) != (Y == nullptr) ||
+                (X && (X->StmtNode != Y->StmtNode ||
+                       X->FirstActualIn != Y->FirstActualIn ||
+                       X->NumActualIns != Y->NumActualIns));
+      }
+      EXPECT_EQ(Diff, 0u) << "callSite";
+      Diff = 0;
+      for (const auto &[Owner, Outs] : OutsOf)
+        for (const SDGEdge &E : A.succs(Outs.front())) {
+          const CallSiteInfo *X = A.callSite(E.To), *Y = B.callSite(E.To);
+          if (E.Kind != SDGEdgeKind::ParamOut || !X || !Y)
+            continue;
+          for (SDGNodeId F : Outs) {
+            const SDGNodeId AOut = A.actualOutFor(*X, F);
+            Diff += AOut != B.actualOutFor(*Y, F);
+            ChanAnswers += AOut != InvalidId &&
+                           A.node(F).Kind == SDGNodeKind::ChanFormalOut;
+          }
+        }
+      EXPECT_EQ(Diff, 0u) << "actualOutFor";
+
+      EXPECT_EQ(A.storeNodes(), B.storeNodes());
+      EXPECT_EQ(A.loadNodes(), B.loadNodes());
+      EXPECT_EQ(A.sinkNodes(), B.sinkNodes());
+      Diff = 0;
+      for (SDGNodeId St : A.storeNodes())
+        Diff += !std::ranges::equal(Cold.HE->loadsFor(St),
+                                    WarmHE->loadsFor(St)) ||
+                !std::ranges::equal(Cold.HE->carrierSinksFor(St),
+                                    WarmHE->carrierSinksFor(St));
+      EXPECT_EQ(Diff, 0u) << "loadsFor / carrierSinksFor";
+      EXPECT_EQ(A.numChanNodes(), B.numChanNodes());
+      EXPECT_EQ(A.chanBudgetExceeded(), B.chanBudgetExceeded());
+    }
+  }
+  // CS graphs with channel plumbing are covered, not just skipped.
+  EXPECT_GT(CsGraphs, 0u);
+  EXPECT_GT(ChanAnswers, 0u);
+}
+
 //===----------------------------------------------------------------------===//
-// PersistPoison: every v5 column invariant rejects its record
+// PersistPoison: every column invariant of the pts and sdg records rejects
+// its record
 //===----------------------------------------------------------------------===//
 
 /// Where each column of a v5 pts record starts, found by walking the
@@ -838,6 +959,225 @@ TEST(PersistPoison, LocalOrRetKeyPastTheLastNodeIsRejected) {
         ++K;
       ASSERT_LT(K, L.NumPKs);
       putU32At(B, L.PKA + 4 * size_t(K), L.NumNodes);
+    });
+  }
+}
+
+/// Where each column of a v6 sdg record starts, found by walking the
+/// record the way restoreSdg reads it.
+struct SdgLayout {
+  uint32_t NumNodes = 0, NumEdges = 0, NumSites = 0, NumStores = 0,
+           NumLoadEdges = 0, NumSinkEdges = 0;
+  size_t NodeKind = 0, SuccOff = 0, EdgeTo = 0, EdgeKind = 0;
+  size_t SiteKey = 0, SiteFirst = 0, SiteCount = 0;
+  size_t Stores = 0, LoadOff = 0, LoadEdges = 0, SinkOff = 0, SinkEdges = 0;
+
+  size_t aux(SDGNodeId N) const {
+    return NodeKind + 18 * size_t(NumNodes) + 4 * size_t(N);
+  }
+  size_t isCall(SDGNodeId N) const {
+    return NodeKind + 25 * size_t(NumNodes) + N;
+  }
+};
+
+bool walkSdg(const std::vector<uint8_t> &B, SdgLayout &L) {
+  persist::Reader R(B.data(), B.size());
+  auto Pos = [&] { return B.size() - R.remaining(); };
+  auto Skip = [&](uint64_t N) { return R.block(N) != nullptr || N == 0; };
+  // An offset column of Rows + 1 entries; returns the element count.
+  auto Offsets = [&](uint64_t Rows) {
+    Skip(4 * Rows);
+    return R.u32();
+  };
+  const uint32_t NumOwners = R.u32();
+  Skip(8 * uint64_t(NumOwners));
+  L.NumNodes = R.u32();
+  L.NodeKind = Pos();
+  Skip(26 * uint64_t(L.NumNodes));
+  L.SuccOff = Pos();
+  L.NumEdges = Offsets(L.NumNodes);
+  L.EdgeTo = Pos();
+  L.EdgeKind = L.EdgeTo + 4 * uint64_t(L.NumEdges);
+  Skip(5 * uint64_t(L.NumEdges));
+  L.NumSites = R.u32();
+  L.SiteKey = Pos();
+  L.SiteFirst = L.SiteKey + 4 * uint64_t(L.NumSites);
+  L.SiteCount = L.SiteFirst + 4 * uint64_t(L.NumSites);
+  Skip(12 * uint64_t(L.NumSites));
+  Skip(12 * uint64_t(Offsets(L.NumSites))); // channel plumbing
+  Skip(8 * uint64_t(Offsets(NumOwners)));   // per-owner channels
+  L.NumStores = R.u32();
+  L.Stores = Pos();
+  Skip(4 * uint64_t(L.NumStores));
+  Skip(4 * uint64_t(R.u32())); // loads
+  Skip(4 * uint64_t(R.u32())); // sinks
+  R.u8();
+  R.u64();
+  if (R.u8() == 0)
+    return false; // no heap edges
+  L.LoadOff = Pos();
+  L.NumLoadEdges = Offsets(L.NumStores);
+  L.LoadEdges = Pos();
+  Skip(4 * uint64_t(L.NumLoadEdges));
+  L.SinkOff = Pos();
+  L.NumSinkEdges = Offsets(L.NumStores);
+  L.SinkEdges = Pos();
+  Skip(4 * uint64_t(L.NumSinkEdges));
+  return !R.failed() && R.atEnd();
+}
+
+/// One poisoned sdg record: \p Poison mutates the stored payload (given its
+/// layout) and must make restoreSdg reject it with both out-params null; a
+/// warm run over the re-signed record then counts it corrupt, drops it and
+/// falls back cold, byte-identical to the cold run, and the run after that
+/// hits the re-stored clean record.
+void expectSdgPoisonRejected(
+    const std::function<void(std::vector<uint8_t> &, const SdgLayout &)>
+        &Poison) {
+  const char *App = "A"; // small, with load and carrier-sink edges
+  const AnalysisConfig C = AnalysisConfig::hybridUnbounded();
+  TempDir D;
+  persist::ArtifactCache Cache(D.Path);
+  const FullRun Cold = runFresh(App, C, Cache);
+  const std::string SdgKey = persist::ArtifactCache::makeKey(
+      "sdg", std::string("app:") + App, C.sdgFingerprint());
+  auto Payload = Cache.load(SdgKey, persist::ArtifactKind::Sdg);
+  ASSERT_TRUE(Payload.has_value());
+  std::vector<uint8_t> Bytes(Payload->data(),
+                             Payload->data() + Payload->size());
+  SdgLayout L;
+  ASSERT_TRUE(walkSdg(Bytes, L));
+  Poison(Bytes, L);
+  if (::testing::Test::HasFatalFailure())
+    return;
+
+  ColdPhase Ph(generateApp(specByName(App)), C);
+  std::unique_ptr<SDG> G;
+  std::unique_ptr<HeapEdges> HE;
+  persist::Reader R(Bytes.data(), Bytes.size());
+  EXPECT_FALSE(persist::Access::restoreSdg(G, HE, *Ph.App.P, *Ph.Solver,
+                                           sdgOptionsOf(C), R));
+  EXPECT_EQ(G, nullptr);
+  EXPECT_EQ(HE, nullptr);
+
+  Cache.store(SdgKey, persist::ArtifactKind::Sdg, Bytes);
+  const FullRun Warm = runFresh(App, C, Cache);
+  EXPECT_EQ(Warm.RunStats.get("persist.corrupt"), 1u);
+  EXPECT_EQ(Warm.Report, Cold.Report);
+  EXPECT_EQ(Warm.Issues, Cold.Issues);
+  const FullRun Again = runFresh(App, C, Cache);
+  EXPECT_EQ(Again.RunStats.get("persist.hit"), 2u);
+  EXPECT_EQ(Again.RunStats.get("persist.corrupt"), 0u);
+  EXPECT_EQ(Again.Report, Cold.Report);
+}
+
+/// Makes the offset column at \p Off (\p Rows + 1 entries) decrease once
+/// while it still starts at 0 and ends at its column's length: offset K+1
+/// drops one below offset K, for the first K with a nonzero offset.
+void lowerOffset(std::vector<uint8_t> &B, size_t Off, uint32_t Rows) {
+  uint32_t K = 1;
+  while (K + 1 < Rows && getU32At(B, Off + 4 * size_t(K)) == 0)
+    ++K;
+  ASSERT_LT(K + 1, Rows);
+  putU32At(B, Off + 4 * size_t(K + 1), getU32At(B, Off + 4 * size_t(K)) - 1);
+}
+
+TEST(PersistPoison, DecreasingSuccessorOffsetsAreRejected) {
+  expectSdgPoisonRejected([](std::vector<uint8_t> &B, const SdgLayout &L) {
+    lowerOffset(B, L.SuccOff, L.NumNodes);
+  });
+}
+
+TEST(PersistPoison, EdgeTargetOrKindOutOfRangeIsRejected) {
+  for (bool Kind : {false, true}) {
+    SCOPED_TRACE(Kind ? "kind" : "target");
+    expectSdgPoisonRejected([&](std::vector<uint8_t> &B, const SdgLayout &L) {
+      ASSERT_GT(L.NumEdges, 0u);
+      if (Kind)
+        B[L.EdgeKind] = uint8_t(SDGEdgeKind::ParamOut) + 1;
+      else
+        putU32At(B, L.EdgeTo, L.NumNodes);
+    });
+  }
+}
+
+TEST(PersistPoison, DuplicateOrNonCallSiteKeyIsRejected) {
+  for (bool Duplicate : {true, false}) {
+    SCOPED_TRACE(Duplicate ? "duplicate" : "non-call");
+    expectSdgPoisonRejected([&](std::vector<uint8_t> &B, const SdgLayout &L) {
+      ASSERT_GE(L.NumSites, 2u);
+      if (Duplicate) {
+        // Site 1 becomes a copy of site 0, actual-in range included.
+        for (size_t Col : {L.SiteKey, L.SiteFirst, L.SiteCount})
+          putU32At(B, Col + 4, getU32At(B, Col));
+        return;
+      }
+      // Site 0 moves to a statement node that is no call, and gives up its
+      // actual-ins.
+      SDGNodeId N = 0;
+      while (N < L.NumNodes &&
+             (B[L.NodeKind + N] != uint8_t(SDGNodeKind::Stmt) ||
+              B[L.isCall(N)] != 0))
+        ++N;
+      ASSERT_LT(N, L.NumNodes);
+      putU32At(B, L.SiteKey, N);
+      putU32At(B, L.SiteCount, 0);
+    });
+  }
+}
+
+TEST(PersistPoison, WrongActualInRangeIsRejected) {
+  for (bool OtherCall : {true, false}) {
+    SCOPED_TRACE(OtherCall ? "another call's actual-ins" : "not actual-ins");
+    expectSdgPoisonRejected([&](std::vector<uint8_t> &B, const SdgLayout &L) {
+      // A site with actual-ins, followed by another such site.
+      uint32_t K = 0;
+      while (K + 1 < L.NumSites &&
+             (getU32At(B, L.SiteCount + 4 * size_t(K)) == 0 ||
+              getU32At(B, L.SiteCount + 4 * size_t(K + 1)) == 0))
+        ++K;
+      ASSERT_LT(K + 1, L.NumSites);
+      const size_t First = L.SiteFirst + 4 * size_t(K);
+      const size_t Count = L.SiteCount + 4 * size_t(K);
+      if (OtherCall) {
+        putU32At(B, First, getU32At(B, First + 4));
+        putU32At(B, Count, getU32At(B, Count + 4));
+        return;
+      }
+      // The range becomes the call's own statement node, whose Aux is made
+      // to name the call too, so only the node kind is wrong.
+      const uint32_t Key = getU32At(B, L.SiteKey + 4 * size_t(K));
+      putU32At(B, First, Key);
+      putU32At(B, Count, 1);
+      putU32At(B, L.aux(Key), Key);
+    });
+  }
+}
+
+TEST(PersistPoison, UnsortedStoreListIsRejected) {
+  expectSdgPoisonRejected([](std::vector<uint8_t> &B, const SdgLayout &L) {
+    ASSERT_GE(L.NumStores, 2u);
+    const uint32_t S0 = getU32At(B, L.Stores), S1 = getU32At(B, L.Stores + 4);
+    putU32At(B, L.Stores, S1);
+    putU32At(B, L.Stores + 4, S0);
+  });
+}
+
+TEST(PersistPoison, DecreasingHeapEdgeOffsetsAreRejected) {
+  for (bool Sink : {false, true}) {
+    SCOPED_TRACE(Sink ? "carrier sinks" : "loads");
+    expectSdgPoisonRejected([&](std::vector<uint8_t> &B, const SdgLayout &L) {
+      lowerOffset(B, Sink ? L.SinkOff : L.LoadOff, L.NumStores);
+    });
+  }
+}
+
+TEST(PersistPoison, AdjacencyIdOutOfRangeIsRejected) {
+  for (bool Sink : {false, true}) {
+    SCOPED_TRACE(Sink ? "carrier sink" : "load");
+    expectSdgPoisonRejected([&](std::vector<uint8_t> &B, const SdgLayout &L) {
+      ASSERT_GT(Sink ? L.NumSinkEdges : L.NumLoadEdges, 0u);
+      putU32At(B, Sink ? L.SinkEdges : L.LoadEdges, L.NumNodes);
     });
   }
 }

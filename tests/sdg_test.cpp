@@ -100,10 +100,10 @@ TEST(Sdg, CallPlumbingRoundTrip) {
     if (B.P.Pool.str(I.CalleeName) != "pass")
       continue;
     Found = true;
-    EXPECT_EQ(CS->ActualIns.size(), I.Args.size());
+    EXPECT_EQ(CS->NumActualIns, I.Args.size());
     bool SawParamIn = false;
-    for (SDGNodeId AIn : CS->ActualIns)
-      for (const SDGEdge &E : B.G->succs(AIn))
+    for (uint32_t K = 0; K < CS->NumActualIns; ++K)
+      for (const SDGEdge &E : B.G->succs(CS->FirstActualIn + K))
         SawParamIn |= E.Kind == SDGEdgeKind::ParamIn;
     EXPECT_TRUE(SawParamIn);
   }

@@ -71,8 +71,15 @@ public:
 
 class SdgTestPeer {
 public:
-  static std::vector<std::vector<SDGEdge>> &succs(const SDG &G) {
-    return const_cast<SDG &>(G).Succs;
+  /// The flat edge column of the CSR successor lists.
+  static std::vector<SDGEdge> &succEdges(const SDG &G) {
+    return const_cast<SDG &>(G).SuccEdges;
+  }
+  /// Drops every edge: all offsets 0, an empty edge column.
+  static void clearEdges(const SDG &G) {
+    SDG &Mut = const_cast<SDG &>(G);
+    std::fill(Mut.SuccOff.begin(), Mut.SuccOff.end(), 0);
+    Mut.SuccEdges.clear();
   }
   static std::vector<SDGNode> &nodes(const SDG &G) {
     return const_cast<SDG &>(G).Nodes;
@@ -101,11 +108,23 @@ public:
 
 class HeapEdgesTestPeer {
 public:
+  /// Appends \p Ld to the loads of store \p St (a node of the store list).
   static void addLoadEdge(const HeapEdges &HE, SDGNodeId St, SDGNodeId Ld) {
-    const_cast<HeapEdges &>(HE).Stores[St].Loads.push_back(Ld);
+    HeapEdges &Mut = const_cast<HeapEdges &>(HE);
+    const std::vector<SDGNodeId> &Stores = HE.G.storeNodes();
+    const size_t Rank =
+        std::lower_bound(Stores.begin(), Stores.end(), St) - Stores.begin();
+    Mut.LoadEdges.insert(Mut.LoadEdges.begin() + Mut.LoadOff[Rank + 1], Ld);
+    for (size_t R = Rank + 1; R < Mut.LoadOff.size(); ++R)
+      ++Mut.LoadOff[R];
   }
+  /// Drops every load and carrier edge.
   static void clearAll(const HeapEdges &HE) {
-    const_cast<HeapEdges &>(HE).Stores.clear();
+    HeapEdges &Mut = const_cast<HeapEdges &>(HE);
+    std::fill(Mut.LoadOff.begin(), Mut.LoadOff.end(), 0);
+    std::fill(Mut.SinkOff.begin(), Mut.SinkOff.end(), 0);
+    Mut.LoadEdges.clear();
+    Mut.SinkEdges.clear();
   }
 };
 
@@ -328,12 +347,11 @@ TEST(SdgChecker, CleanGraphVerifiesAndDanglingEdgeIsFlagged) {
             Clean);
   EXPECT_EQ(Clean.total(), 0u);
 
-  auto &Succs = SdgTestPeer::succs(*A.G);
-  size_t From = 0;
-  while (From < Succs.size() && Succs[From].empty())
-    ++From;
-  ASSERT_LT(From, Succs.size());
-  Succs[From][0].To = A.G->numNodes() + 7; // dangling edge target
+  // The first edge of the column is the first edge of the first node
+  // that has any.
+  auto &Edges = SdgTestPeer::succEdges(*A.G);
+  ASSERT_FALSE(Edges.empty());
+  Edges[0].To = A.G->numNodes() + 7; // dangling edge target
   Violations V;
   verifySdg(S.P(), *A.G, A.HE.get(), S.TA->solver(), VerifyMode::Fast, V);
   EXPECT_EQ(V.count(Checker::Sdg), 1u);
@@ -418,8 +436,7 @@ TEST(WitnessChecker, CorruptedSdgEdgesYieldExactlyOneViolation) {
   persist::SdgArtifacts A = persist::loadOrBuildSdg(
       S.P(), S.TA->hierarchy(), S.TA->solver(), SO, 32, nullptr, "");
   // Sever the in-memory graph: the reported flow loses every witness path.
-  for (auto &Edges : SdgTestPeer::succs(*A.G))
-    Edges.clear();
+  SdgTestPeer::clearEdges(*A.G);
   HeapEdgesTestPeer::clearAll(*A.HE);
   Violations V;
   verifyWitnesses(*A.G, A.HE.get(), {*It}, V);

@@ -17,8 +17,9 @@
 # Measured: BM_PointerAnalysis (the solver), BM_SdgConstruction (its
 # biggest query-surface consumer), BM_ServerWarmRequest (the warm restore
 # path), BM_ColdVsWarmAnalysis (whole runs on Roller, cold and warm, for
-# hybrid-unbounded and hybrid-optimized), BM_RestoreSolver (the points-to
-# restore alone, same two configs), and the slicer rows
+# hybrid-unbounded and hybrid-optimized), BM_RestoreSolver and
+# BM_RestoreSdg (the points-to and SDG restores alone, same two configs),
+# and the slicer rows
 # BM_HybridSlicing (with its thread sweep BM_HybridSlicingThreads) and
 # BM_CiSlicing, whose largest size class is Roller. The speedup column is
 # medianA / medianB, so values above 1 mean the candidate is faster.
@@ -35,7 +36,7 @@ BUILD_A=$1
 BUILD_B=$2
 ROUNDS=${3:-5}
 OUT=${4:-${TMPDIR:-/tmp}/bench_ab.json}
-FILTER='BM_PointerAnalysis|BM_SdgConstruction|BM_ServerWarmRequest|BM_ColdVsWarmAnalysis|BM_RestoreSolver|BM_HybridSlicing|BM_CiSlicing'
+FILTER='BM_PointerAnalysis|BM_SdgConstruction|BM_ServerWarmRequest|BM_ColdVsWarmAnalysis|BM_RestoreSolver|BM_RestoreSdg|BM_HybridSlicing|BM_CiSlicing'
 
 for D in "$BUILD_A" "$BUILD_B"; do
   if [ ! -x "$D/bench/micro_perf" ]; then
