@@ -2,9 +2,10 @@
 //
 // Scaling microbenchmarks of the core engines: pointer analysis +
 // call-graph construction, hybrid slicing (RHS tabulation), CI slicing,
-// and SDG construction, over generated applications of increasing size;
-// plus whole warm/cold runs, the points-to and SDG restores alone and the
-// analysis server's warm request.
+// SDG construction and string-constant propagation, over generated
+// applications of increasing size; plus the class hierarchy's
+// constructor, whole warm/cold runs, the points-to and SDG restores alone
+// and the analysis server's warm request.
 //
 //===----------------------------------------------------------------------===//
 
@@ -140,6 +141,37 @@ void BM_SdgConstruction(benchmark::State &State) {
   State.SetLabel(Spec.Name);
 }
 BENCHMARK(BM_SdgConstruction)->DenseRange(0, 5);
+
+/// String-constant propagation in ipa mode, the presets' mode, with the
+/// class hierarchy built once outside the loop. Each iteration folds the
+/// same concatenations again, which the pool already holds.
+void BM_ConstStrings(benchmark::State &State) {
+  const AppSpec &Spec = appByIndex(State.range(0));
+  GeneratedApp App = generateApp(Spec);
+  App.P->indexStatements();
+  ClassHierarchy CHA(*App.P);
+  ConstStringOptions O;
+  O.Mode = StringAnalysisMode::Ipa;
+  for (auto _ : State) {
+    ConstStringResult R = analyzeConstStrings(*App.P, CHA, O);
+    benchmark::DoNotOptimize(R.stats().get("conststr.values_const"));
+  }
+  State.SetLabel(Spec.Name);
+}
+BENCHMARK(BM_ConstStrings)->DenseRange(0, 5);
+
+/// The class hierarchy's constructor alone. Every run pays it, warm runs
+/// included, whether or not they dispatch a single call.
+void BM_ClassHierarchy(benchmark::State &State) {
+  const AppSpec &Spec = appByIndex(State.range(0));
+  GeneratedApp App = generateApp(Spec);
+  for (auto _ : State) {
+    ClassHierarchy CHA(*App.P);
+    benchmark::DoNotOptimize(CHA.depth(0));
+  }
+  State.SetLabel(Spec.Name);
+}
+BENCHMARK(BM_ClassHierarchy)->Arg(5);
 
 /// End-to-end analysis with the persistent artifact cache: a /0/* row runs
 /// uncached (cold), a /1/* row against a prefilled cache (warm: the

@@ -19,8 +19,8 @@
 #define TAJ_CALLGRAPH_CALLGRAPH_H
 
 #include "ir/Program.h"
-#include "pointsto/InternIndex.h"
 #include "pointsto/Keys.h"
+#include "support/InternIndex.h"
 
 #include <span>
 #include <string>

@@ -17,13 +17,16 @@
 #define TAJ_CHA_CLASSHIERARCHY_H
 
 #include "ir/Program.h"
+#include "support/InternIndex.h"
 
+#include <span>
 #include <vector>
 
 namespace taj {
 
 /// Precomputed hierarchy queries for one Program. Build after the program
-/// is complete; adding classes afterwards invalidates the instance.
+/// is complete (and verified: the superclass chains must be acyclic);
+/// adding classes or methods afterwards invalidates the instance.
 class ClassHierarchy {
 public:
   explicit ClassHierarchy(const Program &P);
@@ -32,13 +35,16 @@ public:
   bool isSubclassOf(ClassId Sub, ClassId Super) const;
 
   /// Resolves a virtual call with receiver class \p Recv and method name
-  /// \p Name by walking up the superclass chain. Returns InvalidId if no
-  /// implementation exists.
+  /// \p Name: the first method named \p Name that the nearest class on
+  /// \p Recv's superclass chain declares. One dispatch-index probe per
+  /// class on the chain. Returns InvalidId if no implementation exists or
+  /// \p Recv is InvalidId.
   MethodId resolveVirtual(ClassId Recv, Symbol Name) const;
 
   /// All classes that are \p C or transitively extend it, in id order.
-  const std::vector<ClassId> &subtypes(ClassId C) const {
-    return Subtypes[C];
+  std::span<const ClassId> subtypes(ClassId C) const {
+    return {Subtypes.data() + SubtypeOff[C],
+            Subtypes.data() + SubtypeOff[C + 1]};
   }
 
   /// Finds field \p Name on \p C or a superclass. InvalidId if absent.
@@ -48,9 +54,19 @@ public:
   uint32_t depth(ClassId C) const { return Depth[C]; }
 
 private:
+  /// Dispatch-index probe: the first method named \p Name that \p C
+  /// declares, or InvalidId with \p Slot set to the insertion position.
+  MethodId declared(ClassId C, Symbol Name, size_t &Slot) const;
+
   const Program &P;
   std::vector<uint32_t> Depth;
-  std::vector<std::vector<ClassId>> Subtypes;
+  /// CSR column: row C is subtypes(C).
+  std::vector<uint32_t> SubtypeOff;
+  std::vector<ClassId> Subtypes;
+  /// Method ids keyed by (owner, name): the first method of each name
+  /// each class declares. Same-named overloads parse, and dispatch picks
+  /// the first.
+  InternIndex Dispatch;
 };
 
 } // namespace taj

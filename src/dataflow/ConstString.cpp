@@ -10,7 +10,10 @@
 // concatenations. Each non-leaf cell is either a meet over its operands or
 // a string concatenation of them; dependency edges drive a worklist until
 // fixpoint. The lattice has height 2 (⊤ → constant → ⊥), so every cell
-// changes at most twice and the fixpoint is O(edges).
+// changes at most twice and the fixpoint is O(edges). Edge construction
+// appends (cell, operand) pairs to one log, which a stable counting sort
+// then freezes into an operand column and a dependent column (CSR), each
+// row in log order.
 //
 // Interprocedural edges need call targets before the pointer analysis has
 // built a call graph. A light intraprocedural type-cone pass (declared
@@ -27,9 +30,11 @@
 
 #include "dataflow/ConstString.h"
 
+#include "support/Csr.h"
 #include "support/RunGuard.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 using namespace taj;
@@ -89,8 +94,6 @@ private:
     uint32_t C = static_cast<uint32_t>(Val.size());
     Val.push_back(Init);
     Kind.push_back(K);
-    Ops.emplace_back();
-    Deps.emplace_back();
     NameWatch.push_back(false);
     return C;
   }
@@ -99,15 +102,22 @@ private:
     return MethodBase[M] + static_cast<uint32_t>(V);
   }
 
-  /// Adds \p Src as an operand of meet/concat cell \p Dst (with the
-  /// reverse dependency edge).
+  /// Logs \p Src as an operand of meet/concat cell \p Dst (and so \p Dst as
+  /// a dependent of \p Src).
   void addOperand(uint32_t Dst, uint32_t Src) {
-    Ops[Dst].push_back(Src);
-    Deps[Src].push_back(Dst);
+    LogDst.push_back(Dst);
+    LogSrc.push_back(Src);
   }
 
-  /// Lowers \p C to \p NV (⊤ → const → ⊥ only) and wakes its dependents.
-  /// \p ConstConflict marks a meet of two distinct constants (stats).
+  /// Operand cells of \p C, in the order they were logged.
+  std::span<const uint32_t> operands(uint32_t C) const {
+    return {Ops.data() + OpOff[C], Ops.data() + OpOff[C + 1]};
+  }
+
+  /// Lowers \p C to \p NV (⊤ → const → ⊥ only) and, once the graph is
+  /// frozen, wakes its dependents; during construction run() seeds the
+  /// worklist afterwards instead. \p ConstConflict marks a meet of two
+  /// distinct constants (stats).
   void lower(uint32_t C, Symbol NV, bool ConstConflict = false) {
     Symbol Old = Val[C];
     if (Old == NV || Old == kBottom)
@@ -120,14 +130,15 @@ private:
     Val[C] = NV;
     if (NV == kBottom && (Old != kTop || ConstConflict))
       ++MeetsToBottom;
-    for (uint32_t D : Deps[C])
-      enqueue(D);
+    if (!DepOff.empty())
+      for (uint32_t I = DepOff[C]; I < DepOff[C + 1]; ++I)
+        enqueue(Deps[I]);
     if (NameWatch[C] && NV != kBottom)
       poisonMethodsNamed(NV);
   }
 
   void enqueue(uint32_t C) {
-    if (C < InWl.size() && !InWl[C]) {
+    if (!InWl[C]) {
       InWl[C] = true;
       Worklist.push_back(C);
     }
@@ -139,7 +150,7 @@ private:
     if (Kind[C] == EvalKind::Meet) {
       Symbol Acc = kTop;
       bool Conflict = false;
-      for (uint32_t O : Ops[C]) {
+      for (uint32_t O : operands(C)) {
         Symbol V = Val[O];
         if (V == kTop)
           continue;
@@ -160,7 +171,7 @@ private:
     }
     // Concat: all operands must be constants; any ⊥ poisons, any ⊤ waits.
     std::string S;
-    for (uint32_t O : Ops[C]) {
+    for (uint32_t O : operands(C)) {
       Symbol V = Val[O];
       if (V >= kTop) {
         if (V == kBottom)
@@ -253,30 +264,34 @@ private:
     }
   }
 
-  /// Declared return-type cone across current candidates of a call.
-  ClassId callResultCone(const Instruction &I,
-                         const std::vector<ClassId> &T) const {
-    std::vector<MethodId> Targets;
+  /// Candidate targets of call \p I into \p Out; a virtual call's receiver
+  /// is bounded by the current method's Cones.
+  void callTargets(const Instruction &I, std::vector<MethodId> &Out) const {
+    Out.clear();
     if (I.CKind == CallKind::Virtual) {
-      if (I.Args.empty())
-        return kNoCone;
-      coneTargets(T[static_cast<size_t>(I.Args[0])], I.CalleeName, Targets);
-    } else {
-      MethodId M = CHA.resolveVirtual(I.Cls, I.CalleeName);
-      if (M != InvalidId)
-        Targets.push_back(M);
+      if (!I.Args.empty())
+        coneTargets(Cones[static_cast<size_t>(I.Args[0])], I.CalleeName, Out);
+    } else if (MethodId M = CHA.resolveVirtual(I.Cls, I.CalleeName);
+               M != InvalidId) {
+      Out.push_back(M);
     }
+  }
+
+  /// Declared return-type cone across current candidates of a call.
+  ClassId callResultCone(const Instruction &I) {
+    callTargets(I, ResultTargets);
     ClassId Cone = kNoCone;
-    for (MethodId M : Targets)
+    for (MethodId M : ResultTargets)
       widen(Cone, typeOfDecl(P.Methods[M].RetType), *this);
     return Cone;
   }
 
-  /// Intraprocedural type-cone fixpoint for method \p M. Every value that
-  /// can hold a reference gets a sound superclass bound; cones only widen,
-  /// so a handful of sweeps converge.
-  std::vector<ClassId> computeCones(const Method &M) {
-    std::vector<ClassId> T(M.NumValues, kNoCone);
+  /// Intraprocedural type-cone fixpoint for method \p M into Cones. Every
+  /// value that can hold a reference gets a sound superclass bound; cones
+  /// only widen, so a handful of sweeps converge.
+  void computeCones(const Method &M) {
+    std::vector<ClassId> &T = Cones;
+    T.assign(M.NumValues, kNoCone);
     for (uint32_t K = 0; K < M.NumParams && K < M.NumValues; ++K)
       T[K] = typeOfDecl(M.ParamTypes[K]);
     bool Changed = true;
@@ -313,7 +328,7 @@ private:
             widen(Cone, Root, *this);
             break;
           case Opcode::Call:
-            widen(Cone, callResultCone(I, T), *this);
+            widen(Cone, callResultCone(I), *this);
             break;
           default:
             break;
@@ -325,7 +340,6 @@ private:
         }
       }
     }
-    return T;
   }
 
   //===--------------------------------------------------------------------===//
@@ -342,22 +356,11 @@ private:
     return N == "append" || N == "concat" || N == "toString";
   }
 
-  void addCallEdges(MethodId Caller, const Instruction &I,
-                    const std::vector<ClassId> &Cones) {
-    std::vector<MethodId> Targets;
-    if (I.CKind == CallKind::Virtual) {
-      if (I.Args.empty())
-        return;
-      coneTargets(Cones[static_cast<size_t>(I.Args[0])], I.CalleeName,
-                  Targets);
-    } else {
-      MethodId T = CHA.resolveVirtual(I.Cls, I.CalleeName);
-      if (T != InvalidId)
-        Targets.push_back(T);
-    }
+  void addCallEdges(MethodId Caller, const Instruction &I) {
+    callTargets(I, CallTargets);
     uint32_t DstCell =
         I.Dst != NoValue ? valueCell(Caller, I.Dst) : InvalidId;
-    for (MethodId TM : Targets) {
+    for (MethodId TM : CallTargets) {
       const Method &Callee = P.Methods[TM];
       if (Callee.hasBody()) {
         // Arguments bind parameters positionally (receiver = param 0);
@@ -390,7 +393,6 @@ private:
         if (DstCell != InvalidId) {
           if (foldsAsConcat(Callee)) {
             uint32_t Aux = newCell(EvalKind::Concat, kTop);
-            InWl.push_back(false);
             for (ValueId A : I.Args)
               if (A != NoValue)
                 addOperand(Aux, valueCell(Caller, A));
@@ -431,9 +433,8 @@ private:
   }
 
   void addMethodEdges(const Method &M, bool Ipa) {
-    std::vector<ClassId> Cones;
     if (Ipa)
-      Cones = computeCones(M);
+      computeCones(M);
     for (const BasicBlock &BB : M.Blocks) {
       for (const Instruction &I : BB.Insts) {
         switch (I.Op) {
@@ -483,7 +484,7 @@ private:
           break;
         case Opcode::Call:
           if (Ipa)
-            addCallEdges(M.Id, I, Cones);
+            addCallEdges(M.Id, I);
           else if (I.Dst != NoValue)
             lower(valueCell(M.Id, I.Dst), kBottom);
           break;
@@ -505,14 +506,21 @@ private:
   std::vector<uint32_t> MethodBase;
   std::vector<Symbol> Val;
   std::vector<EvalKind> Kind;
-  std::vector<std::vector<uint32_t>> Ops;
-  std::vector<std::vector<uint32_t>> Deps;
+  /// Edge log, (LogDst[I], LogSrc[I]) in construction order; frozen into
+  /// the operand column (rows = Dst) and the dependent column (rows = Src).
+  std::vector<uint32_t> LogDst, LogSrc;
+  std::vector<uint32_t> OpOff, Ops, DepOff, Deps;
   std::vector<bool> NameWatch;
   std::vector<uint32_t> RetCell, FieldCell;
   uint32_t BottomCell = 0;
   std::vector<uint32_t> Worklist;
   std::vector<bool> InWl;
   uint64_t MeetsToBottom = 0, ConcatsFolded = 0;
+  /// Scratch reused across methods and calls: the current method's value
+  /// cones and the two call-target buffers (the cone pass and the edge
+  /// pass each need their own).
+  std::vector<ClassId> Cones;
+  std::vector<MethodId> ResultTargets, CallTargets;
 
   ClassId Root = InvalidId, StringCls = InvalidId;
   Symbol EmptySym = 0, RunSym = 0;
@@ -535,8 +543,6 @@ bool ConstStringAnalysis::run(StringAnalysisMode Mode,
   uint32_t NumVals = MethodBase.back();
   Val.assign(NumVals, kTop);
   Kind.assign(NumVals, EvalKind::Meet);
-  Ops.assign(NumVals, {});
-  Deps.assign(NumVals, {});
   NameWatch.assign(NumVals, false);
   RetCell.reserve(P.Methods.size());
   for (size_t I = 0; I < P.Methods.size(); ++I)
@@ -545,7 +551,6 @@ bool ConstStringAnalysis::run(StringAnalysisMode Mode,
   for (size_t I = 0; I < P.Fields.size(); ++I)
     FieldCell.push_back(newCell(EvalKind::Meet, kTop));
   BottomCell = newCell(EvalKind::Leaf, kBottom);
-  InWl.assign(Val.size(), false);
 
   // Edge construction (one guard unit per method: the type-cone sweeps
   // dominate this stage's cost).
@@ -557,13 +562,16 @@ bool ConstStringAnalysis::run(StringAnalysisMode Mode,
     addMethodEdges(M, Ipa);
   }
 
-  // Propagate to fixpoint. Seed every dependent of an already-lowered
-  // cell (lower() during setup enqueued into a then-shorter InWl for
-  // late aux cells, so sweep once over all non-leaf cells instead).
-  InWl.assign(Val.size(), false);
-  Worklist.clear();
-  for (uint32_t C = 0; C < Val.size(); ++C)
-    if (Kind[C] != EvalKind::Leaf && !Ops[C].empty())
+  // Freeze the edge log. The sorts are stable, so every row keeps log
+  // order: concatenations fold their operands in argument order.
+  const size_t NumCells = Val.size();
+  csrFromLog(LogDst, LogSrc, NumCells, OpOff, Ops);
+  csrFromLog(LogSrc, LogDst, NumCells, DepOff, Deps);
+
+  // Propagate to fixpoint, seeded with every cell that has operands.
+  InWl.assign(NumCells, false);
+  for (uint32_t C = 0; C < NumCells; ++C)
+    if (Kind[C] != EvalKind::Leaf && OpOff[C] != OpOff[C + 1])
       enqueue(C);
   while (!Worklist.empty()) {
     if (Ipa && !guardOk())

@@ -156,6 +156,11 @@ static void verifyTables(const Program &P, std::vector<std::string> &Errors) {
         Errors.push_back("class " + std::to_string(C) +
                          " lists a method it does not own");
   }
+  // The class hierarchy and every dispatch walk the superclass chain up
+  // to the root; a cycle would never get there.
+  if (ClassId C = findSuperclassCycle(P); C != InvalidId)
+    Errors.push_back("class " + std::string(P.Pool.str(P.Classes[C].Name)) +
+                     " has a cyclic superclass chain");
   for (MethodId M = 0; M < NumMethods; ++M) {
     const Method &Mth = P.Methods[M];
     if (Mth.Owner >= NumClasses) {
@@ -180,6 +185,22 @@ static void verifyTables(const Program &P, std::vector<std::string> &Errors) {
       }
     }
   }
+}
+
+ClassId taj::findSuperclassCycle(const Program &P) {
+  const size_t N = P.Classes.size();
+  // 0 = not seen, 1 = on the walk in progress, 2 = its chain ends.
+  std::vector<uint8_t> State(N, 0);
+  for (ClassId C = 0; C < N; ++C) {
+    ClassId A = C;
+    for (; A < N && State[A] == 0; A = P.Classes[A].Super)
+      State[A] = 1;
+    if (A < N && State[A] == 1)
+      return A;
+    for (ClassId B = C; B != A; B = P.Classes[B].Super)
+      State[B] = 2;
+  }
+  return InvalidId;
 }
 
 std::vector<std::string> taj::verifyProgram(const Program &P) {

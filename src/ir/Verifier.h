@@ -27,6 +27,11 @@ void verifyMethod(const Program &P, MethodId M, std::vector<std::string> &Errors
 /// Verifies every method with a body. Returns all errors (empty = valid).
 std::vector<std::string> verifyProgram(const Program &P);
 
+/// A class on a superclass chain that loops back on itself, or InvalidId
+/// if every chain ends (at InvalidId or at an out-of-range id, which the
+/// table checks report separately). Linear in the number of classes.
+ClassId findSuperclassCycle(const Program &P);
+
 } // namespace taj
 
 #endif // TAJ_IR_VERIFIER_H

@@ -3,6 +3,7 @@
 #include "persist/Serialize.h"
 
 #include "dataflow/ConstString.h"
+#include "ir/Verifier.h"
 
 #include <algorithm>
 #include <functional>
@@ -336,6 +337,8 @@ bool Access::restoreProgram(Program &P, Reader &R) {
         !allBelow(C.Fields, NumFields))
       return false;
   }
+  if (findSuperclassCycle(P) != InvalidId)
+    return false; // the class hierarchy would never reach the root
   for (Field &F : P.Fields)
     if (F.Owner >= NumClasses ||
         (F.Ty.isRefLike() && F.Ty.Cls >= NumClasses))

@@ -18,7 +18,7 @@
 #define TAJ_POINTSTO_CONTEXT_H
 
 #include "ir/Program.h"
-#include "pointsto/InternIndex.h"
+#include "support/InternIndex.h"
 
 #include <vector>
 

@@ -16,8 +16,8 @@
 
 #include "ir/Program.h"
 #include "pointsto/Context.h"
-#include "pointsto/InternIndex.h"
 #include "pointsto/SmallVec.h"
+#include "support/InternIndex.h"
 
 #include <vector>
 

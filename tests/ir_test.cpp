@@ -1,13 +1,19 @@
 //===- tests/ir_test.cpp - IR, builder, printer, CHA unit tests ----------===//
 
+#include "benchgen/Generator.h"
 #include "cha/ClassHierarchy.h"
+#include "frontend/Parser.h"
 #include "ir/Builder.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
+#include "model/BuiltinLibrary.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <span>
 
 using namespace taj;
 
@@ -186,12 +192,101 @@ TEST_F(IrFixture, ClassHierarchyQueries) {
   EXPECT_EQ(CHA.resolveVirtual(Object, Run), InvalidId);
 
   // Subtype enumeration includes self and descendants.
-  const std::vector<ClassId> &Subs = CHA.subtypes(Widget);
+  std::span<const ClassId> Subs = CHA.subtypes(Widget);
   EXPECT_EQ(Subs.size(), 2u);
 
   // Field resolution walks up the hierarchy.
   Symbol FName = P.Pool.intern("f");
   EXPECT_EQ(CHA.resolveField(Gadget, FName), F);
+}
+
+/// Reference dispatch, a linear walk: the first method named \p Name in
+/// each class's method list, up the superclass chain.
+MethodId referenceResolve(const Program &P, ClassId Recv, Symbol Name) {
+  for (ClassId A = Recv; A != InvalidId; A = P.Classes[A].Super)
+    for (MethodId M : P.Classes[A].Methods)
+      if (P.Methods[M].Name == Name)
+        return M;
+  return InvalidId;
+}
+
+/// Checks resolveVirtual for every class x every method name (plus a name
+/// no method has, and Recv = InvalidId), and subtypes() for every class,
+/// against the reference walks.
+void expectDispatchMatchesReference(Program &P, const std::string &Label) {
+  const Symbol Unused = P.Pool.intern("noMethodHasThisName");
+  ClassHierarchy CHA(P);
+  std::set<Symbol> Names = {Unused};
+  for (const Method &M : P.Methods)
+    Names.insert(M.Name);
+  size_t Mismatches = 0;
+  std::string First;
+  for (Symbol N : Names) {
+    if (CHA.resolveVirtual(InvalidId, N) != InvalidId && Mismatches++ == 0)
+      First = "InvalidId." + std::string(P.Pool.str(N));
+    for (const Class &C : P.Classes)
+      if (CHA.resolveVirtual(C.Id, N) != referenceResolve(P, C.Id, N) &&
+          Mismatches++ == 0)
+        First = std::string(P.Pool.str(C.Name)) + "." +
+                std::string(P.Pool.str(N));
+  }
+  EXPECT_EQ(Mismatches, 0u) << Label << ": first at " << First;
+
+  for (const Class &C : P.Classes) {
+    std::vector<ClassId> Ref;
+    for (const Class &S : P.Classes)
+      if (CHA.isSubclassOf(S.Id, C.Id))
+        Ref.push_back(S.Id);
+    std::span<const ClassId> Got = CHA.subtypes(C.Id);
+    EXPECT_EQ(std::vector<ClassId>(Got.begin(), Got.end()), Ref)
+        << Label << ": subtypes of " << P.Pool.str(C.Name);
+  }
+}
+
+TEST(ClassHierarchy, ResolveVirtualMatchesReferenceWalk) {
+  // Same-named methods in one class (the first declared wins), an override
+  // in the middle of a three-level chain, and a class with no methods.
+  Program P;
+  installBuiltinLibrary(P);
+  std::vector<std::string> Errors;
+  ASSERT_TRUE(parseTaj(P, R"(
+class Top extends Object {
+  method m(this: Top): void { }
+  method m(this: Top, s: String): void { }
+  method n(this: Top): void { }
+}
+class Middle extends Top {
+  method n(this: Middle): void { }
+}
+class Bottom extends Middle {
+  method m(this: Bottom, s: String): void { }
+}
+class Bare extends Object {
+}
+)",
+                       &Errors))
+      << (Errors.empty() ? "" : Errors.front());
+  ASSERT_TRUE(verifyProgram(P).empty());
+  {
+    ClassHierarchy CHA(P);
+    const ClassId Top = P.findClass("Top"), Middle = P.findClass("Middle");
+    const ClassId Bottom = P.findClass("Bottom"), Bare = P.findClass("Bare");
+    const Symbol M = P.Pool.intern("m"), N = P.Pool.intern("n");
+    ASSERT_EQ(P.Classes[Top].Methods.size(), 3u);
+    EXPECT_EQ(CHA.resolveVirtual(Top, M), P.Classes[Top].Methods[0]);
+    EXPECT_EQ(CHA.resolveVirtual(Middle, M), P.Classes[Top].Methods[0]);
+    EXPECT_EQ(CHA.resolveVirtual(Bottom, M), P.Classes[Bottom].Methods[0]);
+    EXPECT_EQ(CHA.resolveVirtual(Bottom, N), P.Classes[Middle].Methods[0]);
+    EXPECT_EQ(CHA.resolveVirtual(Top, N), P.Classes[Top].Methods[2]);
+    EXPECT_EQ(CHA.resolveVirtual(Bare, M), InvalidId);
+    EXPECT_EQ(CHA.subtypes(Bare).size(), 1u);
+  }
+  expectDispatchMatchesReference(P, "parsed");
+
+  for (const AppSpec &Spec : benchmarkSuite()) {
+    GeneratedApp App = generateApp(Spec);
+    expectDispatchMatchesReference(*App.P, Spec.Name);
+  }
 }
 
 TEST_F(IrFixture, VerifierCatchesMissingTerminator) {

@@ -1258,6 +1258,57 @@ TEST(Corruption, StructurallyInvalidPayloadFailsRestoreNotResults) {
   EXPECT_EQ(Warm.Corrupt, 2u) << "but structural restore must reject them";
 }
 
+TEST(PersistPoison, CyclicSuperclassChainInTheIrRecordIsRejected) {
+  TempDir D;
+  const std::string Example = TAJ_EXAMPLE_TAJ;
+  const std::string CacheDir = D.Path + "/cache";
+  const std::string Run = "--cache-dir=\"" + CacheDir + "\" --stats-json=\"" +
+                          D.Path + "/stats.json\" \"" + Example +
+                          "\" 2>/dev/null";
+  int Exit = -1;
+  const std::string Cold = runCli(Run, Exit);
+  ASSERT_EQ(Exit, 0);
+
+  // Re-encode the stored program with Profile extending itself and
+  // re-sign the record, so only the structural restore can tell.
+  fs::path IrEntry;
+  std::vector<uint8_t> Poisoned;
+  for (const fs::path &E : cacheEntries(CacheDir)) {
+    const std::vector<uint8_t> Record = readAll(E);
+    const uint8_t *Payload = nullptr;
+    size_t Len = 0;
+    std::string Err;
+    if (!persist::unwrapRecord(Record, persist::ArtifactKind::Ir, Payload,
+                               Len, Err))
+      continue;
+    Program P;
+    persist::Reader R(Payload, Len);
+    ASSERT_TRUE(persist::Access::restoreProgram(P, R));
+    const ClassId Profile = P.findClass("Profile");
+    ASSERT_NE(Profile, InvalidId);
+    P.Classes[Profile].Super = Profile;
+    persist::Writer W;
+    persist::Access::serializeProgram(P, W);
+    Program Direct;
+    persist::Reader DR(W.bytes().data(), W.bytes().size());
+    // A restore that accepted the cycle would hang the warm run below.
+    ASSERT_FALSE(persist::Access::restoreProgram(Direct, DR));
+    IrEntry = E;
+    Poisoned = persist::wrapRecord(persist::ArtifactKind::Ir, W.bytes());
+  }
+  ASSERT_FALSE(IrEntry.empty()) << "no ir record in the cache";
+  writeAll(IrEntry, Poisoned);
+
+  const std::string Warm = runCli(Run, Exit);
+  EXPECT_EQ(Exit, 0);
+  EXPECT_EQ(Warm, Cold);
+  std::ifstream In(D.Path + "/stats.json");
+  const std::string Stats((std::istreambuf_iterator<char>(In)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_NE(Stats.find("\"persist.corrupt\":1,"), std::string::npos)
+      << Stats;
+}
+
 //===----------------------------------------------------------------------===//
 // Eviction
 //===----------------------------------------------------------------------===//

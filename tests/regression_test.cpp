@@ -7,12 +7,16 @@
 //    subgraph, and the analysis is monotone in it);
 //  - bound monotonicity: loosening the §6.2 bounds never loses flows;
 //  - pinned output: every suite app's full issue list (lengths and paths
-//    included) matches a recorded digest under four configurations.
+//    included) matches a recorded digest under four configurations;
+//  - pinned string facts: every suite app's string-constant facts, the
+//    pool symbols they interned and their counters match a recorded
+//    digest in local and ipa mode.
 //
 //===----------------------------------------------------------------------===//
 
 #include "benchgen/Generator.h"
 #include "core/TaintAnalysis.h"
+#include "dataflow/ConstString.h"
 
 #include <gtest/gtest.h>
 
@@ -111,28 +115,46 @@ INSTANTIATE_TEST_SUITE_P(Apps, RegressionTest,
 // slicing thread. A slicer change that moves any digest changes the
 // reported output.
 
-/// FNV-1a over everything a run reports: per issue its source, sink,
-/// rule, length and full statement path, then the completion flag.
-uint64_t outputDigest(const AnalysisResult &R) {
+/// FNV-1a, fed 64-bit words.
+struct Fnv {
   uint64_t H = 0xcbf29ce484222325ull;
-  auto Mix = [&H](uint64_t V) {
+  void mix(uint64_t V) {
     for (int B = 0; B < 8; ++B) {
       H ^= (V >> (8 * B)) & 0xff;
       H *= 0x100000001b3ull;
     }
-  };
-  Mix(R.Issues.size());
-  for (const Issue &I : R.Issues) {
-    Mix(I.Source);
-    Mix(I.Sink);
-    Mix(I.Rule);
-    Mix(I.Length);
-    Mix(I.Path.size());
-    for (StmtId S : I.Path)
-      Mix(S);
   }
-  Mix(R.Completed ? 1 : 0);
-  return H;
+  void mix(std::string_view S) {
+    mix(S.size());
+    for (char C : S)
+      mix(static_cast<unsigned char>(C));
+  }
+};
+
+/// FNV-1a over everything a run reports: per issue its source, sink,
+/// rule, length and full statement path, then the completion flag.
+uint64_t outputDigest(const AnalysisResult &R) {
+  Fnv F;
+  F.mix(R.Issues.size());
+  for (const Issue &I : R.Issues) {
+    F.mix(I.Source);
+    F.mix(I.Sink);
+    F.mix(I.Rule);
+    F.mix(I.Length);
+    F.mix(I.Path.size());
+    for (StmtId S : I.Path)
+      F.mix(S);
+  }
+  F.mix(R.Completed ? 1 : 0);
+  return F.H;
+}
+
+const AppSpec *suiteApp(const char *Name) {
+  static std::vector<AppSpec> Suite = benchmarkSuite();
+  for (const AppSpec &S : Suite)
+    if (S.Name == Name)
+      return &S;
+  return nullptr;
 }
 
 const char *const DigestConfigs[] = {"hybrid-unbounded", "hybrid-optimized",
@@ -237,11 +259,7 @@ class SlicerDigestTest : public ::testing::TestWithParam<DigestRow> {};
 
 TEST_P(SlicerDigestTest, FullOutputMatchesRecordedDigest) {
   const DigestRow &Row = GetParam();
-  const AppSpec *Spec = nullptr;
-  static std::vector<AppSpec> Suite = benchmarkSuite();
-  for (const AppSpec &S : Suite)
-    if (S.Name == Row.App)
-      Spec = &S;
+  const AppSpec *Spec = suiteApp(Row.App);
   ASSERT_NE(Spec, nullptr) << Row.App;
   for (size_t K = 0; K < std::size(DigestConfigs); ++K) {
     GeneratedApp App = generateApp(*Spec);
@@ -257,6 +275,158 @@ TEST_P(SlicerDigestTest, FullOutputMatchesRecordedDigest) {
 INSTANTIATE_TEST_SUITE_P(
     Suite, SlicerDigestTest, ::testing::ValuesIn(RecordedDigests),
     [](const ::testing::TestParamInfo<DigestRow> &Info) {
+      return std::string(Info.param.App);
+    });
+
+//===----------------------------------------------------------------------===//
+// String-constant facts pinned per suite app
+//===----------------------------------------------------------------------===//
+//
+// The string facts name dictionary channels and resolve reflection, and
+// the concatenations the analysis folds are interned into the pool in fold
+// order, so the pool symbols the solver sees depend on the propagation
+// order too. The digest covers every value's fact, the pool strings the
+// analysis interned (in symbol order) and its conststr.* counters. The
+// suite apps as generated hold no fact that ipa mode adds over local mode,
+// so each app also runs with the helper-routed dictionary keys and the
+// StringBuilder-computed reflective targets of bench/ablation_strings
+// planted: those exercise interprocedural edges, concatenation folds and
+// meets to bottom.
+
+/// FNV-1a over one analyzeConstStrings result.
+uint64_t constStringDigest(const Program &P, const ConstStringResult &R) {
+  Fnv F;
+  for (const Method &M : P.Methods)
+    for (uint32_t V = 0; V < M.NumValues; ++V)
+      F.mix(R.valueOf(M.Id, static_cast<ValueId>(V)));
+  F.mix(P.Pool.size() - R.poolBase());
+  for (Symbol S = R.poolBase(); S < P.Pool.size(); ++S)
+    F.mix(P.Pool.str(S));
+  F.mix(R.stats().toString());
+  return F.H;
+}
+
+struct ConstStringCase {
+  StringAnalysisMode Mode;
+  bool StringPlants;
+};
+
+const ConstStringCase ConstStringCases[] = {
+    {StringAnalysisMode::Local, false},
+    {StringAnalysisMode::Ipa, false},
+    {StringAnalysisMode::Local, true},
+    {StringAnalysisMode::Ipa, true}};
+
+struct ConstStringRow {
+  const char *App;
+  uint64_t Digest[4]; ///< in ConstStringCases order
+};
+
+// clang-format off
+const ConstStringRow RecordedConstStrings[] = {
+    {"A",
+     {0x47a193ff24606813ull, 0x47a193ff24606813ull,
+      0xba8797186a181474ull, 0xed97e6a909c39493ull}},
+    {"B",
+     {0x2f8047bf4f50cc73ull, 0x2f8047bf4f50cc73ull,
+      0x506f155782c750d0ull, 0x6eebd035f8d6a27ull}},
+    {"Blojsom",
+     {0x242c904f20a572f3ull, 0x242c904f20a572f3ull,
+      0x604dc268df9af9c4ull, 0x8845d036e08ee6c8ull}},
+    {"BlueBlog",
+     {0xe20cb075ee2c5ccdull, 0xe20cb075ee2c5ccdull,
+      0x22d2ac3817a92d2ull, 0x9e33781aa6e08133ull}},
+    {"Dlog",
+     {0x6c5474687d9eddaaull, 0x6c5474687d9eddaaull,
+      0x8d938e44c40990d0ull, 0x23e9bde8d4ca8a29ull}},
+    {"Friki",
+     {0x3751172cc8a7b9d3ull, 0x3751172cc8a7b9d3ull,
+      0xb268c6aa2aa82661ull, 0x44185bf8bcb36d36ull}},
+    {"GestCV",
+     {0x802e1d34837a6e90ull, 0x802e1d34837a6e90ull,
+      0x79bcc33aabc3d73aull, 0x47af23b5c7d66aadull}},
+    {"Ginp",
+     {0xda40c7a0e1e1ed8full, 0xda40c7a0e1e1ed8full,
+      0x240b069955c15f37ull, 0x90f18e9b8f2477e0ull}},
+    {"GridSphere",
+     {0x3ea37b91cbbaa3d9ull, 0x3ea37b91cbbaa3d9ull,
+      0xb6285fa4fa1ea87dull, 0xfa5b991c5af28d68ull}},
+    {"I",
+     {0xee3132f37d5d5d8ull, 0xee3132f37d5d5d8ull,
+      0x29b5ecadc33702beull, 0x6f991ed438b1b929ull}},
+    {"JSPWiki",
+     {0x9302810328891399ull, 0x9302810328891399ull,
+      0x1e77f9aaa46584c0ull, 0x2bff4e3767188417ull}},
+    {"Lutece",
+     {0xd30c74adc174c553ull, 0xd30c74adc174c553ull,
+      0x14e855080e8df438ull, 0x17cf5845a37daf89ull}},
+    {"MVNForum",
+     {0x9e115f0c31e61bd7ull, 0x9e115f0c31e61bd7ull,
+      0xc733d0ead361e9e1ull, 0x176f0fe2642b2856ull}},
+    {"PersonalBlog",
+     {0x4422f9d2678ae6cbull, 0x4422f9d2678ae6cbull,
+      0x3c72a27c9484c4fbull, 0x994e6c821876b544ull}},
+    {"Roller",
+     {0xabfa8ded5f220606ull, 0xabfa8ded5f220606ull,
+      0xb97b888f8c60800bull, 0xf8e4d50942afc0bcull}},
+    {"S",
+     {0xd7c3e108c857504cull, 0xd7c3e108c857504cull,
+      0x70d23300da11d85full, 0x8119bd04b33bf68aull}},
+    {"SBM",
+     {0x4edbd48e077c9ac0ull, 0x4edbd48e077c9ac0ull,
+      0xb475ca2c9a33ed3cull, 0x685670e3b174f67dull}},
+    {"SnipSnap",
+     {0x7db6da5dc66c22ccull, 0x7db6da5dc66c22ccull,
+      0x33126eac54c65212ull, 0xfccc9a98a245012full}},
+    {"SPLC",
+     {0xf06e62f8383925b3ull, 0xf06e62f8383925b3ull,
+      0xefc9c2d8cd1df24ull, 0xad8bd0e25a977771ull}},
+    {"ST",
+     {0x3ece8360e4bba2eull, 0x3ece8360e4bba2eull,
+      0xcb1ff6f2fb3c35dull, 0x3d9a15f9282832eaull}},
+    {"VQWiki",
+     {0x84bfcb356ae6a608ull, 0x84bfcb356ae6a608ull,
+      0xd3c3250cd1de9bf4ull, 0x180df99e99d47d24ull}},
+    {"Webgoat",
+     {0xaea8b24fac9aaf14ull, 0xaea8b24fac9aaf14ull,
+      0x8f9ba17e3c691469ull, 0xffe0f6dbbd7ec1b8ull}},
+};
+// clang-format on
+
+void PrintTo(const ConstStringRow &Row, std::ostream *OS) { *OS << Row.App; }
+
+class ConstStringDigestTest : public ::testing::TestWithParam<ConstStringRow> {
+};
+
+TEST_P(ConstStringDigestTest, FactsMatchRecordedDigest) {
+  const ConstStringRow &Row = GetParam();
+  const AppSpec *Spec = suiteApp(Row.App);
+  ASSERT_NE(Spec, nullptr) << Row.App;
+  for (size_t K = 0; K < std::size(ConstStringCases); ++K) {
+    const ConstStringCase &Case = ConstStringCases[K];
+    AppSpec S = *Spec;
+    if (Case.StringPlants) {
+      S.Plants.TpHelperKeyMap = 2;
+      S.Plants.TpComputedReflective = 2;
+    }
+    GeneratedApp App = generateApp(S);
+    App.P->indexStatements();
+    ClassHierarchy CHA(*App.P);
+    ConstStringOptions O;
+    O.Mode = Case.Mode;
+    ConstStringResult R = analyzeConstStrings(*App.P, CHA, O);
+    const uint64_t D = constStringDigest(*App.P, R);
+    EXPECT_EQ(D, Row.Digest[K])
+        << Row.App << "/" << stringAnalysisModeName(Case.Mode)
+        << (Case.StringPlants ? "+plants" : "") << ": got 0x" << std::hex << D
+        << std::dec << "\n"
+        << R.stats().toString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, ConstStringDigestTest, ::testing::ValuesIn(RecordedConstStrings),
+    [](const ::testing::TestParamInfo<ConstStringRow> &Info) {
       return std::string(Info.param.App);
     });
 

@@ -2,10 +2,11 @@
 //
 // Exercises the run-governance layer: deterministic fault injection at every
 // checkpoint, deadline expiry, memory ceilings, cooperative cancellation,
-// node-budget truncation, guard statistics, and a malformed-input parser
-// corpus. The invariant throughout: a governed run never crashes, and every
-// issue it reports is one the unbounded run also reports (truncation only
-// shrinks the result, per TAJ §6).
+// node-budget truncation, guard statistics, a malformed-input parser
+// corpus, and cyclic class hierarchies. The invariant throughout: a
+// governed run never crashes or hangs, and every issue it reports is one
+// the unbounded run also reports (truncation only shrinks the result, per
+// TAJ §6).
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <tuple>
 
@@ -388,6 +392,57 @@ TEST(Robustness, ClassWithUnregisteredNameRecovers) {
   bool Ok = parseTaj(P, "class 123 { }\nclass Good { }", &Errors);
   EXPECT_FALSE(Ok);
   EXPECT_FALSE(Errors.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Cyclic class hierarchies
+//===----------------------------------------------------------------------===//
+
+/// Runs taj-cli on \p Source, written to a scratch file, under a 20 s
+/// timeout. Returns stdout and stderr; \p ExitCode is 124 if it hung.
+std::string runCliOn(const std::string &Source, int &ExitCode) {
+  char Buf[] = "/tmp/taj-robust-XXXXXX";
+  const char *Dir = ::mkdtemp(Buf);
+  EXPECT_NE(Dir, nullptr);
+  const std::string Path = std::string(Dir ? Dir : "/tmp") + "/app.taj";
+  std::ofstream(Path) << Source;
+  const std::string Cmd =
+      std::string("timeout 20 ") + TAJ_CLI_PATH + " \"" + Path + "\" 2>&1";
+  FILE *P = ::popen(Cmd.c_str(), "r");
+  EXPECT_NE(P, nullptr);
+  std::string Out;
+  char Chunk[4096];
+  size_t N;
+  while (P && (N = std::fread(Chunk, 1, sizeof(Chunk), P)) > 0)
+    Out.append(Chunk, N);
+  const int St = P ? ::pclose(P) : -1;
+  ExitCode = WIFEXITED(St) ? WEXITSTATUS(St) : -1;
+  std::error_code Ec;
+  std::filesystem::remove_all(Dir ? Dir : "", Ec);
+  return Out;
+}
+
+TEST(Robustness, CyclicExtendsIsAVerifierErrorNotAHang) {
+  // The class hierarchy walks every superclass chain to the root, so a
+  // cyclic chain has to stop at the verifier: exit 1 with a diagnostic in
+  // every build type, never a hang or an assertion.
+  for (const char *Src : {"class A extends B {}\nclass B extends A {}\n",
+                          "class A extends A {}\n"}) {
+    SCOPED_TRACE(Src);
+    Program P;
+    installBuiltinLibrary(P);
+    std::vector<std::string> Errors;
+    ASSERT_TRUE(parseTaj(P, Src, &Errors));
+    const std::vector<std::string> Expected = {
+        "class A has a cyclic superclass chain"};
+    EXPECT_EQ(verifyProgram(P), Expected);
+    int Exit = -1;
+    const std::string Out = runCliOn(Src, Exit);
+    EXPECT_EQ(Exit, 1) << Out;
+    EXPECT_NE(Out.find("verifier: class A has a cyclic superclass chain"),
+              std::string::npos)
+        << Out;
+  }
 }
 
 } // namespace

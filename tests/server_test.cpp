@@ -936,6 +936,32 @@ TEST(Serve, CooperativeDeadlineTruncatesWithExitTwo) {
   EXPECT_EQ(S.stop(), 0);
 }
 
+TEST(Serve, CyclicHierarchyIsAnErrorAndTheDaemonServesOn) {
+  TempDir T;
+  ServerHandle S;
+  // The hard deadline turns a regression back into a hang into a bounded
+  // `timeout` answer rather than a stuck test.
+  ASSERT_TRUE(
+      S.start(T, {"--pool-size=1"}, {{"TAJ_HARD_DEADLINE_MS", "10000"}}));
+  Request Req;
+  AppSource Src;
+  Src.Name = "cyclic.taj";
+  Src.Inline = true;
+  Src.Content = "class A extends B {}\nclass B extends A {}\n";
+  Req.Sources.push_back(std::move(Src));
+  Response Resp;
+  std::string Err;
+  ASSERT_TRUE(requestAnalysis(S.Sock, Req, Resp, Err)) << Err;
+  EXPECT_EQ(Resp.St, Status::Error) << Resp.Message;
+  EXPECT_EQ(Resp.Exit, 1);
+
+  // The same worker then serves the next request.
+  int Exit;
+  runCli("--connect=" + S.Sock + " " + TAJ_EXAMPLE_TAJ, Exit);
+  EXPECT_EQ(Exit, 0);
+  EXPECT_EQ(S.stop(), 0);
+}
+
 TEST(Serve, SigtermDrainsInFlightWorkAndRefusesNewConnections) {
   TempDir T;
   ServerHandle S;

@@ -21,8 +21,11 @@
 # BM_RestoreSdg (the points-to and SDG restores alone, same two configs),
 # and the slicer rows
 # BM_HybridSlicing (with its thread sweep BM_HybridSlicingThreads) and
-# BM_CiSlicing, whose largest size class is Roller. The speedup column is
-# medianA / medianB, so values above 1 mean the candidate is faster.
+# BM_CiSlicing, whose largest size class is Roller; BM_ConstStrings
+# (string-constant propagation, ipa mode) and BM_ClassHierarchy (the class
+# hierarchy's constructor on Roller, which every run pays). The speedup
+# column is medianA / medianB, so values above 1 mean the candidate is
+# faster.
 #
 #===----------------------------------------------------------------------===#
 set -euo pipefail
@@ -36,7 +39,7 @@ BUILD_A=$1
 BUILD_B=$2
 ROUNDS=${3:-5}
 OUT=${4:-${TMPDIR:-/tmp}/bench_ab.json}
-FILTER='BM_PointerAnalysis|BM_SdgConstruction|BM_ServerWarmRequest|BM_ColdVsWarmAnalysis|BM_RestoreSolver|BM_RestoreSdg|BM_HybridSlicing|BM_CiSlicing'
+FILTER='BM_PointerAnalysis|BM_SdgConstruction|BM_ServerWarmRequest|BM_ColdVsWarmAnalysis|BM_RestoreSolver|BM_RestoreSdg|BM_HybridSlicing|BM_CiSlicing|BM_ConstStrings|BM_ClassHierarchy'
 
 for D in "$BUILD_A" "$BUILD_B"; do
   if [ ! -x "$D/bench/micro_perf" ]; then
