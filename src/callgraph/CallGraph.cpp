@@ -79,26 +79,5 @@ void CallGraph::freeze(uint32_t NumMethods, uint32_t NumStmts) {
               SiteCallees.begin() + SiteBase[Site]);
   SiteLists = {};
   EdgeSet = {};
-}
-
-std::string CallGraph::nodeName(const Program &P, CGNodeId N) const {
-  return P.methodName(Nodes[N].M) + "@" + std::to_string(Nodes[N].Ctx);
-}
-
-std::string CallGraph::toDot(const Program &P) const {
-  std::string Out = "digraph callgraph {\n  node [shape=box];\n";
-  for (CGNodeId N = 0; N < Nodes.size(); ++N) {
-    Out += "  n" + std::to_string(N) + " [label=\"" + nodeName(P, N) +
-           "\"";
-    if (!Nodes[N].ConstraintsAdded)
-      Out += ", style=dashed";
-    Out += "];\n";
-  }
-  for (CGNodeId N = 0; N < Nodes.size(); ++N)
-    for (const CGEdge &E : edges(N))
-      Out += "  n" + std::to_string(N) + " -> n" +
-             std::to_string(E.Callee) + " [label=\"" +
-             std::to_string(E.Site) + "\"];\n";
-  Out += "}\n";
-  return Out;
+  In = {};
 }

@@ -11,7 +11,8 @@
 /// context-merged projection (call statement -> callee methods) consumed by
 /// the SDG builder. When solving ends, freeze() lays the per-method node
 /// lists and that projection out as dense CSR columns, which the queries
-/// read.
+/// read, and drops what only construction reads: the in-edges, the edge
+/// set and the per-site lists.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +24,6 @@
 #include "support/InternIndex.h"
 
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -69,7 +69,13 @@ public:
   bool addEdge(CGNodeId Caller, StmtId Site, CGNodeId Callee);
 
   const std::vector<CGEdge> &edges(CGNodeId N) const { return Out[N]; }
-  const std::vector<CGNodeId> &preds(CGNodeId N) const { return In[N]; }
+  /// Callers of \p N, one per edge. Construction only: the priority
+  /// policy reads them while solving, and they are empty after freeze().
+  std::span<const CGNodeId> preds(CGNodeId N) const {
+    if (N >= In.size())
+      return {};
+    return In[N];
+  }
 
   /// All nodes of method \p M (one per context), ascending. Empty before
   /// freeze().
@@ -91,7 +97,8 @@ public:
 
   /// Ends construction: builds the dense per-method node index over
   /// \p NumMethods methods and the per-site callee column over \p NumStmts
-  /// statements, and drops the construction-only edge set and site map.
+  /// statements, and drops the construction-only in-edges, edge set and
+  /// site map.
   void freeze(uint32_t NumMethods, uint32_t NumStmts);
 
   /// Number of nodes whose constraints have been added (the paper's |N|
@@ -104,19 +111,12 @@ public:
     }
   }
 
-  /// Renders "Class.method@ctx" for debugging.
-  std::string nodeName(const Program &P, CGNodeId N) const;
-
-  /// Renders the whole graph in Graphviz dot syntax (processed nodes
-  /// solid, pending nodes dashed).
-  std::string toDot(const Program &P) const;
-
 private:
   /// Test-only corruption hooks (tests/verify_test.cpp): the self-
   /// verification tests must be able to plant phantom edges in place.
   friend class CallGraphTestPeer;
   /// Serialization (persist/Serialize.cpp) snapshots and restores the
-  /// post-solve state, including the per-site callee insertion order.
+  /// frozen state, including the per-site callee insertion order.
   friend struct persist::Access;
 
   static uint64_t hash(MethodId M, CtxId Ctx) { return internHash2(M, Ctx); }
@@ -135,10 +135,10 @@ private:
 
   std::vector<CGNode> Nodes;
   std::vector<std::vector<CGEdge>> Out;
-  std::vector<std::vector<CGNodeId>> In;
   /// (method, context) -> node.
   InternIndex NodeMap;
-  // Construction only: edge dedup and the per-site callee lists.
+  // Construction only: in-edges, edge dedup and the per-site callee lists.
+  std::vector<std::vector<CGNodeId>> In;
   std::unordered_set<uint64_t> EdgeSet; // caller ^ site ^ callee hash
   std::unordered_map<StmtId, std::vector<MethodId>> SiteLists;
   // Frozen CSR columns: method M's nodes are ByMethod[ByMethodBase[M] ..

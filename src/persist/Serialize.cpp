@@ -162,35 +162,6 @@ bool getType(Reader &R, Type &T, size_t NumClasses) {
   return true;
 }
 
-/// Serializes an unordered map<u32, vector<u32>> with keys sorted, so the
-/// encoded bytes are deterministic across runs.
-void putU32VecMap(Writer &W,
-                  const std::unordered_map<uint32_t, std::vector<uint32_t>> &M) {
-  std::vector<uint32_t> Keys;
-  Keys.reserve(M.size());
-  for (const auto &[K, V] : M)
-    Keys.push_back(K);
-  std::sort(Keys.begin(), Keys.end());
-  W.u32(static_cast<uint32_t>(Keys.size()));
-  for (uint32_t K : Keys) {
-    W.u32(K);
-    putU32Vec(W, M.at(K));
-  }
-}
-
-bool getU32VecMap(Reader &R,
-                  std::unordered_map<uint32_t, std::vector<uint32_t>> &M) {
-  uint32_t N = R.count(8);
-  for (uint32_t K = 0; K < N; ++K) {
-    uint32_t Key = R.u32();
-    std::vector<uint32_t> V;
-    if (!getU32Vec(R, V) || M.count(Key))
-      return false;
-    M.emplace(Key, std::move(V));
-  }
-  return !R.failed();
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -545,9 +516,9 @@ void Access::serializeSolver(const PointsToSolver &S, Writer &W) {
   putU32Field(W, IKs, &InstanceKeyData::Cls);
   putU32Field(W, IKs, &InstanceKeyData::Extra);
 
-  // Call graph: nodes, out- and in-edges, and the frozen per-site callee
-  // CSR, whose per-site order is edge insertion order and cannot be
-  // rebuilt from the edges.
+  // Call graph: nodes, out-edges, and the frozen per-site callee CSR,
+  // whose per-site order is edge insertion order and cannot be rebuilt
+  // from the edges.
   const CallGraph &CG = S.CG;
   W.u32(static_cast<uint32_t>(CG.Nodes.size()));
   putU32Field(W, CG.Nodes, &CGNode::M);
@@ -561,7 +532,6 @@ void Access::serializeSolver(const PointsToSolver &S, Writer &W) {
         Callees.push_back(E.Callee);
     W.u32Array(Callees.data(), Callees.size());
   }
-  putCsr(W, CG.In, [](CGNodeId N) { return N; });
   putU32Vec(W, CG.SiteBase);
   putU32Vec(W, CG.SiteCallees);
 
@@ -578,8 +548,8 @@ void Access::serializeSolver(const PointsToSolver &S, Writer &W) {
   W.u32Array(Pts.Idx.data(), Pts.Idx.size());
   W.u64Array(Pts.Words.data(), Pts.Words.size());
 
-  putU32VecMap(W, S.Channels);
-  putU32VecMap(W, S.IntrinsicCallees);
+  putU32Vec(W, S.IntrSites);
+  putU32Vec(W, S.IntrCallees);
   W.u8(S.BudgetHit);
 }
 
@@ -722,16 +692,6 @@ bool Access::restoreSolver(PointsToSolver &S, Reader &R) {
           return false;
       }
   }
-  {
-    CG.In.resize(NumNodes);
-    uint64_t Total;
-    if (!getCsrLengths(R, CG.In, 4, Total))
-      return false;
-    for (std::vector<CGNodeId> &Preds : CG.In)
-      if (!R.u32Array(Preds.data(), Preds.size()) ||
-          !allBelow(Preds, NumNodes))
-        return false;
-  }
   if (!getU32Vec(R, CG.SiteBase) || !getU32Vec(R, CG.SiteCallees) ||
       CG.SiteBase.size() != NumStmts + 1 ||
       !validOffsets(CG.SiteBase, CG.SiteCallees.size()) ||
@@ -806,16 +766,13 @@ bool Access::restoreSolver(PointsToSolver &S, Reader &R) {
       return false;
   }
 
-  if (!getU32VecMap(R, S.Channels))
+  // Intrinsic targets: a (site, callee) column pair, sorted by site, that
+  // intrinsicCalleesAt() searches.
+  if (!getU32Vec(R, S.IntrSites) || !getU32Vec(R, S.IntrCallees) ||
+      S.IntrSites.size() != S.IntrCallees.size() ||
+      !std::is_sorted(S.IntrSites.begin(), S.IntrSites.end()) ||
+      !allBelow(S.IntrSites, NumStmts) || !allBelow(S.IntrCallees, NumMethods))
     return false;
-  for (const auto &[IK, PKVec] : S.Channels)
-    if (IK >= NumIKs || !allBelow(PKVec, NumPKs))
-      return false;
-  if (!getU32VecMap(R, S.IntrinsicCallees))
-    return false;
-  for (const auto &[Site, Callees] : S.IntrinsicCallees)
-    if (Site >= NumStmts || !allBelow(Callees, NumMethods))
-      return false;
 
   S.BudgetHit = R.u8() != 0;
   if (R.failed() || !R.atEnd())

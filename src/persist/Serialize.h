@@ -9,7 +9,7 @@
 /// post-verify `Program`, the pointer-analysis phase (the string-pool
 /// symbols it interned, the string-constant facts, its work units, and
 /// the points-to solution: contexts, instance and pointer keys, call
-/// graph, points-to sets, channels, intrinsic targets) and the SDG +
+/// graph, points-to sets, intrinsic targets) and the SDG +
 /// heap-edge bundle — so a later run can warm-start from a
 /// content-addressed on-disk cache (persist/Cache.h) instead of
 /// recomputing them.
@@ -65,7 +65,11 @@ namespace persist {
 /// call sites with their actual-in ranges, the CS channel plumbing and the
 /// per-owner channel signatures as CSRs, and the heap adjacency as two
 /// CSRs over the store list — so its restore is bulk copies too.
-inline constexpr uint32_t FormatVersion = 6;
+/// v7: the points-to record holds only what a solved solver's readers
+/// use: the call graph's in-edges and the model channels are gone, and the
+/// intrinsic call targets are one (site, callee) column pair sorted by
+/// site.
+inline constexpr uint32_t FormatVersion = 7;
 
 /// Record magic: "TAJP" little-endian.
 inline constexpr uint32_t RecordMagic = 0x504a4154u;
@@ -305,16 +309,17 @@ struct Access {
   /// strings), its string-constant facts (mode, degraded flag, per-method
   /// values, conststr.* counters), its guard work units, then the
   /// post-solve query surface as columns: contexts, instance keys,
-  /// call-graph nodes, out- and in-edges and per-site callees, pointer
-  /// keys, the frozen points-to column, model channels, intrinsic call
-  /// targets and the budget flag.
+  /// call-graph nodes, out-edges and per-site callees, pointer keys, the
+  /// frozen points-to column, the intrinsic call targets and the budget
+  /// flag.
   static void serializeSolver(const PointsToSolver &S, Writer &W);
   /// Restores into \p S, which must be freshly constructed (same program,
   /// same options) and never solved: bulk-copies each column, validates it
   /// in one sweep and rebuilds each intern index in one pass. Rejects
   /// decreasing offsets, unsorted or duplicate chunk indices, zero words,
-  /// members at or past the instance-key count, out-of-range ids and
-  /// duplicate table rows. Re-interns the recorded pool symbols, failing
+  /// members at or past the instance-key count, out-of-range ids,
+  /// duplicate table rows, and intrinsic-target columns of unequal length
+  /// or whose sites decrease. Re-interns the recorded pool symbols, failing
   /// unless each lands on its recorded id; \p S takes the recorded string
   /// facts unless it was built with PointsToOptions::ConstStrings. On
   /// failure \p S may hold partial state and must be discarded; the

@@ -18,14 +18,12 @@ PointsToSolver::PointsToSolver(const Program &P, const ClassHierarchy &CHA,
                                PointsToOptions Opts)
     : P(P), CHA(CHA), Opts(std::move(Opts)), Policy(P, Ctxs, IKs,
                                                     this->Opts.Policy) {
-  Prio = new PriorityManager(P, CG, this->Opts.Prioritized);
   HPtsEntries = Counters.handle("pts.entries");
   HCgNodes = Counters.handle("cg.nodes");
   HCgProcessed = Counters.handle("cg.processed");
   HMapKeysResolved = Counters.handle("conststr.map_keys_resolved");
   HReflResolved = Counters.handle("conststr.reflective_resolved");
   HReflUnresolved = Counters.handle("reflection.unresolved");
-  HMergedCacheHits = Counters.handle("pts.merged_cache_hits");
   // Pre-size the interning tables from the program size: pointer keys run
   // a small multiple of the statement count across contexts, and seeding
   // the hash maps here avoids the rehash cascade through every power of
@@ -36,7 +34,7 @@ PointsToSolver::PointsToSolver(const Program &P, const ClassHierarchy &CHA,
   ExceptionClass = P.findClass("Exception");
 }
 
-PointsToSolver::~PointsToSolver() { delete Prio; }
+PointsToSolver::~PointsToSolver() = default;
 
 Symbol PointsToSolver::internSym(std::string_view S) const {
   // Interning into the shared pool is the only mutation the solver performs
@@ -48,39 +46,25 @@ Symbol PointsToSolver::internSym(std::string_view S) const {
 // Query surface
 //===----------------------------------------------------------------------===//
 
-const std::vector<IKId> &PointsToSolver::pointsToOfLocal(CGNodeId N,
-                                                         ValueId V) const {
-  // Read-only lookup: a key never interned during solving has an empty
-  // set, so nothing is created on this post-solve path.
-  const uint64_t Key =
-      (static_cast<uint64_t>(N) << 32) | static_cast<uint32_t>(V);
-  std::lock_guard<std::mutex> Lock(CacheMu);
-  auto It = LocalCache.find(Key);
-  if (It != LocalCache.end())
-    return It->second;
-  std::vector<IKId> Out;
-  const PtsView Set = pointsTo(PKs.localLookup(N, V));
-  Out.reserve(Set.count());
-  Set.appendTo(Out);
-  return LocalCache.emplace(Key, std::move(Out)).first->second;
+void PointsToSolver::pointsToMerged(MethodId M, ValueId V,
+                                    std::vector<IKId> &Out) const {
+  const size_t First = Out.size();
+  const std::span<const CGNodeId> Nodes = CG.nodesOf(M);
+  for (CGNodeId N : Nodes)
+    pointsToOfLocal(N, V).appendTo(Out);
+  // One context's view is already sorted and duplicate-free.
+  if (Nodes.size() > 1) {
+    std::sort(Out.begin() + First, Out.end());
+    Out.erase(std::unique(Out.begin() + First, Out.end()), Out.end());
+  }
 }
 
-const std::vector<IKId> &PointsToSolver::pointsToMerged(MethodId M,
-                                                        ValueId V) const {
-  const uint64_t Key =
-      (static_cast<uint64_t>(M) << 32) | static_cast<uint32_t>(V);
-  std::lock_guard<std::mutex> Lock(CacheMu);
-  auto It = MergedCache.find(Key);
-  if (It != MergedCache.end()) {
-    Counters.addTo(HMergedCacheHits);
-    return It->second;
-  }
-  std::vector<IKId> Out;
-  for (CGNodeId N : CG.nodesOf(M))
-    pointsTo(PKs.localLookup(N, V)).appendTo(Out);
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return MergedCache.emplace(Key, std::move(Out)).first->second;
+std::span<const MethodId>
+PointsToSolver::intrinsicCalleesAt(StmtId Site) const {
+  const auto [B, E] =
+      std::equal_range(IntrSites.begin(), IntrSites.end(), Site);
+  return {IntrCallees.data() + (B - IntrSites.begin()),
+          static_cast<size_t>(E - B)};
 }
 
 //===----------------------------------------------------------------------===//
@@ -262,13 +246,6 @@ bool PointsToSolver::isMethodProcessed(MethodId M) const {
   return false;
 }
 
-const std::vector<MethodId> &
-PointsToSolver::intrinsicCalleesAt(StmtId Site) const {
-  static const std::vector<MethodId> Empty;
-  auto It = IntrinsicCallees.find(Site);
-  return It == IntrinsicCallees.end() ? Empty : It->second;
-}
-
 //===----------------------------------------------------------------------===//
 // Main loop
 //===----------------------------------------------------------------------===//
@@ -306,6 +283,7 @@ void PointsToSolver::run(const std::vector<MethodId> &Entries) {
         analyzeConstStrings(P, CHA, CSO));
   }
   CG.setGuard(Opts.Guard);
+  Prio = std::make_unique<PriorityManager>(P, CG, Opts.Prioritized);
   for (MethodId E : Entries)
     ensureNode(E, EverywhereCtx);
 
@@ -349,7 +327,29 @@ void PointsToSolver::freeze() {
   for (PKId K = 0; K < NumKeys; ++K)
     Col.append(K < Pts.size() ? Pts[K] : Empty);
   Frozen = std::move(Col);
-  // Drop the per-key tables only solving reads.
+
+  // The intrinsic dispatch log, stably sorted by site so each site keeps
+  // its first-dispatch order, is re-appended without repeated callees;
+  // the columns ascend by site all along, so intrinsicCalleesAt() answers
+  // "seen already?".
+  std::vector<std::pair<StmtId, MethodId>> Log;
+  Log.reserve(IntrSites.size());
+  for (size_t I = 0; I < IntrSites.size(); ++I)
+    Log.emplace_back(IntrSites[I], IntrCallees[I]);
+  std::stable_sort(Log.begin(), Log.end(), [](const auto &A, const auto &B) {
+    return A.first < B.first;
+  });
+  IntrSites = {};
+  IntrCallees = {};
+  for (const auto &[Site, Callee] : Log) {
+    const std::span<const MethodId> Seen = intrinsicCalleesAt(Site);
+    if (std::find(Seen.begin(), Seen.end(), Callee) != Seen.end())
+      continue;
+    IntrSites.push_back(Site);
+    IntrCallees.push_back(Callee);
+  }
+
+  // Drop everything only solving reads.
   Pts = {};
   CopySuccs = {};
   SuccSet = {};
@@ -359,6 +359,17 @@ void PointsToSolver::freeze() {
   Delta = {};
   OnWorklist = {};
   Worklist = {};
+  NewBitsScratch = {};
+  SnapScratch = {};
+  MovedScratch = {};
+  Channels = {};
+  WildcardReaders = {};
+  Invokes = {};
+  InvokeIndex = {};
+  InvokeByMethodPK = {};
+  InvokeByArrayPK = {};
+  ReflSiteHandles = {};
+  Prio.reset();
   CG.freeze(static_cast<uint32_t>(P.Methods.size()), P.numStmts());
 }
 
@@ -681,9 +692,8 @@ void PointsToSolver::dispatchResolved(CGNodeId Caller, StmtId Site,
     return;
   }
   if (CalM.Intr != Intrinsic::None || !CalM.hasBody()) {
-    auto &Targets = IntrinsicCallees[Site];
-    if (std::find(Targets.begin(), Targets.end(), Callee) == Targets.end())
-      Targets.push_back(Callee);
+    IntrSites.push_back(Site);
+    IntrCallees.push_back(Callee);
     applyIntrinsic(Caller, Site, I, CalM, RecvIK);
     return;
   }

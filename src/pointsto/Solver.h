@@ -38,7 +38,7 @@
 #include "support/Stats.h"
 
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,6 +47,7 @@ namespace taj {
 
 class RunGuard;
 class ConstStringResult;
+class PriorityManager;
 
 namespace persist {
 struct Access;
@@ -108,23 +109,27 @@ public:
   /// froze; iteration yields ascending IKIds. Empty before either.
   PtsView pointsTo(PKId PK) const { return Frozen[PK]; }
 
-  /// Union of pointsTo over every context of method \p M for value \p V —
-  /// the flow-insensitive projection used for HSDG direct edges. Memoized
-  /// per (method, value); safe for concurrent readers post-solve.
-  const std::vector<IKId> &pointsToMerged(MethodId M, ValueId V) const;
+  /// Appends to \p Out the union of pointsTo over every context of method
+  /// \p M for value \p V — the context-merged projection the CI SDG uses
+  /// for HSDG direct edges. The appended range is sorted and
+  /// duplicate-free; what \p Out held before is left as it was.
+  void pointsToMerged(MethodId M, ValueId V, std::vector<IKId> &Out) const;
 
   /// Points-to set of value \p V in call-graph node \p N (context-precise).
-  /// Memoized per (node, value); safe for concurrent readers post-solve.
-  const std::vector<IKId> &pointsToOfLocal(CGNodeId N, ValueId V) const;
+  /// A key never interned during solving reads as the empty set.
+  PtsView pointsToOfLocal(CGNodeId N, ValueId V) const {
+    return pointsTo(PKs.localLookup(N, V));
+  }
 
   /// True if any context of \p M had its constraints added (statements of
   /// unprocessed methods are invisible to the slicers).
   bool isMethodProcessed(MethodId M) const;
 
-  /// Targets of intrinsic (model) calls, keyed by call statement. These
-  /// calls have no call-graph edges; the SDG needs the callee identity to
-  /// classify sources/sinks/sanitizers.
-  const std::vector<MethodId> &intrinsicCalleesAt(StmtId Site) const;
+  /// Targets of the intrinsic (model) calls at call statement \p Site, in
+  /// the order they were first dispatched. These calls have no call-graph
+  /// edges; the SDG needs the callee identity to classify
+  /// sources/sinks/sanitizers. Empty before solve() or a restore.
+  std::span<const MethodId> intrinsicCalleesAt(StmtId Site) const;
 
   /// Constant string defined by SSA value \p V of method \p M, or ~0u.
   /// Answers from constStrings().
@@ -144,10 +149,6 @@ public:
   bool budgetExhausted() const { return BudgetHit; }
 
   const Stats &stats() const { return Counters; }
-
-  /// All interned channel pointer keys of instance \p IK (map/collection
-  /// contents), for heap-graph construction.
-  const std::vector<PKId> &channelsOf(IKId IK) const;
 
 private:
   //===--------------------------------------------------------------------===//
@@ -187,8 +188,9 @@ private:
 
   /// solve()'s body: the phase's string facts, then the worklist loop.
   void run(const std::vector<MethodId> &Entries);
-  /// Freezes the per-key sets into Frozen and the call graph into its
-  /// query form, then drops the tables only solving reads.
+  /// Freezes the per-key sets into Frozen, the intrinsic-target log into
+  /// its columns and the call graph into its query form, then drops
+  /// everything only solving reads.
   void freeze();
 
   CGNodeId ensureNode(MethodId M, CtxId Ctx);
@@ -211,6 +213,9 @@ private:
   void growTablesSlow();
 
   PKId channelKey(IKId Base, Symbol Chan);
+  /// All interned channel pointer keys of instance \p IK (map/collection
+  /// contents), for the wildcard-read models.
+  const std::vector<PKId> &channelsOf(IKId IK) const;
   PKId channelFieldOrPlain(IKId IK, const LoadUse &LU);
   void handleNewPointsTo(PKId PK, IKId IK);
   void registerLoadUse(PKId Base, LoadUse LU);
@@ -240,8 +245,7 @@ private:
   PointerKeyTable PKs;
   CallGraph CG;
   ContextPolicy Policy;
-  /// Mutable so the memoized const query surface can report cache hits.
-  mutable Stats Counters;
+  Stats Counters;
   /// Pre-resolved handles for per-tuple / per-node hot-loop counters, so
   /// the propagation loop never pays a string-keyed map lookup.
   Stats::Handle HPtsEntries = 0;
@@ -250,8 +254,8 @@ private:
   Stats::Handle HMapKeysResolved = 0;
   Stats::Handle HReflResolved = 0;
   Stats::Handle HReflUnresolved = 0;
-  Stats::Handle HMergedCacheHits = 0;
-  /// Per-site reflection counter handles, built once per (method, stmt).
+  /// Per-site reflection counter handles, built once per (method, stmt)
+  /// while solving.
   std::unordered_map<uint64_t, Stats::Handle> ReflSiteHandles;
   bool BudgetHit = false;
   bool Solved = false;
@@ -259,8 +263,14 @@ private:
   /// The solved sets of every pointer key, frozen when solve() exits.
   PointsToColumn Frozen;
 
-  // Per-PK solving state (indexed by PKId; grown lazily; dropped by
-  // freeze()).
+  /// Intrinsic call targets, frozen when solve() exits: one (site, callee)
+  /// column pair sorted by site, each site's callees in first-dispatch
+  /// order. While solving, the same two vectors log every dispatch.
+  std::vector<StmtId> IntrSites;
+  std::vector<MethodId> IntrCallees;
+
+  // Solving state, all dropped by freeze(). Per-PK tables are indexed by
+  // PKId and grown lazily.
   std::vector<SparseBitSet> Pts;
   std::vector<SmallVec<PKId, 4>> CopySuccs;
   /// Per-source successor membership (replaces the old global EdgeDedup
@@ -301,7 +311,6 @@ private:
   Symbol ElemChan = 0;
   Symbol RunSym = 0;
 
-  std::unordered_map<StmtId, std::vector<MethodId>> IntrinsicCallees;
   /// The solver's own string-constant facts when
   /// PointsToOptions::ConstStrings is absent: solve()'s local-mode
   /// fallback, or the facts a restore took from the artifact.
@@ -312,14 +321,8 @@ private:
   uint32_t PoolEnd = 0;
   uint64_t PhaseWork = 0;
 
-  /// Memoized query-surface materializations (tentpole change 3): SDG and
-  /// heap-edge construction ask for the same (method, value) / (node,
-  /// value) sets once per referencing statement.
-  mutable std::mutex CacheMu;
-  mutable std::unordered_map<uint64_t, std::vector<IKId>> MergedCache;
-  mutable std::unordered_map<uint64_t, std::vector<IKId>> LocalCache;
-
-  class PriorityManager *Prio = nullptr; // owned
+  /// The constraint-adding order: made by solve(), released by freeze().
+  std::unique_ptr<PriorityManager> Prio;
 };
 
 } // namespace taj

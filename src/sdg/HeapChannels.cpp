@@ -20,7 +20,7 @@ uint64_t taj::chansig::withIK(uint64_t ClassSig, IKId IK) {
 }
 
 HeapAccess taj::classifyAccess(const Program &P, const Instruction &I,
-                               const std::vector<MethodId> &IntrTargets) {
+                               std::span<const MethodId> IntrTargets) {
   switch (I.Op) {
   case Opcode::Store:
     return HeapAccess::FieldStore;

@@ -84,7 +84,7 @@ private:
   void wireCall(SDGOwnerId O, StmtId Site, const Instruction &I);
   void buildChannels();
   void computeOwnerChannels();
-  ChanAccess chanAccessOf(SDGNodeId N) const;
+  ChanAccess chanAccessOf(SDGNodeId N);
   void finish();
 
   SDG &G;
@@ -110,6 +110,8 @@ private:
   /// skeleton node's channel accesses, and the channel-plumbing log.
   std::vector<std::vector<uint64_t>> OwnerChans;
   std::vector<ChanAccess> StmtChans;
+  /// chanAccessOf's buffer for one statement's base points-to set.
+  std::vector<IKId> Bases;
   struct ChanPlumb {
     uint64_t Sig;
     SDGNodeId Out;
@@ -157,30 +159,26 @@ std::vector<SDGNodeId> SDG::sourceNodes(RuleMask Rule) const {
   return Out;
 }
 
-const std::vector<IKId> &SDG::valuePointsTo(SDGNodeId N, ValueId V) const {
+void SDG::valuePointsTo(SDGNodeId N, ValueId V, std::vector<IKId> &Out) const {
   const OwnerInfo &OI = Owners[Nodes[N].Owner];
   if (OI.CgNode != InvalidId)
-    return Solver.pointsToOfLocal(OI.CgNode, V);
-  return Solver.pointsToMerged(OI.M, V);
+    Solver.pointsToOfLocal(OI.CgNode, V).appendTo(Out);
+  else
+    Solver.pointsToMerged(OI.M, V, Out);
 }
 
-const std::vector<IKId> &SDG::basePointsTo(SDGNodeId N) const {
-  static const std::vector<IKId> Empty;
+void SDG::basePointsTo(SDGNodeId N, std::vector<IKId> &Out) const {
   const SDGNode &Node = Nodes[N];
-  const Instruction &I = P.stmt(Node.S);
-  ValueId Base = heapBaseValue(I, Node.Access);
-  if (Base == NoValue)
-    return Empty;
-  return valuePointsTo(N, Base);
+  const ValueId Base = heapBaseValue(P.stmt(Node.S), Node.Access);
+  if (Base != NoValue)
+    valuePointsTo(N, Base, Out);
 }
 
-const std::vector<IKId> &SDG::argPointsTo(SDGNodeId N, uint32_t ArgIdx) const {
-  static const std::vector<IKId> Empty;
-  const SDGNode &Node = Nodes[N];
-  const Instruction &I = P.stmt(Node.S);
-  if (ArgIdx >= I.Args.size())
-    return Empty;
-  return valuePointsTo(N, I.Args[ArgIdx]);
+void SDG::argPointsTo(SDGNodeId N, uint32_t ArgIdx,
+                      std::vector<IKId> &Out) const {
+  const Instruction &I = P.stmt(Nodes[N].S);
+  if (ArgIdx < I.Args.size())
+    valuePointsTo(N, I.Args[ArgIdx], Out);
 }
 
 Symbol SDG::constKeyOf(SDGNodeId N) const {
@@ -438,7 +436,7 @@ void SdgBuilder::wireCall(SDGOwnerId O, StmtId Site, const Instruction &I) {
       addEdge(D, To, SDGEdgeKind::Flow);
   };
 
-  const std::vector<MethodId> &Intr = Solver.intrinsicCalleesAt(Site);
+  const std::span<const MethodId> Intr = Solver.intrinsicCalleesAt(Site);
   const std::vector<SDGOwnerId> &Targets = calleeOwners(O, Site);
   G.Nodes[C].Access = classifyAccess(P, I, Intr);
 
@@ -589,16 +587,12 @@ void SdgBuilder::finish() {
 // CS channel extension
 //===----------------------------------------------------------------------===//
 
-ChanAccess SdgBuilder::chanAccessOf(SDGNodeId N) const {
+ChanAccess SdgBuilder::chanAccessOf(SDGNodeId N) {
   ChanAccess CA;
   const SDGNode &Node = G.Nodes[N];
   const Instruction &I = P.stmt(Node.S);
-  static const std::vector<IKId> EmptyIKs;
-  const std::vector<IKId> &Bases = (Node.Access != HeapAccess::None &&
-                                    Node.Access != HeapAccess::StaticStore &&
-                                    Node.Access != HeapAccess::StaticLoad)
-                                       ? G.basePointsTo(N)
-                                       : EmptyIKs;
+  Bases.clear();
+  G.basePointsTo(N, Bases); // statics have no base: nothing appended
   switch (Node.Access) {
   case HeapAccess::FieldStore:
     for (IKId IK : Bases)

@@ -183,13 +183,15 @@ public:
   const std::vector<SDGNodeId> &loadNodes() const { return Loads; }
   const std::vector<SDGNodeId> &sinkNodes() const { return Sinks; }
 
-  /// Points-to set of the base pointer of store/load-like statement node
-  /// \p N (context-precise in expanded scope, merged otherwise; sorted).
-  /// References the solver's memoized materialization — no per-call copy.
-  const std::vector<IKId> &basePointsTo(SDGNodeId N) const;
+  /// Appends to \p Out the points-to set of the base pointer of
+  /// store/load-like statement node \p N (context-precise in expanded
+  /// scope, merged otherwise). The appended range is sorted and
+  /// duplicate-free; nothing is appended for a node without a base.
+  void basePointsTo(SDGNodeId N, std::vector<IKId> &Out) const;
 
-  /// Points-to set of argument \p ArgIdx of call statement node \p N.
-  const std::vector<IKId> &argPointsTo(SDGNodeId N, uint32_t ArgIdx) const;
+  /// Appends to \p Out the points-to set of argument \p ArgIdx of call
+  /// statement node \p N, as basePointsTo does.
+  void argPointsTo(SDGNodeId N, uint32_t ArgIdx, std::vector<IKId> &Out) const;
 
   /// Constant map key of a MapPut/MapGet statement node (~0u if unknown).
   /// Answered from the run's ConstStringResult via the solver, so keys
@@ -220,7 +222,7 @@ private:
       RestoreTag)
       : P(P), Solver(Solver), Opts(std::move(Opts)) {}
 
-  const std::vector<IKId> &valuePointsTo(SDGNodeId N, ValueId V) const;
+  void valuePointsTo(SDGNodeId N, ValueId V, std::vector<IKId> &Out) const;
 
   const Program &P;
   const PointsToSolver &Solver;
@@ -287,7 +289,7 @@ struct ChanAccess {
 /// Classifies how instruction \p I (with resolved intrinsic callees for
 /// calls) accesses the heap.
 HeapAccess classifyAccess(const Program &P, const Instruction &I,
-                          const std::vector<MethodId> &IntrinsicTargets);
+                          std::span<const MethodId> IntrinsicTargets);
 
 /// The base-value SSA id of a store/load-like statement; NoValue if n/a.
 ValueId heapBaseValue(const Instruction &I, HeapAccess A);

@@ -10,7 +10,7 @@ using namespace taj;
 
 namespace {
 
-bool intersects(const std::vector<IKId> &A, const std::vector<IKId> &B) {
+bool intersects(std::span<const IKId> A, std::span<const IKId> B) {
   size_t I = 0, J = 0;
   while (I < A.size() && J < B.size()) {
     if (A[I] == B[J])
@@ -23,13 +23,14 @@ bool intersects(const std::vector<IKId> &A, const std::vector<IKId> &B) {
   return false;
 }
 
-/// One indexed load (build-only).
+/// One indexed load (build-only). Its base points-to set is the
+/// BaseSize entries of the build's one buffer from BaseBegin on.
 struct LoadInfo {
   SDGNodeId Node;
   FieldId Field;
   Symbol MapKey; ///< ~0u = non-constant key (SDG::constKeyOf): channels
                  ///< with distinct resolved keys never connect
-  const std::vector<IKId> *BaseIKs;
+  uint32_t BaseBegin = 0, BaseSize = 0;
 };
 
 } // namespace
@@ -52,17 +53,20 @@ HeapEdges::HeapEdges(const Program &P, const SDG &G,
 void HeapEdges::build(const Program &P, const PointsToSolver &Solver,
                       const HeapGraph &HG, uint32_t NestedDepth,
                       RunGuard *Guard) {
-  // Index all loads by access class.
+  // Index all loads by access class, their base sets in one buffer.
   std::vector<LoadInfo> FieldLoads, StaticLoads, ArrayLoads, MapGets,
       CollGets;
+  std::vector<IKId> Bases;
   for (SDGNodeId L : G.loadNodes()) {
     if (Guard && !Guard->checkpoint())
       return; // cutoff: unindexed loads simply lose their heap hops
     const SDGNode &N = G.node(L);
-    LoadInfo LI{L, P.stmt(N.S).Field, ~0u, nullptr};
+    LoadInfo LI{L, P.stmt(N.S).Field, ~0u};
+    LI.BaseBegin = static_cast<uint32_t>(Bases.size());
+    G.basePointsTo(L, Bases); // statics have no base: nothing appended
+    LI.BaseSize = static_cast<uint32_t>(Bases.size()) - LI.BaseBegin;
     switch (N.Access) {
     case HeapAccess::FieldLoad:
-      LI.BaseIKs = &G.basePointsTo(L);
       FieldLoads.push_back(LI);
       break;
     case HeapAccess::StaticLoad:
@@ -70,16 +74,13 @@ void HeapEdges::build(const Program &P, const PointsToSolver &Solver,
       break;
     case HeapAccess::ArrayLoad:
     case HeapAccess::InvokeArgsRead:
-      LI.BaseIKs = &G.basePointsTo(L);
       ArrayLoads.push_back(LI);
       break;
     case HeapAccess::MapGet:
-      LI.BaseIKs = &G.basePointsTo(L);
       LI.MapKey = G.constKeyOf(L);
       MapGets.push_back(LI);
       break;
     case HeapAccess::CollGet:
-      LI.BaseIKs = &G.basePointsTo(L);
       CollGets.push_back(LI);
       break;
     default:
@@ -105,12 +106,9 @@ void HeapEdges::build(const Program &P, const PointsToSolver &Solver,
       if (P.Methods[T].SinkRules)
         Mask |= P.Methods[T].SinkParamMask;
     ArgIKs.clear();
-    for (uint32_t K = 0; K < I.Args.size(); ++K) {
-      if (!(Mask & (1u << K)))
-        continue;
-      for (IKId IK : G.argPointsTo(SkNode, K))
-        ArgIKs.push_back(IK);
-    }
+    for (uint32_t K = 0; K < I.Args.size(); ++K)
+      if (Mask & (1u << K))
+        G.argPointsTo(SkNode, K, ArgIKs);
     std::sort(ArgIKs.begin(), ArgIKs.end());
     ArgIKs.erase(std::unique(ArgIKs.begin(), ArgIKs.end()), ArgIKs.end());
     // A store whose base sits at heap depth d puts the data at dereference
@@ -129,6 +127,8 @@ void HeapEdges::build(const Program &P, const PointsToSolver &Solver,
 
   // Materialize every store's adjacency now, while still single-threaded:
   // slicing workers must only ever read this object.
+  const std::span<const IKId> LoadBases(Bases);
+  std::vector<IKId> Base;
   for (SDGNodeId Store : G.storeNodes()) {
     if (Guard && !Guard->checkpoint()) {
       // Cutoff: this store contributes no heap edges.
@@ -138,14 +138,15 @@ void HeapEdges::build(const Program &P, const PointsToSolver &Solver,
     }
     const SDGNode &N = G.node(Store);
     const Instruction &I = P.stmt(N.S);
-    const std::vector<IKId> &Base = G.basePointsTo(Store);
+    Base.clear();
+    G.basePointsTo(Store, Base);
     auto AddLoads = [&](const std::vector<LoadInfo> &Loads, auto Match) {
       for (const LoadInfo &L : Loads)
         if (Match(L))
           LoadEdges.push_back(L.Node);
     };
     auto Aliases = [&](const LoadInfo &L) {
-      return intersects(Base, *L.BaseIKs);
+      return intersects(Base, LoadBases.subspan(L.BaseBegin, L.BaseSize));
     };
     switch (N.Access) {
     case HeapAccess::StaticStore:

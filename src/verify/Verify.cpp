@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <span>
 #include <unordered_map>
 
 using namespace taj;
@@ -246,7 +247,7 @@ bool justifyCallEdge(const Program &P, const ClassHierarchy &CHA,
 
   if (I.Args.empty())
     return Flag("virtual call without a receiver");
-  const std::vector<IKId> &Recv = S.pointsToOfLocal(Caller, I.Args[0]);
+  const PtsView Recv = S.pointsToOfLocal(Caller, I.Args[0]);
   const Symbol RunSym = P.Pool.lookup("run");
   const MethodId Exact = I.CKind == CallKind::Special
                              ? CHA.resolveVirtual(I.Cls, I.CalleeName)
@@ -352,7 +353,7 @@ void verify::verifyGraphs(const Program &P, const ClassHierarchy &CHA,
 
 namespace {
 
-bool ikIntersects(const std::vector<IKId> &A, const std::vector<IKId> &B) {
+bool ikIntersects(std::span<const IKId> A, std::span<const IKId> B) {
   size_t I = 0, J = 0;
   while (I < A.size() && J < B.size()) {
     if (A[I] == B[J])
@@ -368,34 +369,41 @@ bool ikIntersects(const std::vector<IKId> &A, const std::vector<IKId> &B) {
 /// Re-derives whether a materialized store->load heap edge is justified:
 /// compatible access classes, matching field for field/static accesses,
 /// compatible constant keys for dictionaries, and overlapping base
-/// points-to sets (TAJ §4.1.1). Mirrors HeapEdges::build.
+/// points-to sets (TAJ §4.1.1). Mirrors HeapEdges::build. \p Buf is
+/// scratch for the two base sets.
 bool heapEdgeJustified(const Program &P, const SDG &G, SDGNodeId Store,
-                       SDGNodeId Load) {
+                       SDGNodeId Load, std::vector<IKId> &Buf) {
   const SDGNode &St = G.node(Store);
   const SDGNode &Ld = G.node(Load);
   const Instruction &SI = P.stmt(St.S);
   const Instruction &LI = P.stmt(Ld.S);
+  auto basesOverlap = [&] {
+    Buf.clear();
+    G.basePointsTo(Store, Buf);
+    const size_t Mid = Buf.size();
+    G.basePointsTo(Load, Buf);
+    const std::span<const IKId> Both(Buf);
+    return ikIntersects(Both.first(Mid), Both.subspan(Mid));
+  };
   switch (St.Access) {
   case HeapAccess::StaticStore:
     return Ld.Access == HeapAccess::StaticLoad && SI.Field == LI.Field;
   case HeapAccess::FieldStore:
     return Ld.Access == HeapAccess::FieldLoad && SI.Field == LI.Field &&
-           ikIntersects(G.basePointsTo(Store), G.basePointsTo(Load));
+           basesOverlap();
   case HeapAccess::ArrayStore:
     return (Ld.Access == HeapAccess::ArrayLoad ||
             Ld.Access == HeapAccess::InvokeArgsRead) &&
-           ikIntersects(G.basePointsTo(Store), G.basePointsTo(Load));
+           basesOverlap();
   case HeapAccess::MapPut: {
     if (Ld.Access != HeapAccess::MapGet)
       return false;
     Symbol PutKey = G.constKeyOf(Store), GetKey = G.constKeyOf(Load);
     bool KeyCompat = PutKey == ~0u || GetKey == ~0u || PutKey == GetKey;
-    return KeyCompat &&
-           ikIntersects(G.basePointsTo(Store), G.basePointsTo(Load));
+    return KeyCompat && basesOverlap();
   }
   case HeapAccess::CollAdd:
-    return Ld.Access == HeapAccess::CollGet &&
-           ikIntersects(G.basePointsTo(Store), G.basePointsTo(Load));
+    return Ld.Access == HeapAccess::CollGet && basesOverlap();
   default:
     return false;
   }
@@ -452,6 +460,7 @@ void verify::verifySdg(const Program &P, const SDG &G, const HeapEdges *HE,
   if (Mode != VerifyMode::Full || !HE)
     return;
   (void)Solver; // base points-to queries route through the SDG
+  std::vector<IKId> Buf;
   for (SDGNodeId St : G.storeNodes()) {
     if (St >= NumNodes || !NodeOk[St])
       continue; // already reported above
@@ -462,7 +471,7 @@ void verify::verifySdg(const Program &P, const SDG &G, const HeapEdges *HE,
       }
       if (!NodeOk[Ld])
         continue; // already reported above
-      if (!heapEdgeJustified(P, G, St, Ld))
+      if (!heapEdgeJustified(P, G, St, Ld, Buf))
         V.report(Checker::Heap,
                  "store->load edge " + G.nodeToString(St) + " -> " +
                      G.nodeToString(Ld) +

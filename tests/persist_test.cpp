@@ -230,11 +230,15 @@ TEST(RecordFraming, FormatV2RecordsAreVersionMissesNotCorruption) {
 }
 
 TEST(RecordFraming, FormatV4RecordsAreVersionMissesNotCorruption) {
-  // v5 stores the points-to record as columns and v6 the sdg record. A v4
-  // pts or a v5 sdg record is stale, not damaged: a cache dir written
-  // before either change warm-misses cleanly.
+  // v5 stores the points-to record as columns, v6 the sdg record, and v7
+  // drops the pts record's in-edges and channels. A v4 or v6 pts or a v5
+  // sdg record is stale, not damaged: a cache dir written before any of
+  // these changes warm-misses cleanly.
   const std::pair<persist::ArtifactKind, uint8_t> Stale[] = {
-      {persist::ArtifactKind::PointsTo, 4}, {persist::ArtifactKind::Sdg, 5}};
+      {persist::ArtifactKind::PointsTo, 4},
+      {persist::ArtifactKind::Sdg, 5},
+      {persist::ArtifactKind::PointsTo, 6},
+  };
   for (const auto &[Kind, Version] : Stale) {
     std::vector<uint8_t> Rec = persist::wrapRecord(Kind, {1, 2, 3});
     Rec[4] = Version; // little-endian u32 format version
@@ -567,6 +571,28 @@ class App extends Servlet {
 }
 )";
 
+/// One get() site dispatching to two intrinsic models, HashMap.get and
+/// List.get (the suite apps have no such site).
+constexpr const char *TwoModelSiteSrc = R"(
+class Box extends Object {
+  field f: Object;
+}
+class App extends Servlet {
+  method doGet(this: App, req: Request): void [entry] {
+    a = req.getParameter("a");
+    l = new List;
+    m = new HashMap;
+    m.put("k", a);
+    l.add(a);
+    b = new Box;
+    b.f = l;
+    b.f = m;
+    c = b.f;
+    g = c.get("k");
+  }
+}
+)";
+
 GeneratedApp parsedApp(const char *Src) {
   GeneratedApp A;
   A.P = std::make_unique<Program>();
@@ -587,7 +613,8 @@ TEST(WarmStart, RestoredQuerySurfaceEqualsCold) {
   for (const AppSpec &Spec : benchmarkSuite())
     Apps.emplace_back(Spec.Name, [Spec] { return generateApp(Spec); });
   Apps.emplace_back("polymorphic", [] { return parsedApp(PolymorphicSrc); });
-  size_t MultiCalleeSites = 0;
+  Apps.emplace_back("two-model", [] { return parsedApp(TwoModelSiteSrc); });
+  size_t MultiCalleeSites = 0, MultiModelSites = 0;
   for (const auto &[Name, Make] : Apps) {
     for (const auto &[CfgName, C] : Configs) {
       SCOPED_TRACE(Name + " " + CfgName);
@@ -604,22 +631,32 @@ TEST(WarmStart, RestoredQuerySurfaceEqualsCold) {
       EXPECT_EQ(Diff, 0u) << "pointsTo";
       Diff = 0;
       for (MethodId M = 0; M < P.Methods.size(); ++M)
-        Diff += vec(A.callGraph().nodesOf(M)) != vec(B.callGraph().nodesOf(M));
-      EXPECT_EQ(Diff, 0u) << "nodesOf";
+        Diff += vec(A.callGraph().nodesOf(M)) !=
+                    vec(B.callGraph().nodesOf(M)) ||
+                A.isMethodProcessed(M) != B.isMethodProcessed(M);
+      EXPECT_EQ(Diff, 0u) << "nodesOf / isMethodProcessed";
+      ASSERT_EQ(A.callGraph().numNodes(), B.callGraph().numNodes());
+      auto SameEdge = [](const CGEdge &X, const CGEdge &Y) {
+        return X.Site == Y.Site && X.Callee == Y.Callee;
+      };
+      Diff = 0;
+      for (CGNodeId N = 0; N < A.callGraph().numNodes(); ++N)
+        Diff += !std::ranges::equal(A.callGraph().edges(N),
+                                    B.callGraph().edges(N), SameEdge);
+      EXPECT_EQ(Diff, 0u) << "edges";
+      EXPECT_EQ(A.callGraph().numProcessed(), B.callGraph().numProcessed());
+      EXPECT_EQ(A.instanceKeys().size(), B.instanceKeys().size());
       Diff = 0;
       for (StmtId S = 0; S < P.numStmts(); ++S) {
         MultiCalleeSites += A.callGraph().calleesAt(S).size() > 1;
+        MultiModelSites += A.intrinsicCalleesAt(S).size() > 1;
         Diff += vec(A.callGraph().calleesAt(S)) !=
                     vec(B.callGraph().calleesAt(S)) ||
-                A.intrinsicCalleesAt(S) != B.intrinsicCalleesAt(S);
+                vec(A.intrinsicCalleesAt(S)) != vec(B.intrinsicCalleesAt(S));
       }
       EXPECT_EQ(Diff, 0u) << "calleesAt / intrinsicCalleesAt";
-      ASSERT_EQ(A.instanceKeys().size(), B.instanceKeys().size());
-      Diff = 0;
-      for (IKId IK = 0; IK < A.instanceKeys().size(); ++IK)
-        Diff += A.channelsOf(IK) != B.channelsOf(IK);
-      EXPECT_EQ(Diff, 0u) << "channelsOf";
       EXPECT_EQ(A.budgetExhausted(), B.budgetExhausted());
+      EXPECT_EQ(A.phaseWork(), B.phaseWork());
       std::vector<std::string> ColdPool;
       for (Symbol S = 0; S < P.Pool.size(); ++S)
         ColdPool.emplace_back(P.Pool.str(S));
@@ -628,6 +665,7 @@ TEST(WarmStart, RestoredQuerySurfaceEqualsCold) {
   }
   // The per-site callee order is covered only where a site has two.
   EXPECT_GT(MultiCalleeSites, 0u);
+  EXPECT_GT(MultiModelSites, 0u);
 }
 
 /// The SDG options runSlicer derives from \p C.
@@ -744,15 +782,18 @@ TEST(WarmStart, RestoredSdgEqualsCold) {
 // its record
 //===----------------------------------------------------------------------===//
 
-/// Where each column of a v5 pts record starts, found by walking the
+/// Where each column of a v7 pts record starts, found by walking the
 /// record the way restoreSolver reads it.
 struct PtsLayout {
   uint32_t NumCtxs = 0, NumIKs = 0, NumNodes = 0, NumPKs = 0, NumKeys = 0,
-           NumChunks = 0;
+           NumChunks = 0, NumIntr = 0;
   size_t CtxKind = 0, CtxData = 0, CtxDepth = 0;
   size_t IKKind = 0; // then Site, Heap, Cls, Extra: NumIKs * 4 apart
   size_t PKKind = 0, PKA = 0, PKB = 0;
   size_t PtsOffsets = 0, PtsIdx = 0, PtsWords = 0;
+  /// The intrinsic-target columns' length words; each column's NumIntr
+  /// values follow its length.
+  size_t IntrSitesLen = 0, IntrCalleesLen = 0;
 };
 
 uint32_t getU32At(const std::vector<uint8_t> &B, size_t At) {
@@ -791,12 +832,10 @@ bool walkPts(const std::vector<uint8_t> &B, PtsLayout &L) {
   Skip(17 * uint64_t(L.NumIKs));
   L.NumNodes = R.u32();
   Skip(9 * uint64_t(L.NumNodes));
-  for (uint64_t ElemBytes : {8, 4}) { // out-edges, then in-edges
-    uint64_t Total = 0;
-    for (uint32_t N = 0; N < L.NumNodes; ++N)
-      Total += R.u32();
-    Skip(Total * ElemBytes);
-  }
+  uint64_t NumEdges = 0; // out-edges: counts, then sites and callees
+  for (uint32_t N = 0; N < L.NumNodes; ++N)
+    NumEdges += R.u32();
+  Skip(NumEdges * 8);
   SkipVec(); // per-site callee offsets
   SkipVec(); // per-site callees
   L.NumPKs = R.u32();
@@ -810,7 +849,14 @@ bool walkPts(const std::vector<uint8_t> &B, PtsLayout &L) {
   L.PtsIdx = Pos();
   L.NumChunks = getU32At(B, L.PtsIdx - 4); // the last offset
   L.PtsWords = L.PtsIdx + 4 * uint64_t(L.NumChunks);
-  return !R.failed() && L.PtsWords + 8 * uint64_t(L.NumChunks) <= B.size();
+  Skip(12 * uint64_t(L.NumChunks));
+  L.IntrSitesLen = Pos();
+  L.NumIntr = R.u32();
+  Skip(4 * uint64_t(L.NumIntr));
+  L.IntrCalleesLen = Pos();
+  SkipVec();
+  R.u8(); // the budget flag
+  return !R.failed() && R.atEnd() && getU32At(B, L.IntrCalleesLen) == L.NumIntr;
 }
 
 /// Copies row \p From of a table's columns onto row \p To: \p Col8 is the
@@ -961,6 +1007,56 @@ TEST(PersistPoison, LocalOrRetKeyPastTheLastNodeIsRejected) {
       putU32At(B, L.PKA + 4 * size_t(K), L.NumNodes);
     });
   }
+}
+
+/// The statement and method counts of the app the pts poison tests store.
+std::pair<uint32_t, uint32_t> poisonAppSize() {
+  GeneratedApp A = generateApp(specByName("BlueBlog"));
+  A.P->indexStatements();
+  return {A.P->numStmts(), static_cast<uint32_t>(A.P->Methods.size())};
+}
+
+TEST(PersistPoison, IntrinsicColumnsOfUnequalLengthAreRejected) {
+  expectPoisonRejected([](std::vector<uint8_t> &B, const PtsLayout &L) {
+    ASSERT_GE(L.NumIntr, 1u);
+    // The callee column loses its last value and the record stays framed:
+    // every site still reads, but the last one would have no callee.
+    const size_t Last = L.IntrCalleesLen + 4 * size_t(L.NumIntr);
+    B.erase(B.begin() + Last, B.begin() + Last + 4);
+    putU32At(B, L.IntrCalleesLen, L.NumIntr - 1);
+  });
+}
+
+TEST(PersistPoison, DecreasingIntrinsicSitesAreRejected) {
+  expectPoisonRejected([](std::vector<uint8_t> &B, const PtsLayout &L) {
+    auto Site = [&](uint32_t I) {
+      return getU32At(B, L.IntrSitesLen + 4 + 4 * size_t(I));
+    };
+    uint32_t I = 0;
+    while (I + 1 < L.NumIntr && Site(I) == Site(I + 1))
+      ++I;
+    ASSERT_LT(I + 1, L.NumIntr);
+    const uint32_t Lo = Site(I), Hi = Site(I + 1);
+    putU32At(B, L.IntrSitesLen + 4 + 4 * size_t(I), Hi);
+    putU32At(B, L.IntrSitesLen + 4 + 4 * size_t(I + 1), Lo);
+  });
+}
+
+TEST(PersistPoison, IntrinsicSitePastTheLastStatementIsRejected) {
+  const uint32_t NumStmts = poisonAppSize().first;
+  expectPoisonRejected([&](std::vector<uint8_t> &B, const PtsLayout &L) {
+    ASSERT_GE(L.NumIntr, 1u);
+    // The last site, so the column still ascends.
+    putU32At(B, L.IntrSitesLen + 4 * size_t(L.NumIntr), NumStmts);
+  });
+}
+
+TEST(PersistPoison, IntrinsicCalleePastTheLastMethodIsRejected) {
+  const uint32_t NumMethods = poisonAppSize().second;
+  expectPoisonRejected([&](std::vector<uint8_t> &B, const PtsLayout &L) {
+    ASSERT_GE(L.NumIntr, 1u);
+    putU32At(B, L.IntrCalleesLen + 4, NumMethods);
+  });
 }
 
 /// Where each column of a v6 sdg record starts, found by walking the

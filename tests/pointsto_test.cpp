@@ -16,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <initializer_list>
+#include <span>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -176,8 +178,9 @@ class App extends Servlet {
   // Each identity helper sees exactly one synthetic string key.
   MethodId One = S.P.findMethod(S.P.findClass("App"), "one");
   MethodId Two = S.P.findMethod(S.P.findClass("App"), "two");
-  std::vector<IKId> P1 = S.Solver->pointsToMerged(One, 1);
-  std::vector<IKId> P2 = S.Solver->pointsToMerged(Two, 1);
+  std::vector<IKId> P1, P2;
+  S.Solver->pointsToMerged(One, 1, P1);
+  S.Solver->pointsToMerged(Two, 1, P2);
   ASSERT_EQ(P1.size(), 1u);
   ASSERT_EQ(P2.size(), 1u);
   EXPECT_NE(P1[0], P2[0]) << "per-call-site sources must not be merged";
@@ -476,22 +479,107 @@ TEST(SparseBitSet, UnionEmitsNewBitsAscendingOnce) {
 }
 
 //===----------------------------------------------------------------------===//
-// Query-surface memoization
+// Context-merged projection
 //===----------------------------------------------------------------------===//
 
-TEST(PointsTo, MergedQueriesAreMemoized) {
+TEST(PointsTo, MergedProjectionIsSortedUnionOfContextViews) {
+  // keep() is analyzed once per receiver. Its first context sees the last
+  // allocation and its second the two before, so concatenating the views
+  // in context order is out of order and the projection must sort.
   Solved S(R"(
+class Box extends Object {
+  method keep(this: Box, o: Object): Object { return o; }
+}
 class App extends Servlet {
   method doGet(this: App, req: Request): void [entry] {
-    x = new Object;
+    b1 = new Box;
+    b2 = new Box;
+    o1 = new Object;
+    o2 = new Object;
+    o3 = new Object;
+    x = b1.keep(o3);
+    y = b2.keep(o1);
+    z = b2.keep(o2);
+    w = b2.keep(o1);
   }
 }
 )");
-  MethodId DoGet = S.P.findMethod(S.P.findClass("App"), "doGet");
-  const std::vector<IKId> &A = S.Solver->pointsToMerged(DoGet, 0);
-  const std::vector<IKId> &B = S.Solver->pointsToMerged(DoGet, 0);
-  EXPECT_EQ(&A, &B) << "repeat queries must return the cached vector";
-  EXPECT_GE(S.Solver->stats().get("pts.merged_cache_hits"), 1u);
+  const MethodId Keep = S.P.findMethod(S.P.findClass("Box"), "keep");
+  const std::span<const CGNodeId> Nodes = S.Solver->callGraph().nodesOf(Keep);
+  ASSERT_EQ(Nodes.size(), 2u);
+  std::vector<IKId> Concat;
+  for (CGNodeId N : Nodes) {
+    const PtsView View = S.Solver->pointsToOfLocal(N, 1);
+    EXPECT_FALSE(View.empty());
+    View.appendTo(Concat);
+  }
+  std::vector<IKId> Union = Concat;
+  std::sort(Union.begin(), Union.end());
+  Union.erase(std::unique(Union.begin(), Union.end()), Union.end());
+  ASSERT_EQ(Union.size(), 3u);
+  EXPECT_NE(Concat, Union) << "the views arrive out of order";
+
+  // The projection is appended: what the buffer held stays in front.
+  std::vector<IKId> Out = {7, 3};
+  S.Solver->pointsToMerged(Keep, 1, Out);
+  std::vector<IKId> Expect = {7, 3};
+  Expect.insert(Expect.end(), Union.begin(), Union.end());
+  EXPECT_EQ(Out, Expect);
+
+  // A method with one context appends its one view as it is.
+  const MethodId DoGet = S.P.findMethod(S.P.findClass("App"), "doGet");
+  ASSERT_EQ(S.Solver->callGraph().nodesOf(DoGet).size(), 1u);
+  Out.clear();
+  S.Solver->pointsToMerged(DoGet, 0, Out);
+  std::vector<IKId> One;
+  const CGNodeId Only = S.Solver->callGraph().nodesOf(DoGet)[0];
+  S.Solver->pointsToOfLocal(Only, 0).appendTo(One);
+  EXPECT_FALSE(One.empty());
+  EXPECT_EQ(Out, One);
+}
+
+TEST(PointsTo, IntrinsicTargetsKeepFirstDispatchOrder) {
+  // One get() site whose receiver holds a HashMap and a List dispatches to
+  // both models, in the order the receivers' instance keys arrive:
+  // allocation order here. Swapping the allocations swaps the targets,
+  // so the order is neither method-id order nor a fixed one.
+  for (bool MapFirst : {true, false}) {
+    SCOPED_TRACE(MapFirst ? "map first" : "list first");
+    const std::string Allocs = MapFirst ? "m = new HashMap; l = new List;"
+                                        : "l = new List; m = new HashMap;";
+    Solved S(R"(
+class Box extends Object {
+  field f: Object;
+}
+class App extends Servlet {
+  method doGet(this: App, req: Request): void [entry] {
+    a = req.getParameter("a");
+    )" + Allocs + R"(
+    m.put("k", a);
+    l.add(a);
+    b = new Box;
+    b.f = l;
+    b.f = m;
+    c = b.f;
+    g = c.get("k");
+  }
+}
+)");
+    const MethodId MapGet = S.P.findMethod(S.P.findClass("HashMap"), "get");
+    const MethodId ListGet = S.P.findMethod(S.P.findClass("List"), "get");
+    ASSERT_LT(MapGet, ListGet);
+    std::vector<std::vector<MethodId>> MultiSites;
+    for (StmtId Site = 0; Site < S.P.numStmts(); ++Site) {
+      const std::span<const MethodId> T = S.Solver->intrinsicCalleesAt(Site);
+      if (T.size() > 1)
+        MultiSites.emplace_back(T.begin(), T.end());
+    }
+    const std::vector<MethodId> Expect =
+        MapFirst ? std::vector<MethodId>{MapGet, ListGet}
+                 : std::vector<MethodId>{ListGet, MapGet};
+    ASSERT_EQ(MultiSites.size(), 1u);
+    EXPECT_EQ(MultiSites[0], Expect);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -550,21 +638,6 @@ TEST(PointsTo, CliWarmRunsByteIdenticalToCold) {
       EXPECT_EQ(Warm, Cold) << Config << " t=" << Threads;
     }
   }
-}
-
-TEST(PointsTo, CallGraphDotExport) {
-  Solved S(R"(
-class App extends Servlet {
-  method helper(this: App): void { x = 1; }
-  method doGet(this: App, req: Request): void [entry] {
-    this.helper();
-  }
-}
-)");
-  std::string Dot = S.Solver->callGraph().toDot(S.P);
-  EXPECT_NE(Dot.find("digraph callgraph"), std::string::npos);
-  EXPECT_NE(Dot.find("App.helper"), std::string::npos);
-  EXPECT_NE(Dot.find("->"), std::string::npos);
 }
 
 } // namespace

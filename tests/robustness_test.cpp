@@ -194,33 +194,37 @@ TEST(Robustness, MemoryCeilingTruncatesLargeRun) {
 
 TEST(Robustness, ForkedChildSamplesItsOwnRss) {
   // Sample in the parent first, so the child inherits the parent's cached
-  // sampler state and must notice that it is another process.
-  const uint64_t Parent = RunGuard::currentRssBytes();
-  if (Parent == 0)
+  // sampler state and must notice that it is another process. The child
+  // compares against its own first sample, not the parent's: fork copies
+  // no page-table entries of file-backed mappings, so a child starts out
+  // below its parent by the resident size of the binary and its libraries
+  // (under the sanitizers, more than the margin below).
+  if (RunGuard::currentRssBytes() == 0)
     GTEST_SKIP() << "RSS measurement unavailable on this platform";
   int Fds[2];
   ASSERT_EQ(::pipe(Fds), 0);
   const pid_t Pid = ::fork();
   ASSERT_GE(Pid, 0);
   if (Pid == 0) {
+    uint64_t Rss[2] = {RunGuard::currentRssBytes(), 0};
     constexpr size_t Bytes = size_t(64) << 20;
     char *Mem = static_cast<char *>(std::malloc(Bytes));
     for (size_t I = 0; Mem && I < Bytes; I += 4096)
       static_cast<volatile char *>(Mem)[I] = 1; // make every page resident
-    const uint64_t Child = Mem ? RunGuard::currentRssBytes() : 0;
-    const ssize_t W = ::write(Fds[1], &Child, sizeof(Child));
+    Rss[1] = Mem ? RunGuard::currentRssBytes() : 0;
+    const ssize_t W = ::write(Fds[1], Rss, sizeof(Rss));
     std::free(Mem);
-    ::_exit(W == sizeof(Child) ? 0 : 1);
+    ::_exit(W == sizeof(Rss) ? 0 : 1);
   }
   ::close(Fds[1]);
-  uint64_t Child = 0;
-  const ssize_t R = ::read(Fds[0], &Child, sizeof(Child));
+  uint64_t Rss[2] = {0, 0};
+  const ssize_t R = ::read(Fds[0], Rss, sizeof(Rss));
   ::close(Fds[0]);
   int St = 0;
   ASSERT_EQ(::waitpid(Pid, &St, 0), Pid);
-  ASSERT_EQ(R, static_cast<ssize_t>(sizeof(Child)));
-  EXPECT_GE(Child, Parent + (uint64_t(48) << 20))
-      << "parent " << Parent << " child " << Child;
+  ASSERT_EQ(R, static_cast<ssize_t>(sizeof(Rss)));
+  EXPECT_GE(Rss[1], Rss[0] + (uint64_t(48) << 20))
+      << "child before " << Rss[0] << " after touching 64 MiB " << Rss[1];
 }
 
 //===----------------------------------------------------------------------===//

@@ -217,7 +217,8 @@ TEST_P(SoundnessTest, DynamicPointsToIsStaticallyCovered) {
 
   for (const auto &[Key, Sites] : Interp.observedPointsTo()) {
     auto [M, V] = Key;
-    std::vector<IKId> Static = Solver.pointsToMerged(M, V);
+    std::vector<IKId> Static;
+    Solver.pointsToMerged(M, V, Static);
     std::set<StmtId> StaticSites;
     for (IKId IK : Static)
       StaticSites.insert(IKs.data(IK).Site);
