@@ -1,11 +1,12 @@
 //===- bench/micro_perf.cpp - google-benchmark micro suite ---------------===//
 //
 // Scaling microbenchmarks of the core engines: pointer analysis +
-// call-graph construction, hybrid slicing (RHS tabulation), CI slicing,
-// SDG construction and string-constant propagation, over generated
-// applications of increasing size; plus the class hierarchy's
-// constructor, whole warm/cold runs, the points-to and SDG restores alone
-// and the analysis server's warm request.
+// call-graph construction (alone, and as the pipeline runs it), hybrid
+// slicing (RHS tabulation), CI slicing, SDG construction and
+// string-constant propagation, over generated applications of
+// increasing size; plus the class hierarchy's constructor, whole
+// warm/cold runs, the points-to and SDG restores alone and the analysis
+// server's warm request.
 //
 //===----------------------------------------------------------------------===//
 
@@ -220,17 +221,19 @@ void BM_ColdVsWarmAnalysis(benchmark::State &State) {
 }
 BENCHMARK(BM_ColdVsWarmAnalysis)->ArgsProduct({{0, 1}, {0, 1}});
 
-/// Roller's pointer phase under a named config, composed as
+/// One app's pointer phase under a named config, composed as
 /// TaintAnalysis::run composes it: the string facts, then the solver
 /// options that consume them.
-struct RollerPhase {
-  GeneratedApp App = generateApp(appByIndex(5)); // Roller, the largest app
+struct PointerPhase {
+  GeneratedApp App;
   std::unique_ptr<ClassHierarchy> CHA;
   AnalysisConfig C;
   ConstStringResult Strings;
   PointsToOptions PO;
 
-  explicit RollerPhase(const char *Config) : C(bench::configByName(Config)) {
+  PointerPhase(int64_t AppIdx, const char *Config)
+      : App(generateApp(appByIndex(AppIdx))),
+        C(bench::configByName(Config)) {
     App.P->indexStatements();
     CHA = std::make_unique<ClassHierarchy>(*App.P);
     ConstStringOptions CSO;
@@ -241,6 +244,30 @@ struct RollerPhase {
   }
 };
 
+/// The solve the pipeline runs: the solver options from
+/// pointsToOptions(), the preset's string facts computed once outside the
+/// loop, and a fresh RunGuard per solve for the solver to tick. The first
+/// argument is the size class, the second the config: /N/0 is
+/// hybrid-unbounded, /N/1 hybrid-optimized at bench bounds (a node budget
+/// of 400). BM_PointerAnalysis, kept for comparability, instead times a
+/// Local-mode string analysis inside solve() and runs unguarded.
+void BM_SolverAsRun(benchmark::State &State) {
+  const char *Config =
+      State.range(1) != 0 ? "hybrid-optimized" : "hybrid-unbounded";
+  const PointerPhase Ph(State.range(0), Config);
+  for (auto _ : State) {
+    RunGuard G;
+    PointsToOptions PO = Ph.PO;
+    PO.Guard = &G;
+    PointsToSolver Solver(*Ph.App.P, *Ph.CHA, std::move(PO));
+    Solver.solve({Ph.App.Root});
+    benchmark::DoNotOptimize(Solver.callGraph().numProcessed());
+  }
+  State.SetLabel(appByIndex(State.range(0)).Name + "/" + Config);
+}
+BENCHMARK(BM_SolverAsRun)->ArgsProduct({benchmark::CreateDenseRange(0, 5, 1),
+                                        {0, 1}});
+
 /// The warm path's largest layer alone: Access::restoreSolver from an
 /// in-memory copy of Roller's pts record payload. /0 is hybrid-unbounded,
 /// /1 hybrid-optimized at bench bounds (the node budget truncates Roller).
@@ -249,7 +276,7 @@ struct RollerPhase {
 void BM_RestoreSolver(benchmark::State &State) {
   const char *Config =
       State.range(0) != 0 ? "hybrid-optimized" : "hybrid-unbounded";
-  const RollerPhase Ph(Config);
+  const PointerPhase Ph(5, Config); // Roller, the largest app
   std::vector<uint8_t> Payload;
   {
     PointsToSolver Solver(*Ph.App.P, *Ph.CHA, Ph.PO);
@@ -282,7 +309,7 @@ BENCHMARK(BM_RestoreSolver)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 void BM_RestoreSdg(benchmark::State &State) {
   const char *Config =
       State.range(0) != 0 ? "hybrid-optimized" : "hybrid-unbounded";
-  const RollerPhase Ph(Config);
+  const PointerPhase Ph(5, Config); // Roller, the largest app
   PointsToSolver Solver(*Ph.App.P, *Ph.CHA, Ph.PO);
   Solver.solve({Ph.App.Root});
   SDGOptions SO;

@@ -35,19 +35,27 @@ CGNodeId CallGraph::ensureNode(MethodId M, CtxId Ctx, bool &IsNew) {
 }
 
 bool CallGraph::addEdge(CGNodeId Caller, StmtId Site, CGNodeId Callee) {
-  uint64_t Key = (static_cast<uint64_t>(Caller) * 0x9e3779b97f4a7c15ull) ^
-                 (static_cast<uint64_t>(Site) * 0xc2b2ae3d27d4eb4full) ^
-                 Callee;
-  if (!EdgeSet.insert(Key).second)
+  const EdgeRow Row{Caller, Site, Callee};
+  if (EdgeIndex.needsGrow())
+    EdgeIndex.grow(EdgeLog.size() + 1,
+                   [this](uint32_t E) { return edgeHash(EdgeLog[E]); });
+  size_t Slot;
+  const uint32_t Found =
+      EdgeIndex.find(edgeHash(Row),
+                     [&](uint32_t E) {
+                       const EdgeRow &L = EdgeLog[E];
+                       return L.Caller == Caller && L.Site == Site &&
+                              L.Callee == Callee;
+                     },
+                     Slot);
+  if (Found != ~0u)
     return false;
   if (Guard)
     Guard->checkpoint();
+  EdgeIndex.insertAt(Slot, static_cast<uint32_t>(EdgeLog.size()));
+  EdgeLog.push_back(Row);
   Out[Caller].push_back({Site, Callee});
   In[Callee].push_back(Caller);
-  MethodId CalleeM = Nodes[Callee].M;
-  auto &Merged = SiteLists[Site];
-  if (std::find(Merged.begin(), Merged.end(), CalleeM) == Merged.end())
-    Merged.push_back(CalleeM);
   return true;
 }
 
@@ -65,19 +73,33 @@ void CallGraph::indexByMethod(uint32_t NumMethods) {
 
 void CallGraph::freeze(uint32_t NumMethods, uint32_t NumStmts) {
   indexByMethod(NumMethods);
+  // A stable counting sort of the edge log by site lays each site's
+  // callee methods out in edge order; compacting each site's run to its
+  // first edge per method then leaves the methods in first-edge order.
   SiteBase.assign(NumStmts + 1, 0);
-  size_t Total = 0;
-  for (const auto &[Site, Callees] : SiteLists) {
-    SiteBase[Site + 1] = static_cast<uint32_t>(Callees.size());
-    Total += Callees.size();
-  }
+  for (const EdgeRow &E : EdgeLog)
+    ++SiteBase[E.Site + 1];
   for (uint32_t S = 0; S < NumStmts; ++S)
     SiteBase[S + 1] += SiteBase[S];
-  SiteCallees.resize(Total);
-  for (const auto &[Site, Callees] : SiteLists)
-    std::copy(Callees.begin(), Callees.end(),
-              SiteCallees.begin() + SiteBase[Site]);
-  SiteLists = {};
-  EdgeSet = {};
+  SiteCallees.resize(EdgeLog.size());
+  std::vector<uint32_t> Fill(SiteBase.begin(), SiteBase.end() - 1);
+  for (const EdgeRow &E : EdgeLog)
+    SiteCallees[Fill[E.Site]++] = Nodes[E.Callee].M;
+  uint32_t Kept = 0;
+  for (uint32_t S = 0; S < NumStmts; ++S) {
+    const uint32_t Begin = SiteBase[S], End = SiteBase[S + 1];
+    SiteBase[S] = Kept;
+    for (uint32_t I = Begin; I < End; ++I) {
+      const MethodId M = SiteCallees[I];
+      if (std::find(SiteCallees.begin() + SiteBase[S],
+                    SiteCallees.begin() + Kept, M) ==
+          SiteCallees.begin() + Kept)
+        SiteCallees[Kept++] = M;
+    }
+  }
+  SiteBase[NumStmts] = Kept;
+  SiteCallees.resize(Kept);
+  EdgeLog = {};
+  EdgeIndex = {};
   In = {};
 }

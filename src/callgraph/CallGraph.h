@@ -7,12 +7,13 @@
 /// \file
 /// The on-the-fly call graph built by the pointer analysis. A node is a
 /// (method, context) pair ("a method in some calling context", TAJ §6.1);
-/// edges carry the call statement. The graph also maintains the
-/// context-merged projection (call statement -> callee methods) consumed by
-/// the SDG builder. When solving ends, freeze() lays the per-method node
-/// lists and that projection out as dense CSR columns, which the queries
-/// read, and drops what only construction reads: the in-edges, the edge
-/// set and the per-site lists.
+/// edges carry the call statement. While solving, every distinct edge is
+/// logged once, in insertion order, as a (caller, site, callee) row. When
+/// solving ends, freeze() lays the per-method node lists and the
+/// context-merged projection (call statement -> callee methods) the SDG
+/// builder reads out as dense CSR columns, the latter derived from the
+/// edge log, and drops what only construction reads: the in-edges and the
+/// log with its index.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +25,6 @@
 #include "support/InternIndex.h"
 
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace taj {
@@ -95,10 +94,13 @@ public:
             SiteCallees.data() + SiteBase[Site + 1]};
   }
 
+  /// Distinct edges added so far. Construction only: freeze() drops the
+  /// edge log, after which this reads 0.
+  uint32_t numEdges() const { return static_cast<uint32_t>(EdgeLog.size()); }
+
   /// Ends construction: builds the dense per-method node index over
   /// \p NumMethods methods and the per-site callee column over \p NumStmts
-  /// statements, and drops the construction-only in-edges, edge set and
-  /// site map.
+  /// statements, and drops the construction-only in-edges and edge log.
   void freeze(uint32_t NumMethods, uint32_t NumStmts);
 
   /// Number of nodes whose constraints have been added (the paper's |N|
@@ -120,6 +122,16 @@ private:
   friend struct persist::Access;
 
   static uint64_t hash(MethodId M, CtxId Ctx) { return internHash2(M, Ctx); }
+  /// One logged edge: the exact triple the edge index is keyed by.
+  struct EdgeRow {
+    CGNodeId Caller;
+    StmtId Site;
+    CGNodeId Callee;
+  };
+  static uint64_t edgeHash(const EdgeRow &E) {
+    return internMix(((static_cast<uint64_t>(E.Caller) << 32) | E.Site) ^
+                     (static_cast<uint64_t>(E.Callee) * 0xc2b2ae3d27d4eb4full));
+  }
   /// Indexes every node in one pass after a bulk restore; false if two
   /// nodes share a (method, context) pair.
   bool reindex() {
@@ -137,10 +149,11 @@ private:
   std::vector<std::vector<CGEdge>> Out;
   /// (method, context) -> node.
   InternIndex NodeMap;
-  // Construction only: in-edges, edge dedup and the per-site callee lists.
+  // Construction only: in-edges, and every distinct edge once, in
+  // insertion order, indexed by its exact triple.
   std::vector<std::vector<CGNodeId>> In;
-  std::unordered_set<uint64_t> EdgeSet; // caller ^ site ^ callee hash
-  std::unordered_map<StmtId, std::vector<MethodId>> SiteLists;
+  std::vector<EdgeRow> EdgeLog;
+  InternIndex EdgeIndex;
   // Frozen CSR columns: method M's nodes are ByMethod[ByMethodBase[M] ..
   // ByMethodBase[M+1]), site S's callees SiteCallees[SiteBase[S] ..
   // SiteBase[S+1]).

@@ -88,15 +88,18 @@ uint64_t PriorityManager::keyOf(CGNodeId N) const {
 }
 
 void PriorityManager::onNodeCreated(CGNodeId N) {
-  assert(N == Prio.size() && "nodes must be registered in creation order");
-  const FieldSets &FS = fieldSets(CG.node(N).M);
-  uint64_t P0 = Prioritized && FS.CallsSource ? 0 : MaxPrio;
-  Prio.push_back(P0);
+  assert(N == Seq.size() && "nodes must be registered in creation order");
   Seq.push_back(NextSeq++);
   Pending.push_back(true);
   ++NumPending;
-  for (uint64_t Sig : FS.Loads)
-    Loaders[Sig].push_back(N);
+  // Chaotic order keys on Seq alone and never relaxes, so it reads no
+  // priority, field footprint or loader list.
+  if (Prioritized) {
+    const FieldSets &FS = fieldSets(CG.node(N).M);
+    Prio.push_back(FS.CallsSource ? 0 : MaxPrio);
+    for (uint64_t Sig : FS.Loads)
+      Loaders[Sig].push_back(N);
+  }
   Queue.push({keyOf(N), Seq[N], N});
 }
 

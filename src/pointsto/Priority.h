@@ -38,7 +38,7 @@ public:
   PriorityManager(const Program &P, const CallGraph &CG, bool Prioritized);
 
   /// Registers a freshly created node and queues it (initial-assignment
-  /// rule).
+  /// rule; chaotic order assigns no priority).
   void onNodeCreated(CGNodeId N);
 
   /// True if no node is pending.
@@ -52,9 +52,6 @@ public:
   /// priorities, and propagates changes to fixpoint.
   void onNodeProcessed(CGNodeId N);
 
-  /// Current priority value of \p N.
-  uint64_t priority(CGNodeId N) const { return Prio[N]; }
-
 private:
   /// Nearby set: CG preds/succs of N plus nodes whose method contains a
   /// load matching a store in N's method.
@@ -67,6 +64,7 @@ private:
   const Program &P;
   const CallGraph &CG;
   bool Prioritized;
+  /// Priority per node; prioritized order only.
   std::vector<uint64_t> Prio;
   std::vector<uint64_t> Seq; // creation sequence, for deterministic ties
   uint64_t NextSeq = 0;

@@ -42,6 +42,12 @@ Symbol PointsToSolver::internSym(std::string_view S) const {
   return const_cast<Program &>(P).Pool.intern(S);
 }
 
+void PointsToSolver::bump(LazyCounter &C) {
+  if (C.H == ~0u)
+    C.H = Counters.handle(C.Name);
+  Counters.addTo(C.H);
+}
+
 //===----------------------------------------------------------------------===//
 // Query surface
 //===----------------------------------------------------------------------===//
@@ -74,34 +80,53 @@ PointsToSolver::intrinsicCalleesAt(StmtId Site) const {
 void PointsToSolver::growTablesSlow() {
   // Keys intern one at a time, so pad the growth: the inline growTables()
   // check stays false until the tables are genuinely outgrown, and this
-  // slow path (eight vector resizes) runs O(log N) times per solve
+  // slow path (five vector resizes) runs O(log N) times per solve
   // instead of once per interned key. Slots beyond PKs.size() are empty,
   // which every consumer tolerates.
   size_t N = PKs.size() + PKs.size() / 2 + 64;
   if (Pts.capacity() == 0) {
     // First growth: reserve to the same program-size estimate the key
-    // tables use, so the steady intern stream reallocates these eight
-    // tables a couple of times instead of once per doubling.
+    // tables use, so the steady intern stream reallocates these tables a
+    // couple of times instead of once per doubling.
     size_t Hint = size_t(P.numStmts()) * 2 + 256;
     if (Hint > N) {
       Pts.reserve(Hint);
       CopySuccs.reserve(Hint);
-      SuccSet.reserve(Hint);
-      LoadUses.reserve(Hint);
-      StoreUses.reserve(Hint);
-      CallUses.reserve(Hint);
+      UseRowOf.reserve(Hint);
       Delta.reserve(Hint);
       OnWorklist.reserve(Hint);
     }
   }
   Pts.resize(N);
   CopySuccs.resize(N);
-  SuccSet.resize(N);
-  LoadUses.resize(N);
-  StoreUses.resize(N);
-  CallUses.resize(N);
+  UseRowOf.resize(N, NoRow);
   Delta.resize(N);
   OnWorklist.resize(N, false);
+}
+
+bool PointsToSolver::CopyPairSet::insert(PKId From, PKId To) {
+  if ((Filled + 1) * 3 >= Slots.size() * 2) {
+    std::vector<uint64_t> Old = std::move(Slots);
+    Slots.assign(Old.empty() ? 1024 : Old.size() * 2, 0);
+    for (uint64_t K : Old)
+      if (K != 0)
+        Slots[slotOf(K)] = K;
+  }
+  const uint64_t Key = (static_cast<uint64_t>(From) << 32) | To;
+  uint64_t &Slot = Slots[slotOf(Key)];
+  if (Slot == Key)
+    return false;
+  Slot = Key;
+  ++Filled;
+  return true;
+}
+
+size_t PointsToSolver::CopyPairSet::slotOf(uint64_t Key) const {
+  const size_t Mask = Slots.size() - 1;
+  size_t I = internMix(Key) & Mask;
+  while (Slots[I] != 0 && Slots[I] != Key)
+    I = (I + 1) & Mask;
+  return I;
 }
 
 void PointsToSolver::enqueue(PKId PK) {
@@ -139,7 +164,7 @@ void PointsToSolver::addCopyEdge(PKId From, PKId To) {
   growTables();
   if (From == To)
     return;
-  if (!SuccSet[From].insert(To))
+  if (!CopyEdges.insert(From, To))
     return;
   CopySuccs[From].push_back(To);
   // Propagate the current set immediately (in place; the union never
@@ -166,6 +191,15 @@ const std::vector<PKId> &PointsToSolver::channelsOf(IKId IK) const {
   static const std::vector<PKId> Empty;
   auto It = Channels.find(IK);
   return It == Channels.end() ? Empty : It->second;
+}
+
+void PointsToSolver::addWildcardReader(IKId IK, PKId Dst) {
+  auto &Readers = WildcardReaders[IK];
+  if (std::find(Readers.begin(), Readers.end(), Dst) != Readers.end())
+    return;
+  Readers.push_back(Dst);
+  for (PKId Chan : channelsOf(IK))
+    addCopyEdge(Chan, Dst);
 }
 
 IKId PointsToSolver::syntheticIK(StmtId Site, ClassId Cls) {
@@ -349,13 +383,17 @@ void PointsToSolver::freeze() {
     IntrCallees.push_back(Callee);
   }
 
+  Counters.add("pts.copy_edges", CopyEdges.size());
+  Counters.add("pts.transfers", NumTransfers);
+  Counters.add("pts.dispatches", NumDispatches);
+  Counters.add("cg.edges", CG.numEdges());
+
   // Drop everything only solving reads.
   Pts = {};
   CopySuccs = {};
-  SuccSet = {};
-  LoadUses = {};
-  StoreUses = {};
-  CallUses = {};
+  CopyEdges = {};
+  UseRowOf = {};
+  UseRows = {};
   Delta = {};
   OnWorklist = {};
   Worklist = {};
@@ -393,8 +431,10 @@ void PointsToSolver::propagate() {
     for (IKId IK : MovedScratch) {
       // Indexed loop: insertPointsTo may grow the per-PK tables, which
       // would invalidate a reference into CopySuccs.
-      for (size_t E = 0; E < CopySuccs[PK].size(); ++E)
+      for (size_t E = 0; E < CopySuccs[PK].size(); ++E) {
+        ++NumTransfers;
         insertPointsTo(CopySuccs[PK][E], IK);
+      }
       handleNewPointsTo(PK, IK);
     }
   }
@@ -402,49 +442,18 @@ void PointsToSolver::propagate() {
 
 void PointsToSolver::handleNewPointsTo(PKId PK, IKId IK) {
   growTables();
-  for (size_t U = 0; U < LoadUses[PK].size(); ++U) {
-    LoadUse LU = LoadUses[PK][U];
-    switch (LU.K) {
-    case LoadUse::Field:
-      addCopyEdge(channelFieldOrPlain(IK, LU), LU.Dst);
-      break;
-    case LoadUse::Array:
-      addCopyEdge(PKs.arrayElem(IK), LU.Dst);
-      break;
-    case LoadUse::ChanConst:
-      addCopyEdge(channelKey(IK, LU.FieldOrChan), LU.Dst);
-      break;
-    case LoadUse::ChanWild: {
-      auto &Readers = WildcardReaders[IK];
-      if (std::find(Readers.begin(), Readers.end(), LU.Dst) == Readers.end()) {
-        Readers.push_back(LU.Dst);
-        for (PKId Chan : channelsOf(IK))
-          addCopyEdge(Chan, LU.Dst);
-      }
-      break;
+  if (UseRowOf[PK] != NoRow) {
+    // Only addConstraints registers uses, so no action below moves or
+    // grows this row.
+    const UseRow &Row = UseRows[UseRowOf[PK]];
+    for (const LoadUse &LU : Row.Loads)
+      applyLoadUse(IK, LU);
+    for (const StoreUse &SU : Row.Stores)
+      applyStoreUse(IK, SU);
+    for (const CallUse &CU : Row.Calls) {
+      dispatchCall(CU, IK);
+      growTables();
     }
-    }
-    growTables();
-  }
-  for (size_t U = 0; U < StoreUses[PK].size(); ++U) {
-    StoreUse SU = StoreUses[PK][U];
-    switch (SU.K) {
-    case StoreUse::Field:
-      addCopyEdge(SU.Src, PKs.field(IK, SU.FieldOrChan));
-      break;
-    case StoreUse::Array:
-      addCopyEdge(SU.Src, PKs.arrayElem(IK));
-      break;
-    case StoreUse::Chan:
-      addCopyEdge(SU.Src, channelKey(IK, SU.FieldOrChan));
-      break;
-    }
-    growTables();
-  }
-  for (size_t U = 0; U < CallUses[PK].size(); ++U) {
-    CallUse CU = CallUses[PK][U];
-    dispatchCall(CU, IK);
-    growTables();
   }
   // Most programs never register a reflective invoke, so skip the two hash
   // probes this loop would otherwise pay per propagated member.
@@ -484,13 +493,50 @@ void PointsToSolver::handleNewPointsTo(PKId PK, IKId IK) {
   }
 }
 
-PKId PointsToSolver::channelFieldOrPlain(IKId IK, const LoadUse &LU) {
-  return PKs.field(IK, LU.FieldOrChan);
-}
-
 //===----------------------------------------------------------------------===//
 // Constraint generation
 //===----------------------------------------------------------------------===//
+
+PointsToSolver::UseRow &PointsToSolver::useRow(PKId PK) {
+  if (UseRowOf[PK] == NoRow) {
+    UseRowOf[PK] = static_cast<uint32_t>(UseRows.size());
+    UseRows.emplace_back();
+  }
+  return UseRows[UseRowOf[PK]];
+}
+
+void PointsToSolver::applyLoadUse(IKId IK, const LoadUse &LU) {
+  switch (LU.K) {
+  case LoadUse::Field:
+    addCopyEdge(PKs.field(IK, LU.FieldOrChan), LU.Dst);
+    break;
+  case LoadUse::Array:
+    addCopyEdge(PKs.arrayElem(IK), LU.Dst);
+    break;
+  case LoadUse::ChanConst:
+    addCopyEdge(channelKey(IK, LU.FieldOrChan), LU.Dst);
+    break;
+  case LoadUse::ChanWild:
+    addWildcardReader(IK, LU.Dst);
+    break;
+  }
+  growTables();
+}
+
+void PointsToSolver::applyStoreUse(IKId IK, const StoreUse &SU) {
+  switch (SU.K) {
+  case StoreUse::Field:
+    addCopyEdge(SU.Src, PKs.field(IK, SU.FieldOrChan));
+    break;
+  case StoreUse::Array:
+    addCopyEdge(SU.Src, PKs.arrayElem(IK));
+    break;
+  case StoreUse::Chan:
+    addCopyEdge(SU.Src, channelKey(IK, SU.FieldOrChan));
+    break;
+  }
+  growTables();
+}
 
 // The register*Use functions snapshot the base set into the shared
 // SnapScratch buffer instead of copying it into a fresh vector. The
@@ -501,65 +547,29 @@ PKId PointsToSolver::channelFieldOrPlain(IKId IK, const LoadUse &LU) {
 
 void PointsToSolver::registerLoadUse(PKId Base, LoadUse LU) {
   growTables();
-  LoadUses[Base].push_back(LU);
+  useRow(Base).Loads.push_back(LU);
   SnapScratch.clear();
   Pts[Base].appendTo(SnapScratch);
-  for (size_t C = 0; C < SnapScratch.size(); ++C) {
-    IKId IK = SnapScratch[C];
-    switch (LU.K) {
-    case LoadUse::Field:
-      addCopyEdge(PKs.field(IK, LU.FieldOrChan), LU.Dst);
-      break;
-    case LoadUse::Array:
-      addCopyEdge(PKs.arrayElem(IK), LU.Dst);
-      break;
-    case LoadUse::ChanConst:
-      addCopyEdge(channelKey(IK, LU.FieldOrChan), LU.Dst);
-      break;
-    case LoadUse::ChanWild: {
-      auto &Readers = WildcardReaders[IK];
-      if (std::find(Readers.begin(), Readers.end(), LU.Dst) ==
-          Readers.end()) {
-        Readers.push_back(LU.Dst);
-        for (PKId Chan : channelsOf(IK))
-          addCopyEdge(Chan, LU.Dst);
-      }
-      break;
-    }
-    }
-    growTables();
-  }
+  for (IKId IK : SnapScratch)
+    applyLoadUse(IK, LU);
 }
 
 void PointsToSolver::registerStoreUse(PKId Base, StoreUse SU) {
   growTables();
-  StoreUses[Base].push_back(SU);
+  useRow(Base).Stores.push_back(SU);
   SnapScratch.clear();
   Pts[Base].appendTo(SnapScratch);
-  for (size_t C = 0; C < SnapScratch.size(); ++C) {
-    IKId IK = SnapScratch[C];
-    switch (SU.K) {
-    case StoreUse::Field:
-      addCopyEdge(SU.Src, PKs.field(IK, SU.FieldOrChan));
-      break;
-    case StoreUse::Array:
-      addCopyEdge(SU.Src, PKs.arrayElem(IK));
-      break;
-    case StoreUse::Chan:
-      addCopyEdge(SU.Src, channelKey(IK, SU.FieldOrChan));
-      break;
-    }
-    growTables();
-  }
+  for (IKId IK : SnapScratch)
+    applyStoreUse(IK, SU);
 }
 
 void PointsToSolver::registerCallUse(PKId Recv, CallUse CU) {
   growTables();
-  CallUses[Recv].push_back(CU);
+  useRow(Recv).Calls.push_back(CU);
   SnapScratch.clear();
   Pts[Recv].appendTo(SnapScratch);
-  for (size_t C = 0; C < SnapScratch.size(); ++C) {
-    dispatchCall(CU, SnapScratch[C]);
+  for (IKId IK : SnapScratch) {
+    dispatchCall(CU, IK);
     growTables();
   }
 }
@@ -645,7 +655,7 @@ void PointsToSolver::addConstraints(CGNodeId N) {
         if (I.CKind == CallKind::Static) {
           MethodId Callee = CHA.resolveVirtual(I.Cls, I.CalleeName);
           if (Callee == InvalidId) {
-            Counters.add("call.unresolved");
+            bump(CallUnresolved);
             break;
           }
           dispatchResolved(N, Site, I, Callee, InvalidId);
@@ -655,7 +665,7 @@ void PointsToSolver::addConstraints(CGNodeId N) {
         if (I.CKind == CallKind::Special) {
           Exact = CHA.resolveVirtual(I.Cls, I.CalleeName);
           if (Exact == InvalidId) {
-            Counters.add("call.unresolved");
+            bump(CallUnresolved);
             break;
           }
         }
@@ -670,12 +680,13 @@ void PointsToSolver::addConstraints(CGNodeId N) {
 }
 
 void PointsToSolver::dispatchCall(const CallUse &CU, IKId RecvIK) {
+  ++NumDispatches;
   const Instruction &I = *CU.I;
   MethodId Callee = CU.Exact;
   if (Callee == InvalidId) {
     Callee = CHA.resolveVirtual(IKs.data(RecvIK).Cls, I.CalleeName);
     if (Callee == InvalidId) {
-      Counters.add("call.unresolved");
+      bump(CallUnresolved);
       return;
     }
   }
@@ -688,7 +699,7 @@ void PointsToSolver::dispatchResolved(CGNodeId Caller, StmtId Site,
   const Method &CalM = P.Methods[Callee];
   if (Opts.ExcludeWhitelisted &&
       P.Classes[CalM.Owner].is(classflags::Whitelisted)) {
-    Counters.add("call.whitelist_skipped");
+    bump(CallWhitelistSkipped);
     return;
   }
   if (CalM.Intr != Intrinsic::None || !CalM.hasBody()) {
@@ -762,7 +773,7 @@ void PointsToSolver::applyIntrinsic(CGNodeId Caller, StmtId Site,
     // fresh object of the declared return type.
     if (I.Dst != NoValue && CalM.RetType.isRefLike())
       insertPointsTo(L(I.Dst), syntheticIK(Site, CalM.RetType.Cls));
-    Counters.add("call.native_default_model");
+    bump(CallNativeDefault);
     break;
   case Intrinsic::Identity:
     if (I.Dst != NoValue)
@@ -798,13 +809,7 @@ void PointsToSolver::applyIntrinsic(CGNodeId Caller, StmtId Site,
       addCopyEdge(channelKey(RecvIK, WildChan), L(I.Dst));
     } else {
       // Unknown key: reads every channel, present and future.
-      auto &Readers = WildcardReaders[RecvIK];
-      PKId Dst = L(I.Dst);
-      if (std::find(Readers.begin(), Readers.end(), Dst) == Readers.end()) {
-        Readers.push_back(Dst);
-        for (PKId Chan : channelsOf(RecvIK))
-          addCopyEdge(Chan, Dst);
-      }
+      addWildcardReader(RecvIK, L(I.Dst));
     }
     break;
   }
@@ -927,7 +932,7 @@ void PointsToSolver::applyIntrinsic(CGNodeId Caller, StmtId Site,
     CG.addEdge(Caller, Site, TN);
     if (P.Methods[Run].NumParams > 0)
       insertPointsTo(PKs.local(TN, 0), RecvIK);
-    Counters.add("model.thread_start");
+    bump(ModelThreadStart);
     break;
   }
   case Intrinsic::JndiLookup: {
@@ -944,7 +949,7 @@ void PointsToSolver::applyIntrinsic(CGNodeId Caller, StmtId Site,
     D.Cls = It->second;
     D.Extra = It->second;
     insertPointsTo(L(I.Dst), IKs.intern(D));
-    Counters.add("model.jndi_lookup");
+    bump(ModelJndiLookup);
     break;
   }
   case Intrinsic::HomeCreate: {
@@ -958,7 +963,7 @@ void PointsToSolver::applyIntrinsic(CGNodeId Caller, StmtId Site,
     }
     if (Bean != InvalidId)
       insertPointsTo(L(I.Dst), syntheticIK(Site, Bean));
-    Counters.add("model.home_create");
+    bump(ModelHomeCreate);
     break;
   }
   }

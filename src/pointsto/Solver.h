@@ -178,6 +178,35 @@ private:
     /// Exact target for Special calls; InvalidId = CHA dispatch.
     MethodId Exact;
   };
+  /// The deferred uses of one pointer key, each kind in registration
+  /// order. Only keys that get a deferred use own a row.
+  struct UseRow {
+    SmallVec<LoadUse, 2> Loads;
+    SmallVec<StoreUse, 2> Stores;
+    SmallVec<CallUse, 1> Calls;
+  };
+  /// The distinct copy edges, keyed by the exact (from, to) pair: an
+  /// open-addressed set of From << 32 | To. No copy edge is a self-loop,
+  /// so no key is 0, the empty slot.
+  class CopyPairSet {
+  public:
+    /// Adds edge \p From -> \p To; false if it was present.
+    bool insert(PKId From, PKId To);
+    size_t size() const { return Filled; }
+
+  private:
+    /// The slot holding \p Key, or the empty slot where it belongs.
+    size_t slotOf(uint64_t Key) const;
+
+    std::vector<uint64_t> Slots;
+    size_t Filled = 0;
+  };
+  /// A counter handle resolved on its first bump, so the counter's row
+  /// appears only once it is bumped.
+  struct LazyCounter {
+    const char *Name;
+    Stats::Handle H = ~0u;
+  };
   struct InvokeSite {
     CGNodeId Caller = 0;
     StmtId Site = 0;
@@ -216,7 +245,14 @@ private:
   /// All interned channel pointer keys of instance \p IK (map/collection
   /// contents), for the wildcard-read models.
   const std::vector<PKId> &channelsOf(IKId IK) const;
-  PKId channelFieldOrPlain(IKId IK, const LoadUse &LU);
+  /// Makes \p Dst read every channel of \p IK, present and future.
+  void addWildcardReader(IKId IK, PKId Dst);
+  /// The deferred uses of \p PK, made on first use.
+  UseRow &useRow(PKId PK);
+  /// Fire one deferred use for member \p IK of its base, then grow the
+  /// per-key tables.
+  void applyLoadUse(IKId IK, const LoadUse &LU);
+  void applyStoreUse(IKId IK, const StoreUse &SU);
   void handleNewPointsTo(PKId PK, IKId IK);
   void registerLoadUse(PKId Base, LoadUse LU);
   void registerStoreUse(PKId Base, StoreUse SU);
@@ -235,6 +271,7 @@ private:
   Symbol mapChannel(CGNodeId Caller, const Instruction &I, size_t KeyArg);
   void noteUnresolvedReflection(CGNodeId Caller, StmtId Site);
   Symbol internSym(std::string_view S) const;
+  void bump(LazyCounter &C);
 
   const Program &P;
   const ClassHierarchy &CHA;
@@ -254,9 +291,19 @@ private:
   Stats::Handle HMapKeysResolved = 0;
   Stats::Handle HReflResolved = 0;
   Stats::Handle HReflUnresolved = 0;
+  LazyCounter CallUnresolved{"call.unresolved"};
+  LazyCounter CallWhitelistSkipped{"call.whitelist_skipped"};
+  LazyCounter CallNativeDefault{"call.native_default_model"};
+  LazyCounter ModelThreadStart{"model.thread_start"};
+  LazyCounter ModelJndiLookup{"model.jndi_lookup"};
+  LazyCounter ModelHomeCreate{"model.home_create"};
   /// Per-site reflection counter handles, built once per (method, stmt)
   /// while solving.
   std::unordered_map<uint64_t, Stats::Handle> ReflSiteHandles;
+  /// Work counts, exported by freeze(): member-to-successor pushes in
+  /// propagate() and receiver dispatches.
+  uint64_t NumTransfers = 0;
+  uint64_t NumDispatches = 0;
   bool BudgetHit = false;
   bool Solved = false;
 
@@ -270,15 +317,14 @@ private:
   std::vector<MethodId> IntrCallees;
 
   // Solving state, all dropped by freeze(). Per-PK tables are indexed by
-  // PKId and grown lazily.
+  // PKId and grown lazily: 124 bytes per key.
   std::vector<SparseBitSet> Pts;
   std::vector<SmallVec<PKId, 4>> CopySuccs;
-  /// Per-source successor membership (replaces the old global EdgeDedup
-  /// hash set).
-  std::vector<SparseBitSet> SuccSet;
-  std::vector<SmallVec<LoadUse, 2>> LoadUses;
-  std::vector<SmallVec<StoreUse, 2>> StoreUses;
-  std::vector<SmallVec<CallUse, 1>> CallUses;
+  CopyPairSet CopyEdges;
+  /// Each key's row in UseRows, or NoRow.
+  static constexpr uint32_t NoRow = ~0u;
+  std::vector<uint32_t> UseRowOf;
+  std::vector<UseRow> UseRows;
   /// Pending new members per pointer key. Deliberately an arrival-order
   /// list, not a bitmap: the event order downstream (first dispatch of a
   /// call site, SiteCallees order) must match the historical engine so CLI

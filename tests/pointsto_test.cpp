@@ -583,6 +583,131 @@ class App extends Servlet {
 }
 
 //===----------------------------------------------------------------------===//
+// Call-graph edge log and work counters
+//===----------------------------------------------------------------------===//
+
+std::vector<std::pair<StmtId, CGNodeId>> edgePairs(const CallGraph &CG,
+                                                   CGNodeId N) {
+  std::vector<std::pair<StmtId, CGNodeId>> Out;
+  for (const CGEdge &E : CG.edges(N))
+    Out.emplace_back(E.Site, E.Callee);
+  return Out;
+}
+
+TEST(PointsTo, CallGraphKeepsEveryDistinctEdge) {
+  // A caller A and callees of methods 3, 2 and 1, method 3 in two
+  // contexts (B and B2). Site 5's callees arrive in descending method-id
+  // order, and method 3 reaches it from two callers and two contexts.
+  CallGraph CG;
+  bool IsNew = false;
+  const CGNodeId A = CG.ensureNode(0, 0, IsNew);
+  const CGNodeId B = CG.ensureNode(3, 0, IsNew);
+  const CGNodeId C = CG.ensureNode(2, 0, IsNew);
+  const CGNodeId D = CG.ensureNode(1, 0, IsNew);
+  const CGNodeId B2 = CG.ensureNode(3, 1, IsNew);
+  struct Add {
+    CGNodeId Caller;
+    StmtId Site;
+    CGNodeId Callee;
+    bool New;
+  };
+  const std::vector<Add> Adds = {
+      {A, 5, B, true},  {A, 5, C, true},
+      {A, 5, B, false}, // a repeat
+      {A, 6, B, true},  // shares the caller and the callee
+      {C, 5, B, true},  // shares the site and the callee
+      {A, 5, D, true},  // shares the caller and the site
+      {A, 5, B2, true}, {C, 5, B, false}, {A, 6, B, false}, {A, 5, D, false}};
+  for (const Add &E : Adds)
+    EXPECT_EQ(CG.addEdge(E.Caller, E.Site, E.Callee), E.New)
+        << E.Caller << " -" << E.Site << "-> " << E.Callee;
+  EXPECT_EQ(CG.numEdges(), 6u);
+  // Hundreds of edges that differ in their site alone: each is new once,
+  // however the index's probe chains run into the others.
+  constexpr StmtId FirstSite = 10, NumSites = 300;
+  for (int Pass = 0; Pass < 2; ++Pass)
+    for (StmtId Site = FirstSite; Site < FirstSite + NumSites; ++Site)
+      EXPECT_EQ(CG.addEdge(D, Site, B2), Pass == 0) << "site " << Site;
+  EXPECT_EQ(CG.numEdges(), 6u + NumSites);
+
+  const std::vector<std::pair<StmtId, CGNodeId>> FromA = {
+      {5, B}, {5, C}, {6, B}, {5, D}, {5, B2}};
+  const std::vector<std::pair<StmtId, CGNodeId>> FromC = {{5, B}};
+  EXPECT_EQ(edgePairs(CG, A), FromA);
+  EXPECT_EQ(edgePairs(CG, C), FromC);
+  EXPECT_TRUE(CG.edges(B).empty());
+
+  CG.freeze(/*NumMethods=*/4, /*NumStmts=*/FirstSite + NumSites);
+  const std::span<const MethodId> At5 = CG.calleesAt(5);
+  EXPECT_EQ(std::vector<MethodId>(At5.begin(), At5.end()),
+            (std::vector<MethodId>{3, 2, 1}));
+  const std::span<const MethodId> At6 = CG.calleesAt(6);
+  EXPECT_EQ(std::vector<MethodId>(At6.begin(), At6.end()),
+            std::vector<MethodId>{3});
+  for (StmtId Site : {0u, 4u, 7u})
+    EXPECT_TRUE(CG.calleesAt(Site).empty()) << "site " << Site;
+  for (StmtId Site = FirstSite; Site < FirstSite + NumSites; ++Site) {
+    const std::span<const MethodId> At = CG.calleesAt(Site);
+    ASSERT_EQ(At.size(), 1u) << "site " << Site;
+    EXPECT_EQ(At[0], 3u) << "site " << Site;
+  }
+  EXPECT_EQ(CG.edges(D).size(), NumSites);
+  EXPECT_EQ(edgePairs(CG, A), FromA) << "freeze keeps the out-edges";
+  const std::span<const CGNodeId> Of3 = CG.nodesOf(3);
+  EXPECT_EQ(std::vector<CGNodeId>(Of3.begin(), Of3.end()),
+            (std::vector<CGNodeId>{B, B2}));
+}
+
+TEST(PointsTo, WorkCountersAreExact) {
+  // Solved from run() itself, with no entry driver. Hand count, in solver
+  // order:
+  //  run():  copy edges b0->b, o0->o, o->Box.f (the store), ret(get)->x0
+  //          and x0->x; the call dispatches once on b's snapshot (one call
+  //          edge) and once more when b's delta pops; transfers o->Box.f,
+  //          o0->o and b0->b.
+  //  get():  copy edges Box.f->r0 (the load), r0->r and r->ret(get);
+  //          transfers ret->x0, x0->x, r->ret and r0->r.
+  // 8 copy edges, 7 transfers, 2 dispatches, 1 call edge.
+  Program P;
+  installBuiltinLibrary(P);
+  std::vector<std::string> Errors;
+  ASSERT_TRUE(parseTaj(P, R"(
+class Box extends Object {
+  field f: Object;
+  method get(this: Box): Object { r = this.f; return r; }
+}
+class Main extends Object {
+  static method run(): void {
+    b = new Box;
+    o = new Object;
+    b.f = o;
+    x = b.get();
+  }
+}
+)",
+                       &Errors))
+      << (Errors.empty() ? "?" : Errors.front());
+  P.indexStatements();
+  const ClassHierarchy CHA(P);
+  const MethodId Run = P.findMethod(P.findClass("Main"), "run");
+  ASSERT_NE(Run, InvalidId);
+  for (int Solve = 0; Solve < 2; ++Solve) {
+    SCOPED_TRACE("solve " + std::to_string(Solve));
+    PointsToSolver S(P, CHA);
+    S.solve({Run});
+    const Stats &St = S.stats();
+    EXPECT_EQ(St.get("pts.copy_edges"), 8u);
+    EXPECT_EQ(St.get("pts.transfers"), 7u);
+    EXPECT_EQ(St.get("pts.dispatches"), 2u);
+    EXPECT_EQ(St.get("cg.edges"), 1u);
+    uint64_t Edges = 0;
+    for (CGNodeId N = 0; N < S.callGraph().numNodes(); ++N)
+      Edges += S.callGraph().edges(N).size();
+    EXPECT_EQ(St.get("cg.edges"), Edges);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // CLI byte-identity of warm and cold runs
 //===----------------------------------------------------------------------===//
 

@@ -14,7 +14,10 @@
 #             repository, so a run never overwrites a committed
 #             BENCH_*.json record; name one explicitly to keep it)
 #
-# Measured: BM_PointerAnalysis (the solver), BM_SdgConstruction (its
+# Measured: BM_PointerAnalysis (the solver with a Local-mode string
+# analysis inside solve(), unguarded), BM_SolverAsRun (the solve the
+# pipeline runs: preset options and string facts, under a RunGuard, for
+# hybrid-unbounded and hybrid-optimized), BM_SdgConstruction (its
 # biggest query-surface consumer), BM_ServerWarmRequest (the warm restore
 # path), BM_ColdVsWarmAnalysis (whole runs on Roller, cold and warm, for
 # hybrid-unbounded and hybrid-optimized), BM_RestoreSolver and
@@ -39,7 +42,7 @@ BUILD_A=$1
 BUILD_B=$2
 ROUNDS=${3:-5}
 OUT=${4:-${TMPDIR:-/tmp}/bench_ab.json}
-FILTER='BM_PointerAnalysis|BM_SdgConstruction|BM_ServerWarmRequest|BM_ColdVsWarmAnalysis|BM_RestoreSolver|BM_RestoreSdg|BM_HybridSlicing|BM_CiSlicing|BM_ConstStrings|BM_ClassHierarchy'
+FILTER='BM_PointerAnalysis|BM_SolverAsRun|BM_SdgConstruction|BM_ServerWarmRequest|BM_ColdVsWarmAnalysis|BM_RestoreSolver|BM_RestoreSdg|BM_HybridSlicing|BM_CiSlicing|BM_ConstStrings|BM_ClassHierarchy'
 
 for D in "$BUILD_A" "$BUILD_B"; do
   if [ ! -x "$D/bench/micro_perf" ]; then
