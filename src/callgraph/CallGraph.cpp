@@ -1,6 +1,7 @@
 //===- callgraph/CallGraph.cpp ---------------------------------*- C++ -*-===//
 
 #include "callgraph/CallGraph.h"
+#include "support/Csr.h"
 #include "support/RunGuard.h"
 
 #include <algorithm>
@@ -29,33 +30,29 @@ CGNodeId CallGraph::ensureNode(MethodId M, CtxId Ctx, bool &IsNew) {
   CGNodeId Id = static_cast<CGNodeId>(Nodes.size());
   NodeMap.insertAt(Slot, Id);
   Nodes.push_back(N);
-  Out.emplace_back();
-  In.emplace_back();
   return Id;
 }
 
 bool CallGraph::addEdge(CGNodeId Caller, StmtId Site, CGNodeId Callee) {
-  const EdgeRow Row{Caller, Site, Callee};
+  const CGEdge Edge{Site, Callee};
   if (EdgeIndex.needsGrow())
-    EdgeIndex.grow(EdgeLog.size() + 1,
-                   [this](uint32_t E) { return edgeHash(EdgeLog[E]); });
+    EdgeIndex.grow(LogCallers.size() + 1, [this](uint32_t E) {
+      return edgeHash(LogCallers[E], LogEdges[E]);
+    });
   size_t Slot;
   const uint32_t Found =
-      EdgeIndex.find(edgeHash(Row),
+      EdgeIndex.find(edgeHash(Caller, Edge),
                      [&](uint32_t E) {
-                       const EdgeRow &L = EdgeLog[E];
-                       return L.Caller == Caller && L.Site == Site &&
-                              L.Callee == Callee;
+                       return LogCallers[E] == Caller && LogEdges[E] == Edge;
                      },
                      Slot);
   if (Found != ~0u)
     return false;
   if (Guard)
     Guard->checkpoint();
-  EdgeIndex.insertAt(Slot, static_cast<uint32_t>(EdgeLog.size()));
-  EdgeLog.push_back(Row);
-  Out[Caller].push_back({Site, Callee});
-  In[Callee].push_back(Caller);
+  EdgeIndex.insertAt(Slot, static_cast<uint32_t>(LogCallers.size()));
+  LogCallers.push_back(Caller);
+  LogEdges.push_back(Edge);
   return true;
 }
 
@@ -73,17 +70,20 @@ void CallGraph::indexByMethod(uint32_t NumMethods) {
 
 void CallGraph::freeze(uint32_t NumMethods, uint32_t NumStmts) {
   indexByMethod(NumMethods);
-  // A stable counting sort of the edge log by site lays each site's
-  // callee methods out in edge order; compacting each site's run to its
-  // first edge per method then leaves the methods in first-edge order.
+  // A stable counting sort of the edge log by caller keeps each node's
+  // out-edges in insertion order.
+  csrFromLog(LogCallers, LogEdges, Nodes.size(), OutOff, OutEdges);
+  // A second one, by site, lays each site's callee methods out in edge
+  // order; compacting each site's run to its first edge per method then
+  // leaves the methods in first-edge order.
   SiteBase.assign(NumStmts + 1, 0);
-  for (const EdgeRow &E : EdgeLog)
+  for (const CGEdge &E : LogEdges)
     ++SiteBase[E.Site + 1];
   for (uint32_t S = 0; S < NumStmts; ++S)
     SiteBase[S + 1] += SiteBase[S];
-  SiteCallees.resize(EdgeLog.size());
+  SiteCallees.resize(LogEdges.size());
   std::vector<uint32_t> Fill(SiteBase.begin(), SiteBase.end() - 1);
-  for (const EdgeRow &E : EdgeLog)
+  for (const CGEdge &E : LogEdges)
     SiteCallees[Fill[E.Site]++] = Nodes[E.Callee].M;
   uint32_t Kept = 0;
   for (uint32_t S = 0; S < NumStmts; ++S) {
@@ -99,7 +99,7 @@ void CallGraph::freeze(uint32_t NumMethods, uint32_t NumStmts) {
   }
   SiteBase[NumStmts] = Kept;
   SiteCallees.resize(Kept);
-  EdgeLog = {};
+  LogCallers = {};
+  LogEdges = {};
   EdgeIndex = {};
-  In = {};
 }

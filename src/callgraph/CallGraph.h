@@ -8,12 +8,12 @@
 /// The on-the-fly call graph built by the pointer analysis. A node is a
 /// (method, context) pair ("a method in some calling context", TAJ §6.1);
 /// edges carry the call statement. While solving, every distinct edge is
-/// logged once, in insertion order, as a (caller, site, callee) row. When
-/// solving ends, freeze() lays the per-method node lists and the
+/// logged once, in insertion order, as a caller column and a (site,
+/// callee) column; the log is the graph's only edge store. When solving
+/// ends, freeze() derives the dense CSR columns every query reads from
+/// it: each node's out-edges, the per-method node lists and the
 /// context-merged projection (call statement -> callee methods) the SDG
-/// builder reads out as dense CSR columns, the latter derived from the
-/// edge log, and drops what only construction reads: the in-edges and the
-/// log with its index.
+/// builder reads. Then it drops the log and its index.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,6 +47,7 @@ struct CGNode {
 struct CGEdge {
   StmtId Site = 0;
   CGNodeId Callee = 0;
+  bool operator==(const CGEdge &) const = default;
 };
 
 /// The call graph under construction.
@@ -67,13 +68,12 @@ public:
   /// Adds edge \p Caller --site--> \p Callee; returns false if it existed.
   bool addEdge(CGNodeId Caller, StmtId Site, CGNodeId Callee);
 
-  const std::vector<CGEdge> &edges(CGNodeId N) const { return Out[N]; }
-  /// Callers of \p N, one per edge. Construction only: the priority
-  /// policy reads them while solving, and they are empty after freeze().
-  std::span<const CGNodeId> preds(CGNodeId N) const {
-    if (N >= In.size())
+  /// Out-edges of \p N, in the order they were added. Empty before
+  /// freeze().
+  std::span<const CGEdge> edges(CGNodeId N) const {
+    if (N + 1 >= OutOff.size())
       return {};
-    return In[N];
+    return {OutEdges.data() + OutOff[N], OutEdges.data() + OutOff[N + 1]};
   }
 
   /// All nodes of method \p M (one per context), ascending. Empty before
@@ -96,11 +96,13 @@ public:
 
   /// Distinct edges added so far. Construction only: freeze() drops the
   /// edge log, after which this reads 0.
-  uint32_t numEdges() const { return static_cast<uint32_t>(EdgeLog.size()); }
+  uint32_t numEdges() const {
+    return static_cast<uint32_t>(LogCallers.size());
+  }
 
-  /// Ends construction: builds the dense per-method node index over
-  /// \p NumMethods methods and the per-site callee column over \p NumStmts
-  /// statements, and drops the construction-only in-edges and edge log.
+  /// Ends construction: builds the out-edge CSR, the dense per-method node
+  /// index over \p NumMethods methods and the per-site callee column over
+  /// \p NumStmts statements, and drops the edge log.
   void freeze(uint32_t NumMethods, uint32_t NumStmts);
 
   /// Number of nodes whose constraints have been added (the paper's |N|
@@ -122,14 +124,10 @@ private:
   friend struct persist::Access;
 
   static uint64_t hash(MethodId M, CtxId Ctx) { return internHash2(M, Ctx); }
-  /// One logged edge: the exact triple the edge index is keyed by.
-  struct EdgeRow {
-    CGNodeId Caller;
-    StmtId Site;
-    CGNodeId Callee;
-  };
-  static uint64_t edgeHash(const EdgeRow &E) {
-    return internMix(((static_cast<uint64_t>(E.Caller) << 32) | E.Site) ^
+  /// The hash of edge \p Caller --E.Site--> E.Callee, keyed by the exact
+  /// triple.
+  static uint64_t edgeHash(CGNodeId Caller, const CGEdge &E) {
+    return internMix(((static_cast<uint64_t>(Caller) << 32) | E.Site) ^
                      (static_cast<uint64_t>(E.Callee) * 0xc2b2ae3d27d4eb4full));
   }
   /// Indexes every node in one pass after a bulk restore; false if two
@@ -146,17 +144,20 @@ private:
   void indexByMethod(uint32_t NumMethods);
 
   std::vector<CGNode> Nodes;
-  std::vector<std::vector<CGEdge>> Out;
   /// (method, context) -> node.
   InternIndex NodeMap;
-  // Construction only: in-edges, and every distinct edge once, in
-  // insertion order, indexed by its exact triple.
-  std::vector<std::vector<CGNodeId>> In;
-  std::vector<EdgeRow> EdgeLog;
+  // Construction only: every distinct edge once, in insertion order, as
+  // edge I = LogCallers[I] --LogEdges[I].Site--> LogEdges[I].Callee,
+  // indexed by its exact triple.
+  std::vector<CGNodeId> LogCallers;
+  std::vector<CGEdge> LogEdges;
   InternIndex EdgeIndex;
-  // Frozen CSR columns: method M's nodes are ByMethod[ByMethodBase[M] ..
+  // Frozen CSR columns: node N's out-edges are OutEdges[OutOff[N] ..
+  // OutOff[N+1]), method M's nodes ByMethod[ByMethodBase[M] ..
   // ByMethodBase[M+1]), site S's callees SiteCallees[SiteBase[S] ..
   // SiteBase[S+1]).
+  std::vector<uint32_t> OutOff;
+  std::vector<CGEdge> OutEdges;
   std::vector<uint32_t> ByMethodBase;
   std::vector<CGNodeId> ByMethod;
   std::vector<uint32_t> SiteBase;

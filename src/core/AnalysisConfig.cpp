@@ -22,7 +22,6 @@ RunGuard::Limits AnalysisConfig::guardLimits() const {
   L.MaxMemoryBytes = MaxMemoryMb * 1024 * 1024;
   L.FailAtCheckpoint = FailAtCheckpoint;
   L.CrashAtCheckpoint = CrashAtCheckpoint;
-  L.CrashSignal = CrashSignal;
   L.HangAtCheckpoint = HangAtCheckpoint;
   return L;
 }

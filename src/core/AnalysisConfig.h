@@ -89,11 +89,10 @@ struct AnalysisConfig {
   /// Deterministic fault injection: trip the run guard at the Nth
   /// checkpoint (1-based; 0 = off). Test-only degradation forcing.
   uint64_t FailAtCheckpoint = 0;
-  /// Hard fault injection: die (abort, or raise CrashSignal) at the Nth
-  /// checkpoint (1-based; 0 = off). Exercises process-level supervision.
+  /// Hard fault injection: die (abort, or raise the signal
+  /// TAJ_CRASH_SIGNAL names) at the Nth checkpoint (1-based; 0 = off).
+  /// Exercises process-level supervision.
   uint64_t CrashAtCheckpoint = 0;
-  /// Signal for CrashAtCheckpoint (0 = abort()).
-  int CrashSignal = 0;
   /// Hard fault injection: block forever at the Nth checkpoint (1-based;
   /// 0 = off). Exercises the supervisor watchdog.
   uint64_t HangAtCheckpoint = 0;

@@ -41,13 +41,15 @@ std::vector<IKId> HeapGraph::reachable(const std::vector<IKId> &Seeds,
                                        uint32_t MaxDepth) const {
   std::vector<IKId> Out;
   std::unordered_set<IKId> Seen;
+  // Level order, the work vector read as a FIFO queue: each key is met
+  // first at its least depth, so a key first reached through a longer
+  // path is still expanded within the bound.
   std::vector<std::pair<IKId, uint32_t>> Work;
   for (IKId S : Seeds)
     if (Seen.insert(S).second)
       Work.emplace_back(S, 0);
-  while (!Work.empty()) {
-    auto [IK, D] = Work.back();
-    Work.pop_back();
+  for (size_t Head = 0; Head < Work.size(); ++Head) {
+    const auto [IK, D] = Work[Head];
     Out.push_back(IK);
     if (D >= MaxDepth)
       continue;

@@ -436,42 +436,6 @@ bool getU8Field(Reader &R, std::vector<Row> &Rows, T Row::*Field, uint8_t Max,
   return true;
 }
 
-/// Writes per-row lists as one CSR: the length column, then the
-/// concatenated elements.
-template <typename T, typename Get>
-void putCsr(Writer &W, const std::vector<std::vector<T>> &Lists, Get Elem) {
-  std::vector<uint32_t> Col;
-  Col.reserve(Lists.size());
-  for (const std::vector<T> &L : Lists)
-    Col.push_back(static_cast<uint32_t>(L.size()));
-  W.u32Array(Col.data(), Col.size());
-  Col.clear();
-  for (const std::vector<T> &L : Lists)
-    for (const T &X : L)
-      Col.push_back(Elem(X));
-  W.u32Array(Col.data(), Col.size());
-}
-
-/// Reads the length column of the CSR behind \p Lists (already sized) and
-/// sizes each list, failing before any allocation when the elements
-/// (\p ElemBytes each) cannot fit the remaining payload. Sets \p Total
-/// to the element count.
-template <typename T>
-bool getCsrLengths(Reader &R, std::vector<std::vector<T>> &Lists,
-                   size_t ElemBytes, uint64_t &Total) {
-  const uint8_t *B = R.block(Lists.size() * 4);
-  if (!B)
-    return false;
-  Total = 0;
-  for (size_t I = 0; I < Lists.size(); ++I)
-    Total += loadU32(B + 4 * I);
-  if (Total * ElemBytes > R.remaining())
-    return false;
-  for (size_t I = 0; I < Lists.size(); ++I)
-    Lists[I].resize(loadU32(B + 4 * I));
-  return true;
-}
-
 /// True when \p Base is a CSR offset column over \p Size elements: it
 /// starts at 0, never decreases and ends at \p Size.
 bool validOffsets(const std::vector<uint32_t> &Base, size_t Size) {
@@ -516,22 +480,23 @@ void Access::serializeSolver(const PointsToSolver &S, Writer &W) {
   putU32Field(W, IKs, &InstanceKeyData::Cls);
   putU32Field(W, IKs, &InstanceKeyData::Extra);
 
-  // Call graph: nodes, out-edges, and the frozen per-site callee CSR,
+  // Call graph: nodes, the out-edge CSR as a per-node edge count column
+  // and its site and callee columns, and the frozen per-site callee CSR,
   // whose per-site order is edge insertion order and cannot be rebuilt
-  // from the edges.
+  // from the out-edges.
   const CallGraph &CG = S.CG;
   W.u32(static_cast<uint32_t>(CG.Nodes.size()));
   putU32Field(W, CG.Nodes, &CGNode::M);
   putU32Field(W, CG.Nodes, &CGNode::Ctx);
   putU8Field(W, CG.Nodes, &CGNode::ConstraintsAdded);
-  putCsr(W, CG.Out, [](const CGEdge &E) { return E.Site; });
   {
-    std::vector<uint32_t> Callees;
-    for (const std::vector<CGEdge> &Edges : CG.Out)
-      for (const CGEdge &E : Edges)
-        Callees.push_back(E.Callee);
-    W.u32Array(Callees.data(), Callees.size());
+    std::vector<uint32_t> Counts(CG.Nodes.size());
+    for (CGNodeId N = 0; N < Counts.size(); ++N)
+      Counts[N] = static_cast<uint32_t>(CG.edges(N).size());
+    W.u32Array(Counts.data(), Counts.size());
   }
+  putU32Field(W, CG.OutEdges, &CGEdge::Site);
+  putU32Field(W, CG.OutEdges, &CGEdge::Callee);
   putU32Vec(W, CG.SiteBase);
   putU32Vec(W, CG.SiteCallees);
 
@@ -674,23 +639,27 @@ bool Access::restoreSolver(PointsToSolver &S, Reader &R) {
     return false;
   CG.indexByMethod(static_cast<uint32_t>(NumMethods));
   {
-    CG.Out.resize(NumNodes);
-    uint64_t Total;
-    if (!getCsrLengths(R, CG.Out, 8, Total))
+    // The out-edge counts must fit the payload (8 bytes an edge) before
+    // the edge columns are allocated.
+    const uint8_t *Counts = R.block(size_t(NumNodes) * 4);
+    if (!Counts)
       return false;
-    const uint8_t *Sites = R.block(Total * 4);
-    const uint8_t *Callees = R.block(Total * 4);
-    if (!Sites || !Callees)
+    uint64_t Total = 0;
+    for (CGNodeId N = 0; N < NumNodes; ++N)
+      Total += loadU32(Counts + 4 * N);
+    if (Total * 8 > R.remaining())
       return false;
-    for (std::vector<CGEdge> &Edges : CG.Out)
-      for (CGEdge &E : Edges) {
-        E.Site = loadU32(Sites);
-        E.Callee = loadU32(Callees);
-        Sites += 4;
-        Callees += 4;
-        if (E.Site >= NumStmts || E.Callee >= NumNodes)
-          return false;
-      }
+    CG.OutOff.resize(NumNodes + 1);
+    CG.OutOff[0] = 0;
+    for (CGNodeId N = 0; N < NumNodes; ++N)
+      CG.OutOff[N + 1] = CG.OutOff[N] + loadU32(Counts + 4 * N);
+    CG.OutEdges.resize(Total);
+    if (!getU32Field(R, CG.OutEdges, &CGEdge::Site) ||
+        !getU32Field(R, CG.OutEdges, &CGEdge::Callee))
+      return false;
+    for (const CGEdge &E : CG.OutEdges)
+      if (E.Site >= NumStmts || E.Callee >= NumNodes)
+        return false;
   }
   if (!getU32Vec(R, CG.SiteBase) || !getU32Vec(R, CG.SiteCallees) ||
       CG.SiteBase.size() != NumStmts + 1 ||

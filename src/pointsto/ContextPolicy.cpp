@@ -20,7 +20,7 @@ CtxId ContextPolicy::selectCalleeContext(const Method &Callee, StmtId Site,
   // the full receiver chain; the depth guard bounds recursion.
   const InstanceKeyData &IK = IKs.data(RecvIK);
   uint32_t HeapDepth = Ctxs.depth(IK.Heap);
-  if (HeapDepth + 1 > Opts.MaxCtxDepth)
+  if (HeapDepth + 1 > MaxCtxDepth)
     return EverywhereCtx;
   return Ctxs.receiver(RecvIK, HeapDepth);
 }

@@ -25,21 +25,11 @@
 
 namespace taj {
 
-class CallGraph;
-
-/// Tunables for the context policy.
-struct ContextPolicyOptions {
-  /// Maximum receiver-chain depth before truncating to Everywhere (the
-  /// "up to recursion" guard for unlimited-depth object sensitivity).
-  uint32_t MaxCtxDepth = 8;
-};
-
 /// Selects callee contexts and heap contexts for the solver.
 class ContextPolicy {
 public:
-  ContextPolicy(const Program &P, ContextTable &Ctxs, InstanceKeyTable &IKs,
-                ContextPolicyOptions Opts = {})
-      : P(P), Ctxs(Ctxs), IKs(IKs), Opts(Opts) {}
+  ContextPolicy(const Program &P, ContextTable &Ctxs, InstanceKeyTable &IKs)
+      : P(P), Ctxs(Ctxs), IKs(IKs) {}
 
   /// Context for invoking \p Callee at call statement \p Site with receiver
   /// \p RecvIK (InvalidId for static calls).
@@ -52,10 +42,13 @@ public:
   CtxId heapContextForAlloc(const Method &In, CtxId AllocCtx);
 
 private:
+  /// Maximum receiver-chain depth before truncating to Everywhere (the
+  /// "up to recursion" guard for unlimited-depth object sensitivity).
+  static constexpr uint32_t MaxCtxDepth = 8;
+
   const Program &P;
   ContextTable &Ctxs;
   InstanceKeyTable &IKs;
-  ContextPolicyOptions Opts;
 };
 
 } // namespace taj

@@ -83,24 +83,34 @@ PriorityManager::fieldSets(MethodId M) const {
 
 uint64_t PriorityManager::keyOf(CGNodeId N) const {
   // Chaotic iteration processes pending nodes in no particular order;
-  // a deterministic scramble of the creation sequence models that.
-  return Prioritized ? Prio[N] : (Seq[N] * 0x9e3779b97f4a7c15ull) >> 32;
+  // a deterministic scramble of the creation order models that.
+  if (Prioritized)
+    return Prio[N];
+  return (N * 0x9e3779b97f4a7c15ull) >> 32;
 }
 
 void PriorityManager::onNodeCreated(CGNodeId N) {
-  assert(N == Seq.size() && "nodes must be registered in creation order");
-  Seq.push_back(NextSeq++);
+  assert(N == Pending.size() && "nodes must be registered in creation order");
   Pending.push_back(true);
   ++NumPending;
-  // Chaotic order keys on Seq alone and never relaxes, so it reads no
-  // priority, field footprint or loader list.
+  // Chaotic order keys on the node id alone and never relaxes, so it
+  // reads no priority, adjacency, field footprint or loader list.
   if (Prioritized) {
     const FieldSets &FS = fieldSets(CG.node(N).M);
     Prio.push_back(FS.CallsSource ? 0 : MaxPrio);
+    Callees.emplace_back();
+    Callers.emplace_back();
     for (uint64_t Sig : FS.Loads)
       Loaders[Sig].push_back(N);
   }
-  Queue.push({keyOf(N), Seq[N], N});
+  Queue.push({keyOf(N), N});
+}
+
+void PriorityManager::onEdgeAdded(CGNodeId Caller, CGNodeId Callee) {
+  if (!Prioritized)
+    return;
+  Callees[Caller].push_back(Callee);
+  Callers[Callee].push_back(Caller);
 }
 
 CGNodeId PriorityManager::pop() {
@@ -129,10 +139,10 @@ std::vector<CGNodeId> PriorityManager::nearby(CGNodeId N) const {
         return;
     Out.push_back(T);
   };
-  for (const CGEdge &E : CG.edges(N))
-    Add(E.Callee);
-  for (CGNodeId Pred : CG.preds(N))
-    Add(Pred);
+  for (CGNodeId T : Callees[N])
+    Add(T);
+  for (CGNodeId T : Callers[N])
+    Add(T);
   // Nodes whose method loads a field this node's method stores (possible
   // heap flow: there will be a direct store->load HSDG edge).
   const FieldSets &FS = fieldSets(CG.node(N).M);
@@ -163,7 +173,7 @@ void PriorityManager::relax(CGNodeId N) {
       // Lazy decrease-key: the old entry stays in the heap and is
       // discarded at pop() because its key no longer matches.
       if (Pending[T])
-        Queue.push({keyOf(T), Seq[T], T});
+        Queue.push({keyOf(T), T});
       Work.push_back(T);
     }
   }

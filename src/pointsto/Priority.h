@@ -31,21 +31,28 @@
 
 namespace taj {
 
-/// Pending-node scheduler: FIFO (chaotic iteration) or priority-driven.
+/// Pending-node scheduler: chaotic iteration (a scramble of creation
+/// order) or priority-driven.
 class PriorityManager {
 public:
-  /// \p Prioritized selects the §6.1 policy; false = chaotic (FIFO).
+  /// \p Prioritized selects the §6.1 policy; false = chaotic order, a
+  /// scramble of creation order.
   PriorityManager(const Program &P, const CallGraph &CG, bool Prioritized);
 
   /// Registers a freshly created node and queues it (initial-assignment
   /// rule; chaotic order assigns no priority).
   void onNodeCreated(CGNodeId N);
 
+  /// Registers a new call edge \p Caller -> \p Callee, for the nearby
+  /// set (prioritized order only).
+  void onEdgeAdded(CGNodeId Caller, CGNodeId Callee);
+
   /// True if no node is pending.
   bool empty() const { return NumPending == 0; }
 
-  /// Pops the next node to process (lowest priority value first;
-  /// creation order breaks ties and is the sole key in chaotic mode).
+  /// Pops the next node to process (lowest priority value first; the
+  /// node id, which is creation order, breaks ties, and chaotic order
+  /// keys on a scramble of it).
   CGNodeId pop();
 
   /// Steps 2-5 of the §6.1 loop: computes the nearby set of \p N, relaxes
@@ -53,8 +60,8 @@ public:
   void onNodeProcessed(CGNodeId N);
 
 private:
-  /// Nearby set: CG preds/succs of N plus nodes whose method contains a
-  /// load matching a store in N's method.
+  /// Nearby set: N's callees and callers plus nodes whose method contains
+  /// a load matching a store in N's method.
   std::vector<CGNodeId> nearby(CGNodeId N) const;
 
   void relax(CGNodeId N);
@@ -64,22 +71,23 @@ private:
   const Program &P;
   const CallGraph &CG;
   bool Prioritized;
-  /// Priority per node; prioritized order only.
+  // Per node, prioritized order only: its priority, the callee of each
+  // of its out-edges and the caller of each of its in-edges, in the order
+  // the edges were added.
   std::vector<uint64_t> Prio;
-  std::vector<uint64_t> Seq; // creation sequence, for deterministic ties
-  uint64_t NextSeq = 0;
+  std::vector<std::vector<CGNodeId>> Callees;
+  std::vector<std::vector<CGNodeId>> Callers;
   /// The effective queue key of \p N right now; heap entries carrying a
   /// different key are stale.
   uint64_t keyOf(CGNodeId N) const;
-  /// Binary min-heap over (key, seq, node) with lazy decrease-key: a
+  /// Binary min-heap over (key, node) with lazy decrease-key: a
   /// relaxation pushes a fresh entry and pop() discards entries whose key
   /// no longer matches keyOf(). Keys only decrease, so the first live
-  /// entry popped is the same (key, seq)-minimum the old ordered-set
+  /// entry popped is the same (key, node)-minimum the old ordered-set
   /// implementation produced — at O(log n) push instead of rebalancing an
   /// RB-tree on every erase/insert pair.
   struct HeapEntry {
     uint64_t Key;
-    uint64_t Seq;
     CGNodeId N;
   };
   struct HeapCmp {
@@ -87,7 +95,7 @@ private:
       // std::priority_queue surfaces the "largest"; invert for a min-heap.
       if (A.Key != B.Key)
         return A.Key > B.Key;
-      return A.Seq > B.Seq;
+      return A.N > B.N;
     }
   };
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapCmp> Queue;

@@ -16,8 +16,7 @@ using namespace taj;
 
 PointsToSolver::PointsToSolver(const Program &P, const ClassHierarchy &CHA,
                                PointsToOptions Opts)
-    : P(P), CHA(CHA), Opts(std::move(Opts)), Policy(P, Ctxs, IKs,
-                                                    this->Opts.Policy) {
+    : P(P), CHA(CHA), Opts(std::move(Opts)), Policy(P, Ctxs, IKs) {
   HPtsEntries = Counters.handle("pts.entries");
   HCgNodes = Counters.handle("cg.nodes");
   HCgProcessed = Counters.handle("cg.processed");
@@ -273,6 +272,12 @@ CGNodeId PointsToSolver::ensureNode(MethodId M, CtxId Ctx) {
   return N;
 }
 
+void PointsToSolver::addCallEdge(CGNodeId Caller, StmtId Site,
+                                 CGNodeId Callee) {
+  if (CG.addEdge(Caller, Site, Callee))
+    Prio->onEdgeAdded(Caller, Callee);
+}
+
 bool PointsToSolver::isMethodProcessed(MethodId M) const {
   for (CGNodeId N : CG.nodesOf(M))
     if (CG.node(N).ConstraintsAdded)
@@ -473,7 +478,7 @@ void PointsToSolver::handleNewPointsTo(PKId PK, IKId IK) {
         if (std::find(IS.Targets.begin(), IS.Targets.end(), TN) ==
             IS.Targets.end()) {
           IS.Targets.push_back(TN);
-          CG.addEdge(IS.Caller, IS.Site, TN);
+          addCallEdge(IS.Caller, IS.Site, TN);
           invokeBind(IS, TN);
         }
       }
@@ -506,35 +511,16 @@ PointsToSolver::UseRow &PointsToSolver::useRow(PKId PK) {
 }
 
 void PointsToSolver::applyLoadUse(IKId IK, const LoadUse &LU) {
-  switch (LU.K) {
-  case LoadUse::Field:
-    addCopyEdge(PKs.field(IK, LU.FieldOrChan), LU.Dst);
-    break;
-  case LoadUse::Array:
-    addCopyEdge(PKs.arrayElem(IK), LU.Dst);
-    break;
-  case LoadUse::ChanConst:
-    addCopyEdge(channelKey(IK, LU.FieldOrChan), LU.Dst);
-    break;
-  case LoadUse::ChanWild:
-    addWildcardReader(IK, LU.Dst);
-    break;
-  }
+  const PKId Src =
+      LU.K == LoadUse::Field ? PKs.field(IK, LU.F) : PKs.arrayElem(IK);
+  addCopyEdge(Src, LU.Dst);
   growTables();
 }
 
 void PointsToSolver::applyStoreUse(IKId IK, const StoreUse &SU) {
-  switch (SU.K) {
-  case StoreUse::Field:
-    addCopyEdge(SU.Src, PKs.field(IK, SU.FieldOrChan));
-    break;
-  case StoreUse::Array:
-    addCopyEdge(SU.Src, PKs.arrayElem(IK));
-    break;
-  case StoreUse::Chan:
-    addCopyEdge(SU.Src, channelKey(IK, SU.FieldOrChan));
-    break;
-  }
+  const PKId Dst =
+      SU.K == StoreUse::Field ? PKs.field(IK, SU.F) : PKs.arrayElem(IK);
+  addCopyEdge(SU.Src, Dst);
   growTables();
 }
 
@@ -716,7 +702,7 @@ void PointsToSolver::bindCall(CGNodeId Caller, StmtId Site,
                               const Instruction &I, MethodId Callee,
                               CtxId CalleeCtx, IKId RecvIK) {
   CGNodeId CalleeNode = ensureNode(Callee, CalleeCtx);
-  CG.addEdge(Caller, Site, CalleeNode);
+  addCallEdge(Caller, Site, CalleeNode);
   const Method &CalM = P.Methods[Callee];
   uint32_t Start = 0;
   if (RecvIK != InvalidId) {
@@ -916,7 +902,7 @@ void PointsToSolver::applyIntrinsic(CGNodeId Caller, StmtId Site,
     if (std::find(IS.Targets.begin(), IS.Targets.end(), TN) ==
         IS.Targets.end()) {
       IS.Targets.push_back(TN);
-      CG.addEdge(Caller, Site, TN);
+      addCallEdge(Caller, Site, TN);
       invokeBind(IS, TN);
     }
     break;
@@ -929,7 +915,7 @@ void PointsToSolver::applyIntrinsic(CGNodeId Caller, StmtId Site,
       break;
     CtxId Ctx = Policy.selectCalleeContext(P.Methods[Run], Site, RecvIK);
     CGNodeId TN = ensureNode(Run, Ctx);
-    CG.addEdge(Caller, Site, TN);
+    addCallEdge(Caller, Site, TN);
     if (P.Methods[Run].NumParams > 0)
       insertPointsTo(PKs.local(TN, 0), RecvIK);
     bump(ModelThreadStart);

@@ -65,8 +65,6 @@ struct PointsToOptions {
   uint32_t MaxCallGraphNodes = 0;
   /// Exclude whitelisted (benign) classes entirely (§4.2.1 code reduction).
   bool ExcludeWhitelisted = false;
-  /// Context policy tunables.
-  ContextPolicyOptions Policy;
   /// JNDI name -> bean class bindings from the deployment descriptor
   /// (§4.2.2); consumed by the JndiLookup intrinsic.
   std::unordered_map<std::string, ClassId> JndiBindings;
@@ -160,15 +158,17 @@ private:
   /// post-solve query surface.
   friend struct persist::Access;
 
-  // Deferred constraints attached to a pointer key.
+  // Deferred constraints attached to a pointer key: a field or array
+  // load from it, or a store into it. The map and collection models add
+  // their channel copy edges directly.
   struct LoadUse {
-    enum Kind : uint8_t { Field, Array, ChanConst, ChanWild } K;
-    uint32_t FieldOrChan; // FieldId or channel Symbol
+    enum Kind : uint8_t { Field, Array } K;
+    FieldId F; // Field uses only
     PKId Dst;
   };
   struct StoreUse {
-    enum Kind : uint8_t { Field, Array, Chan } K;
-    uint32_t FieldOrChan;
+    enum Kind : uint8_t { Field, Array } K;
+    FieldId F; // Field uses only
     PKId Src;
   };
   struct CallUse {
@@ -223,6 +223,9 @@ private:
   void freeze();
 
   CGNodeId ensureNode(MethodId M, CtxId Ctx);
+  /// Adds call edge \p Caller --\p Site--> \p Callee and tells the
+  /// priority policy about it if it is new.
+  void addCallEdge(CGNodeId Caller, StmtId Site, CGNodeId Callee);
   void addConstraints(CGNodeId N);
   void propagate();
 

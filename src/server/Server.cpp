@@ -194,10 +194,10 @@ void armOneShotWorker(const supervise::SupervisorConfig &Lim,
     RL.rlim_max = Lim.CpuLimitSec + 5;
     ::setrlimit(RLIMIT_CPU, &RL);
   }
+  // A retry runs without injected faults, like degradeForRetry's flags.
   // The child is single-threaded right after fork, so unsetenv's global
   // environment update races with nothing.
-  if (AttemptNo > 1 &&
-      degradationForAttempt(AttemptNo - 1).StripFaultInjection) {
+  if (AttemptNo > 1) {
     ::unsetenv("TAJ_FAIL_AT");      // NOLINT(concurrency-mt-unsafe)
     ::unsetenv("TAJ_CRASH_AT");     // NOLINT(concurrency-mt-unsafe)
     ::unsetenv("TAJ_CRASH_SIGNAL"); // NOLINT(concurrency-mt-unsafe)

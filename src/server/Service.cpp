@@ -12,6 +12,7 @@
 #include "report/ReportGenerator.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -211,20 +212,15 @@ std::string server::optionsFingerprint(const RunOptions &O) {
 
 RunOptions server::degradeForRetry(const RunOptions &O) {
   RunOptions R = O;
-  const DegradationPreset &D = degradationForAttempt(1);
   AnalysisConfig C;
-  if (buildConfig(O, C) && C.MaxCallGraphNodes) {
-    uint32_t Scaled = static_cast<uint32_t>(
-        static_cast<double>(C.MaxCallGraphNodes) * D.CallGraphBudgetScale);
-    R.Budget = Scaled ? Scaled : 1;
-  }
-  if (D.ForceLocalStringAnalysis &&
-      R.StringAnalysis == StringAnalysisMode::Ipa)
+  if (buildConfig(O, C) && C.MaxCallGraphNodes)
+    R.Budget = std::max(C.MaxCallGraphNodes / 2, 1u);
+  if (R.StringAnalysis == StringAnalysisMode::Ipa)
     R.StringAnalysis = StringAnalysisMode::Local;
-  if (D.ForceSingleThread)
-    R.Threads = 1;
-  if (D.StripFaultInjection)
-    R.FailAt = R.CrashAt = R.HangAt = 0;
+  R.Threads = 1;
+  // Injected faults are first-attempt scenarios: a retry that kept them
+  // could never recover.
+  R.FailAt = R.CrashAt = R.HangAt = 0;
   return R;
 }
 

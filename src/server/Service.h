@@ -105,10 +105,9 @@ std::vector<std::string> encodeRunOptions(const RunOptions &O);
 /// do not change per-app results.
 std::string optionsFingerprint(const RunOptions &O);
 
-/// The degraded flag set for retry attempts, derived from the shared
-/// RunGuard degradation preset: halved effective call-graph budget,
-/// local-only string analysis, one slicing thread, fault injection
-/// stripped.
+/// The degraded flag set for retry attempts: the effective call-graph
+/// budget halved (at least 1), local-only string analysis, one slicing
+/// thread, fault injection stripped.
 RunOptions degradeForRetry(const RunOptions &O);
 
 /// One input of an app: a file path, or an inline source shipped over the

@@ -95,12 +95,6 @@ void taj::traceGuardStop(CutoffReason R, RunPhase P) {
                     "guard");
 }
 
-const DegradationPreset &taj::degradationForAttempt(unsigned Attempt) {
-  (void)Attempt; // one rung today
-  static const DegradationPreset Rung;
-  return Rung;
-}
-
 namespace {
 
 /// Environment variable \p Name as a fully consumed non-negative number;

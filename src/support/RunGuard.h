@@ -62,28 +62,6 @@ const char *phaseName(RunPhase P);
 const char *cutoffReasonName(CutoffReason R);
 const char *phaseOutcomeName(PhaseOutcome O);
 
-/// One rung of the supervised retry ladder: how a re-run of a crashed,
-/// timed-out or OOM-killed app is degraded relative to the first attempt.
-/// Exposed here (rather than inside the supervisor) so the cooperative
-/// governance layer and the process-level supervisor agree on what
-/// "degraded" means; taj-cli translates the preset into worker flags.
-struct DegradationPreset {
-  /// Multiplier applied to a nonzero call-graph node budget (§6.1).
-  double CallGraphBudgetScale = 0.5;
-  /// Drop interprocedural string propagation to per-method local mode.
-  bool ForceLocalStringAnalysis = true;
-  /// Pin slicing to one worker thread (lowest peak memory).
-  bool ForceSingleThread = true;
-  /// Injected faults (--fail-at/--crash-at/--hang-at) are first-attempt
-  /// scenarios; a retry must run without them or it can never recover.
-  bool StripFaultInjection = true;
-};
-
-/// The degradation preset for retry attempt \p Attempt (1-based: the
-/// first re-run after a non-clean exit). One rung today; the signature
-/// leaves room for a deeper ladder.
-const DegradationPreset &degradationForAttempt(unsigned Attempt);
-
 /// Emits a thread-scoped instant event ("guard-stop: <reason> in
 /// <phase>") into the global trace sink, so a truncated phase is visible
 /// on the --trace timeline. No-op while tracing is disabled. Defined in

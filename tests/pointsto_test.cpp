@@ -629,13 +629,7 @@ TEST(PointsTo, CallGraphKeepsEveryDistinctEdge) {
     for (StmtId Site = FirstSite; Site < FirstSite + NumSites; ++Site)
       EXPECT_EQ(CG.addEdge(D, Site, B2), Pass == 0) << "site " << Site;
   EXPECT_EQ(CG.numEdges(), 6u + NumSites);
-
-  const std::vector<std::pair<StmtId, CGNodeId>> FromA = {
-      {5, B}, {5, C}, {6, B}, {5, D}, {5, B2}};
-  const std::vector<std::pair<StmtId, CGNodeId>> FromC = {{5, B}};
-  EXPECT_EQ(edgePairs(CG, A), FromA);
-  EXPECT_EQ(edgePairs(CG, C), FromC);
-  EXPECT_TRUE(CG.edges(B).empty());
+  EXPECT_TRUE(CG.edges(A).empty()) << "out-edges are a frozen query";
 
   CG.freeze(/*NumMethods=*/4, /*NumStmts=*/FirstSite + NumSites);
   const std::span<const MethodId> At5 = CG.calleesAt(5);
@@ -651,8 +645,13 @@ TEST(PointsTo, CallGraphKeepsEveryDistinctEdge) {
     ASSERT_EQ(At.size(), 1u) << "site " << Site;
     EXPECT_EQ(At[0], 3u) << "site " << Site;
   }
+  const std::vector<std::pair<StmtId, CGNodeId>> FromA = {
+      {5, B}, {5, C}, {6, B}, {5, D}, {5, B2}};
+  const std::vector<std::pair<StmtId, CGNodeId>> FromC = {{5, B}};
+  EXPECT_EQ(edgePairs(CG, A), FromA);
+  EXPECT_EQ(edgePairs(CG, C), FromC);
+  EXPECT_TRUE(CG.edges(B).empty());
   EXPECT_EQ(CG.edges(D).size(), NumSites);
-  EXPECT_EQ(edgePairs(CG, A), FromA) << "freeze keeps the out-edges";
   const std::span<const CGNodeId> Of3 = CG.nodesOf(3);
   EXPECT_EQ(std::vector<CGNodeId>(Of3.begin(), Of3.end()),
             (std::vector<CGNodeId>{B, B2}));

@@ -93,9 +93,10 @@ public:
   /// success. Mutating in place avoids CallGraph::addEdge, whose guard
   /// checkpoint would dereference the run's already-destroyed RunGuard.
   static bool poisonCrossMethodSite(const CallGraph &CG, const Program &P) {
-    auto &Out = const_cast<CallGraph &>(CG).Out;
-    for (CGNodeId N = 0; N < Out.size(); ++N)
-      for (CGEdge &E : Out[N]) {
+    CallGraph &Mut = const_cast<CallGraph &>(CG);
+    for (CGNodeId N = 0; N < CG.numNodes(); ++N)
+      for (uint32_t I = Mut.OutOff[N]; I < Mut.OutOff[N + 1]; ++I) {
+        CGEdge &E = Mut.OutEdges[I];
         const MethodId CalleeM = CG.node(E.Callee).M;
         if (CalleeM != CG.node(N).M) {
           E.Site = P.methodStmtBegin(CalleeM);

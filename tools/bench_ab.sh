@@ -26,9 +26,10 @@
 # BM_HybridSlicing (with its thread sweep BM_HybridSlicingThreads) and
 # BM_CiSlicing, whose largest size class is Roller; BM_ConstStrings
 # (string-constant propagation, ipa mode) and BM_ClassHierarchy (the class
-# hierarchy's constructor on Roller, which every run pays). The speedup
-# column is medianA / medianB, so values above 1 mean the candidate is
-# faster.
+# hierarchy's constructor on Roller, which every run pays). Each row keeps
+# the time unit its benchmark reports in (ns, us or ms), and medians print
+# to three decimals. The speedup column is medianA / medianB, so values
+# above 1 mean the candidate is faster.
 #
 #===----------------------------------------------------------------------===#
 set -euo pipefail
@@ -73,7 +74,7 @@ work, rounds, build_a, build_b, out = (
     sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5])
 
 def collect(side):
-    times = {}
+    times, units = {}, {}
     for r in range(1, rounds + 1):
         with open(f"{work}/{side}.{r}.json") as f:
             doc = json.load(f)
@@ -81,25 +82,32 @@ def collect(side):
             if b.get("run_type") == "aggregate":
                 continue
             times.setdefault(b["name"], []).append(b["real_time"])
-    return times
+            units[b["name"]] = b["time_unit"]
+    return times, units
 
-a, b = collect("A"), collect("B")
+(a, units_a), (b, units_b) = collect("A"), collect("B")
 report = {
     "baseline": build_a,
     "candidate": build_b,
     "rounds": rounds,
-    "time_unit": "ns",
     "benchmarks": [],
 }
 for name in sorted(set(a) & set(b)):
+    unit = units_a[name]
+    if units_b[name] != unit:
+        print(f"note: {name} reports {unit} in A and {units_b[name]} in B; "
+              "skipped", file=sys.stderr)
+        continue
     ma, mb = statistics.median(a[name]), statistics.median(b[name])
     report["benchmarks"].append({
         "name": name,
+        "time_unit": unit,
         "median_a": ma,
         "median_b": mb,
         "speedup": ma / mb if mb else None,
     })
-    print(f"{name:45s} A={ma:14.0f}  B={mb:14.0f}  speedup={ma / mb:5.2f}x")
+    print(f"{name:45s} A={ma:14.3f} {unit:2s}  B={mb:14.3f} {unit:2s}  "
+          f"speedup={ma / mb:5.2f}x")
 missing = sorted(set(a) ^ set(b))
 if missing:
     print(f"note: only one side ran: {', '.join(missing)}", file=sys.stderr)
