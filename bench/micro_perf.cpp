@@ -5,8 +5,8 @@
 // slicing (RHS tabulation), CI slicing, SDG construction and
 // string-constant propagation, over generated applications of
 // increasing size; plus the class hierarchy's constructor, whole
-// warm/cold runs, the points-to and SDG restores alone and the analysis
-// server's warm request.
+// warm/cold runs, the points-to and SDG restores alone, a disk cache hit
+// up to the restore and the analysis server's warm request.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +25,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
 #include <csignal>
 #include <fcntl.h>
@@ -339,6 +340,51 @@ void BM_RestoreSdg(benchmark::State &State) {
   State.SetLabel("Roller/" + std::string(Config));
 }
 BENCHMARK(BM_RestoreSdg)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// A disk hit up to the restore: ArtifactCache::load of Roller's
+/// hybrid-optimized pts (/0) or sdg (/1) record from a disk cache that a
+/// set-up run filled, so the page cache is warm and each iteration pays
+/// the read, the header checks and the checksum. The payload_bytes
+/// counter is the size of the payload loaded.
+void BM_CacheLoad(benchmark::State &State) {
+  const AppSpec &Spec = appByIndex(5); // Roller, the largest app
+  const bool Sdg = State.range(0) != 0;
+  const persist::ArtifactKind Kind =
+      Sdg ? persist::ArtifactKind::Sdg : persist::ArtifactKind::PointsTo;
+  GeneratedApp App = generateApp(Spec);
+  char DirBuf[] = "/tmp/taj-bench-cache-XXXXXX";
+  const char *Dir = ::mkdtemp(DirBuf);
+  if (!Dir) {
+    State.SkipWithError("mkdtemp failed");
+    return;
+  }
+  persist::ArtifactCache Cache(Dir);
+  AnalysisConfig C = bench::configByName("hybrid-optimized");
+  C.Cache = &Cache;
+  C.InputFingerprint = std::string("bench:") + Spec.Name;
+  const std::string Key = persist::ArtifactCache::makeKey(
+      Sdg ? "sdg" : "pts", C.InputFingerprint,
+      Sdg ? C.sdgFingerprint() : C.pointsToFingerprint());
+  {
+    TaintAnalysis TA(*App.P, C);
+    benchmark::DoNotOptimize(TA.run({App.Root}).Issues.size());
+  }
+  size_t Bytes = 0;
+  for (auto _ : State) {
+    std::optional<persist::LoadedPayload> Payload = Cache.load(Key, Kind);
+    if (!Payload) {
+      State.SkipWithError("the set-up run stored no record");
+      break;
+    }
+    Bytes = Payload->size();
+    benchmark::DoNotOptimize(Payload->data());
+  }
+  State.counters["payload_bytes"] = static_cast<double>(Bytes);
+  State.SetLabel("Roller/hybrid-optimized/" + std::string(Sdg ? "sdg" : "pts"));
+  std::error_code Ec;
+  std::filesystem::remove_all(Dir, Ec);
+}
+BENCHMARK(BM_CacheLoad)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 /// The analysis server's reason to exist, quantified: one warm request
 /// against a running daemon (a pool worker holding the hot artifact tier)

@@ -107,7 +107,10 @@ AnalysisResult TaintAnalysis::run(const std::vector<MethodId> &Roots) {
             Cache->load(PtsKey, persist::ArtifactKind::PointsTo)) {
       Solver = std::make_unique<PointsToSolver>(P, CHA, PO);
       persist::Reader R(Payload->data(), Payload->size());
-      PtsWarm = persist::Access::restoreSolver(*Solver, R);
+      {
+        trace::Span RS("restore: pts", "persist");
+        PtsWarm = persist::Access::restoreSolver(*Solver, R);
+      }
       if (!PtsWarm)
         Cache->noteRestoreFailure(PtsKey);
     }

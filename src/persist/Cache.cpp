@@ -71,7 +71,7 @@ std::string ArtifactCache::pathFor(const std::string &Key) const {
 
 std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
                                                  ArtifactKind Kind) {
-  trace::Span TS("cache-load: " + Key, "persist");
+  trace::Span TS("cache-load: ", Key, "persist");
   std::lock_guard<std::mutex> Lock(Mu);
   // Hot tier first: the payload was verified when it entered the tier, so
   // a hit skips the disk read and the checksum re-verify entirely.
@@ -81,7 +81,8 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
       HotLru.splice(HotLru.begin(), HotLru, It->second);
       ++N.MemHits;
       ++N.Hits;
-      trace::addInstant("cache-hit(mem): " + Key, "persist");
+      if (trace::enabled())
+        trace::addInstant("cache-hit(mem): " + Key, "persist");
       const SharedBytes &Bytes = It->second->Payload;
       return LoadedPayload(Bytes, 0, Bytes->size());
     }
@@ -92,29 +93,40 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     return std::nullopt;
   }
   const std::string Path = pathFor(Key);
-  std::ifstream In(Path, std::ios::binary | std::ios::ate);
-  if (!In) {
-    ++N.Misses;
-    trace::addInstant("cache-miss: " + Key, "persist");
-    return std::nullopt;
-  }
-  const std::streamoff Size = In.tellg();
-  In.seekg(0);
-  std::vector<uint8_t> Record(Size > 0 ? static_cast<size_t>(Size) : 0);
-  if (!Record.empty())
-    In.read(reinterpret_cast<char *>(Record.data()),
-            static_cast<std::streamsize>(Record.size()));
-  if (In.bad() || In.gcount() != static_cast<std::streamsize>(Record.size())) {
-    ++N.Corrupt;
-    diag("cache entry " + Key, "read failed");
-    std::error_code Ec;
-    fs::remove(Path, Ec);
-    return std::nullopt;
+  std::vector<uint8_t> Record;
+  {
+    trace::Span RS("cache-read", "persist");
+    std::ifstream In(Path, std::ios::binary | std::ios::ate);
+    if (!In) {
+      ++N.Misses;
+      if (trace::enabled())
+        trace::addInstant("cache-miss: " + Key, "persist");
+      return std::nullopt;
+    }
+    const std::streamoff Size = In.tellg();
+    In.seekg(0);
+    Record.resize(Size > 0 ? static_cast<size_t>(Size) : 0);
+    if (!Record.empty())
+      In.read(reinterpret_cast<char *>(Record.data()),
+              static_cast<std::streamsize>(Record.size()));
+    if (In.bad() ||
+        In.gcount() != static_cast<std::streamsize>(Record.size())) {
+      ++N.Corrupt;
+      diag("cache entry " + Key, "read failed");
+      std::error_code Ec;
+      fs::remove(Path, Ec);
+      return std::nullopt;
+    }
   }
   const uint8_t *Payload = nullptr;
   size_t PayloadLen = 0;
   std::string Err;
-  switch (unwrapRecordEx(Record, Kind, Payload, PayloadLen, Err)) {
+  UnwrapStatus St;
+  {
+    trace::Span VS("cache-verify", "persist");
+    St = unwrapRecordEx(Record, Kind, Payload, PayloadLen, Err);
+  }
+  switch (St) {
   case UnwrapStatus::Ok:
     break;
   case UnwrapStatus::VersionMismatch:
@@ -139,7 +151,8 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     return std::nullopt;
   }
   ++N.Hits;
-  trace::addInstant("cache-hit: " + Key, "persist");
+  if (trace::enabled())
+    trace::addInstant("cache-hit: " + Key, "persist");
   // Promote into the hot tier: the next load of this key (this process's
   // next request over the same app) is served from memory.
   if (HotOn)
@@ -164,7 +177,7 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
 
 void ArtifactCache::store(const std::string &Key, ArtifactKind Kind,
                           const std::vector<uint8_t> &Payload) {
-  trace::Span TS("cache-store: " + Key, "persist");
+  trace::Span TS("cache-store: ", Key, "persist");
   std::lock_guard<std::mutex> Lock(Mu);
   // The hot tier takes the raw payload (it never re-verifies); the disk
   // gets the wrapped, checksummed record.
@@ -374,7 +387,12 @@ SdgArtifacts persist::loadOrBuildSdg(const Program &P,
     if (std::optional<LoadedPayload> Payload =
             Cache->load(Key, ArtifactKind::Sdg)) {
       Reader R(Payload->data(), Payload->size());
-      if (Access::restoreSdg(A.G, A.HE, P, Solver, SO, R)) {
+      bool Restored;
+      {
+        trace::Span RS("restore: sdg", "persist");
+        Restored = Access::restoreSdg(A.G, A.HE, P, Solver, SO, R);
+      }
+      if (Restored) {
         A.FromCache = true;
         return A;
       }

@@ -6,6 +6,8 @@
 #include "ir/Verifier.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <functional>
 #include <unordered_set>
 
@@ -22,22 +24,64 @@ uint64_t persist::fnv1a(const void *Data, size_t N, uint64_t Seed) {
   return H;
 }
 
-uint64_t persist::fnv1aWords(const void *Data, size_t N) {
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  uint64_t H = 0xcbf29ce484222325ull;
-  size_t K = 0;
-  for (; K + 8 <= N; K += 8) {
-    // Little-endian word assembly keeps the digest host-independent.
-    uint64_t W = 0;
+namespace {
+
+// xxHash64's primes.
+constexpr uint64_t P1 = 0x9e3779b185ebca87ull;
+constexpr uint64_t P2 = 0xc2b2ae3d27d4eb4full;
+constexpr uint64_t P3 = 0x165667b19e3779f9ull;
+constexpr uint64_t P4 = 0x85ebca77c2b2ae63ull;
+constexpr uint64_t P5 = 0x27d4eb2f165667c5ull;
+
+/// The little-endian 64-bit word at \p P: one unaligned load where the
+/// host is little-endian, so the digest is host-independent.
+uint64_t loadLE64(const uint8_t *P) {
+  uint64_t W = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&W, P, 8);
+  } else {
     for (int B = 0; B < 8; ++B)
-      W |= static_cast<uint64_t>(P[K + B]) << (8 * B);
-    H ^= W;
-    H *= 0x100000001b3ull;
+      W |= static_cast<uint64_t>(P[B]) << (8 * B);
   }
-  for (; K < N; ++K) {
-    H ^= P[K];
-    H *= 0x100000001b3ull;
+  return W;
+}
+
+/// xxHash64's lane round: a bijection in Acc for each W and in W for
+/// each Acc.
+uint64_t laneRound(uint64_t Acc, uint64_t W) {
+  return std::rotl(Acc + W * P2, 31) * P1;
+}
+
+} // namespace
+
+uint64_t persist::recordChecksum(const void *Data, size_t N) {
+  const uint8_t *P = static_cast<const uint8_t *>(Data);
+  // Four independent lanes, one word of each 32-byte stripe apiece, so
+  // the multiplies of neighbouring words overlap instead of forming one
+  // serial chain.
+  uint64_t L0 = P1 + P2, L1 = P2, L2 = 0, L3 = 0 - P1;
+  size_t K = 0;
+  for (; K + 32 <= N; K += 32) {
+    L0 = laneRound(L0, loadLE64(P + K));
+    L1 = laneRound(L1, loadLE64(P + K + 8));
+    L2 = laneRound(L2, loadLE64(P + K + 16));
+    L3 = laneRound(L3, loadLE64(P + K + 24));
   }
+  // Every step from here on is a bijection in the running state, and the
+  // merge in each lane, so a change confined to one word always changes
+  // the digest.
+  uint64_t H = std::rotl(L0, 1) + std::rotl(L1, 7) + std::rotl(L2, 12) +
+               std::rotl(L3, 18);
+  H += N;
+  for (; K + 8 <= N; K += 8)
+    H = std::rotl(H ^ laneRound(0, loadLE64(P + K)), 27) * P1 + P4;
+  for (; K < N; ++K)
+    H = std::rotl(H ^ (static_cast<uint64_t>(P[K]) * P5), 11) * P1;
+  H ^= H >> 33;
+  H *= P2;
+  H ^= H >> 29;
+  H *= P3;
+  H ^= H >> 32;
   return H;
 }
 
@@ -49,7 +93,7 @@ std::vector<uint8_t> persist::wrapRecord(ArtifactKind Kind,
   H.u32(static_cast<uint32_t>(Kind));
   H.u32(0); // reserved
   H.u64(Payload.size());
-  H.u64(fnv1aWords(Payload.data(), Payload.size()));
+  H.u64(recordChecksum(Payload.data(), Payload.size()));
   std::vector<uint8_t> Out = H.bytes();
   Out.insert(Out.end(), Payload.begin(), Payload.end());
   return Out;
@@ -91,7 +135,7 @@ UnwrapStatus persist::unwrapRecordEx(const std::vector<uint8_t> &Record,
     Err = "payload size mismatch";
     return UnwrapStatus::Corrupt;
   }
-  if (fnv1aWords(Record.data() + HeaderLen, Size) != Sum) {
+  if (recordChecksum(Record.data() + HeaderLen, Size) != Sum) {
     Err = "checksum mismatch";
     return UnwrapStatus::Corrupt;
   }
@@ -667,8 +711,9 @@ bool Access::restoreSolver(PointsToSolver &S, Reader &R) {
       !allBelow(CG.SiteCallees, NumMethods))
     return false;
 
-  // Pointer keys: each names in-range ids; reindexing rejects a repeated
-  // key and refills the Local/Ret caches.
+  // Pointer keys: each names in-range ids; reindexing opens each node's
+  // key block from its method, files every Local and Ret key in its slot,
+  // indexes the rest and rejects a repeated key.
   std::vector<PointerKeyData> &PKs = S.PKs.Keys;
   const uint32_t NumPKs = R.count(9);
   PKs.resize(NumPKs);
@@ -863,40 +908,67 @@ bool Access::restoreSdg(std::unique_ptr<SDG> &G, std::unique_ptr<HeapEdges> &HE,
     if (O.M >= NumMethods || (O.CgNode != InvalidId && O.CgNode >= NumCgNodes))
       return false;
 
+  // The node table: its eleven columns are claimed up front, then each
+  // node is decoded from all of them and range-checked in one pass.
   const uint32_t NumNodes = R.count(26);
-  std::vector<SDGNode> &Nodes = Out->Nodes;
-  Nodes.resize(NumNodes);
-  if (!getU8Field(R, Nodes, &SDGNode::Kind,
-                  static_cast<uint8_t>(SDGNodeKind::ChanActualOut)) ||
-      !getU32Field(R, Nodes, &SDGNode::Owner) ||
-      !getU32Field(R, Nodes, &SDGNode::M) ||
-      !getU32Field(R, Nodes, &SDGNode::S) ||
-      !getU32Field(R, Nodes, &SDGNode::Index) ||
-      !getU8Field(R, Nodes, &SDGNode::Access,
-                  static_cast<uint8_t>(HeapAccess::InvokeArgsRead)) ||
-      !getU32Field(R, Nodes, &SDGNode::Aux) ||
-      !getU8Field(R, Nodes, &SDGNode::SourceMask, 0xff) ||
-      !getU8Field(R, Nodes, &SDGNode::SinkMask, 0xff) ||
-      !getU8Field(R, Nodes, &SDGNode::SanitizeMask, 0xff) ||
-      !getU8Field(R, Nodes, &SDGNode::IsCall, 1))
+  const uint8_t *Kind = R.block(NumNodes);
+  const uint8_t *Owner = R.block(4 * size_t(NumNodes));
+  const uint8_t *M = R.block(4 * size_t(NumNodes));
+  const uint8_t *S = R.block(4 * size_t(NumNodes));
+  const uint8_t *Index = R.block(4 * size_t(NumNodes));
+  const uint8_t *Acc = R.block(NumNodes);
+  const uint8_t *Aux = R.block(4 * size_t(NumNodes));
+  const uint8_t *Source = R.block(NumNodes);
+  const uint8_t *Sink = R.block(NumNodes);
+  const uint8_t *Sanitize = R.block(NumNodes);
+  const uint8_t *IsCall = R.block(NumNodes);
+  if (R.failed())
     return false;
-  for (const SDGNode &N : Nodes)
+  std::vector<SDGNode> &Nodes = Out->Nodes;
+  Nodes.reserve(NumNodes);
+  for (size_t I = 0; I < NumNodes; ++I) {
+    if (Kind[I] > static_cast<uint8_t>(SDGNodeKind::ChanActualOut) ||
+        Acc[I] > static_cast<uint8_t>(HeapAccess::InvokeArgsRead) ||
+        IsCall[I] > 1)
+      return false;
+    SDGNode N;
+    N.Kind = static_cast<SDGNodeKind>(Kind[I]);
+    N.Owner = loadU32(Owner + 4 * I);
+    N.M = loadU32(M + 4 * I);
+    N.S = loadU32(S + 4 * I);
+    N.Index = loadU32(Index + 4 * I);
+    N.Access = static_cast<HeapAccess>(Acc[I]);
+    N.Aux = loadU32(Aux + 4 * I);
+    N.SourceMask = Source[I];
+    N.SinkMask = Sink[I];
+    N.SanitizeMask = Sanitize[I];
+    N.IsCall = IsCall[I] != 0;
     if (N.Owner >= NumOwners || N.S >= NumStmts ||
         (N.M != InvalidId && N.M >= NumMethods) ||
         (N.Aux != InvalidId && N.Aux >= NumNodes))
       return false;
+    Nodes.push_back(N);
+  }
 
+  // The CSR edges: offsets, then the target and kind columns, decoded and
+  // range-checked in one pass like the nodes.
   size_t NumEdges;
   if (!getOffsets(R, NumNodes, 5, Out->SuccOff, NumEdges))
     return false;
-  Out->SuccEdges.resize(NumEdges);
-  if (!getU32Field(R, Out->SuccEdges, &SDGEdge::To) ||
-      !getU8Field(R, Out->SuccEdges, &SDGEdge::Kind,
-                  static_cast<uint8_t>(SDGEdgeKind::ParamOut)))
+  const uint8_t *To = R.block(4 * NumEdges);
+  const uint8_t *EdgeKind = R.block(NumEdges);
+  if (R.failed())
     return false;
-  for (const SDGEdge &E : Out->SuccEdges)
-    if (E.To >= NumNodes)
+  Out->SuccEdges.reserve(NumEdges);
+  for (size_t I = 0; I < NumEdges; ++I) {
+    SDGEdge E;
+    E.To = loadU32(To + 4 * I);
+    if (E.To >= NumNodes ||
+        EdgeKind[I] > static_cast<uint8_t>(SDGEdgeKind::ParamOut))
       return false;
+    E.Kind = static_cast<SDGEdgeKind>(EdgeKind[I]);
+    Out->SuccEdges.push_back(E);
+  }
 
   // Call sites: each key an IsCall statement node, named once; each
   // actual-in range holds actual-ins of that call.

@@ -18,9 +18,9 @@
 ///  - every scalar is written little-endian, explicitly byte by byte, so
 ///    artifacts are portable across hosts of either endianness;
 ///  - every record starts with a fixed header: magic "TAJP", the format
-///    version, the artifact kind, the payload size and an FNV-1a checksum
-///    of the payload. unwrapRecord() verifies all of them before a single
-///    payload byte is interpreted;
+///    version, the artifact kind, the payload size and a checksum of the
+///    payload (recordChecksum()). unwrapRecord() verifies all of them
+///    before a single payload byte is interpreted;
 ///  - the Reader is bounds-checked with a sticky failure flag, and every
 ///    vector count is validated against the remaining payload before
 ///    allocation, so truncated or bit-flipped records fail cleanly instead
@@ -69,7 +69,10 @@ namespace persist {
 /// use: the call graph's in-edges and the model channels are gone, and the
 /// intrinsic call targets are one (site, callee) column pair sorted by
 /// site.
-inline constexpr uint32_t FormatVersion = 7;
+/// v8: the header's checksum is recordChecksum(), four xxHash64-style
+/// lanes over 32-byte stripes (was: FNV-1a over single words, which a pair
+/// of flipped word-top bits left unchanged); every payload is as in v7.
+inline constexpr uint32_t FormatVersion = 8;
 
 /// Record magic: "TAJP" little-endian.
 inline constexpr uint32_t RecordMagic = 0x504a4154u;
@@ -85,11 +88,14 @@ enum class ArtifactKind : uint32_t {
 uint64_t fnv1a(const void *Data, size_t N,
                uint64_t Seed = 0xcbf29ce484222325ull);
 
-/// The record content checksum: FNV-1a folded over little-endian 8-byte
-/// words (trailing bytes folded singly). Word granularity keeps checksum
-/// verification off the warm-load critical path; the digest is fixed by
-/// this definition and part of the on-disk format.
-uint64_t fnv1aWords(const void *Data, size_t N);
+/// The record content checksum: four independent 64-bit lanes, each
+/// folding one little-endian word of every 32-byte stripe with xxHash64's
+/// round, merged by rotate-and-add, then the length, the trailing words
+/// and bytes, and xxHash64's final avalanche. Every step is a bijection in
+/// the running state, so any change confined to one word is caught; the
+/// lanes keep verification near memory speed on the warm-load path. The
+/// digest is fixed by this definition and part of the on-disk format.
+uint64_t recordChecksum(const void *Data, size_t N);
 
 /// Little-endian append-only byte sink.
 class Writer {
@@ -265,7 +271,7 @@ private:
 };
 
 /// Frames \p Payload as a record: header (magic, version, kind, payload
-/// size, FNV-1a checksum) followed by the payload bytes.
+/// size, recordChecksum()) followed by the payload bytes.
 std::vector<uint8_t> wrapRecord(ArtifactKind Kind,
                                 const std::vector<uint8_t> &Payload);
 

@@ -16,9 +16,11 @@
 
 #include "ir/Program.h"
 #include "pointsto/Context.h"
-#include "pointsto/SmallVec.h"
 #include "support/InternIndex.h"
 
+#include <cassert>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace taj {
@@ -121,63 +123,62 @@ private:
   InternIndex Index;
 };
 
-/// Interning table for pointer keys.
+/// Interning table for pointer keys. Local and Ret keys, most of every
+/// table, live in per-node key blocks: as the solver creates each
+/// call-graph node it opens the node's block, one local slot per SSA value
+/// of its method (all nodes' slots in one flat column) and one return
+/// slot. A slot holds the key's id, or InvalidId until the key is
+/// interned, and is its authoritative home. The hash index holds every
+/// other key: fields, array contents, statics and channels, plus any
+/// Local key whose value lies outside its node's block, which a verified
+/// program never creates. Either way a key is appended on first intern,
+/// so ids follow first-touch order.
 class PointerKeyTable {
 public:
-  PKId intern(const PointerKeyData &D);
+  PKId intern(const PointerKeyData &D) {
+    if (PKId *S = slotOf(D))
+      return *S != InvalidId ? *S : (*S = append(D));
+    return internHashed(D);
+  }
   const PointerKeyData &data(PKId I) const { return Keys[I]; }
   size_t size() const { return Keys.size(); }
+  /// Pre-sizes for \p N keys. The node blocks hold the local and return
+  /// keys, 95-97% of a suite pass's keys, so the hash index is sized for a
+  /// sixteenth of them.
   void reserve(size_t N) {
     Keys.reserve(N);
-    if (N > Keys.size())
-      Index.grow(N, [this](uint32_t I) { return Hash{}(Keys[I]); });
+    if (N / 16 > Index.size())
+      Index.grow(N / 16, [this](uint32_t I) { return Hash{}(Keys[I]); });
+  }
+
+  /// Opens the key block of node \p N, the next node id, with
+  /// \p NumValues local slots.
+  void openNode(CGNodeId N, uint32_t NumValues) {
+    assert(N == RetSlots.size() && "nodes open in id order");
+    (void)N;
+    LocalSlots.resize(LocalSlots.size() + NumValues, InvalidId);
+    LocalOff.push_back(static_cast<uint32_t>(LocalSlots.size()));
+    RetSlots.push_back(InvalidId);
   }
 
   /// Read-only lookup: the id of \p D if it was ever interned, InvalidId
   /// otherwise. Never mutates the table, so it is safe on post-solve read
   /// paths (and from concurrent slicing workers).
   PKId lookup(const PointerKeyData &D) const {
+    if (const PKId *S = slotOf(D))
+      return *S;
     size_t Slot;
     return Index.find(Hash{}(D),
                       [&](uint32_t I) { return Eq{}(Keys[I], D); }, Slot);
   }
   PKId localLookup(CGNodeId N, ValueId V) const {
-    if (N < LocalFast.size()) {
-      const SmallVec<PKId, 8> &Row = LocalFast[N];
-      if (static_cast<uint32_t>(V) < Row.size() && Row[V] != InvalidId)
-        return Row[V];
-    }
     return lookup({PKKind::Local, N, static_cast<uint32_t>(V)});
   }
 
-  /// local() and ret() dominate interning on the constraint-generation hot
-  /// path, so both are answered from dense direct-mapped caches when the
-  /// key has been seen; the hashed intern runs only on first touch. A
-  /// persist restore refills both caches in reindex().
   PKId local(CGNodeId N, ValueId V) {
-    if (N < LocalFast.size()) {
-      const SmallVec<PKId, 8> &Row = LocalFast[N];
-      if (static_cast<uint32_t>(V) < Row.size() && Row[V] != InvalidId)
-        return Row[V];
-    }
-    PKId Id = intern({PKKind::Local, N, static_cast<uint32_t>(V)});
-    if (N >= LocalFast.size())
-      LocalFast.resize(N + 1);
-    SmallVec<PKId, 8> &Row = LocalFast[N];
-    if (Row.size() <= static_cast<uint32_t>(V))
-      Row.resize(static_cast<uint32_t>(V) + 1, InvalidId);
-    Row[V] = Id;
-    return Id;
+    return intern({PKKind::Local, N, static_cast<uint32_t>(V)});
   }
-  PKId ret(CGNodeId N) {
-    if (N < RetFast.size() && RetFast[N] != InvalidId)
-      return RetFast[N];
-    PKId Id = intern({PKKind::Ret, N, 0});
-    if (N >= RetFast.size())
-      RetFast.resize(N + 1, InvalidId);
-    RetFast[N] = Id;
-    return Id;
-  }
+  PKId ret(CGNodeId N) { return intern({PKKind::Ret, N, 0}); }
   PKId field(IKId I, FieldId F) { return intern({PKKind::Field, I, F}); }
   PKId arrayElem(IKId I) { return intern({PKKind::ArrayElem, I, 0}); }
   PKId staticField(FieldId F) { return intern({PKKind::Static, F, 0}); }
@@ -189,37 +190,68 @@ private:
   /// Bulk restore (persist/Serialize.cpp) fills Keys and reindexes.
   friend struct persist::Access;
 
-  /// Indexes every key in one pass after a bulk restore and refills the
-  /// Local/Ret caches; false if two keys are equal. Every Local/Ret key
-  /// must already name a node below \p NumNodes; a Local key is cached
-  /// only when its value is below \p NumValuesOf(node), so no corrupt
-  /// value id can size a cache row.
+  /// After a bulk restore: opens a block for each of the \p NumNodes
+  /// nodes, \p NumValuesOf(node) local slots each, files every Local and
+  /// Ret key in its slot and indexes the rest in one pass. False if two
+  /// keys are equal (a block slot already taken, or a repeat in the
+  /// index) or the blocks would overflow a 32-bit offset. Every Local/Ret
+  /// key must already name a node below \p NumNodes.
   template <typename BoundFn>
   bool reindex(uint32_t NumNodes, BoundFn NumValuesOf) {
-    if (!Index.rebuild(
-            Keys.size(), [this](uint32_t I) { return Hash{}(Keys[I]); },
-            [this](uint32_t A, uint32_t B) { return Eq{}(Keys[A], Keys[B]); }))
-      return false;
-    auto Cached = [&](const PointerKeyData &D) {
-      return D.Kind == PKKind::Local && D.B < NumValuesOf(D.A);
-    };
-    std::vector<uint32_t> RowLen(NumNodes, 0);
-    for (const PointerKeyData &D : Keys)
-      if (Cached(D) && D.B >= RowLen[D.A])
-        RowLen[D.A] = D.B + 1;
-    LocalFast.assign(NumNodes, {});
-    for (uint32_t N = 0; N < NumNodes; ++N)
-      LocalFast[N].resize(RowLen[N], InvalidId);
-    RetFast.assign(NumNodes, InvalidId);
-    for (PKId Id = 0; Id < Keys.size(); ++Id) {
-      const PointerKeyData &D = Keys[Id];
-      if (Cached(D))
-        LocalFast[D.A][D.B] = Id;
-      else if (D.Kind == PKKind::Ret)
-        RetFast[D.A] = Id;
+    LocalOff.assign(1, 0);
+    LocalOff.reserve(size_t(NumNodes) + 1);
+    uint64_t Total = 0;
+    for (CGNodeId N = 0; N < NumNodes; ++N) {
+      Total += NumValuesOf(N);
+      if (Total > UINT32_MAX)
+        return false;
+      LocalOff.push_back(static_cast<uint32_t>(Total));
     }
-    return true;
+    LocalSlots.assign(Total, InvalidId);
+    RetSlots.assign(NumNodes, InvalidId);
+    std::vector<PKId> Hashed;
+    for (PKId Id = 0; Id < Keys.size(); ++Id) {
+      if (PKId *S = slotOf(Keys[Id])) {
+        if (*S != InvalidId)
+          return false;
+        *S = Id;
+      } else {
+        Hashed.push_back(Id);
+      }
+    }
+    auto HashedAt = [&](size_t K) { return Hashed[K]; };
+    auto HashOf = [this](uint32_t I) { return Hash{}(Keys[I]); };
+    auto Same = [this](uint32_t A, uint32_t B) {
+      return Eq{}(Keys[A], Keys[B]);
+    };
+    return Index.rebuild(Hashed.size(), HashedAt, HashOf, Same);
   }
+
+  /// The block slot of \p D: a Local key whose value is inside its node's
+  /// block, or a Ret key of an opened node. Null for every other key.
+  PKId *slotOf(const PointerKeyData &D) {
+    return const_cast<PKId *>(std::as_const(*this).slotOf(D));
+  }
+  const PKId *slotOf(const PointerKeyData &D) const {
+    if (D.Kind == PKKind::Local) {
+      if (D.A >= RetSlots.size())
+        return nullptr;
+      const uint32_t Begin = LocalOff[D.A];
+      if (D.B >= LocalOff[D.A + 1] - Begin)
+        return nullptr;
+      return &LocalSlots[Begin + D.B];
+    }
+    if (D.Kind == PKKind::Ret && D.B == 0 && D.A < RetSlots.size())
+      return &RetSlots[D.A];
+    return nullptr;
+  }
+
+  PKId append(const PointerKeyData &D) {
+    Keys.push_back(D);
+    return static_cast<PKId>(Keys.size() - 1);
+  }
+
+  PKId internHashed(const PointerKeyData &D);
 
   struct Hash {
     size_t operator()(const PointerKeyData &D) const {
@@ -235,12 +267,14 @@ private:
     }
   };
   std::vector<PointerKeyData> Keys;
+  /// Hashed keys only (see the class comment).
   InternIndex Index;
-  /// Direct-mapped caches for the two hottest key shapes; InvalidId marks
-  /// an empty slot. Purely an accelerator over the index — never
-  /// authoritative for absence.
-  std::vector<SmallVec<PKId, 8>> LocalFast;
-  std::vector<PKId> RetFast;
+  /// The node blocks: node N's local slots are
+  /// LocalSlots[LocalOff[N], LocalOff[N + 1]), its return slot
+  /// RetSlots[N]; InvalidId marks a key not yet interned.
+  std::vector<uint32_t> LocalOff = {0};
+  std::vector<PKId> LocalSlots;
+  std::vector<PKId> RetSlots;
 };
 
 } // namespace taj

@@ -266,6 +266,7 @@ CGNodeId PointsToSolver::ensureNode(MethodId M, CtxId Ctx) {
   bool IsNew = false;
   CGNodeId N = CG.ensureNode(M, Ctx, IsNew);
   if (IsNew) {
+    PKs.openNode(N, P.Methods[M].NumValues);
     Counters.addTo(HCgNodes);
     Prio->onNodeCreated(N);
   }

@@ -180,6 +180,7 @@ std::vector<uint8_t> server::serializeResponse(const Response &R) {
   putU32(Out, static_cast<uint32_t>(R.Exit));
   putU64(Out, R.Issues);
   putStr(Out, R.Report);
+  putStr(Out, R.Diag);
   putStr(Out, R.StatsJson);
   putStr(Out, R.TraceBlob);
   putStr(Out, R.Message);
@@ -193,7 +194,8 @@ bool server::deserializeResponse(const uint8_t *Data, size_t Len,
   uint32_t Exit;
   if (!C.u8(St) || St > static_cast<uint8_t>(Status::ProtocolError) ||
       !C.u32(Exit) || !C.u64(R.Issues) || !C.str(R.Report) ||
-      !C.str(R.StatsJson) || !C.str(R.TraceBlob) || !C.str(R.Message))
+      !C.str(R.Diag) || !C.str(R.StatsJson) || !C.str(R.TraceBlob) ||
+      !C.str(R.Message))
     return false;
   R.St = static_cast<Status>(St);
   R.Exit = static_cast<int32_t>(Exit);

@@ -83,14 +83,15 @@ struct Request {
   std::vector<std::string> Overrides;
 };
 
-/// One analysis response. Report/StatsJson/TraceBlob are present (possibly
-/// empty) for statuses that ran a worker; Message carries a human-readable
-/// diagnostic for refusals.
+/// One analysis response. Report/Diag/StatsJson/TraceBlob are present
+/// (possibly empty) for statuses that ran a worker; Message carries a
+/// human-readable diagnostic for refusals.
 struct Response {
   Status St = Status::Error;
   int32_t Exit = ExitError;
   uint64_t Issues = 0;
   std::string Report;    ///< exact bytes the run printed to stdout
+  std::string Diag;      ///< exact bytes the run printed to stderr
   std::string StatsJson; ///< merged per-request counters as one JSON object
   std::string TraceBlob; ///< comma-joined trace events (merge unit), or empty
   std::string Message;   ///< diagnostic for refusals / failures

@@ -174,6 +174,7 @@ struct AppResult {
   int Exit = 1;
   uint64_t Issues = 0;
   std::string Output;
+  std::string Diag;
   std::string Suffix;
 };
 
@@ -281,6 +282,7 @@ void armOneShotWorker(const supervise::SupervisorConfig &Lim,
     Resp.Exit = Out.Exit;
     Resp.Issues = Out.NumIssues;
     Resp.Report = std::move(Out.Report);
+    Resp.Diag = std::move(Out.Diag);
     Resp.StatsJson = ReqStats.toJson();
     if (Tracing)
       Resp.TraceBlob = trace::renderEvents();
@@ -689,6 +691,7 @@ void Pool::complete(PendingReq &R, Response &Resp, ExitClass Class,
     Res.Exit = Exit >= 0 ? Exit : supervise::exitContribution(Class);
     Res.Issues = Resp.Issues;
     Res.Output = std::move(Resp.Report);
+    Res.Diag = std::move(Resp.Diag);
     if (Class == ExitClass::Crashed)
       Res.Suffix = " (crashed: signal " + std::to_string(Signal) + ")";
     else if (Class == ExitClass::Timeout)
@@ -844,17 +847,20 @@ void Pool::beginDrain() {
 }
 
 /// Prints every finished batch app whose predecessors have all printed,
-/// so stdout follows the list order whatever order workers finish in.
+/// so stdout and each app's diagnostics on stderr follow the list order
+/// whatever order workers finish in.
 void Pool::flushReady() {
   while (NextPrint < Results.size() && Results[NextPrint].Done) {
     AppResult &R = Results[NextPrint];
     const char *Name = (*Apps)[NextPrint].Name.c_str();
     std::printf("=== %s\n", Name);
+    std::fwrite(R.Diag.data(), 1, R.Diag.size(), stderr);
     std::fwrite(R.Output.data(), 1, R.Output.size(), stdout);
     std::printf("--- %s: exit=%d issues=%llu%s\n", Name, R.Exit,
                 static_cast<unsigned long long>(R.Issues), R.Suffix.c_str());
     std::fflush(stdout);
     std::string().swap(R.Output); // later workers fork from this heap
+    std::string().swap(R.Diag);
     ++NextPrint;
   }
 }

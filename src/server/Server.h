@@ -51,11 +51,12 @@
 ///    raised again.
 ///  - batch: no listen socket. The list is the queue, each output framed
 ///    `=== name` / report / `--- name: exit=E issues=N` in list order,
-///    and the exit code is the worst of all apps (error > truncated >
-///    clean). `--resume` skips apps the journal already holds a terminal
-///    record for. Counters: supervise.*; spans: `worker: <app> (attempt
-///    N)`. Workers are one-shot: every attempt forks a fresh child that
-///    sets RLIMIT_AS / RLIMIT_CPU and PR_SET_PDEATHSIG, drops the
+///    each app's diagnostics on stderr after its `=== name` line, in the
+///    same order, and the exit code is the worst of all apps (error >
+///    truncated > clean). `--resume` skips apps the journal already holds
+///    a terminal record for. Counters: supervise.*; spans: `worker: <app>
+///    (attempt N)`. Workers are one-shot: every attempt forks a fresh child
+///    that sets RLIMIT_AS / RLIMIT_CPU and PR_SET_PDEATHSIG, drops the
 ///    fault-injection environment on retries, and opens the disk cache
 ///    only under --cache-dir, with no hot tier. One-shot because
 ///    RLIMIT_CPU caps a process's cumulative CPU time: a worker that

@@ -295,8 +295,8 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
     }
     std::string IoErr;
     if (!readFileText(Sources[I].Name.c_str(), Texts[I], IoErr)) {
-      std::fprintf(stderr, "error: cannot read '%s': %s\n",
-                   Sources[I].Name.c_str(), IoErr.c_str());
+      Out.Diag +=
+          "error: cannot read '" + Sources[I].Name + "': " + IoErr + "\n";
       InputError = true;
     }
   }
@@ -329,7 +329,10 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
     if (std::optional<persist::LoadedPayload> Payload =
             Cache->load(IrKey, persist::ArtifactKind::Ir)) {
       persist::Reader R(Payload->data(), Payload->size());
-      IrWarm = persist::Access::restoreProgram(*P, R);
+      {
+        trace::Span RS("restore: ir", "persist");
+        IrWarm = persist::Access::restoreProgram(*P, R);
+      }
       if (!IrWarm) {
         Cache->noteRestoreFailure(IrKey);
         P = std::make_unique<Program>(); // restore may leave partial state
@@ -365,9 +368,9 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
       std::vector<std::string> Errors;
       if (!parseTaj(*P, Texts[I], &Errors)) {
         if (Errors.empty())
-          std::fprintf(stderr, "%s: parse failed\n", Sources[I].Name.c_str());
+          Out.Diag += Sources[I].Name + ": parse failed\n";
         for (const std::string &E : Errors)
-          std::fprintf(stderr, "%s:%s\n", Sources[I].Name.c_str(), E.c_str());
+          Out.Diag += Sources[I].Name + ":" + E + "\n";
         InputError = true;
       }
     }
@@ -376,7 +379,7 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
     std::vector<std::string> VErrors = verifyProgram(*P);
     if (!VErrors.empty()) {
       for (const std::string &E : VErrors)
-        std::fprintf(stderr, "verifier: %s\n", E.c_str());
+        Out.Diag += "verifier: " + E + "\n";
       return FailInput();
     }
     if (CacheOn) {
@@ -439,24 +442,27 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
   if (FailedNoStatus) {
     // Legacy CS failure channel with no structured status (should not
     // happen: TaintAnalysis reports it as a memory truncation).
-    std::fprintf(stderr, "analysis did not complete\n");
+    Out.Diag += "analysis did not complete\n";
     return Out;
   }
   if (R.degraded())
-    std::fprintf(stderr, "run-status: %s\n", R.Status.toString().c_str());
+    Out.Diag += "run-status: " + R.Status.toString() + "\n";
   if (Opt.ShowStats) {
-    std::fprintf(stderr, "-- %zu raw flows, %.1f ms, %u call-graph nodes%s\n",
-                 R.Issues.size(), R.Millis, R.CgNodesProcessed,
-                 R.BudgetExhausted ? " (budget exhausted)" : "");
-    std::fprintf(stderr, "%s", R.RunStats.toString().c_str());
+    char Line[128];
+    std::snprintf(Line, sizeof(Line),
+                  "-- %zu raw flows, %.1f ms, %u call-graph nodes%s\n",
+                  R.Issues.size(), R.Millis, R.CgNodesProcessed,
+                  R.BudgetExhausted ? " (budget exhausted)" : "");
+    Out.Diag += Line;
+    Out.Diag += R.RunStats.toString();
   }
   Out.NumIssues = R.Issues.size();
   Out.Exit = R.degraded() ? ExitTruncated : ExitClean;
   // Self-verification trumps the clean/truncated contract: an artifact
   // inconsistency means nothing about this run can be trusted.
   if (Vio.total()) {
-    std::fprintf(stderr, "verify: %llu violation(s), failing run\n",
-                 static_cast<unsigned long long>(Vio.total()));
+    Out.Diag += "verify: " + std::to_string(Vio.total()) +
+                " violation(s), failing run\n";
     Out.Exit = ExitError;
   }
   // The issue count rides the stats channel so a supervising parent can

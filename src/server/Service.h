@@ -17,10 +17,11 @@
 /// agreed.
 ///
 /// Output contract: analyzeApp() returns the report as bytes
-/// (RunOutcome::Report) and writes diagnostics to stderr. taj-cli prints
-/// those bytes, and a pool worker ships them in its response, so
-/// server-mode output is byte-identical to a local run by construction,
-/// not by comparison.
+/// (RunOutcome::Report) and its diagnostics as bytes too
+/// (RunOutcome::Diag). taj-cli prints them, and a pool worker ships them
+/// in its response, so server-mode output is byte-identical to a local run
+/// by construction, not by comparison, and a batch prints each app's
+/// diagnostics in list order whatever order its workers finish in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -124,6 +125,10 @@ struct RunOutcome {
   /// The bytes a local run prints to stdout: the rendered report, the raw
   /// flows under --raw, or the IR under --dump-ir ("" on input errors).
   std::string Report;
+  /// The bytes a local run prints to stderr for this app: input, parse and
+  /// verifier errors, the run-status line, the --stats block and the
+  /// verify-failure line.
+  std::string Diag;
 };
 
 /// Reads \p Path into \p Out; false (with strerror-ish \p Err) on failure.

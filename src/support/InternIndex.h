@@ -59,6 +59,9 @@ public:
     }
   }
 
+  /// The number of ids indexed.
+  size_t size() const { return Filled; }
+
   /// True if an insert must call grow() (and re-probe) first.
   bool needsGrow() const { return (Filled + 1) * 3 >= Slots.size() * 2; }
 
@@ -83,10 +86,19 @@ public:
   /// under \p Same: a table never interns a key twice.
   template <typename HashFn, typename EqFn>
   bool rebuild(size_t N, HashFn HashOf, EqFn Same) {
+    auto Identity = [](size_t K) { return static_cast<uint32_t>(K); };
+    return rebuild(N, Identity, HashOf, Same);
+  }
+
+  /// As above, over the \p N ids IdAt(0), ..., IdAt(N - 1): for a table
+  /// whose index holds only some of its keys.
+  template <typename IdFn, typename HashFn, typename EqFn>
+  bool rebuild(size_t N, IdFn IdAt, HashFn HashOf, EqFn Same) {
     Slots.assign(capacityFor(N, 16), 0);
     Mask = Slots.size() - 1;
     Filled = N;
-    for (uint32_t Id = 0; Id < N; ++Id) {
+    for (size_t K = 0; K < N; ++K) {
+      const uint32_t Id = IdAt(K);
       size_t I = static_cast<size_t>(HashOf(Id)) & Mask;
       for (; Slots[I] != 0; I = (I + 1) & Mask)
         if (Same(Slots[I] - 1, Id))

@@ -49,6 +49,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace taj {
@@ -126,6 +127,17 @@ public:
       Live = true;
     }
   }
+  /// A span named \p Prefix followed by \p Suffix. The name is built only
+  /// while tracing is enabled, so an untraced hot path allocates nothing.
+  Span(const char *Prefix, std::string_view Suffix, const char *Cat)
+      : Cat(Cat) {
+    if (enabled()) {
+      Name.assign(Prefix).append(Suffix);
+      BeginUs = nowUs();
+      Live = true;
+    }
+  }
+  Span(const char *Name, const char *Cat) : Span(Name, {}, Cat) {}
   ~Span() {
     if (Live)
       addComplete(std::move(Name), Cat, BeginUs, nowUs());

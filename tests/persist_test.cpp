@@ -137,7 +137,8 @@ void writeAll(const fs::path &P, const std::vector<uint8_t> &Bytes) {
 /// restore validation instead.
 void refreshChecksum(std::vector<uint8_t> &Record) {
   ASSERT_GE(Record.size(), 32u);
-  uint64_t Sum = persist::fnv1aWords(Record.data() + 32, Record.size() - 32);
+  uint64_t Sum =
+      persist::recordChecksum(Record.data() + 32, Record.size() - 32);
   for (int I = 0; I < 8; ++I)
     Record[24 + I] = static_cast<uint8_t>(Sum >> (8 * I));
 }
@@ -211,6 +212,50 @@ TEST(RecordFraming, RoundTripsAndRejectsEveryMutation) {
                                      P, N, Err));
 }
 
+TEST(RecordFraming, EverySingleBitAndPairedTopBitFlipFailsTheChecksum) {
+  // A damaged record that passes the checksum is left to the structural
+  // checks, and a flipped points-to member or mask bit is structurally
+  // valid. A checksum that XORs each word into its state and then
+  // multiplies by an odd constant keeps a flip of a word's top bit in the
+  // state's top bit, where a second such flip cancels it.
+  std::vector<uint8_t> Payload(1024);
+  for (size_t I = 0; I < Payload.size(); ++I)
+    Payload[I] = static_cast<uint8_t>(I * 131 + 7);
+  const persist::ArtifactKind Kind = persist::ArtifactKind::PointsTo;
+  std::vector<uint8_t> Rec = persist::wrapRecord(Kind, Payload);
+  auto Corrupt = [&] {
+    const uint8_t *P = nullptr;
+    size_t N = 0;
+    std::string Err;
+    return persist::unwrapRecordEx(Rec, Kind, P, N, Err) ==
+           persist::UnwrapStatus::Corrupt;
+  };
+  ASSERT_FALSE(Corrupt());
+  const size_t At = 32; // the payload's first byte in the record
+  size_t Missed = 0;
+  std::string FirstMiss;
+  for (size_t Bit = 0; Bit < Payload.size() * 8; ++Bit) {
+    const uint8_t Mask = static_cast<uint8_t>(1u << (Bit % 8));
+    Rec[At + Bit / 8] ^= Mask;
+    if (!Corrupt() && Missed++ == 0)
+      FirstMiss = "bit " + std::to_string(Bit);
+    Rec[At + Bit / 8] ^= Mask;
+  }
+  // Bit 7 of byte 8k + 7 is the top bit of little-endian word k.
+  for (size_t A = 7; A < Payload.size(); A += 8)
+    for (size_t B = A + 8; B < Payload.size(); B += 8) {
+      Rec[At + A] ^= 0x80;
+      Rec[At + B] ^= 0x80;
+      if (!Corrupt() && Missed++ == 0)
+        FirstMiss = "top bits of bytes " + std::to_string(A) + " and " +
+                    std::to_string(B);
+      Rec[At + A] ^= 0x80;
+      Rec[At + B] ^= 0x80;
+    }
+  EXPECT_EQ(Missed, 0u) << "first undetected flip: " << FirstMiss;
+  EXPECT_FALSE(Corrupt());
+}
+
 TEST(RecordFraming, FormatV2RecordsAreVersionMissesNotCorruption) {
   // v3 dropped the points-to representative column. A record of the v2
   // generation is stale, not damaged: it must unwrap as a version
@@ -230,14 +275,17 @@ TEST(RecordFraming, FormatV2RecordsAreVersionMissesNotCorruption) {
 }
 
 TEST(RecordFraming, FormatV4RecordsAreVersionMissesNotCorruption) {
-  // v5 stores the points-to record as columns, v6 the sdg record, and v7
-  // drops the pts record's in-edges and channels. A v4 or v6 pts or a v5
-  // sdg record is stale, not damaged: a cache dir written before any of
-  // these changes warm-misses cleanly.
+  // v5 stores the points-to record as columns, v6 the sdg record, v7
+  // drops the pts record's in-edges and channels, and v8 changes the
+  // header checksum. A v4, v6 or v7 pts or a v5 or v7 sdg record is
+  // stale, not damaged: a cache dir written before any of these changes
+  // warm-misses cleanly.
   const std::pair<persist::ArtifactKind, uint8_t> Stale[] = {
       {persist::ArtifactKind::PointsTo, 4},
       {persist::ArtifactKind::Sdg, 5},
       {persist::ArtifactKind::PointsTo, 6},
+      {persist::ArtifactKind::PointsTo, 7},
+      {persist::ArtifactKind::Sdg, 7},
   };
   for (const auto &[Kind, Version] : Stale) {
     std::vector<uint8_t> Rec = persist::wrapRecord(Kind, {1, 2, 3});
@@ -782,8 +830,8 @@ TEST(WarmStart, RestoredSdgEqualsCold) {
 // its record
 //===----------------------------------------------------------------------===//
 
-/// Where each column of a v7 pts record starts, found by walking the
-/// record the way restoreSolver reads it.
+/// Where each column of a pts record (layout unchanged since v7) starts,
+/// found by walking the record the way restoreSolver reads it.
 struct PtsLayout {
   uint32_t NumCtxs = 0, NumIKs = 0, NumNodes = 0, NumPKs = 0, NumKeys = 0,
            NumChunks = 0, NumIntr = 0;
@@ -996,6 +1044,26 @@ TEST(PersistPoison, DuplicatePointerKeyRowIsRejected) {
   });
 }
 
+TEST(PersistPoison, DuplicateLocalRetOrFieldKeyRowIsRejected) {
+  // Local and Ret keys are filed in their node's key block, field keys in
+  // the hash index; a repeat of either is a table row stored twice.
+  for (PKKind Kind : {PKKind::Local, PKKind::Ret, PKKind::Field}) {
+    SCOPED_TRACE(static_cast<int>(Kind));
+    expectPoisonRejected([&](std::vector<uint8_t> &B, const PtsLayout &L) {
+      // The second key of the kind becomes a copy of the first.
+      auto Next = [&](uint32_t K) {
+        while (K < L.NumPKs && B[L.PKKind + K] != uint8_t(Kind))
+          ++K;
+        return K;
+      };
+      const uint32_t First = Next(0);
+      const uint32_t Second = Next(First + 1);
+      ASSERT_LT(Second, L.NumPKs);
+      copyRow(B, L.PKKind, L.NumPKs, 2, First, Second);
+    });
+  }
+}
+
 TEST(PersistPoison, LocalOrRetKeyPastTheLastNodeIsRejected) {
   for (PKKind Kind : {PKKind::Local, PKKind::Ret}) {
     SCOPED_TRACE(Kind == PKKind::Local ? "local" : "ret");
@@ -1009,9 +1077,10 @@ TEST(PersistPoison, LocalOrRetKeyPastTheLastNodeIsRejected) {
   }
 }
 
-/// The statement and method counts of the app the pts poison tests store.
-std::pair<uint32_t, uint32_t> poisonAppSize() {
-  GeneratedApp A = generateApp(specByName("BlueBlog"));
+/// The statement and method counts of \p App (by default the app the pts
+/// poison tests store).
+std::pair<uint32_t, uint32_t> poisonAppSize(const char *App = "BlueBlog") {
+  GeneratedApp A = generateApp(specByName(App));
   A.P->indexStatements();
   return {A.P->numStmts(), static_cast<uint32_t>(A.P->Methods.size())};
 }
@@ -1059,20 +1128,30 @@ TEST(PersistPoison, IntrinsicCalleePastTheLastMethodIsRejected) {
   });
 }
 
-/// Where each column of a v6 sdg record starts, found by walking the
-/// record the way restoreSdg reads it.
+/// Where each column of an sdg record (layout unchanged since v6) starts,
+/// found by walking the record the way restoreSdg reads it.
 struct SdgLayout {
-  uint32_t NumNodes = 0, NumEdges = 0, NumSites = 0, NumStores = 0,
-           NumLoadEdges = 0, NumSinkEdges = 0;
+  uint32_t NumOwners = 0, NumNodes = 0, NumEdges = 0, NumSites = 0,
+           NumStores = 0, NumLoadEdges = 0, NumSinkEdges = 0;
   size_t NodeKind = 0, SuccOff = 0, EdgeTo = 0, EdgeKind = 0;
   size_t SiteKey = 0, SiteFirst = 0, SiteCount = 0;
   size_t Stores = 0, LoadOff = 0, LoadEdges = 0, SinkOff = 0, SinkEdges = 0;
 
-  size_t aux(SDGNodeId N) const {
-    return NodeKind + 18 * size_t(NumNodes) + 4 * size_t(N);
+  // Node N's entry in each node column: Kind, then Owner, M, S and Index
+  // (u32), Access (u8), Aux (u32), the three masks and IsCall (u8).
+  size_t owner(SDGNodeId N) const { return u32Col(1, N); }
+  size_t method(SDGNodeId N) const { return u32Col(5, N); }
+  size_t stmt(SDGNodeId N) const { return u32Col(9, N); }
+  size_t access(SDGNodeId N) const {
+    return NodeKind + 17 * size_t(NumNodes) + N;
   }
+  size_t aux(SDGNodeId N) const { return u32Col(18, N); }
   size_t isCall(SDGNodeId N) const {
     return NodeKind + 25 * size_t(NumNodes) + N;
+  }
+  /// Node N's entry in the u32 column \p Rows node rows past NodeKind.
+  size_t u32Col(size_t Rows, SDGNodeId N) const {
+    return NodeKind + Rows * size_t(NumNodes) + 4 * size_t(N);
   }
 };
 
@@ -1085,8 +1164,8 @@ bool walkSdg(const std::vector<uint8_t> &B, SdgLayout &L) {
     Skip(4 * Rows);
     return R.u32();
   };
-  const uint32_t NumOwners = R.u32();
-  Skip(8 * uint64_t(NumOwners));
+  L.NumOwners = R.u32();
+  Skip(8 * uint64_t(L.NumOwners));
   L.NumNodes = R.u32();
   L.NodeKind = Pos();
   Skip(26 * uint64_t(L.NumNodes));
@@ -1101,7 +1180,7 @@ bool walkSdg(const std::vector<uint8_t> &B, SdgLayout &L) {
   L.SiteCount = L.SiteFirst + 4 * uint64_t(L.NumSites);
   Skip(12 * uint64_t(L.NumSites));
   Skip(12 * uint64_t(Offsets(L.NumSites))); // channel plumbing
-  Skip(8 * uint64_t(Offsets(NumOwners)));   // per-owner channels
+  Skip(8 * uint64_t(Offsets(L.NumOwners))); // per-owner channels
   L.NumStores = R.u32();
   L.Stores = Pos();
   Skip(4 * uint64_t(L.NumStores));
@@ -1176,6 +1255,35 @@ void lowerOffset(std::vector<uint8_t> &B, size_t Off, uint32_t Rows) {
     ++K;
   ASSERT_LT(K + 1, Rows);
   putU32At(B, Off + 4 * size_t(K + 1), getU32At(B, Off + 4 * size_t(K)) - 1);
+}
+
+TEST(PersistPoison, NodeColumnValueOutOfRangeIsRejected) {
+  // One value past its range in each node column restoreSdg checks, on
+  // the last node, which the one-pass decode reaches last.
+  const std::pair<uint32_t, uint32_t> Size = poisonAppSize("A");
+  const uint32_t NumStmts = Size.first, NumMethods = Size.second;
+  for (const std::string Col :
+       {"kind", "owner", "method", "statement", "access", "aux", "is-call"}) {
+    SCOPED_TRACE(Col);
+    expectSdgPoisonRejected([&](std::vector<uint8_t> &B, const SdgLayout &L) {
+      ASSERT_GT(L.NumNodes, 0u);
+      const SDGNodeId N = L.NumNodes - 1;
+      if (Col == "kind")
+        B[L.NodeKind + N] = uint8_t(SDGNodeKind::ChanActualOut) + 1;
+      else if (Col == "owner")
+        putU32At(B, L.owner(N), L.NumOwners);
+      else if (Col == "method")
+        putU32At(B, L.method(N), NumMethods);
+      else if (Col == "statement")
+        putU32At(B, L.stmt(N), NumStmts);
+      else if (Col == "access")
+        B[L.access(N)] = uint8_t(HeapAccess::InvokeArgsRead) + 1;
+      else if (Col == "aux")
+        putU32At(B, L.aux(N), L.NumNodes);
+      else
+        B[L.isCall(N)] = 2;
+    });
+  }
 }
 
 TEST(PersistPoison, DecreasingSuccessorOffsetsAreRejected) {

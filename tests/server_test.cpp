@@ -279,6 +279,7 @@ TEST(Protocol, ResponseRoundTrips) {
   R.Exit = 2;
   R.Issues = 7;
   R.Report = "report bytes\nwith \"quotes\" and \x01 binary\n";
+  R.Diag = "run-status: pointer-analysis: truncated\n";
   R.StatsJson = "{\"cli.issues\":7}";
   R.TraceBlob = "{\"name\":\"x\"}";
   R.Message = "msg";
@@ -289,6 +290,7 @@ TEST(Protocol, ResponseRoundTrips) {
   EXPECT_EQ(Back.Exit, 2);
   EXPECT_EQ(Back.Issues, 7u);
   EXPECT_EQ(Back.Report, R.Report);
+  EXPECT_EQ(Back.Diag, R.Diag);
   EXPECT_EQ(Back.StatsJson, R.StatsJson);
   EXPECT_EQ(Back.TraceBlob, R.TraceBlob);
   EXPECT_EQ(Back.Message, R.Message);
@@ -690,6 +692,30 @@ TEST(Serve, ResponseIsByteIdenticalToLocalRunAndWarmsTheHotTier) {
   EXPECT_EQ(S.stop(), 0);
   EXPECT_EQ(statOf(T.Path + "/server-stats.json", "server.served"), 2);
   EXPECT_GT(statOf(T.Path + "/server-stats.json", "server.hot_hits"), 0);
+}
+
+TEST(Serve, ClientStderrCarriesTheRunDiagnostics) {
+  // A budget-truncated run writes its run-status line to stderr; served,
+  // the line travels in the response and the client writes it, as a
+  // local run would.
+  TempDir T;
+  const std::string Config = "--config=hybrid-optimized";
+  const std::vector<std::string> Args = {Config, "--budget=1", TAJ_EXAMPLE_TAJ};
+  pid_t P = spawnCli(Args, T.Path + "/local.out", T.Path + "/local.err");
+  ASSERT_EQ(waitExit(P), 2);
+  const std::string LocalErr = readWhole(T.Path + "/local.err");
+  ASSERT_EQ(LocalErr.rfind("run-status: ", 0), 0u) << LocalErr;
+
+  ServerHandle S;
+  ASSERT_TRUE(S.start(T, {"--pool-size=1"}));
+  std::vector<std::string> Client = {"--connect=" + S.Sock};
+  Client.insert(Client.end(), Args.begin(), Args.end());
+  pid_t C = spawnCli(Client, T.Path + "/client.out", T.Path + "/client.err");
+  EXPECT_EQ(waitExit(C), 2);
+  EXPECT_EQ(readWhole(T.Path + "/client.err"), LocalErr);
+  EXPECT_EQ(readWhole(T.Path + "/client.out"),
+            readWhole(T.Path + "/local.out"));
+  EXPECT_EQ(S.stop(), 0);
 }
 
 TEST(Serve, EightConcurrentClientsMatchTheBatchBaseline) {

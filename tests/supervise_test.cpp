@@ -10,7 +10,8 @@
 //  - the JSONL journal round-trips, tolerates torn tails, and drives
 //    --resume (including after the supervisor itself is SIGKILLed);
 //  - --jobs=1 and --jobs=N stdout is byte-identical to the in-process
-//    --jobs=0 batch loop;
+//    --jobs=0 batch loop, and so is stderr: each app's diagnostics come
+//    out in list order;
 //  - workers die with the supervisor (no orphans);
 //  - a batch whose workers cannot start still finishes;
 //  - one-shot batch workers run under the RLIMIT_AS / RLIMIT_CPU
@@ -497,6 +498,72 @@ TEST(Supervised, CooperativeTruncationPassesThrough) {
   EXPECT_EQ(E0, 2);
   EXPECT_EQ(E1, 2);
   EXPECT_EQ(Ref, Got);
+}
+
+/// A valid app of \p Servlets entry servlets, each passing a request
+/// parameter through a helper to an XSS and a SQL sink: large enough that
+/// its run takes several times as long as examples/webapp.taj's.
+std::string manyServlets(int Servlets) {
+  std::string Src;
+  for (int I = 0; I < Servlets; ++I) {
+    const std::string C = "S" + std::to_string(I);
+    Src += "class " + C + " extends Servlet {\n";
+    Src += "  method doGet(this: " + C + ", req: Request, resp: Response,\n";
+    Src += "               db: Database): void [entry] {\n";
+    Src += "    a = req.getParameter(\"p\");\n";
+    Src += "    b = this.h(a);\n";
+    Src += "    w = resp.getWriter();\n";
+    Src += "    w.println(b);\n";
+    Src += "    q = db.executeQuery(b);\n";
+    Src += "  }\n";
+    Src += "  method h(this: " + C + ", x: String): String {\n";
+    Src += "    y = Encoder.encodeSql(x);\n";
+    Src += "    return x;\n";
+    Src += "  }\n";
+    Src += "}\n";
+  }
+  return Src;
+}
+
+/// Runs taj-cli with stdout and stderr captured apart; returns stderr.
+std::string runCliStderr(const TempDir &T, const std::string &Args,
+                         std::string &Stdout, int &ExitCode) {
+  const std::string Out = T.Path + "/run.out", Err = T.Path + "/run.err";
+  const std::string Cmd =
+      std::string(TAJ_CLI_PATH) + " " + Args + " > " + Out + " 2> " + Err;
+  const int St = std::system(Cmd.c_str());
+  ExitCode = WIFEXITED(St) ? WEXITSTATUS(St) : -1;
+  Stdout = readWhole(Out);
+  return readWhole(Err);
+}
+
+TEST(Supervised, BatchStderrFollowsTheListOrder) {
+  // Both apps are truncated by the node budget, so each writes a
+  // run-status line to stderr. The slow app is listed first: under
+  // --jobs=2 the fast one finishes first, and its line must still come
+  // second, as in the in-process loop.
+  TempDir T;
+  const std::string Slow = T.Path + "/slow.taj";
+  writeWhole(Slow, manyServlets(300));
+  const std::string List = T.Path + "/list.txt";
+  writeWhole(List, Slow + "\n" + TAJ_EXAMPLE_TAJ + "\n");
+  const std::string Args =
+      "--config=hybrid-optimized --budget=1 --batch=" + List;
+  std::string RefOut, Out;
+  int E0 = 0, E2 = 0;
+  const std::string RefErr = runCliStderr(T, Args + " --jobs=0", RefOut, E0);
+  ASSERT_EQ(E0, 2) << RefErr;
+  const size_t First = RefErr.find("run-status: ");
+  ASSERT_NE(First, std::string::npos) << RefErr;
+  ASSERT_NE(RefErr.find("run-status: ", First + 1), std::string::npos)
+      << RefErr;
+  for (int Run = 0; Run < 20; ++Run) {
+    SCOPED_TRACE("run " + std::to_string(Run));
+    const std::string Err = runCliStderr(T, Args + " --jobs=2", Out, E2);
+    EXPECT_EQ(E2, 2);
+    EXPECT_EQ(Err, RefErr);
+    EXPECT_EQ(Out, RefOut);
+  }
 }
 
 TEST(Supervised, CrashedWorkerRetriesAndRecovers) {

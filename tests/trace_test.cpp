@@ -10,7 +10,8 @@
 //    counters sum to the run's wall clock within tolerance;
 //  - taj-cli --trace emits spans for every major phase, its stdout is
 //    byte-identical to an untraced run, warm starts attribute their time
-//    to persist_load, a supervised --jobs=2 batch merges every worker's
+//    to persist_load and split it into the disk read, the record check
+//    and each restore, a supervised --jobs=2 batch merges every worker's
 //    events onto one timeline, and a guard stop appears as an instant;
 //  - stats/trace artifacts are written on failure exits too (but not on
 //    usage errors), and a worker's malformed --stats-json surfaces
@@ -616,6 +617,37 @@ TEST(CliTrace, WarmRunAttributesTimeToPersistLoad) {
   EXPECT_EQ(Cold, Warm); // warm starts may only accelerate, never alter
   EXPECT_GT(statOf(StatsPath, "persist.hit"), 0);
   EXPECT_GT(statOf(StatsPath, "phase.persist_load_us"), 0);
+}
+
+TEST(CliTrace, WarmRunSplitsPersistLoadIntoReadVerifyAndRestore) {
+  TempDir D;
+  const std::string Cache = " --cache-dir=" + D.Path + "/cache ";
+  int E0 = 0, E1 = 0;
+  runCli(Cache + TAJ_EXAMPLE_TAJ, E0);
+  const std::string Trace = D.Path + "/warm.json";
+  runCli(Cache + "--trace=" + Trace + " " + TAJ_EXAMPLE_TAJ, E1);
+  EXPECT_EQ(E0, 0);
+  EXPECT_EQ(E1, 0);
+  std::string Doc = readWhole(Trace);
+  ASSERT_TRUE(isValidJson(Doc)) << Doc;
+  std::vector<Event> Es = decodeEvents(Doc);
+  // Each sub-span sits inside a persist_load phase span on its track: the
+  // disk read and the header check of every hit, and the two restores.
+  auto InsidePersistLoad = [&](const std::string &Name) {
+    for (const Event &E : Es) {
+      if (E.Ph != 'X' || E.Name != Name)
+        continue;
+      for (const Event &P : Es)
+        if (P.Ph == 'X' && P.Name == "persist_load" && P.Pid == E.Pid &&
+            P.Tid == E.Tid && P.Ts <= E.Ts && E.Ts + E.Dur <= P.Ts + P.Dur)
+          return true;
+    }
+    return false;
+  };
+  for (const char *Name :
+       {"cache-read", "cache-verify", "restore: pts", "restore: sdg"})
+    EXPECT_TRUE(InsidePersistLoad(Name)) << Name;
+  expectSpansNest(Es);
 }
 
 TEST(CliTrace, SupervisedBatchMergesEveryWorkerTimeline) {

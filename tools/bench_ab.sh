@@ -22,6 +22,8 @@
 # path), BM_ColdVsWarmAnalysis (whole runs on Roller, cold and warm, for
 # hybrid-unbounded and hybrid-optimized), BM_RestoreSolver and
 # BM_RestoreSdg (the points-to and SDG restores alone, same two configs),
+# BM_CacheLoad (a disk hit up to the restore: the read, header checks
+# and checksum of Roller's hybrid-optimized pts and sdg records),
 # and the slicer rows
 # BM_HybridSlicing (with its thread sweep BM_HybridSlicingThreads) and
 # BM_CiSlicing, whose largest size class is Roller; BM_ConstStrings
@@ -43,7 +45,7 @@ BUILD_A=$1
 BUILD_B=$2
 ROUNDS=${3:-5}
 OUT=${4:-${TMPDIR:-/tmp}/bench_ab.json}
-FILTER='BM_PointerAnalysis|BM_SolverAsRun|BM_SdgConstruction|BM_ServerWarmRequest|BM_ColdVsWarmAnalysis|BM_RestoreSolver|BM_RestoreSdg|BM_HybridSlicing|BM_CiSlicing|BM_ConstStrings|BM_ClassHierarchy'
+FILTER='BM_PointerAnalysis|BM_SolverAsRun|BM_SdgConstruction|BM_ServerWarmRequest|BM_ColdVsWarmAnalysis|BM_RestoreSolver|BM_RestoreSdg|BM_CacheLoad|BM_HybridSlicing|BM_CiSlicing|BM_ConstStrings|BM_ClassHierarchy'
 
 for D in "$BUILD_A" "$BUILD_B"; do
   if [ ! -x "$D/bench/micro_perf" ]; then

@@ -192,6 +192,7 @@ int runConnect(const std::string &SocketPath,
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return ExitError;
   }
+  std::fwrite(Resp.Diag.data(), 1, Resp.Diag.size(), stderr);
   if (!Resp.Report.empty() &&
       std::fwrite(Resp.Report.data(), 1, Resp.Report.size(), stdout) !=
           Resp.Report.size()) {
@@ -449,6 +450,7 @@ int main(int Argc, char **Argv) {
 
   if (BatchFile.empty()) {
     RunOutcome O = analyzeApp(ToSources(Files), Opt, Cache.get(), JsonStats);
+    std::fwrite(O.Diag.data(), 1, O.Diag.size(), stderr);
     std::fwrite(O.Report.data(), 1, O.Report.size(), stdout);
     Exit = O.Exit;
   } else {
@@ -498,6 +500,7 @@ int main(int Argc, char **Argv) {
         std::printf("=== %s\n", App.Name.c_str());
         RunOutcome O =
             analyzeApp(ToSources(App.Files), Opt, Cache.get(), JsonStats);
+        std::fwrite(O.Diag.data(), 1, O.Diag.size(), stderr);
         std::fwrite(O.Report.data(), 1, O.Report.size(), stdout);
         // Deterministic per-app summary (no timings: batch output must be
         // byte-comparable against separate runs).
