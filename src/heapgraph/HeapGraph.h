@@ -38,8 +38,6 @@ public:
   std::vector<IKId> reachable(const std::vector<IKId> &Seeds,
                               uint32_t MaxDepth) const;
 
-  size_t numInstanceKeys() const { return Succ.size(); }
-
 private:
   std::vector<std::vector<IKId>> Succ;
 };

@@ -140,6 +140,8 @@ public:
     }
   }
   const std::vector<uint8_t> &bytes() const { return Buf; }
+  /// Hands the written bytes over, leaving the writer empty.
+  std::vector<uint8_t> take() { return std::move(Buf); }
 
 private:
   std::vector<uint8_t> Buf;

@@ -2,8 +2,9 @@
 
 #include "server/Protocol.h"
 
+#include "persist/Serialize.h"
+
 #include <cerrno>
-#include <cstring>
 
 #include <unistd.h>
 
@@ -36,19 +37,19 @@ const char *server::statusName(Status S) {
   return "unknown";
 }
 
-Status server::statusFromExitClass(supervise::ExitClass C) {
+Status server::statusFromExitClass(ExitClass C) {
   switch (C) {
-  case supervise::ExitClass::Clean:
+  case ExitClass::Clean:
     return Status::Ok;
-  case supervise::ExitClass::Truncated:
+  case ExitClass::Truncated:
     return Status::Truncated;
-  case supervise::ExitClass::Error:
+  case ExitClass::Error:
     return Status::Error;
-  case supervise::ExitClass::Crashed:
+  case ExitClass::Crashed:
     return Status::Crashed;
-  case supervise::ExitClass::Timeout:
+  case ExitClass::Timeout:
     return Status::Timeout;
-  case supervise::ExitClass::Oom:
+  case ExitClass::Oom:
     return Status::Oom;
   }
   return Status::Error;
@@ -65,141 +66,65 @@ int server::exitCodeForStatus(Status S) {
   }
 }
 
-namespace {
-
-void putU32(std::vector<uint8_t> &Out, uint32_t V) {
-  Out.push_back(static_cast<uint8_t>(V));
-  Out.push_back(static_cast<uint8_t>(V >> 8));
-  Out.push_back(static_cast<uint8_t>(V >> 16));
-  Out.push_back(static_cast<uint8_t>(V >> 24));
-}
-
-void putU64(std::vector<uint8_t> &Out, uint64_t V) {
-  putU32(Out, static_cast<uint32_t>(V));
-  putU32(Out, static_cast<uint32_t>(V >> 32));
-}
-
-void putStr(std::vector<uint8_t> &Out, const std::string &S) {
-  putU32(Out, static_cast<uint32_t>(S.size()));
-  Out.insert(Out.end(), S.begin(), S.end());
-}
-
-/// Bounds-checked little-endian reader over one payload.
-class Cursor {
-public:
-  Cursor(const uint8_t *Data, size_t Len) : Data(Data), Len(Len) {}
-
-  bool u8(uint8_t &V) {
-    if (Pos + 1 > Len)
-      return false;
-    V = Data[Pos++];
-    return true;
-  }
-
-  bool u32(uint32_t &V) {
-    if (Pos + 4 > Len)
-      return false;
-    V = static_cast<uint32_t>(Data[Pos]) |
-        (static_cast<uint32_t>(Data[Pos + 1]) << 8) |
-        (static_cast<uint32_t>(Data[Pos + 2]) << 16) |
-        (static_cast<uint32_t>(Data[Pos + 3]) << 24);
-    Pos += 4;
-    return true;
-  }
-
-  bool u64(uint64_t &V) {
-    uint32_t Lo, Hi;
-    if (!u32(Lo) || !u32(Hi))
-      return false;
-    V = static_cast<uint64_t>(Lo) | (static_cast<uint64_t>(Hi) << 32);
-    return true;
-  }
-
-  bool str(std::string &S) {
-    uint32_t N;
-    if (!u32(N) || Pos + N > Len)
-      return false;
-    S.assign(reinterpret_cast<const char *>(Data + Pos), N);
-    Pos += N;
-    return true;
-  }
-
-  bool done() const { return Pos == Len; }
-
-private:
-  const uint8_t *Data;
-  size_t Len;
-  size_t Pos = 0;
-};
-
-} // namespace
-
 std::vector<uint8_t> server::serializeRequest(const Request &R) {
-  std::vector<uint8_t> Out;
-  putU32(Out, static_cast<uint32_t>(R.Sources.size()));
+  persist::Writer W;
+  W.u32(static_cast<uint32_t>(R.Sources.size()));
   for (const AppSource &S : R.Sources) {
-    putStr(Out, S.Name);
-    Out.push_back(S.Inline ? 1 : 0);
-    putStr(Out, S.Content);
+    W.str(S.Name);
+    W.u8(S.Inline ? 1 : 0);
+    W.str(S.Content);
   }
-  putU32(Out, static_cast<uint32_t>(R.Overrides.size()));
+  W.u32(static_cast<uint32_t>(R.Overrides.size()));
   for (const std::string &O : R.Overrides)
-    putStr(Out, O);
-  return Out;
+    W.str(O);
+  return W.take();
 }
 
 bool server::deserializeRequest(const uint8_t *Data, size_t Len, Request &R) {
-  Cursor C(Data, Len);
-  uint32_t N;
-  if (!C.u32(N))
-    return false;
-  R.Sources.clear();
-  for (uint32_t I = 0; I < N; ++I) {
-    AppSource S;
-    uint8_t Inline;
-    if (!C.str(S.Name) || !C.u8(Inline) || !C.str(S.Content))
-      return false;
-    S.Inline = Inline != 0;
-    R.Sources.push_back(std::move(S));
+  persist::Reader In(Data, Len);
+  // A source is at least its two string lengths and the inline byte, an
+  // override its length: a count the payload cannot hold fails up front.
+  R.Sources.assign(In.count(9), AppSource());
+  for (AppSource &S : R.Sources) {
+    S.Name = In.str();
+    S.Inline = In.u8() != 0;
+    S.Content = In.str();
   }
-  if (!C.u32(N))
-    return false;
-  R.Overrides.clear();
-  for (uint32_t I = 0; I < N; ++I) {
-    std::string O;
-    if (!C.str(O))
-      return false;
-    R.Overrides.push_back(std::move(O));
-  }
-  return C.done();
+  R.Overrides.assign(In.count(4), std::string());
+  for (std::string &O : R.Overrides)
+    O = In.str();
+  return !In.failed() && In.atEnd();
 }
 
 std::vector<uint8_t> server::serializeResponse(const Response &R) {
-  std::vector<uint8_t> Out;
-  Out.push_back(static_cast<uint8_t>(R.St));
-  putU32(Out, static_cast<uint32_t>(R.Exit));
-  putU64(Out, R.Issues);
-  putStr(Out, R.Report);
-  putStr(Out, R.Diag);
-  putStr(Out, R.StatsJson);
-  putStr(Out, R.TraceBlob);
-  putStr(Out, R.Message);
-  return Out;
+  persist::Writer W;
+  W.u8(static_cast<uint8_t>(R.St));
+  W.i32(R.Exit);
+  W.u64(R.Issues);
+  W.str(R.Report);
+  W.str(R.Diag);
+  W.str(R.StatsJson);
+  W.str(R.TraceBlob);
+  W.str(R.Message);
+  return W.take();
 }
 
 bool server::deserializeResponse(const uint8_t *Data, size_t Len,
                                  Response &R) {
-  Cursor C(Data, Len);
-  uint8_t St;
-  uint32_t Exit;
-  if (!C.u8(St) || St > static_cast<uint8_t>(Status::ProtocolError) ||
-      !C.u32(Exit) || !C.u64(R.Issues) || !C.str(R.Report) ||
-      !C.str(R.Diag) || !C.str(R.StatsJson) || !C.str(R.TraceBlob) ||
-      !C.str(R.Message))
+  persist::Reader In(Data, Len);
+  const uint8_t St = In.u8();
+  R.Exit = In.i32();
+  R.Issues = In.u64();
+  R.Report = In.str();
+  R.Diag = In.str();
+  R.StatsJson = In.str();
+  R.TraceBlob = In.str();
+  R.Message = In.str();
+  if (In.failed() || !In.atEnd() ||
+      St > static_cast<uint8_t>(Status::ProtocolError))
     return false;
   R.St = static_cast<Status>(St);
-  R.Exit = static_cast<int32_t>(Exit);
-  return C.done();
+  return true;
 }
 
 bool server::writeFull(int Fd, const void *Data, size_t Len) {
@@ -239,50 +164,63 @@ bool server::readFull(int Fd, void *Data, size_t Len) {
 }
 
 namespace {
-void encodeFrameHeader(uint8_t Hdr[8], uint32_t Len) {
-  const uint32_t Magic = FrameMagic;
-  std::memcpy(Hdr, &Magic, 4);
-  Hdr[4] = static_cast<uint8_t>(Len);
-  Hdr[5] = static_cast<uint8_t>(Len >> 8);
-  Hdr[6] = static_cast<uint8_t>(Len >> 16);
-  Hdr[7] = static_cast<uint8_t>(Len >> 24);
+
+constexpr size_t FrameHeaderBytes = 8;
+
+/// The announced payload length of the header at \p Hdr; false on a bad
+/// magic or a length over MaxFrameBytes.
+bool decodeFrameHeader(const uint8_t *Hdr, uint32_t &Len) {
+  persist::Reader In(Hdr, FrameHeaderBytes);
+  const uint32_t Magic = In.u32();
+  Len = In.u32();
+  return Magic == FrameMagic && Len <= MaxFrameBytes;
 }
+
 } // namespace
 
-bool server::writeFrame(int Fd, const std::vector<uint8_t> &Payload) {
+bool server::appendFrame(std::string &Out,
+                         const std::vector<uint8_t> &Payload) {
   if (Payload.size() > MaxFrameBytes)
     return false;
-  uint8_t Hdr[8];
-  encodeFrameHeader(Hdr, static_cast<uint32_t>(Payload.size()));
-  return writeFull(Fd, Hdr, sizeof(Hdr)) &&
-         (Payload.empty() || writeFull(Fd, Payload.data(), Payload.size()));
-}
-
-bool server::appendFrame(std::string &Out, const std::vector<uint8_t> &Payload) {
-  if (Payload.size() > MaxFrameBytes)
-    return false;
-  uint8_t Hdr[8];
-  encodeFrameHeader(Hdr, static_cast<uint32_t>(Payload.size()));
-  Out.append(reinterpret_cast<const char *>(Hdr), sizeof(Hdr));
+  // The header: the magic, then the payload length, both u32 LE.
+  for (const uint32_t V : {FrameMagic, static_cast<uint32_t>(Payload.size())})
+    for (int K = 0; K < 4; ++K)
+      Out.push_back(static_cast<char>(V >> (8 * K)));
   if (!Payload.empty())
     Out.append(reinterpret_cast<const char *>(Payload.data()), Payload.size());
   return true;
 }
 
+bool server::writeFrame(int Fd, const std::vector<uint8_t> &Payload) {
+  std::string Frame;
+  return appendFrame(Frame, Payload) &&
+         writeFull(Fd, Frame.data(), Frame.size());
+}
+
 bool server::readFrame(int Fd, std::vector<uint8_t> &Payload) {
-  uint8_t Hdr[8];
-  if (!readFull(Fd, Hdr, sizeof(Hdr)))
-    return false;
-  uint32_t Magic;
-  std::memcpy(&Magic, Hdr, 4);
-  if (Magic != FrameMagic)
-    return false;
-  const uint32_t Len = static_cast<uint32_t>(Hdr[4]) |
-                       (static_cast<uint32_t>(Hdr[5]) << 8) |
-                       (static_cast<uint32_t>(Hdr[6]) << 16) |
-                       (static_cast<uint32_t>(Hdr[7]) << 24);
-  if (Len > MaxFrameBytes)
+  uint8_t Hdr[FrameHeaderBytes];
+  uint32_t Len;
+  if (!readFull(Fd, Hdr, sizeof(Hdr)) || !decodeFrameHeader(Hdr, Len))
     return false;
   Payload.resize(Len);
   return Len == 0 || readFull(Fd, Payload.data(), Len);
+}
+
+bool server::takeFrame(std::string &Buf, std::vector<uint8_t> &Payload,
+                       bool &Bad) {
+  Bad = false;
+  if (Buf.size() < FrameHeaderBytes)
+    return false;
+  const uint8_t *B = reinterpret_cast<const uint8_t *>(Buf.data());
+  uint32_t Len;
+  if (!decodeFrameHeader(B, Len)) {
+    Bad = true;
+    return false;
+  }
+  const size_t End = FrameHeaderBytes + static_cast<size_t>(Len);
+  if (Buf.size() < End)
+    return false;
+  Payload.assign(B + FrameHeaderBytes, B + End);
+  Buf.erase(0, End);
+  return true;
 }

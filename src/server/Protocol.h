@@ -16,24 +16,26 @@
 /// go through readFull/writeFull, which retry on EINTR and short
 /// transfers — a frame either arrives whole or the connection is dead.
 ///
-/// Payload encoding: length-prefixed fields (u32 LE count, then that many
-/// bytes per string field), written/read in fixed order by the serialize/
-/// deserialize pairs below. No escaping, no text parsing: report bytes
-/// and stats JSON pass through opaquely, which is what keeps server-mode
-/// output byte-identical to batch-mode output.
+/// Payload encoding: the artifact store's byte codec (persist::Writer /
+/// Reader): little-endian scalars and length-prefixed strings (u32 LE
+/// count, then that many bytes), written/read in fixed order by the
+/// serialize/deserialize pairs below. No escaping, no text parsing: report
+/// bytes and stats JSON pass through opaquely, which is what keeps
+/// server-mode output byte-identical to batch-mode output.
 ///
-/// Status codes: the six-way worker exit classification (supervise::
-/// ExitClass) maps 1:1 onto the first six codes, so a client sees exactly
-/// what a batch journal would record; the remaining codes are server-side
-/// dispositions (admission control, drain, malformed requests).
+/// Status codes: the six-way worker exit classification (ExitClass, see
+/// server/Journal.h) maps 1:1 onto the first six codes, so a client sees
+/// exactly what a batch journal would record; the remaining codes are
+/// server-side dispositions (admission control, drain, malformed
+/// requests).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TAJ_SERVER_PROTOCOL_H
 #define TAJ_SERVER_PROTOCOL_H
 
+#include "server/Journal.h"
 #include "server/Service.h"
-#include "supervise/Journal.h"
 
 #include <cstdint>
 #include <string>
@@ -50,8 +52,8 @@ constexpr uint32_t MaxFrameBytes = 64u * 1024 * 1024;
 /// Frame magic ("TAJ1"), little-endian on the wire.
 constexpr uint32_t FrameMagic = 0x314a4154u;
 
-/// Response disposition. The first six mirror supervise::ExitClass; the
-/// rest are server-level outcomes that never reach a worker.
+/// Response disposition. The first six mirror ExitClass; the rest are
+/// server-level outcomes that never reach a worker.
 enum class Status : uint8_t {
   Ok = 0,        ///< worker exited 0: clean run, report attached
   Truncated = 1, ///< worker exited 2: degraded run, partial report attached
@@ -68,11 +70,12 @@ enum class Status : uint8_t {
 const char *statusName(Status S);
 
 /// Maps a worker exit classification onto the wire status.
-Status statusFromExitClass(supervise::ExitClass C);
+Status statusFromExitClass(ExitClass C);
 
-/// The taj-cli exit code a client should exit with for \p S: Ok -> 0,
-/// Truncated -> 2, everything else -> 1 (matching the batch contract
-/// where any non-clean worker outcome contributes an error).
+/// The taj-cli exit code for \p S: Ok -> 0, Truncated -> 2, everything
+/// else -> 1. Through statusFromExitClass it is also a worker outcome's
+/// contribution to a batch's worst-of exit code, so a client and a batch
+/// agree on what every outcome exits with.
 int exitCodeForStatus(Status S);
 
 /// One analysis request: an app (either file paths the *server* host can
@@ -123,6 +126,12 @@ bool appendFrame(std::string &Out, const std::vector<uint8_t> &Payload);
 /// Receives one frame payload. False on EOF, read error, bad magic or an
 /// oversized announced length.
 bool readFrame(int Fd, std::vector<uint8_t> &Payload);
+
+/// The non-blocking receive side: moves one complete frame's payload from
+/// the front of \p Buf into \p Payload. False while the frame is still
+/// incomplete; \p Bad flags a stream that can never yield one (bad magic,
+/// oversized announced length) and must be dropped.
+bool takeFrame(std::string &Buf, std::vector<uint8_t> &Payload, bool &Bad);
 
 } // namespace server
 } // namespace taj

@@ -3,7 +3,7 @@
 #include "server/Server.h"
 
 #include "persist/Cache.h"
-#include "supervise/Supervisor.h"
+#include "support/Number.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
 
@@ -15,6 +15,7 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <new>
 #include <unordered_map>
 #include <vector>
 
@@ -35,7 +36,89 @@
 
 using namespace taj;
 using namespace taj::server;
-using supervise::ExitClass;
+
+namespace {
+
+/// How a worker's exit code classifies, whether the worker answered with
+/// it or died with it: the taj-cli contract's 0 and 2, the reserved OOM
+/// code (only a death carries it), and an error for anything else.
+ExitClass classifyExitCode(int Code) {
+  switch (Code) {
+  case ExitClean:
+    return ExitClass::Clean;
+  case ExitTruncated:
+    return ExitClass::Truncated;
+  case WorkerOomExitCode:
+    return ExitClass::Oom;
+  default:
+    return ExitClass::Error;
+  }
+}
+
+} // namespace
+
+ExitClass server::classifyWaitStatus(int WaitStatus, bool WatchdogKilled) {
+  if (WIFEXITED(WaitStatus))
+    return classifyExitCode(WEXITSTATUS(WaitStatus));
+  if (WIFSIGNALED(WaitStatus)) {
+    int Sig = WTERMSIG(WaitStatus);
+    // The watchdog owns every signal it delivered, whatever it was; the
+    // CPU rlimit's SIGXCPU is morally the same cutoff.
+    if (WatchdogKilled || Sig == SIGXCPU)
+      return ExitClass::Timeout;
+    // An unsolicited SIGKILL is the kernel OOM killer's signature (no
+    // user-space party in this design sends it).
+    if (Sig == SIGKILL)
+      return ExitClass::Oom;
+    return ExitClass::Crashed;
+  }
+  return ExitClass::Error;
+}
+
+void server::deriveHardLimits(const RunGuard::Limits &Coop,
+                              SupervisorConfig &C) {
+  // Backstops sit well above the cooperative limits: RunGuard should win
+  // the race in a healthy worker, the watchdog only in a wedged one.
+  C.HardDeadlineMs = Coop.DeadlineMs > 0 ? Coop.DeadlineMs * 2 + 1000 : 0;
+  C.HardMemoryBytes = Coop.MaxMemoryBytes != 0 ? Coop.MaxMemoryBytes * 2 : 0;
+  // A refused value leaves the derived limit in place.
+  parseNumber(std::getenv("TAJ_HARD_DEADLINE_MS"), C.HardDeadlineMs);
+  uint64_t Mb;
+  if (parseInteger(std::getenv("TAJ_HARD_MAX_MEMORY_MB"), MaxExactU64, Mb) ==
+      NumberParse::Ok)
+    C.HardMemoryBytes = Mb * 1024 * 1024;
+  parseNumber(std::getenv("TAJ_WATCHDOG_GRACE_MS"), C.GraceMs);
+  // CPU backstop: generous (slicing may run many threads), but finite
+  // whenever a wall-clock watchdog is armed.
+  C.CpuLimitSec = C.HardDeadlineMs > 0
+                      ? (static_cast<uint64_t>(C.HardDeadlineMs) / 1000 + 1) *
+                            16
+                      : 0;
+}
+
+uint64_t server::recoverWorkerStats(const std::string &StatsText,
+                                    const std::string &App, Stats *Merged,
+                                    uint64_t &ParseFailures) {
+  if (StatsText.empty())
+    return 0; // a crashed worker never sent its counters
+  // Parse straight into the merge target: a pool coordinator recovers
+  // every request's counters, and a private copy per request costs as
+  // much as the parse. The worker's cli.issues is what the parse added.
+  Stats Scratch;
+  Stats &Into = Merged ? *Merged : Scratch;
+  const uint64_t Issues0 = Into.get("cli.issues");
+  if (!Into.mergeJson(StatsText)) {
+    // mergeJson applies every counter up to the malformed line, so a torn
+    // write (e.g. a worker killed mid-flush) still contributes what it
+    // managed to say — but the loss is surfaced, not silent.
+    ParseFailures += 1;
+    std::fprintf(stderr,
+                 "taj-supervise: malformed --stats-json from worker '%s'; "
+                 "merging only the counters that parsed\n",
+                 App.c_str());
+  }
+  return Into.get("cli.issues") - Issues0;
+}
 
 namespace {
 
@@ -68,35 +151,6 @@ void installDrainHandlers() {
   SA.sa_flags = 0;
   ::sigaction(SIGTERM, &SA, nullptr);
   ::sigaction(SIGINT, &SA, nullptr);
-}
-
-/// Extracts one complete frame payload from the front of \p Buf. Returns
-/// true when a frame was taken; \p Bad flags an unrecoverable stream
-/// (bad magic / oversized length) — the connection must be dropped.
-bool takeFrame(std::string &Buf, std::vector<uint8_t> &Payload, bool &Bad) {
-  Bad = false;
-  if (Buf.size() < 8)
-    return false;
-  const uint8_t *B = reinterpret_cast<const uint8_t *>(Buf.data());
-  uint32_t Magic;
-  std::memcpy(&Magic, B, 4);
-  if (Magic != FrameMagic) {
-    Bad = true;
-    return false;
-  }
-  const uint32_t Len = static_cast<uint32_t>(B[4]) |
-                       (static_cast<uint32_t>(B[5]) << 8) |
-                       (static_cast<uint32_t>(B[6]) << 16) |
-                       (static_cast<uint32_t>(B[7]) << 24);
-  if (Len > MaxFrameBytes) {
-    Bad = true;
-    return false;
-  }
-  if (Buf.size() < 8 + static_cast<size_t>(Len))
-    return false;
-  Payload.assign(B + 8, B + 8 + Len);
-  Buf.erase(0, 8 + static_cast<size_t>(Len));
-  return true;
 }
 
 /// One request, from admission (serve) or its list line (batch) through
@@ -182,8 +236,7 @@ struct AppResult {
 /// backstops, and on retries the removal of the fault-injection
 /// environment (the degraded flags already dropped the injected fault; the
 /// environment channel must not resurrect it).
-void armOneShotWorker(const supervise::SupervisorConfig &Lim,
-                      unsigned AttemptNo) {
+void armOneShotWorker(const SupervisorConfig &Lim, unsigned AttemptNo) {
   if (Lim.HardMemoryBytes != 0) {
     struct rlimit RL;
     RL.rlim_cur = RL.rlim_max = Lim.HardMemoryBytes;
@@ -218,16 +271,19 @@ void armOneShotWorker(const supervise::SupervisorConfig &Lim,
   // SIGTERM must kill this process, not set a flag in it.
   std::signal(SIGTERM, SIG_DFL);
   std::signal(SIGINT, SIG_DFL);
-  // Allocation failure dies as the deterministic OOM exit code the
-  // coordinator's classification understands, not an uncatchable abort.
-  supervise::installWorkerOomHandler();
+  // Under RLIMIT_AS a failed allocation raises bad_alloc wherever the
+  // worker happens to be, and the default unwind ends in std::terminate ->
+  // SIGABRT, indistinguishable from a genuine crash. Dying with the
+  // reserved exit code instead lets the coordinator classify it as oom.
+  std::set_new_handler([] { ::_exit(WorkerOomExitCode); });
 
-  const uint64_t GraceMs =
-      O.CacheGraceSet ? O.CacheGraceMs : (O.CacheDir.empty() ? 0 : 60000);
+  // Workers sharing a cache dir evict with a 60 s grace: a fresh mtime is
+  // the only sign that another worker may be mid-read on an entry.
   std::unique_ptr<persist::ArtifactCache> Cache;
   if (!OneShot || !O.CacheDir.empty())
     Cache = std::make_unique<persist::ArtifactCache>(
-        O.CacheDir, O.CacheMaxMb * 1024 * 1024, GraceMs);
+        O.CacheDir, O.CacheMaxMb * 1024 * 1024,
+        O.CacheDir.empty() ? 0 : 60000);
   if (!OneShot)
     Cache->enableHotTier(O.HotMaxMb * 1024 * 1024);
 
@@ -275,10 +331,7 @@ void armOneShotWorker(const supervise::SupervisorConfig &Lim,
     Stats ReqStats;
     RunOutcome Out = analyzeApp(Req.Sources, Opt, Cache.get(), &ReqStats);
 
-    Resp.St = Out.Exit == ExitClean
-                  ? Status::Ok
-                  : Out.Exit == ExitTruncated ? Status::Truncated
-                                              : Status::Error;
+    Resp.St = statusFromExitClass(classifyExitCode(Out.Exit));
     Resp.Exit = Out.Exit;
     Resp.Issues = Out.NumIssues;
     Resp.Report = std::move(Out.Report);
@@ -291,7 +344,7 @@ void armOneShotWorker(const supervise::SupervisorConfig &Lim,
   }
   // The coordinator closed the pair (drain, one-shot retirement) or died.
   // A one-shot worker that never received its request says so.
-  std::_Exit(OneShot && !GotRequest ? supervise::WorkerSpawnFailExitCode : 0);
+  std::_Exit(OneShot && !GotRequest ? WorkerSpawnFailExitCode : 0);
 }
 
 /// The coordinator of both pool shapes: one single-threaded poll() loop
@@ -307,7 +360,7 @@ public:
   Pool(const ServerOptions &O, const std::vector<BatchApp> *Apps)
       : O(O), Apps(Apps), OneShot(Apps != nullptr),
         Cat(OneShot ? "supervise" : "server"),
-        Tag(OneShot ? "taj-supervise" : "taj-serve"), Journal(O.JournalPath),
+        Tag(OneShot ? "taj-supervise" : "taj-serve"), Log(O.JournalPath),
         ConfigFp(optionsFingerprint(O.Base)) {}
 
   int serve();
@@ -315,7 +368,7 @@ public:
 
 private:
   bool setupSocket();
-  bool spawnWorker(PoolWorker &W, const supervise::SupervisorConfig *Lim);
+  bool spawnWorker(PoolWorker &W, const SupervisorConfig *Lim);
   void retire(PoolWorker &W);
   void loop();
   void dispatch();
@@ -340,7 +393,7 @@ private:
   const bool OneShot;
   const char *const Cat; ///< trace category of coordinator-side events
   const char *const Tag; ///< stderr diagnostic prefix
-  supervise::Journal Journal;
+  Journal Log; ///< the --journal attempt record
   std::string ConfigFp;
   Timer Clock;
   int ListenFd = -1;
@@ -427,7 +480,7 @@ Bound:
 
 /// Forks a worker into slot \p W. \p Lim (one-shot workers only) carries
 /// the rlimit backstops the child arms before anything else.
-bool Pool::spawnWorker(PoolWorker &W, const supervise::SupervisorConfig *Lim) {
+bool Pool::spawnWorker(PoolWorker &W, const SupervisorConfig *Lim) {
   int SP[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, SP) < 0) {
     std::fprintf(stderr, "error: socketpair: %s\n", std::strerror(errno));
@@ -611,8 +664,8 @@ void Pool::dispatch() {
     RunGuard::Limits Coop;
     Coop.DeadlineMs = W.Cur.Opt.DeadlineMs;
     Coop.MaxMemoryBytes = W.Cur.Opt.MaxMemoryMb * 1024 * 1024;
-    supervise::SupervisorConfig Lim;
-    supervise::deriveHardLimits(RunGuard::limitsFromEnv(Coop), Lim);
+    SupervisorConfig Lim;
+    deriveHardLimits(RunGuard::limitsFromEnv(Coop), Lim);
     if (OneShot) {
       if (!spawnWorker(W, &Lim)) {
         // socketpair or fork failed: a terminal error for this app, not
@@ -650,9 +703,9 @@ void Pool::dispatch() {
 
 void Pool::journalAttempt(const PendingReq &R, ExitClass Class, int Signal,
                           int Exit, uint64_t Issues, bool Terminal) {
-  if (!Journal.configured())
+  if (!Log.configured())
     return;
-  supervise::Attempt A;
+  Attempt A;
   A.Line = R.Line;
   A.App = R.AppName;
   A.ConfigFp = ConfigFp;
@@ -662,7 +715,7 @@ void Pool::journalAttempt(const PendingReq &R, ExitClass Class, int Signal,
   A.Exit = Exit;
   A.Issues = Issues;
   A.Terminal = Terminal;
-  Journal.append(A);
+  Log.append(A);
 }
 
 void Pool::stampServerCounters(Stats &S) const {
@@ -681,14 +734,14 @@ void Pool::complete(PendingReq &R, Response &Resp, ExitClass Class,
                     int Signal, int Exit) {
   journalAttempt(R, Class, Signal, Exit, Resp.Issues, /*Terminal=*/true);
   Stats ReqStats;
-  supervise::recoverWorkerStats(Resp.StatsJson, R.AppName, &ReqStats,
-                                N.StatsParseFailed);
+  recoverWorkerStats(Resp.StatsJson, R.AppName, &ReqStats,
+                     N.StatsParseFailed);
   Merged.merge(ReqStats);
   if (OneShot) {
     AppResult &Res = Results[R.Line];
     Res.Done = true;
     Res.Class = Class;
-    Res.Exit = Exit >= 0 ? Exit : supervise::exitContribution(Class);
+    Res.Exit = Exit >= 0 ? Exit : exitCodeForStatus(statusFromExitClass(Class));
     Res.Issues = Resp.Issues;
     Res.Output = std::move(Resp.Report);
     Res.Diag = std::move(Resp.Diag);
@@ -746,11 +799,7 @@ void Pool::onWorkerFrame(size_t Idx, std::vector<uint8_t> &Payload) {
   if (!W.Busy)
     return; // response for a request we already gave up on
   traceAttempt(Idx, W.Cur, /*Died=*/false);
-  ExitClass Class = ExitClass::Error;
-  if (Resp.Exit == ExitClean)
-    Class = ExitClass::Clean;
-  else if (Resp.Exit == ExitTruncated)
-    Class = ExitClass::Truncated;
+  const ExitClass Class = classifyExitCode(Resp.Exit);
   // Keep a copy of the worker's events for the merged timeline; a client
   // still gets the blob for its own --trace.
   if (!Resp.TraceBlob.empty())
@@ -777,8 +826,7 @@ void Pool::onWorkerDeath(size_t Idx) {
   if (W.Busy) {
     W.Busy = false;
     PendingReq R = std::move(W.Cur);
-    const ExitClass Class =
-        supervise::classifyWaitStatus(Status, WatchdogKilled);
+    const ExitClass Class = classifyWaitStatus(Status, WatchdogKilled);
     const int Sig = WIFSIGNALED(Status) ? WTERMSIG(Status) : 0;
     const int Exit = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
     traceAttempt(Idx, R, /*Died=*/true);
@@ -804,7 +852,7 @@ void Pool::onWorkerDeath(size_t Idx) {
       Response Resp;
       Resp.St = statusFromExitClass(Class);
       Resp.Exit = exitCodeForStatus(Resp.St);
-      Resp.Message = std::string("worker ") + supervise::exitClassName(Class);
+      Resp.Message = std::string("worker ") + exitClassName(Class);
       complete(R, Resp, Class, Sig, Exit);
     }
   }
@@ -865,8 +913,9 @@ void Pool::flushReady() {
   }
 }
 
+/// Stamps the pool's own counters into the merged stats, then writes the
+/// --stats-json and merged --trace artifacts.
 bool Pool::writeArtifacts() {
-  bool Ok = true;
   if (OneShot) {
     Merged.add("supervise.spawned", N.Spawned);
     Merged.add("supervise.crashed", N.Crashed);
@@ -880,23 +929,8 @@ bool Pool::writeArtifacts() {
     stampServerCounters(Merged);
     Merged.add("server.respawned", N.Respawned);
   }
-  if (!O.StatsJsonPath.empty()) {
-    std::FILE *F = std::fopen(O.StatsJsonPath.c_str(), "w");
-    const std::string J = Merged.toJson() + "\n";
-    if (!F || std::fwrite(J.data(), 1, J.size(), F) != J.size()) {
-      std::fprintf(stderr, "error: cannot write '%s'\n",
-                   O.StatsJsonPath.c_str());
-      Ok = false;
-    }
-    if (F && std::fclose(F) != 0)
-      Ok = false;
-  }
-  if (!O.TracePath.empty() &&
-      !trace::writeJsonMerged(O.TracePath, TraceBlobs)) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", O.TracePath.c_str());
-    Ok = false;
-  }
-  return Ok;
+  return server::writeArtifacts(O.StatsJsonPath, Merged.toJson(), O.TracePath,
+                                TraceBlobs);
 }
 
 /// The event loop both modes share. A daemon leaves it once a drain has
@@ -1048,8 +1082,7 @@ void Pool::loop() {
           // refused, C.Fd comes back cleared.
           admit(C, Payload);
           C.Buf.clear();
-        } else if (Bad || C.Buf.size() > 8 + static_cast<size_t>(
-                                                 MaxFrameBytes)) {
+        } else if (Bad) {
           refuse(C.Fd, Status::ProtocolError, "bad frame");
           C.Fd = -1;
           C.Buf.clear();
@@ -1160,8 +1193,8 @@ int Pool::batch(bool Resume) {
   // means the work is already done — contribute its recorded outcome to
   // the worst-of exit and skip the worker entirely.
   if (Resume) {
-    std::unordered_map<uint64_t, supervise::Attempt> Terminal;
-    for (supervise::Attempt &A : supervise::Journal::load(O.JournalPath))
+    std::unordered_map<uint64_t, Attempt> Terminal;
+    for (Attempt &A : Journal::load(O.JournalPath))
       if (A.Terminal && A.ConfigFp == ConfigFp && A.Line < Apps->size() &&
           A.App == (*Apps)[A.Line].Name)
         Terminal[A.Line] = std::move(A);
@@ -1169,7 +1202,8 @@ int Pool::batch(bool Resume) {
       AppResult &R = Results[Line];
       R.Done = true;
       R.Class = A.Class;
-      R.Exit = A.Exit >= 0 ? A.Exit : supervise::exitContribution(A.Class);
+      R.Exit = A.Exit >= 0 ? A.Exit
+                           : exitCodeForStatus(statusFromExitClass(A.Class));
       R.Issues = A.Issues;
       R.Suffix = " (resumed)";
       ++N.ResumedSkips;
@@ -1192,13 +1226,8 @@ int Pool::batch(bool Resume) {
   loop();
 
   int Exit = ExitClean;
-  for (const AppResult &R : Results) {
-    const int E = supervise::exitContribution(R.Class);
-    if (E == ExitError || Exit == ExitError)
-      Exit = ExitError;
-    else if (E == ExitTruncated)
-      Exit = ExitTruncated;
-  }
+  for (const AppResult &R : Results)
+    Exit = worstExit(Exit, exitCodeForStatus(statusFromExitClass(R.Class)));
   return writeArtifacts() ? Exit : ExitError;
 }
 

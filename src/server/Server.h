@@ -23,18 +23,18 @@
 /// a batch attempt are bit-for-bit the same run. Shared supervision:
 ///
 ///  - a per-attempt watchdog: the hard deadline is derived from the
-///    request's cooperative limits via supervise::deriveHardLimits (2x +
-///    1s; TAJ_HARD_DEADLINE_MS / TAJ_WATCHDOG_GRACE_MS overridable), with
+///    request's cooperative limits via deriveHardLimits (2x + 1s;
+///    TAJ_HARD_DEADLINE_MS / TAJ_WATCHDOG_GRACE_MS overridable), with
 ///    SIGTERM -> SIGKILL escalation;
-///  - six-way classification of dead workers (supervise::
-///    classifyWaitStatus: clean / truncated / error / crashed / timeout /
-///    oom). Workers install the allocation-failure OOM handler, so
-///    bad_alloc dies as WorkerOomExitCode -> oom;
+///  - six-way classification of dead workers (classifyWaitStatus: clean /
+///    truncated / error / crashed / timeout / oom). Workers install an
+///    allocation-failure new-handler, so bad_alloc dies as
+///    WorkerOomExitCode -> oom;
 ///  - one degraded-config retry path (degradeForRetry) before a crash,
 ///    timeout or OOM becomes the terminal outcome;
-///  - one JSONL journal writer (supervise/Journal.h), one stats merge
-///    (supervise::recoverWorkerStats) and one merged trace timeline, each
-///    attempt a span on its worker slot's synthetic lane (tid 1000+slot).
+///  - one JSONL journal writer (server/Journal.h), one stats merge
+///    (recoverWorkerStats) and one merged trace timeline, each attempt a
+///    span on its worker slot's synthetic lane (tid 1000+slot).
 ///
 /// What differs between the modes:
 ///
@@ -70,6 +70,7 @@
 
 #include "server/Protocol.h"
 #include "server/Service.h"
+#include "support/RunGuard.h"
 
 #include <cstdint>
 #include <string>
@@ -89,8 +90,6 @@ struct ServerOptions {
   RunOptions Base;
   std::string CacheDir; ///< "" = no disk tier (workers run memory-only)
   uint64_t CacheMaxMb = 0;
-  uint64_t CacheGraceMs = 0;
-  bool CacheGraceSet = false;
   uint64_t HotMaxMb = 256; ///< per-worker hot-tier byte cap (0 = uncapped)
   std::string JournalPath;
   std::string StatsJsonPath;
@@ -114,6 +113,57 @@ struct BatchApp {
 /// O.JournalPath. Returns the worst-of exit code.
 int runBatch(const ServerOptions &O, const std::vector<BatchApp> &Apps,
              bool Resume);
+
+/// Reserved worker exit code announcing an allocation failure while
+/// running under a RLIMIT_AS ceiling (every worker installs a new-handler
+/// that dies with it). Outside the 0/1/2 CLI exit contract, so it cannot
+/// be confused with a real analysis outcome.
+constexpr int WorkerOomExitCode = 17;
+
+/// Exit code of a one-shot worker that ended without receiving its
+/// request (its coordinator closed the pair first); classified as error.
+constexpr int WorkerSpawnFailExitCode = 127;
+
+/// Pure classification of a worker's waitpid status. \p WatchdogKilled
+/// tells whether the coordinator's watchdog delivered the fatal signal.
+/// An exit code classifies like a worker's answer (0 clean, 2 truncated,
+/// WorkerOomExitCode oom, anything else error); SIGXCPU is a timeout (the
+/// RLIMIT_CPU backstop); an un-asked-for SIGKILL is the kernel OOM
+/// killer's signature.
+ExitClass classifyWaitStatus(int WaitStatus, bool WatchdogKilled);
+
+/// The non-cooperative backstops of one worker attempt.
+struct SupervisorConfig {
+  /// Watchdog wall-clock limit per attempt in ms (0 = no watchdog).
+  double HardDeadlineMs = 0;
+  /// SIGTERM -> SIGKILL escalation grace in ms.
+  double GraceMs = 2000;
+  /// RLIMIT_AS ceiling in bytes (0 = none).
+  uint64_t HardMemoryBytes = 0;
+  /// RLIMIT_CPU ceiling in seconds (0 = none).
+  uint64_t CpuLimitSec = 0;
+};
+
+/// Fills the non-cooperative backstop limits of \p C from the cooperative
+/// ones: hard deadline = 2x cooperative + 1s, RLIMIT_AS = 2x cooperative
+/// memory ceiling, RLIMIT_CPU from the hard deadline. The
+/// TAJ_HARD_DEADLINE_MS / TAJ_HARD_MAX_MEMORY_MB / TAJ_WATCHDOG_GRACE_MS
+/// environment knobs override (0 disables), letting operators arm the
+/// watchdog even for runs with no cooperative limits. They are read like
+/// their neighbours (support/Number.h): a value a flag would reject counts
+/// as unset.
+void deriveHardLimits(const RunGuard::Limits &Coop, SupervisorConfig &C);
+
+/// Recovers a finished worker's --stats-json counters: merges everything
+/// that parsed into \p Merged (when non-null) and returns the worker's
+/// cli.issues count. An empty \p StatsText is normal (a crashed worker
+/// never sent its counters) and not an error. Malformed JSON increments
+/// \p ParseFailures and emits a stderr diagnostic naming \p App — the
+/// counters that did parse are still merged, so a torn write surfaces
+/// instead of silently dropping the worker's data.
+uint64_t recoverWorkerStats(const std::string &StatsText,
+                            const std::string &App, Stats *Merged,
+                            uint64_t &ParseFailures);
 
 } // namespace server
 } // namespace taj

@@ -14,9 +14,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -27,30 +25,30 @@
 using namespace taj;
 using namespace taj::server;
 
-bool server::parseNum(const char *Flag, const char *Text, double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(Text, &End);
-  if (*Text == '\0' || *End != '\0' || Out < 0) {
+namespace {
+
+/// Turns a refused flag value into its usage diagnostic.
+bool flagParsed(NumberParse R, const char *Flag, const char *Text,
+                uint64_t Max) {
+  if (R == NumberParse::Malformed)
     std::fprintf(stderr, "error: %s requires a non-negative number, got '%s'\n",
                  Flag, Text);
-    return false;
-  }
-  return true;
+  else if (R == NumberParse::OutOfRange)
+    std::fprintf(stderr,
+                 "error: %s value '%s' is out of range (integer 0..%llu)\n",
+                 Flag, Text, static_cast<unsigned long long>(Max));
+  return R == NumberParse::Ok;
+}
+
+} // namespace
+
+bool server::parseNum(const char *Flag, const char *Text, double &Out) {
+  return flagParsed(parseNumber(Text, Out), Flag, Text, 0);
 }
 
 bool server::parseUInt(const char *Flag, const char *Text, uint64_t Max,
                        uint64_t &Out) {
-  double V;
-  if (!parseNum(Flag, Text, V))
-    return false;
-  if (V != std::floor(V) || V > static_cast<double>(Max)) {
-    std::fprintf(stderr,
-                 "error: %s value '%s' is out of range (integer 0..%llu)\n",
-                 Flag, Text, static_cast<unsigned long long>(Max));
-    return false;
-  }
-  Out = static_cast<uint64_t>(V);
-  return true;
+  return flagParsed(parseInteger(Text, Max, Out), Flag, Text, Max);
 }
 
 bool server::parseU32(const char *Flag, const char *Text, uint32_t &Out) {
@@ -248,6 +246,31 @@ bool server::readFileText(const char *Path, std::string &Out,
   }
   Out = SS.str();
   return true;
+}
+
+bool server::writeArtifacts(const std::string &StatsJsonPath,
+                            const std::string &StatsJson,
+                            const std::string &TracePath,
+                            const std::vector<std::string> &TraceBlobs) {
+  bool Ok = true;
+  auto Failed = [&Ok](const std::string &Path) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
+    Ok = false;
+  };
+  if (!StatsJsonPath.empty()) {
+    std::FILE *F = std::fopen(StatsJsonPath.c_str(), "w");
+    bool Wrote = F &&
+                 std::fwrite(StatsJson.data(), 1, StatsJson.size(), F) ==
+                     StatsJson.size() &&
+                 std::fputc('\n', F) != EOF;
+    if (F && std::fclose(F) != 0)
+      Wrote = false; // the buffered tail never reached the file
+    if (!Wrote)
+      Failed(StatsJsonPath);
+  }
+  if (!TracePath.empty() && !trace::writeJsonMerged(TracePath, TraceBlobs))
+    Failed(TracePath);
+  return Ok;
 }
 
 RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,

@@ -29,6 +29,7 @@
 #define TAJ_SERVER_SERVICE_H
 
 #include "dataflow/ConstString.h"
+#include "support/Number.h"
 #include "verify/Verify.h"
 
 #include <cstdint>
@@ -49,19 +50,22 @@ namespace server {
 /// The documented taj-cli exit contract, shared by every driver.
 enum ExitCode { ExitClean = 0, ExitError = 1, ExitTruncated = 2 };
 
-/// Strict numeric flag parsing: "--fail-at=abc" or "--deadline-ms=" must
-/// be a usage error, not a silently ignored limit.
-bool parseNum(const char *Flag, const char *Text, double &Out);
+/// A batch's exit code after one more app exited with \p App: the worst of
+/// the two, error > truncated > clean.
+inline int worstExit(int Batch, int App) {
+  if (Batch == ExitError || App == ExitError)
+    return ExitError;
+  return App == ExitTruncated ? ExitTruncated : Batch;
+}
 
-/// Integer flags additionally range-check before the narrowing cast:
-/// "--budget=5e9" must be a usage error, not a silent uint32_t wrap.
+/// Numeric flags through the strict parser of support/Number.h, with a
+/// usage diagnostic on stderr: "--fail-at=abc" or "--deadline-ms=" must be
+/// a usage error, not a silently ignored limit, and "--budget=5e9" must
+/// not wrap silently to a small uint32_t.
+bool parseNum(const char *Flag, const char *Text, double &Out);
 bool parseUInt(const char *Flag, const char *Text, uint64_t Max,
                uint64_t &Out);
 bool parseU32(const char *Flag, const char *Text, uint32_t &Out);
-
-/// Counter-like uint64 flags stay within double's exact-integer range so
-/// the strtod round-trip cannot quietly lose precision.
-constexpr uint64_t MaxExactU64 = 1ull << 53;
 
 /// Everything one analysis run needs besides its input files: the
 /// analysis-shaping flags of taj-cli, identically interpreted by the CLI
@@ -133,6 +137,17 @@ struct RunOutcome {
 
 /// Reads \p Path into \p Out; false (with strerror-ish \p Err) on failure.
 bool readFileText(const char *Path, std::string &Out, std::string &Err);
+
+/// Writes a run's --stats-json and --trace artifacts, the one writer of
+/// every taj-cli mode: \p StatsJson and a newline to \p StatsJsonPath, and
+/// this process's trace events merged with \p TraceBlobs to \p TracePath.
+/// An empty path skips its file. A file that cannot be written in full,
+/// its closing flush included, gets an `error: cannot write '<path>'` line
+/// on stderr; false when any did.
+bool writeArtifacts(const std::string &StatsJsonPath,
+                    const std::string &StatsJson,
+                    const std::string &TracePath,
+                    const std::vector<std::string> &TraceBlobs = {});
 
 /// Analyzes one app (a set of .taj sources forming one program) end to
 /// end: frontend (IR cache aware), analysis (points-to/SDG cache aware

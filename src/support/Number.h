@@ -1,0 +1,66 @@
+//===- support/Number.h - Strict numeric text parsing ----------*- C++ -*-===//
+//
+// Part of the TAJ reproduction. MIT license.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The one reading of a number that taj-cli's numeric flags and the TAJ_*
+/// environment knobs share: the whole text must be a non-negative number
+/// (strtod syntax), and an integer setting must also be integral and in
+/// range. "--fail-at=abc", "TAJ_HARD_DEADLINE_MS=-5" or a "64abc" are
+/// refused, never read as 0 or as their numeric prefix. Flags turn a
+/// refusal into a usage error (server::parseNum / parseUInt); a variable
+/// that is refused counts as unset.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef TAJ_SUPPORT_NUMBER_H
+#define TAJ_SUPPORT_NUMBER_H
+
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+
+namespace taj {
+
+/// Counter-like integer settings stay within double's exact-integer range,
+/// so the strtod round trip cannot quietly lose precision.
+constexpr uint64_t MaxExactU64 = 1ull << 53;
+
+/// Outcome of a strict parse.
+enum class NumberParse {
+  Ok,
+  Malformed,  ///< unset, empty, trailing text, or negative
+  OutOfRange, ///< a number, but not an integer in 0..Max
+};
+
+/// \p Text (null counts as malformed) as a fully consumed non-negative
+/// number. \p Out is written only on success.
+inline NumberParse parseNumber(const char *Text, double &Out) {
+  if (!Text || *Text == '\0')
+    return NumberParse::Malformed;
+  char *End = nullptr;
+  const double V = std::strtod(Text, &End);
+  if (*End != '\0' || V < 0)
+    return NumberParse::Malformed;
+  Out = V;
+  return NumberParse::Ok;
+}
+
+/// parseNumber restricted to an integer in 0..\p Max, range-checked before
+/// the narrowing cast.
+inline NumberParse parseInteger(const char *Text, uint64_t Max,
+                                uint64_t &Out) {
+  double V;
+  if (NumberParse R = parseNumber(Text, V); R != NumberParse::Ok)
+    return R;
+  if (V != std::floor(V) || V > static_cast<double>(Max))
+    return NumberParse::OutOfRange;
+  Out = static_cast<uint64_t>(V);
+  return NumberParse::Ok;
+}
+
+} // namespace taj
+
+#endif // TAJ_SUPPORT_NUMBER_H

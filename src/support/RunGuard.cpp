@@ -2,11 +2,11 @@
 
 #include "support/RunGuard.h"
 
+#include "support/Number.h"
 #include "support/Trace.h"
 
 #include <chrono>
 #include <climits>
-#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <thread>
@@ -95,50 +95,31 @@ void taj::traceGuardStop(CutoffReason R, RunPhase P) {
                     "guard");
 }
 
-namespace {
-
-/// Environment variable \p Name as a fully consumed non-negative number;
-/// false when unset or malformed.
-bool envNum(const char *Name, double &Out) {
-  const char *E = std::getenv(Name);
-  if (!E || *E == '\0')
-    return false;
-  char *End = nullptr;
-  const double V = std::strtod(E, &End);
-  if (*End != '\0' || V < 0)
-    return false;
-  Out = V;
-  return true;
-}
-
-/// envNum restricted to integers up to 2^53, the flag parsers' range.
-bool envUInt(const char *Name, uint64_t &Out) {
-  double V;
-  if (!envNum(Name, V) || V != std::floor(V) ||
-      V > static_cast<double>(1ull << 53))
-    return false;
-  Out = static_cast<uint64_t>(V);
-  return true;
-}
-
-} // namespace
-
 RunGuard::Limits RunGuard::limitsFromEnv(Limits Base) {
   // The environment only fills limits the caller left unset, so explicit
   // configuration (e.g. CLI flags) always wins over TAJ_* variables.
+  // Each variable is read as strictly as its flag (support/Number.h), and
+  // a refused value leaves its limit untouched.
   uint64_t U;
   if (Base.DeadlineMs <= 0)
-    envNum("TAJ_DEADLINE_MS", Base.DeadlineMs);
-  if (Base.MaxMemoryBytes == 0 && envUInt("TAJ_MAX_MEMORY_MB", U))
+    parseNumber(std::getenv("TAJ_DEADLINE_MS"), Base.DeadlineMs);
+  if (Base.MaxMemoryBytes == 0 &&
+      parseInteger(std::getenv("TAJ_MAX_MEMORY_MB"), MaxExactU64, U) ==
+          NumberParse::Ok)
     Base.MaxMemoryBytes = U * 1024 * 1024;
   if (Base.FailAtCheckpoint == 0)
-    envUInt("TAJ_FAIL_AT", Base.FailAtCheckpoint);
+    parseInteger(std::getenv("TAJ_FAIL_AT"), MaxExactU64,
+                 Base.FailAtCheckpoint);
   if (Base.CrashAtCheckpoint == 0)
-    envUInt("TAJ_CRASH_AT", Base.CrashAtCheckpoint);
-  if (Base.CrashSignal == 0 && envUInt("TAJ_CRASH_SIGNAL", U) && U <= INT_MAX)
+    parseInteger(std::getenv("TAJ_CRASH_AT"), MaxExactU64,
+                 Base.CrashAtCheckpoint);
+  if (Base.CrashSignal == 0 &&
+      parseInteger(std::getenv("TAJ_CRASH_SIGNAL"), INT_MAX, U) ==
+          NumberParse::Ok)
     Base.CrashSignal = static_cast<int>(U);
   if (Base.HangAtCheckpoint == 0)
-    envUInt("TAJ_HANG_AT", Base.HangAtCheckpoint);
+    parseInteger(std::getenv("TAJ_HANG_AT"), MaxExactU64,
+                 Base.HangAtCheckpoint);
   return Base;
 }
 

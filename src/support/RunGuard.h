@@ -229,8 +229,6 @@ public:
   uint64_t phaseWork() const {
     return Checkpoints.load(std::memory_order_relaxed) - PhaseStartWork;
   }
-  /// Checkpoint index at which the run stopped (0 if still running).
-  uint64_t workAtCutoff() const { return CutoffAt; }
   /// Milliseconds since the guard was constructed.
   double elapsedMs() const { return T.elapsedMs(); }
 
@@ -253,14 +251,12 @@ private:
   bool stop(CutoffReason R) {
     // Two-step latch: a relaxed CAS elects the winner, which records the
     // cutoff details and only then publishes StopFlag with release order,
-    // so any thread observing stopped() also observes Reason/CutPhase/
-    // CutoffAt.
+    // so any thread observing stopped() also observes Reason and CutPhase.
     bool Expected = false;
     if (StopClaim.compare_exchange_strong(Expected, true,
                                           std::memory_order_relaxed)) {
       Reason = R;
       CutPhase = CurPhase;
-      CutoffAt = Checkpoints.load(std::memory_order_relaxed);
       StopFlag.store(true, std::memory_order_release);
       traceGuardStop(R, CurPhase); // one-shot, off the hot path
     }
@@ -283,7 +279,6 @@ private:
   std::atomic<uint64_t> Checkpoints{0};
   uint64_t PhaseStartWork = 0;
   uint64_t PhaseWorkAcc[5] = {0, 0, 0, 0, 0};
-  uint64_t CutoffAt = 0;
   RunPhase CurPhase = RunPhase::PointerAnalysis;
   RunPhase CutPhase = RunPhase::PointerAnalysis;
   CutoffReason Reason = CutoffReason::None;

@@ -95,14 +95,11 @@ class Timer {
 public:
   Timer() : Start(Clock::now()) {}
 
-  /// Returns elapsed milliseconds since construction or last restart().
+  /// Returns elapsed milliseconds since construction.
   double elapsedMs() const {
     return std::chrono::duration<double, std::milli>(Clock::now() - Start)
         .count();
   }
-
-  /// Resets the timer to now.
-  void restart() { Start = Clock::now(); }
 
 private:
   using Clock = std::chrono::steady_clock;
@@ -129,12 +126,6 @@ public:
 
   /// True once consume() has failed at least once.
   bool exhausted() const { return Exceeded; }
-
-  /// Units consumed so far.
-  uint64_t used() const { return Used; }
-
-  /// The configured limit (0 = unbounded).
-  uint64_t limit() const { return Limit; }
 
 private:
   uint64_t Limit = 0;

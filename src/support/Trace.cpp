@@ -181,10 +181,6 @@ std::string trace::renderJson() {
          "\n],\"displayTimeUnit\":\"ms\"}\n";
 }
 
-bool trace::writeJson(const std::string &Path) {
-  return writeJsonMerged(Path, {});
-}
-
 bool trace::writeJsonMerged(const std::string &Path,
                             const std::vector<std::string> &ExtraEventBlobs) {
   std::string All = renderEvents();
@@ -199,7 +195,8 @@ bool trace::writeJsonMerged(const std::string &Path,
   if (!Out)
     return false;
   Out << "{\"traceEvents\":[\n" << All << "\n],\"displayTimeUnit\":\"ms\"}\n";
-  return static_cast<bool>(Out);
+  Out.close(); // a failed closing flush is a failed write too
+  return !Out.fail();
 }
 
 std::string trace::extractEvents(const std::string &TraceFileContent) {

@@ -102,12 +102,10 @@ std::string renderEvents();
 /// Renders a complete `{"traceEvents":[...]}` document.
 std::string renderJson();
 
-/// Writes renderJson() to \p Path. Returns false on I/O failure.
-bool writeJson(const std::string &Path);
-
 /// Writes one merged document: this process's events plus every event
 /// blob of \p ExtraEventBlobs (as produced by extractEvents() from a
-/// worker's trace file). Returns false on I/O failure.
+/// worker's trace file). Returns false on I/O failure, the closing flush
+/// included.
 bool writeJsonMerged(const std::string &Path,
                      const std::vector<std::string> &ExtraEventBlobs);
 

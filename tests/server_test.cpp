@@ -27,9 +27,9 @@
 
 #include "persist/Cache.h"
 #include "server/Client.h"
+#include "server/Journal.h"
 #include "server/Protocol.h"
 #include "server/Service.h"
-#include "supervise/Journal.h"
 #include "support/Stats.h"
 
 #include <gtest/gtest.h>
@@ -378,6 +378,74 @@ TEST(Protocol, AppendFrameMatchesTheWireFormat) {
   std::string Out = "x";
   EXPECT_FALSE(appendFrame(Out, Huge));
   EXPECT_EQ(Out, "x");
+}
+
+// Client and daemon may come from different builds, so the bytes each
+// side puts on the wire are pinned here, not only round-tripped: a codec
+// that changed both directions at once would pass every round trip.
+TEST(Protocol, WireBytesArePinned) {
+  Request Req;
+  Req.Sources.push_back({"a.taj", true, "xy"});
+  Req.Sources.push_back({"b", false, ""});
+  Req.Overrides = {"--raw"};
+  const std::vector<uint8_t> ReqWire = {
+      2,   0,   0,   0,                     // two sources
+      5,   0,   0,   0,   'a', '.', 't', 'a', 'j', // name
+      1,                                    // inline
+      2,   0,   0,   0,   'x', 'y',         // content
+      1,   0,   0,   0,   'b',              // name
+      0,                                    // a path, not inline
+      0,   0,   0,   0,                     // no content
+      1,   0,   0,   0,                     // one override
+      5,   0,   0,   0,   '-', '-', 'r', 'a', 'w'};
+  EXPECT_EQ(serializeRequest(Req), ReqWire);
+  Request ReqBack;
+  ASSERT_TRUE(deserializeRequest(ReqWire.data(), ReqWire.size(), ReqBack));
+  ASSERT_EQ(ReqBack.Sources.size(), 2u);
+  EXPECT_EQ(ReqBack.Sources[0].Name, "a.taj");
+  EXPECT_TRUE(ReqBack.Sources[0].Inline);
+  EXPECT_EQ(ReqBack.Sources[0].Content, "xy");
+  EXPECT_EQ(ReqBack.Sources[1].Name, "b");
+  EXPECT_FALSE(ReqBack.Sources[1].Inline);
+  EXPECT_EQ(ReqBack.Overrides, Req.Overrides);
+
+  Response Resp;
+  Resp.St = Status::Crashed;
+  Resp.Exit = -1;
+  Resp.Issues = 0x0102030405060708ull;
+  Resp.Report = "R";
+  Resp.Diag = "D";
+  Resp.StatsJson = "{}";
+  Resp.TraceBlob = "";
+  Resp.Message = "m";
+  const std::vector<uint8_t> RespWire = {
+      3,                                              // crashed
+      0xff, 0xff, 0xff, 0xff,                         // exit -1
+      8,    7,    6,    5,    4,   3,   2,   1,       // issues
+      1,    0,    0,    0,    'R',                    // report
+      1,    0,    0,    0,    'D',                    // diag
+      2,    0,    0,    0,    '{', '}',               // stats
+      0,    0,    0,    0,                            // no trace
+      1,    0,    0,    0,    'm'};                   // message
+  EXPECT_EQ(serializeResponse(Resp), RespWire);
+  Response RespBack;
+  ASSERT_TRUE(
+      deserializeResponse(RespWire.data(), RespWire.size(), RespBack));
+  EXPECT_EQ(RespBack.St, Status::Crashed);
+  EXPECT_EQ(RespBack.Exit, -1);
+  EXPECT_EQ(RespBack.Issues, 0x0102030405060708ull);
+  EXPECT_EQ(RespBack.Report, "R");
+  EXPECT_EQ(RespBack.Diag, "D");
+  EXPECT_EQ(RespBack.StatsJson, "{}");
+  EXPECT_EQ(RespBack.TraceBlob, "");
+  EXPECT_EQ(RespBack.Message, "m");
+
+  // The frame header: "TAJ1", then the payload length as u32 LE.
+  std::string Frame;
+  ASSERT_TRUE(appendFrame(Frame, std::vector<uint8_t>(258, 0xab)));
+  ASSERT_EQ(Frame.size(), 8u + 258u);
+  EXPECT_EQ(Frame.substr(0, 8), std::string("TAJ1\x02\x01\x00\x00", 8));
+  EXPECT_EQ(static_cast<uint8_t>(Frame[8]), 0xab);
 }
 
 //===----------------------------------------------------------------------===//
@@ -841,14 +909,14 @@ TEST(Serve, CrashedRequestRecoversThroughTheRetryLadder) {
   EXPECT_GE(statOf(T.Path + "/server-stats.json", "server.retried"), 1);
 
   // The journal shows the non-terminal crash and the terminal recovery.
-  std::vector<supervise::Attempt> Recs =
-      supervise::Journal::load(T.Path + "/journal.jsonl");
+  std::vector<server::Attempt> Recs =
+      server::Journal::load(T.Path + "/journal.jsonl");
   ASSERT_GE(Recs.size(), 2u);
   bool SawCrash = false, SawRecovery = false;
-  for (const supervise::Attempt &A : Recs) {
-    if (A.Class == supervise::ExitClass::Crashed && !A.Terminal)
+  for (const server::Attempt &A : Recs) {
+    if (A.Class == server::ExitClass::Crashed && !A.Terminal)
       SawCrash = true;
-    if (A.Class == supervise::ExitClass::Clean && A.Terminal &&
+    if (A.Class == server::ExitClass::Clean && A.Terminal &&
         A.AttemptNo == 2)
       SawRecovery = true;
   }

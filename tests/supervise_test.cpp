@@ -20,8 +20,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "supervise/Journal.h"
-#include "supervise/Supervisor.h"
+#include "server/Journal.h"
+#include "server/Server.h"
 
 #include <gtest/gtest.h>
 
@@ -50,7 +50,7 @@
 #include <unistd.h>
 
 using namespace taj;
-using namespace taj::supervise;
+using namespace taj::server;
 namespace fs = std::filesystem;
 
 namespace {
@@ -300,12 +300,12 @@ TEST(Classify, NamesRoundTripAndContributionsRank) {
   }
   ExitClass Junk;
   EXPECT_FALSE(exitClassFromName("melted", Junk));
-  EXPECT_EQ(exitContribution(ExitClass::Clean), 0);
-  EXPECT_EQ(exitContribution(ExitClass::Truncated), 2);
-  EXPECT_EQ(exitContribution(ExitClass::Error), 1);
-  EXPECT_EQ(exitContribution(ExitClass::Crashed), 1);
-  EXPECT_EQ(exitContribution(ExitClass::Timeout), 1);
-  EXPECT_EQ(exitContribution(ExitClass::Oom), 1);
+  EXPECT_EQ(exitCodeForStatus(statusFromExitClass(ExitClass::Clean)), 0);
+  EXPECT_EQ(exitCodeForStatus(statusFromExitClass(ExitClass::Truncated)), 2);
+  EXPECT_EQ(exitCodeForStatus(statusFromExitClass(ExitClass::Error)), 1);
+  EXPECT_EQ(exitCodeForStatus(statusFromExitClass(ExitClass::Crashed)), 1);
+  EXPECT_EQ(exitCodeForStatus(statusFromExitClass(ExitClass::Timeout)), 1);
+  EXPECT_EQ(exitCodeForStatus(statusFromExitClass(ExitClass::Oom)), 1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -388,6 +388,53 @@ TEST(JournalTest, AppendedRecordsLoadBack) {
   EXPECT_FALSE(Got[0].Terminal);
 }
 
+// The journal outlives the binary that wrote it (--resume reads it back),
+// so its line format is pinned byte for byte, not only round-tripped.
+TEST(JournalTest, LineFormatIsPinned) {
+  Attempt A;
+  A.Line = 3;
+  A.App = "a.taj \"b\".taj";
+  A.ConfigFp = "00ff00ff00ff00ff";
+  A.AttemptNo = 2;
+  A.Class = ExitClass::Crashed;
+  A.Signal = 11;
+  A.Exit = -1;
+  A.Issues = 5;
+  A.Terminal = false;
+  EXPECT_EQ(Journal::toLine(A),
+            "{\"line\":3,\"app\":\"a.taj \\\"b\\\".taj\","
+            "\"config\":\"00ff00ff00ff00ff\",\"attempt\":2,"
+            "\"class\":\"crashed\",\"signal\":11,\"exit\":-1,\"issues\":5,"
+            "\"terminal\":false}");
+
+  const ExitClass Classes[] = {ExitClass::Clean,   ExitClass::Truncated,
+                               ExitClass::Error,   ExitClass::Crashed,
+                               ExitClass::Timeout, ExitClass::Oom};
+  const char *const Names[] = {"clean",   "truncated", "error",
+                               "crashed", "timeout",   "oom"};
+  for (size_t I = 0; I < 6; ++I)
+    EXPECT_STREQ(exitClassName(Classes[I]), Names[I]);
+
+  // A line in the format every earlier build wrote loads as it reads.
+  TempDir T;
+  const std::string Path = T.Path + "/j.jsonl";
+  writeWhole(Path, "{\"line\":1,\"app\":\"examples/webapp.taj\","
+                   "\"config\":\"0123456789abcdef\",\"attempt\":1,"
+                   "\"class\":\"truncated\",\"signal\":0,\"exit\":2,"
+                   "\"issues\":3,\"terminal\":true}\n");
+  std::vector<Attempt> Got = Journal::load(Path);
+  ASSERT_EQ(Got.size(), 1u);
+  EXPECT_EQ(Got[0].Line, 1u);
+  EXPECT_EQ(Got[0].App, "examples/webapp.taj");
+  EXPECT_EQ(Got[0].ConfigFp, "0123456789abcdef");
+  EXPECT_EQ(Got[0].AttemptNo, 1u);
+  EXPECT_EQ(Got[0].Class, ExitClass::Truncated);
+  EXPECT_EQ(Got[0].Signal, 0);
+  EXPECT_EQ(Got[0].Exit, 2);
+  EXPECT_EQ(Got[0].Issues, 3u);
+  EXPECT_TRUE(Got[0].Terminal);
+}
+
 //===----------------------------------------------------------------------===//
 // Hard-limit derivation
 //===----------------------------------------------------------------------===//
@@ -425,6 +472,43 @@ TEST(HardLimits, EnvironmentOverrides) {
   EXPECT_DOUBLE_EQ(C.HardDeadlineMs, 500);
   EXPECT_EQ(C.HardMemoryBytes, 64ull * 1024 * 1024);
   EXPECT_DOUBLE_EQ(C.GraceMs, 100);
+}
+
+// The backstop variables are read like every other TAJ_* knob and like
+// their flags: a value the flag parser would reject counts as unset (the
+// derived limit stands), and a well-formed 0 still disables.
+TEST(HardLimits, MalformedEnvironmentCountsAsUnset) {
+  RunGuard::Limits Coop;
+  Coop.DeadlineMs = 100;
+  Coop.MaxMemoryBytes = 512ull * 1024 * 1024;
+  auto Derive = [&](const char *Var, const char *Value) {
+    ::setenv(Var, Value, 1);
+    SupervisorConfig C;
+    deriveHardLimits(Coop, C);
+    ::unsetenv(Var);
+    return C;
+  };
+  const uint64_t GiB = 1024ull * 1024 * 1024;
+  for (const char *Bad : {"junk", "-5", "", "12ms"}) {
+    SupervisorConfig C = Derive("TAJ_HARD_DEADLINE_MS", Bad);
+    EXPECT_DOUBLE_EQ(C.HardDeadlineMs, 1200) << Bad;
+    EXPECT_EQ(C.CpuLimitSec, (1200 / 1000 + 1) * 16u) << Bad;
+  }
+  for (const char *Bad : {"64abc", "-1", "1.5", "junk"})
+    EXPECT_EQ(Derive("TAJ_HARD_MAX_MEMORY_MB", Bad).HardMemoryBytes, GiB)
+        << Bad;
+  for (const char *Bad : {"-100", "soon"})
+    EXPECT_DOUBLE_EQ(Derive("TAJ_WATCHDOG_GRACE_MS", Bad).GraceMs, 2000)
+        << Bad;
+
+  // Well-formed values, exponent notation included, still apply.
+  EXPECT_EQ(Derive("TAJ_HARD_MAX_MEMORY_MB", "1e3").HardMemoryBytes,
+            1000ull * 1024 * 1024);
+  EXPECT_DOUBLE_EQ(Derive("TAJ_WATCHDOG_GRACE_MS", "250").GraceMs, 250);
+  SupervisorConfig Off = Derive("TAJ_HARD_DEADLINE_MS", "0");
+  EXPECT_DOUBLE_EQ(Off.HardDeadlineMs, 0);
+  EXPECT_EQ(Off.CpuLimitSec, 0u);
+  EXPECT_EQ(Derive("TAJ_HARD_MAX_MEMORY_MB", "0").HardMemoryBytes, 0u);
 }
 
 //===----------------------------------------------------------------------===//

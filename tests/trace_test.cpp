@@ -21,7 +21,7 @@
 
 #include "benchgen/Generator.h"
 #include "core/TaintAnalysis.h"
-#include "supervise/Supervisor.h"
+#include "server/Server.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
 
@@ -534,14 +534,14 @@ TEST(PhaseStats, RunPhaseSumMatchesMillisWithinTolerance) {
 TEST(RecoverWorkerStats, EmptyFileIsNormalNotAFailure) {
   Stats Merged;
   uint64_t Failures = 0;
-  EXPECT_EQ(supervise::recoverWorkerStats("", "app", &Merged, Failures), 0u);
+  EXPECT_EQ(server::recoverWorkerStats("", "app", &Merged, Failures), 0u);
   EXPECT_EQ(Failures, 0u);
 }
 
 TEST(RecoverWorkerStats, ValidJsonMergesAndReturnsIssues) {
   Stats Merged;
   uint64_t Failures = 0;
-  uint64_t Issues = supervise::recoverWorkerStats(
+  uint64_t Issues = server::recoverWorkerStats(
       "{\"cli.issues\":3,\"persist.hit\":2}", "app", &Merged, Failures);
   EXPECT_EQ(Issues, 3u);
   EXPECT_EQ(Failures, 0u);
@@ -553,14 +553,14 @@ TEST(RecoverWorkerStats, MalformedJsonSurfacesButKeepsParsedCounters) {
   uint64_t Failures = 0;
   // Torn write: the tail is cut mid-pair. The counters before the tear
   // must still merge — surfacing beats silently dropping the worker.
-  uint64_t Issues = supervise::recoverWorkerStats(
+  uint64_t Issues = server::recoverWorkerStats(
       "{\"cli.issues\":5,\"persist.hit\":4,\"torn", "app", &Merged, Failures);
   EXPECT_EQ(Issues, 5u);
   EXPECT_EQ(Failures, 1u);
   EXPECT_EQ(Merged.get("persist.hit"), 4u);
   // A null merge target only counts the failure.
   uint64_t Failures2 = 0;
-  supervise::recoverWorkerStats("garbage", "app", nullptr, Failures2);
+  server::recoverWorkerStats("garbage", "app", nullptr, Failures2);
   EXPECT_EQ(Failures2, 1u);
 }
 

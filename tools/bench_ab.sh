@@ -3,7 +3,11 @@
 #
 # Compares the micro_perf suite between two build trees, interleaving the
 # runs (A B A B ...) so CPU frequency drift and cache warmth bias neither
-# side, then reports per-benchmark medians and speedups.
+# side, then reports per-benchmark medians and speedups. Every run of both
+# sides is pinned with taskset to one fixed CPU, the last of the script's
+# affinity mask (the CPU suitebench/run.py pins to): unpinned, the rows
+# that fork processes or start threads measure where the scheduler put
+# them, not the code. The report records the CPU as "pinned_cpu".
 #
 #   tools/bench_ab.sh <buildA> <buildB> [rounds] [out.json]
 #
@@ -54,14 +58,16 @@ for D in "$BUILD_A" "$BUILD_B"; do
   fi
 done
 
+CPU=$(python3 -c 'import os; print(sorted(os.sched_getaffinity(0))[-1])')
+
 WORK=$(mktemp -d /tmp/taj-bench-ab-XXXXXX)
 trap 'rm -rf "$WORK"' EXIT
 
 for R in $(seq 1 "$ROUNDS"); do
   for SIDE in A B; do
     if [ "$SIDE" = A ]; then D=$BUILD_A; else D=$BUILD_B; fi
-    echo "round $R/$ROUNDS side $SIDE ($D)" >&2
-    "$D/bench/micro_perf" \
+    echo "round $R/$ROUNDS side $SIDE ($D) on CPU $CPU" >&2
+    taskset -c "$CPU" "$D/bench/micro_perf" \
       --benchmark_filter="$FILTER" \
       --benchmark_format=json \
       --benchmark_out="$WORK/$SIDE.$R.json" \
@@ -69,11 +75,12 @@ for R in $(seq 1 "$ROUNDS"); do
   done
 done
 
-python3 - "$WORK" "$ROUNDS" "$BUILD_A" "$BUILD_B" "$OUT" <<'PY'
+python3 - "$WORK" "$ROUNDS" "$BUILD_A" "$BUILD_B" "$OUT" "$CPU" <<'PY'
 import json, statistics, sys
 
-work, rounds, build_a, build_b, out = (
-    sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5])
+work, rounds, build_a, build_b, out, cpu = (
+    sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5],
+    int(sys.argv[6]))
 
 def collect(side):
     times, units = {}, {}
@@ -92,6 +99,7 @@ report = {
     "baseline": build_a,
     "candidate": build_b,
     "rounds": rounds,
+    "pinned_cpu": cpu,
     "benchmarks": [],
 }
 for name in sorted(set(a) & set(b)):

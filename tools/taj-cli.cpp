@@ -40,12 +40,10 @@
 //   --cache-dir=<path>    persistent artifact cache: parsed IR, points-to
 //                         solutions and SDGs are stored there and reused
 //                         by later runs over the same input/config
-//   --cache-max-mb=<n>    cache byte cap, LRU-evicted (0 = uncapped)
-//   --cache-grace-ms=<n>  eviction grace window: entries touched more
-//                         recently are never evicted (protects entries a
-//                         concurrent worker may be mid-read on; defaults
-//                         to 60000 under --jobs>=1 and --serve with a
-//                         cache dir, else 0)
+//   --cache-max-mb=<n>    cache byte cap, LRU-evicted (0 = uncapped).
+//                         Pool workers (--jobs>=1, --serve) never evict an
+//                         entry touched within the last 60 s, which a
+//                         concurrent worker may be reading
 //   --batch=<listfile>    analyze many apps through one shared warm
 //                         cache; each list line names one app's .taj
 //                         files (whitespace-separated; blank lines and
@@ -105,9 +103,10 @@
 // (TAJ_DEADLINE_MS, TAJ_MAX_MEMORY_MB, TAJ_FAIL_AT, TAJ_CRASH_AT,
 // TAJ_CRASH_SIGNAL, TAJ_HANG_AT); the thread count from TAJ_THREADS; the
 // worker pool's non-cooperative backstops from TAJ_HARD_DEADLINE_MS,
-// TAJ_HARD_MAX_MEMORY_MB and TAJ_WATCHDOG_GRACE_MS. Explicit flags win. A
-// governance knob's variable is parsed like its flag; a value the flag
-// would reject counts as unset.
+// TAJ_HARD_MAX_MEMORY_MB and TAJ_WATCHDOG_GRACE_MS. Explicit flags win.
+// Every one of these variables but TAJ_THREADS is parsed like a numeric
+// flag (a non-negative number, an integer where the setting is one); a
+// value that parse rejects, e.g. "4abc" or "-1", counts as unset.
 //
 // Exit codes (the documented contract):
 //   0  clean: the analysis ran to completion (issues, if any, printed)
@@ -136,7 +135,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -157,7 +155,7 @@ void usage() {
       "               [--deadline-ms=N]\n"
       "               [--max-memory-mb=N] [--fail-at=N] [--crash-at=N]\n"
       "               [--hang-at=N] [--cache-dir=PATH] [--cache-max-mb=N]\n"
-      "               [--cache-grace-ms=N] [--jobs=N] [--retry=N]\n"
+      "               [--jobs=N] [--retry=N]\n"
       "               [--journal=PATH] [--resume] [--stats-json=PATH]\n"
       "               [--trace=PATH] [--raw] [--dump-ir] [--stats]\n"
       "               [--pool-size=N] [--queue-depth=N] [--hot-max-mb=N]\n"
@@ -202,23 +200,9 @@ int runConnect(const std::string &SocketPath,
   if (Resp.St != Status::Ok && Resp.St != Status::Truncated)
     std::fprintf(stderr, "server: %s%s%s\n", statusName(Resp.St),
                  Resp.Message.empty() ? "" : ": ", Resp.Message.c_str());
-  if (!StatsJsonPath.empty()) {
-    std::ofstream JOut(StatsJsonPath, std::ios::trunc);
-    if (!JOut || !(JOut << Resp.StatsJson << "\n")) {
-      std::fprintf(stderr, "error: cannot write '%s'\n",
-                   StatsJsonPath.c_str());
-      return ExitError;
-    }
-  }
-  if (!TracePath.empty()) {
-    std::vector<std::string> Blobs;
-    if (!Resp.TraceBlob.empty())
-      Blobs.push_back(Resp.TraceBlob);
-    if (!trace::writeJsonMerged(TracePath, Blobs)) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", TracePath.c_str());
-      return ExitError;
-    }
-  }
+  if (!writeArtifacts(StatsJsonPath, Resp.StatsJson, TracePath,
+                      {Resp.TraceBlob}))
+    return ExitError;
   return exitCodeForStatus(Resp.St);
 }
 
@@ -244,9 +228,9 @@ int main(int Argc, char **Argv) {
   RunOptions Opt;
   std::string CacheDir, BatchFile, StatsJsonPath, JournalPath, TracePath;
   std::string ServePath, ConnectPath;
-  uint64_t CacheMaxMb = 0, CacheGraceMs = 0, Jobs = 0, Retry = 1;
+  uint64_t CacheMaxMb = 0, Jobs = 0, Retry = 1;
   uint64_t PoolSize = 2, QueueDepth = 16, HotMaxMb = 256;
-  bool CacheGraceSet = false, RetrySet = false, Resume = false;
+  bool RetrySet = false, Resume = false;
   bool PoolSizeSet = false, QueueDepthSet = false, HotMaxSet = false;
   std::vector<std::string> Files;
 
@@ -264,10 +248,6 @@ int main(int Argc, char **Argv) {
     else if (std::strncmp(A, "--cache-max-mb=", 15) == 0) {
       if (!parseUInt("--cache-max-mb", A + 15, MaxExactU64, CacheMaxMb))
         return ExitError;
-    } else if (std::strncmp(A, "--cache-grace-ms=", 17) == 0) {
-      if (!parseUInt("--cache-grace-ms", A + 17, MaxExactU64, CacheGraceMs))
-        return ExitError;
-      CacheGraceSet = true;
     } else if (std::strncmp(A, "--jobs=", 7) == 0) {
       if (!parseUInt("--jobs", A + 7, 1024, Jobs))
         return ExitError;
@@ -394,8 +374,6 @@ int main(int Argc, char **Argv) {
   SO.Base = Opt;
   SO.CacheDir = CacheDir;
   SO.CacheMaxMb = CacheMaxMb;
-  SO.CacheGraceMs = CacheGraceMs;
-  SO.CacheGraceSet = CacheGraceSet;
   SO.HotMaxMb = HotMaxMb;
   SO.JournalPath = JournalPath;
   SO.StatsJsonPath = StatsJsonPath;
@@ -413,31 +391,18 @@ int main(int Argc, char **Argv) {
 
   std::unique_ptr<persist::ArtifactCache> Cache;
   if (!CacheDir.empty() && Jobs == 0)
-    Cache = std::make_unique<persist::ArtifactCache>(
-        CacheDir, CacheMaxMb * 1024 * 1024, CacheGraceMs);
+    Cache = std::make_unique<persist::ArtifactCache>(CacheDir,
+                                                     CacheMaxMb * 1024 * 1024);
 
   Stats MergedStats;
   Stats *JsonStats = StatsJsonPath.empty() ? nullptr : &MergedStats;
 
   // Every exit path past this point (normal, truncated, parse failure,
-  // batch-list errors) funnels through this writer or the pool's, so the
-  // stats/trace artifacts exist whenever the flags were given — a CI step
-  // never reads a missing file just because the run degraded.
-  auto WriteArtifacts = [&]() -> bool {
-    bool Ok = true;
-    if (JsonStats) {
-      std::ofstream JOut(StatsJsonPath, std::ios::trunc);
-      if (!JOut || !(JOut << MergedStats.toJson() << "\n")) {
-        std::fprintf(stderr, "error: cannot write '%s'\n",
-                     StatsJsonPath.c_str());
-        Ok = false;
-      }
-    }
-    if (!TracePath.empty() && !trace::writeJson(TracePath)) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", TracePath.c_str());
-      Ok = false;
-    }
-    return Ok;
+  // batch-list errors) writes the stats/trace artifacts, here or in the
+  // pool, so they exist whenever the flags were given — a CI step never
+  // reads a missing file just because the run degraded.
+  auto WriteArtifacts = [&] {
+    return writeArtifacts(StatsJsonPath, MergedStats.toJson(), TracePath);
   };
 
   auto ToSources = [](const std::vector<std::string> &Paths) {
@@ -507,11 +472,7 @@ int main(int Argc, char **Argv) {
         std::printf("--- %s: exit=%d issues=%zu\n", App.Name.c_str(), O.Exit,
                     O.NumIssues);
         std::fflush(stdout);
-        // Worst-of across apps: error > truncated > clean.
-        if (O.Exit == ExitError || Exit == ExitError)
-          Exit = ExitError;
-        else if (O.Exit == ExitTruncated)
-          Exit = ExitTruncated;
+        Exit = worstExit(Exit, O.Exit);
       }
     } else {
       // Supervised batch on the worker pool, which writes the stats and
