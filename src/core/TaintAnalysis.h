@@ -83,7 +83,8 @@ public:
   TaintAnalysis &operator=(const TaintAnalysis &) = delete;
 
   /// Runs pointer analysis from \p Roots, then the configured slicer.
-  /// The program must have been indexStatements()'d; run() does it if not.
+  /// Every call first rebuilds the program's statement index
+  /// (Program::indexStatements), so callers need not build it.
   AnalysisResult run(const std::vector<MethodId> &Roots);
 
   /// The solved pointer analysis (valid after run()).

@@ -27,58 +27,92 @@ const CallSiteInfo *Tabulation::siteOf(SDGNodeId N) const {
 // Summary engine
 //===----------------------------------------------------------------------===//
 
-void Tabulation::seedSummary(SDGNodeId FIn) {
-  if (!SummarySeeded.insert(FIn).second)
-    return;
-  SummaryWork.emplace_back(FIn, FIn, 0);
+namespace {
+/// Appends \p E to the list from \p First to \p Last that is linked
+/// through the Next fields of \p Pool (~0u: end, and an empty list).
+template <typename T>
+void append(std::vector<T> &Pool, uint32_t &First, uint32_t &Last, T E) {
+  const uint32_t I = static_cast<uint32_t>(Pool.size());
+  Pool.push_back(E);
+  (Last == ~0u ? First : Pool[Last].Next) = I;
+  Last = I;
+}
+} // namespace
+
+uint32_t Tabulation::summaryRow(SDGNodeId FIn) {
+  if (RowIndex.needsGrow())
+    RowIndex.grow(Rows.size() + 1,
+                  [this](uint32_t R) { return internMix(Rows[R].FIn); });
+  size_t Slot;
+  const uint32_t Found = RowIndex.find(
+      internMix(FIn), [&](uint32_t R) { return Rows[R].FIn == FIn; }, Slot);
+  if (Found != ~0u)
+    return Found;
+  const uint32_t Row = static_cast<uint32_t>(Rows.size());
+  RowIndex.insertAt(Slot, Row);
+  Rows.push_back({FIn});
+  SummaryWork.push_back({FIn, FIn, 0});
+  return Row;
+}
+
+uint32_t Tabulation::findPathEdge(uint64_t Key, size_t &Slot) const {
+  return PathIndex.find(
+      internMix(Key), [&](uint32_t E) { return PathEdges[E].Key == Key; },
+      Slot);
 }
 
 void Tabulation::propagateSame(SDGNodeId FIn, SDGNodeId N, uint32_t D) {
-  uint64_t Key = (static_cast<uint64_t>(FIn) << 32) | N;
-  auto It = PathDist.find(Key);
-  if (It != PathDist.end() && It->second <= D)
+  if (PathIndex.needsGrow())
+    PathIndex.grow(PathEdges.size() + 1, [this](uint32_t E) {
+      return internMix(PathEdges[E].Key);
+    });
+  const uint64_t Key = (static_cast<uint64_t>(FIn) << 32) | N;
+  size_t Slot;
+  const uint32_t E = findPathEdge(Key, Slot);
+  if (E == ~0u) {
+    PathIndex.insertAt(Slot, static_cast<uint32_t>(PathEdges.size()));
+    PathEdges.push_back({Key, D});
+  } else if (PathEdges[E].D <= D) {
     return;
-  PathDist[Key] = D;
-  SummaryWork.emplace_back(FIn, N, D);
+  } else {
+    PathEdges[E].D = D;
+  }
+  SummaryWork.push_back({FIn, N, D});
 }
 
 void Tabulation::recordSummaryOut(SDGNodeId FIn, SDGNodeId FOut, uint32_t D) {
-  auto &Outs = SummaryOuts[FIn];
-  for (auto &[O, DD] : Outs)
-    if (O == FOut) {
-      if (D < DD)
-        DD = D;
+  // FIn heads a work item, so it is seeded and this adds no row.
+  SummaryRow &Row = Rows[summaryRow(FIn)];
+  for (uint32_t I = Row.FirstOut; I != End; I = Outs[I].Next)
+    if (Outs[I].Out == FOut) {
+      Outs[I].D = std::min(Outs[I].D, D); // lowered without re-propagating
       return;
     }
-  Outs.emplace_back(FOut, D);
-  // Re-propagate at every call site waiting on this summary.
-  auto It = Subscribers.find(FIn);
-  if (It == Subscribers.end())
-    return;
-  for (const Sub &S : It->second) {
+  append(Outs, Row.FirstOut, Row.LastOut, {FOut, D, End});
+  // Re-propagate at every call site waiting on this summary. A
+  // formal-in's own seed records no path edge: its base distance is 0.
+  for (uint32_t K = Row.FirstSub; K != End; K = Subs[K].Next) {
+    const Sub S = Subs[K];
     const CallSiteInfo *CS = siteOf(S.At);
     if (!CS)
       continue;
     SDGNodeId AOut = G.actualOutFor(*CS, FOut);
     if (AOut == InvalidId)
       continue;
-    uint64_t Key = (static_cast<uint64_t>(S.Ctx) << 32) | S.At;
-    auto DI = PathDist.find(Key);
-    uint32_t Base = DI == PathDist.end() ? 0 : DI->second;
-    propagateSame(S.Ctx, AOut, Base + D + 2);
+    size_t Slot;
+    const uint32_t E =
+        findPathEdge((static_cast<uint64_t>(S.Ctx) << 32) | S.At, Slot);
+    propagateSame(S.Ctx, AOut, (E == ~0u ? 0 : PathEdges[E].D) + D + 2);
   }
 }
 
 void Tabulation::drainSummaries() {
-  while (!SummaryWork.empty()) {
-    if (Guard && !Guard->checkpoint()) {
-      // Cutoff: drop pending summary work; partially drained summaries
-      // only shrink the slice (underapproximate), never grow it.
-      SummaryWork.clear();
-      return;
-    }
-    auto [FIn, N, D] = SummaryWork.front();
-    SummaryWork.pop_front();
+  for (size_t Head = 0; Head < SummaryWork.size(); ++Head) {
+    // Cutoff: drop pending summary work; partially drained summaries only
+    // shrink the slice (underapproximate), never grow it.
+    if (Guard && !Guard->checkpoint())
+      break;
+    const auto [FIn, N, D] = SummaryWork[Head];
     ++PathEdgeCount;
     const SDGNode &Node = G.node(N);
     const SDGNode &FNode = G.node(FIn);
@@ -99,19 +133,16 @@ void Tabulation::drainSummaries() {
         break;
       case SDGEdgeKind::ParamIn: {
         // Step over the call via callee summaries.
-        SDGNodeId CalleeFIn = E.To;
-        seedSummary(CalleeFIn);
-        Subscribers[CalleeFIn].push_back({FIn, N});
-        auto SIt = SummaryOuts.find(CalleeFIn);
-        if (SIt != SummaryOuts.end()) {
-          const CallSiteInfo *CS = siteOf(N);
-          if (CS)
-            for (auto &[FOut, DD] : SIt->second) {
-              SDGNodeId AOut = G.actualOutFor(*CS, FOut);
-              if (AOut != InvalidId)
-                propagateSame(FIn, AOut, D + DD + 2);
-            }
-        }
+        SummaryRow &Callee = Rows[summaryRow(E.To)];
+        append(Subs, Callee.FirstSub, Callee.LastSub, {FIn, N, End});
+        if (Callee.FirstOut == End)
+          break;
+        if (const CallSiteInfo *CS = siteOf(N))
+          for (uint32_t I = Callee.FirstOut; I != End; I = Outs[I].Next) {
+            SDGNodeId AOut = G.actualOutFor(*CS, Outs[I].Out);
+            if (AOut != InvalidId)
+              propagateSame(FIn, AOut, D + Outs[I].D + 2);
+          }
         break;
       }
       case SDGEdgeKind::ParamOut:
@@ -119,6 +150,7 @@ void Tabulation::drainSummaries() {
       }
     }
   }
+  SummaryWork.clear();
 }
 
 //===----------------------------------------------------------------------===//
@@ -141,18 +173,15 @@ bool Tabulation::firstPop(SDGNodeId N) {
 }
 
 void Tabulation::stepOverCall(SDGNodeId FIn, SDGNodeId N, uint32_t D) {
-  seedSummary(FIn);
+  const uint32_t Row = summaryRow(FIn);
   drainSummaries();
-  auto SIt = SummaryOuts.find(FIn);
-  if (SIt == SummaryOuts.end())
-    return;
   const CallSiteInfo *CS = siteOf(N);
   if (!CS)
     return;
-  for (auto &[FOut, DD] : SIt->second) {
-    SDGNodeId AOut = G.actualOutFor(*CS, FOut);
+  for (uint32_t I = Rows[Row].FirstOut; I != End; I = Outs[I].Next) {
+    SDGNodeId AOut = G.actualOutFor(*CS, Outs[I].Out);
     if (AOut != InvalidId)
-      Queue.push_back({AOut, D + DD + 2, N});
+      Queue.push_back({AOut, D + Outs[I].D + 2, N});
   }
 }
 

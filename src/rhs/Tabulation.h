@@ -21,10 +21,8 @@
 #define TAJ_RHS_TABULATION_H
 
 #include "sdg/SDG.h"
+#include "support/InternIndex.h"
 
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace taj {
@@ -91,7 +89,9 @@ private:
   const CallSiteInfo *siteOf(SDGNodeId N) const;
 
   // --- Summary engine -----------------------------------------------------
-  void seedSummary(SDGNodeId FIn);
+  /// The row of formal-in \p FIn. The first call seeds \p FIn: it adds
+  /// the row and queues the work item (FIn, FIn, 0).
+  uint32_t summaryRow(SDGNodeId FIn);
   void drainSummaries();
   void recordSummaryOut(SDGNodeId FIn, SDGNodeId FOut, uint32_t D);
   void propagateSame(SDGNodeId FIn, SDGNodeId N, uint32_t D);
@@ -112,11 +112,6 @@ private:
   /// then queues every actual-out it yields at \p N's call site.
   void stepOverCall(SDGNodeId FIn, SDGNodeId N, uint32_t D);
 
-  struct Sub {
-    uint32_t Ctx; ///< the FIn whose same-level traversal waits here
-    SDGNodeId At; ///< the actual-in node where the summary applies
-  };
-
   const SDG &G;
   RuleMask Rule;
   RunGuard *Guard = nullptr;
@@ -127,14 +122,50 @@ private:
   std::vector<uint32_t> PoppedIn; ///< node -> phase stamp of its last pop
   uint32_t Phase = 0;
 
-  // Same-level path edges: (FIn, node) -> dist.
-  std::unordered_map<uint64_t, uint32_t> PathDist;
-  // FIn -> [(FOut-like node, interior dist)]
-  std::unordered_map<SDGNodeId, std::vector<std::pair<SDGNodeId, uint32_t>>>
-      SummaryOuts;
-  std::unordered_map<SDGNodeId, std::vector<Sub>> Subscribers;
-  std::unordered_set<SDGNodeId> SummarySeeded;
-  std::deque<std::tuple<SDGNodeId, SDGNodeId, uint32_t>> SummaryWork;
+  // --- Summary memos, kept across slices -----------------------------------
+  static constexpr uint32_t End = ~0u; ///< end of a row's list
+  /// A same-level path edge: (formal-in, node) as FIn << 32 | node, and
+  /// the shortest distance found.
+  struct PathEdge {
+    uint64_t Key;
+    uint32_t D;
+  };
+  struct SummaryOut {
+    SDGNodeId Out; ///< a formal-out (or channel formal-out) of the callee
+    uint32_t D;    ///< its shortest interior distance from the formal-in
+    uint32_t Next;
+  };
+  struct Sub {
+    SDGNodeId Ctx; ///< the FIn whose same-level traversal waits here
+    SDGNodeId At;  ///< the actual-in node where the summary applies
+    uint32_t Next;
+  };
+  /// One seeded formal-in: its summary outs in discovery order, and the
+  /// call sites waiting on them in subscription order, each a list linked
+  /// through one pool shared by every row.
+  struct SummaryRow {
+    SDGNodeId FIn;
+    uint32_t FirstOut = End, LastOut = End;
+    uint32_t FirstSub = End, LastSub = End;
+  };
+  struct SummaryItem {
+    SDGNodeId FIn, N;
+    uint32_t D;
+  };
+
+  /// The index of the path edge with \p Key, or ~0u with \p Slot set to
+  /// where it belongs.
+  uint32_t findPathEdge(uint64_t Key, size_t &Slot) const;
+
+  std::vector<PathEdge> PathEdges;
+  InternIndex PathIndex; ///< path edge key -> its index in PathEdges
+  /// A formal-in is seeded once it has a row.
+  std::vector<SummaryRow> Rows;
+  InternIndex RowIndex; ///< formal-in -> its index in Rows
+  std::vector<SummaryOut> Outs;
+  std::vector<Sub> Subs;
+  /// Same-level work, drained FIFO; empty between drains.
+  std::vector<SummaryItem> SummaryWork;
 };
 
 } // namespace taj

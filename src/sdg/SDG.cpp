@@ -154,7 +154,7 @@ SDGNodeId SDG::actualOutFor(const CallSiteInfo &CS,
 std::vector<SDGNodeId> SDG::sourceNodes(RuleMask Rule) const {
   std::vector<SDGNodeId> Out;
   for (SDGNodeId N = 0; N < Nodes.size(); ++N)
-    if (Nodes[N].Kind == SDGNodeKind::Stmt && (Nodes[N].SourceMask & Rule))
+    if ((Nodes[N].SourceMask & Rule) && Nodes[N].Kind == SDGNodeKind::Stmt)
       Out.push_back(N);
   return Out;
 }

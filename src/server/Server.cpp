@@ -89,8 +89,10 @@ void server::deriveHardLimits(const RunGuard::Limits &Coop,
     C.HardMemoryBytes = Mb * 1024 * 1024;
   parseNumber(std::getenv("TAJ_WATCHDOG_GRACE_MS"), C.GraceMs);
   // CPU backstop: generous (slicing may run many threads), but finite
-  // whenever a wall-clock watchdog is armed.
-  C.CpuLimitSec = C.HardDeadlineMs > 0
+  // whenever a wall-clock watchdog is armed. A deadline past uint64_t's
+  // range (e.g. twice a cooperative 1e300 ms) gets none, as an unbounded
+  // run does: the cast would be undefined.
+  C.CpuLimitSec = C.HardDeadlineMs > 0 && C.HardDeadlineMs < 0x1p64
                       ? (static_cast<uint64_t>(C.HardDeadlineMs) / 1000 + 1) *
                             16
                       : 0;

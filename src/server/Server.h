@@ -146,7 +146,8 @@ struct SupervisorConfig {
 
 /// Fills the non-cooperative backstop limits of \p C from the cooperative
 /// ones: hard deadline = 2x cooperative + 1s, RLIMIT_AS = 2x cooperative
-/// memory ceiling, RLIMIT_CPU from the hard deadline. The
+/// memory ceiling, RLIMIT_CPU from the hard deadline (none when the hard
+/// deadline is past uint64_t's range). The
 /// TAJ_HARD_DEADLINE_MS / TAJ_HARD_MAX_MEMORY_MB / TAJ_WATCHDOG_GRACE_MS
 /// environment knobs override (0 disables), letting operators arm the
 /// watchdog even for runs with no cooperative limits. They are read like

@@ -23,7 +23,7 @@
 /// flows into issues, in ascending sink node id.
 ///
 /// Parallel engine: the (rule, source) items are collected rule-major
-/// (rule bit outer, sourceNodes() order inner), the sequential order.
+/// (rule bit outer, ascending source node id inner), the sequential order.
 /// Worker w statically takes items w, w+T, w+2T, ... and appends each
 /// item's flows, in discovery order, to a buffer private to that item. The
 /// merge walks items in sequential order through one dedup set (first
@@ -295,9 +295,16 @@ std::vector<StmtId> SliceWorker::pathTo(SDGNodeId From, SDGNodeId Sink) const {
 /// flows deterministically into \p Out (see the file comment).
 void sliceItems(Algo Alg, const SDG &G, const HeapEdges &HE,
                 const SlicerOptions &Opts, SliceRunResult &Out) {
+  // One scan for the sources of every rule, bucketed under their rules in
+  // ascending node id; the buckets joined are the rule-major item list.
+  std::array<std::vector<SDGNodeId>, rules::NumRules> ByRule;
+  for (SDGNodeId Src : G.sourceNodes(rules::All))
+    for (int RB = 0; RB < rules::NumRules; ++RB)
+      if (G.node(Src).SourceMask & (1u << RB))
+        ByRule[RB].push_back(Src);
   std::vector<SliceItem> Items;
   for (int RB = 0; RB < rules::NumRules; ++RB)
-    for (SDGNodeId Src : G.sourceNodes(static_cast<RuleMask>(1u << RB)))
+    for (SDGNodeId Src : ByRule[RB])
       Items.push_back({RB, Src});
 
   const unsigned W = static_cast<unsigned>(std::max<size_t>(

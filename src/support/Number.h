@@ -6,12 +6,12 @@
 ///
 /// \file
 /// The one reading of a number that taj-cli's numeric flags and the TAJ_*
-/// environment knobs share: the whole text must be a non-negative number
-/// (strtod syntax), and an integer setting must also be integral and in
-/// range. "--fail-at=abc", "TAJ_HARD_DEADLINE_MS=-5" or a "64abc" are
-/// refused, never read as 0 or as their numeric prefix. Flags turn a
-/// refusal into a usage error (server::parseNum / parseUInt); a variable
-/// that is refused counts as unset.
+/// environment knobs share: the whole text must be a finite non-negative
+/// number (strtod syntax), and an integer setting must also be integral
+/// and in range. "--fail-at=abc", "TAJ_HARD_DEADLINE_MS=-5", "64abc" and
+/// "inf" are refused, never read as 0, as their numeric prefix or as
+/// infinity. Flags turn a refusal into a usage error (server::parseNum /
+/// parseUInt); a variable that is refused counts as unset.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,18 +31,18 @@ constexpr uint64_t MaxExactU64 = 1ull << 53;
 /// Outcome of a strict parse.
 enum class NumberParse {
   Ok,
-  Malformed,  ///< unset, empty, trailing text, or negative
+  Malformed,  ///< unset, empty, trailing text, negative, inf or nan
   OutOfRange, ///< a number, but not an integer in 0..Max
 };
 
-/// \p Text (null counts as malformed) as a fully consumed non-negative
-/// number. \p Out is written only on success.
+/// \p Text (null counts as malformed) as a fully consumed, finite,
+/// non-negative number. \p Out is written only on success.
 inline NumberParse parseNumber(const char *Text, double &Out) {
   if (!Text || *Text == '\0')
     return NumberParse::Malformed;
   char *End = nullptr;
   const double V = std::strtod(Text, &End);
-  if (*End != '\0' || V < 0)
+  if (*End != '\0' || !std::isfinite(V) || V < 0)
     return NumberParse::Malformed;
   Out = V;
   return NumberParse::Ok;

@@ -176,13 +176,7 @@ std::string trace::renderEvents() {
   return Out;
 }
 
-std::string trace::renderJson() {
-  return "{\"traceEvents\":[\n" + renderEvents() +
-         "\n],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-bool trace::writeJsonMerged(const std::string &Path,
-                            const std::vector<std::string> &ExtraEventBlobs) {
+std::string trace::renderJson(const std::vector<std::string> &ExtraEventBlobs) {
   std::string All = renderEvents();
   for (const std::string &Blob : ExtraEventBlobs) {
     if (Blob.empty())
@@ -191,10 +185,15 @@ bool trace::writeJsonMerged(const std::string &Path,
       All += ",\n";
     All += Blob;
   }
+  return "{\"traceEvents\":[\n" + All + "\n],\"displayTimeUnit\":\"ms\"}\n";
+}
+
+bool trace::writeJsonMerged(const std::string &Path,
+                            const std::vector<std::string> &ExtraEventBlobs) {
   std::ofstream Out(Path, std::ios::trunc);
   if (!Out)
     return false;
-  Out << "{\"traceEvents\":[\n" << All << "\n],\"displayTimeUnit\":\"ms\"}\n";
+  Out << renderJson(ExtraEventBlobs);
   Out.close(); // a failed closing flush is a failed write too
   return !Out.fail();
 }

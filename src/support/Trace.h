@@ -99,13 +99,13 @@ uint64_t droppedEvents();
 /// (no surrounding brackets) — the merge unit for batch timelines.
 std::string renderEvents();
 
-/// Renders a complete `{"traceEvents":[...]}` document.
-std::string renderJson();
+/// Renders the one `{"traceEvents":[...]}` document: this process's
+/// events plus every event blob of \p ExtraEventBlobs (as produced by
+/// extractEvents() from a worker's trace file).
+std::string renderJson(const std::vector<std::string> &ExtraEventBlobs = {});
 
-/// Writes one merged document: this process's events plus every event
-/// blob of \p ExtraEventBlobs (as produced by extractEvents() from a
-/// worker's trace file). Returns false on I/O failure, the closing flush
-/// included.
+/// Writes renderJson(\p ExtraEventBlobs) to \p Path. Returns false on I/O
+/// failure, the closing flush included.
 bool writeJsonMerged(const std::string &Path,
                      const std::vector<std::string> &ExtraEventBlobs);
 

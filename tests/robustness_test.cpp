@@ -16,6 +16,7 @@
 #include "ir/Verifier.h"
 #include "model/BuiltinLibrary.h"
 #include "model/Entrypoints.h"
+#include "support/Number.h"
 #include "support/RunGuard.h"
 
 #include <gtest/gtest.h>
@@ -333,6 +334,32 @@ TEST(Robustness, MalformedEnvLimitsCountAsUnset) {
   unsetenv("TAJ_FAIL_AT");
   EXPECT_DOUBLE_EQ(L2.DeadlineMs, 0.5);
   EXPECT_EQ(L2.FailAtCheckpoint, 12u);
+}
+
+// "inf", "infinity" and "nan" are strtod syntax, but no setting means
+// them: a flag refuses them as malformed, and a variable counts as unset.
+TEST(Number, NonFiniteTextIsRefused) {
+  for (const char *Bad :
+       {"inf", "INF", "infinity", "nan", "NAN(1)", "1e999"}) {
+    double V = 7;
+    EXPECT_EQ(parseNumber(Bad, V), NumberParse::Malformed) << Bad;
+    EXPECT_DOUBLE_EQ(V, 7) << Bad;
+    uint64_t U = 7;
+    EXPECT_EQ(parseInteger(Bad, MaxExactU64, U), NumberParse::Malformed)
+        << Bad;
+    EXPECT_EQ(U, 7u) << Bad;
+  }
+  double V = 0;
+  EXPECT_EQ(parseNumber("1e300", V), NumberParse::Ok);
+  EXPECT_DOUBLE_EQ(V, 1e300);
+
+  setenv("TAJ_DEADLINE_MS", "nan", 1);
+  setenv("TAJ_FAIL_AT", "inf", 1);
+  RunGuard::Limits L = RunGuard::limitsFromEnv();
+  unsetenv("TAJ_DEADLINE_MS");
+  unsetenv("TAJ_FAIL_AT");
+  EXPECT_DOUBLE_EQ(L.DeadlineMs, 0.0);
+  EXPECT_EQ(L.FailAtCheckpoint, 0u);
 }
 
 TEST(Robustness, RunStatusToStringNamesEveryPhase) {

@@ -14,6 +14,7 @@
 #include "model/Entrypoints.h"
 #include "rhs/Tabulation.h"
 #include "sdg/SDG.h"
+#include "support/RunGuard.h"
 
 #include <gtest/gtest.h>
 
@@ -190,6 +191,103 @@ class App extends Servlet {
       EXPECT_FALSE(R.reached(Sk))
           << "slice must stop at the sanitizer";
   }
+}
+
+/// Two sources, each passed through the same callee in the same context
+/// (one receiver), so the callee's formal-in has one summary for both.
+/// The callee's own call makes its summary wait on a nested one.
+const char *SharedCalleeApp = R"(
+class App extends Servlet {
+  method inner(this: App, s: String): String { return s; }
+  method pass(this: App, s: String): String { r = this.inner(s); return r; }
+  method doGet(this: App, req: Request, resp: Response): void [entry] {
+    t = req.getParameter("q");
+    u = this.pass(t);
+    v = req.getParameter("r");
+    x = this.pass(v);
+    w = resp.getWriter();
+    w.println(u);
+    w.println(x);
+  }
+}
+)";
+
+TEST(Sdg, TabulationReusesAComputedSummary) {
+  SDGOptions SO;
+  SO.ContextExpanded = true;
+  Built B(SharedCalleeApp, SO);
+  const SDG &G = *B.G;
+  const std::vector<SDGNodeId> Srcs = G.sourceNodes(rules::XSS);
+  ASSERT_EQ(Srcs.size(), 2u);
+
+  // The first slice computes pass()'s summary; the second steps over the
+  // call with it.
+  Tabulation Memo(G, rules::XSS);
+  Tabulation::SliceResult R(G.numNodes());
+  Memo.forwardSlice({{Srcs[0], 0}}, R);
+  R.reset();
+  const uint64_t Before = Memo.pathEdgeCount();
+  Memo.forwardSlice({{Srcs[1], 0}}, R);
+  const uint64_t ReusedEdges = Memo.pathEdgeCount() - Before;
+
+  Tabulation Fresh(G, rules::XSS);
+  Tabulation::SliceResult F(G.numNodes());
+  Fresh.forwardSlice({{Srcs[1], 0}}, F);
+
+  EXPECT_EQ(R.Reached, F.Reached);
+  EXPECT_EQ(R.Dist, F.Dist);
+  EXPECT_EQ(R.Parent, F.Parent);
+  EXPECT_LT(ReusedEdges, Fresh.pathEdgeCount());
+  bool ReachesSink = false;
+  for (SDGNodeId Sk : G.sinkNodes())
+    ReachesSink |= F.reached(Sk);
+  EXPECT_TRUE(ReachesSink) << "the flow must cross the callee";
+}
+
+TEST(Sdg, TabulationCutoffInsideASummaryDrain) {
+  SDGOptions SO;
+  SO.ContextExpanded = true;
+  Built B(SharedCalleeApp, SO);
+  const SDG &G = *B.G;
+  const std::vector<SDGNodeId> Srcs = G.sourceNodes(rules::XSS);
+  ASSERT_EQ(Srcs.size(), 2u);
+  Tabulation Unguarded(G, rules::XSS);
+  Tabulation::SliceResult Full(G.numNodes());
+  Unguarded.forwardSlice({{Srcs[0], 0}}, Full);
+
+  // Up to the actual-in of the pass() call, the source's slice is a chain
+  // of single successors: one phase-1 pop and checkpoint each. The next
+  // checkpoint is the first item of pass()'s summary drain.
+  size_t AIn = 0;
+  while (AIn < Full.Reached.size() &&
+         G.node(Full.Reached[AIn]).Kind != SDGNodeKind::ActualIn)
+    ++AIn;
+  ASSERT_LT(AIn, Full.Reached.size());
+  RunGuard::Limits L;
+  L.FailAtCheckpoint = AIn + 2;
+  RunGuard Guard(L);
+  Tabulation Tab(G, rules::XSS, &Guard);
+  Tabulation::SliceResult R(G.numNodes());
+  Tab.forwardSlice({{Srcs[0], 0}}, R);
+  ASSERT_TRUE(Guard.stopped());
+  // The partial slice is the chain popped before the cutoff.
+  const std::vector<SDGNodeId> Chain(Full.Reached.begin(),
+                                     Full.Reached.begin() + AIn + 1);
+  EXPECT_EQ(R.Reached, Chain);
+  EXPECT_EQ(Tab.pathEdgeCount(), AIn + 1);
+  for (SDGNodeId N : R.Reached) {
+    EXPECT_EQ(R.Dist[N], Full.Dist[N]);
+    EXPECT_EQ(R.Parent[N], Full.Parent[N]);
+  }
+
+  // A later call through the same callee finds no stale work: it pops
+  // nothing, reaches nothing and passes no checkpoint.
+  const uint64_t Checkpoints = Guard.checkpointCount();
+  Tabulation::SliceResult Later(G.numNodes());
+  Tab.forwardSlice({{Srcs[1], 0}}, Later);
+  EXPECT_TRUE(Later.Reached.empty());
+  EXPECT_EQ(Tab.pathEdgeCount(), AIn + 1);
+  EXPECT_EQ(Guard.checkpointCount(), Checkpoints);
 }
 
 /// Cross-algorithm inclusion properties on generated apps.

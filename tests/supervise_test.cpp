@@ -511,6 +511,47 @@ TEST(HardLimits, MalformedEnvironmentCountsAsUnset) {
   EXPECT_EQ(Derive("TAJ_HARD_MAX_MEMORY_MB", "0").HardMemoryBytes, 0u);
 }
 
+// A wall-clock backstop too large for uint64_t milliseconds gets no CPU
+// backstop, like an unbounded run, instead of an out-of-range cast's
+// (16 s on x86-64). Below that range the backstop keeps its formula.
+TEST(HardLimits, HugeDeadlineNeverShrinksTheCpuBackstop) {
+  for (double Ms : {1e3, 1e9, 1e15, 1e18, 1e19, 1e300, 1.7e308}) {
+    RunGuard::Limits Coop;
+    Coop.DeadlineMs = Ms;
+    SupervisorConfig C;
+    deriveHardLimits(Coop, C);
+    ASSERT_GT(C.HardDeadlineMs, 0) << Ms;
+    if (C.CpuLimitSec != 0) {
+      EXPECT_GE(static_cast<double>(C.CpuLimitSec), C.HardDeadlineMs / 1000)
+          << Ms;
+    }
+  }
+  RunGuard::Limits Coop;
+  Coop.DeadlineMs = 1e18;
+  SupervisorConfig Fits;
+  deriveHardLimits(Coop, Fits);
+  EXPECT_EQ(Fits.CpuLimitSec,
+            (static_cast<uint64_t>(Fits.HardDeadlineMs) / 1000 + 1) * 16);
+  Coop.DeadlineMs = 1e300;
+  SupervisorConfig Huge;
+  deriveHardLimits(Coop, Huge);
+  EXPECT_EQ(Huge.CpuLimitSec, 0u);
+
+  // The same through the environment; a non-finite value counts as unset.
+  Coop.DeadlineMs = 100;
+  ::setenv("TAJ_HARD_DEADLINE_MS", "1e300", 1);
+  SupervisorConfig Env;
+  deriveHardLimits(Coop, Env);
+  ::setenv("TAJ_HARD_DEADLINE_MS", "inf", 1);
+  SupervisorConfig Inf;
+  deriveHardLimits(Coop, Inf);
+  ::unsetenv("TAJ_HARD_DEADLINE_MS");
+  EXPECT_DOUBLE_EQ(Env.HardDeadlineMs, 1e300);
+  EXPECT_EQ(Env.CpuLimitSec, 0u);
+  EXPECT_DOUBLE_EQ(Inf.HardDeadlineMs, 1200);
+  EXPECT_EQ(Inf.CpuLimitSec, (1200 / 1000 + 1) * 16u);
+}
+
 //===----------------------------------------------------------------------===//
 // CLI flag hygiene (range checks, dependent flags)
 //===----------------------------------------------------------------------===//
@@ -530,8 +571,12 @@ TEST(CliFlags, OutOfRangeValuesAreUsageErrorsNotWraps) {
   Out = runCli("--max-memory-mb=1e17 x.taj", Exit);
   EXPECT_EQ(Exit, 1);
   EXPECT_NE(Out.find("out of range"), std::string::npos) << Out;
-  // Malformed input keeps the long-standing message.
+  // Malformed input keeps the long-standing message; a non-finite number
+  // is malformed.
   Out = runCli("--budget=abc x.taj", Exit);
+  EXPECT_EQ(Exit, 1);
+  EXPECT_NE(Out.find("non-negative number"), std::string::npos) << Out;
+  Out = runCli("--deadline-ms=inf x.taj", Exit);
   EXPECT_EQ(Exit, 1);
   EXPECT_NE(Out.find("non-negative number"), std::string::npos) << Out;
 }
