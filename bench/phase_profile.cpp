@@ -3,7 +3,9 @@
 // Runs one configuration over the 22 suite apps several times and prints,
 // as one JSON object, each app's medians of the run's `phase.<name>_us`
 // counters, Millis, SliceWork and issue count, then those medians summed
-// over the suite.
+// over the suite. The suite object also carries MinorFaultsPerPass: the
+// process's minor page faults over the timed runs (getrusage), divided by
+// the number of passes.
 //
 //   phase_profile [config] [cold|warm] [runs]
 //
@@ -24,6 +26,7 @@
 #include <memory>
 #include <sstream>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 using namespace taj;
@@ -97,9 +100,12 @@ int main(int Argc, char **Argv) {
       Run(I);
 
   std::vector<Samples> PerApp(Apps.size());
+  rusage Before{}, After{};
+  ::getrusage(RUSAGE_SELF, &Before);
   for (int K = 0; K < Runs; ++K)
     for (size_t I = 0; I < Apps.size(); ++I)
       sample(Run(I), PerApp[I]);
+  ::getrusage(RUSAGE_SELF, &After);
   if (Cache)
     fs::remove_all(Dir);
 
@@ -116,6 +122,8 @@ int main(int Argc, char **Argv) {
     printRow(Row);
     std::printf("}");
   }
+  Sum["MinorFaultsPerPass"] =
+      static_cast<double>(After.ru_minflt - Before.ru_minflt) / Runs;
   std::printf("},\n\"suite\":{");
   printRow(Sum);
   std::printf("}}\n");

@@ -307,8 +307,9 @@ void plantAliasShape(PlantCtx &C, bool WriterFirst, uint32_t ChainLen,
     ValueId M = MB.emitNew(Mk);
     ValueId O = MB.callVirtual("mk", {M, Clean});
     ValueId U = MB.emitLoad(O, F);
-    ValueId V = throughChain(C, MB, std::max<uint32_t>(ChainLen, SinkInHelper ? 1 : 0), U,
-                             MB.param(2), MB.param(3));
+    ValueId V = throughChain(C, MB,
+                             std::max<uint32_t>(ChainLen, SinkInHelper ? 1 : 0),
+                             U, MB.param(2), MB.param(3));
     if (!SinkInHelper)
       emitSink(C, MB, V, C.decoyLine(), MB.param(2), MB.param(3));
     MB.emitRet();

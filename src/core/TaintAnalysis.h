@@ -83,8 +83,10 @@ public:
   TaintAnalysis &operator=(const TaintAnalysis &) = delete;
 
   /// Runs pointer analysis from \p Roots, then the configured slicer.
-  /// Every call first rebuilds the program's statement index
-  /// (Program::indexStatements), so callers need not build it.
+  /// Every call first brings the program's statement index up to date
+  /// (Program::indexStatements), so callers need not build it; the index
+  /// is rebuilt only when a block gained or lost instructions since it
+  /// was built.
   AnalysisResult run(const std::vector<MethodId> &Roots);
 
   /// The solved pointer analysis (valid after run()).

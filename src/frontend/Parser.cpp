@@ -407,7 +407,8 @@ private:
     return BIdx;
   }
 
-  void parseBody(MethodBuilder &MB, const std::vector<std::string> &ParamNames) {
+  void parseBody(MethodBuilder &MB,
+                 const std::vector<std::string> &ParamNames) {
     expect(TokKind::LBrace, "'{'");
     BodyCtx Ctx{MB, {}, {}, {}};
     for (size_t K = 0; K < ParamNames.size(); ++K)

@@ -64,7 +64,8 @@ public:
   ValueId emitBinop(BinopKind K, ValueId A, ValueId B);
   /// Virtual call: Args[0] is the receiver. Returns the result slot, or
   /// NoValue for void callees.
-  ValueId callVirtual(std::string_view Name, std::initializer_list<ValueId> Args);
+  ValueId callVirtual(std::string_view Name,
+                      std::initializer_list<ValueId> Args);
   ValueId callVirtualV(std::string_view Name, const std::vector<ValueId> &Args);
   /// Static call on class \p C.
   ValueId callStatic(ClassId C, std::string_view Name,

@@ -54,7 +54,39 @@ MethodId Program::findMethod(ClassId C, std::string_view Name) const {
   return InvalidId;
 }
 
+bool Program::statementIndexCurrent() const {
+  if (MethodStmtBase.size() != Methods.size())
+    return false;
+  StmtId Next = 0;
+  for (MethodId M = 0; M < Methods.size(); ++M) {
+    if (MethodStmtBase[M] != Next)
+      return false;
+    const std::vector<BasicBlock> &Blocks = Methods[M].Blocks;
+    for (int32_t B = 0; B < static_cast<int32_t>(Blocks.size()); ++B) {
+      const size_t N = Blocks[B].Insts.size();
+      if (N == 0)
+        continue;
+      // The index only ever holds the refs one rebuild wrote, so a block
+      // whose first and last refs sit at its running offsets matches in
+      // between too. The last ref matters: a block emptied into its
+      // predecessor leaves every first ref in place.
+      const size_t Last = Next + N - 1;
+      if (Last >= StmtRefs.size())
+        return false;
+      const StmtRef &F = StmtRefs[Next];
+      const StmtRef &L = StmtRefs[Last];
+      if (F.M != M || F.Block != B || F.Index != 0 || L.M != M ||
+          L.Block != B || L.Index != static_cast<int32_t>(N - 1))
+        return false;
+      Next = static_cast<StmtId>(Last + 1);
+    }
+  }
+  return Next == StmtRefs.size();
+}
+
 void Program::indexStatements() {
+  if (statementIndexCurrent())
+    return;
   StmtRefs.clear();
   MethodStmtBase.assign(Methods.size(), 0);
   for (MethodId M = 0; M < Methods.size(); ++M) {

@@ -165,8 +165,11 @@ public:
   const Method &method(MethodId M) const { return Methods[M]; }
   const Field &field(FieldId F) const { return Fields[F]; }
 
-  /// (Re)builds the statement index. Must be called after the IR is final
-  /// (post-SSA) and before any analysis runs.
+  /// Builds the statement index, unless it still matches the blocks.
+  /// Must be called after the IR is final (post-SSA) and before any
+  /// analysis runs, and again after any block gains or loses
+  /// instructions. The check is O(methods + blocks): each method's first
+  /// id and each non-empty block's first and last refs.
   void indexStatements();
 
   /// Number of indexed statements.
@@ -201,6 +204,10 @@ public:
   static uint32_t methodSize(const Method &M);
 
 private:
+  /// True when the index names every instruction of every block at the
+  /// id a rebuild would give it.
+  bool statementIndexCurrent() const;
+
   std::vector<StmtRef> StmtRefs;
   std::vector<StmtId> MethodStmtBase;
   mutable std::unordered_map<Symbol, ClassId> ClassByName;

@@ -22,7 +22,8 @@
 namespace taj {
 
 /// Verifies one SSA-form method; appends errors to \p Errors.
-void verifyMethod(const Program &P, MethodId M, std::vector<std::string> &Errors);
+void verifyMethod(const Program &P, MethodId M,
+                  std::vector<std::string> &Errors);
 
 /// Verifies every method with a body. Returns all errors (empty = valid).
 std::vector<std::string> verifyProgram(const Program &P);

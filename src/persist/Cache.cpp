@@ -7,12 +7,15 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace taj;
@@ -27,6 +30,22 @@ constexpr const char *EntrySuffix = ".tajc";
 void diag(const std::string &What, const std::string &Why) {
   std::fprintf(stderr, "taj-persist: %s: %s; recomputing cold\n", What.c_str(),
                Why.c_str());
+}
+
+/// Reads the rest of \p Fd into the \p Len bytes at \p Buf, retrying
+/// reads a signal interrupts. False on a read error or when the file ends
+/// early (truncated since its size was taken).
+bool readFully(int Fd, uint8_t *Buf, size_t Len) {
+  size_t Got = 0;
+  while (Got < Len) {
+    const ssize_t N = ::read(Fd, Buf + Got, Len - Got);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return false;
+    Got += static_cast<size_t>(N);
+  }
+  return true;
 }
 
 } // namespace
@@ -84,7 +103,8 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
       if (trace::enabled())
         trace::addInstant("cache-hit(mem): " + Key, "persist");
       const SharedBytes &Bytes = It->second->Payload;
-      return LoadedPayload(Bytes, 0, Bytes->size());
+      return LoadedPayload(std::shared_ptr<const uint8_t>(Bytes, Bytes->data()),
+                           Bytes->size());
     }
     ++N.MemMisses;
   }
@@ -93,24 +113,28 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
     return std::nullopt;
   }
   const std::string Path = pathFor(Key);
-  std::vector<uint8_t> Record;
+  // The record is read straight into a buffer left uninitialized: every
+  // byte is overwritten by the read, and a short read fails the load.
+  std::shared_ptr<uint8_t[]> Record;
+  size_t RecordLen = 0;
   {
     trace::Span RS("cache-read", "persist");
-    std::ifstream In(Path, std::ios::binary | std::ios::ate);
-    if (!In) {
+    const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (Fd < 0) {
       ++N.Misses;
       if (trace::enabled())
         trace::addInstant("cache-miss: " + Key, "persist");
       return std::nullopt;
     }
-    const std::streamoff Size = In.tellg();
-    In.seekg(0);
-    Record.resize(Size > 0 ? static_cast<size_t>(Size) : 0);
-    if (!Record.empty())
-      In.read(reinterpret_cast<char *>(Record.data()),
-              static_cast<std::streamsize>(Record.size()));
-    if (In.bad() ||
-        In.gcount() != static_cast<std::streamsize>(Record.size())) {
+    struct stat Info = {};
+    bool Read = ::fstat(Fd, &Info) == 0 && Info.st_size >= 0;
+    if (Read) {
+      RecordLen = static_cast<size_t>(Info.st_size);
+      Record = std::make_shared_for_overwrite<uint8_t[]>(RecordLen);
+      Read = readFully(Fd, Record.get(), RecordLen);
+    }
+    ::close(Fd);
+    if (!Read) {
       ++N.Corrupt;
       diag("cache entry " + Key, "read failed");
       std::error_code Ec;
@@ -124,7 +148,8 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
   UnwrapStatus St;
   {
     trace::Span VS("cache-verify", "persist");
-    St = unwrapRecordEx(Record, Kind, Payload, PayloadLen, Err);
+    St = unwrapRecordEx(Record.get(), RecordLen, Kind, Payload, PayloadLen,
+                        Err);
   }
   switch (St) {
   case UnwrapStatus::Ok:
@@ -169,10 +194,8 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
                  "taj-persist: cache entry %s: LRU touch failed: %s\n",
                  Key.c_str(), Ec.message().c_str());
   }
-  const size_t Offset = static_cast<size_t>(Payload - Record.data());
-  return LoadedPayload(
-      std::make_shared<const std::vector<uint8_t>>(std::move(Record)), Offset,
-      PayloadLen);
+  return LoadedPayload(std::shared_ptr<const uint8_t>(Record, Payload),
+                       PayloadLen);
 }
 
 void ArtifactCache::store(const std::string &Key, ArtifactKind Kind,

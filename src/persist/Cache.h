@@ -84,15 +84,16 @@ using SharedBytes = std::shared_ptr<const std::vector<uint8_t>>;
 /// the cache evicts or drops meanwhile.
 class LoadedPayload {
 public:
-  LoadedPayload(SharedBytes Bytes, size_t Offset, size_t Len)
-      : Bytes(std::move(Bytes)), Offset(Offset), Len(Len) {}
+  /// \p Data points at the payload's first byte and shares ownership of
+  /// the buffer around it.
+  LoadedPayload(std::shared_ptr<const uint8_t> Data, size_t Len)
+      : Data(std::move(Data)), Len(Len) {}
 
-  const uint8_t *data() const { return Bytes->data() + Offset; }
+  const uint8_t *data() const { return Data.get(); }
   size_t size() const { return Len; }
 
 private:
-  SharedBytes Bytes;
-  size_t Offset;
+  std::shared_ptr<const uint8_t> Data;
   size_t Len;
 };
 
@@ -143,9 +144,10 @@ public:
 
   /// Loads the record payload stored under \p Key: from the hot tier
   /// as-is, or from disk after verifying the record header (magic,
-  /// version, kind, size, checksum). Returns nullopt on miss or on any
-  /// verification failure (counted, logged, entry deleted). A hit
-  /// refreshes the entry's LRU position.
+  /// version, kind, size, checksum). A disk hit is one open, fstat and
+  /// read into a buffer that is not zero-filled first. Returns nullopt on
+  /// miss or on any read or verification failure (counted, logged, entry
+  /// deleted). A hit refreshes the entry's LRU position.
   std::optional<LoadedPayload> load(const std::string &Key, ArtifactKind Kind);
 
   /// Stores \p Payload under \p Key: into the hot tier, and on disk via an

@@ -99,16 +99,16 @@ std::vector<uint8_t> persist::wrapRecord(ArtifactKind Kind,
   return Out;
 }
 
-UnwrapStatus persist::unwrapRecordEx(const std::vector<uint8_t> &Record,
+UnwrapStatus persist::unwrapRecordEx(const uint8_t *Record, size_t Len,
                                      ArtifactKind Expect,
                                      const uint8_t *&Payload,
                                      size_t &PayloadLen, std::string &Err) {
   constexpr size_t HeaderLen = 4 * 4 + 2 * 8;
-  if (Record.size() < HeaderLen) {
+  if (Len < HeaderLen) {
     Err = "record shorter than header";
     return UnwrapStatus::Corrupt;
   }
-  Reader R(Record.data(), Record.size());
+  Reader R(Record, Len);
   uint32_t Magic = R.u32();
   uint32_t Version = R.u32();
   uint32_t Kind = R.u32();
@@ -131,17 +131,25 @@ UnwrapStatus persist::unwrapRecordEx(const std::vector<uint8_t> &Record,
           std::to_string(static_cast<uint32_t>(Expect)) + ")";
     return UnwrapStatus::Corrupt;
   }
-  if (Size != Record.size() - HeaderLen) {
+  if (Size != Len - HeaderLen) {
     Err = "payload size mismatch";
     return UnwrapStatus::Corrupt;
   }
-  if (recordChecksum(Record.data() + HeaderLen, Size) != Sum) {
+  if (recordChecksum(Record + HeaderLen, Size) != Sum) {
     Err = "checksum mismatch";
     return UnwrapStatus::Corrupt;
   }
-  Payload = Record.data() + HeaderLen;
+  Payload = Record + HeaderLen;
   PayloadLen = Size;
   return UnwrapStatus::Ok;
+}
+
+UnwrapStatus persist::unwrapRecordEx(const std::vector<uint8_t> &Record,
+                                     ArtifactKind Expect,
+                                     const uint8_t *&Payload,
+                                     size_t &PayloadLen, std::string &Err) {
+  return unwrapRecordEx(Record.data(), Record.size(), Expect, Payload,
+                        PayloadLen, Err);
 }
 
 bool persist::unwrapRecord(const std::vector<uint8_t> &Record,

@@ -286,10 +286,14 @@ enum class UnwrapStatus {
   Corrupt,
 };
 
-/// Validates the header of \p Record and locates the payload. On any
-/// mismatch (magic, version, kind, size, checksum) returns the failure
-/// class with a human-readable reason in \p Err; no payload byte is
-/// interpreted before every check passes.
+/// Validates the header of the \p Len-byte record at \p Record and
+/// locates the payload inside it. On any mismatch (magic, version, kind,
+/// size, checksum) returns the failure class with a human-readable reason
+/// in \p Err; no payload byte is interpreted before every check passes.
+UnwrapStatus unwrapRecordEx(const uint8_t *Record, size_t Len,
+                            ArtifactKind Expect, const uint8_t *&Payload,
+                            size_t &PayloadLen, std::string &Err);
+/// unwrapRecordEx over a whole vector.
 UnwrapStatus unwrapRecordEx(const std::vector<uint8_t> &Record,
                             ArtifactKind Expect, const uint8_t *&Payload,
                             size_t &PayloadLen, std::string &Err);

@@ -1,4 +1,4 @@
-//===- pointsto/ContextPolicy.h - TAJ context-sensitivity policy -*- C++ -*-===//
+//===- pointsto/ContextPolicy.h - Context-sensitivity policy ----*- C++ -*-===//
 //
 // Part of the TAJ reproduction. MIT license.
 //

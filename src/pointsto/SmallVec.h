@@ -1,4 +1,4 @@
-//===- pointsto/SmallVec.h - Inline-storage vector for solver rows -*- C++ -*-===//
+//===- pointsto/SmallVec.h - Inline-storage solver rows ---------*- C++ -*-===//
 //
 // Part of the TAJ reproduction. MIT license.
 //

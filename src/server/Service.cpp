@@ -60,7 +60,9 @@ bool server::parseU32(const char *Flag, const char *Text, uint32_t &Out) {
 }
 
 OptionParse server::parseRunOption(const char *A, RunOptions &O) {
-  auto Bad = [](bool Ok) { return Ok ? OptionParse::Matched : OptionParse::Bad; };
+  auto Bad = [](bool Ok) {
+    return Ok ? OptionParse::Matched : OptionParse::Bad;
+  };
   if (std::strncmp(A, "--config=", 9) == 0) {
     O.ConfigName = A + 9;
     return OptionParse::Matched;
@@ -76,7 +78,8 @@ OptionParse server::parseRunOption(const char *A, RunOptions &O) {
   if (std::strncmp(A, "--deadline-ms=", 14) == 0)
     return Bad(parseNum("--deadline-ms", A + 14, O.DeadlineMs));
   if (std::strncmp(A, "--max-memory-mb=", 16) == 0)
-    return Bad(parseUInt("--max-memory-mb", A + 16, MaxExactU64, O.MaxMemoryMb));
+    return Bad(
+        parseUInt("--max-memory-mb", A + 16, MaxExactU64, O.MaxMemoryMb));
   if (std::strncmp(A, "--fail-at=", 10) == 0)
     return Bad(parseUInt("--fail-at", A + 10, MaxExactU64, O.FailAt));
   if (std::strncmp(A, "--crash-at=", 11) == 0)
@@ -332,7 +335,8 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
     H = persist::fnv1a("|", 1, H); // file boundaries matter
   }
   char Hex[17];
-  std::snprintf(Hex, sizeof(Hex), "%016llx", static_cast<unsigned long long>(H));
+  std::snprintf(Hex, sizeof(Hex), "%016llx",
+                static_cast<unsigned long long>(H));
   const std::string InputFp = Hex;
 
   // One violation sink for the whole app: frontend checks below and the

@@ -317,6 +317,8 @@ void sliceItems(Algo Alg, const SDG &G, const HeapEdges &HE,
   std::vector<char> Completed(Items.size(), 0);
   RunGuard *Guard = Opts.Guard;
 
+  // Workers of a fan-out checkpoint the one guard concurrently.
+  const RunGuard::SharedScope Share(W > 1 ? Guard : nullptr);
   parallelForInterleaved(W, Items.size(), [&](unsigned Worker, size_t I) {
     // One checkpoint per item; a failing checkpoint (or an already-stopped
     // guard) skips the item.

@@ -13,6 +13,7 @@
 
 #if defined(__linux__)
 #include <fcntl.h>
+#include <pthread.h>
 #include <unistd.h>
 #endif
 
@@ -123,6 +124,38 @@ RunGuard::Limits RunGuard::limitsFromEnv(Limits Base) {
   return Base;
 }
 
+bool RunGuard::checksAt(uint64_t C) {
+  if (Lim.CrashAtCheckpoint != 0 && C >= Lim.CrashAtCheckpoint)
+    crashNow(); // does not return
+  if (Lim.HangAtCheckpoint != 0 && C >= Lim.HangAtCheckpoint)
+    hangForever(); // does not return
+  if (Lim.FailAtCheckpoint != 0 && C >= Lim.FailAtCheckpoint)
+    return stop(CutoffReason::FaultInjected);
+  if (CancelFlag.load())
+    return stop(CutoffReason::Cancelled);
+  if ((C & (PollInterval - 1)) == 0)
+    return poll();
+  return true;
+}
+
+bool RunGuard::slowCheckpoint(uint64_t C) {
+  if (!checksAt(C))
+    return false;
+  uint64_t Next = (C | (PollInterval - 1)) + 1;
+  for (const uint64_t L :
+       {Lim.CrashAtCheckpoint, Lim.HangAtCheckpoint, Lim.FailAtCheckpoint})
+    if (L > C && L < Next)
+      Next = L;
+  // Store-then-load against cancel()'s store-then-store, all sequentially
+  // consistent: if this load misses the cancel flag, the cancel's zero
+  // lands after the store here, so either way the next checkpoint takes
+  // the slow path and sees the flag.
+  NextSlow.store(Next);
+  if (CancelFlag.load())
+    NextSlow.store(0);
+  return true;
+}
+
 void RunGuard::crashNow() const {
   if (Lim.CrashSignal != 0) {
     ::raise(Lim.CrashSignal);
@@ -148,13 +181,12 @@ void RunGuard::exportStats(Stats &S) const {
 #if defined(__linux__)
 namespace {
 
-/// One thread's descriptor on /proc/self/statm. /proc/self binds to the
-/// process that opened it, so the owner's pid is kept beside it: a forked
-/// child (a pool worker) inherits the forking thread's copy and must open
-/// its own.
+/// The calling thread's descriptor on /proc/self/statm. /proc/self binds
+/// to the process that opened it, so a forked child (a pool worker) must
+/// not read the copy it inherits from the forking thread: the fork handler
+/// below closes it in the child, which then opens its own.
 struct StatmFd {
   int Fd = -1;
-  pid_t Owner = 0;
   StatmFd() = default;
   StatmFd(const StatmFd &) = delete;
   StatmFd &operator=(const StatmFd &) = delete;
@@ -164,6 +196,17 @@ struct StatmFd {
   }
 };
 
+thread_local StatmFd Statm;
+
+/// Runs in a forked child, on the only thread it has: the one that called
+/// fork(), whose descriptor is the only one the child can reach.
+void closeInheritedStatm() {
+  if (Statm.Fd >= 0) {
+    ::close(Statm.Fd);
+    Statm.Fd = -1;
+  }
+}
+
 } // namespace
 #endif
 
@@ -172,23 +215,23 @@ uint64_t RunGuard::currentRssBytes() {
   // /proc/self/statm field 2 is the resident set in pages. Each thread
   // opens the file once per process and re-reads it with pread: a
   // fopen/scan/fclose per sample cost 4x as much, and PhaseProfile samples
-  // on every phase push and pop.
-  thread_local StatmFd S;
+  // on every phase push and pop. The fork handler is registered before the
+  // first descriptor is opened, so no process can inherit one unnoticed.
+  static const bool ForkHandler =
+      ::pthread_atfork(nullptr, nullptr, closeInheritedStatm) == 0;
   static const uint64_t Page = [] {
     const long P = sysconf(_SC_PAGESIZE);
     return static_cast<uint64_t>(P > 0 ? P : 4096);
   }();
-  const pid_t Pid = ::getpid();
-  if (S.Fd < 0 || S.Owner != Pid) {
-    if (S.Fd >= 0)
-      ::close(S.Fd); // the parent's, inherited across fork
-    S.Fd = ::open("/proc/self/statm", O_RDONLY | O_CLOEXEC);
-    S.Owner = Pid;
-    if (S.Fd < 0)
+  if (!ForkHandler)
+    return 0;
+  if (Statm.Fd < 0) {
+    Statm.Fd = ::open("/proc/self/statm", O_RDONLY | O_CLOEXEC);
+    if (Statm.Fd < 0)
       return 0;
   }
   char Buf[128];
-  const ssize_t N = ::pread(S.Fd, Buf, sizeof(Buf) - 1, 0);
+  const ssize_t N = ::pread(Statm.Fd, Buf, sizeof(Buf) - 1, 0);
   if (N <= 0)
     return 0;
   Buf[N] = '\0';

@@ -114,13 +114,18 @@ struct RunStatus {
 /// and every phase unwinds cooperatively. All limits are optional (zero
 /// disables). cancel() may be called from another thread.
 ///
-/// Concurrency contract: checkpoint(), stopped(), cancel() and the cutoff
-/// accessors are safe from any number of threads (the parallel slicing
-/// workers all poll one guard). Phase bookkeeping — beginPhase() and
-/// workOf() — must only be called from the coordinating thread at phase
-/// boundaries, while no worker is checkpointing; within a phase the atomic
-/// global checkpoint counter attributes concurrent work to the phase that
-/// opened it.
+/// Concurrency contract:
+///  - stopped(), cancel(), checkpointCount() and the cutoff accessors are
+///    safe from any thread at any time.
+///  - checkpoint() bumps the count with a plain load and store, so only
+///    one thread may call it at a time, unless a SharedScope is open: the
+///    parallel slicing workers all poll one guard inside one, and then
+///    every call bumps with one atomic add and runs every check.
+///  - Phase bookkeeping (beginPhase(), workOf(), replayWork()) and opening
+///    or closing a SharedScope belong to the coordinating thread at phase
+///    boundaries, while no worker is checkpointing; within a phase the
+///    global checkpoint count attributes concurrent work to the phase
+///    that opened it.
 class RunGuard {
 public:
   struct Limits {
@@ -174,30 +179,53 @@ public:
   }
 
   /// One unit of work. Returns true to continue, false once the run is
-  /// stopped; cheap enough for per-iteration use in hot loops (deadline
-  /// and memory are polled every PollInterval checkpoints). Safe from any
-  /// thread; concurrent callers share one global checkpoint count, so a
-  /// fault-injection limit still trips at the Nth checkpoint overall.
+  /// stopped; cheap enough for per-iteration use in hot loops. Every
+  /// check a checkpoint can trip — a crash, hang or fail-at limit reached,
+  /// a pending cancel, and the deadline and memory poll at every
+  /// PollInterval-th checkpoint — is due only once the count reaches
+  /// NextSlow, so the inline path is the stop test, the bump and one
+  /// compare, and the rest runs out of line. Concurrent callers (inside a
+  /// SharedScope) share one global count, so a fault-injection limit still
+  /// trips at the Nth checkpoint overall.
   bool checkpoint() {
     if (StopFlag.load(std::memory_order_acquire))
       return false;
-    uint64_t C = Checkpoints.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (Lim.CrashAtCheckpoint != 0 && C >= Lim.CrashAtCheckpoint)
-      crashNow(); // does not return
-    if (Lim.HangAtCheckpoint != 0 && C >= Lim.HangAtCheckpoint)
-      hangForever(); // does not return
-    if (Lim.FailAtCheckpoint != 0 && C >= Lim.FailAtCheckpoint)
-      return stop(CutoffReason::FaultInjected);
-    if (CancelFlag.load(std::memory_order_relaxed))
-      return stop(CutoffReason::Cancelled);
-    if ((C & (PollInterval - 1)) == 0)
-      return poll();
-    return true;
+    if (Shared)
+      return checksAt(Checkpoints.fetch_add(1, std::memory_order_relaxed) + 1);
+    const uint64_t C = Checkpoints.load(std::memory_order_relaxed) + 1;
+    Checkpoints.store(C, std::memory_order_relaxed);
+    if (C < NextSlow.load(std::memory_order_relaxed))
+      return true;
+    return slowCheckpoint(C);
   }
+
+  /// Marks a guard as checkpointed from several threads at once for the
+  /// scope's lifetime (a slicing fan-out): each checkpoint() then bumps
+  /// the count with one atomic add and runs every check, as no single
+  /// thread can keep NextSlow in step with the shared count. Open and
+  /// close it on the coordinating thread, before the workers start and
+  /// after they have joined. A null guard makes the scope a no-op.
+  class SharedScope {
+  public:
+    explicit SharedScope(RunGuard *G) : G(G) {
+      if (G)
+        G->Shared = true;
+    }
+    ~SharedScope() {
+      if (G)
+        G->Shared = false;
+    }
+    SharedScope(const SharedScope &) = delete;
+    SharedScope &operator=(const SharedScope &) = delete;
+
+  private:
+    RunGuard *G;
+  };
 
   /// Credits \p Units of work that an earlier run recorded for the current
   /// phase (a warm start restoring that phase's result) without polling
   /// any limit, so the phase reports the work of the run that computed it.
+  /// A limit the credit jumps past trips at the next checkpoint.
   /// Coordinator-thread only.
   void replayWork(uint64_t Units) {
     Checkpoints.fetch_add(Units, std::memory_order_relaxed);
@@ -207,8 +235,13 @@ public:
   bool stopped() const { return StopFlag.load(std::memory_order_acquire); }
 
   /// Requests cooperative cancellation; safe from any thread. Takes effect
-  /// at the next checkpoint.
-  void cancel() { CancelFlag.store(true, std::memory_order_relaxed); }
+  /// at the next checkpoint: clearing NextSlow sends it down the slow
+  /// path, which reads the flag (see slowCheckpoint for the other half of
+  /// the handshake).
+  void cancel() {
+    CancelFlag.store(true);
+    NextSlow.store(0);
+  }
 
   /// Records an unexpected internal failure as the cutoff.
   void markInternalError() { stop(CutoffReason::InternalError); }
@@ -242,6 +275,16 @@ private:
   /// Deadline/memory checks are amortized over this many checkpoints
   /// (must be a power of two).
   static constexpr uint64_t PollInterval = 128;
+
+  /// The checks of checkpoint \p C, in order: crash-at, hang-at,
+  /// fail-at, cancel, then the deadline and memory poll when \p C is a
+  /// multiple of PollInterval. False once one of them stops the run.
+  bool checksAt(uint64_t C);
+  /// checkpoint() once the count reaches NextSlow: checksAt(\p C), then,
+  /// when nothing tripped, re-arms NextSlow to the first checkpoint after
+  /// \p C at which a check is due: the next multiple of PollInterval,
+  /// lowered to the nearest crash-at, hang-at or fail-at limit above \p C.
+  bool slowCheckpoint(uint64_t C);
 
   /// Terminates the process abnormally (abort() or raise(CrashSignal)).
   [[noreturn]] void crashNow() const;
@@ -277,6 +320,12 @@ private:
   Limits Lim;
   Timer T;
   std::atomic<uint64_t> Checkpoints{0};
+  /// The count at which checkpoint() next takes the slow path. Zero until
+  /// the first checkpoint arms it, and again after cancel().
+  std::atomic<uint64_t> NextSlow{0};
+  /// Set while a SharedScope is open; written only by the coordinating
+  /// thread while no worker runs.
+  bool Shared = false;
   uint64_t PhaseStartWork = 0;
   uint64_t PhaseWorkAcc[5] = {0, 0, 0, 0, 0};
   RunPhase CurPhase = RunPhase::PointerAnalysis;

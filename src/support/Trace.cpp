@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <mutex>
 
@@ -233,9 +234,20 @@ double cpuNowUs() {
 } // namespace
 
 PhaseProfile::PhaseProfile() {
-  Stack.push_back("other");
+  Phases.push_back({"other"});
+  Stack.push_back(0);
   MarkWallUs = static_cast<double>(trace::nowUs());
   MarkCpuUs = cpuNowUs();
+}
+
+size_t PhaseProfile::find(const char *Name) const {
+  for (size_t I = 0; I < Phases.size(); ++I)
+    if (Phases[I].Name == Name)
+      return I;
+  for (size_t I = 0; I < Phases.size(); ++I)
+    if (std::strcmp(Phases[I].Name, Name) == 0)
+      return I;
+  return Phases.size();
 }
 
 void PhaseProfile::accrueToTop() {
@@ -251,7 +263,10 @@ void PhaseProfile::accrueToTop() {
 
 void PhaseProfile::push(const char *Name) {
   accrueToTop();
-  Stack.push_back(Name);
+  const size_t Row = find(Name);
+  if (Row == Phases.size())
+    Phases.push_back({Name});
+  Stack.push_back(Row);
 }
 
 void PhaseProfile::pop() {
@@ -260,19 +275,20 @@ void PhaseProfile::pop() {
     Stack.pop_back();
 }
 
-double PhaseProfile::wallUsOf(const std::string &Name) {
+double PhaseProfile::wallUsOf(const char *Name) {
   accrueToTop();
-  auto It = Phases.find(Name);
-  return It == Phases.end() ? 0 : It->second.WallUs;
+  const size_t Row = find(Name);
+  return Row == Phases.size() ? 0 : Phases[Row].WallUs;
 }
 
 void PhaseProfile::exportStats(Stats &S) {
   accrueToTop();
-  for (const auto &[Name, A] : Phases) {
-    S.add("phase." + Name + "_us",
+  for (const Acc &A : Phases) {
+    const std::string Prefix = std::string("phase.") + A.Name;
+    S.add(Prefix + "_us",
           static_cast<uint64_t>(std::llround(std::max(0.0, A.WallUs))));
-    S.add("phase." + Name + "_cpu_us",
+    S.add(Prefix + "_cpu_us",
           static_cast<uint64_t>(std::llround(std::max(0.0, A.CpuUs))));
-    S.add("phase." + Name + "_rss_kb", A.PeakRssKb);
+    S.add(Prefix + "_rss_kb", A.PeakRssKb);
   }
 }

@@ -47,7 +47,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -157,19 +156,24 @@ private:
 /// transition the elapsed wall and process-CPU time since the previous
 /// transition accrues to the phase that was on top, and the current RSS
 /// updates that phase's peak. Coordinator-thread only.
+///
+/// The phases live in a flat table of about a dozen rows, found by name
+/// pointer, with a strcmp only when no row has the pointer; a transition
+/// allocates nothing once its phase has a row.
 class PhaseProfile {
 public:
   PhaseProfile();
 
   /// Opens phase \p Name; subsequent time accrues to it until the next
-  /// push/pop. Prefer PhaseScope over calling this directly.
+  /// push/pop. \p Name must outlive the profile (every caller passes a
+  /// string literal). Prefer PhaseScope over calling this directly.
   void push(const char *Name);
   /// Closes the innermost open phase (the root never pops).
   void pop();
 
   /// Wall microseconds accrued to \p Name so far (open frames are accrued
   /// up to now first).
-  double wallUsOf(const std::string &Name);
+  double wallUsOf(const char *Name);
 
   /// Accrues the open frame and adds `phase.<name>_us`,
   /// `phase.<name>_cpu_us` and `phase.<name>_rss_kb` for every phase seen.
@@ -177,16 +181,20 @@ public:
 
 private:
   struct Acc {
+    const char *Name = nullptr;
     double WallUs = 0;
     double CpuUs = 0;
     uint64_t PeakRssKb = 0;
   };
 
+  /// Row of phase \p Name, or Phases.size() when it has none.
+  size_t find(const char *Name) const;
   /// Charges [last mark, now) to the top-of-stack phase.
   void accrueToTop();
 
-  std::map<std::string, Acc> Phases;
-  std::vector<const char *> Stack;
+  std::vector<Acc> Phases;
+  /// Rows of the open phases, innermost last.
+  std::vector<size_t> Stack;
   double MarkWallUs = 0;
   double MarkCpuUs = 0;
 };

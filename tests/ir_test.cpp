@@ -2,11 +2,13 @@
 
 #include "benchgen/Generator.h"
 #include "cha/ClassHierarchy.h"
+#include "core/TaintAnalysis.h"
 #include "frontend/Parser.h"
 #include "ir/Builder.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "model/BuiltinLibrary.h"
+#include "model/Entrypoints.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
 
@@ -157,6 +159,76 @@ TEST_F(IrFixture, StatementIndexRoundTrips) {
     const StmtRef &R = P.stmtRef(S);
     EXPECT_EQ(P.stmtId(R.M, R.Block, R.Index), S);
   }
+}
+
+/// Expects \p P's statement index to hold, for every instruction, the ref
+/// a rebuild from scratch gives it: methods, blocks and instructions in
+/// order.
+void expectFreshIndex(const Program &P) {
+  std::vector<StmtRef> Want;
+  for (MethodId M = 0; M < P.Methods.size(); ++M)
+    for (int32_t B = 0; B < static_cast<int32_t>(P.Methods[M].Blocks.size());
+         ++B)
+      for (int32_t I = 0;
+           I < static_cast<int32_t>(P.Methods[M].Blocks[B].Insts.size()); ++I)
+        Want.push_back({M, B, I});
+  ASSERT_EQ(P.numStmts(), Want.size());
+  for (StmtId S = 0; S < Want.size(); ++S) {
+    const StmtRef &R = P.stmtRef(S);
+    ASSERT_TRUE(R.M == Want[S].M && R.Block == Want[S].Block &&
+                R.Index == Want[S].Index)
+        << "stmt " << S << " is (" << R.M << ", " << R.Block << ", "
+        << R.Index << "), want (" << Want[S].M << ", " << Want[S].Block
+        << ", " << Want[S].Index << ")";
+  }
+}
+
+TEST(StatementIndex, RebuildsWhenABlockIsEmptiedIntoItsPredecessor) {
+  // doGet's blocks are: 0 the entry, 1 the label, 2 the fallthrough.
+  Program P;
+  installBuiltinLibrary(P);
+  std::vector<std::string> Errors;
+  ASSERT_TRUE(parseTaj(P, R"(
+class App extends Servlet {
+  method doGet(this: App, req: Request, resp: Response, c: int): void [entry] {
+    t = req.getParameter("name");
+    w = resp.getWriter();
+    if c goto late;
+    w.println(t);
+  late:
+    u = req.getParameter("other");
+    w.println(u);
+  }
+}
+)",
+                       &Errors))
+      << (Errors.empty() ? "?" : Errors.front());
+  ASSERT_TRUE(verifyProgram(P).empty());
+  const MethodId Root = synthesizeEntrypointDriver(P);
+  TaintAnalysis TA(P, AnalysisConfig::hybridUnbounded());
+  const AnalysisResult Before = TA.run({Root});
+  ASSERT_FALSE(Before.Issues.empty());
+
+  // Move block 1's instructions onto the end of block 0. The method keeps
+  // its total and its instructions keep their order, so every StmtId
+  // still names the same instruction, and every block's first ref (block
+  // 0's and block 2's) sits where it was: only block 0's last ref shows
+  // the index is stale.
+  const MethodId Get = P.findMethod(P.findClass("App"), "doGet");
+  ASSERT_NE(Get, InvalidId);
+  std::vector<BasicBlock> &Blocks = P.Methods[Get].Blocks;
+  ASSERT_GE(Blocks.size(), 3u);
+  ASSERT_FALSE(Blocks[1].Insts.empty());
+  ASSERT_FALSE(Blocks[2].Insts.empty());
+  std::vector<Instruction> &B0 = Blocks[0].Insts;
+  B0.insert(B0.end(), Blocks[1].Insts.begin(), Blocks[1].Insts.end());
+  Blocks[1].Insts.clear();
+
+  P.indexStatements();
+  ASSERT_NO_FATAL_FAILURE(expectFreshIndex(P));
+  const AnalysisResult After = TA.run({Root});
+  ASSERT_NO_FATAL_FAILURE(expectFreshIndex(P));
+  EXPECT_EQ(After.Issues, Before.Issues);
 }
 
 TEST_F(IrFixture, PrinterProducesText) {

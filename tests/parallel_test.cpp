@@ -198,6 +198,20 @@ TEST(Parallel, InterleavedForPropagatesWorkerExceptions) {
                std::runtime_error);
 }
 
+TEST(Parallel, SharedGuardCountsEveryCheckpointOfAFanOut) {
+  RunGuard G;
+  {
+    const RunGuard::SharedScope Share(&G);
+    parallelForInterleaved(4, 40000, [&](unsigned, size_t) {
+      EXPECT_TRUE(G.checkpoint());
+    });
+  }
+  EXPECT_EQ(G.checkpointCount(), 40000u);
+  // The coordinator's own checkpoints carry on from the shared total.
+  EXPECT_TRUE(G.checkpoint());
+  EXPECT_EQ(G.checkpointCount(), 40001u);
+}
+
 //===----------------------------------------------------------------------===//
 // Clean-run determinism: byte-identical at every thread count
 //===----------------------------------------------------------------------===//

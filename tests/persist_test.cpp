@@ -369,7 +369,8 @@ TEST(WarmStart, MatchesColdForEveryPreset) {
 
   auto Presets = [] {
     return std::vector<AnalysisConfig>{
-        AnalysisConfig::hybridUnbounded(), AnalysisConfig::hybridPrioritized(200),
+        AnalysisConfig::hybridUnbounded(),
+        AnalysisConfig::hybridPrioritized(200),
         AnalysisConfig::hybridOptimized(), AnalysisConfig::cs(),
         AnalysisConfig::ci()};
   };
@@ -1413,7 +1414,24 @@ TEST(Corruption, DamagedEntriesFallBackColdWithIdenticalResults) {
   EXPECT_EQ(W1.VersionMiss, 0u) << "damage is corruption, not staleness";
   EXPECT_EQ(W1.Stores, 2u) << "fallback cold run must refill the cache";
 
-  // Round 2: bump the format-version byte of every (refilled) entry. A
+  // Round 2: empty one entry and cut the other in the middle of its
+  // payload. A read that ends short of the header, or of the payload size
+  // the header records, is corruption as well.
+  Entries = cacheEntries(D.Path);
+  ASSERT_EQ(Entries.size(), 2u);
+  fs::resize_file(Entries[0], 0);
+  const uintmax_t Full = fs::file_size(Entries[1]);
+  ASSERT_GT(Full, 64u);
+  fs::resize_file(Entries[1], 32 + (Full - 32) / 2);
+  RunOut Cut = runApp("BlueBlog", AnalysisConfig::hybridUnbounded(), &Cache);
+  EXPECT_EQ(Cold.Set, Cut.Set);
+  EXPECT_EQ(Cold.Report, Cut.Report);
+  EXPECT_EQ(Cut.Hits, 0u);
+  EXPECT_EQ(Cut.Corrupt, 2u);
+  EXPECT_EQ(Cut.VersionMiss, 0u);
+  EXPECT_EQ(Cut.Stores, 2u) << "fallback cold run must refill the cache";
+
+  // Round 3: bump the format-version byte of every (refilled) entry. A
   // record written by a different format generation is expected churn, so
   // it must fall back as a clean version miss — not count as corruption.
   for (const fs::path &E : cacheEntries(D.Path)) {
@@ -1430,7 +1448,7 @@ TEST(Corruption, DamagedEntriesFallBackColdWithIdenticalResults) {
   EXPECT_EQ(W2.VersionMiss, 2u);
   EXPECT_EQ(W2.Stores, 2u) << "fallback cold run must refill the cache";
 
-  // Round 3: untouched entries finally serve a clean warm start.
+  // Round 4: untouched entries finally serve a clean warm start.
   RunOut W3 = runApp("BlueBlog", AnalysisConfig::hybridUnbounded(), &Cache);
   EXPECT_EQ(Cold.Set, W3.Set);
   EXPECT_EQ(Cold.Report, W3.Report);

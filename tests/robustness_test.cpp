@@ -21,11 +21,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <thread>
 #include <tuple>
 
 #include <sys/wait.h>
@@ -134,6 +136,55 @@ TEST(Robustness, FaultInjectionSweepNeverCrashesAndStaysUnderapproximate) {
     for (const FlowKey &K : flowSet(R))
       EXPECT_TRUE(BaseFlows.count(K));
   }
+}
+
+TEST(Robustness, FailAtTripsAtExactlyTheNthCheckpoint) {
+  // Limits on both sides of multiples of the poll interval (128): the
+  // checkpoint before the limit passes, the one at it stops the run, and
+  // the count stays there once stopped.
+  for (const uint64_t K : {1, 2, 127, 128, 129, 256, 257, 1000}) {
+    for (const uint64_t Replayed : {0, 300}) {
+      SCOPED_TRACE("fail-at=" + std::to_string(K) + " after " +
+                   std::to_string(Replayed) + " replayed");
+      RunGuard::Limits L;
+      L.FailAtCheckpoint = K + Replayed;
+      RunGuard G(L);
+      G.replayWork(Replayed);
+      for (uint64_t C = 1; C < K; ++C)
+        ASSERT_TRUE(G.checkpoint()) << "checkpoint " << C;
+      EXPECT_FALSE(G.checkpoint());
+      EXPECT_EQ(G.reason(), CutoffReason::FaultInjected);
+      EXPECT_EQ(G.checkpointCount(), K + Replayed);
+      EXPECT_FALSE(G.checkpoint());
+      EXPECT_EQ(G.checkpointCount(), K + Replayed);
+    }
+    if (K == 1)
+      continue;
+    // Work replayed mid-run that jumps past the limit trips it at the
+    // next checkpoint.
+    SCOPED_TRACE("fail-at=" + std::to_string(K) + " jumped by a replay");
+    RunGuard::Limits L;
+    L.FailAtCheckpoint = K;
+    RunGuard G(L);
+    ASSERT_TRUE(G.checkpoint());
+    G.replayWork(300);
+    const uint64_t TripsAt = std::max<uint64_t>(K, 302);
+    for (uint64_t C = 302; C < TripsAt; ++C)
+      ASSERT_TRUE(G.checkpoint()) << "checkpoint " << C;
+    EXPECT_FALSE(G.checkpoint());
+    EXPECT_EQ(G.checkpointCount(), TripsAt);
+  }
+}
+
+TEST(Robustness, CancelFromAnotherThreadStopsTheNextCheckpoint) {
+  RunGuard G;
+  for (int I = 0; I < 5; ++I)
+    ASSERT_TRUE(G.checkpoint());
+  std::thread Canceller([&G] { G.cancel(); });
+  Canceller.join();
+  EXPECT_FALSE(G.checkpoint());
+  EXPECT_EQ(G.reason(), CutoffReason::Cancelled);
+  EXPECT_EQ(G.checkpointCount(), 6u);
 }
 
 TEST(Robustness, FaultAtFirstCheckpointSkipsDownstreamPhases) {

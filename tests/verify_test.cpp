@@ -506,8 +506,9 @@ struct Rebuilt {
   /// Restores the program from the cache's own IR record — the exact
   /// program warm analyzeApp runs pair with the pts/sdg artifacts.
   Rebuilt(persist::ArtifactCache &Cache, const std::string &InputFp) {
-    auto Payload = Cache.load(persist::ArtifactCache::makeKey("ir", InputFp, ""),
-                              persist::ArtifactKind::Ir);
+    auto Payload =
+        Cache.load(persist::ArtifactCache::makeKey("ir", InputFp, ""),
+                   persist::ArtifactKind::Ir);
     if (!Payload)
       return;
     persist::Reader R(Payload->data(), Payload->size());

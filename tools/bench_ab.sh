@@ -35,7 +35,12 @@
 # hierarchy's constructor on Roller, which every run pays). Each row keeps
 # the time unit its benchmark reports in (ns, us or ms), and medians print
 # to three decimals. The speedup column is medianA / medianB, so values
-# above 1 mean the candidate is faster.
+# above 1 mean the candidate is faster. Because A and B alternate, each
+# round is also a pair: paired_speedup is the median over rounds of that
+# round's A/B ratio, and wins counts the rounds B was faster in. A slow
+# spell of the host that covers more runs of one side than of the other
+# skews the per-side medians, but only the ratios of the rounds it
+# touched.
 #
 #===----------------------------------------------------------------------===#
 set -euo pipefail
@@ -109,15 +114,21 @@ for name in sorted(set(a) & set(b)):
               "skipped", file=sys.stderr)
         continue
     ma, mb = statistics.median(a[name]), statistics.median(b[name])
+    pairs = list(zip(a[name], b[name]))
+    paired = statistics.median(ta / tb for ta, tb in pairs if tb)
+    wins = sum(tb < ta for ta, tb in pairs)
     report["benchmarks"].append({
         "name": name,
         "time_unit": unit,
         "median_a": ma,
         "median_b": mb,
         "speedup": ma / mb if mb else None,
+        "paired_speedup": paired,
+        "wins": wins,
     })
     print(f"{name:45s} A={ma:14.3f} {unit:2s}  B={mb:14.3f} {unit:2s}  "
-          f"speedup={ma / mb:5.2f}x")
+          f"speedup={ma / mb:5.2f}x  paired={paired:5.2f}x  "
+          f"wins={wins}/{len(pairs)}")
 missing = sorted(set(a) ^ set(b))
 if missing:
     print(f"note: only one side ran: {', '.join(missing)}", file=sys.stderr)
