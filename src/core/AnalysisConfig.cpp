@@ -59,7 +59,6 @@ std::string AnalysisConfig::sdgFingerprint() const {
 
 SlicerOptions AnalysisConfig::slicerOptions() const {
   SlicerOptions O;
-  O.Threads = Threads;
   O.MaxHeapTransitions = MaxHeapTransitions;
   O.MaxFlowLength = MaxFlowLength;
   O.NestedTaintDepth = NestedTaintDepth;

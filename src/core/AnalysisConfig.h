@@ -70,9 +70,9 @@ struct AnalysisConfig {
   /// one exit decision); when null, run() uses a private sink. Not owned.
   verify::Violations *Violations = nullptr;
 
-  /// Worker threads for the per-source slicing loops (1 = sequential,
-  /// 0 = auto: TAJ_THREADS env var, then hardware concurrency). Output is
-  /// byte-identical at every thread count.
+  /// Unread: slicing always runs on the calling thread. Kept only because
+  /// suitebench/LibraryWorkloads.cpp:70 assigns it; it goes once that
+  /// line does.
   uint32_t Threads = 1;
 
   /// Memory budget (channel nodes) for CS thin slicing.
@@ -135,8 +135,8 @@ struct AnalysisConfig {
   /// Canonical encoding of the fields that additionally shape the SDG +
   /// heap-edge bundle (slicer kind, exception modeling, nested-taint
   /// depth, CS channel budget). Pure slicing bounds (flow length, heap
-  /// transitions, threads) are deliberately excluded so those runs reuse
-  /// the SDG prefix.
+  /// transitions) are deliberately excluded so those runs reuse the SDG
+  /// prefix.
   std::string sdgFingerprint() const;
 
   PointsToOptions pointsToOptions() const;

@@ -48,8 +48,9 @@
 /// hot tier is on. A mem hit counts as a persist.hit too, so a window sees
 /// warm loads whichever tier served them.
 ///
-/// Thread safety: one mutex guards both tiers and every counter, so
-/// parallel slicing threads may share one cache.
+/// Thread safety: one mutex guards both tiers and every counter, so one
+/// cache may be shared by several threads of an embedding process; an
+/// analysis run itself calls it from its one thread.
 ///
 //===----------------------------------------------------------------------===//
 

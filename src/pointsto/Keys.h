@@ -163,7 +163,7 @@ public:
 
   /// Read-only lookup: the id of \p D if it was ever interned, InvalidId
   /// otherwise. Never mutates the table, so it is safe on post-solve read
-  /// paths (and from concurrent slicing workers).
+  /// paths.
   PKId lookup(const PointerKeyData &D) const {
     if (const PKId *S = slotOf(D))
       return *S;

@@ -73,8 +73,16 @@ OptionParse server::parseRunOption(const char *A, RunOptions &O) {
     return Bad(parseU32("--max-flow-length", A + 18, O.MaxLen));
   if (std::strncmp(A, "--nested-depth=", 15) == 0)
     return Bad(parseU32("--nested-depth", A + 15, O.NestedDepth));
-  if (std::strncmp(A, "--threads=", 10) == 0)
-    return Bad(parseU32("--threads", A + 10, O.Threads));
+  // Slicing runs on one thread. suitebench/ServeWorkload.cpp:217 still
+  // starts the daemon with --threads=1, so that one value is accepted and
+  // ignored until that line goes.
+  if (std::strncmp(A, "--threads=", 10) == 0) {
+    if (std::strcmp(A + 10, "1") == 0)
+      return OptionParse::Matched;
+    std::fprintf(stderr, "error: --threads accepts only 1, got '%s'\n",
+                 A + 10);
+    return OptionParse::Bad;
+  }
   if (std::strncmp(A, "--deadline-ms=", 14) == 0)
     return Bad(parseNum("--deadline-ms", A + 14, O.DeadlineMs));
   if (std::strncmp(A, "--max-memory-mb=", 16) == 0)
@@ -139,7 +147,6 @@ bool server::buildConfig(const RunOptions &O, AnalysisConfig &C) {
   if (O.MaxLen)
     C.MaxFlowLength = O.MaxLen;
   C.NestedTaintDepth = O.NestedDepth;
-  C.Threads = O.Threads; // 0 defers to TAJ_THREADS / hardware concurrency
   // Explicit flags win over the TAJ_* environment (TaintAnalysis overlays
   // the environment only onto unset limits, since flags default to 0 the
   // overlay applies exactly when no flag was given).
@@ -166,7 +173,6 @@ std::vector<std::string> server::encodeRunOptions(const RunOptions &O) {
   if (O.MaxLen)
     A.push_back("--max-flow-length=" + std::to_string(O.MaxLen));
   A.push_back("--nested-depth=" + std::to_string(O.NestedDepth));
-  A.push_back("--threads=" + std::to_string(O.Threads));
   if (O.DeadlineMs > 0)
     A.push_back("--deadline-ms=" + std::to_string(O.DeadlineMs));
   if (O.MaxMemoryMb)
@@ -218,7 +224,6 @@ RunOptions server::degradeForRetry(const RunOptions &O) {
     R.Budget = std::max(C.MaxCallGraphNodes / 2, 1u);
   if (R.StringAnalysis == StringAnalysisMode::Ipa)
     R.StringAnalysis = StringAnalysisMode::Local;
-  R.Threads = 1;
   // Injected faults are first-attempt scenarios: a retry that kept them
   // could never recover.
   R.FailAt = R.CrashAt = R.HangAt = 0;

@@ -125,8 +125,7 @@ void HeapEdges::build(const Program &P, const PointsToSolver &Solver,
   csrFromLog(LogIK, LogSink, Solver.instanceKeys().size(), IkSinkOff,
              IkSinks);
 
-  // Materialize every store's adjacency now, while still single-threaded:
-  // slicing workers must only ever read this object.
+  // Materialize every store's adjacency now: slicing only reads it.
   const std::span<const IKId> LoadBases(Bases);
   std::vector<IKId> Base;
   for (SDGNodeId Store : G.storeNodes()) {

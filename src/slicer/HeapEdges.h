@@ -16,11 +16,10 @@
 ///
 /// The full store adjacency is materialized at construction time, before
 /// slicing begins; afterwards the object is immutable and loadsFor() /
-/// carrierSinksFor() are plain const lookups, safe for any number of
-/// concurrent slicing workers. A governed instance (non-null \p Guard)
-/// checkpoints per indexed load/sink and per materialized store; after a
-/// cutoff the remaining stores serve empty adjacency, which only removes
-/// heap hops from slices (underapproximate).
+/// carrierSinksFor() are plain const lookups. A governed instance
+/// (non-null \p Guard) checkpoints per indexed load/sink and per
+/// materialized store; after a cutoff the remaining stores serve empty
+/// adjacency, which only removes heap hops from slices (underapproximate).
 ///
 //===----------------------------------------------------------------------===//
 

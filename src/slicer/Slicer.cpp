@@ -7,8 +7,8 @@
 /// \file
 /// One routine, runSlicer, runs the hybrid, CS and CI thin slicers
 /// (Slicer.h). It builds or restores the SDG and heap edges, then slices
-/// every (rule, source) item over a dense, worker-private state. The
-/// algorithms differ only in their reach step:
+/// every (rule, source) item over one dense state reused across items.
+/// The algorithms differ only in their reach step:
 ///
 ///  - hybrid: tabulation, then store->load hops from the stores that
 ///    tabulation reached first, then tabulation from the loads the hops
@@ -22,16 +22,13 @@
 /// reaches. One recording step then turns reached sinks and taint-carrier
 /// flows into issues, in ascending sink node id.
 ///
-/// Parallel engine: the (rule, source) items are collected rule-major
-/// (rule bit outer, ascending source node id inner), the sequential order.
-/// Worker w statically takes items w, w+T, w+2T, ... and appends each
-/// item's flows, in discovery order, to a buffer private to that item. The
-/// merge walks items in sequential order through one dedup set (first
-/// occurrence wins) and finally sorts, so the output is byte-identical at
-/// every thread count. Under a guard cutoff an item contributes only if it
-/// completed before the stop: a worker observing the stop mid-item
-/// discards that item's buffer, so partial runs stay underapproximate and
-/// the output is a pure function of the set of completed items.
+/// The (rule, source) items are collected rule-major (rule bit outer,
+/// ascending source node id inner) and sliced in that order by one
+/// SliceWorker on the calling thread. Each item's flows go to one reused
+/// buffer and then through one dedup set (first occurrence wins) into the
+/// output, which is finally sorted. A guard stop inside an item drops that
+/// item's flows, so a cut-off run keeps exactly the flows of the items
+/// that completed before the stop and stays underapproximate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +37,6 @@
 #include "persist/Cache.h"
 #include "rhs/Tabulation.h"
 #include "slicer/HeapEdges.h"
-#include "support/Parallel.h"
 #include "support/RunGuard.h"
 #include "support/Stats.h"
 #include "support/Trace.h"
@@ -66,10 +62,10 @@ struct SliceItem {
 
 constexpr uint32_t Unreached = Tabulation::SliceResult::Unreached;
 
-/// Worker-private slicing state. The node-indexed arrays are sized to the
+/// The slicing state of one run. The node-indexed arrays are sized to the
 /// SDG once and reset between items in O(reached). The per-rule
-/// Tabulations are created on the worker's first item of that rule and
-/// keep their summary memos across the worker's items.
+/// Tabulations are created on the first item of that rule and keep their
+/// summary memos across items.
 class SliceWorker {
 public:
   SliceWorker(Algo Alg, const SDG &G, const HeapEdges &HE,
@@ -78,7 +74,7 @@ public:
         HopParent(G.numNodes(), InvalidId), Carrier(G.numNodes()) {}
 
   /// Slices one item, appending every flow that survives the flow-length
-  /// filter to \p Buf in discovery order (the merge dedups).
+  /// filter to \p Buf in discovery order (sliceItems dedups).
   void slice(const SliceItem &It, std::vector<Issue> &Buf);
 
   /// Traversal work so far: tabulation path edges, or CI BFS pops.
@@ -188,7 +184,7 @@ void SliceWorker::reachCi() {
   R.reach(Src, 0, InvalidId);
   for (size_t Head = 0; Head < R.Reached.size(); ++Head) {
     if (Opts.Guard && !Opts.Guard->checkpoint())
-      break; // cutoff: sliceItems discards this in-flight item
+      break; // cutoff: sliceItems drops this in-flight item
     const SDGNodeId N = R.Reached[Head];
     const uint32_t D = R.Dist[N];
     ++Work;
@@ -291,8 +287,8 @@ std::vector<StmtId> SliceWorker::pathTo(SDGNodeId From, SDGNodeId Sink) const {
   return Rev;
 }
 
-/// Fans the (rule, source) items across the workers and merges their
-/// flows deterministically into \p Out (see the file comment).
+/// Slices the (rule, source) items in order and collects their flows into
+/// \p Out (see the file comment).
 void sliceItems(Algo Alg, const SDG &G, const HeapEdges &HE,
                 const SlicerOptions &Opts, SliceRunResult &Out) {
   // One scan for the sources of every rule, bucketed under their rules in
@@ -307,41 +303,24 @@ void sliceItems(Algo Alg, const SDG &G, const HeapEdges &HE,
     for (SDGNodeId Src : ByRule[RB])
       Items.push_back({RB, Src});
 
-  const unsigned W = static_cast<unsigned>(std::max<size_t>(
-      1, std::min<size_t>(resolveThreadCount(Opts.Threads), Items.size())));
-  std::vector<SliceWorker> Workers;
-  Workers.reserve(W);
-  for (unsigned K = 0; K < W; ++K)
-    Workers.emplace_back(Alg, G, HE, Opts);
-  std::vector<std::vector<Issue>> Buffers(Items.size());
-  std::vector<char> Completed(Items.size(), 0);
   RunGuard *Guard = Opts.Guard;
-
-  // Workers of a fan-out checkpoint the one guard concurrently.
-  const RunGuard::SharedScope Share(W > 1 ? Guard : nullptr);
-  parallelForInterleaved(W, Items.size(), [&](unsigned Worker, size_t I) {
-    // One checkpoint per item; a failing checkpoint (or an already-stopped
-    // guard) skips the item.
-    if (Guard && !Guard->checkpoint())
-      return;
-    Workers[Worker].slice(Items[I], Buffers[I]);
-    if (Guard && Guard->stopped()) {
-      Buffers[I].clear(); // discard the in-flight partial: underapproximate
-      return;
-    }
-    Completed[I] = 1;
-  });
-
+  SliceWorker Worker(Alg, G, HE, Opts);
+  std::vector<Issue> Buf;
   std::set<Issue> Dedup;
-  for (size_t I = 0; I < Items.size(); ++I) {
-    if (!Completed[I])
-      continue;
-    for (Issue &Iss : Buffers[I])
+  for (const SliceItem &It : Items) {
+    // One checkpoint per item; a stop before or inside the item ends the
+    // loop without its flows.
+    if (Guard && !Guard->checkpoint())
+      break;
+    Buf.clear();
+    Worker.slice(It, Buf);
+    if (Guard && Guard->stopped())
+      break;
+    for (Issue &Iss : Buf)
       if (Dedup.insert(Iss).second)
         Out.Issues.push_back(std::move(Iss));
   }
-  for (const SliceWorker &Wk : Workers)
-    Out.PathEdges += Wk.Work;
+  Out.PathEdges += Worker.Work;
   std::sort(Out.Issues.begin(), Out.Issues.end());
 }
 

@@ -124,7 +124,7 @@ RunGuard::Limits RunGuard::limitsFromEnv(Limits Base) {
   return Base;
 }
 
-bool RunGuard::checksAt(uint64_t C) {
+bool RunGuard::slowCheckpoint(uint64_t C) {
   if (Lim.CrashAtCheckpoint != 0 && C >= Lim.CrashAtCheckpoint)
     crashNow(); // does not return
   if (Lim.HangAtCheckpoint != 0 && C >= Lim.HangAtCheckpoint)
@@ -133,13 +133,7 @@ bool RunGuard::checksAt(uint64_t C) {
     return stop(CutoffReason::FaultInjected);
   if (CancelFlag.load())
     return stop(CutoffReason::Cancelled);
-  if ((C & (PollInterval - 1)) == 0)
-    return poll();
-  return true;
-}
-
-bool RunGuard::slowCheckpoint(uint64_t C) {
-  if (!checksAt(C))
+  if ((C & (PollInterval - 1)) == 0 && !poll())
     return false;
   uint64_t Next = (C | (PollInterval - 1)) + 1;
   for (const uint64_t L :

@@ -116,16 +116,12 @@ struct RunStatus {
 ///
 /// Concurrency contract:
 ///  - stopped(), cancel(), checkpointCount() and the cutoff accessors are
-///    safe from any thread at any time.
-///  - checkpoint() bumps the count with a plain load and store, so only
-///    one thread may call it at a time, unless a SharedScope is open: the
-///    parallel slicing workers all poll one guard inside one, and then
-///    every call bumps with one atomic add and runs every check.
-///  - Phase bookkeeping (beginPhase(), workOf(), replayWork()) and opening
-///    or closing a SharedScope belong to the coordinating thread at phase
-///    boundaries, while no worker is checkpointing; within a phase the
-///    global checkpoint count attributes concurrent work to the phase
-///    that opened it.
+///    safe from any thread at any time; a thread that sees stopped() also
+///    sees reason() and cutoffPhase().
+///  - Everything else belongs to the one thread that runs the analysis:
+///    checkpoint() bumps the count with a plain load and store, and the
+///    phase bookkeeping (beginPhase(), workOf(), replayWork()) reads and
+///    writes plain fields.
 class RunGuard {
 public:
   struct Limits {
@@ -161,7 +157,7 @@ public:
   static Limits limitsFromEnv() { return limitsFromEnv(Limits()); }
 
   /// Marks the start of pipeline phase \p Ph; subsequent work (and a
-  /// cutoff, if one happens) is attributed to it. Coordinator-thread only.
+  /// cutoff, if one happens) is attributed to it.
   void beginPhase(RunPhase Ph) {
     uint64_t C = Checkpoints.load(std::memory_order_relaxed);
     PhaseWorkAcc[static_cast<size_t>(CurPhase)] += C - PhaseStartWork;
@@ -184,14 +180,10 @@ public:
   /// a pending cancel, and the deadline and memory poll at every
   /// PollInterval-th checkpoint — is due only once the count reaches
   /// NextSlow, so the inline path is the stop test, the bump and one
-  /// compare, and the rest runs out of line. Concurrent callers (inside a
-  /// SharedScope) share one global count, so a fault-injection limit still
-  /// trips at the Nth checkpoint overall.
+  /// compare, and the rest runs out of line.
   bool checkpoint() {
     if (StopFlag.load(std::memory_order_acquire))
       return false;
-    if (Shared)
-      return checksAt(Checkpoints.fetch_add(1, std::memory_order_relaxed) + 1);
     const uint64_t C = Checkpoints.load(std::memory_order_relaxed) + 1;
     Checkpoints.store(C, std::memory_order_relaxed);
     if (C < NextSlow.load(std::memory_order_relaxed))
@@ -199,34 +191,10 @@ public:
     return slowCheckpoint(C);
   }
 
-  /// Marks a guard as checkpointed from several threads at once for the
-  /// scope's lifetime (a slicing fan-out): each checkpoint() then bumps
-  /// the count with one atomic add and runs every check, as no single
-  /// thread can keep NextSlow in step with the shared count. Open and
-  /// close it on the coordinating thread, before the workers start and
-  /// after they have joined. A null guard makes the scope a no-op.
-  class SharedScope {
-  public:
-    explicit SharedScope(RunGuard *G) : G(G) {
-      if (G)
-        G->Shared = true;
-    }
-    ~SharedScope() {
-      if (G)
-        G->Shared = false;
-    }
-    SharedScope(const SharedScope &) = delete;
-    SharedScope &operator=(const SharedScope &) = delete;
-
-  private:
-    RunGuard *G;
-  };
-
   /// Credits \p Units of work that an earlier run recorded for the current
   /// phase (a warm start restoring that phase's result) without polling
   /// any limit, so the phase reports the work of the run that computed it.
   /// A limit the credit jumps past trips at the next checkpoint.
-  /// Coordinator-thread only.
   void replayWork(uint64_t Units) {
     Checkpoints.fetch_add(Units, std::memory_order_relaxed);
   }
@@ -276,14 +244,13 @@ private:
   /// (must be a power of two).
   static constexpr uint64_t PollInterval = 128;
 
-  /// The checks of checkpoint \p C, in order: crash-at, hang-at,
-  /// fail-at, cancel, then the deadline and memory poll when \p C is a
-  /// multiple of PollInterval. False once one of them stops the run.
-  bool checksAt(uint64_t C);
-  /// checkpoint() once the count reaches NextSlow: checksAt(\p C), then,
-  /// when nothing tripped, re-arms NextSlow to the first checkpoint after
-  /// \p C at which a check is due: the next multiple of PollInterval,
-  /// lowered to the nearest crash-at, hang-at or fail-at limit above \p C.
+  /// checkpoint() once the count reaches NextSlow: the checks of
+  /// checkpoint \p C, in order: crash-at, hang-at, fail-at, cancel, then
+  /// the deadline and memory poll when \p C is a multiple of PollInterval.
+  /// False once one of them stops the run; otherwise re-arms NextSlow to
+  /// the first checkpoint after \p C at which a check is due: the next
+  /// multiple of PollInterval, lowered to the nearest crash-at, hang-at or
+  /// fail-at limit above \p C.
   bool slowCheckpoint(uint64_t C);
 
   /// Terminates the process abnormally (abort() or raise(CrashSignal)).
@@ -292,12 +259,10 @@ private:
   [[noreturn]] static void hangForever();
 
   bool stop(CutoffReason R) {
-    // Two-step latch: a relaxed CAS elects the winner, which records the
-    // cutoff details and only then publishes StopFlag with release order,
-    // so any thread observing stopped() also observes Reason and CutPhase.
-    bool Expected = false;
-    if (StopClaim.compare_exchange_strong(Expected, true,
-                                          std::memory_order_relaxed)) {
+    // The first stop wins. It records the cutoff details and only then
+    // publishes StopFlag with release order, so any thread observing
+    // stopped() also observes Reason and CutPhase.
+    if (!StopFlag.load(std::memory_order_relaxed)) {
       Reason = R;
       CutPhase = CurPhase;
       StopFlag.store(true, std::memory_order_release);
@@ -323,15 +288,11 @@ private:
   /// The count at which checkpoint() next takes the slow path. Zero until
   /// the first checkpoint arms it, and again after cancel().
   std::atomic<uint64_t> NextSlow{0};
-  /// Set while a SharedScope is open; written only by the coordinating
-  /// thread while no worker runs.
-  bool Shared = false;
   uint64_t PhaseStartWork = 0;
   uint64_t PhaseWorkAcc[5] = {0, 0, 0, 0, 0};
   RunPhase CurPhase = RunPhase::PointerAnalysis;
   RunPhase CutPhase = RunPhase::PointerAnalysis;
   CutoffReason Reason = CutoffReason::None;
-  std::atomic<bool> StopClaim{false};
   std::atomic<bool> StopFlag{false};
   std::atomic<bool> CancelFlag{false};
 };

@@ -9,18 +9,16 @@
 /// object used by the bounded-analysis techniques of TAJ Section 6.
 ///
 /// Counters are handle-based: a name is interned once into a dense handle
-/// (a slot index), and increments through the handle are lock-free atomic
-/// adds. Hot loops pre-resolve their handles up front instead of paying a
+/// (a slot index), and an increment through the handle is a plain add.
+/// Hot loops pre-resolve their handles up front instead of paying a
 /// string-keyed map lookup per increment; the string-keyed add() remains
-/// for cold paths. Interning handles is NOT safe concurrently with
-/// increments — resolve every handle before fanning work out to threads.
+/// for cold paths.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TAJ_SUPPORT_STATS_H
 #define TAJ_SUPPORT_STATS_H
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -29,16 +27,14 @@
 
 namespace taj {
 
-/// Named counters collected during an analysis run. Increments through a
-/// pre-interned handle are thread-safe (relaxed atomic adds); everything
-/// else (interning, reading, copying) must be quiescent.
+/// Named counters collected during an analysis run. Not thread-safe: one
+/// thread owns a Stats object at a time.
 class Stats {
 public:
   /// Dense counter handle (slot index).
   using Handle = uint32_t;
 
-  /// Interns \p Name, returning its handle. Idempotent. Not thread-safe;
-  /// resolve handles before any concurrent addTo().
+  /// Interns \p Name, returning its handle. Idempotent.
   Handle handle(const std::string &Name) {
     auto It = Index.find(Name);
     if (It != Index.end())
@@ -49,12 +45,8 @@ public:
     return H;
   }
 
-  /// Adds \p Delta to the counter behind \p H. Thread-safe for handles
-  /// interned before the concurrent phase began.
-  void addTo(Handle H, uint64_t Delta = 1) {
-    std::atomic_ref<uint64_t>(Slots[H]).fetch_add(Delta,
-                                                  std::memory_order_relaxed);
-  }
+  /// Adds \p Delta to the counter behind \p H.
+  void addTo(Handle H, uint64_t Delta = 1) { Slots[H] += Delta; }
 
   /// Adds \p Delta to counter \p Name (cold-path convenience; interns).
   void add(const std::string &Name, uint64_t Delta = 1) {
@@ -68,7 +60,7 @@ public:
   }
 
   /// Adds every counter of \p Other into this object (interning any new
-  /// names). Not thread-safe; both objects must be quiescent.
+  /// names).
   void merge(const Stats &Other);
 
   /// Parses a toJson()-shaped flat object and adds every counter into

@@ -35,8 +35,7 @@ struct TraceEvent {
 };
 
 /// The process-global sink. A mutex suffices: events are recorded at
-/// phase/worker granularity, never per work item, so contention is not a
-/// factor even at high thread counts.
+/// phase granularity, never per work item, so contention is not a factor.
 struct TraceSink {
   std::mutex Mu;
   std::vector<TraceEvent> Buf;

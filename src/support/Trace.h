@@ -34,11 +34,9 @@
 /// per work item). Neither may perturb analysis results — spans observe,
 /// they do not participate.
 ///
-/// Threading: the trace sink is safe from any thread (per-worker spans in
-/// the parallel slicing engine record concurrently, tagged with a stable
-/// per-thread id). A PhaseProfile is coordinator-thread-only, like
-/// RunGuard's phase bookkeeping: push/pop happen at phase boundaries while
-/// no worker is running.
+/// Threading: the trace sink is safe from any thread (each event is tagged
+/// with a stable per-thread id). A PhaseProfile belongs to the one thread
+/// that runs the analysis, like RunGuard's phase bookkeeping.
 ///
 //===----------------------------------------------------------------------===//
 

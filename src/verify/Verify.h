@@ -7,8 +7,8 @@
 /// \file
 /// A static-analysis pass over the analyzer's own artifacts (taj-cli
 /// --verify): independent re-checking of the invariants every downstream
-/// consumer assumes, so a bug in the solver, the SDG builder, a parallel
-/// merge, or a checksum-valid-but-structurally-stale cache restore fails
+/// consumer assumes, so a bug in the solver, the SDG builder, the slicer,
+/// or a checksum-valid-but-structurally-stale cache restore fails
 /// loudly instead of silently shipping wrong findings.
 ///
 /// Three checkers sit behind one run() entry point:
@@ -105,8 +105,8 @@ const char *checkerName(Checker C);
 /// Violation sink for one run: prints each diagnostic as it arrives
 /// (capped per checker so a corrupt artifact cannot flood stderr), counts
 /// everything, and exports the verify.* / persist.verify_rejected
-/// counters. Not thread-safe: every checker runs on the phase-owning
-/// thread after parallel work has been merged.
+/// counters. Not thread-safe: every checker runs on the thread that runs
+/// the analysis.
 class Violations {
 public:
   /// Records one violation: prints "verify: <checker>: <detail>" (unless

@@ -743,24 +743,20 @@ std::string runCli(const std::string &Args, int &ExitCode) {
 
 TEST(PointsTo, CliWarmRunsByteIdenticalToCold) {
   // A warm restore of the persisted points-to solution must be
-  // output-invisible: for each preset and thread count, a warm run
-  // produces byte-identical stdout (under --verify=full) to the cold run
-  // that filled the cache.
+  // output-invisible: for each preset, a warm run produces byte-identical
+  // stdout (under --verify=full) to the cold run that filled the cache.
   for (const char *Config : {"hybrid", "ci"}) {
-    for (int Threads : {1, 8}) {
-      TempDir D;
-      const std::string Args = "--cache-dir=\"" + D.Path + "\" --config=" +
-                               Config + " --threads=" +
-                               std::to_string(Threads) + " --verify=full \"" +
-                               TAJ_EXAMPLE_TAJ + "\"";
-      int EcCold = 0, EcWarm = 0;
-      const std::string Cold = runCli(Args, EcCold);
-      const std::string Warm = runCli(Args, EcWarm);
-      EXPECT_EQ(EcCold, 0) << Config << " t=" << Threads;
-      EXPECT_EQ(EcWarm, EcCold) << Config << " t=" << Threads;
-      EXPECT_FALSE(Cold.empty()) << Config << " t=" << Threads;
-      EXPECT_EQ(Warm, Cold) << Config << " t=" << Threads;
-    }
+    TempDir D;
+    const std::string Args = "--cache-dir=\"" + D.Path + "\" --config=" +
+                             Config + " --verify=full \"" + TAJ_EXAMPLE_TAJ +
+                             "\"";
+    int EcCold = 0, EcWarm = 0;
+    const std::string Cold = runCli(Args, EcCold);
+    const std::string Warm = runCli(Args, EcWarm);
+    EXPECT_EQ(EcCold, 0) << Config;
+    EXPECT_EQ(EcWarm, EcCold) << Config;
+    EXPECT_FALSE(Cold.empty()) << Config;
+    EXPECT_EQ(Warm, Cold) << Config;
   }
 }
 

@@ -111,9 +111,8 @@ INSTANTIATE_TEST_SUITE_P(Apps, RegressionTest,
 // several nodes per statement, so the discovery order also decides each
 // issue's length and path, and paths drive the report's LCP grouping. The
 // digest below covers all of it, and the table pins it for every suite app
-// under the four slicer configurations of Table 3 at bench bounds, on one
-// slicing thread. A slicer change that moves any digest changes the
-// reported output.
+// under the four slicer configurations of Table 3 at bench bounds. A slicer
+// change that moves any digest changes the reported output.
 
 /// FNV-1a, fed 64-bit words.
 struct Fnv {
@@ -173,7 +172,6 @@ AnalysisConfig digestConfig(const std::string &Name) {
     C = AnalysisConfig::cs();
   else
     C = AnalysisConfig::ci();
-  C.Threads = 1;
   return C;
 }
 

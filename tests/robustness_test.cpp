@@ -6,7 +6,8 @@
 // corpus, and cyclic class hierarchies. The invariant throughout: a
 // governed run never crashes or hangs, and every issue it reports is one
 // the unbounded run also reports (truncation only shrinks the result, per
-// TAJ §6).
+// TAJ §6). A cutoff inside slicing keeps exactly the items that completed,
+// so the same taj-cli command prints the same output every time.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,9 +27,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -54,6 +58,32 @@ class App extends Servlet {
   }
   method shuffle(this: App, x: String): String {
     return x;
+  }
+}
+)";
+
+/// Heap-mediated flows, a taint carrier, a sanitizer and several sources,
+/// so a slicing cutoff can fall between items that record direct sinks,
+/// carrier sinks and flows another item also found.
+const char *HeapAppSource = R"(
+class Holder extends Object {
+  field v: String;
+  method set(this: Holder, s: String): void { this.v = s; }
+}
+class App extends Servlet {
+  method doGet(this: App, req: Request, resp: Response, db: Database): void [entry] {
+    t1 = req.getParameter("name");
+    t2 = req.getParameter("query");
+    t3 = req.getParameter("safe");
+    h = new Holder;
+    h.set(t1);
+    u = h.v;
+    w = resp.getWriter();
+    w.println(u);
+    w.println(t1);
+    db.executeQuery(t2);
+    e = Encoder.encode(t3);
+    w.println(e);
   }
 }
 )";
@@ -138,6 +168,70 @@ TEST(Robustness, FaultInjectionSweepNeverCrashesAndStaysUnderapproximate) {
   }
 }
 
+TEST(Robustness, MidSlicingFaultKeepsOnlyCompletedItems) {
+  // A cutoff at every checkpoint of the slicing phase drops the item in
+  // flight, so every reported issue comes from an item that finished, the
+  // issue vector stays sorted and deduplicated, and a later cutoff keeps
+  // every flow an earlier one kept (the items complete in a fixed order).
+  Pipeline PL(HeapAppSource);
+  AnalysisResult Base = PL.run(AnalysisConfig::hybridUnbounded());
+  ASSERT_FALSE(Base.degraded());
+  const std::set<FlowKey> BaseFlows = flowSet(Base);
+  const uint64_t Total = Base.RunStats.get("guard.checkpoints");
+  uint64_t SliceWork = 0;
+  for (const PhaseReport &PR : Base.Status.Phases)
+    if (PR.Phase == RunPhase::Slicing)
+      SliceWork = PR.WorkDone;
+  ASSERT_GT(SliceWork, 1u);
+  ASSERT_LT(SliceWork, Total);
+
+  std::set<FlowKey> Earlier;
+  for (uint64_t N = Total - SliceWork + 1; N <= Total; ++N) {
+    SCOPED_TRACE("fail-at=" + std::to_string(N));
+    AnalysisConfig C = AnalysisConfig::hybridUnbounded();
+    C.FailAtCheckpoint = N;
+    AnalysisResult R = PL.run(std::move(C));
+    const PhaseReport *PR = R.Status.firstDegraded();
+    ASSERT_NE(PR, nullptr);
+    EXPECT_EQ(PR->Phase, RunPhase::Slicing);
+    const std::set<FlowKey> Flows = flowSet(R);
+    for (const FlowKey &K : Flows)
+      EXPECT_TRUE(BaseFlows.count(K));
+    EXPECT_EQ(Flows.size(), R.Issues.size()) << "duplicate issues survived";
+    EXPECT_TRUE(std::is_sorted(R.Issues.begin(), R.Issues.end()));
+    EXPECT_TRUE(std::includes(Flows.begin(), Flows.end(), Earlier.begin(),
+                              Earlier.end()));
+    Earlier = Flows;
+  }
+}
+
+TEST(Robustness, CutoffInsideTheLastItemDropsItsFlows) {
+  // One source and one sink that is both an XSS and an InfoLeak sink. The
+  // items run rule-major, so the InfoLeak item is the last and the only
+  // one that finds the InfoLeak flow. The run's last checkpoint falls
+  // inside it: a cutoff there keeps the XSS flow and drops that item's.
+  Pipeline PL(R"(
+class App extends Servlet {
+  method doGet(this: App, req: Request, resp: Response): void [entry] {
+    t = req.getParameter("name");
+    w = resp.getWriter();
+    w.println(t);
+  }
+}
+)");
+  AnalysisResult Base = PL.run(AnalysisConfig::hybridUnbounded());
+  ASSERT_FALSE(Base.degraded());
+  ASSERT_EQ(Base.Issues.size(), 2u);
+  AnalysisConfig C = AnalysisConfig::hybridUnbounded();
+  C.FailAtCheckpoint = Base.RunStats.get("guard.checkpoints");
+  AnalysisResult R = PL.run(std::move(C));
+  const PhaseReport *PR = R.Status.firstDegraded();
+  ASSERT_NE(PR, nullptr);
+  EXPECT_EQ(PR->Phase, RunPhase::Slicing);
+  ASSERT_EQ(R.Issues.size(), 1u);
+  EXPECT_EQ(R.Issues[0].Rule, rules::XSS);
+}
+
 TEST(Robustness, FailAtTripsAtExactlyTheNthCheckpoint) {
   // Limits on both sides of multiples of the poll interval (128): the
   // checkpoint before the limit passes, the one at it stops the run, and
@@ -219,6 +313,26 @@ TEST(Robustness, TinyDeadlineTruncatesLargeRunWithoutHanging) {
   ASSERT_NE(PR, nullptr);
   EXPECT_EQ(PR->Reason, CutoffReason::Deadline);
   EXPECT_EQ(R.RunStats.get("guard.cutoff.deadline"), 1u);
+}
+
+TEST(Robustness, DeadlineCutoffStaysUnderapproximate) {
+  // A run cut off by its deadline reports only flows the clean run finds.
+  GeneratedApp App = largeApp();
+  TaintAnalysis TB(*App.P, AnalysisConfig::hybridUnbounded());
+  AnalysisResult Base = TB.run({App.Root});
+  ASSERT_FALSE(Base.degraded());
+  const std::set<FlowKey> BaseFlows = flowSet(Base);
+
+  AnalysisConfig C = AnalysisConfig::hybridUnbounded();
+  C.DeadlineMs = 0.001; // expired by the guard's first poll
+  TaintAnalysis TA(*App.P, std::move(C));
+  AnalysisResult R = TA.run({App.Root});
+  ASSERT_TRUE(R.degraded());
+  const PhaseReport *PR = R.Status.firstDegraded();
+  ASSERT_NE(PR, nullptr);
+  EXPECT_EQ(PR->Reason, CutoffReason::Deadline);
+  for (const FlowKey &K : flowSet(R))
+    EXPECT_TRUE(BaseFlows.count(K));
 }
 
 TEST(Robustness, GenerousDeadlineDoesNotDegrade) {
@@ -477,31 +591,154 @@ TEST(Robustness, ClassWithUnregisteredNameRecovers) {
 }
 
 //===----------------------------------------------------------------------===//
+// taj-cli runs
+//===----------------------------------------------------------------------===//
+
+/// A scratch directory, removed with its contents.
+struct ScratchDir {
+  std::string Path;
+  ScratchDir() {
+    char Buf[] = "/tmp/taj-robust-XXXXXX";
+    const char *D = ::mkdtemp(Buf);
+    EXPECT_NE(D, nullptr);
+    if (D)
+      Path = D;
+  }
+  ~ScratchDir() {
+    std::error_code Ec;
+    if (!Path.empty())
+      std::filesystem::remove_all(Path, Ec);
+  }
+};
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  return std::string(std::istreambuf_iterator<char>(In), {});
+}
+
+/// One taj-cli run: its stdout, stderr and exit code (124 if it hung).
+struct CliRun {
+  std::string Out, Err;
+  int Exit = -1;
+};
+
+/// Runs taj-cli with \p Args under a 20 s timeout; stderr passes through
+/// a file in \p Dir.
+CliRun runCli(const std::string &Args, const ScratchDir &Dir) {
+  const std::string ErrPath = Dir.Path + "/stderr";
+  const std::string Cmd = std::string("timeout 20 ") + TAJ_CLI_PATH + " " +
+                          Args + " 2>\"" + ErrPath + "\"";
+  CliRun R;
+  FILE *P = ::popen(Cmd.c_str(), "r");
+  EXPECT_NE(P, nullptr);
+  char Chunk[4096];
+  size_t N;
+  while (P && (N = std::fread(Chunk, 1, sizeof(Chunk), P)) > 0)
+    R.Out.append(Chunk, N);
+  const int St = P ? ::pclose(P) : -1;
+  R.Exit = WIFEXITED(St) ? WEXITSTATUS(St) : -1;
+  R.Err = readFile(ErrPath);
+  return R;
+}
+
+//===----------------------------------------------------------------------===//
+// Slicing cutoffs through taj-cli
+//===----------------------------------------------------------------------===//
+
+const std::string ExampleApp = std::string("\"") + TAJ_EXAMPLE_TAJ + "\"";
+
+TEST(Robustness, SlicingCutoffsPrintTheSameOutputEveryRun) {
+  // Every --fail-at that cuts slicing on the example app, with default
+  // flags, three times: a cut-off report is a lower bound of the clean
+  // one only if the same command prints it every time.
+  ScratchDir D;
+  const std::string StatsPath = D.Path + "/stats.json";
+  ASSERT_EQ(runCli("--stats-json=\"" + StatsPath + "\" " + ExampleApp, D).Exit,
+            0);
+  const std::string Stats = readFile(StatsPath);
+  const std::string Key = "\"guard.checkpoints\":";
+  const size_t KeyAt = Stats.find(Key);
+  ASSERT_NE(KeyAt, std::string::npos) << Stats;
+  const uint64_t Total = std::stoull(Stats.substr(KeyAt + Key.size()));
+  auto FailAt = [&D](uint64_t K) {
+    return runCli("--fail-at=" + std::to_string(K) + " " + ExampleApp, D);
+  };
+
+  // Slicing is the last phase that checkpoints, so a cutoff at the run's
+  // last checkpoint reports all of its work; the checkpoints before it
+  // belong to the pointer analysis and the SDG build.
+  const CliRun Last = FailAt(Total);
+  const std::string Marker = "slicing: truncated (fault-injected) after ";
+  const size_t MarkerAt = Last.Err.find(Marker);
+  ASSERT_NE(MarkerAt, std::string::npos) << Last.Err;
+  const uint64_t SliceWork =
+      std::stoull(Last.Err.substr(MarkerAt + Marker.size()));
+  ASSERT_GT(SliceWork, 1u);
+  ASSERT_LT(SliceWork, Total);
+  const uint64_t FirstK = Total - SliceWork + 1;
+  const CliRun InSdg = FailAt(FirstK - 1);
+  EXPECT_NE(InSdg.Err.find("sdg-build: truncated (fault-injected)"),
+            std::string::npos)
+      << InSdg.Err;
+
+  for (uint64_t K = FirstK; K <= Total; ++K) {
+    SCOPED_TRACE("fail-at=" + std::to_string(K));
+    const CliRun First = FailAt(K);
+    EXPECT_EQ(First.Exit, 2);
+    EXPECT_NE(First.Err.find("slicing: truncated (fault-injected)"),
+              std::string::npos)
+        << First.Err;
+    for (int Again = 0; Again < 2; ++Again) {
+      const CliRun R = FailAt(K);
+      EXPECT_EQ(R.Out, First.Out);
+      EXPECT_EQ(R.Err, First.Err);
+      EXPECT_EQ(R.Exit, First.Exit);
+    }
+  }
+}
+
+/// The names of a --trace file's events in file order; timestamps,
+/// durations, pids and tids are left out.
+std::vector<std::string> traceEventNames(const std::string &Json) {
+  std::vector<std::string> Names;
+  const std::string Open = "{\"name\":\"", Close = "\",\"cat\":\"";
+  for (size_t At = Json.find(Open); At != std::string::npos;
+       At = Json.find(Open, At + 1)) {
+    const size_t Begin = At + Open.size();
+    const size_t End = Json.find(Close, Begin);
+    if (End == std::string::npos)
+      break;
+    Names.push_back(Json.substr(Begin, End - Begin));
+  }
+  return Names;
+}
+
+TEST(Robustness, TraceListsTheSameEventsEveryRun) {
+  ScratchDir D;
+  std::vector<std::string> Names[2];
+  for (int I = 0; I < 2; ++I) {
+    const std::string Path = D.Path + "/trace" + std::to_string(I) + ".json";
+    ASSERT_EQ(runCli("--trace=\"" + Path + "\" " + ExampleApp, D).Exit, 0);
+    Names[I] = traceEventNames(readFile(Path));
+  }
+  EXPECT_NE(std::find(Names[0].begin(), Names[0].end(), "slicing"),
+            Names[0].end());
+  EXPECT_EQ(Names[0], Names[1]);
+}
+
+//===----------------------------------------------------------------------===//
 // Cyclic class hierarchies
 //===----------------------------------------------------------------------===//
 
 /// Runs taj-cli on \p Source, written to a scratch file, under a 20 s
 /// timeout. Returns stdout and stderr; \p ExitCode is 124 if it hung.
 std::string runCliOn(const std::string &Source, int &ExitCode) {
-  char Buf[] = "/tmp/taj-robust-XXXXXX";
-  const char *Dir = ::mkdtemp(Buf);
-  EXPECT_NE(Dir, nullptr);
-  const std::string Path = std::string(Dir ? Dir : "/tmp") + "/app.taj";
+  ScratchDir D;
+  const std::string Path = D.Path + "/app.taj";
   std::ofstream(Path) << Source;
-  const std::string Cmd =
-      std::string("timeout 20 ") + TAJ_CLI_PATH + " \"" + Path + "\" 2>&1";
-  FILE *P = ::popen(Cmd.c_str(), "r");
-  EXPECT_NE(P, nullptr);
-  std::string Out;
-  char Chunk[4096];
-  size_t N;
-  while (P && (N = std::fread(Chunk, 1, sizeof(Chunk), P)) > 0)
-    Out.append(Chunk, N);
-  const int St = P ? ::pclose(P) : -1;
-  ExitCode = WIFEXITED(St) ? WEXITSTATUS(St) : -1;
-  std::error_code Ec;
-  std::filesystem::remove_all(Dir ? Dir : "", Ec);
-  return Out;
+  const CliRun R = runCli("\"" + Path + "\"", D);
+  ExitCode = R.Exit;
+  return R.Out + R.Err;
 }
 
 TEST(Robustness, CyclicExtendsIsAVerifierErrorNotAHang) {

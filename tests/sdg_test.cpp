@@ -1,9 +1,10 @@
 //===- tests/sdg_test.cpp - SDG & slicer invariant tests -----------------===//
 //
 // Structural tests of the SDG (no-heap discipline, call plumbing, channel
-// extension) and cross-algorithm invariants checked as properties over
-// random applications: hybrid issues are a subset of CI issues, and CS
-// (when it completes) reports a subset of hybrid plus alias decoys.
+// extension), the CI slicer's heap-transition budget, and cross-algorithm
+// invariants checked as properties over random applications: hybrid
+// issues are a subset of CI issues, and CS (when it completes) reports a
+// subset of hybrid plus alias decoys.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,9 @@
 #include "support/RunGuard.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <tuple>
 
 using namespace taj;
 
@@ -288,6 +292,81 @@ TEST(Sdg, TabulationCutoffInsideASummaryDrain) {
   EXPECT_TRUE(Later.Reached.empty());
   EXPECT_EQ(Tab.pathEdgeCount(), AIn + 1);
   EXPECT_EQ(Guard.checkpointCount(), Checkpoints);
+}
+
+//===----------------------------------------------------------------------===//
+// CI heap budget (§6.2.1)
+//===----------------------------------------------------------------------===//
+
+TEST(Sdg, CiSlicerHonorsHeapTransitionBudget) {
+  // Two chained heap hops: src -> a.v -> load -> b.v -> load -> sink.
+  // An unbounded CI run follows both; MaxHeapTransitions=1 spends its one
+  // expansion on the first store and never reaches the sink.
+  Program P;
+  installBuiltinLibrary(P);
+  std::vector<std::string> Errors;
+  ASSERT_TRUE(parseTaj(P, R"(
+class Holder extends Object {
+  field v: String;
+}
+class App extends Servlet {
+  method doGet(this: App, req: Request, resp: Response): void [entry] {
+    t = req.getParameter("name");
+    a = new Holder;
+    b = new Holder;
+    a.v = t;
+    x = a.v;
+    b.v = x;
+    y = b.v;
+    w = resp.getWriter();
+    w.println(y);
+  }
+}
+)",
+                       &Errors))
+      << (Errors.empty() ? "?" : Errors.front());
+  const MethodId Root = synthesizeEntrypointDriver(P);
+  TaintAnalysis TU(P, AnalysisConfig::ci());
+  // println is both an XSS and an InfoLeak sink: one flow, two issues.
+  EXPECT_EQ(TU.run({Root}).Issues.size(), 2u)
+      << "two-hop heap flow should be found";
+
+  AnalysisConfig Tight = AnalysisConfig::ci();
+  Tight.MaxHeapTransitions = 1;
+  TaintAnalysis TT(P, std::move(Tight));
+  EXPECT_TRUE(TT.run({Root}).Issues.empty())
+      << "budget of one store expansion cannot cross two heap hops";
+}
+
+TEST(Sdg, CiBudgetIsSubsetOfUnboundedOnGeneratedApp) {
+  AppSpec Spec;
+  Spec.Name = "ci-budget";
+  Spec.Seed = 11;
+  Spec.Plants.TpDirect = 12;
+  Spec.Plants.TpWrapped = 8;
+  Spec.Plants.TpMap = 6;
+  Spec.Plants.Sanitized = 6;
+  Spec.Plants.FillerMethods = 60;
+  GeneratedApp App = generateApp(Spec);
+  using FlowKey = std::tuple<StmtId, StmtId, RuleMask>;
+  auto FlowSet = [](const AnalysisResult &R) {
+    std::set<FlowKey> S;
+    for (const Issue &I : R.Issues)
+      S.insert({I.Source, I.Sink, I.Rule});
+    return S;
+  };
+  TaintAnalysis TB(*App.P, AnalysisConfig::ci());
+  const std::set<FlowKey> BaseFlows = FlowSet(TB.run({App.Root}));
+  ASSERT_FALSE(BaseFlows.empty());
+
+  for (uint32_t Budget : {1u, 2u, 8u, 64u}) {
+    SCOPED_TRACE("budget=" + std::to_string(Budget));
+    AnalysisConfig C = AnalysisConfig::ci();
+    C.MaxHeapTransitions = Budget;
+    TaintAnalysis TA(*App.P, std::move(C));
+    for (const FlowKey &K : FlowSet(TA.run({App.Root})))
+      EXPECT_TRUE(BaseFlows.count(K));
+  }
 }
 
 /// Cross-algorithm inclusion properties on generated apps.

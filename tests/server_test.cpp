@@ -626,7 +626,6 @@ TEST(Service, OptionsRoundTripThroughCanonicalEncoding) {
   O.Budget = 1234;
   O.MaxLen = 9;
   O.NestedDepth = 5;
-  O.Threads = 3;
   O.DeadlineMs = 250.5;
   O.MaxMemoryMb = 512;
   O.Raw = true;
@@ -634,14 +633,10 @@ TEST(Service, OptionsRoundTripThroughCanonicalEncoding) {
   for (const std::string &A : encodeRunOptions(O))
     ASSERT_EQ(parseRunOption(A.c_str(), Back), OptionParse::Matched) << A;
   EXPECT_EQ(optionsFingerprint(Back), optionsFingerprint(O));
-  // The fingerprint is sensitive to result-relevant fields...
+  // The fingerprint is sensitive to result-relevant fields.
   RunOptions Changed = O;
   Changed.Budget = 1235;
   EXPECT_NE(optionsFingerprint(Changed), optionsFingerprint(O));
-  // ...but not to thread count (results are thread-count invariant).
-  RunOptions Threads = O;
-  Threads.Threads = 7;
-  EXPECT_EQ(optionsFingerprint(Threads), optionsFingerprint(O));
 }
 
 TEST(Service, RetryDegradationStripsFaultInjection) {
@@ -649,13 +644,39 @@ TEST(Service, RetryDegradationStripsFaultInjection) {
   O.CrashAt = 5;
   O.HangAt = 6;
   O.FailAt = 7;
-  O.Threads = 8;
   RunOptions D = degradeForRetry(O);
   EXPECT_EQ(D.CrashAt, 0u);
   EXPECT_EQ(D.HangAt, 0u);
   EXPECT_EQ(D.FailAt, 0u);
-  EXPECT_EQ(D.Threads, 1u);
   EXPECT_EQ(D.StringAnalysis, StringAnalysisMode::Local);
+}
+
+TEST(Service, ThreadsFlagAcceptsOnlyOne) {
+  // Slicing runs on one thread. --threads=1 stays accepted, and ignored,
+  // for callers that still pass it (a daemon started with it among them);
+  // any other value is a usage error.
+  RunOptions O;
+  EXPECT_EQ(parseRunOption("--threads=1", O), OptionParse::Matched);
+  int Exit = -1;
+  for (const char *Bad : {"--threads=0", "--threads=2"}) {
+    EXPECT_EQ(parseRunOption(Bad, O), OptionParse::Bad) << Bad;
+    const std::string Out =
+        runCli(std::string(Bad) + " " + TAJ_EXAMPLE_TAJ, Exit);
+    EXPECT_EQ(Exit, 1) << Bad;
+    EXPECT_NE(Out.find("--threads accepts only 1"), std::string::npos) << Out;
+  }
+  const std::string Plain = runCli(TAJ_EXAMPLE_TAJ, Exit);
+  ASSERT_EQ(Exit, 0);
+  EXPECT_EQ(runCli(std::string("--threads=1 ") + TAJ_EXAMPLE_TAJ, Exit),
+            Plain);
+  EXPECT_EQ(Exit, 0);
+
+  TempDir T;
+  ServerHandle S;
+  ASSERT_TRUE(S.start(T, {"--pool-size=1", "--threads=1"}));
+  EXPECT_EQ(runCli("--connect=" + S.Sock + " " + TAJ_EXAMPLE_TAJ, Exit), Plain);
+  EXPECT_EQ(Exit, 0);
+  EXPECT_EQ(S.stop(), 0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -2,8 +2,8 @@
 //
 // The --verify pass re-checks the analyzer's own artifacts, and these
 // tests pin down its contract:
-//  - clean runs verify clean, in every slicer, at 1 and 8 threads, cold
-//    and warm, with results identical to --verify=off;
+//  - clean runs verify clean, in every slicer, cold and warm, with
+//    results identical to --verify=off;
 //  - each seeded defect class (IR table corruption, phantom call edge,
 //    non-fixpoint points-to fact, dangling SDG edge, unjustified heap
 //    edge, unwitnessable finding) is detected under its own checker
@@ -446,7 +446,7 @@ TEST(WitnessChecker, CorruptedSdgEdgesYieldExactlyOneViolation) {
 }
 
 //===----------------------------------------------------------------------===//
-// Clean-run matrix: slicers x threads x cold/warm under --verify=full
+// Clean-run matrix: slicers x cold/warm under --verify=full
 //===----------------------------------------------------------------------===//
 
 TEST(VerifyMatrix, FullModeIsCleanAndResultPreservingEverywhere) {
@@ -466,25 +466,21 @@ TEST(VerifyMatrix, FullModeIsCleanAndResultPreservingEverywhere) {
 
     TempDir D;
     persist::ArtifactCache Cache(D.Path);
-    for (uint32_t Threads : {1u, 8u}) {
-      for (bool Warm : {false, true}) {
-        AnalysisConfig AC = C.Make();
-        AC.Verify = VerifyMode::Full;
-        AC.Threads = Threads;
-        AC.Cache = &Cache;
-        AC.InputFingerprint = "app:BlueBlog";
-        GeneratedApp App = generateApp(specByName("BlueBlog"));
-        TaintAnalysis TA(*App.P, std::move(AC));
-        AnalysisResult R = TA.run({App.Root});
-        SCOPED_TRACE(std::string(C.Name) + " threads=" +
-                     std::to_string(Threads) + (Warm ? " warm" : " cold"));
-        EXPECT_EQ(R.VerifyViolations, 0u);
-        EXPECT_EQ(R.RunStats.get("verify.violations"), 0u);
-        EXPECT_EQ(R.RunStats.get("persist.verify_rejected"), 0u);
-        EXPECT_EQ(issueSet(R.Issues), Want);
-        if (Warm) {
-          EXPECT_GT(R.RunStats.get("persist.hit"), 0u);
-        }
+    for (bool Warm : {false, true}) {
+      AnalysisConfig AC = C.Make();
+      AC.Verify = VerifyMode::Full;
+      AC.Cache = &Cache;
+      AC.InputFingerprint = "app:BlueBlog";
+      GeneratedApp App = generateApp(specByName("BlueBlog"));
+      TaintAnalysis TA(*App.P, std::move(AC));
+      AnalysisResult R = TA.run({App.Root});
+      SCOPED_TRACE(std::string(C.Name) + (Warm ? " warm" : " cold"));
+      EXPECT_EQ(R.VerifyViolations, 0u);
+      EXPECT_EQ(R.RunStats.get("verify.violations"), 0u);
+      EXPECT_EQ(R.RunStats.get("persist.verify_rejected"), 0u);
+      EXPECT_EQ(issueSet(R.Issues), Want);
+      if (Warm) {
+        EXPECT_GT(R.RunStats.get("persist.hit"), 0u);
       }
     }
   }
@@ -555,7 +551,6 @@ TEST(PersistPoison, NonFixpointPointsToArtifactIsRejectedThenDropped) {
   persist::ArtifactCache Cache(D.Path);
   server::RunOptions Opt;
   Opt.Verify = VerifyMode::Full;
-  Opt.Threads = 1;
   const std::vector<server::AppSource> Src = {{"webapp.taj", true, Text}};
 
   Stats S1;
@@ -604,7 +599,6 @@ TEST(PersistPoison, BudgetedRecordWithContradictingStringFactsIsRejected) {
   Opt.ConfigName = "hybrid-optimized";
   Opt.Budget = 1;
   Opt.Verify = VerifyMode::Full;
-  Opt.Threads = 1;
   const std::vector<server::AppSource> Src = {{"webapp.taj", true, Text}};
 
   Stats S1;
@@ -674,7 +668,6 @@ TEST(PersistPoison, CorruptSdgArtifactIsRejectedWithExitOne) {
   persist::ArtifactCache Cache(D.Path);
   server::RunOptions Opt;
   Opt.Verify = VerifyMode::Full;
-  Opt.Threads = 1;
   const std::vector<server::AppSource> Src = {{"webapp.taj", true, Text}};
 
   Stats S1;
@@ -742,7 +735,6 @@ TEST(PersistPoison, TruncatedRecordFallsBackColdAndClean) {
   TempDir D;
   server::RunOptions Opt;
   Opt.Verify = VerifyMode::Full;
-  Opt.Threads = 1;
   const std::vector<server::AppSource> Src = {{"webapp.taj", true, Text}};
   {
     persist::ArtifactCache Cache(D.Path);

@@ -6,8 +6,8 @@
 # side, then reports per-benchmark medians and speedups. Every run of both
 # sides is pinned with taskset to one fixed CPU, the last of the script's
 # affinity mask (the CPU suitebench/run.py pins to): unpinned, the rows
-# that fork processes or start threads measure where the scheduler put
-# them, not the code. The report records the CPU as "pinned_cpu".
+# that fork processes measure where the scheduler put them, not the code.
+# The report records the CPU as "pinned_cpu".
 #
 #   tools/bench_ab.sh <buildA> <buildB> [rounds] [out.json]
 #
@@ -28,11 +28,10 @@
 # BM_RestoreSdg (the points-to and SDG restores alone, same two configs),
 # BM_CacheLoad (a disk hit up to the restore: the read, header checks
 # and checksum of Roller's hybrid-optimized pts and sdg records),
-# and the slicer rows
-# BM_HybridSlicing (with its thread sweep BM_HybridSlicingThreads) and
-# BM_CiSlicing, whose largest size class is Roller; BM_ConstStrings
-# (string-constant propagation, ipa mode) and BM_ClassHierarchy (the class
-# hierarchy's constructor on Roller, which every run pays). Each row keeps
+# the slicer rows BM_HybridSlicing and BM_CiSlicing, whose largest size
+# class is Roller; BM_ConstStrings (string-constant propagation, ipa
+# mode) and BM_ClassHierarchy (the class hierarchy's constructor on
+# Roller, which every run pays). Each row keeps
 # the time unit its benchmark reports in (ns, us or ms), and medians print
 # to three decimals. The speedup column is medianA / medianB, so values
 # above 1 mean the candidate is faster. Because A and B alternate, each
