@@ -76,8 +76,7 @@ int main() {
   SDGOptions SO;
   SO.ContextExpanded = true;
   SDG G(P, CHA, Solver, SO);
-  HeapGraph HG(Solver);
-  HeapEdges HE(P, G, Solver, HG, /*NestedDepth=*/2);
+  HeapEdges HE(P, G, Solver, /*NestedDepth=*/2);
 
   std::printf("Figure 2: Fragment of the HSDG (motivating program)\n\n");
   std::printf("Store/load/source/sink statement nodes:\n");

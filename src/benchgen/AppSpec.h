@@ -59,11 +59,6 @@ struct PlantCounts {
   uint32_t BallastMethods = 0; ///< whitelisted benign cluster near taint
   uint32_t FillerMethods = 0;  ///< taint-free app code mass
   uint32_t LibFillerMethods = 0; ///< taint-free library code mass
-
-  uint32_t totalReal() const {
-    return TpDirect + TpWrapped + TpMap + TpReflective + TpHelperKeyMap +
-           TpComputedReflective + TpThread + TpLong;
-  }
 };
 
 /// One benchmark application.

@@ -1,6 +1,7 @@
 //===- core/AnalysisConfig.cpp ---------------------------------*- C++ -*-===//
 
 #include "core/AnalysisConfig.h"
+#include "support/Number.h"
 
 #include <algorithm>
 
@@ -19,7 +20,7 @@ PointsToOptions AnalysisConfig::pointsToOptions() const {
 RunGuard::Limits AnalysisConfig::guardLimits() const {
   RunGuard::Limits L;
   L.DeadlineMs = DeadlineMs;
-  L.MaxMemoryBytes = MaxMemoryMb * 1024 * 1024;
+  L.MaxMemoryBytes = mebibytes(MaxMemoryMb);
   L.FailAtCheckpoint = FailAtCheckpoint;
   L.CrashAtCheckpoint = CrashAtCheckpoint;
   L.HangAtCheckpoint = HangAtCheckpoint;

@@ -70,13 +70,6 @@ ValueId MethodBuilder::emitNewArray(ClassId Elem) {
   return def(std::move(I));
 }
 
-ValueId MethodBuilder::emitCopy(ValueId Src) {
-  Instruction I;
-  I.Op = Opcode::Copy;
-  I.Args = {Src};
-  return def(std::move(I));
-}
-
 void MethodBuilder::assign(ValueId DstSlot, ValueId Src) {
   Instruction I;
   I.Op = Opcode::Copy;
@@ -159,18 +152,6 @@ ValueId MethodBuilder::callStatic(ClassId C, std::string_view Name,
   Instruction I;
   I.Op = Opcode::Call;
   I.CKind = CallKind::Static;
-  I.Cls = C;
-  I.CalleeName = P.Pool.intern(Name);
-  I.Args = Args;
-  return def(std::move(I));
-}
-
-ValueId MethodBuilder::callSpecial(ClassId C, std::string_view Name,
-                                   std::initializer_list<ValueId> Args) {
-  assert(Args.size() > 0 && "special call needs a receiver");
-  Instruction I;
-  I.Op = Opcode::Call;
-  I.CKind = CallKind::Special;
   I.Cls = C;
   I.CalleeName = P.Pool.intern(Name);
   I.Args = Args;

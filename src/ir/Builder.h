@@ -52,7 +52,6 @@ public:
   ValueId constInt(int64_t V);
   ValueId emitNew(ClassId C);
   ValueId emitNewArray(ClassId Elem);
-  ValueId emitCopy(ValueId Src);
   /// Re-assigns an existing slot (for loops / conditional updates).
   void assign(ValueId DstSlot, ValueId Src);
   ValueId emitLoad(ValueId Base, FieldId F);
@@ -70,9 +69,6 @@ public:
   /// Static call on class \p C.
   ValueId callStatic(ClassId C, std::string_view Name,
                      std::initializer_list<ValueId> Args);
-  /// Special (exact-target) call, e.g. constructor invocation.
-  ValueId callSpecial(ClassId C, std::string_view Name,
-                      std::initializer_list<ValueId> Args);
   void emitRet(ValueId V = NoValue);
   void emitGoto(int32_t Target);
   void emitIf(ValueId Cond, int32_t Then, int32_t Else);

@@ -92,7 +92,6 @@ struct Instruction {
     return Op == Opcode::Return || Op == Opcode::Goto || Op == Opcode::If ||
            Op == Opcode::Throw;
   }
-  bool isBranch() const { return Op == Opcode::Goto || Op == Opcode::If; }
   bool hasDst() const { return Dst != NoValue; }
 };
 

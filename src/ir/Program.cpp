@@ -114,10 +114,3 @@ std::string Program::methodName(MethodId M) const {
   Out += Pool.str(Meth.Name);
   return Out;
 }
-
-uint32_t Program::methodSize(const Method &M) {
-  uint32_t N = 0;
-  for (const BasicBlock &B : M.Blocks)
-    N += static_cast<uint32_t>(B.Insts.size());
-  return N;
-}

@@ -200,9 +200,6 @@ public:
   /// Renders "Class.method" for diagnostics.
   std::string methodName(MethodId M) const;
 
-  /// Total instruction count of method \p M.
-  static uint32_t methodSize(const Method &M);
-
 private:
   /// True when the index names every instruction of every block at the
   /// id a rebuild would give it.

@@ -148,8 +148,7 @@ std::optional<LoadedPayload> ArtifactCache::load(const std::string &Key,
   UnwrapStatus St;
   {
     trace::Span VS("cache-verify", "persist");
-    St = unwrapRecordEx(Record.get(), RecordLen, Kind, Payload, PayloadLen,
-                        Err);
+    St = unwrapRecord(Record.get(), RecordLen, Kind, Payload, PayloadLen, Err);
   }
   switch (St) {
   case UnwrapStatus::Ok:
@@ -424,13 +423,9 @@ SdgArtifacts persist::loadOrBuildSdg(const Program &P,
   }
 
   // Cold path: exactly the construction sequence the slicers always ran.
-  // The heap graph is read only while the heap edges are materialized.
   A.G = std::make_unique<SDG>(P, CHA, Solver, SO);
-  if (!A.G->chanBudgetExceeded()) {
-    const HeapGraph HG(Solver);
-    A.HE = std::make_unique<HeapEdges>(P, *A.G, Solver, HG, NestedDepth,
-                                       Guard);
-  }
+  if (!A.G->chanBudgetExceeded())
+    A.HE = std::make_unique<HeapEdges>(P, *A.G, Solver, NestedDepth, Guard);
 
   // Store only artifacts from clean builds: a governance stop (deadline,
   // memory, fault injection) truncates nondeterministically, and a CS

@@ -99,10 +99,9 @@ std::vector<uint8_t> persist::wrapRecord(ArtifactKind Kind,
   return Out;
 }
 
-UnwrapStatus persist::unwrapRecordEx(const uint8_t *Record, size_t Len,
-                                     ArtifactKind Expect,
-                                     const uint8_t *&Payload,
-                                     size_t &PayloadLen, std::string &Err) {
+UnwrapStatus persist::unwrapRecord(const uint8_t *Record, size_t Len,
+                                   ArtifactKind Expect, const uint8_t *&Payload,
+                                   size_t &PayloadLen, std::string &Err) {
   constexpr size_t HeaderLen = 4 * 4 + 2 * 8;
   if (Len < HeaderLen) {
     Err = "record shorter than header";
@@ -142,21 +141,6 @@ UnwrapStatus persist::unwrapRecordEx(const uint8_t *Record, size_t Len,
   Payload = Record + HeaderLen;
   PayloadLen = Size;
   return UnwrapStatus::Ok;
-}
-
-UnwrapStatus persist::unwrapRecordEx(const std::vector<uint8_t> &Record,
-                                     ArtifactKind Expect,
-                                     const uint8_t *&Payload,
-                                     size_t &PayloadLen, std::string &Err) {
-  return unwrapRecordEx(Record.data(), Record.size(), Expect, Payload,
-                        PayloadLen, Err);
-}
-
-bool persist::unwrapRecord(const std::vector<uint8_t> &Record,
-                           ArtifactKind Expect, const uint8_t *&Payload,
-                           size_t &PayloadLen, std::string &Err) {
-  return unwrapRecordEx(Record, Expect, Payload, PayloadLen, Err) ==
-         UnwrapStatus::Ok;
 }
 
 //===----------------------------------------------------------------------===//

@@ -290,19 +290,9 @@ enum class UnwrapStatus {
 /// locates the payload inside it. On any mismatch (magic, version, kind,
 /// size, checksum) returns the failure class with a human-readable reason
 /// in \p Err; no payload byte is interpreted before every check passes.
-UnwrapStatus unwrapRecordEx(const uint8_t *Record, size_t Len,
-                            ArtifactKind Expect, const uint8_t *&Payload,
-                            size_t &PayloadLen, std::string &Err);
-/// unwrapRecordEx over a whole vector.
-UnwrapStatus unwrapRecordEx(const std::vector<uint8_t> &Record,
-                            ArtifactKind Expect, const uint8_t *&Payload,
-                            size_t &PayloadLen, std::string &Err);
-
-/// Boolean convenience wrapper over unwrapRecordEx for callers that do not
-/// distinguish version misses from corruption.
-bool unwrapRecord(const std::vector<uint8_t> &Record, ArtifactKind Expect,
-                  const uint8_t *&Payload, size_t &PayloadLen,
-                  std::string &Err);
+UnwrapStatus unwrapRecord(const uint8_t *Record, size_t Len,
+                          ArtifactKind Expect, const uint8_t *&Payload,
+                          size_t &PayloadLen, std::string &Err);
 
 /// Serialization/restoration entry points. A single befriended struct
 /// keeps the private-state access of CallGraph / PointsToSolver / SDG /

@@ -316,7 +316,7 @@ void PointsToSolver::run(const std::vector<MethodId> &Entries) {
   if (!Opts.ConstStrings) {
     // No precomputed facts (directly constructed solver): fall back to
     // the historical per-method ConstStr+Copy inference. Computed before
-    // solving so post-solve queries stay safe from any thread.
+    // solving, which reads them.
     ConstStringOptions CSO;
     CSO.Mode = StringAnalysisMode::Local;
     OwnedConstStr = std::make_unique<ConstStringResult>(

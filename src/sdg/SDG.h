@@ -28,7 +28,6 @@
 #ifndef TAJ_SDG_SDG_H
 #define TAJ_SDG_SDG_H
 
-#include "heapgraph/HeapGraph.h"
 #include "pointsto/Solver.h"
 #include "support/Stats.h"
 

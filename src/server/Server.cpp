@@ -84,9 +84,9 @@ void server::deriveHardLimits(const RunGuard::Limits &Coop,
   // A refused value leaves the derived limit in place.
   parseNumber(std::getenv("TAJ_HARD_DEADLINE_MS"), C.HardDeadlineMs);
   uint64_t Mb;
-  if (parseInteger(std::getenv("TAJ_HARD_MAX_MEMORY_MB"), MaxExactU64, Mb) ==
+  if (parseInteger(std::getenv("TAJ_HARD_MAX_MEMORY_MB"), MaxMebibytes, Mb) ==
       NumberParse::Ok)
-    C.HardMemoryBytes = Mb * 1024 * 1024;
+    C.HardMemoryBytes = mebibytes(Mb);
   parseNumber(std::getenv("TAJ_WATCHDOG_GRACE_MS"), C.GraceMs);
   // CPU backstop: it only has to stop a worker the wall-clock watchdog
   // did not (a stalled supervisor), so it sits far above the hard
@@ -287,10 +287,10 @@ void armOneShotWorker(const SupervisorConfig &Lim, unsigned AttemptNo) {
   std::unique_ptr<persist::ArtifactCache> Cache;
   if (!OneShot || !O.CacheDir.empty())
     Cache = std::make_unique<persist::ArtifactCache>(
-        O.CacheDir, O.CacheMaxMb * 1024 * 1024,
+        O.CacheDir, mebibytes(O.CacheMaxMb),
         O.CacheDir.empty() ? 0 : 60000);
   if (!OneShot)
-    Cache->enableHotTier(O.HotMaxMb * 1024 * 1024);
+    Cache->enableHotTier(mebibytes(O.HotMaxMb));
 
   bool GotRequest = false;
   std::vector<uint8_t> Payload;
@@ -668,7 +668,7 @@ void Pool::dispatch() {
     // limits after the environment overlay the worker itself applies.
     RunGuard::Limits Coop;
     Coop.DeadlineMs = W.Cur.Opt.DeadlineMs;
-    Coop.MaxMemoryBytes = W.Cur.Opt.MaxMemoryMb * 1024 * 1024;
+    Coop.MaxMemoryBytes = mebibytes(W.Cur.Opt.MaxMemoryMb);
     SupervisorConfig Lim;
     deriveHardLimits(RunGuard::limitsFromEnv(Coop), Lim);
     if (OneShot) {

@@ -87,7 +87,7 @@ OptionParse server::parseRunOption(const char *A, RunOptions &O) {
     return Bad(parseNum("--deadline-ms", A + 14, O.DeadlineMs));
   if (std::strncmp(A, "--max-memory-mb=", 16) == 0)
     return Bad(
-        parseUInt("--max-memory-mb", A + 16, MaxExactU64, O.MaxMemoryMb));
+        parseUInt("--max-memory-mb", A + 16, MaxMebibytes, O.MaxMemoryMb));
   if (std::strncmp(A, "--fail-at=", 10) == 0)
     return Bad(parseUInt("--fail-at", A + 10, MaxExactU64, O.FailAt));
   if (std::strncmp(A, "--crash-at=", 11) == 0)
@@ -174,7 +174,7 @@ std::vector<std::string> server::encodeRunOptions(const RunOptions &O) {
     A.push_back("--max-flow-length=" + std::to_string(O.MaxLen));
   A.push_back("--nested-depth=" + std::to_string(O.NestedDepth));
   if (O.DeadlineMs > 0)
-    A.push_back("--deadline-ms=" + std::to_string(O.DeadlineMs));
+    A.push_back("--deadline-ms=" + formatNumber(O.DeadlineMs));
   if (O.MaxMemoryMb)
     A.push_back("--max-memory-mb=" + std::to_string(O.MaxMemoryMb));
   if (O.FailAt)
@@ -198,10 +198,13 @@ std::vector<std::string> server::encodeRunOptions(const RunOptions &O) {
 }
 
 std::string server::optionsFingerprint(const RunOptions &O) {
+  // The deadline is spelled as the wire spells it. No deadline keeps its
+  // old spelling, so a journal of a run without one still resumes.
+  const std::string Deadline =
+      O.DeadlineMs > 0 ? formatNumber(O.DeadlineMs) : "0.000000";
   std::string S = "cfg:" + O.ConfigName + ";b=" + std::to_string(O.Budget) +
                   ";fl=" + std::to_string(O.MaxLen) +
-                  ";nd=" + std::to_string(O.NestedDepth) +
-                  ";dl=" + std::to_string(O.DeadlineMs) +
+                  ";nd=" + std::to_string(O.NestedDepth) + ";dl=" + Deadline +
                   ";mm=" + std::to_string(O.MaxMemoryMb) +
                   ";fa=" + std::to_string(O.FailAt) +
                   ";ca=" + std::to_string(O.CrashAt) +
@@ -449,19 +452,15 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
   AnalysisResult R = TA.run({Root});
   R.RunStats.merge(FrontendStats);
 
-  const bool FailedNoStatus = !R.Completed && !R.degraded();
-  if (!FailedNoStatus) {
-    if (Opt.Raw) {
-      for (const Issue &I : R.Issues)
-        Out.Report += std::string(rules::ruleName(I.Rule)) + ": " +
-                      describeStmt(*P, I.Source) + " -> " +
-                      describeStmt(*P, I.Sink) +
-                      " (length " + std::to_string(I.Length) + ")\n";
-    } else {
-      PhaseScope RS(&Prof, "report");
-      Out.Report =
-          renderReports(*P, generateReports(*P, R.Issues), &R.Status);
-    }
+  if (Opt.Raw) {
+    for (const Issue &I : R.Issues)
+      Out.Report += std::string(rules::ruleName(I.Rule)) + ": " +
+                    describeStmt(*P, I.Source) + " -> " +
+                    describeStmt(*P, I.Sink) + " (length " +
+                    std::to_string(I.Length) + ")\n";
+  } else {
+    PhaseScope RS(&Prof, "report");
+    Out.Report = renderReports(*P, generateReports(*P, R.Issues), &R.Status);
   }
 
   // The profile now covers parse, report and the run-internal phases;
@@ -471,12 +470,6 @@ RunOutcome server::analyzeApp(const std::vector<AppSource> &Sources,
   if (MergedStats)
     MergedStats->merge(R.RunStats); // includes the solver counters
 
-  if (FailedNoStatus) {
-    // Legacy CS failure channel with no structured status (should not
-    // happen: TaintAnalysis reports it as a memory truncation).
-    Out.Diag += "analysis did not complete\n";
-    return Out;
-  }
   if (R.degraded())
     Out.Diag += "run-status: " + R.Status.toString() + "\n";
   if (Opt.ShowStats) {

@@ -33,26 +33,60 @@ struct LoadInfo {
   uint32_t BaseBegin = 0, BaseSize = 0;
 };
 
+/// The heap graph of §4.1.1 as instance-key successors: row I of
+/// (\p Off, \p Succ) holds, ascending and once each, the keys a field,
+/// array element or channel of I may point to.
+void heapSuccessors(const PointsToSolver &Solver, std::vector<uint32_t> &Off,
+                    std::vector<IKId> &Succ) {
+  const PointerKeyTable &PKs = Solver.pointerKeys();
+  const size_t NumIKs = Solver.instanceKeys().size();
+  std::vector<uint32_t> LogBase;
+  std::vector<IKId> LogTarget;
+  for (PKId PK = 0; PK < PKs.size(); ++PK) {
+    const PointerKeyData &D = PKs.data(PK);
+    if ((D.Kind != PKKind::Field && D.Kind != PKKind::ArrayElem &&
+         D.Kind != PKKind::Channel) ||
+        D.A >= NumIKs)
+      continue;
+    for (IKId Target : Solver.pointsTo(PK)) {
+      LogBase.push_back(D.A);
+      LogTarget.push_back(Target);
+    }
+  }
+  csrFromLog(LogBase, LogTarget, NumIKs, Off, Succ);
+  // Sort and deduplicate each row, compacting the column in place.
+  uint32_t Kept = 0;
+  for (size_t R = 0; R < NumIKs; ++R) {
+    const auto Begin = Succ.begin() + Off[R], End = Succ.begin() + Off[R + 1];
+    std::sort(Begin, End);
+    Off[R] = Kept;
+    Kept = static_cast<uint32_t>(
+        std::move(Begin, std::unique(Begin, End), Succ.begin() + Kept) -
+        Succ.begin());
+  }
+  Off[NumIKs] = Kept;
+  Succ.resize(Kept);
+}
+
 } // namespace
 
 HeapEdges::HeapEdges(const Program &P, const SDG &G,
-                     const PointsToSolver &Solver, const HeapGraph &HG,
-                     uint32_t NestedDepth, RunGuard *Guard)
+                     const PointsToSolver &Solver, uint32_t NestedDepth,
+                     RunGuard *Guard)
     : G(G) {
   const size_t NumStores = G.storeNodes().size();
   LoadOff.reserve(NumStores + 1);
   SinkOff.reserve(NumStores + 1);
   LoadOff.push_back(0);
   SinkOff.push_back(0);
-  build(P, Solver, HG, NestedDepth, Guard);
+  build(P, Solver, NestedDepth, Guard);
   // A cutoff leaves the remaining stores with empty adjacency.
   LoadOff.resize(NumStores + 1, static_cast<uint32_t>(LoadEdges.size()));
   SinkOff.resize(NumStores + 1, static_cast<uint32_t>(SinkEdges.size()));
 }
 
 void HeapEdges::build(const Program &P, const PointsToSolver &Solver,
-                      const HeapGraph &HG, uint32_t NestedDepth,
-                      RunGuard *Guard) {
+                      uint32_t NestedDepth, RunGuard *Guard) {
   // Index all loads by access class, their base sets in one buffer.
   std::vector<LoadInfo> FieldLoads, StaticLoads, ArrayLoads, MapGets,
       CollGets;
@@ -89,13 +123,31 @@ void HeapEdges::build(const Program &P, const PointsToSolver &Solver,
   }
   // Invert sink-argument heap reachability: ik -> sinks whose sensitive
   // actuals reach it within the nested-taint depth (§4.1.1 steps 1-2),
-  // logged per sink and sorted into a CSR over instance keys.
+  // logged per sink and sorted into a CSR over instance keys. A store
+  // whose base sits at heap depth d puts the data at dereference depth
+  // d+1, so the base must lie within NestedDepth-1 (§6.2.3).
+  const size_t NumIKs = Solver.instanceKeys().size();
+  std::vector<uint32_t> SuccOff;
+  std::vector<IKId> Succ;
+  if (NestedDepth != 0)
+    heapSuccessors(Solver, SuccOff, Succ);
+  // Seen[ik] is the stamp of the last sink whose walk met ik.
+  std::vector<uint32_t> Seen(NumIKs, 0);
+  uint32_t Stamp = 0;
   std::vector<uint32_t> LogIK;
   std::vector<SDGNodeId> LogSink;
   std::vector<IKId> ArgIKs;
+  auto Visit = [&](IKId IK) {
+    if (Seen[IK] != Stamp) {
+      Seen[IK] = Stamp;
+      LogIK.push_back(IK);
+    }
+  };
   for (SDGNodeId SkNode : G.sinkNodes()) {
     if (Guard && !Guard->checkpoint())
       return; // cutoff: remaining sinks get no carrier edges
+    if (NestedDepth == 0)
+      continue;
     const SDGNode &N = G.node(SkNode);
     const Instruction &I = P.stmt(N.S);
     uint32_t Mask = 0;
@@ -109,21 +161,25 @@ void HeapEdges::build(const Program &P, const PointsToSolver &Solver,
     for (uint32_t K = 0; K < I.Args.size(); ++K)
       if (Mask & (1u << K))
         G.argPointsTo(SkNode, K, ArgIKs);
-    std::sort(ArgIKs.begin(), ArgIKs.end());
-    ArgIKs.erase(std::unique(ArgIKs.begin(), ArgIKs.end()), ArgIKs.end());
-    // A store whose base sits at heap depth d puts the data at dereference
-    // depth d+1, so the base must lie within NestedDepth-1 (§6.2.3).
-    if (NestedDepth == 0)
-      continue;
-    for (IKId IK : HG.reachable(ArgIKs, NestedDepth - 1)) {
-      LogIK.push_back(IK);
-      LogSink.push_back(SkNode);
-    }
+    // The walk appends the keys it meets to LogIK level by level, so each
+    // key is met first at its least depth, and a key first reached
+    // through a longer path is still expanded within the bound.
+    ++Stamp;
+    size_t Head = LogIK.size();
+    for (IKId IK : ArgIKs)
+      Visit(IK);
+    for (uint32_t Depth = 0; Depth + 1 < NestedDepth && Head < LogIK.size();
+         ++Depth)
+      for (const size_t LevelEnd = LogIK.size(); Head < LevelEnd; ++Head) {
+        const IKId IK = LogIK[Head];
+        for (uint32_t E = SuccOff[IK]; E < SuccOff[IK + 1]; ++E)
+          Visit(Succ[E]);
+      }
+    LogSink.resize(LogIK.size(), SkNode);
   }
   std::vector<uint32_t> IkSinkOff;
   std::vector<SDGNodeId> IkSinks;
-  csrFromLog(LogIK, LogSink, Solver.instanceKeys().size(), IkSinkOff,
-             IkSinks);
+  csrFromLog(LogIK, LogSink, NumIKs, IkSinkOff, IkSinks);
 
   // Materialize every store's adjacency now: slicing only reads it.
   const std::span<const IKId> LoadBases(Bases);

@@ -12,7 +12,9 @@
 ///    constant-key filtering for dictionary channels;
 ///  - taint-carrier edges from a store to every sink one of whose
 ///    sensitive actuals may reach the stored-into object in the heap graph
-///    within the nested-taint depth bound (§6.2.3).
+///    within the nested-taint depth bound (§6.2.3). The heap graph's
+///    instance-key successors (the objects a field, array element or
+///    channel of an object may point to) are a CSR local to the build.
 ///
 /// The full store adjacency is materialized at construction time, before
 /// slicing begins; afterwards the object is immutable and loadsFor() /
@@ -26,7 +28,6 @@
 #ifndef TAJ_SLICER_HEAPEDGES_H
 #define TAJ_SLICER_HEAPEDGES_H
 
-#include "heapgraph/HeapGraph.h"
 #include "sdg/SDG.h"
 
 #include <span>
@@ -43,10 +44,9 @@ struct Access;
 /// for its carrier sinks.
 class HeapEdges {
 public:
-  /// Materializes the adjacency. \p HG is read only here.
+  /// Materializes the adjacency.
   HeapEdges(const Program &P, const SDG &G, const PointsToSolver &Solver,
-            const HeapGraph &HG, uint32_t NestedDepth,
-            RunGuard *Guard = nullptr);
+            uint32_t NestedDepth, RunGuard *Guard = nullptr);
 
   /// Loads that may read what \p Store wrote.
   std::span<const SDGNodeId> loadsFor(SDGNodeId Store) const {
@@ -72,7 +72,7 @@ private:
   HeapEdges(const SDG &G, RestoreTag) : G(G) {}
 
   void build(const Program &P, const PointsToSolver &Solver,
-             const HeapGraph &HG, uint32_t NestedDepth, RunGuard *Guard);
+             uint32_t NestedDepth, RunGuard *Guard);
 
   /// Row of \p Store (found by its rank in the ascending store list) in
   /// one CSR column; empty for a node that is not a store.

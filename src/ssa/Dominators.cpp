@@ -37,7 +37,7 @@ Dominators::Dominators(const Method &M) {
     Post.push_back(B);
     Stack.pop_back();
   }
-  Rpo.assign(Post.rbegin(), Post.rend());
+  const std::vector<int32_t> Rpo(Post.rbegin(), Post.rend());
   for (size_t I = 0; I < Rpo.size(); ++I)
     RpoNum[Rpo[I]] = static_cast<int32_t>(I);
 

@@ -38,16 +38,12 @@ public:
   /// Children of \p B in the dominator tree.
   const std::vector<int32_t> &children(int32_t B) const { return Kids[B]; }
 
-  /// Reverse postorder over reachable blocks.
-  const std::vector<int32_t> &rpo() const { return Rpo; }
-
   /// True if \p B is reachable from the entry.
   bool reachable(int32_t B) const { return B == 0 || Idom[B] != -1; }
 
 private:
   std::vector<int32_t> Idom;
   std::vector<int32_t> RpoNum; // -1 for unreachable
-  std::vector<int32_t> Rpo;
   std::vector<std::vector<int32_t>> DF;
   std::vector<std::vector<int32_t>> Kids;
 };

@@ -21,16 +21,12 @@ using namespace taj;
 
 const char *taj::phaseName(RunPhase P) {
   switch (P) {
-  case RunPhase::Frontend:
-    return "frontend";
   case RunPhase::PointerAnalysis:
     return "pointer-analysis";
   case RunPhase::SdgBuild:
     return "sdg-build";
   case RunPhase::Slicing:
     return "slicing";
-  case RunPhase::Reporting:
-    return "reporting";
   }
   return "unknown";
 }
@@ -105,9 +101,9 @@ RunGuard::Limits RunGuard::limitsFromEnv(Limits Base) {
   if (Base.DeadlineMs <= 0)
     parseNumber(std::getenv("TAJ_DEADLINE_MS"), Base.DeadlineMs);
   if (Base.MaxMemoryBytes == 0 &&
-      parseInteger(std::getenv("TAJ_MAX_MEMORY_MB"), MaxExactU64, U) ==
+      parseInteger(std::getenv("TAJ_MAX_MEMORY_MB"), MaxMebibytes, U) ==
           NumberParse::Ok)
-    Base.MaxMemoryBytes = U * 1024 * 1024;
+    Base.MaxMemoryBytes = mebibytes(U);
   if (Base.FailAtCheckpoint == 0)
     parseInteger(std::getenv("TAJ_FAIL_AT"), MaxExactU64,
                  Base.FailAtCheckpoint);

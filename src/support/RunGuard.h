@@ -33,11 +33,9 @@ namespace taj {
 
 /// The pipeline phases a guard can attribute work (and a cutoff) to.
 enum class RunPhase : uint8_t {
-  Frontend,        ///< parsing + IR verification (CLI only)
   PointerAnalysis, ///< Andersen solver + on-the-fly call graph (§3.1)
   SdgBuild,        ///< SDG / heap-edge construction (§3.2 prep)
   Slicing,         ///< thin slicing / RHS tabulation (§3.2)
-  Reporting,       ///< LCP grouping and rendering (§5)
 };
 
 /// Why a run was cut off.
@@ -164,7 +162,6 @@ public:
     CurPhase = Ph;
     PhaseStartWork = C;
   }
-  RunPhase phase() const { return CurPhase; }
 
   /// Total checkpoints attributed to phase \p Ph so far.
   uint64_t workOf(RunPhase Ph) const {
@@ -226,10 +223,6 @@ public:
   uint64_t checkpointCount() const {
     return Checkpoints.load(std::memory_order_relaxed);
   }
-  /// Checkpoints passed since the current phase began.
-  uint64_t phaseWork() const {
-    return Checkpoints.load(std::memory_order_relaxed) - PhaseStartWork;
-  }
   /// Milliseconds since the guard was constructed.
   double elapsedMs() const { return T.elapsedMs(); }
 
@@ -289,7 +282,7 @@ private:
   /// the first checkpoint arms it, and again after cancel().
   std::atomic<uint64_t> NextSlow{0};
   uint64_t PhaseStartWork = 0;
-  uint64_t PhaseWorkAcc[5] = {0, 0, 0, 0, 0};
+  uint64_t PhaseWorkAcc[3] = {0, 0, 0};
   RunPhase CurPhase = RunPhase::PointerAnalysis;
   RunPhase CutPhase = RunPhase::PointerAnalysis;
   CutoffReason Reason = CutoffReason::None;

@@ -121,7 +121,6 @@ public:
   /// Marks that a warm cache restore passed record checksum verification
   /// but failed structural re-verification (persist.verify_rejected).
   void noteRestoreRejected() { ++RestoreRejected; }
-  uint64_t restoreRejected() const { return RestoreRejected; }
 
   /// Exports verify.violations, the non-zero per-checker counters and
   /// persist.verify_rejected. Emits nothing on a clean run, so stats

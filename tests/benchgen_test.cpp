@@ -75,6 +75,14 @@ TEST(BenchGen, CsExhaustsMemoryOnChanHeavyApps) {
     GeneratedApp App = generateApp(S);
     AnalysisResult CS = runCfg(App, AnalysisConfig::cs());
     EXPECT_FALSE(CS.Completed) << S.Name << " must OOM under CS";
+    // The overflow is reported as a degraded run: the status is how a
+    // driver learns of it.
+    EXPECT_TRUE(CS.degraded()) << S.Name;
+    const std::string Status = CS.Status.toString();
+    EXPECT_NE(Status.find("sdg-build: truncated (memory)"), std::string::npos)
+        << Status;
+    EXPECT_NE(Status.find("slicing: skipped (memory)"), std::string::npos)
+        << Status;
   }
 }
 

@@ -160,55 +160,56 @@ std::string runCli(const std::string &Args, int &ExitCode) {
 // Record framing
 //===----------------------------------------------------------------------===//
 
+/// unwrapRecord over a whole record, for the tests that only need its
+/// verdict and reason.
+persist::UnwrapStatus unwrapStatus(const std::vector<uint8_t> &Rec,
+                                   persist::ArtifactKind Kind,
+                                   std::string &Err) {
+  const uint8_t *P = nullptr;
+  size_t N = 0;
+  return persist::unwrapRecord(Rec.data(), Rec.size(), Kind, P, N, Err);
+}
+
 TEST(RecordFraming, RoundTripsAndRejectsEveryMutation) {
+  using persist::UnwrapStatus;
+  const persist::ArtifactKind Pts = persist::ArtifactKind::PointsTo;
   std::vector<uint8_t> Payload = {1, 2, 3, 4, 5, 6, 7};
-  std::vector<uint8_t> Rec =
-      persist::wrapRecord(persist::ArtifactKind::PointsTo, Payload);
+  std::vector<uint8_t> Rec = persist::wrapRecord(Pts, Payload);
   const uint8_t *P = nullptr;
   size_t N = 0;
   std::string Err;
-  ASSERT_TRUE(
-      persist::unwrapRecord(Rec, persist::ArtifactKind::PointsTo, P, N, Err))
+  ASSERT_EQ(persist::unwrapRecord(Rec.data(), Rec.size(), Pts, P, N, Err),
+            UnwrapStatus::Ok)
       << Err;
   EXPECT_EQ(std::vector<uint8_t>(P, P + N), Payload);
 
   // Kind mismatch: a pts record must not unwrap as an SDG.
-  EXPECT_FALSE(persist::unwrapRecord(Rec, persist::ArtifactKind::Sdg, P, N,
-                                     Err));
+  Err.clear();
+  EXPECT_EQ(unwrapStatus(Rec, persist::ArtifactKind::Sdg, Err),
+            UnwrapStatus::Corrupt);
   EXPECT_FALSE(Err.empty());
 
   // Truncation, at the header and inside the payload.
   std::vector<uint8_t> Short(Rec.begin(), Rec.begin() + 16);
-  EXPECT_FALSE(persist::unwrapRecord(Short, persist::ArtifactKind::PointsTo,
-                                     P, N, Err));
+  EXPECT_EQ(unwrapStatus(Short, Pts, Err), UnwrapStatus::Corrupt);
   std::vector<uint8_t> Cut(Rec.begin(), Rec.end() - 1);
-  EXPECT_FALSE(persist::unwrapRecord(Cut, persist::ArtifactKind::PointsTo, P,
-                                     N, Err));
+  EXPECT_EQ(unwrapStatus(Cut, Pts, Err), UnwrapStatus::Corrupt);
 
   // A single flipped payload bit fails the checksum.
   std::vector<uint8_t> Flip = Rec;
   Flip[34] ^= 0x10;
-  EXPECT_FALSE(persist::unwrapRecord(Flip, persist::ArtifactKind::PointsTo, P,
-                                     N, Err));
+  EXPECT_EQ(unwrapStatus(Flip, Pts, Err), UnwrapStatus::Corrupt);
 
-  // A bumped format version is a mismatch even with a valid checksum, and
-  // the extended API tells it apart from corruption.
+  // A bumped format version is a mismatch even with a valid checksum, told
+  // apart from corruption.
   std::vector<uint8_t> Ver = Rec;
   Ver[4] ^= 1;
-  EXPECT_FALSE(persist::unwrapRecord(Ver, persist::ArtifactKind::PointsTo, P,
-                                     N, Err));
-  EXPECT_EQ(persist::unwrapRecordEx(Ver, persist::ArtifactKind::PointsTo, P,
-                                    N, Err),
-            persist::UnwrapStatus::VersionMismatch);
-  EXPECT_EQ(persist::unwrapRecordEx(Flip, persist::ArtifactKind::PointsTo, P,
-                                    N, Err),
-            persist::UnwrapStatus::Corrupt);
+  EXPECT_EQ(unwrapStatus(Ver, Pts, Err), UnwrapStatus::VersionMismatch);
 
   // Bad magic.
   std::vector<uint8_t> Magic = Rec;
   Magic[0] ^= 0xff;
-  EXPECT_FALSE(persist::unwrapRecord(Magic, persist::ArtifactKind::PointsTo,
-                                     P, N, Err));
+  EXPECT_EQ(unwrapStatus(Magic, Pts, Err), UnwrapStatus::Corrupt);
 }
 
 TEST(RecordFraming, EverySingleBitAndPairedTopBitFlipFailsTheChecksum) {
@@ -223,11 +224,8 @@ TEST(RecordFraming, EverySingleBitAndPairedTopBitFlipFailsTheChecksum) {
   const persist::ArtifactKind Kind = persist::ArtifactKind::PointsTo;
   std::vector<uint8_t> Rec = persist::wrapRecord(Kind, Payload);
   auto Corrupt = [&] {
-    const uint8_t *P = nullptr;
-    size_t N = 0;
     std::string Err;
-    return persist::unwrapRecordEx(Rec, Kind, P, N, Err) ==
-           persist::UnwrapStatus::Corrupt;
+    return unwrapStatus(Rec, Kind, Err) == persist::UnwrapStatus::Corrupt;
   };
   ASSERT_FALSE(Corrupt());
   const size_t At = 32; // the payload's first byte in the record
@@ -264,11 +262,8 @@ TEST(RecordFraming, FormatV2RecordsAreVersionMissesNotCorruption) {
   ASSERT_GT(Rec.size(), 8u);
   Rec[4] = 2; // little-endian u32 format version
   Rec[5] = Rec[6] = Rec[7] = 0;
-  const uint8_t *P = nullptr;
-  size_t N = 0;
   std::string Err;
-  EXPECT_EQ(persist::unwrapRecordEx(Rec, persist::ArtifactKind::PointsTo, P,
-                                    N, Err),
+  EXPECT_EQ(unwrapStatus(Rec, persist::ArtifactKind::PointsTo, Err),
             persist::UnwrapStatus::VersionMismatch);
   EXPECT_NE(Err.find("format version 2"), std::string::npos) << Err;
 }
@@ -290,10 +285,8 @@ TEST(RecordFraming, FormatV4RecordsAreVersionMissesNotCorruption) {
     std::vector<uint8_t> Rec = persist::wrapRecord(Kind, {1, 2, 3});
     Rec[4] = Version; // little-endian u32 format version
     Rec[5] = Rec[6] = Rec[7] = 0;
-    const uint8_t *P = nullptr;
-    size_t N = 0;
     std::string Err;
-    EXPECT_EQ(persist::unwrapRecordEx(Rec, Kind, P, N, Err),
+    EXPECT_EQ(unwrapStatus(Rec, Kind, Err),
               persist::UnwrapStatus::VersionMismatch);
     EXPECT_NE(Err.find("format version " + std::to_string(Version)),
               std::string::npos)
@@ -1480,8 +1473,9 @@ TEST(PersistPoison, CyclicSuperclassChainInTheIrRecordIsRejected) {
     const uint8_t *Payload = nullptr;
     size_t Len = 0;
     std::string Err;
-    if (!persist::unwrapRecord(Record, persist::ArtifactKind::Ir, Payload,
-                               Len, Err))
+    if (persist::unwrapRecord(Record.data(), Record.size(),
+                              persist::ArtifactKind::Ir, Payload, Len,
+                              Err) != persist::UnwrapStatus::Ok)
       continue;
     Program P;
     persist::Reader R(Payload, Len);

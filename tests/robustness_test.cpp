@@ -499,6 +499,15 @@ TEST(Robustness, MalformedEnvLimitsCountAsUnset) {
   unsetenv("TAJ_FAIL_AT");
   EXPECT_DOUBLE_EQ(L2.DeadlineMs, 0.5);
   EXPECT_EQ(L2.FailAtCheckpoint, 12u);
+
+  // A MiB count whose byte count would wrap (2^44 + 1 MiB is 1 MiB past
+  // 2^64 bytes) is past the bound, as --max-memory-mb refuses it; the
+  // largest count within the bound still applies.
+  setenv("TAJ_MAX_MEMORY_MB", "17592186044417", 1);
+  EXPECT_EQ(RunGuard::limitsFromEnv().MaxMemoryBytes, 0u);
+  setenv("TAJ_MAX_MEMORY_MB", "8796093022207", 1);
+  EXPECT_EQ(RunGuard::limitsFromEnv().MaxMemoryBytes, 8796093022207ull << 20);
+  unsetenv("TAJ_MAX_MEMORY_MB");
 }
 
 // "inf", "infinity" and "nan" are strtod syntax, but no setting means

@@ -637,6 +637,23 @@ TEST(Service, OptionsRoundTripThroughCanonicalEncoding) {
   RunOptions Changed = O;
   Changed.Budget = 1235;
   EXPECT_NE(optionsFingerprint(Changed), optionsFingerprint(O));
+
+  // A deadline survives the wire exactly, past six decimals too: a worker
+  // must enforce the deadline the caller set, and the fingerprint must
+  // tell two such deadlines apart.
+  for (const double Ms : {1e-7, 250.1234567, 0.5}) {
+    O.DeadlineMs = Ms;
+    RunOptions Decoded;
+    for (const std::string &A : encodeRunOptions(O))
+      ASSERT_EQ(parseRunOption(A.c_str(), Decoded), OptionParse::Matched)
+          << A;
+    EXPECT_EQ(Decoded.DeadlineMs, Ms);
+    EXPECT_EQ(optionsFingerprint(Decoded), optionsFingerprint(O));
+  }
+  RunOptions Near = O;
+  O.DeadlineMs = 250.1234567;
+  Near.DeadlineMs = 250.1234568;
+  EXPECT_NE(optionsFingerprint(Near), optionsFingerprint(O));
 }
 
 TEST(Service, RetryDegradationStripsFaultInjection) {

@@ -494,7 +494,9 @@ TEST(HardLimits, MalformedEnvironmentCountsAsUnset) {
     EXPECT_DOUBLE_EQ(C.HardDeadlineMs, 1200) << Bad;
     EXPECT_EQ(C.CpuLimitSec, (1200 / 1000 + 1) * 16u) << Bad;
   }
-  for (const char *Bad : {"64abc", "-1", "1.5", "junk"})
+  // 17592186044417 MiB is past the MiB bound: its byte count would wrap
+  // to 1 MiB.
+  for (const char *Bad : {"64abc", "-1", "1.5", "junk", "17592186044417"})
     EXPECT_EQ(Derive("TAJ_HARD_MAX_MEMORY_MB", Bad).HardMemoryBytes, GiB)
         << Bad;
   for (const char *Bad : {"-100", "soon"})
@@ -504,6 +506,8 @@ TEST(HardLimits, MalformedEnvironmentCountsAsUnset) {
   // Well-formed values, exponent notation included, still apply.
   EXPECT_EQ(Derive("TAJ_HARD_MAX_MEMORY_MB", "1e3").HardMemoryBytes,
             1000ull * 1024 * 1024);
+  EXPECT_EQ(Derive("TAJ_HARD_MAX_MEMORY_MB", "8796093022207").HardMemoryBytes,
+            8796093022207ull << 20);
   EXPECT_DOUBLE_EQ(Derive("TAJ_WATCHDOG_GRACE_MS", "250").GraceMs, 250);
   SupervisorConfig Off = Derive("TAJ_HARD_DEADLINE_MS", "0");
   EXPECT_DOUBLE_EQ(Off.HardDeadlineMs, 0);
@@ -571,6 +575,14 @@ TEST(CliFlags, OutOfRangeValuesAreUsageErrorsNotWraps) {
   Out = runCli("--max-memory-mb=1e17 x.taj", Exit);
   EXPECT_EQ(Exit, 1);
   EXPECT_NE(Out.find("out of range"), std::string::npos) << Out;
+  // 2^44 + 1 MiB is 2^64 + 2^20 bytes: refused, not wrapped to 1 MiB.
+  for (const char *Flag : {"--max-memory-mb=17592186044417 x.taj",
+                           "--cache-max-mb=17592186044417 x.taj",
+                           "--hot-max-mb=17592186044417 x.taj"}) {
+    Out = runCli(Flag, Exit);
+    EXPECT_EQ(Exit, 1) << Flag;
+    EXPECT_NE(Out.find("out of range"), std::string::npos) << Out;
+  }
   // Malformed input keeps the long-standing message; a non-finite number
   // is malformed.
   Out = runCli("--budget=abc x.taj", Exit);
@@ -619,14 +631,18 @@ TEST(Supervised, JobsOneIsByteIdenticalToInProcess) {
 TEST(Supervised, CooperativeTruncationPassesThrough) {
   TempDir T;
   std::string List = writeList(T, 1);
-  int E0 = 0, E1 = 0;
-  // --fail-at trips RunGuard cooperatively: the worker exits 2 on its own
-  // and the supervisor must not retry or reclassify it.
-  std::string Ref = runCli("--batch=" + List + " --fail-at=5", E0);
-  std::string Got = runCli("--batch=" + List + " --fail-at=5 --jobs=1", E1);
-  EXPECT_EQ(E0, 2);
-  EXPECT_EQ(E1, 2);
-  EXPECT_EQ(Ref, Got);
+  // --fail-at and --deadline-ms trip RunGuard cooperatively: the worker
+  // exits 2 on its own and the supervisor must not retry or reclassify
+  // it. A worker reads the deadline from its command line, where a
+  // deadline printed with six decimals reads 1e-7 ms as 0, no deadline.
+  for (const char *Limit : {" --fail-at=5", " --deadline-ms=0.0000001"}) {
+    int E0 = 0, E1 = 0;
+    std::string Ref = runCli("--batch=" + List + Limit, E0);
+    std::string Got = runCli("--batch=" + List + Limit + " --jobs=1", E1);
+    EXPECT_EQ(E0, 2) << Limit;
+    EXPECT_EQ(E1, 2) << Limit;
+    EXPECT_EQ(Ref, Got) << Limit;
+  }
 }
 
 /// A valid app of \p Servlets entry servlets, each passing a request

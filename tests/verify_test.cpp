@@ -730,6 +730,70 @@ TEST(PersistPoison, CorruptSdgArtifactIsRejectedWithExitOne) {
             server::ExitClean);
 }
 
+TEST(PersistPoison, DoublyDefinedValueInTheIrRecordIsRejectedWithExitOne) {
+  const std::string Text = readFileOrDie(TAJ_EXAMPLE_TAJ);
+  TempDir D;
+  persist::ArtifactCache Cache(D.Path);
+  server::RunOptions Opt;
+  Opt.Verify = VerifyMode::Full;
+  const std::vector<server::AppSource> Src = {{"webapp.taj", true, Text}};
+
+  Stats S1;
+  EXPECT_EQ(server::analyzeApp(Src, Opt, &Cache, &S1).Exit,
+            server::ExitClean);
+
+  // Give the second value-defining instruction of a method the SSA value
+  // the first defines. restoreProgram checks that each value is in range,
+  // not that it has one definition, so only the IR verifier behind
+  // --verify=full can tell; store() re-signs the record.
+  const std::string IrKey =
+      persist::ArtifactCache::makeKey("ir", inputFpOf(Text), "");
+  Program P;
+  {
+    auto Payload = Cache.load(IrKey, persist::ArtifactKind::Ir);
+    ASSERT_TRUE(Payload.has_value());
+    persist::Reader R(Payload->data(), Payload->size());
+    ASSERT_TRUE(persist::Access::restoreProgram(P, R));
+  }
+  bool Poisoned = false;
+  for (Method &M : P.Methods) {
+    ValueId First = NoValue;
+    for (BasicBlock &BB : M.Blocks)
+      for (Instruction &I : BB.Insts)
+        if (!Poisoned && I.hasDst()) {
+          if (First == NoValue) {
+            First = I.Dst;
+          } else {
+            I.Dst = First;
+            Poisoned = true;
+          }
+        }
+    if (Poisoned)
+      break;
+  }
+  ASSERT_TRUE(Poisoned);
+  persist::Writer W;
+  persist::Access::serializeProgram(P, W);
+  Program Restored;
+  persist::Reader RR(W.bytes().data(), W.bytes().size());
+  ASSERT_TRUE(persist::Access::restoreProgram(Restored, RR));
+  Cache.store(IrKey, persist::ArtifactKind::Ir, W.bytes());
+
+  Stats S2;
+  EXPECT_EQ(server::analyzeApp(Src, Opt, &Cache, &S2).Exit,
+            server::ExitError);
+  EXPECT_GE(S2.get("verify.ir_violations"), 1u);
+  EXPECT_EQ(S2.get("persist.verify_rejected"), 1u);
+
+  // The rejection dropped the poisoned entry: the next run parses cold,
+  // stores a fresh ir record and is clean again.
+  Stats S3;
+  EXPECT_EQ(server::analyzeApp(Src, Opt, &Cache, &S3).Exit,
+            server::ExitClean);
+  EXPECT_EQ(S3.get("verify.violations"), 0u);
+  EXPECT_EQ(S3.get("persist.store"), 1u);
+}
+
 TEST(PersistPoison, TruncatedRecordFallsBackColdAndClean) {
   const std::string Text = readFileOrDie(TAJ_EXAMPLE_TAJ);
   TempDir D;

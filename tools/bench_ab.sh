@@ -33,13 +33,24 @@
 # mode) and BM_ClassHierarchy (the class hierarchy's constructor on
 # Roller, which every run pays). Each row keeps
 # the time unit its benchmark reports in (ns, us or ms), and medians print
-# to three decimals. The speedup column is medianA / medianB, so values
-# above 1 mean the candidate is faster. Because A and B alternate, each
-# round is also a pair: paired_speedup is the median over rounds of that
-# round's A/B ratio, and wins counts the rounds B was faster in. A slow
-# spell of the host that covers more runs of one side than of the other
-# skews the per-side medians, but only the ratios of the rounds it
-# touched.
+# to three decimals.
+#
+# Each round also runs, on both sides and on the same CPU,
+# `bench/phase_profile hybrid-unbounded cold` and `bench/phase_profile
+# hybrid-optimized warm`, the configurations of suitebench's two library
+# workloads. Every key of a profile's "suite" object (the phase.*_us
+# sums, Millis, MinorFaultsPerPass, SliceWork, Issues) becomes one more
+# row, named "<config>/<mode>/<key>", so the report says which phase moved
+# as well as whether a whole run did. A moved cold phase with a moved
+# MinorFaultsPerPass is glibc's heap trimming before it is the code.
+#
+# The speedup column is medianA / medianB, so values above 1 mean the
+# candidate is faster (fewer faults, for MinorFaultsPerPass). Because A
+# and B alternate, each round is also a pair: paired_speedup is the median
+# over rounds of that round's A/B ratio, and wins counts the rounds B was
+# lower in. A slow spell of the host that covers more runs of one side
+# than of the other skews the per-side medians, but only the ratios of the
+# rounds it touched.
 #
 #===----------------------------------------------------------------------===#
 set -euo pipefail
@@ -55,11 +66,15 @@ ROUNDS=${3:-5}
 OUT=${4:-${TMPDIR:-/tmp}/bench_ab.json}
 FILTER='BM_PointerAnalysis|BM_SolverAsRun|BM_SdgConstruction|BM_ServerWarmRequest|BM_ColdVsWarmAnalysis|BM_RestoreSolver|BM_RestoreSdg|BM_CacheLoad|BM_HybridSlicing|BM_CiSlicing|BM_ConstStrings|BM_ClassHierarchy'
 
+PROFILES="hybrid-unbounded:cold hybrid-optimized:warm"
+
 for D in "$BUILD_A" "$BUILD_B"; do
-  if [ ! -x "$D/bench/micro_perf" ]; then
-    echo "error: $D/bench/micro_perf not found (build the tree first)" >&2
-    exit 2
-  fi
+  for BIN in micro_perf phase_profile; do
+    if [ ! -x "$D/bench/$BIN" ]; then
+      echo "error: $D/bench/$BIN not found (build the tree first)" >&2
+      exit 2
+    fi
+  done
 done
 
 CPU=$(python3 -c 'import os; print(sorted(os.sched_getaffinity(0))[-1])')
@@ -76,15 +91,25 @@ for R in $(seq 1 "$ROUNDS"); do
       --benchmark_format=json \
       --benchmark_out="$WORK/$SIDE.$R.json" \
       --benchmark_out_format=json > /dev/null
+    for P in $PROFILES; do
+      taskset -c "$CPU" "$D/bench/phase_profile" "${P%:*}" "${P#*:}" \
+        > "$WORK/$SIDE.$R.${P%:*}.${P#*:}.phase.json"
+    done
   done
 done
 
-python3 - "$WORK" "$ROUNDS" "$BUILD_A" "$BUILD_B" "$OUT" "$CPU" <<'PY'
+python3 - "$WORK" "$ROUNDS" "$BUILD_A" "$BUILD_B" "$OUT" "$CPU" \
+  "$PROFILES" <<'PY'
 import json, statistics, sys
 
-work, rounds, build_a, build_b, out, cpu = (
+work, rounds, build_a, build_b, out, cpu, profiles = (
     sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5],
-    int(sys.argv[6]))
+    int(sys.argv[6]), sys.argv[7].split())
+
+def unit_of(key):
+    if key.endswith("_us"):
+        return "us"
+    return "ms" if key == "Millis" else "count"
 
 def collect(side):
     times, units = {}, {}
@@ -96,6 +121,14 @@ def collect(side):
                 continue
             times.setdefault(b["name"], []).append(b["real_time"])
             units[b["name"]] = b["time_unit"]
+        for p in profiles:
+            cfg, mode = p.split(":")
+            with open(f"{work}/{side}.{r}.{cfg}.{mode}.phase.json") as f:
+                suite = json.load(f)["suite"]
+            for key, value in suite.items():
+                name = f"{cfg}/{mode}/{key}"
+                times.setdefault(name, []).append(value)
+                units[name] = unit_of(key)
     return times, units
 
 (a, units_a), (b, units_b) = collect("A"), collect("B")
@@ -114,7 +147,8 @@ for name in sorted(set(a) & set(b)):
         continue
     ma, mb = statistics.median(a[name]), statistics.median(b[name])
     pairs = list(zip(a[name], b[name]))
-    paired = statistics.median(ta / tb for ta, tb in pairs if tb)
+    ratios = [ta / tb for ta, tb in pairs if tb]
+    paired = statistics.median(ratios) if ratios else None
     wins = sum(tb < ta for ta, tb in pairs)
     report["benchmarks"].append({
         "name": name,
@@ -125,9 +159,10 @@ for name in sorted(set(a) & set(b)):
         "paired_speedup": paired,
         "wins": wins,
     })
-    print(f"{name:45s} A={ma:14.3f} {unit:2s}  B={mb:14.3f} {unit:2s}  "
-          f"speedup={ma / mb:5.2f}x  paired={paired:5.2f}x  "
-          f"wins={wins}/{len(pairs)}")
+    ratio = lambda v: f"{v:5.2f}x" if v is not None else "  n/a"
+    print(f"{name:45s} A={ma:14.3f} {unit:5s}  B={mb:14.3f} {unit:5s}  "
+          f"speedup={ratio(ma / mb if mb else None)}  "
+          f"paired={ratio(paired)}  wins={wins}/{len(pairs)}")
 missing = sorted(set(a) ^ set(b))
 if missing:
     print(f"note: only one side ran: {', '.join(missing)}", file=sys.stderr)

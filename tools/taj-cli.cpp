@@ -247,7 +247,7 @@ int main(int Argc, char **Argv) {
     if (std::strncmp(A, "--cache-dir=", 12) == 0)
       CacheDir = A + 12;
     else if (std::strncmp(A, "--cache-max-mb=", 15) == 0) {
-      if (!parseUInt("--cache-max-mb", A + 15, MaxExactU64, CacheMaxMb))
+      if (!parseUInt("--cache-max-mb", A + 15, MaxMebibytes, CacheMaxMb))
         return ExitError;
     } else if (std::strncmp(A, "--jobs=", 7) == 0) {
       if (!parseUInt("--jobs", A + 7, 1024, Jobs))
@@ -275,7 +275,7 @@ int main(int Argc, char **Argv) {
         return ExitError;
       QueueDepthSet = true;
     } else if (std::strncmp(A, "--hot-max-mb=", 13) == 0) {
-      if (!parseUInt("--hot-max-mb", A + 13, MaxExactU64, HotMaxMb))
+      if (!parseUInt("--hot-max-mb", A + 13, MaxMebibytes, HotMaxMb))
         return ExitError;
       HotMaxSet = true;
     } else if (std::strncmp(A, "--stats-json=", 13) == 0)
@@ -393,7 +393,7 @@ int main(int Argc, char **Argv) {
   std::unique_ptr<persist::ArtifactCache> Cache;
   if (!CacheDir.empty() && Jobs == 0)
     Cache = std::make_unique<persist::ArtifactCache>(CacheDir,
-                                                     CacheMaxMb * 1024 * 1024);
+                                                     mebibytes(CacheMaxMb));
 
   Stats MergedStats;
   Stats *JsonStats = StatsJsonPath.empty() ? nullptr : &MergedStats;
